@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/race"
+	"repro/internal/tuple"
 )
 
 // ingestAllocBudget is the checked-in ceiling for one steady-state 64-arrival
@@ -154,5 +155,53 @@ func TestColIngestAllocBudget(t *testing.T) {
 	}
 	if !eng.colOK {
 		t.Error("engine demoted off the columnar path during the run")
+	}
+}
+
+// pushAllocBudget holds single-tuple Push — a run of one on the row chain —
+// to the allocations per 64 arrivals measured on the per-tuple operator chain
+// it replaced (the commit before Operator.Process was removed: 102 for
+// Q1/UPA, 293 for Q5/UPA, deterministic). A run of one must never cost more
+// than that chain did: no per-call run slice, no unpooled Emit, no per-call
+// emission slices. Measured after the change: 51 and 204.
+var pushAllocBudget = map[string]float64{
+	"Q1-join-of-selects": 102,
+	"Q5-negation-join":   293,
+}
+
+func TestPushAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation budgets are meaningless under -race")
+	}
+	for _, q := range ckptQueries() {
+		budget, ok := pushAllocBudget[q.name]
+		if !ok {
+			continue
+		}
+		t.Run(q.name, func(t *testing.T) {
+			eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+			r := rand.New(rand.NewSource(17))
+			vals := make([][]tuple.Value, 64)
+			for i := range vals {
+				vals[i] = rndTuple(r)
+			}
+			base := int64(0)
+			runOnce := func() {
+				for i, v := range vals {
+					if err := eng.Push(i%q.streams, base+int64(i/8), v...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				base += 8
+			}
+			for i := 0; i < 64; i++ {
+				runOnce()
+			}
+			got := testing.AllocsPerRun(100, runOnce)
+			t.Logf("steady-state Push: %.1f allocs per 64 arrivals (%.2f/tuple)", got, got/64)
+			if got > budget {
+				t.Errorf("steady-state Push: %.1f allocs per 64 arrivals, budget %.1f", got, budget)
+			}
+		})
 	}
 }

@@ -26,8 +26,8 @@ import (
 //     is persisted in checkpoints so a restored engine stays demoted.
 //
 // Both paths mutate the same operator state through the same buffer
-// operations and canonical keys, so they are freely interleavable (Advance,
-// table updates, and NT retractions always use the row path).
+// operations and canonical keys, so they are freely interleavable (Push,
+// Advance, table updates, and NT retractions always use the row chain).
 
 // colPlanSupported reports whether every layer of the live dataflow has a
 // columnar fast path. Recomputed (recomputeColPath) after every registration
@@ -89,15 +89,18 @@ func (e *Engine) initColPath() {
 	}
 }
 
-// valsConform reports whether vals matches schema's width and column kinds
-// exactly — the admission criterion for columnar layout.
-func valsConform(schema *tuple.Schema, vals []tuple.Value) bool {
-	if len(vals) != schema.Len() {
-		return false
-	}
-	for i := range vals {
-		if vals[i].Kind != schema.Col(i).Kind {
+// valsConform reports whether every arrival of run matches schema's width
+// and column kinds exactly — the admission criterion for columnar layout.
+func valsConform(schema *tuple.Schema, run []Arrival) bool {
+	for i := range run {
+		vals := run[i].Vals
+		if len(vals) != schema.Len() {
 			return false
+		}
+		for c := range vals {
+			if vals[c].Kind != schema.Col(c).Kind {
+				return false
+			}
 		}
 	}
 	return true
@@ -106,9 +109,10 @@ func valsConform(schema *tuple.Schema, vals []tuple.Value) bool {
 // ingestRunCols admits a same-timestamp run in columnar form: lay out the
 // value vectors (interning strings), stamp the run's shared expiration with
 // one StampRun call, and feed the batch down the kernel pipeline. It returns
-// handled=false — after demoting the engine — when the run's kinds do not
-// conform, in which case the caller replays the run through the row path.
-func (e *Engine) ingestRunCols(src *plan.PSource, ts int64, run []Arrival) (handled bool, err error) {
+// conforms=false, having touched nothing but its staging batch, when the
+// run fails valsConform (AppendRun refuses exactly those runs); the caller
+// then demotes the engine.
+func (e *Engine) ingestRunCols(src *plan.PSource, ts int64, run []Arrival) (conforms bool, err error) {
 	cb := e.colSrc[src]
 	cb.Reset()
 	rows := e.colRows[:0]
@@ -121,8 +125,6 @@ func (e *Engine) ingestRunCols(src *plan.PSource, ts int64, run []Arrival) (hand
 	}
 	e.colRows = rows[:0]
 	if !ok {
-		e.colOK = false
-		e.colDemoted = true
 		return false, nil
 	}
 	var exp int64

@@ -469,6 +469,61 @@ func TestConformanceCountWindow(t *testing.T) {
 		})
 }
 
+// TestConformanceExpiryHeavy stresses the deliveries the engine originates
+// itself, all of which travel as runs: under NT the negatives of one
+// ExpireUpTo call (long Advance gaps retire a whole window at once), under
+// every strategy the expiration output of eager operators, and count-window
+// evictions interleaved with the arrivals that caused them. Eager interval 1,
+// same-timestamp bursts, and the view is compared with the Definition-1
+// oracle after every event.
+func TestConformanceExpiryHeavy(t *testing.T) {
+	script := func(streams int) func(d *driver, _ []*relation.Table) {
+		return func(d *driver, _ []*relation.Table) {
+			r := rand.New(rand.NewSource(29))
+			ts := int64(0)
+			for round := 0; round < 12; round++ {
+				for tick := 0; tick < 6; tick++ {
+					ts += int64(r.Intn(2))
+					for k := 1 + r.Intn(4); k > 0; k-- {
+						d.push(r.Intn(streams), ts, rndTuple(r)...)
+					}
+				}
+				// A gap the length of a window or more: everything stored so
+				// far expires inside one advance.
+				ts += int64(8 + r.Intn(24))
+				d.advance(ts)
+			}
+			if v := d.eng.Violations(); v != 0 {
+				d.t.Errorf("pattern violations = %d, want 0", v)
+			}
+		}
+	}
+	t.Run("time-windows", func(t *testing.T) {
+		runConformance(t,
+			func() (*plan.Node, []*relation.Table) {
+				a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 9}, linkSchema())
+				b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 14}, linkSchema())
+				return plan.NewDistinct(plan.NewProject(plan.NewJoin(a, b, []int{0}, []int{0}), 0, 1)), nil
+			}, script(2))
+	})
+	t.Run("count-window", func(t *testing.T) {
+		runConformance(t,
+			func() (*plan.Node, []*relation.Table) {
+				a := plan.NewSource(0, window.Spec{Type: window.CountBased, Size: 4}, linkSchema())
+				b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 11}, linkSchema())
+				return plan.NewJoin(a, b, []int{0}, []int{0}), nil
+			}, script(2))
+	})
+	t.Run("negation", func(t *testing.T) {
+		runConformance(t,
+			func() (*plan.Node, []*relation.Table) {
+				a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 10}, linkSchema())
+				b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 7}, linkSchema())
+				return plan.NewNegate(a, b, []int{0}, []int{0}), nil
+			}, script(2))
+	})
+}
+
 func TestConformanceMonotonicStream(t *testing.T) {
 	// Selection over an unbounded stream: append-only output.
 	for _, v := range variants() {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -236,5 +237,91 @@ func TestProfile(t *testing.T) {
 	buf.Reset()
 	if err := bare.WriteProfile(&buf); err != nil || !strings.Contains(buf.String(), "bare window") {
 		t.Errorf("bare profile: %q %v", buf.String(), err)
+	}
+}
+
+// TestEntryPointsRejectAndDemoteAlike: validation, arrival counting and the
+// columnar-demotion check live in one place (ingestRun), so every way an
+// arrival can enter — Push, PushBatch, either of them on a plan that windows
+// one stream twice — rejects a regressing timestamp and an unknown stream
+// with the same error text and no change to engine state, and takes a
+// kind-nonconforming tuple with the same outcome: accepted, Columnar() false
+// from then on, visible state equal to an engine that never ran columnar.
+// Advance rejects a regressing time the same way, in its own words.
+func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
+	q1 := ckptQueries()[0].build // join of ftp-selects over streams 0 and 1
+	selfJoin := func() *plan.Node {
+		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 25}, linkSchema())
+		b := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 25}, linkSchema())
+		return plan.NewJoin(a, b, []int{0}, []int{0})
+	}
+	push := func(e *Engine, a Arrival) error { return e.Push(a.Stream, a.TS, a.Vals...) }
+	pushBatch := func(e *Engine, a Arrival) error { return e.PushBatch([]Arrival{a}) }
+	cases := []struct {
+		name     string
+		build    func() *plan.Node
+		streams  int
+		columnar bool
+		deliver  func(*Engine, Arrival) error
+	}{
+		{"Push", q1, 2, true, push},
+		{"PushBatch", q1, 2, true, pushBatch},
+		{"several-windows/Push", selfJoin, 1, false, push},
+		{"several-windows/PushBatch", selfJoin, 1, false, pushBatch},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := buildEngine(t, c.build(), plan.UPA, Config{LazyInterval: 7})
+			twin := buildEngine(t, c.build(), plan.UPA, Config{LazyInterval: 7, NoColumnar: true})
+			trace := colTrace(c.streams, 120)
+			batchFeed(t, eng, trace[:80])
+			batchFeed(t, twin, trace[:80])
+			if eng.Columnar() != c.columnar {
+				t.Fatalf("Columnar() = %v before the bad tuple, want %v", eng.Columnar(), c.columnar)
+			}
+
+			clock := eng.Clock()
+			good := trace[0].Vals
+			rejected := []struct {
+				call func() error
+				want string
+			}{
+				{func() error { return c.deliver(eng, Arrival{Stream: 0, TS: clock - 1, Vals: good}) },
+					fmt.Sprintf("exec: timestamp %d regresses before %d", clock-1, clock)},
+				{func() error { return c.deliver(eng, Arrival{Stream: 9, TS: clock + 1, Vals: good}) },
+					"exec: no source for stream 9"},
+				{func() error { return eng.Advance(clock - 1) },
+					fmt.Sprintf("exec: time %d regresses before %d", clock-1, clock)},
+			}
+			before, stateBefore := observeNoAdvance(t, eng), eng.StateTuples()
+			for _, r := range rejected {
+				if err := r.call(); err == nil || err.Error() != r.want {
+					t.Errorf("rejected call: error %v, want %q", err, r.want)
+				}
+				diffObservations(t, r.want, observeNoAdvance(t, eng), before)
+				if got := eng.StateTuples(); got != stateBefore {
+					t.Errorf("%s: StateTuples = %d, want %d", r.want, got, stateBefore)
+				}
+				if eng.Columnar() != c.columnar {
+					t.Errorf("%s: rejected call changed Columnar()", r.want)
+				}
+			}
+
+			// A Float where the schema says Int: canonical keys make Float(3)
+			// and Int(3) the same value downstream, so the row chain digests
+			// it — only the columnar layout must refuse it.
+			bad := Arrival{Stream: 0, TS: clock, Vals: []tuple.Value{tuple.Float(3), tuple.String_("ftp"), tuple.Int(9)}}
+			for _, e := range []*Engine{eng, twin} {
+				if err := c.deliver(e, bad); err != nil {
+					t.Fatalf("kind-nonconforming tuple: %v", err)
+				}
+			}
+			if eng.Columnar() {
+				t.Error("Columnar() still true after a kind-nonconforming tuple")
+			}
+			batchFeed(t, eng, trace[80:])
+			batchFeed(t, twin, trace[80:])
+			diffObservations(t, "after the bad tuple vs row twin", observe(t, eng), observe(t, twin))
+		})
 	}
 }

@@ -1,11 +1,10 @@
 package exec
 
-// Delta-latency plumbing tests: span sampling through the tracer, the
-// pipelined executor's origin propagation, and the engine-level histograms
-// on entry points the conformance acceptance suite doesn't cover.
+// Delta-latency plumbing tests: span sampling through the tracer and the
+// engine-level histograms on entry points the conformance acceptance suite
+// doesn't cover.
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/obs"
@@ -84,78 +83,6 @@ func TestDeltaSpanSamplingRate(t *testing.T) {
 	feed(t, eng, ckptTrace(q.streams))
 	if got := len(ring.Events()); got != 0 {
 		t.Errorf("sampling 1-in-2^30 over 192 arrivals emitted %d spans, want 0", got)
-	}
-}
-
-// TestPipelineDeltaLatency drives the pipelined executor instrumented and
-// checks the view goroutine records a latency observation for every folded
-// delta, both polarities, under the NT strategy (which retracts).
-func TestPipelineDeltaLatency(t *testing.T) {
-	root := pipelineShapes()["join"]()
-	phys := buildPhys(t, root, plan.NT, plan.Options{})
-	p, err := NewPipeline(phys, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	p.Instrument(reg, obs.Labels{"query": "join"})
-	r := rand.New(rand.NewSource(3))
-	for ts := int64(0); ts < 120; ts++ {
-		if err := p.Push(int(ts)%2, ts, rndTuple(r)...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pos, neg := p.DeltaLatency()
-	if pos.Count == 0 {
-		t.Fatal("no positive-delta latency recorded")
-	}
-	if neg.Count == 0 {
-		t.Fatal("no retraction latency recorded under NT")
-	}
-	if pos.Max <= 0 || pos.P50 <= 0 {
-		t.Errorf("degenerate positive latency snapshot: %+v", pos)
-	}
-	if pos.P50 > pos.P95 || pos.P95 > pos.P99 || pos.P99 > pos.Max {
-		t.Errorf("quantiles out of order: %+v", pos)
-	}
-	// The registered series carries the query label.
-	snap := reg.Snapshot()
-	found := false
-	for name := range snap.LogHistograms {
-		found = true
-		if name == "" {
-			t.Error("empty series name in snapshot")
-		}
-	}
-	if !found {
-		t.Error("registry snapshot has no log-histogram series")
-	}
-}
-
-// TestPipelineUninstrumentedZero: without Instrument, DeltaLatency reads
-// zero and pushes stamp no origins.
-func TestPipelineUninstrumentedZero(t *testing.T) {
-	root := pipelineShapes()["join"]()
-	phys := buildPhys(t, root, plan.UPA, plan.Options{})
-	p, err := NewPipeline(phys, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(3))
-	for ts := int64(0); ts < 40; ts++ {
-		if err := p.Push(int(ts)%2, ts, rndTuple(r)...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pos, neg := p.DeltaLatency()
-	if pos.Count != 0 || neg.Count != 0 {
-		t.Errorf("uninstrumented pipeline recorded latency: pos=%d neg=%d", pos.Count, neg.Count)
 	}
 }
 

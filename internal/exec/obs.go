@@ -107,10 +107,10 @@ const (
 	MetricOpState = "upa_op_state_tuples"
 	// MetricOpTouched is the operator's sampled cumulative tuple-visit count.
 	MetricOpTouched = "upa_op_touched_total"
-	// MetricOpProcNanos is cumulative wall time inside the operator's
-	// Process, recorded only when Config.Metrics is set.
+	// MetricOpProcNanos is cumulative wall time the operator spent processing
+	// input runs, recorded only when Config.Metrics is set.
 	MetricOpProcNanos = "upa_op_proc_nanos_total"
-	// MetricOpBatchMax / MetricOpBatchLast bound one Process call's latency.
+	// MetricOpBatchMax / MetricOpBatchLast bound the latency of one run.
 	MetricOpBatchMax  = "upa_op_batch_nanos_max"
 	MetricOpBatchLast = "upa_op_batch_nanos_last"
 	// MetricOpObservedPattern is the pattern class the operator's output
@@ -340,11 +340,11 @@ func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) *opS
 		pos:       reg.Counter(MetricOpEmitted, "per-operator emitted tuples", labels),
 		neg:       reg.Counter(MetricOpRetracted, "per-operator retracted tuples", labels),
 		expired:   reg.Counter(MetricOpExpired, "per-operator expiration-driven outputs", labels),
-		procNanos: reg.Counter(MetricOpProcNanos, "per-operator cumulative Process wall time", labels),
+		procNanos: reg.Counter(MetricOpProcNanos, "per-operator cumulative run-processing wall time", labels),
 		state:     reg.Gauge(MetricOpState, "per-operator stored tuples (sampled)", labels),
 		touched:   reg.Gauge(MetricOpTouched, "per-operator tuple visits (sampled)", labels),
-		maxBatch:  reg.Gauge(MetricOpBatchMax, "per-operator max Process call latency", labels),
-		lastBatch: reg.Gauge(MetricOpBatchLast, "per-operator last Process call latency", labels),
+		maxBatch:  reg.Gauge(MetricOpBatchMax, "per-operator max latency of one run", labels),
+		lastBatch: reg.Gauge(MetricOpBatchLast, "per-operator latency of the last run", labels),
 	}
 	st.conf = conformance{
 		declared:       n.Pattern,

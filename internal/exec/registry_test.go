@@ -14,6 +14,19 @@ import (
 	"repro/internal/window"
 )
 
+// buildPhys annotates and builds a fresh physical plan.
+func buildPhys(t *testing.T, root *plan.Node, s plan.Strategy, opts plan.Options) *plan.Physical {
+	t.Helper()
+	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
+		t.Fatal(err)
+	}
+	phys, err := plan.Build(root, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phys
+}
+
 // selPlan is a selection over a time window — the shape the sharing tests
 // instantiate repeatedly (Q1 with a predicate variant).
 func selPlan(win int64, proto string) *plan.Node {

@@ -196,7 +196,7 @@ func (s *Sharded) worker(i int) {
 			op.ack <- err
 			err = nil
 		case err == nil:
-			err = eng.pushBatchFrom(op.origin, op.batch)
+			err = eng.pushRuns(op.origin, op.batch, true)
 		}
 		if op.batch != nil {
 			// Recycle the drained slice to the producer; drop it when the

@@ -537,6 +537,11 @@ func (h *Health) Status() HealthStatus {
 	st.Samples = h.hist.Samples()
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	// evaluate mutates rule state under the history's lock (it reads the
+	// retained window in the same critical section), so reading it takes
+	// that lock too; the order h.mu → hist.mu is never taken in reverse.
+	h.hist.mu.Lock()
+	defer h.hist.mu.Unlock()
 	for _, rs := range h.rules {
 		if rs.cur > st.Overall {
 			st.Overall = rs.cur

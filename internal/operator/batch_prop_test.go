@@ -1,19 +1,20 @@
 package operator
 
-// Property test for the batch execution contract: for any operator and any
-// random event script (positive runs, retractions, Advance interleavings),
-// driving the script through (a) the tuple-at-a-time Process loop, (b) the
-// generic FallbackBatch driver, (c) ProcessBatchInto — the native
-// ProcessBatch where one exists — and (d) the columnar kernel where the
-// operator has one, must produce byte-identical emission renderings at every
-// step and leave identical StateSize()/Touched() accounting. Batch execution
-// is an optimization, never a semantic change.
+// Property test for the one operator contract: a run is a sequence of events,
+// each handled to completion before the next, so where a run is cut never
+// shows. For any operator and any random event script (mixed-polarity runs,
+// Advance interleavings), driving every run (a) whole, (b) one element per
+// ProcessBatch call — the form a single Push takes — and (c) over a random
+// partition must produce byte-identical emission renderings at every step and
+// leave identical StateSize()/Touched() accounting; (d) the columnar kernel,
+// where the operator has one, must agree with all three.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/statebuf"
 	"repro/internal/tuple"
 )
@@ -24,7 +25,18 @@ type propOp struct {
 	name  string
 	sides int
 	negOK bool // script may retract previously inserted tuples
+	noCol bool // the operator has no columnar kernel
 	make  func(t *testing.T) Operator
+}
+
+// fillPropTable loads the table side of the relation joins: sources 0 and 1
+// match one row each, source 2 matches two, source 3 none. It runs after the
+// operator has built its probe index, so every instance probes rows in
+// insertion order (an index built over existing rows takes map order).
+func fillPropTable(t *testing.T, tbl *relation.Table) {
+	for i, sym := range []int64{0, 1, 2, 2} {
+		insertRow(t, tbl, 0, sym, fmt.Sprintf("co%d", i))
+	}
 }
 
 func propOps() []propOp {
@@ -90,7 +102,7 @@ func propOps() []propOp {
 			}
 			return n
 		}},
-		{name: "intersect", sides: 2, negOK: true, make: func(t *testing.T) Operator {
+		{name: "intersect", sides: 2, negOK: true, noCol: true, make: func(t *testing.T) Operator {
 			x, err := NewIntersect(IntersectConfig{
 				Left: linkSchema(), Right: linkSchema(),
 				Horizon: 64, Partitions: 8,
@@ -99,6 +111,30 @@ func propOps() []propOp {
 				t.Fatal(err)
 			}
 			return x
+		}},
+		{name: "nrr-join", sides: 1, negOK: true, noCol: true, make: func(t *testing.T) Operator {
+			j, err := NewNRRJoin(NRRJoinConfig{
+				Stream: linkSchema(), Table: symTable(false),
+				StreamCols: []int{0}, TableCols: []int{0},
+				LogResults: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillPropTable(t, j.Table())
+			return j
+		}},
+		{name: "rel-join", sides: 1, negOK: true, noCol: true, make: func(t *testing.T) Operator {
+			j, err := NewRelJoin(RelJoinConfig{
+				Stream: linkSchema(), Table: symTable(true),
+				StreamCols: []int{0}, TableCols: []int{0},
+				StreamBuf: list,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillPropTable(t, j.Table())
+			return j
 		}},
 	}
 }
@@ -136,7 +172,7 @@ func genScript(r *rand.Rand, sides int, negOK bool, steps int) []propEvent {
 			continue
 		}
 		side := r.Intn(sides)
-		n := 1 + r.Intn(4)
+		n := 1 + r.Intn(8)
 		run := make([]tuple.Tuple, 0, n)
 		for i := 0; i < n; i++ {
 			if negOK && len(live[side]) > 0 && r.Intn(4) == 0 {
@@ -157,18 +193,33 @@ func genScript(r *rand.Rand, sides int, negOK bool, steps int) []propEvent {
 
 func renderEmissions(ts []tuple.Tuple) string { return fmt.Sprint(ts) }
 
-func TestBatchDriversEquivalent(t *testing.T) {
+// processCut drives run through op in the pieces cuts describes (ascending
+// interior cut points) and returns the concatenated emissions.
+func processCut(op Operator, side int, run []tuple.Tuple, now int64, cuts []int, out *Emit) ([]tuple.Tuple, error) {
+	out.Reset()
+	from := 0
+	for _, to := range append(cuts, len(run)) {
+		if err := op.ProcessBatch(side, run[from:to], now, out); err != nil {
+			return nil, err
+		}
+		from = to
+	}
+	return out.Tuples(), nil
+}
+
+func TestRunSplittingInvariance(t *testing.T) {
 	for _, op := range propOps() {
 		for seed := int64(0); seed < 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", op.name, seed), func(t *testing.T) {
-				script := genScript(rand.New(rand.NewSource(seed)), op.sides, op.negOK, 120)
-				seq := op.make(t) // tuple-at-a-time Process loop
-				fb := op.make(t)  // generic FallbackBatch driver
-				nat := op.make(t) // ProcessBatchInto (native path if present)
-				col := op.make(t) // columnar kernel, when the operator has one
+				r := rand.New(rand.NewSource(seed))
+				script := genScript(r, op.sides, op.negOK, 120)
+				whole := op.make(t) // one ProcessBatch per run
+				ones := op.make(t)  // one ProcessBatch per element
+				part := op.make(t)  // a random partition of each run
+				col := op.make(t)   // columnar kernel, when the operator has one
 				colSup := ColSupported(col)
-				if !colSup && op.name != "intersect" {
-					t.Fatalf("%s lost its columnar kernel", op.name)
+				if colSup == op.noCol {
+					t.Fatalf("%s: columnar kernel support = %v", op.name, colSup)
 				}
 				intern := tuple.NewInterner()
 				var colIn, colOut *tuple.ColBatch
@@ -178,16 +229,17 @@ func TestBatchDriversEquivalent(t *testing.T) {
 				}
 				out := GetEmit() // pooled, recycled across events like the executor's
 				defer PutEmit(out)
+				var bBuf, cBuf Emit
 				for i, ev := range script {
 					if ev.run == nil {
-						a, errA := seq.Advance(ev.now)
-						b, errB := fb.Advance(ev.now)
-						c, errC := nat.Advance(ev.now)
+						a, errA := whole.Advance(ev.now)
+						b, errB := ones.Advance(ev.now)
+						c, errC := part.Advance(ev.now)
 						if errA != nil || errB != nil || errC != nil {
 							t.Fatalf("event %d: Advance errs %v/%v/%v", i, errA, errB, errC)
 						}
 						if renderEmissions(a) != renderEmissions(b) || renderEmissions(a) != renderEmissions(c) {
-							t.Fatalf("event %d: Advance(%d) emissions diverge\nseq:      %v\nfallback: %v\nnative:   %v",
+							t.Fatalf("event %d: Advance(%d) emissions diverge\nwhole: %v\nones:  %v\npart:  %v",
 								i, ev.now, a, b, c)
 						}
 						if colSup {
@@ -196,32 +248,28 @@ func TestBatchDriversEquivalent(t *testing.T) {
 								t.Fatalf("event %d: columnar Advance: %v", i, errD)
 							}
 							if renderEmissions(a) != renderEmissions(d) {
-								t.Fatalf("event %d: columnar Advance(%d) diverges\nseq:      %v\ncolumnar: %v",
+								t.Fatalf("event %d: columnar Advance(%d) diverges\nwhole:    %v\ncolumnar: %v",
 									i, ev.now, a, d)
 							}
 						}
 						continue
 					}
-					var a []tuple.Tuple
-					for _, in := range ev.run {
-						outs, err := seq.Process(ev.side, in, ev.now)
-						if err != nil {
-							t.Fatalf("event %d: Process: %v", i, err)
+					var every, some []int
+					for c := 1; c < len(ev.run); c++ {
+						every = append(every, c)
+						if r.Intn(3) == 0 {
+							some = append(some, c)
 						}
-						a = append(a, outs...)
 					}
-					var bBuf Emit
-					if err := FallbackBatch(fb, ev.side, ev.run, ev.now, &bBuf); err != nil {
-						t.Fatalf("event %d: FallbackBatch: %v", i, err)
+					a, errA := processCut(whole, ev.side, ev.run, ev.now, nil, out)
+					b, errB := processCut(ones, ev.side, ev.run, ev.now, every, &bBuf)
+					c, errC := processCut(part, ev.side, ev.run, ev.now, some, &cBuf)
+					if errA != nil || errB != nil || errC != nil {
+						t.Fatalf("event %d: ProcessBatch errs %v/%v/%v", i, errA, errB, errC)
 					}
-					out.Reset()
-					if err := ProcessBatchInto(nat, ev.side, ev.run, ev.now, out); err != nil {
-						t.Fatalf("event %d: ProcessBatchInto: %v", i, err)
-					}
-					if renderEmissions(a) != renderEmissions(bBuf.Tuples()) ||
-						renderEmissions(a) != renderEmissions(out.Tuples()) {
-						t.Fatalf("event %d: run emissions diverge (side %d, now %d, %d tuples)\nseq:      %v\nfallback: %v\nnative:   %v",
-							i, ev.side, ev.now, len(ev.run), a, bBuf.Tuples(), out.Tuples())
+					if renderEmissions(a) != renderEmissions(b) || renderEmissions(a) != renderEmissions(c) {
+						t.Fatalf("event %d: run emissions diverge (side %d, now %d, %d tuples, cuts %v)\nwhole: %v\nones:  %v\npart:  %v",
+							i, ev.side, ev.now, len(ev.run), some, a, b, c)
 					}
 					if colSup {
 						if !colIn.FromRows(ev.run, intern) {
@@ -233,23 +281,23 @@ func TestBatchDriversEquivalent(t *testing.T) {
 						}
 						d := colOut.AppendRowsTo(nil, nil, intern)
 						if renderEmissions(a) != renderEmissions(d) {
-							t.Fatalf("event %d: columnar emissions diverge (side %d, now %d, %d tuples)\nseq:      %v\ncolumnar: %v",
+							t.Fatalf("event %d: columnar emissions diverge (side %d, now %d, %d tuples)\nwhole:    %v\ncolumnar: %v",
 								i, ev.side, ev.now, len(ev.run), a, d)
 						}
 					}
 					// Accounting must track step by step, not just at the end:
-					// batch execution may not skip or duplicate state work.
-					if seq.StateSize() != fb.StateSize() || seq.StateSize() != nat.StateSize() {
-						t.Fatalf("event %d: StateSize diverges: seq=%d fallback=%d native=%d",
-							i, seq.StateSize(), fb.StateSize(), nat.StateSize())
+					// no cut may skip or duplicate state work.
+					if whole.StateSize() != ones.StateSize() || whole.StateSize() != part.StateSize() {
+						t.Fatalf("event %d: StateSize diverges: whole=%d ones=%d part=%d",
+							i, whole.StateSize(), ones.StateSize(), part.StateSize())
 					}
-					if colSup && seq.StateSize() != col.StateSize() {
-						t.Fatalf("event %d: columnar StateSize diverges: seq=%d columnar=%d",
-							i, seq.StateSize(), col.StateSize())
+					if colSup && whole.StateSize() != col.StateSize() {
+						t.Fatalf("event %d: columnar StateSize diverges: whole=%d columnar=%d",
+							i, whole.StateSize(), col.StateSize())
 					}
-					if seq.Touched() != fb.Touched() || seq.Touched() != nat.Touched() {
-						t.Fatalf("event %d: Touched diverges: seq=%d fallback=%d native=%d",
-							i, seq.Touched(), fb.Touched(), nat.Touched())
+					if whole.Touched() != ones.Touched() || whole.Touched() != part.Touched() {
+						t.Fatalf("event %d: Touched diverges: whole=%d ones=%d part=%d",
+							i, whole.Touched(), ones.Touched(), part.Touched())
 					}
 				}
 			})

@@ -42,7 +42,7 @@ func BenchmarkDistinctImplementations(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ts := int64(i)
-				if _, err := d.Process(0, ip(ts, ts+window, ts%300), ts); err != nil {
+				if _, err := processTuple(d, 0, ip(ts, ts+window, ts%300), ts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,7 +74,7 @@ func BenchmarkJoinStateStructures(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ts := int64(i)
 				side := i % 2
-				if _, err := j.Process(side, ip(ts, ts+window, ts%500), ts); err != nil {
+				if _, err := processTuple(j, side, ip(ts, ts+window, ts%500), ts); err != nil {
 					b.Fatal(err)
 				}
 				if i%16 == 0 {
@@ -107,7 +107,7 @@ func BenchmarkNegateCalendars(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				ts := int64(i)
-				if _, err := n.Process(i%2, ip(ts, ts+window, ts%200), ts); err != nil {
+				if _, err := processTuple(n, i%2, ip(ts, ts+window, ts%200), ts); err != nil {
 					b.Fatal(err)
 				}
 			}

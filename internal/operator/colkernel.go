@@ -18,7 +18,7 @@ import (
 // (intersect, relation joins) keep the row path; ColSupported lets the
 // executor decide per plan whether a columnar pipeline is available at all.
 
-// ColBatchProcessor is the columnar counterpart of BatchProcessor: consume a
+// ColBatchProcessor is the optional columnar form of ProcessBatch: consume a
 // run in columnar form, append emissions (positive and negative) to out in
 // exactly the order the row-form ProcessBatch would produce them. Kernels may
 // materialize row-form tuples internally where state structures require it,

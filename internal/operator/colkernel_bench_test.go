@@ -135,7 +135,7 @@ func BenchmarkGroupByKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			em.Reset()
-			if err := ProcessBatchInto(op, 0, rows, 100, &em); err != nil {
+			if err := op.ProcessBatch(0, rows, 100, &em); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -187,11 +187,11 @@ func BenchmarkNegateKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			em.Reset()
-			if err := ProcessBatchInto(op, 0, pos, 100, &em); err != nil {
+			if err := op.ProcessBatch(0, pos, 100, &em); err != nil {
 				b.Fatal(err)
 			}
 			em.Reset()
-			if err := ProcessBatchInto(op, 0, neg, 100, &em); err != nil {
+			if err := op.ProcessBatch(0, neg, 100, &em); err != nil {
 				b.Fatal(err)
 			}
 		}

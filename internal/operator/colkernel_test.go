@@ -40,7 +40,7 @@ func randColRows(rng *rand.Rand, n int, ts int64, negs bool) []tuple.Tuple {
 func runBothPaths(t *testing.T, rowOp, colOp Operator, side int, rows []tuple.Tuple, now int64, in *tuple.ColBatch, intern *tuple.Interner, outSchema *tuple.Schema) (rowOut, colOut []tuple.Tuple) {
 	t.Helper()
 	var em Emit
-	if err := ProcessBatchInto(rowOp, side, rows, now, &em); err != nil {
+	if err := rowOp.ProcessBatch(side, rows, now, &em); err != nil {
 		t.Fatalf("row path: %v", err)
 	}
 	if !in.FromRows(rows, intern) {
@@ -143,7 +143,7 @@ func TestColKernelUnionEquivalence(t *testing.T) {
 	// A timestamp regression must fail identically on both paths.
 	bad := randColRows(rng, 1, 0, false)
 	var em Emit
-	rowErr := ProcessBatchInto(rowOp, 0, bad, 0, &em)
+	rowErr := rowOp.ProcessBatch(0, bad, 0, &em)
 	if !in.FromRows(bad, intern) {
 		t.Fatal("conversion failed")
 	}

@@ -162,7 +162,7 @@ func TestColKernelDistinctDeltaEquivalence(t *testing.T) {
 	bad := randColRows(rng, 3, 500, false)
 	bad[1].Neg = true
 	var em Emit
-	rowErr := ProcessBatchInto(rowOp, 0, bad, 500, &em)
+	rowErr := rowOp.ProcessBatch(0, bad, 500, &em)
 	if !in.FromRows(bad, intern) {
 		t.Fatal("conversion failed")
 	}

@@ -109,24 +109,9 @@ func (d *Distinct) Class() core.OpClass { return core.OpDistinct }
 // Schema implements Operator.
 func (d *Distinct) Schema() *tuple.Schema { return d.schema }
 
-// Process implements Operator.
-func (d *Distinct) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 {
-		return nil, badSide("distinct", side)
-	}
-	var out Emit
-	adv, err := d.Advance(now)
-	if err != nil {
-		return nil, err
-	}
-	out.AppendAll(adv)
-	d.processOne(t, now, &out)
-	return out.ts, nil
-}
-
-// ProcessBatch implements BatchProcessor: representative expiration runs once
-// per run (per-tuple Advance no-ops at an unchanged clock), then the per-tuple
-// bodies append into the shared buffer.
+// ProcessBatch implements Operator: representative expiration runs once per
+// run (Advance no-ops at an unchanged clock), then the per-tuple bodies append
+// into the shared buffer.
 func (d *Distinct) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
 		return badSide("distinct", side)
@@ -142,8 +127,8 @@ func (d *Distinct) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit
 	return nil
 }
 
-// processOne is the shared per-tuple body of Process and ProcessBatch; the
-// caller has already run Advance for now.
+// processOne handles one element of a run; the caller has already run
+// Advance for now.
 func (d *Distinct) processOne(t tuple.Tuple, now int64, out *Emit) {
 	k := t.Key(d.allCols)
 	if t.Neg {

@@ -60,36 +60,17 @@ func (d *DistinctDelta) Class() core.OpClass { return core.OpDistinct }
 // Schema implements Operator.
 func (d *DistinctDelta) Schema() *tuple.Schema { return d.schema }
 
-// Process implements Operator.
-func (d *DistinctDelta) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 {
-		return nil, badSide("distinct-delta", side)
-	}
-	if t.Neg {
-		// The planner only places δ on WKS/WK edges (Section 5.4.1); a
-		// negative tuple here is a planning bug, not a data condition.
-		return nil, fmt.Errorf("distinct-delta: negative tuple %v on a %v input (planner must use Distinct for strict inputs)", t, core.Strict)
-	}
-	out, err := d.Advance(now)
-	if err != nil {
-		return nil, err
-	}
-	var e Emit
-	e.AppendAll(out)
-	d.processOne(t, now, &e)
-	return e.ts, nil
-}
-
-// ProcessBatch implements BatchProcessor: representative expiration runs once
-// per run; negative tuples still fail loudly (a planning bug, per Process).
+// ProcessBatch implements Operator: representative expiration runs once per
+// run. The planner only places δ on WKS/WK edges (Section 5.4.1); a negative
+// tuple here is a planning bug, not a data condition, and fails loudly.
 func (d *DistinctDelta) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
 		return badSide("distinct-delta", side)
 	}
 	for i := range in {
-		// Process rejects negatives before advancing the clock; keep that
-		// order so batch and tuple-at-a-time stay emission-identical even on
-		// the error path.
+		// A leading negative is rejected before the clock advances, so the
+		// failed call leaves the operator as it found it wherever the run
+		// was cut.
 		if in[i].Neg {
 			return fmt.Errorf("distinct-delta: negative tuple %v on a %v input (planner must use Distinct for strict inputs)", in[i], core.Strict)
 		}
@@ -105,8 +86,8 @@ func (d *DistinctDelta) ProcessBatch(side int, in []tuple.Tuple, now int64, out 
 	return nil
 }
 
-// processOne is the shared per-tuple body of Process and ProcessBatch; the
-// caller has already run Advance for now and rejected negative tuples.
+// processOne handles one element of a run; the caller has already run
+// Advance for now and rejected negative tuples.
 func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
 	k := t.Key(d.allCols)
 	if rep, ok := d.reps[k]; ok {

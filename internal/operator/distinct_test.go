@@ -42,7 +42,7 @@ func TestDistinctEmitsOncePerValue(t *testing.T) {
 			if out := mustProcess(t, d, 0, ip(3, 103, 6), 3); len(out) != 1 {
 				t.Fatalf("new value must emit: %v", out)
 			}
-			if _, err := d.Process(1, ip(4, 104, 7), 4); err == nil {
+			if _, err := processTuple(d, 1, ip(4, 104, 7), 4); err == nil {
 				t.Error("bad side accepted")
 			}
 		})
@@ -169,7 +169,7 @@ func TestDistinctNegativeKeepsRepWhenDuplicatesCover(t *testing.T) {
 func TestDistinctDeltaRejectsNegatives(t *testing.T) {
 	d := NewDistinctDelta(ipSchema1(), 100, 0)
 	mustProcess(t, d, 0, ip(1, 101, 5), 1)
-	if _, err := d.Process(0, ip(1, 101, 5).Negative(2), 2); err == nil {
+	if _, err := processTuple(d, 0, ip(1, 101, 5).Negative(2), 2); err == nil {
 		t.Error("δ must reject negative tuples (planner bug guard)")
 	}
 }

@@ -152,22 +152,7 @@ func (g *GroupBy) Class() core.OpClass { return core.OpGroupBy }
 // Schema implements Operator.
 func (g *GroupBy) Schema() *tuple.Schema { return g.schema }
 
-// Process implements Operator.
-func (g *GroupBy) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 {
-		return nil, badSide("groupby", side)
-	}
-	var out Emit
-	adv, err := g.Advance(now)
-	if err != nil {
-		return nil, err
-	}
-	out.AppendAll(adv)
-	g.processOne(t, now, &out)
-	return out.ts, nil
-}
-
-// ProcessBatch implements BatchProcessor: input expiration runs once per run,
+// ProcessBatch implements Operator: input expiration runs once per run,
 // then each arrival updates its group and appends the replacement row into the
 // shared buffer.
 func (g *GroupBy) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
@@ -185,8 +170,8 @@ func (g *GroupBy) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit)
 	return nil
 }
 
-// processOne is the shared per-tuple body of Process and ProcessBatch; the
-// caller has already run Advance for now.
+// processOne handles one element of a run; the caller has already run
+// Advance for now.
 func (g *GroupBy) processOne(t tuple.Tuple, now int64, out *Emit) {
 	if t.Neg {
 		if g.input == nil || !g.input.Remove(t) {

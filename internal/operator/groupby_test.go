@@ -164,7 +164,7 @@ func TestGroupByValidation(t *testing.T) {
 		t.Error("bad agg col accepted")
 	}
 	g := newTestGroupBy(t, AggSpec{Kind: Count})
-	if _, err := g.Process(1, linkTuple(1, 51, 1, "x", 1), 1); err == nil {
+	if _, err := processTuple(g, 1, linkTuple(1, 51, 1, "x", 1), 1); err == nil {
 		t.Error("bad side accepted")
 	}
 	if len(g.GroupCols()) != 1 || g.GroupCols()[0] != 0 {

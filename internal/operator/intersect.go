@@ -91,22 +91,7 @@ func (x *Intersect) Class() core.OpClass { return core.OpIntersect }
 // Schema implements Operator.
 func (x *Intersect) Schema() *tuple.Schema { return x.schema }
 
-// Process implements Operator.
-func (x *Intersect) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 && side != 1 {
-		return nil, badSide("intersect", side)
-	}
-	var out Emit
-	adv, err := x.Advance(now)
-	if err != nil {
-		return nil, err
-	}
-	out.AppendAll(adv)
-	x.processOne(side, t, now, &out)
-	return out.ts, nil
-}
-
-// ProcessBatch implements BatchProcessor: support expiration/re-pairing runs
+// ProcessBatch implements Operator: support expiration/re-pairing runs
 // once per run, then the per-tuple bodies append into the shared buffer.
 func (x *Intersect) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 && side != 1 {
@@ -123,8 +108,8 @@ func (x *Intersect) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emi
 	return nil
 }
 
-// processOne is the shared per-tuple body of Process and ProcessBatch; the
-// caller has already run Advance for now.
+// processOne handles one element of a run; the caller has already run
+// Advance for now.
 func (x *Intersect) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	k := t.Key(x.allCols)
 	if t.Neg {

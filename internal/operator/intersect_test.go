@@ -125,7 +125,7 @@ func TestIntersectValidation(t *testing.T) {
 		t.Error("layout mismatch accepted")
 	}
 	x := newTestIntersect(t)
-	if _, err := x.Process(2, ip(1, 101, 5), 1); err == nil {
+	if _, err := processTuple(x, 2, ip(1, 101, 5), 1); err == nil {
 		t.Error("bad side accepted")
 	}
 	if x.Touched() != 0 {

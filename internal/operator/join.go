@@ -142,18 +142,8 @@ func (j *Join) Class() core.OpClass { return core.OpJoin }
 // Schema implements Operator.
 func (j *Join) Schema() *tuple.Schema { return j.schema }
 
-// Process implements Operator.
-func (j *Join) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 && side != 1 {
-		return nil, badSide("join", side)
-	}
-	var out Emit
-	j.processOne(side, t, now, &out)
-	return out.ts, nil
-}
-
-// ProcessBatch implements BatchProcessor: the whole run shares one output
-// buffer, so only result construction (Concat) allocates.
+// ProcessBatch implements Operator: the whole run shares one output buffer,
+// so only result construction (Concat) allocates.
 func (j *Join) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 && side != 1 {
 		return badSide("join", side)
@@ -164,7 +154,7 @@ func (j *Join) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) er
 	return nil
 }
 
-// processOne is the shared per-tuple body of Process and ProcessBatch.
+// processOne handles one element of a run.
 func (j *Join) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	if now > j.clock {
 		j.clock = now

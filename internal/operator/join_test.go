@@ -194,7 +194,7 @@ func TestJoinConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Process(2, linkTuple(1, 51, 1, "x", 1), 1); err == nil {
+	if _, err := processTuple(j, 2, linkTuple(1, 51, 1, "x", 1), 1); err == nil {
 		t.Error("bad side accepted")
 	}
 }

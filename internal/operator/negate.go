@@ -192,23 +192,7 @@ func (n *Negate) Schema() *tuple.Schema { return n.schema }
 // for the result (Section 5.3.2).
 func (n *Negate) PrematureRetractions() int64 { return n.prematureRetractions }
 
-// Process implements Operator.
-func (n *Negate) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 && side != 1 {
-		return nil, badSide("negate", side)
-	}
-	n.rowFed = true
-	var out Emit
-	adv, err := n.Advance(now)
-	if err != nil {
-		return nil, err
-	}
-	out.AppendAll(adv)
-	n.processOne(side, t, now, &out)
-	return out.ts, nil
-}
-
-// ProcessBatch implements BatchProcessor: expiration/repair of both calendars
+// ProcessBatch implements Operator: expiration/repair of both calendars
 // runs once per run, then the per-tuple event rules append into the shared
 // buffer.
 func (n *Negate) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
@@ -227,8 +211,8 @@ func (n *Negate) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) 
 	return nil
 }
 
-// processOne is the shared per-tuple body of Process and ProcessBatch; the
-// caller has already run Advance for now.
+// processOne handles one element of a run; the caller has already run
+// Advance for now.
 func (n *Negate) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	cols := n.keyCols
 	if side == 1 {

@@ -192,7 +192,7 @@ func TestNegateValidation(t *testing.T) {
 		t.Error("bad right col accepted")
 	}
 	n := newTestNegate(t)
-	if _, err := n.Process(2, ip(1, 101, 5), 1); err == nil {
+	if _, err := processTuple(n, 2, ip(1, 101, 5), 1); err == nil {
 		t.Error("bad side accepted")
 	}
 }

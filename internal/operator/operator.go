@@ -3,13 +3,13 @@
 //
 // Every operator processes three kinds of events:
 //
-//   - arrival of a positive tuple on one of its inputs (Process with
-//     t.Neg == false): update state, emit new results;
-//   - arrival of a negative tuple (Process with t.Neg == true): remove the
-//     corresponding tuple from state and emit the retractions of results it
-//     participated in — this path carries both the negative-tuple execution
-//     strategy (Section 2.3.1) and retractions originating at negation /
-//     retroactive-relation operators;
+//   - arrival of a positive tuple on one of its inputs (ProcessBatch, an
+//     element with Neg == false): update state, emit new results;
+//   - arrival of a negative tuple (ProcessBatch, an element with Neg == true):
+//     remove the corresponding tuple from state and emit the retractions of
+//     results it participated in — this path carries both the negative-tuple
+//     execution strategy (Section 2.3.1) and retractions originating at
+//     negation / retroactive-relation operators;
 //   - passage of time (Advance): expire state whose exp timestamps are due.
 //     Lazily-maintained operators (join inputs) merely discard; eager
 //     operators (duplicate elimination, group-by, negation, intersection)
@@ -33,10 +33,14 @@ type Operator interface {
 	Class() core.OpClass
 	// Schema is the output schema.
 	Schema() *tuple.Schema
-	// Process handles one input tuple (positive or negative) arriving on
-	// input side (0 for unary operators), with the local clock at now.
-	// It returns the tuples emitted on the output stream, in order.
-	Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error)
+	// ProcessBatch handles a run of input tuples (positive or negative, in
+	// any mix) arriving in order on input side (0 for unary operators), with
+	// the local clock at now, and appends what they emit on the output stream
+	// to out, in order. Every element is one event handled to completion
+	// before the next, so where a run is cut never shows: ProcessBatch(run)
+	// emits the concatenation of ProcessBatch over any partition of run. A
+	// single arrival is a run of one. The operator retains neither in nor out.
+	ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error
 	// Advance moves the local clock to now, expiring due state per the
 	// operator's maintenance policy, and returns any output this produces.
 	Advance(now int64) ([]tuple.Tuple, error)

@@ -36,8 +36,8 @@ type NRRJoin struct {
 	table      *relation.Table
 	streamCols []int
 	tableCols  []int
-	// emitted logs results per stream tuple for NT-mode retraction; lazily
-	// allocated on the first negative arrival... see Process.
+	// emitted logs results per stream tuple for NT-mode retraction (nil
+	// unless logAll).
 	emitted map[tuple.Key][]emitRecord
 	logAll  bool
 	size    int
@@ -108,42 +108,47 @@ func (j *NRRJoin) Schema() *tuple.Schema { return j.schema }
 // Table implements TableOperator.
 func (j *NRRJoin) Table() *relation.Table { return j.table }
 
-// Process implements Operator.
-func (j *NRRJoin) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
+// ProcessBatch implements Operator.
+func (j *NRRJoin) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
-		return nil, badSide("nrr-join", side)
+		return badSide("nrr-join", side)
 	}
-	if t.Neg {
-		return j.processNegative(t, now), nil
+	for _, t := range in {
+		if t.Neg {
+			j.processNegative(t, now, out)
+			continue
+		}
+		k := t.Key(j.streamCols)
+		first := out.Len()
+		j.table.Probe(j.tableCols, k, func(vals []tuple.Value) bool {
+			j.touched++
+			row := tuple.Tuple{TS: t.TS, Exp: tuple.NeverExpires, Vals: vals}
+			r := t.Concat(row, now)
+			// NRR deletions never retract: the result lives as long as the
+			// stream tuple, regardless of the row's fate (Definition 2).
+			r.Exp = t.Exp
+			out.Append(r)
+			return true
+		})
+		if j.logAll && out.Len() > first {
+			// The log outlives the call; out's backing array does not.
+			results := append([]tuple.Tuple(nil), out.ts[first:]...)
+			j.emitted[k] = append(j.emitted[k], emitRecord{exp: t.Exp, results: results})
+			j.size += len(results)
+		}
 	}
-	k := t.Key(j.streamCols)
-	var out []tuple.Tuple
-	j.table.Probe(j.tableCols, k, func(vals []tuple.Value) bool {
-		j.touched++
-		row := tuple.Tuple{TS: t.TS, Exp: tuple.NeverExpires, Vals: vals}
-		r := t.Concat(row, now)
-		// NRR deletions never retract: the result lives as long as the
-		// stream tuple, regardless of the row's fate (Definition 2).
-		r.Exp = t.Exp
-		out = append(out, r)
-		return true
-	})
-	if j.logAll && len(out) > 0 {
-		j.emitted[k] = append(j.emitted[k], emitRecord{exp: t.Exp, results: out})
-		j.size += len(out)
-	}
-	return out, nil
+	return nil
 }
 
-func (j *NRRJoin) processNegative(t tuple.Tuple, now int64) []tuple.Tuple {
+func (j *NRRJoin) processNegative(t tuple.Tuple, now int64, out *Emit) {
 	if !j.logAll {
 		// Direct strategies: results expire via exp; nothing to do.
-		return nil
+		return
 	}
 	k := t.Key(j.streamCols)
 	recs := j.emitted[k]
 	if len(recs) == 0 {
-		return nil
+		return
 	}
 	// Retract only the record matching the expiring tuple's expiration —
 	// a value twin that produced no results has no record, and guessing
@@ -156,7 +161,7 @@ func (j *NRRJoin) processNegative(t tuple.Tuple, now int64) []tuple.Tuple {
 		}
 	}
 	if at < 0 {
-		return nil
+		return
 	}
 	rec := recs[at]
 	recs = append(recs[:at], recs[at+1:]...)
@@ -166,11 +171,9 @@ func (j *NRRJoin) processNegative(t tuple.Tuple, now int64) []tuple.Tuple {
 		j.emitted[k] = recs
 	}
 	j.size -= len(rec.results)
-	out := make([]tuple.Tuple, 0, len(rec.results))
 	for _, r := range rec.results {
-		out = append(out, r.Negative(now))
+		out.Append(r.Negative(now))
 	}
-	return out
 }
 
 // ApplyTableUpdate implements TableOperator: NRR updates are non-retroactive
@@ -248,37 +251,38 @@ func (j *RelJoin) Schema() *tuple.Schema { return j.schema }
 // Table implements TableOperator.
 func (j *RelJoin) Table() *relation.Table { return j.table }
 
-// Process implements Operator.
-func (j *RelJoin) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
+// ProcessBatch implements Operator.
+func (j *RelJoin) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
-		return nil, badSide("rel-join", side)
+		return badSide("rel-join", side)
 	}
 	if now > j.clock {
 		j.clock = now
 	}
-	k := t.Key(j.streamCols)
-	if t.Neg {
-		if !j.state.Remove(t) {
-			return nil, nil
+	for _, t := range in {
+		if t.Neg {
+			if !j.state.Remove(t) {
+				continue
+			}
+		} else {
+			j.state.Insert(t)
 		}
-		return j.joinRow(t, k, now, true), nil
+		j.joinRow(t, now, out)
 	}
-	j.state.Insert(t)
-	return j.joinRow(t, k, now, false), nil
+	return nil
 }
 
-func (j *RelJoin) joinRow(t tuple.Tuple, k tuple.Key, now int64, neg bool) []tuple.Tuple {
-	var out []tuple.Tuple
-	j.table.Probe(j.tableCols, k, func(vals []tuple.Value) bool {
+// joinRow appends t joined with every matching table row, in t's polarity.
+func (j *RelJoin) joinRow(t tuple.Tuple, now int64, out *Emit) {
+	j.table.Probe(j.tableCols, t.Key(j.streamCols), func(vals []tuple.Value) bool {
 		j.touched++
 		row := tuple.Tuple{TS: t.TS, Exp: tuple.NeverExpires, Vals: vals}
 		r := t.Concat(row, now)
 		r.Exp = t.Exp
-		r.Neg = neg
-		out = append(out, r)
+		r.Neg = t.Neg
+		out.Append(r)
 		return true
 	})
-	return out
 }
 
 // ApplyTableUpdate implements TableOperator: insertions join against the

@@ -218,11 +218,11 @@ func TestRelJoinValidationAndSides(t *testing.T) {
 		t.Error("bad table col accepted")
 	}
 	j, _ := NewRelJoin(RelJoinConfig{Stream: ipSchema1(), Table: tbl, StreamCols: []int{0}, TableCols: []int{0}, StreamBuf: statebuf.Config{Kind: statebuf.KindFIFO}})
-	if _, err := j.Process(1, quote(1, 101, 7), 1); err == nil {
+	if _, err := processTuple(j, 1, quote(1, 101, 7), 1); err == nil {
 		t.Error("bad side accepted")
 	}
 	nj, _ := NewNRRJoin(NRRJoinConfig{Stream: ipSchema1(), Table: symTable(false), StreamCols: []int{0}, TableCols: []int{0}})
-	if _, err := nj.Process(1, quote(1, 101, 7), 1); err == nil {
+	if _, err := processTuple(nj, 1, quote(1, 101, 7), 1); err == nil {
 		t.Error("bad side accepted")
 	}
 	if out := mustAdvance(t, nj, 100); out != nil {

@@ -37,19 +37,7 @@ func (s *Select) Schema() *tuple.Schema { return s.schema }
 // Predicate returns the selection condition.
 func (s *Select) Predicate() Predicate { return s.pred }
 
-// Process implements Operator.
-func (s *Select) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 {
-		return nil, badSide("select", side)
-	}
-	if s.pred.Eval(t) {
-		return []tuple.Tuple{t}, nil
-	}
-	return nil, nil
-}
-
-// ProcessBatch implements BatchProcessor: one predicate evaluation per tuple,
-// no per-call output allocation.
+// ProcessBatch implements Operator: one predicate evaluation per tuple.
 func (s *Select) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
 		return badSide("select", side)
@@ -97,23 +85,8 @@ func (p *Project) Schema() *tuple.Schema { return p.schema }
 // Cols returns the projected column positions.
 func (p *Project) Cols() []int { return p.cols }
 
-// Process implements Operator.
-func (p *Project) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 {
-		return nil, badSide("project", side)
-	}
-	vals := make([]tuple.Value, len(p.cols))
-	for i, c := range p.cols {
-		vals[i] = t.Vals[c]
-	}
-	out := t
-	out.Vals = vals
-	return []tuple.Tuple{out}, nil
-}
-
-// ProcessBatch implements BatchProcessor: all projected value slices of a run
-// share one backing array, so the per-tuple allocation of Process is paid
-// once per batch.
+// ProcessBatch implements Operator: all projected value slices of a run
+// share one backing array, so a run costs one allocation.
 func (p *Project) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
 		return badSide("project", side)
@@ -164,21 +137,7 @@ func (u *Union) Class() core.OpClass { return core.OpUnion }
 // Schema implements Operator.
 func (u *Union) Schema() *tuple.Schema { return u.schema }
 
-// Process implements Operator.
-func (u *Union) Process(side int, t tuple.Tuple, now int64) ([]tuple.Tuple, error) {
-	if side != 0 && side != 1 {
-		return nil, badSide("union", side)
-	}
-	if !t.Neg {
-		if t.TS < u.lastTS {
-			return nil, fmt.Errorf("union: non-blocking merge requires timestamp order (got %d after %d)", t.TS, u.lastTS)
-		}
-		u.lastTS = t.TS
-	}
-	return []tuple.Tuple{t}, nil
-}
-
-// ProcessBatch implements BatchProcessor.
+// ProcessBatch implements Operator.
 func (u *Union) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 && side != 1 {
 		return badSide("union", side)

@@ -21,11 +21,19 @@ func linkTuple(ts, exp int64, src int64, proto string, bytes int64) tuple.Tuple 
 	}}
 }
 
+// processTuple feeds one tuple as a run of one and returns what it emitted —
+// the unit tests' single-event view of ProcessBatch.
+func processTuple(op Operator, side int, tp tuple.Tuple, now int64) ([]tuple.Tuple, error) {
+	var out Emit
+	err := op.ProcessBatch(side, []tuple.Tuple{tp}, now, &out)
+	return out.Tuples(), err
+}
+
 func mustProcess(t *testing.T, op Operator, side int, tp tuple.Tuple, now int64) []tuple.Tuple {
 	t.Helper()
-	out, err := op.Process(side, tp, now)
+	out, err := processTuple(op, side, tp, now)
 	if err != nil {
-		t.Fatalf("Process: %v", err)
+		t.Fatalf("ProcessBatch: %v", err)
 	}
 	return out
 }
@@ -60,7 +68,7 @@ func TestSelectFiltersBothSigns(t *testing.T) {
 	if out := mustProcess(t, s, 0, negWeb, 52); len(out) != 0 {
 		t.Errorf("negative of dropped tuple must be dropped: %v", out)
 	}
-	if _, err := s.Process(1, ftp, 1); err == nil {
+	if _, err := processTuple(s, 1, ftp, 1); err == nil {
 		t.Error("bad side accepted")
 	}
 	if out := mustAdvance(t, s, 100); out != nil {
@@ -92,7 +100,7 @@ func TestProjectKeepsSignAndTimestamps(t *testing.T) {
 	if len(nout) != 1 || !nout[0].Neg || nout[0].Vals[0] != tuple.Int(9) {
 		t.Errorf("negative projection wrong: %v", nout)
 	}
-	if _, err := p.Process(1, in, 3); err == nil {
+	if _, err := processTuple(p, 1, in, 3); err == nil {
 		t.Error("bad side accepted")
 	}
 	if _, err := NewProject(linkSchema(), []int{99}); err == nil {
@@ -120,14 +128,14 @@ func TestUnionForwardsAndChecksOrder(t *testing.T) {
 		t.Error("forward side 1")
 	}
 	// Out-of-order positive arrival is an error.
-	if _, err := u.Process(0, linkTuple(1, 51, 3, "ftp", 1), 2); err == nil {
+	if _, err := processTuple(u, 0, linkTuple(1, 51, 3, "ftp", 1), 2); err == nil {
 		t.Error("timestamp regression accepted")
 	}
 	// Negative tuples may arrive at any time (retractions are late by nature).
 	if out := mustProcess(t, u, 0, a.Negative(51), 51); len(out) != 1 || !out[0].Neg {
 		t.Error("negative forwarding")
 	}
-	if _, err := u.Process(2, a, 60); err == nil {
+	if _, err := processTuple(u, 2, a, 60); err == nil {
 		t.Error("bad side accepted")
 	}
 	// Layout mismatch rejected.

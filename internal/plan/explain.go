@@ -32,10 +32,10 @@ type NodeStats struct {
 	// State and Touched are the sampled stored-tuple count and cumulative
 	// tuple visits.
 	State, Touched int64
-	// ProcNanos is cumulative wall time inside Process (only measured when
-	// the engine runs with a metrics registry attached).
+	// ProcNanos is cumulative wall time processing input runs (only measured
+	// when the engine runs with a metrics registry attached).
 	ProcNanos int64
-	// MaxBatchNanos/LastBatchNanos bound one Process call's latency.
+	// MaxBatchNanos/LastBatchNanos bound the latency of one run.
 	MaxBatchNanos, LastBatchNanos int64
 	// Observed is the update-pattern class the operator's output stream has
 	// actually exhibited, per the executor's conformance monitor; compare

@@ -82,9 +82,6 @@ func (r *Registry) Register(q Node, strategy Strategy, opts ...QueryOption) (*Qu
 		all[i] = o
 	}
 	qc := applyOpts(all)
-	// Planner settings are per-query; executor-wide settings come from the
-	// registry's own config.
-	qc.execCfg = r.cfg.execCfg
 	name := qc.name
 	if name == "" {
 		name = fmt.Sprintf("q%d", r.nextID)

@@ -125,3 +125,61 @@ func TestRegistryCISmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterWithOnEmit: a WithOnEmit option given to Registry.Register
+// observes exactly that query's output deltas — the same sequence a
+// standalone engine compiled with the same option reports — and none of its
+// neighbour's, even though the two queries share their window.
+func TestRegisterWithOnEmit(t *testing.T) {
+	sch := connSchema()
+	sel := func(proto string) repro.Node {
+		return repro.Stream(0, sch, repro.TimeWindow(5)).Where(repro.Col("proto").EqStr(proto))
+	}
+	protos := []string{"ftp", "http"}
+	reg, err := repro.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	got := make([][]string, len(protos))
+	want := make([][]string, len(protos))
+	twins := make([]*repro.Engine, len(protos))
+	for i, p := range protos {
+		i := i
+		if _, err := reg.Register(sel(p), repro.NT, repro.WithOnEmit(func(d repro.Tuple) {
+			got[i] = append(got[i], d.String())
+		})); err != nil {
+			t.Fatal(err)
+		}
+		if twins[i], err = repro.Compile(sel(p), repro.NT, repro.WithOnEmit(func(d repro.Tuple) {
+			want[i] = append(want[i], d.String())
+		})); err != nil {
+			t.Fatal(err)
+		}
+		defer twins[i].Close()
+	}
+	for ts := int64(1); ts <= 20; ts++ {
+		vals := []repro.Value{repro.Int(ts % 3), repro.Int(7), repro.Str(protos[ts%2])}
+		if err := reg.Push(0, ts, vals...); err != nil {
+			t.Fatal(err)
+		}
+		for _, tw := range twins {
+			if err := tw.Push(0, ts, vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, p := range protos {
+		if len(got[i]) == 0 {
+			t.Fatalf("%s: callback saw no deltas", p)
+		}
+		if strings.Join(got[i], "\n") != strings.Join(want[i], "\n") {
+			t.Errorf("%s: callback deltas\n%s\nstandalone twin saw\n%s", p, strings.Join(got[i], "\n"), strings.Join(want[i], "\n"))
+		}
+		for _, d := range got[i] {
+			if !strings.Contains(d, p) {
+				t.Errorf("%s: callback saw a neighbour's delta %s", p, d)
+			}
+		}
+	}
+}

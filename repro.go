@@ -332,8 +332,7 @@ type Engine struct {
 }
 
 // buildPhysical runs the compilation pipeline — annotate, optionally
-// optimize, physically plan — shared by Compile, CompilePipeline, and
-// Registry.Register.
+// optimize, physically plan — shared by Compile and Registry.Register.
 func buildPhysical(q Node, strategy Strategy, cfg *compileCfg) (*plan.Node, *plan.Physical, error) {
 	if q.err != nil {
 		return nil, nil, fmt.Errorf("repro: invalid query: %w", q.err)

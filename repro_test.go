@@ -368,31 +368,6 @@ func TestParseQueryGroupBy(t *testing.T) {
 	}
 }
 
-func TestPipelineFacade(t *testing.T) {
-	schema := linkSchema()
-	q := repro.Stream(0, schema, repro.TimeWindow(100)).
-		JoinOn(repro.Stream(1, schema, repro.TimeWindow(100)), "src")
-	pipe, err := repro.CompilePipeline(q, repro.UPA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-	if pipe.Pattern() != repro.Weak || pipe.Schema().Len() != 6 {
-		t.Error("pipeline metadata")
-	}
-	pipe.Push(0, 1, repro.Int(7), repro.Str("ftp"), repro.Int(1))
-	pipe.Push(1, 2, repro.Int(7), repro.Str("ftp"), repro.Int(2))
-	rows, err := pipe.Snapshot()
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("pipeline snapshot: %v %v", rows, err)
-	}
-	// Builder errors surface.
-	bad := repro.Stream(0, nil, repro.TimeWindow(10))
-	if _, err := repro.CompilePipeline(bad, repro.UPA); err == nil {
-		t.Error("bad query accepted")
-	}
-}
-
 func TestLookup(t *testing.T) {
 	schema := linkSchema()
 	// Keyed view (group-by): lookup by group value.
