@@ -21,52 +21,66 @@ import (
 )
 
 // ingestAllocBudget is the checked-in ceiling for one steady-state 64-arrival
-// PushBatch on the Q1/UPA plan. Measured ~52 on a warm engine, almost all of
+// PushBatch, per plan. Q1/UPA measured ~52 on a warm engine, almost all of
 // it inherent per-join-result work (this trace's narrow key domain produces a
 // join result for most selected arrivals, and each result Concat-allocates
 // its value slice). The headroom absorbs scheduling noise and occasional
 // bucket reshaping — not a return to per-call emission slices, per-tuple
 // variadic boxing, or per-probe visitor closures, which would add 64+ per
-// batch and trip the gate.
-const ingestAllocBudget = 70.0
+// batch and trip the gate. Q4/UPA — δ under both sides of a join over keyed
+// calendars, a calendar view — is held to what the commit before the calendar
+// had an index measured (296: its join probed by scan, a visitor closure and
+// its captures per probe); 177 now.
+// Entry pages, reference runs and index chains are the calendar's own slabs.
+var ingestAllocBudget = map[string]float64{
+	"Q1-join-of-selects":   70,
+	"Q4-join-of-distincts": 296,
+}
 
 func TestBatchIngestAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
-	q := ckptQueries()[0] // Q1-join-of-selects
-	eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+	for _, q := range ckptQueries() {
+		budget, ok := ingestAllocBudget[q.name]
+		if !ok {
+			continue
+		}
+		t.Run(q.name, func(t *testing.T) {
+			eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
 
-	// A reusable 64-arrival batch: 8 ticks × 2 streams × 4-tuple bursts.
-	// Vals are generated once; only timestamps advance between runs.
-	r := rand.New(rand.NewSource(17))
-	batch := make([]Arrival, 0, 64)
-	for tick := 0; tick < 8; tick++ {
-		for s := 0; s < 2; s++ {
-			for b := 0; b < 4; b++ {
-				batch = append(batch, Arrival{Stream: s, TS: int64(tick), Vals: rndTuple(r)})
+			// A reusable 64-arrival batch: 8 ticks × 2 streams × 4-tuple bursts.
+			// Vals are generated once; only timestamps advance between runs.
+			r := rand.New(rand.NewSource(17))
+			batch := make([]Arrival, 0, 64)
+			for tick := 0; tick < 8; tick++ {
+				for s := 0; s < 2; s++ {
+					for b := 0; b < 4; b++ {
+						batch = append(batch, Arrival{Stream: s, TS: int64(tick), Vals: rndTuple(r)})
+					}
+				}
 			}
-		}
-	}
-	base := int64(0)
-	runOnce := func() {
-		for i := range batch {
-			batch[i].TS = base + int64(i/8)
-		}
-		if err := eng.PushBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		base += 8
-	}
-	// Warm far past the 20-tick window horizon so buffer capacities, the view,
-	// and the emit pool reach steady state.
-	for i := 0; i < 64; i++ {
-		runOnce()
-	}
-	got := testing.AllocsPerRun(100, runOnce)
-	t.Logf("steady-state PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
-	if got > ingestAllocBudget {
-		t.Errorf("steady-state PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, ingestAllocBudget)
+			base := int64(0)
+			runOnce := func() {
+				for i := range batch {
+					batch[i].TS = base + int64(i/8)
+				}
+				if err := eng.PushBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				base += 8
+			}
+			// Warm far past the 20-tick window horizon so buffer capacities, the
+			// view, and the emit pool reach steady state.
+			for i := 0; i < 64; i++ {
+				runOnce()
+			}
+			got := testing.AllocsPerRun(100, runOnce)
+			t.Logf("steady-state PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
+			if got > budget {
+				t.Errorf("steady-state PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, budget)
+			}
+		})
 	}
 }
 
@@ -107,8 +121,8 @@ func TestBatchIngestAllocBudgetInstrumented(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(100, runOnce)
 	t.Logf("steady-state instrumented PushBatch: %.1f allocs per 64-arrival batch (%.2f/tuple)", got, got/64)
-	if got > ingestAllocBudget {
-		t.Errorf("steady-state instrumented PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, ingestAllocBudget)
+	if budget := ingestAllocBudget[q.name]; got > budget {
+		t.Errorf("steady-state instrumented PushBatch: %.1f allocs per 64-arrival batch, budget %.1f", got, budget)
 	}
 	if pos, _ := eng.DeltaLatency(); pos.Count == 0 {
 		t.Error("instrumented run recorded no delta latency")

@@ -82,15 +82,20 @@ func ckptQueries() []ckptQuery {
 	}
 }
 
-// buildExecutor compiles q fresh and returns a 1-shard Engine or an n-shard
-// Sharded executor.
+// buildExecutor compiles q fresh with default planner options and returns a
+// 1-shard Engine or an n-shard Sharded executor.
 func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) executor {
+	t.Helper()
+	return buildExecutorOpts(t, q, strat, plan.Options{}, shards)
+}
+
+func buildExecutorOpts(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, shards int) executor {
 	t.Helper()
 	root := q.build()
 	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
-	phys, err := plan.Build(root, strat, plan.Options{})
+	phys, err := plan.Build(root, strat, opts)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

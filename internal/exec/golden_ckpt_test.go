@@ -1,0 +1,76 @@
+package exec
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/window"
+)
+
+// goldenCheckpoints names the engine checkpoints under testdata/ that the
+// parent commit (7ac7748) wrote after the first 128 arrivals of ckptTrace —
+// before PartitionedBuffer stored slab references and kept a key index, with
+// join sides and the strict-root view scanned. Q4 holds keyed calendars on
+// both join sides under a weak (unkeyed) calendar view; Q5 with the negation
+// pulled up and STRPartitioned holds the keyed calendar view that negative
+// tuples retract from.
+func goldenCheckpoints() []struct {
+	file   string
+	q      ckptQuery
+	opts   plan.Options
+	shards int
+} {
+	qs := ckptQueries()
+	q4, q5 := qs[3], qs[4]
+	q5up := ckptQuery{"Q5-negation-pulled-up", 3, func() *plan.Node {
+		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 14}, linkSchema())
+		b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 18}, linkSchema())
+		c := plan.NewSource(2, window.Spec{Type: window.TimeBased, Size: 20}, linkSchema())
+		return plan.NewNegate(plan.NewJoin(a, c, []int{0}, []int{0}), b, []int{0}, []int{0})
+	}}
+	return []struct {
+		file   string
+		q      ckptQuery
+		opts   plan.Options
+		shards int
+	}{
+		{"q4_upa.ckpt", q4, plan.Options{}, 1},
+		{"q4_upa_shards2.ckpt", q4, plan.Options{}, 2},
+		{"q5_upa.ckpt", q5, plan.Options{}, 1},
+		{"q5_pullup_upa_strpartitioned.ckpt", q5up, plan.Options{STR: plan.STRPartitioned}, 1},
+	}
+}
+
+// TestRestoreParentCheckpoints restores each of them into an engine built by
+// this commit, feeds the rest of the trace, and requires every visible signal
+// to equal an uninterrupted run's: the format version, the plan fingerprint
+// and the section layouts have not moved, and the rebuilt index serves the
+// same state.
+func TestRestoreParentCheckpoints(t *testing.T) {
+	for _, g := range goldenCheckpoints() {
+		t.Run(g.file, func(t *testing.T) {
+			ckpt, err := os.ReadFile("testdata/" + g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace := ckptTrace(g.q.streams)
+			whole := buildExecutorOpts(t, g.q, plan.UPA, g.opts, g.shards)
+			feed(t, whole, trace)
+			want := observe(t, whole)
+
+			resumed := buildExecutorOpts(t, g.q, plan.UPA, g.opts, g.shards)
+			if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			feed(t, resumed, trace[128:])
+			got := observe(t, resumed)
+			if g.shards > 1 {
+				// Sampled at batch granularity; see TestCheckpointRestoreEquivalence.
+				got.stats.MaxStateTuples, want.stats.MaxStateTuples = 0, 0
+			}
+			diffObservations(t, "restored from the parent's checkpoint", got, want)
+		})
+	}
+}

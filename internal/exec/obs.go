@@ -108,7 +108,8 @@ const (
 	// MetricOpTouched is the operator's sampled cumulative tuple-visit count.
 	MetricOpTouched = "upa_op_touched_total"
 	// MetricOpProcNanos is cumulative wall time the operator spent processing
-	// input runs, recorded only when Config.Metrics is set.
+	// input runs and expiring state (its Advance calls in the maintenance
+	// passes), recorded only when Config.Metrics is set.
 	MetricOpProcNanos = "upa_op_proc_nanos_total"
 	// MetricOpBatchMax / MetricOpBatchLast bound the latency of one run.
 	MetricOpBatchMax  = "upa_op_batch_nanos_max"
@@ -340,7 +341,7 @@ func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) *opS
 		pos:       reg.Counter(MetricOpEmitted, "per-operator emitted tuples", labels),
 		neg:       reg.Counter(MetricOpRetracted, "per-operator retracted tuples", labels),
 		expired:   reg.Counter(MetricOpExpired, "per-operator expiration-driven outputs", labels),
-		procNanos: reg.Counter(MetricOpProcNanos, "per-operator cumulative run-processing wall time", labels),
+		procNanos: reg.Counter(MetricOpProcNanos, "per-operator cumulative wall time of run processing and expiry", labels),
 		state:     reg.Gauge(MetricOpState, "per-operator stored tuples (sampled)", labels),
 		touched:   reg.Gauge(MetricOpTouched, "per-operator tuple visits (sampled)", labels),
 		maxBatch:  reg.Gauge(MetricOpBatchMax, "per-operator max latency of one run", labels),

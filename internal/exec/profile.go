@@ -34,8 +34,9 @@ type OpProfile struct {
 	Emitted, Retracted int64
 	// Expired counts outputs produced by expiration work (Advance passes).
 	Expired int64
-	// ProcNanos is cumulative wall time processing input runs; MaxBatchNanos
-	// and LastBatchNanos bound one run. All three are zero unless the
+	// ProcNanos is cumulative wall time processing input runs and expiring
+	// state in the maintenance passes; MaxBatchNanos and LastBatchNanos bound
+	// one run. All three are zero unless the
 	// engine was built with Config.Metrics set.
 	ProcNanos, MaxBatchNanos, LastBatchNanos int64
 	// Observed is the strongest update-pattern class the operator's output

@@ -121,3 +121,32 @@ func TestWriteProfileBareWindow(t *testing.T) {
 		t.Errorf("bare-window profiles: %+v", profs)
 	}
 }
+
+// TestProfileChargesExpiry pins where expiry time goes: an Advance that only
+// runs the maintenance passes (no arrival) raises the operators' ProcNanos on
+// an engine with metrics, and an engine without them reads no clock at all.
+func TestProfileChargesExpiry(t *testing.T) {
+	for _, timed := range []bool{true, false} {
+		cfg := Config{}
+		if timed {
+			cfg.Metrics = obs.NewRegistry()
+		}
+		eng := buildEngine(t, joinOfSelects(50), plan.UPA, cfg)
+		for ts := int64(1); ts <= 40; ts++ {
+			if err := eng.Push(int(ts%2), ts, tuple.Int(ts%5), tuple.String_("ftp"), tuple.Int(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := eng.Profile()[0].ProcNanos
+		if err := eng.Advance(500); err != nil { // expires both join sides
+			t.Fatal(err)
+		}
+		after := eng.Profile()[0].ProcNanos
+		if timed && after <= before {
+			t.Errorf("metrics on: join ProcNanos %d -> %d over an expiry pass, want it to grow", before, after)
+		}
+		if !timed && after != 0 {
+			t.Errorf("metrics off: join ProcNanos = %d, want 0", after)
+		}
+	}
+}

@@ -154,6 +154,9 @@ func NewSharded(phys *plan.Physical, cfg Config, n int) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The shards always share a registry; only the caller asking for
+		// metrics makes them read the clock.
+		eng.timed = cfg.Metrics != nil
 		s.shards = append(s.shards, eng)
 	}
 

@@ -59,11 +59,8 @@ func NewView(cfg plan.ViewConfig) (View, error) {
 	case plan.ViewList:
 		return &bufferView{buf: statebuf.NewList(), timeExpiry: cfg.TimeExpiry}, nil
 	case plan.ViewPartitioned:
-		parts := cfg.Partitions
-		if parts <= 0 {
-			parts = statebuf.DefaultPartitions
-		}
-		return &bufferView{buf: statebuf.NewPartitioned(parts, cfg.Horizon, false), timeExpiry: cfg.TimeExpiry}, nil
+		buf := statebuf.New(statebuf.Config{Kind: statebuf.KindPartitioned, KeyCols: cfg.KeyCols, Horizon: cfg.Horizon, Partitions: cfg.Partitions})
+		return &bufferView{buf: buf, timeExpiry: cfg.TimeExpiry}, nil
 	case plan.ViewHash:
 		return &bufferView{buf: statebuf.NewHash(cfg.KeyCols), timeExpiry: cfg.TimeExpiry}, nil
 	default:

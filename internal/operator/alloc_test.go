@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/race"
+	"repro/internal/statebuf"
 	"repro/internal/tuple"
 )
 
@@ -99,4 +100,53 @@ func TestProjectBatchSingleAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestJoinKeyedCalendarAllocFree is the Query 4 join under UPA: both sides in
+// calendars indexed on the join column. Inserting a run, probing the other
+// side for each arrival and expiring both sides must not allocate when
+// nothing matches (results are the only inherent allocation): the calendar
+// implements ProbeAppender, so no probe takes the scan fallback and its
+// visitor closure.
+func TestJoinKeyedCalendarAllocFree(t *testing.T) {
+	cal := statebuf.Config{Kind: statebuf.KindPartitioned, KeyCols: []int{0}, Horizon: 40, Partitions: 8}
+	j, err := NewJoin(JoinConfig{
+		Left: linkSchema(), Right: linkSchema(),
+		LeftCols: []int{0}, RightCols: []int{0},
+		LeftBuf: cal, RightBuf: cal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, right := allocBatch(), allocBatch()
+	for i := range right {
+		right[i].Vals = []tuple.Value{tuple.Int(int64(100 + i%8)), right[i].Vals[1], right[i].Vals[2]}
+	}
+	out := GetEmit()
+	defer PutEmit(out)
+	now := int64(0)
+	run := func() {
+		now++
+		for i := range left {
+			left[i].TS, left[i].Exp = now, now+40-int64(i%5)
+			right[i].TS, right[i].Exp = now, now+40-int64(i%3)
+		}
+		out.Reset()
+		if err := j.ProcessBatch(0, left, now, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.ProcessBatch(1, right, now, out); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Advance(now); err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("disjoint keys joined: %v", out.Tuples())
+		}
+	}
+	for i := 0; i < 200; i++ {
+		run()
+	}
+	allocBudget(t, "Join over keyed calendars", 0, run)
 }

@@ -2,7 +2,7 @@ package operator
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/statebuf"
@@ -61,9 +61,11 @@ type Negate struct {
 	// row immediately; after a row-path batch, stored rows may be caller-owned
 	// or referenced by downstream emissions, and recycling must stop for good.
 	rowFed bool
-	// advSeen/advOrder are the expiration wave's reusable key scratch.
+	// advSeen/advOrder are the expiration wave's reusable key scratch, advOut
+	// its output: what Advance returns is valid until the next Advance.
 	advSeen  map[tuple.Key]bool
 	advOrder []tuple.Key
+	advOut   Emit
 	// entries/groupFree recycle the per-stored-tuple entry records and the
 	// per-value groups through window churn, so steady-state W1 traffic
 	// costs one slab allocation per negEntrySlab stored tuples instead of
@@ -429,7 +431,8 @@ func (n *Negate) Advance(now int64) ([]tuple.Tuple, error) {
 		return nil, nil
 	}
 	n.clock = now
-	var out Emit
+	out := &n.advOut
+	out.Reset()
 	if n.advSeen == nil {
 		n.advSeen = make(map[tuple.Key]bool)
 	}
@@ -449,20 +452,32 @@ func (n *Negate) Advance(now int64) ([]tuple.Tuple, error) {
 			continue
 		}
 		entries := g.entries
-		// Remove one entry matching the fired tuple exactly; prefer one in
-		// the answer (it leaves the result via its own exp — no retraction,
-		// unless NegativeOnExpiry asks for one).
+		// Remove the entry the calendar fired for: the one with this Exp and
+		// TS, which sits near the head of its group because entries are in
+		// arrival order. If a retraction took it, remove a value twin with the
+		// same Exp instead, preferring one in the answer (it leaves the result
+		// via its own exp — no retraction, unless NegativeOnExpiry asks for
+		// one); the twin's own calendar entry then fires as a no-op.
 		victim := -1
 		for i, e := range entries {
 			n.touched++
-			if !e.t.SameVals(t) || e.t.Exp != t.Exp {
-				continue
-			}
-			if victim < 0 || (e.inAns && !entries[victim].inAns) {
+			if e.t.Exp == t.Exp && e.t.TS == t.TS && e.t.SameVals(t) {
 				victim = i
-			}
-			if victim == i && e.inAns {
 				break
+			}
+		}
+		if victim < 0 {
+			for i, e := range entries {
+				n.touched++
+				if e.t.Exp != t.Exp || !e.t.SameVals(t) {
+					continue
+				}
+				if victim < 0 || e.inAns {
+					victim = i
+				}
+				if e.inAns {
+					break
+				}
 			}
 		}
 		if victim >= 0 {
@@ -491,10 +506,11 @@ func (n *Negate) Advance(now int64) ([]tuple.Tuple, error) {
 			}
 		}
 	}
-	order := n.advOrder
-	sort.Slice(order, func(i, j int) bool { return order[i].Compare(order[j]) < 0 })
-	for _, k := range order {
-		n.repair(k, now, &out)
+	if len(n.advOrder) > 1 {
+		slices.SortFunc(n.advOrder, tuple.Key.Compare)
+	}
+	for _, k := range n.advOrder {
+		n.repair(k, now, out)
 	}
 	return out.ts, nil
 }

@@ -43,6 +43,8 @@ type Operator interface {
 	ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error
 	// Advance moves the local clock to now, expiring due state per the
 	// operator's maintenance policy, and returns any output this produces.
+	// The slice may be the operator's own scratch: it is valid until the next
+	// call on the operator.
 	Advance(now int64) ([]tuple.Tuple, error)
 	// StateSize returns the number of tuples currently stored.
 	StateSize() int
@@ -58,8 +60,7 @@ const noExpiry = int64(-1) << 62
 
 // probe visits live (non-expired) tuples in buf whose key over keyCols
 // equals k, using O(1) hash probing when the buffer supports it and a
-// filtered scan otherwise (the linked-list probing of the baseline
-// strategies).
+// filtered scan otherwise (the linked-list probing of the DIRECT baseline).
 func probe(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, fn func(t tuple.Tuple) bool) {
 	if p, ok := buf.(statebuf.Prober); ok {
 		p.Probe(k, func(t tuple.Tuple) bool {
@@ -71,7 +72,7 @@ func probe(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, fn func(t
 		return
 	}
 	buf.Scan(func(t tuple.Tuple) bool {
-		if t.Expired(now) || t.Key(keyCols) != k {
+		if t.Expired(now) || !t.KeyMatches(keyCols, k) {
 			return true
 		}
 		return fn(t)
@@ -80,21 +81,22 @@ func probe(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, fn func(t
 
 // probeAppend collects the live key matches into dst without a visitor
 // closure; hot operators keep a scratch slice so steady-state probing
-// allocates nothing. Buffers without ProbeAppend (the DIRECT baselines) fall
-// back to callback probing, whose closure capture is the allocation the fast
-// path avoids.
+// allocates nothing. Buffers without ProbeAppend (the DIRECT lists) are
+// scanned.
 func probeAppend(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
 	if pa, ok := buf.(statebuf.ProbeAppender); ok {
 		return pa.ProbeAppend(k, now, dst)
 	}
-	return probeAppendSlow(buf, keyCols, k, now, dst)
+	return scanAppend(buf, keyCols, k, now, dst)
 }
 
-// probeAppendSlow is kept out of probeAppend so the closure's by-reference
-// capture of dst (a heap cell) is only paid when the fallback actually runs.
-func probeAppendSlow(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
-	probe(buf, keyCols, k, now, func(t tuple.Tuple) bool {
-		dst = append(dst, t)
+// scanAppend is a function of its own so that the visitor's capture of dst
+// (a heap cell) is paid only when a buffer really has to be scanned.
+func scanAppend(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
+	buf.Scan(func(t tuple.Tuple) bool {
+		if !t.Expired(now) && t.KeyMatches(keyCols, k) {
+			dst = append(dst, t)
+		}
 		return true
 	})
 	return dst

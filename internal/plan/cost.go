@@ -154,16 +154,14 @@ func nodeCost(n *Node, s Strategy) float64 {
 	}
 }
 
-// probeCost estimates touching cost of one probe into a side's state.
+// probeCost estimates touching cost of one probe into a side's state. NT's
+// hash, and under UPA the indexed FIFO and the keyed calendar, all probe one
+// key's bucket; only DIRECT's list is scanned whole (Section 2.3.3).
 func probeCost(side *Node, s Strategy) float64 {
-	switch s {
-	case NT:
-		// Hash probe: expected bucket size.
-		return math.Max(side.Est.Size/math.Max(side.Est.Distinct, 1), 1)
-	default:
-		// List / partition scan of the whole side (Section 2.3.3).
+	if s == Direct {
 		return math.Max(side.Est.Size, 1)
 	}
+	return math.Max(side.Est.Size/math.Max(side.Est.Distinct, 1), 1)
 }
 
 // maintCost estimates per-unit-time state maintenance (insert + expire) of

@@ -112,3 +112,21 @@ func TestOverlapFraction(t *testing.T) {
 		t.Errorf("overlap: %v", f)
 	}
 }
+
+// TestProbeCostByStrategy pins what a probe is charged: one key's bucket
+// under NT (hash) and UPA (indexed FIFO, keyed calendar), the whole side
+// under DIRECT (list scan) — and with it the ranking E8 measures on Query 1,
+// which the model missed while it charged UPA the scan.
+func TestProbeCostByStrategy(t *testing.T) {
+	n := mustAnnotate(t, q1Plan(10000, "ftp"))
+	side := n.Inputs[0]
+	if upa, nt := probeCost(side, UPA), probeCost(side, NT); upa != nt {
+		t.Errorf("UPA probe %v, NT probe %v: both probe a bucket", upa, nt)
+	}
+	if direct, upa := probeCost(side, Direct), probeCost(side, UPA); direct <= upa {
+		t.Errorf("DIRECT probe %v must exceed UPA's bucket %v", direct, upa)
+	}
+	if upa, nt, direct := Cost(n, UPA), Cost(n, NT), Cost(n, Direct); !(upa < nt && nt < direct) {
+		t.Errorf("Query 1 ranking: UPA %v, NT %v, DIRECT %v; want UPA < NT < DIRECT", upa, nt, direct)
+	}
+}

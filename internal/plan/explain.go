@@ -182,7 +182,10 @@ func nodeTitle(n *Node) string {
 // viewDesc summarizes the materialized-result structure.
 func viewDesc(v ViewConfig) string {
 	out := v.Kind.String()
-	if len(v.KeyCols) > 0 {
+	// A partitioned view's key is an access path for retractions, not part of
+	// what the view is: leaving it out keeps the plan fingerprint, and with it
+	// every checkpoint written before the calendar had an index, valid.
+	if len(v.KeyCols) > 0 && v.Kind != ViewPartitioned {
 		out += fmt.Sprintf(" key%v", v.KeyCols)
 	}
 	if v.TimeExpiry {

@@ -18,8 +18,8 @@ type STRStorage int
 const (
 	// STRAuto picks by the cost model's overlap estimate.
 	STRAuto STRStorage = iota
-	// STRPartitioned keeps the partitioned calendar and scans all
-	// partitions on each (rare) negative tuple.
+	// STRPartitioned keeps the partitioned calendar, indexed on the
+	// retraction key for the (rare) negative tuples.
 	STRPartitioned
 	// STRHash makes negation emit a negative tuple for every expiration and
 	// stores results in a hash table on the negation attribute — the
@@ -100,7 +100,8 @@ func (k ViewKind) String() string {
 // ViewConfig tells the executor how to materialize the result.
 type ViewConfig struct {
 	Kind ViewKind
-	// KeyCols are the replacement/removal key for ViewHash and ViewKeyed.
+	// KeyCols are the replacement/removal key for ViewHash and ViewKeyed, and
+	// the retraction key a ViewPartitioned under a strict root indexes.
 	KeyCols []int
 	// Horizon and Partitions size ViewPartitioned.
 	Horizon    int64
@@ -246,8 +247,11 @@ func (p *Physical) bufFor(pattern core.Pattern, horizon int64, keyCols []int, ea
 			}
 			return statebuf.Config{Kind: statebuf.KindFIFO}
 		case pattern == core.Weak:
+			// The calendar indexes keyCols when it is given any, for the same
+			// probes and retractions.
 			return statebuf.Config{
 				Kind:        statebuf.KindPartitioned,
+				KeyCols:     keyCols,
 				Horizon:     horizon,
 				Partitions:  opts.partitions(),
 				SortedByExp: eager,
@@ -315,11 +319,17 @@ func (p *Physical) makeOperator(n *Node, opts Options) (operator.Operator, error
 
 	case GroupBy:
 		in := n.Inputs[0]
+		bufKey := n.GroupCols
+		if in.Pattern == core.Weak {
+			// A WK input is stored only to be expired: it is never probed and
+			// never retracted, so its calendar carries no index.
+			bufKey = nil
+		}
 		return operator.NewGroupBy(operator.GroupByConfig{
 			Input:        in.Schema,
 			GroupCols:    n.GroupCols,
 			Aggs:         n.Aggs,
-			InputBuf:     p.bufFor(in.Pattern, in.Horizon, n.GroupCols, true, opts),
+			InputBuf:     p.bufFor(in.Pattern, in.Horizon, bufKey, true, opts),
 			NoTimeExpiry: nt,
 			// Running aggregates over unbounded streams (Section 3.1):
 			// nothing expires or retracts, so the input is not stored.
@@ -435,7 +445,10 @@ func (p *Physical) viewConfig(root *Node, s Strategy, opts Options) ViewConfig {
 					TimeExpiry: root.Kind != Negate,
 				}
 			}
-			return ViewConfig{Kind: ViewPartitioned, Horizon: root.Horizon, Partitions: opts.partitions(), TimeExpiry: true}
+			// Premature expirations are rare here but not free: the calendar
+			// indexes the retraction key so a negative tuple finds its row
+			// without looking through the partitions.
+			return ViewConfig{Kind: ViewPartitioned, KeyCols: p.strKeyCols(root), Horizon: root.Horizon, Partitions: opts.partitions(), TimeExpiry: true}
 		}
 	}
 }

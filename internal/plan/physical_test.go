@@ -190,3 +190,25 @@ func TestBuildTableRegistration(t *testing.T) {
 		t.Error("table operator registration")
 	}
 }
+
+// TestCalendarsGetTheKeysThePlanProbesWith checks who hands key columns to a
+// WK calendar: probed or retracted state does (join sides, a strict root's
+// partitioned view), state that is only expired does not (group-by's stored
+// input, a weak root's view). The view's key is an access path, so EXPLAIN's
+// view line — and the checkpoint fingerprint built from it — does not name it.
+func TestCalendarsGetTheKeysThePlanProbesWith(t *testing.T) {
+	p := &Physical{Strategy: UPA}
+	if cfg := p.bufFor(core.Weak, 100, []int{2}, false, Options{}); len(cfg.KeyCols) != 1 || cfg.KeyCols[0] != 2 {
+		t.Errorf("WK buffer keys = %v, want the probe key [2]", cfg.KeyCols)
+	}
+	neg := buildFor(t, NewNegate(win(0, 100), win(1, 100), []int{0}, []int{0}), UPA, Options{STR: STRPartitioned})
+	if neg.View.Kind != ViewPartitioned || len(neg.View.KeyCols) != 1 || neg.View.KeyCols[0] != 0 {
+		t.Errorf("strict-root partitioned view = %+v, want keyed on the negation attribute", neg.View)
+	}
+	if got := viewDesc(neg.View); got != "partitioned time-expiry" {
+		t.Errorf("EXPLAIN view line = %q, want it unchanged by the key", got)
+	}
+	if weak := buildFor(t, q1Plan(100, "ftp"), UPA, Options{}); len(weak.View.KeyCols) != 0 {
+		t.Errorf("weak-root view keys = %v, want none", weak.View.KeyCols)
+	}
+}

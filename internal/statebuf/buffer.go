@@ -8,10 +8,16 @@
 //   - ListBuffer: the DIRECT baseline — an insertion-ordered linked list;
 //     out-of-FIFO expiration and negative-tuple removal need sequential
 //     scans. This is the inefficiency UPA removes.
-//   - PartitionedBuffer: for weak non-monotonic (WK) state — a circular
-//     array of partitions bucketed by expiration time (calendar-queue-like),
-//     so expiration touches only due partitions while insertion stays O(1)
-//     (lazy) or O(log partition) (eager, partitions sorted by expiration).
+//   - PartitionedBuffer: for weak non-monotonic (WK) state, and for strict
+//     state with rare premature expirations — a circular array of partitions
+//     bucketed by expiration time (calendar-queue-like), so expiration touches
+//     only due partitions while insertion stays O(1) (lazy) or O(log
+//     partition) (eager, partitions sorted by expiration). Tuples live in a
+//     paged slab and a partition is a run of references with a head offset,
+//     so due entries pop without shifting the rest. When the plan probes or
+//     retracts the state by key, the planner passes the key columns and the
+//     calendar also chains its entries by key digest: probes and removals
+//     then cost O(bucket), not O(state).
 //   - HashBuffer: for the NT strategy and for strict non-monotonic (STR)
 //     state with frequent premature expirations — a hash table on a key so
 //     negative tuples delete in O(1) expected time.
@@ -44,7 +50,11 @@ type Buffer interface {
 	ExpireUpTo(now int64) []tuple.Tuple
 
 	// Remove deletes one stored tuple whose values equal t's (the matching
-	// rule for negative tuples) and reports whether one was found.
+	// rule for negative tuples) and reports whether one was found. Among
+	// value twins every kind takes the one carrying t's exact Exp (negative
+	// tuples carry the original's), else the oldest: lowest TS in the indexed
+	// kinds, first inserted in the list kinds, which is the same tuple because
+	// TS never decreases along a stream.
 	Remove(t tuple.Tuple) bool
 
 	// Scan visits every stored tuple (including ones that are expired but

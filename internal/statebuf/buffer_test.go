@@ -21,6 +21,8 @@ func allBuffers(horizon int64) map[string]Buffer {
 		"partitioned-lazy": NewPartitioned(7, horizon, false),
 		"partitioned-exp":  NewPartitioned(7, horizon, true),
 		"partitioned-1":    NewPartitioned(1, horizon, true),
+		"keyed-lazy":       keyedCal(7, horizon, false),
+		"keyed-exp":        keyedCal(7, horizon, true),
 		"hash":             NewHash([]int{0}),
 		"indexed-fifo":     NewIndexedFIFO([]int{0}),
 	}

@@ -41,7 +41,9 @@ func (k Kind) String() string {
 // state buffer.
 type Config struct {
 	Kind Kind
-	// KeyCols are the key columns for KindHash.
+	// KeyCols are the key columns KindHash and KindIndexedFIFO index, and the
+	// ones KindPartitioned indexes when it is given any (state that is only
+	// ever expired goes without).
 	KeyCols []int
 	// Partitions is the partition count for KindPartitioned (default 10,
 	// matching Section 6.1's default).
@@ -69,7 +71,11 @@ func New(cfg Config) Buffer {
 		if n <= 0 {
 			n = DefaultPartitions
 		}
-		return NewPartitioned(n, cfg.Horizon, cfg.SortedByExp)
+		b := newCalendar(n, cfg.Horizon, cfg.SortedByExp, cfg.KeyCols)
+		if b.index != nil {
+			return keyedCalendar{b}
+		}
+		return b
 	case KindHash:
 		return NewHash(cfg.KeyCols)
 	case KindIndexedFIFO:

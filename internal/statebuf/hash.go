@@ -67,7 +67,7 @@ func (b *HashBuffer) KeyCols() []int { return b.keyCols }
 
 // Insert stores t under its key.
 func (b *HashBuffer) Insert(t tuple.Tuple) {
-	b.insertHashed(t.Key(b.keyCols).Hash64(), t)
+	b.insertHashed(t.KeyHash64(b.keyCols), t)
 }
 
 // InsertKeyed implements KeyedInserter: stores t under a caller-computed key,
@@ -177,7 +177,7 @@ func (b *HashBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 // tuple's Exp, which disambiguates value twins), then the oldest match so
 // retraction order is deterministic.
 func (b *HashBuffer) Remove(t tuple.Tuple) bool {
-	h := t.Key(b.keyCols).Hash64()
+	h := t.KeyHash64(b.keyCols)
 	bk, ok := b.buckets[h]
 	if !ok {
 		return false
@@ -244,24 +244,10 @@ func (b *HashBuffer) cutBucket(bk *bucket, i int) {
 	b.size--
 }
 
-// removeExact deletes one tuple matching t's values AND expiration; it
-// reports false when no exact twin is stored (e.g. it was retracted earlier).
-func (b *HashBuffer) removeExact(t tuple.Tuple) bool {
-	return b.removeExactHashed(t.Key(b.keyCols).Hash64(), t)
-}
-
-// removeExactHashed is removeExact with the key digest already in hand.
-func (b *HashBuffer) removeExactHashed(h uint64, t tuple.Tuple) bool {
-	bk, ok := b.buckets[h]
-	if !ok {
-		return false
-	}
-	return b.removeExactIn(bk, t)
-}
-
-// removeExactIn is removeExact scoped to one bucket, reached through a
-// pointer the caller cached at insert time (the IndexedFIFO expiry ring) —
-// no key rendering, no hashing, no map access. The bucket may have been
+// removeExactIn deletes one tuple matching t's values AND expiration from one
+// bucket, reached through a pointer the caller cached at insert time (the
+// IndexedFIFO expiry ring) — no key rendering, no hashing, no map access; it
+// reports false when no exact twin is stored. The bucket may have been
 // retired and even recycled for a different digest since the pointer was
 // taken; the full value-and-expiration comparison then matches nothing
 // (foreign keys differ in their key columns, and a parked bucket is empty),

@@ -48,7 +48,7 @@ func NewIndexedFIFO(keyCols []int) *IndexedFIFO {
 
 // Insert stores t.
 func (b *IndexedFIFO) Insert(t tuple.Tuple) {
-	b.insertHashed(t.Key(b.hash.keyCols).Hash64(), t)
+	b.insertHashed(t.KeyHash64(b.hash.keyCols), t)
 }
 
 // KeyCols returns the index's key column positions.
@@ -103,7 +103,7 @@ func (b *IndexedFIFO) ExpireUpTo(now int64) []tuple.Tuple {
 			b.ring.Reset()
 			for _, t := range kept {
 				b.queue.Push(t)
-				b.ring.Push(b.hash.buckets[t.Key(b.hash.keyCols).Hash64()])
+				b.ring.Push(b.hash.buckets[t.KeyHash64(b.hash.keyCols)])
 			}
 			b.keep = kept
 		}
@@ -190,7 +190,7 @@ func (b *IndexedFIFO) LoadState(dec *checkpoint.Decoder) error {
 	n := b.queue.Len()
 	for i := 0; i < n; i++ {
 		t := b.queue.At(i)
-		b.ring.Push(b.hash.buckets[t.Key(b.hash.keyCols).Hash64()])
+		b.ring.Push(b.hash.buckets[t.KeyHash64(b.hash.keyCols)])
 	}
 	return dec.Err()
 }

@@ -1,8 +1,6 @@
 package statebuf
 
 import (
-	"sort"
-
 	"repro/internal/checkpoint"
 	"repro/internal/tuple"
 )
@@ -20,21 +18,117 @@ import (
 // per the paper's two variants. More partitions mean less state scanned per
 // insertion/expiration at the price of per-partition overhead — the trade-off
 // explored by the partition-sweep experiment.
+//
+// Every stored tuple is one entry of a paged slab; a partition is a run of
+// entry references with a head offset, so popping due entries moves the
+// offset instead of shifting the remainder, and a sorted insert shifts
+// four-byte references instead of tuples.
+//
+// Built with key columns, the calendar also chains its entries by key digest
+// (the construction IndexedFIFO is over HashBuffer, with the storage shared
+// instead of mirrored): probes and retractions walk one digest's chain, and a
+// retracted entry stays in its partition as a stale reference that is skipped
+// and released when it fires. A chain is kept in Scan order — partition slot,
+// then position within the partition — so a keyed probe returns exactly what
+// a filtered Scan would, in the same order. Without key columns there is no
+// index (and no probe interface, see keyedCalendar), and Remove goes to the
+// one partition the retraction's Exp names.
 type PartitionedBuffer struct {
-	width    int64 // expiration-time span covered by one partition
-	parts    []partition
-	overflow []tuple.Tuple // Exp beyond the horizon or NeverExpires
-	lowBkt   int64         // lowest expiration bucket not yet fully expired
-	size     int
-	byExp    bool // partitions sorted by Exp (eager) vs insertion order (lazy)
-	touched  int64
+	width int64 // expiration-time span covered by one partition
+	// parts[:cal] is the circular calendar, parts[cal] the overflow area for
+	// tuples whose Exp lies beyond the horizon or is NeverExpires.
+	parts   []partition
+	cal     int
+	lowBkt  int64 // lowest expiration bucket not yet fully expired
+	size    int   // live tuples (stale references excluded)
+	byExp   bool  // partitions sorted by Exp (eager) vs insertion order (lazy)
+	touched int64
+	ents    entrySlab
+	keyCols []int
+	index   map[uint64]int32 // key digest → first entry of its chain; nil when unkeyed
 	// scratch backs ExpireUpTo's result slice across passes (the calendar is
 	// pumped every maintenance tick, so per-pass allocation would dominate).
 	scratch []tuple.Tuple
 }
 
+// partition is a run of entry references; refs[:head] have already fired.
 type partition struct {
-	items []tuple.Tuple
+	refs []int32
+	head int
+}
+
+func (p *partition) live() []int32 { return p.refs[p.head:] }
+
+// push appends ref. A full run whose fired prefix is at least half of it is
+// slid down first instead of grown, so a partition that is popped and pushed
+// at once stays bounded by its peak live size.
+func (p *partition) push(ref int32) {
+	if len(p.refs) == cap(p.refs) && p.head > 0 && p.head >= len(p.refs)/2 {
+		p.refs = p.refs[:copy(p.refs, p.refs[p.head:])]
+		p.head = 0
+	}
+	p.refs = append(p.refs, ref)
+}
+
+// pop drops the first n live references.
+func (p *partition) pop(n int) {
+	p.head += n
+	if p.head == len(p.refs) {
+		p.refs, p.head = p.refs[:0], 0
+	}
+}
+
+// truncate keeps the first n live references.
+func (p *partition) truncate(n int) {
+	p.refs = p.refs[:p.head+n]
+	p.pop(0)
+}
+
+// calEntry is one stored tuple. slot is the partition it sits in, or dead
+// once a retraction removed it ahead of its expiration; h, next and prev are
+// its place in the key index.
+type calEntry struct {
+	t          tuple.Tuple
+	h          uint64
+	next, prev int32
+	slot       int32
+}
+
+const dead = -1
+
+// entrySlab hands out calendar entries from fixed pages and recycles released
+// ones through an intrusive freelist, so steady-state churn allocates
+// nothing. References are one-based; zero means none.
+type entrySlab struct {
+	pages []*[chunkSize]calEntry
+	used  int32 // references handed out from pages so far
+	free  int32 // head of the released list, linked through next
+}
+
+func (s *entrySlab) at(ref int32) *calEntry {
+	i := uint32(ref - 1)
+	return &s.pages[i/chunkSize][i%chunkSize]
+}
+
+func (s *entrySlab) alloc() (int32, *calEntry) {
+	if ref := s.free; ref != 0 {
+		e := s.at(ref)
+		s.free, e.next = e.next, 0
+		return ref, e
+	}
+	if int(s.used) == len(s.pages)*chunkSize {
+		s.pages = append(s.pages, new([chunkSize]calEntry))
+	}
+	s.used++
+	return s.used, s.at(s.used)
+}
+
+// release recycles a slot. Only the value slice is cleared (a parked slot
+// must pin no tuple); alloc's caller overwrites the rest.
+func (s *entrySlab) release(ref int32) {
+	e := s.at(ref)
+	e.t.Vals, e.next = nil, s.free
+	s.free = ref
 }
 
 // NewPartitioned builds a buffer with n partitions covering a rolling
@@ -44,6 +138,12 @@ type partition struct {
 // partition is allocated internally so that the live bucket span never wraps
 // onto itself.
 func NewPartitioned(n int, horizon int64, byExp bool) *PartitionedBuffer {
+	return newCalendar(n, horizon, byExp, nil)
+}
+
+// newCalendar is NewPartitioned plus the key columns to index (none: no
+// index).
+func newCalendar(n int, horizon int64, byExp bool, keyCols []int) *PartitionedBuffer {
 	if n < 1 {
 		n = 1
 	}
@@ -54,61 +154,159 @@ func NewPartitioned(n int, horizon int64, byExp bool) *PartitionedBuffer {
 	if width < 1 {
 		width = 1
 	}
-	return &PartitionedBuffer{
+	b := &PartitionedBuffer{
 		width: width,
-		parts: make([]partition, n+1),
+		parts: make([]partition, n+2),
+		cal:   n + 1,
 		byExp: byExp,
 	}
+	if len(keyCols) > 0 {
+		b.keyCols = append([]int(nil), keyCols...)
+		b.index = make(map[uint64]int32)
+	}
+	return b
+}
+
+// reset drops every stored tuple, leaving the cursor alone.
+func (b *PartitionedBuffer) reset() {
+	clear(b.parts)
+	b.ents = entrySlab{}
+	clear(b.index)
+	b.size = 0
 }
 
 // Partitions returns the configured partition count (excluding the internal
 // wrap-guard partition).
-func (b *PartitionedBuffer) Partitions() int { return len(b.parts) - 1 }
+func (b *PartitionedBuffer) Partitions() int { return b.cal - 1 }
 
 func (b *PartitionedBuffer) bucket(exp int64) int64 { return exp / b.width }
 
-func (b *PartitionedBuffer) slot(bkt int64) int { return int(bkt % int64(len(b.parts))) }
+func (b *PartitionedBuffer) slot(bkt int64) int { return int(bkt % int64(b.cal)) }
+
+// slotFor names the partition that holds a tuple expiring at exp: the one
+// covering exp, the lowest live one when exp is already past due (so the next
+// expiration pass returns it), the overflow area when exp lies beyond the
+// horizon or never comes. The answer only changes in ExpireUpTo, which moves
+// what it affects, so it also locates a stored tuple from its Exp alone.
+func (b *PartitionedBuffer) slotFor(exp int64) int {
+	if exp == tuple.NeverExpires {
+		return b.cal
+	}
+	bkt := max(b.bucket(exp), b.lowBkt)
+	if bkt >= b.lowBkt+int64(b.cal) {
+		return b.cal
+	}
+	return b.slot(bkt)
+}
 
 // Insert places t in the partition covering its expiration time. Tuples
 // whose expiration lies beyond the current horizon (or never expire) go to an
 // overflow area and are migrated back as the horizon advances.
 func (b *PartitionedBuffer) Insert(t tuple.Tuple) {
-	b.touched++
-	b.size++
-	if t.Exp == tuple.NeverExpires {
-		b.overflow = append(b.overflow, t)
-		return
+	var h uint64
+	if b.index != nil {
+		h = t.KeyHash64(b.keyCols)
 	}
-	bkt := b.bucket(t.Exp)
-	if bkt < b.lowBkt {
-		// Already past due; park it in the lowest live bucket so the next
-		// expiration pass returns it.
-		bkt = b.lowBkt
-	}
-	if bkt >= b.lowBkt+int64(len(b.parts)) {
-		b.overflow = append(b.overflow, t)
-		return
-	}
-	b.place(bkt, t)
+	b.insertHashed(h, t)
 }
 
-func (b *PartitionedBuffer) place(bkt int64, t tuple.Tuple) {
-	p := &b.parts[b.slot(bkt)]
-	if !b.byExp {
-		p.items = append(p.items, t)
-		return
-	}
-	// Keep the partition sorted by (Exp, TS); binary search for the spot.
-	i := sort.Search(len(p.items), func(i int) bool {
-		if p.items[i].Exp != t.Exp {
-			return p.items[i].Exp > t.Exp
+func (b *PartitionedBuffer) insertHashed(h uint64, t tuple.Tuple) {
+	b.touched++
+	b.size++
+	ref, e := b.ents.alloc()
+	e.t, e.h = t, h
+	b.file(ref, e)
+}
+
+// file puts an entry into its partition — at the tail, or at its (Exp, TS)
+// position in a sorted partition — and into its key chain.
+func (b *PartitionedBuffer) file(ref int32, e *calEntry) {
+	slot := b.slotFor(e.t.Exp)
+	e.slot = int32(slot)
+	p := &b.parts[slot]
+	p.push(ref)
+	if b.sorted(slot) {
+		live := p.live()
+		i := len(live) - 1
+		if i > 0 && expiresBefore(e.t, b.ents.at(live[i-1]).t) {
+			// Out of order: binary search for the first entry expiring later.
+			lo, hi := 0, i
+			for lo < hi {
+				if mid := (lo + hi) / 2; expiresBefore(e.t, b.ents.at(live[mid]).t) {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			b.touched += int64(i - lo) // shifted references
+			copy(live[lo+1:], live[lo:])
+			live[lo] = ref
 		}
-		return p.items[i].TS > t.TS
-	})
-	b.touched += int64(len(p.items) - i) // shifted elements
-	p.items = append(p.items, tuple.Tuple{})
-	copy(p.items[i+1:], p.items[i:])
-	p.items[i] = t
+	}
+	if b.index != nil {
+		b.link(ref, e)
+	}
+}
+
+// sorted reports whether a partition is kept in (Exp, TS) order; the
+// overflow area never is.
+func (b *PartitionedBuffer) sorted(slot int) bool { return b.byExp && slot != b.cal }
+
+// link threads a just-filed entry into its digest's chain at its Scan
+// position: after every member in an earlier partition and, within its own,
+// after every member that does not expire later (a sorted partition) or after
+// all of them (insertion order).
+func (b *PartitionedBuffer) link(ref int32, e *calEntry) {
+	var prev int32
+	next := b.index[e.h]
+	sorted := b.sorted(int(e.slot))
+	for next != 0 {
+		c := b.ents.at(next)
+		if c.slot > e.slot || c.slot == e.slot && sorted && expiresBefore(e.t, c.t) {
+			break
+		}
+		prev, next = next, c.next
+	}
+	e.prev, e.next = prev, next
+	if next != 0 {
+		b.ents.at(next).prev = ref
+	}
+	if prev != 0 {
+		b.ents.at(prev).next = ref
+	} else {
+		b.index[e.h] = ref
+	}
+}
+
+// unlink takes an entry out of its chain.
+func (b *PartitionedBuffer) unlink(e *calEntry) {
+	if e.next != 0 {
+		b.ents.at(e.next).prev = e.prev
+	}
+	switch {
+	case e.prev != 0:
+		b.ents.at(e.prev).next = e.next
+	case e.next != 0:
+		b.index[e.h] = e.next
+	default:
+		delete(b.index, e.h)
+	}
+	e.next, e.prev = 0, 0
+}
+
+// fire releases a reference leaving its partition, appending the tuple to
+// out unless the entry is stale.
+func (b *PartitionedBuffer) fire(ref int32, out []tuple.Tuple) []tuple.Tuple {
+	e := b.ents.at(ref)
+	if e.slot != dead {
+		out = append(out, e.t)
+		b.size--
+		if b.index != nil {
+			b.unlink(e)
+		}
+	}
+	b.ents.release(ref)
+	return out
 }
 
 // ExpireUpTo removes and returns every tuple with Exp <= now, visiting only
@@ -118,58 +316,47 @@ func (b *PartitionedBuffer) place(bkt int64, t tuple.Tuple) {
 func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 	out := b.scratch[:0]
 	hi := b.bucket(now)
-	if b.lowBkt > hi {
-		// Nothing can be due, but past-due parked tuples in lowBkt might be.
-		hi = b.lowBkt - 1
-	}
 	// Fully-due buckets: everything in them expires. Occupied buckets all lie
-	// in [lowBkt, lowBkt+len(parts)), so cap the walk at one full cycle even
-	// if time jumped far ahead.
-	full := hi
-	if max := b.lowBkt + int64(len(b.parts)); full > max {
-		full = max
-	}
-	for bkt := b.lowBkt; bkt < full; bkt++ {
+	// in [lowBkt, lowBkt+cal), so cap the walk at one full cycle even if time
+	// jumped far ahead.
+	for bkt := b.lowBkt; bkt < min(hi, b.lowBkt+int64(b.cal)); bkt++ {
 		p := &b.parts[b.slot(bkt)]
-		if len(p.items) > 0 {
-			b.touched += int64(len(p.items))
-			out = append(out, p.items...)
-			p.items = p.items[:0]
+		b.touched += int64(len(p.live()))
+		for _, ref := range p.live() {
+			out = b.fire(ref, out)
 		}
+		p.pop(len(p.live()))
 	}
-	if hi >= b.lowBkt && hi < b.lowBkt+int64(len(b.parts)) {
+	if hi >= b.lowBkt && hi < b.lowBkt+int64(b.cal) {
 		// Boundary bucket: partially due.
 		p := &b.parts[b.slot(hi)]
-		if len(p.items) > 0 {
-			if b.byExp {
-				// Sorted: expired tuples are a prefix.
-				i := 0
-				for i < len(p.items) && p.items[i].Exp <= now {
-					i++
-				}
-				b.touched += int64(i) + 1
-				if i > 0 {
-					out = append(out, p.items[:i]...)
-					p.items = append(p.items[:0], p.items[i:]...)
-				}
-			} else {
-				b.touched += int64(len(p.items))
-				kept := p.items[:0]
-				for _, t := range p.items {
-					if t.Exp <= now {
-						out = append(out, t)
-					} else {
-						kept = append(kept, t)
-					}
-				}
-				p.items = kept
+		switch live := p.live(); {
+		case len(live) == 0:
+		case b.byExp:
+			// Sorted: expired tuples are a prefix.
+			i := 0
+			for i < len(live) && b.ents.at(live[i]).t.Exp <= now {
+				out = b.fire(live[i], out)
+				i++
 			}
+			b.touched += int64(i) + 1
+			p.pop(i)
+		default:
+			b.touched += int64(len(live))
+			kept := live[:0]
+			for _, ref := range live {
+				if e := b.ents.at(ref); e.t.Exp <= now || e.slot == dead {
+					out = b.fire(ref, out)
+				} else {
+					kept = append(kept, ref)
+				}
+			}
+			p.truncate(len(kept))
 		}
 	}
 	if hi > b.lowBkt {
 		b.lowBkt = hi
 	}
-	b.size -= len(out)
 	out = b.drainOverflow(now, out)
 	if len(out) > 1 {
 		sortExpired(out)
@@ -179,99 +366,117 @@ func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 }
 
 // drainOverflow migrates overflow tuples that are now within the horizon (or
-// already expired) back into the calendar.
+// already expired) back into the calendar, and drops stale references.
 func (b *PartitionedBuffer) drainOverflow(now int64, out []tuple.Tuple) []tuple.Tuple {
-	if len(b.overflow) == 0 {
-		return out
-	}
-	kept := b.overflow[:0]
-	for _, t := range b.overflow {
+	p := &b.parts[b.cal]
+	kept := p.refs[:0]
+	for _, ref := range p.refs {
 		b.touched++
+		e := b.ents.at(ref)
 		switch {
-		case t.Exp == tuple.NeverExpires:
-			kept = append(kept, t)
-		case t.Exp <= now:
-			out = append(out, t)
-			b.size--
-		case b.bucket(t.Exp) < b.lowBkt+int64(len(b.parts)):
-			b.place(b.bucket(t.Exp), t)
+		case e.slot == dead || e.t.Exp <= now:
+			out = b.fire(ref, out)
+		case b.slotFor(e.t.Exp) != b.cal:
+			if b.index != nil {
+				b.unlink(e)
+			}
+			b.file(ref, e)
 		default:
-			kept = append(kept, t)
+			kept = append(kept, ref)
 		}
 	}
-	b.overflow = kept
+	p.refs = kept
 	return out
 }
 
-// Remove scans partitions for one tuple with values equal to t's — the
-// "periodically incur the cost of scanning all the partitions" path that
-// Section 5.3.2 prescribes for rare premature expirations of strict
-// non-monotonic state. An exact expiration match is preferred (negative
-// tuples carry the original tuple's Exp, which disambiguates value twins);
-// with Exp known the scan can stop at the owning partition.
+// Remove deletes one stored tuple with values equal to t's: the one with t's
+// exact expiration if there is one (negative tuples carry the original
+// tuple's Exp, which disambiguates value twins), else the oldest by TS — the
+// rule every buffer kind follows. An indexed calendar walks the chain of t's
+// key. One without an index goes straight to the partition t.Exp names, where
+// an exact twin can only be, and looks through the others only for a
+// retraction whose Exp no twin carries. The entry's reference stays in its
+// partition and is skipped when it fires.
 func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
-	type loc struct {
-		part, idx int // part == -1 means overflow
-	}
-	fallback := loc{part: -2}
-	for pi := range b.parts {
-		p := &b.parts[pi]
-		for i := range p.items {
+	var victim int32
+	if b.index != nil {
+		for ref := b.index[t.KeyHash64(b.keyCols)]; ref != 0; {
+			e := b.ents.at(ref)
 			b.touched++
-			if !p.items[i].SameVals(t) {
-				continue
+			if e.t.SameVals(t) {
+				if e.t.Exp == t.Exp {
+					victim = ref
+					break
+				}
+				victim = b.older(victim, ref)
 			}
-			if p.items[i].Exp == t.Exp {
-				p.items = append(p.items[:i], p.items[i+1:]...)
-				b.size--
-				return true
-			}
-			if fallback.part == -2 {
-				fallback = loc{part: pi, idx: i}
+			ref = e.next
+		}
+	} else if victim = b.exactTwin(t); victim == 0 {
+		for pi := range b.parts {
+			for _, ref := range b.parts[pi].live() {
+				e := b.ents.at(ref)
+				if e.slot == dead {
+					continue
+				}
+				b.touched++
+				if e.t.SameVals(t) {
+					victim = b.older(victim, ref)
+				}
 			}
 		}
 	}
-	for i := range b.overflow {
-		b.touched++
-		if !b.overflow[i].SameVals(t) {
-			continue
-		}
-		if b.overflow[i].Exp == t.Exp {
-			b.overflow = append(b.overflow[:i], b.overflow[i+1:]...)
-			b.size--
-			return true
-		}
-		if fallback.part == -2 {
-			fallback = loc{part: -1, idx: i}
-		}
-	}
-	switch fallback.part {
-	case -2:
+	if victim == 0 {
 		return false
-	case -1:
-		b.overflow = append(b.overflow[:fallback.idx], b.overflow[fallback.idx+1:]...)
-	default:
-		p := &b.parts[fallback.part]
-		p.items = append(p.items[:fallback.idx], p.items[fallback.idx+1:]...)
 	}
+	e := b.ents.at(victim)
+	if b.index != nil {
+		b.unlink(e)
+	}
+	// Exp and TS stay: a stale reference keeps its place in a sorted run.
+	e.slot, e.t.Vals = dead, nil
 	b.size--
 	return true
 }
 
-// Scan visits all stored tuples, partition by partition.
-func (b *PartitionedBuffer) Scan(fn func(t tuple.Tuple) bool) {
-	for pi := range b.parts {
-		for _, t := range b.parts[pi].items {
-			b.touched++
-			if !fn(t) {
-				return
-			}
+// exactTwin finds the first stored tuple with t's values and t's Exp by
+// looking only where such a tuple can be.
+func (b *PartitionedBuffer) exactTwin(t tuple.Tuple) int32 {
+	for _, ref := range b.parts[b.slotFor(t.Exp)].live() {
+		e := b.ents.at(ref)
+		if e.slot == dead {
+			continue
+		}
+		b.touched++
+		if e.t.Exp == t.Exp && e.t.SameVals(t) {
+			return ref
 		}
 	}
-	for _, t := range b.overflow {
-		b.touched++
-		if !fn(t) {
-			return
+	return 0
+}
+
+// older returns whichever of two entries has the lower TS, the first on a
+// tie; zero stands for no entry.
+func (b *PartitionedBuffer) older(best, ref int32) int32 {
+	if best == 0 || b.ents.at(ref).t.TS < b.ents.at(best).t.TS {
+		return ref
+	}
+	return best
+}
+
+// Scan visits all stored tuples, partition by partition, the overflow area
+// last.
+func (b *PartitionedBuffer) Scan(fn func(t tuple.Tuple) bool) {
+	for pi := range b.parts {
+		for _, ref := range b.parts[pi].live() {
+			e := b.ents.at(ref)
+			if e.slot == dead {
+				continue
+			}
+			b.touched++
+			if !fn(e.t) {
+				return
+			}
 		}
 	}
 }
@@ -287,41 +492,37 @@ func (b *PartitionedBuffer) Kind() Kind { return KindPartitioned }
 
 // SaveState implements checkpoint.Snapshotter: the calendar cursor, the cost
 // counter, then the tuples (partitions in slot order, then overflow). Width,
-// partition count, and the byExp variant come from the plan-built
-// configuration and are not serialized.
+// partition count, the byExp variant and the key columns come from the
+// plan-built configuration and are not serialized; stale references are not
+// state and are not written.
 func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(b.lowBkt)
 	enc.Varint(b.touched)
 	enc.Uvarint(uint64(b.size))
 	for pi := range b.parts {
-		for _, t := range b.parts[pi].items {
-			enc.Tuple(t)
+		for _, ref := range b.parts[pi].live() {
+			if e := b.ents.at(ref); e.slot != dead {
+				enc.Tuple(e.t)
+			}
 		}
-	}
-	for _, t := range b.overflow {
-		enc.Tuple(t)
 	}
 	return enc.Err()
 }
 
 // LoadState implements checkpoint.Snapshotter. The cursor is restored before
 // re-inserting so every tuple lands in the bucket it occupied at save time
-// (live buckets all lie in [lowBkt, lowBkt+len(parts)), so placement is
-// deterministic); the saved cost counter then overwrites the inserts'
-// increments.
+// (live buckets all lie in [lowBkt, lowBkt+cal), so placement is
+// deterministic) and, arriving in Scan order, at the same place in its key
+// chain; the saved cost counter then overwrites the inserts' increments.
 func (b *PartitionedBuffer) LoadState(dec *checkpoint.Decoder) error {
 	b.lowBkt = dec.Varint()
 	touched := dec.Varint()
-	for pi := range b.parts {
-		b.parts[pi].items = nil
-	}
-	b.overflow = nil
-	b.size = 0
+	b.reset()
 	n := dec.Count()
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		t := dec.Tuple()
 		// Check the latch before inserting so a truncated stream cannot
-		// plant a zero tuple in a live bucket.
+		// plant a zero tuple in a live bucket (or index its missing columns).
 		if dec.Err() != nil {
 			break
 		}
@@ -329,4 +530,51 @@ func (b *PartitionedBuffer) LoadState(dec *checkpoint.Decoder) error {
 	}
 	b.touched = touched
 	return dec.Err()
+}
+
+// keyedCalendar is a PartitionedBuffer built with key columns. It is the same
+// structure; the type exists so that only a calendar that has an index
+// satisfies Prober, ProbeAppender, KeyedInserter and HashedBuffer, which is
+// how joins, views and replays decide between a keyed probe and a scan.
+type keyedCalendar struct{ *PartitionedBuffer }
+
+// KeyCols returns the indexed column positions.
+func (b keyedCalendar) KeyCols() []int { return b.keyCols }
+
+// InsertKeyed implements KeyedInserter (see HashBuffer.InsertKeyed).
+func (b keyedCalendar) InsertKeyed(k tuple.Key, t tuple.Tuple) { b.insertHashed(k.Hash64(), t) }
+
+// InsertHashed implements HashedBuffer (see HashBuffer.InsertHashed).
+func (b keyedCalendar) InsertHashed(h uint64, t tuple.Tuple) { b.insertHashed(h, t) }
+
+// Probe implements Prober: it visits the stored tuples under key k in Scan
+// order. Distinct keys can share a digest, so each is verified against k.
+func (b keyedCalendar) Probe(k tuple.Key, fn func(t tuple.Tuple) bool) {
+	for ref := b.index[k.Hash64()]; ref != 0; {
+		e := b.ents.at(ref)
+		b.touched++
+		if e.t.KeyMatches(b.keyCols, k) && !fn(e.t) {
+			return
+		}
+		ref = e.next
+	}
+}
+
+// ProbeAppend implements ProbeAppender (see HashBuffer.ProbeAppend).
+func (b keyedCalendar) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
+	return b.ProbeAppendHashed(k.Hash64(), k, now, dst)
+}
+
+// ProbeAppendHashed implements HashedBuffer (see
+// HashBuffer.ProbeAppendHashed).
+func (b keyedCalendar) ProbeAppendHashed(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
+	for ref := b.index[h]; ref != 0; {
+		e := b.ents.at(ref)
+		b.touched++
+		if now < e.t.Exp && e.t.KeyMatches(b.keyCols, k) {
+			dst = append(dst, e.t)
+		}
+		ref = e.next
+	}
+	return dst
 }

@@ -88,14 +88,10 @@ func (b *IndexedFIFO) Clear() {
 	b.keep = nil
 }
 
-// Clear empties the calendar: every partition, the overflow area, and the
-// cursor.
+// Clear empties the calendar: every partition, the overflow area, the entry
+// pages, the key index, and the cursor.
 func (b *PartitionedBuffer) Clear() {
-	for pi := range b.parts {
-		b.parts[pi].items = nil
-	}
-	b.overflow = nil
+	b.reset()
 	b.lowBkt = 0
-	b.size = 0
 	b.scratch = nil
 }

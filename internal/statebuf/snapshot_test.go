@@ -35,6 +35,8 @@ func snapshotVariants() []struct {
 		{"indexedfifo", func() snapBuffer { return NewIndexedFIFO([]int{0}) }},
 		{"partitioned-lazy", func() snapBuffer { return NewPartitioned(8, 64, false) }},
 		{"partitioned-eager", func() snapBuffer { return NewPartitioned(8, 64, true) }},
+		{"keyed-lazy", func() snapBuffer { return keyedCal(8, 64, false).(snapBuffer) }},
+		{"keyed-eager", func() snapBuffer { return keyedCal(8, 64, true).(snapBuffer) }},
 	}
 }
 

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -160,5 +161,29 @@ func BenchmarkKey(b *testing.B) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// TestKeyHash64MatchesKey pins KeyHash64 to its definition, Key(cols).Hash64(),
+// over narrow and wide column sets and the canonicalised corner values, and
+// checks that the wide form allocates nothing.
+func TestKeyHash64MatchesKey(t *testing.T) {
+	tups := []Tuple{
+		{Vals: []Value{Int(7), String_("ftp"), Float(2.5), Null, Int(-3)}},
+		{Vals: []Value{Float(7), String_(""), Float(math.NaN()), Int(0), Float(math.Inf(1))}},
+		{Vals: []Value{Int(7), String_("ftp\x1f2.5/2"), Float(1e300), Null, String_("a/3")}},
+	}
+	for _, tup := range tups {
+		for _, cols := range [][]int{{}, {0}, {2}, {1, 3}, {0, 1, 2}, {0, 1, 2, 3}, {4, 3, 2, 1, 0}} {
+			if got, want := tup.KeyHash64(cols), tup.Key(cols).Hash64(); got != want {
+				t.Errorf("%v over %v: KeyHash64 = %x, Key.Hash64 = %x", tup, cols, got, want)
+			}
+		}
+	}
+	wide := benchTuple(8)
+	cols := seqCols(8)
+	var sink uint64
+	if allocs := testing.AllocsPerRun(1000, func() { sink += wide.KeyHash64(cols) }); allocs != 0 {
+		t.Errorf("KeyHash64 over 8 columns: %v allocs/op, want 0", allocs)
 	}
 }

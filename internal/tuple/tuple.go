@@ -224,6 +224,46 @@ func (k Key) Hash64() uint64 {
 	return h
 }
 
+// KeyHash64 returns t.Key(cols).Hash64() without building the Key: state
+// buffers that address their index by digest need nothing else from a stored
+// or retracted tuple. Wide (>3 column) keys stream their packed rendering
+// through the hash part by part, as KeyMatches compares it, so digesting an
+// all-column view key allocates nothing.
+func (t Tuple) KeyHash64(cols []int) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	if len(cols) <= 3 {
+		for _, c := range cols {
+			h ^= canonical(t.Vals[c]).Hash64()
+			h *= prime
+		}
+		return h
+	}
+	var num [48]byte
+	for i, c := range cols {
+		if i > 0 {
+			h ^= '\x1f'
+			h *= prime
+		}
+		v := canonical(t.Vals[c])
+		part := num[:0]
+		if v.Kind == KindString {
+			for j := 0; j < len(v.S); j++ {
+				h ^= uint64(v.S[j])
+				h *= prime
+			}
+			part = append(part, "/3"...)
+		} else {
+			part = appendKeyPart(part, v)
+		}
+		for _, b := range part {
+			h ^= uint64(b)
+			h *= prime
+		}
+	}
+	return h
+}
+
 // Compare imposes a deterministic total order on keys without rendering them
 // (String allocates — hot expiration waves sort their touched keys with this
 // instead). The order is arbitrary but stable: width, then per-value kind and

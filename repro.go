@@ -699,9 +699,10 @@ func (e *Engine) Watermark() int64 {
 
 // Lookup syncs and returns the current result rows whose key columns (the
 // view's retraction or group key) match the given values. When the chosen
-// view structure does not support keyed access (FIFO/list/partitioned views
-// under DIRECT and most UPA plans — use Snapshot there), it fails with
-// ErrNoKeyedView; an absent key is not an error and returns no rows.
+// view structure does not support keyed access (FIFO and list views, and the
+// partitioned view of a plan whose results are never retracted — use
+// Snapshot there), it fails with ErrNoKeyedView; an absent key is not an
+// error and returns no rows.
 func (e *Engine) Lookup(vals ...Value) ([]Tuple, error) {
 	return synced(e, func() ([]Tuple, error) {
 		cols := make([]int, len(vals))

@@ -406,6 +406,23 @@ func TestLookup(t *testing.T) {
 	if _, err := upa.Lookup(repro.Int(7)); !errors.Is(err, repro.ErrNoKeyedView) {
 		t.Fatalf("FIFO view lookup error = %v, want ErrNoKeyedView", err)
 	}
+	// Partitioned view under a strict root: the calendar indexes the
+	// retraction key (the negation attribute), so it answers lookups by it.
+	neg := repro.Stream(0, schema, repro.TimeWindow(50)).
+		Except(repro.Stream(1, schema, repro.TimeWindow(50)), []string{"src"}, []string{"src"})
+	str, err := repro.Compile(neg, repro.UPA, repro.WithSTRPartitioned())
+	if err != nil {
+		t.Fatal(err)
+	}
+	str.Push(0, 1, repro.Int(7), repro.Str("ftp"), repro.Int(1))
+	str.Push(0, 2, repro.Int(8), repro.Str("ftp"), repro.Int(1))
+	str.Push(1, 3, repro.Int(8), repro.Str("ftp"), repro.Int(1)) // retracts src 8
+	if rows, err := str.Lookup(repro.Int(7)); err != nil || len(rows) != 1 {
+		t.Fatalf("calendar lookup: %v %v", rows, err)
+	}
+	if rows, err := str.Lookup(repro.Int(8)); err != nil || len(rows) != 0 {
+		t.Fatalf("calendar lookup of a retracted row: %v %v", rows, err)
+	}
 }
 
 func TestWithShards(t *testing.T) {
