@@ -58,6 +58,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -392,103 +393,49 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 	}
 
-	var recs []trace.Record
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return err
-		}
-		recs, err = trace.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		recs = trace.Generate(trace.Config{
-			Links:           nLinks,
-			Tuples:          int(duration) * nLinks,
-			Seed:            42,
-			DisjointSources: cqlText == "" && q.DisjointSources(),
-		})
+	gen := trace.Config{
+		Links:           nLinks,
+		Tuples:          int(duration) * nLinks,
+		Seed:            42,
+		DisjointSources: cqlText == "" && q.DisjointSources(),
 	}
-
-	if maxTuples > 0 && len(recs) > maxTuples {
-		recs = recs[:maxTuples]
+	// Sequential and sharded ingest share the batched fast path: whole
+	// same-(stream, timestamp) runs flow down the plan with pooled emit
+	// buffers. Progress and periodic checkpoints land on batch boundaries.
+	var eng ingester = seq
+	if sh != nil {
+		eng = sh
 	}
-	if skip > 0 {
-		if skip > len(recs) {
-			skip = len(recs)
-		}
-		recs = recs[skip:]
-	}
-	// periodicCheckpoint fires when the cumulative arrival count (including
-	// restored arrivals) crosses a -checkpoint-every boundary.
-	periodicCheckpoint := func(prev, now int) error {
-		if ckptFile == "" || checkpointEvery <= 0 || prev/checkpointEvery == now/checkpointEvery {
-			return nil
-		}
-		return writeCheckpoint()
-	}
-
 	start := time.Now()
 	prog := newProgress(start, progressEvery)
-	if sh != nil {
-		batch := make([]exec.Arrival, 0, 256)
-		flushed := skip
-		for i, r := range recs {
+	// flushed is the cumulative arrival count (restored arrivals included) at
+	// the last batch boundary; a periodic checkpoint fires when a batch
+	// crosses a -checkpoint-every boundary.
+	flushed := skip
+	err = feedTrace(traceFile, gen, skip, maxTuples,
+		func(r *trace.Record) (bool, error) {
 			if r.Link >= nLinks {
-				return fmt.Errorf("trace record on link %d, but query reads %d links", r.Link, nLinks)
+				return false, fmt.Errorf("trace record on link %d, but query reads %d links", r.Link, nLinks)
 			}
-			batch = append(batch, exec.Arrival{Stream: r.Link, TS: r.TS, Vals: r.Vals})
-			if len(batch) == cap(batch) {
-				if err := sh.PushBatch(batch); err != nil {
-					return err
-				}
-				batch = batch[:0]
-				prog.maybe(i+1, sh)
-				if err := periodicCheckpoint(flushed, skip+i+1); err != nil {
-					return err
-				}
-				flushed = skip + i + 1
+			return true, nil
+		},
+		func(batch []exec.Arrival, read int) error {
+			if err := eng.PushBatch(batch); err != nil {
+				return err
 			}
-		}
-		if err := sh.PushBatch(batch); err != nil {
-			return err
-		}
-		if err := sh.Sync(); err != nil {
-			return err
-		}
-	} else {
-		// Sequential ingest goes through the same batched fast path as the
-		// sharded executor: whole same-(stream, timestamp) runs flow down the
-		// plan with pooled emit buffers instead of per-tuple Process calls.
-		// Progress and periodic checkpoints land on batch boundaries, the
-		// same granularity the sharded path has always used.
-		batch := make([]exec.Arrival, 0, 256)
-		flushed := skip
-		for i, r := range recs {
-			if r.Link >= nLinks {
-				return fmt.Errorf("trace record on link %d, but query reads %d links", r.Link, nLinks)
+			prog.maybe(read-skip, eng)
+			prev := flushed
+			flushed = read
+			if ckptFile == "" || checkpointEvery <= 0 || prev/checkpointEvery == read/checkpointEvery {
+				return nil
 			}
-			batch = append(batch, exec.Arrival{Stream: r.Link, TS: r.TS, Vals: r.Vals})
-			if len(batch) == cap(batch) {
-				if err := seq.PushBatch(batch); err != nil {
-					return err
-				}
-				batch = batch[:0]
-				prog.maybe(i+1, seq)
-				if err := periodicCheckpoint(flushed, skip+i+1); err != nil {
-					return err
-				}
-				flushed = skip + i + 1
-			}
-		}
-		if err := seq.PushBatch(batch); err != nil {
-			return err
-		}
-		if err := seq.Sync(); err != nil {
-			return err
-		}
+			return writeCheckpoint()
+		})
+	if err != nil {
+		return err
+	}
+	if err := eng.Sync(); err != nil {
+		return err
 	}
 	if ckptFile != "" {
 		if err := writeCheckpoint(); err != nil {
@@ -614,6 +561,103 @@ func newProgress(start time.Time, every time.Duration) *progress {
 type liveEngine interface {
 	Stats() exec.Stats
 	Clock() int64
+}
+
+// ingester is what a run feeds: the sequential engine (a registry included)
+// or the sharded one.
+type ingester interface {
+	liveEngine
+	PushBatch([]exec.Arrival) error
+	Sync() error
+}
+
+// ingestBatch is the number of arrivals per PushBatch.
+const ingestBatch = 256
+
+// feedTrace is the one place a run's trace is loaded: it streams the CSV file
+// traceFile — or, with no file, the deterministic synthetic trace of gen —
+// to push in batches of ingestBatch arrivals, holding one batch at a time
+// whatever the trace's size. The first skip records (a resumed run has
+// processed them already) are read and dropped, and reading stops after
+// maxTuples records (0: the whole trace), so a malformed line is reported
+// when, and only if, the run reaches it. keep says whether a record is fed at
+// all; push also gets the number of trace records read so far, and is called
+// a last time with the final short (possibly empty) batch.
+func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
+	keep func(*trace.Record) (bool, error), push func(batch []exec.Arrival, read int) error) error {
+	// next fills the record with values the engine may retain when it comes
+	// in with none, and reuses the ones it has otherwise.
+	var next func(*trace.Record) error
+	if traceFile != "" {
+		f, err := os.Open(traceFile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		rd := trace.NewReader(f)
+		width := trace.Schema().Len()
+		var slab []tuple.Value // one allocation per batch, not per record
+		next = func(rec *trace.Record) error {
+			fresh := rec.Vals == nil
+			if fresh {
+				if len(slab) == 0 {
+					slab = make([]tuple.Value, ingestBatch*width)
+				}
+				rec.Vals = slab[:width:width]
+			}
+			err := rd.Next(rec)
+			if fresh && err == nil {
+				slab = slab[width:]
+			}
+			return err
+		}
+	} else {
+		if gen.Tuples <= 0 {
+			gen.Tuples = 1000 // trace.Generate's default; a bare Generator never stops
+		}
+		g := trace.NewGenerator(gen)
+		next = func(rec *trace.Record) error {
+			r, ok := g.Next()
+			if !ok {
+				return io.EOF
+			}
+			*rec = r
+			return nil
+		}
+	}
+	more := func(read int) bool { return maxTuples <= 0 || read < maxTuples }
+	read := 0
+	var dropped trace.Record
+	for ; read < skip && more(read); read++ {
+		if err := next(&dropped); err == io.EOF {
+			break
+		} else if err != nil {
+			return err
+		}
+	}
+	batch := make([]exec.Arrival, 0, ingestBatch)
+	for more(read) {
+		var rec trace.Record
+		if err := next(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			return err
+		}
+		read++
+		if ok, err := keep(&rec); err != nil {
+			return err
+		} else if !ok {
+			continue
+		}
+		batch = append(batch, exec.Arrival{Stream: rec.Link, TS: rec.TS, Vals: rec.Vals})
+		if len(batch) == cap(batch) {
+			if err := push(batch, read); err != nil {
+				return err
+			}
+			batch = batch[:0]
+		}
+	}
+	return push(batch, read)
 }
 
 // maybe emits a progress line when the interval has elapsed. It checks the
@@ -751,20 +795,6 @@ func runMulti(specs []string, cqlLinks int, strategyName string, windowSize, dur
 		return nil
 	}
 
-	var recs []trace.Record
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return err
-		}
-		recs, err = trace.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		recs = trace.Generate(trace.Config{Links: nLinks, Tuples: int(duration) * nLinks, Seed: 42})
-	}
 	// A shared trace can carry links no registered query reads (e.g. three
 	// links on disk, queries over S0/S1 only); those records are skipped,
 	// like a deployment that never subscribed to the stream.
@@ -775,22 +805,22 @@ func runMulti(specs []string, cqlLinks int, strategyName string, windowSize, dur
 	skipped := 0
 	start := time.Now()
 	prog := newProgress(start, progressEvery)
-	batch := make([]exec.Arrival, 0, 256)
-	for i, r := range recs {
-		if !read[r.Link] {
-			skipped++
-			continue
-		}
-		batch = append(batch, exec.Arrival{Stream: r.Link, TS: r.TS, Vals: r.Vals})
-		if len(batch) == cap(batch) {
+	gen := trace.Config{Links: nLinks, Tuples: int(duration) * nLinks, Seed: 42}
+	err = feedTrace(traceFile, gen, 0, 0,
+		func(r *trace.Record) (bool, error) {
+			if !read[r.Link] {
+				skipped++
+			}
+			return read[r.Link], nil
+		},
+		func(batch []exec.Arrival, n int) error {
 			if err := e.PushBatch(batch); err != nil {
 				return err
 			}
-			batch = batch[:0]
-			prog.maybe(i+1, e)
-		}
-	}
-	if err := e.PushBatch(batch); err != nil {
+			prog.maybe(n, e)
+			return nil
+		})
+	if err != nil {
 		return err
 	}
 	if err := e.Sync(); err != nil {

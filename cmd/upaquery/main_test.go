@@ -1,0 +1,129 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/trace"
+)
+
+// collect runs feedTrace keeping every arrival it was handed, the way an
+// engine on the row path retains them, plus the read count of each push.
+func collect(t *testing.T, file string, gen trace.Config, skip, max int, keep func(*trace.Record) (bool, error)) ([]exec.Arrival, []int, error) {
+	t.Helper()
+	if keep == nil {
+		keep = func(*trace.Record) (bool, error) { return true, nil }
+	}
+	var got []exec.Arrival
+	var reads []int
+	err := feedTrace(file, gen, skip, max, keep, func(batch []exec.Arrival, read int) error {
+		if len(batch) > ingestBatch {
+			t.Fatalf("batch of %d", len(batch))
+		}
+		got = append(got, batch...)
+		reads = append(reads, read)
+		return nil
+	})
+	return got, reads, err
+}
+
+func sameArrivals(t *testing.T, got []exec.Arrival, want []trace.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d arrivals, want %d", len(got), len(want))
+	}
+	for i, a := range got {
+		w := want[i]
+		if a.Stream != w.Link || a.TS != w.TS || len(a.Vals) != len(w.Vals) {
+			t.Fatalf("arrival %d: %v, want %v", i, a, w)
+		}
+		for j := range a.Vals {
+			if !a.Vals[j].Equal(w.Vals[j]) {
+				t.Fatalf("arrival %d: %v, want %v", i, a, w)
+			}
+		}
+	}
+}
+
+func TestFeedTrace(t *testing.T) {
+	gen := trace.Config{Links: 2, Tuples: 1000, Seed: 42}
+	recs := trace.Generate(gen)
+	file := filepath.Join(t.TempDir(), "trace.csv")
+	f, err := os.Create(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteCSV(f, recs); err != nil {
+		t.Fatal(err)
+	}
+	// A malformed record after the 1000 good ones.
+	if _, err := f.WriteString("0,x,1,ftp,1,1,1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, src := range []string{"", file} {
+		name := "generated"
+		max := 0
+		if src != "" {
+			name, max = "file", 1000 // the whole file would reach the bad line
+		}
+		// Arrivals handed over in earlier batches must survive later reads.
+		got, reads, err := collect(t, src, gen, 0, max, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameArrivals(t, got, recs)
+		if want := []int{256, 512, 768, 1000}; fmt.Sprint(reads) != fmt.Sprint(want) {
+			t.Errorf("%s: pushes at %v, want %v", name, reads, want)
+		}
+
+		// A resumed, bounded run sees records [skip, max).
+		got, reads, err = collect(t, src, gen, 300, 700, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameArrivals(t, got, recs[300:700])
+		if want := []int{556, 700}; fmt.Sprint(reads) != fmt.Sprint(want) {
+			t.Errorf("%s: pushes at %v, want %v", name, reads, want)
+		}
+
+		// Nothing is left when the checkpoint is at or past the bound.
+		if got, _, err = collect(t, src, gen, 800, 700, nil); err != nil || len(got) != 0 {
+			t.Errorf("%s: skip past max: %d arrivals, %v", name, len(got), err)
+		}
+
+		// Records keep rejects are read but not fed; its error ends the run.
+		got, _, err = collect(t, src, gen, 0, max, func(r *trace.Record) (bool, error) { return r.Link == 1, nil })
+		if err != nil || len(got) != 500 || got[0].Stream != 1 {
+			t.Errorf("%s: filtered: %d arrivals, %v", name, len(got), err)
+		}
+		_, _, err = collect(t, src, gen, 0, max, func(r *trace.Record) (bool, error) {
+			if r.TS == 100 {
+				return false, fmt.Errorf("stop")
+			}
+			return true, nil
+		})
+		if err == nil || err.Error() != "stop" {
+			t.Errorf("%s: keep's error: %v", name, err)
+		}
+	}
+
+	// Unbounded, the file run feeds everything before the bad line and then
+	// reports it with its line number.
+	got, _, err := collect(t, file, gen, 0, 0, nil)
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: line 1002: ts:") {
+		t.Errorf("bad line: %v", err)
+	}
+	sameArrivals(t, got, recs[:768])
+
+	if _, _, err := collect(t, filepath.Join(t.TempDir(), "missing.csv"), gen, 0, 0, nil); !os.IsNotExist(err) {
+		t.Errorf("missing file: %v", err)
+	}
+}

@@ -150,3 +150,36 @@ func TestJoinKeyedCalendarAllocFree(t *testing.T) {
 	}
 	allocBudget(t, "Join over keyed calendars", 0, run)
 }
+
+// TestGroupByAdvanceAllocBudget holds an expiration wave to its one inherent
+// allocation per emitted row (the value slice the group retains as its last
+// reported result): marking the wave's groups, ordering them and returning the
+// rows must cost nothing once the scratch has warmed up.
+func TestGroupByAdvanceAllocBudget(t *testing.T) {
+	g := newTestGroupBy(t, AggSpec{Kind: Count}, AggSpec{Kind: Sum, Col: 2})
+	protos := []string{"ftp", "http", "smtp", "telnet"}
+	const window, ticks = 1000, 600
+	var out Emit
+	for ts := int64(0); ts < ticks; ts++ {
+		run := make([]tuple.Tuple, 0, 2*len(protos))
+		for i := 0; i < cap(run); i++ {
+			run = append(run, linkTuple(ts, ts+window, int64(i), protos[i%len(protos)], 10))
+		}
+		out.Reset()
+		if err := g.ProcessBatch(0, run, ts, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := int64(window - 1)
+	wave := func() {
+		now++
+		rows, err := g.Advance(now)
+		if err != nil || len(rows) != len(protos) {
+			t.Fatalf("wave at %d: %d rows, %v", now, len(rows), err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		wave()
+	}
+	allocBudget(t, "GroupBy expiration wave of four groups", float64(len(protos)), wave)
+}

@@ -2,7 +2,7 @@ package operator
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/statebuf"
@@ -43,11 +43,13 @@ type GroupBy struct {
 	colArena tuple.ValueArena
 	// colEmit stages row-path emissions the kernel copies column-major.
 	colEmit Emit
-	// advSeen/advOrder are the expiration wave's reusable scratch: the set and
-	// deterministic order of groups touched by one wave (the PR 2 eviction-
-	// scratch pattern, so steady-state waves allocate nothing).
-	advSeen  map[tuple.Key]bool
+	// advWave numbers the expiration waves; a group whose wave equals it is
+	// already in advOrder, the wave's reusable list of groups touched. advOut
+	// is the wave's output: what Advance returns is valid until the next
+	// Advance. Steady-state waves allocate only their emissions.
+	advWave  uint64
 	advOrder []tuple.Key
+	advOut   Emit
 	// idCol is the single string group column's input position, or -1. When
 	// set, the columnar kernel probes idGroups by the column vector's interned
 	// id — a 4-byte map key — instead of hashing the full composite Key per
@@ -65,6 +67,8 @@ type groupState struct {
 	last    tuple.Tuple // last emitted result row
 	// colVals is the kernel's reusable emission slice (see emitInto).
 	colVals []tuple.Value
+	// wave is the last expiration wave that touched the group (see advWave).
+	wave uint64
 	// internID is the group's entry in the idGroups index (valid when hasID).
 	internID uint32
 	hasID    bool
@@ -263,13 +267,8 @@ func (g *GroupBy) Advance(now int64) ([]tuple.Tuple, error) {
 		return nil, nil
 	}
 	// Apply all removals first (aggregate subtraction commutes), then emit one
-	// replacement row per affected group in deterministic order. The seen-set
-	// and order slice are reusable operator scratch, so steady-state waves
-	// allocate only their emissions.
-	if g.advSeen == nil {
-		g.advSeen = make(map[tuple.Key]bool)
-	}
-	clear(g.advSeen)
+	// replacement row per affected group in deterministic order.
+	g.advWave++
 	g.advOrder = g.advOrder[:0]
 	for _, t := range expired {
 		k := t.Key(g.groupCols)
@@ -277,8 +276,8 @@ func (g *GroupBy) Advance(now int64) ([]tuple.Tuple, error) {
 		if !ok {
 			continue
 		}
-		if !g.advSeen[k] {
-			g.advSeen[k] = true
+		if gs.wave != g.advWave {
+			gs.wave = g.advWave
 			g.advOrder = append(g.advOrder, k)
 		}
 		for _, a := range gs.aggs {
@@ -286,21 +285,21 @@ func (g *GroupBy) Advance(now int64) ([]tuple.Tuple, error) {
 		}
 	}
 	order := g.advOrder
-	sort.Slice(order, func(i, j int) bool { return order[i].Compare(order[j]) < 0 })
-	var out []tuple.Tuple
+	if len(order) > 1 {
+		slices.SortFunc(order, tuple.Key.Compare)
+	}
+	out := &g.advOut
+	out.Reset()
 	for _, k := range order {
-		gs, ok := g.groups[k]
-		if !ok {
-			continue
-		}
+		gs := g.groups[k]
 		if gs.aggs[0].n == 0 {
 			g.dropGroup(k, gs)
-			out = append(out, gs.last.Negative(now))
+			out.Append(gs.last.Negative(now))
 		} else {
-			out = append(out, g.emit(k, gs, now))
+			out.Append(g.emit(k, gs, now))
 		}
 	}
-	return out, nil
+	return out.Tuples(), nil
 }
 
 // StateSize implements Operator: stored input plus one row per group.

@@ -14,7 +14,9 @@
 // σ(protocol=ftp) selective and σ(protocol=telnet) unselective), Zipf-skewed
 // source addresses so joins, distinct and negation see realistic value
 // overlap, and deterministic seeding. A CSV reader/writer is provided so a
-// real trace can be substituted back in.
+// real trace can be substituted back in: Reader streams a file record by
+// record from the bytes, with no per-record allocation; ReadCSV is a loop
+// over it that returns the whole file; WriteCSV writes the same layout.
 package trace
 
 import (
@@ -25,17 +27,19 @@ import (
 	"repro/internal/tuple"
 )
 
-// Schema is the connection-record schema shared by all links.
-func Schema() *tuple.Schema {
-	return tuple.MustSchema(
-		tuple.Column{Name: "ts", Kind: tuple.KindInt},
-		tuple.Column{Name: "duration", Kind: tuple.KindFloat},
-		tuple.Column{Name: "protocol", Kind: tuple.KindString},
-		tuple.Column{Name: "payload", Kind: tuple.KindInt},
-		tuple.Column{Name: "src", Kind: tuple.KindInt},
-		tuple.Column{Name: "dst", Kind: tuple.KindInt},
-	)
-}
+var schema = tuple.MustSchema(
+	tuple.Column{Name: "ts", Kind: tuple.KindInt},
+	tuple.Column{Name: "duration", Kind: tuple.KindFloat},
+	tuple.Column{Name: "protocol", Kind: tuple.KindString},
+	tuple.Column{Name: "payload", Kind: tuple.KindInt},
+	tuple.Column{Name: "src", Kind: tuple.KindInt},
+	tuple.Column{Name: "dst", Kind: tuple.KindInt},
+)
+
+// Schema is the connection-record schema shared by all links. Every call
+// returns the same value; that is safe because a tuple.Schema has no mutating
+// method.
+func Schema() *tuple.Schema { return schema }
 
 // Column positions in Schema, for plan construction.
 const (
@@ -45,6 +49,7 @@ const (
 	ColPayload
 	ColSrc
 	ColDst
+	numCols
 )
 
 // Protocols and their relative frequencies. telnet dominates ftp roughly
@@ -215,16 +220,15 @@ func ProtocolShare(name string) float64 {
 	return float64(hit) / float64(total)
 }
 
-// Validate sanity-checks a record against the schema.
+// Validate sanity-checks a record against the schema. Records from a Reader
+// conform by construction; this is for records built any other way.
 func (r Record) Validate() error {
-	s := Schema()
-	if len(r.Vals) != s.Len() {
-		return fmt.Errorf("trace: record arity %d != schema %d", len(r.Vals), s.Len())
+	if len(r.Vals) != numCols {
+		return fmt.Errorf("trace: record arity %d != schema %d", len(r.Vals), numCols)
 	}
 	for i, v := range r.Vals {
-		want := s.Col(i).Kind
-		if v.Kind != want {
-			return fmt.Errorf("trace: column %s has kind %v, want %v", s.Col(i).Name, v.Kind, want)
+		if c := schema.Col(i); v.Kind != c.Kind {
+			return fmt.Errorf("trace: column %s has kind %v, want %v", c.Name, v.Kind, c.Kind)
 		}
 	}
 	if r.Link < 0 {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -132,28 +131,6 @@ func TestCSVRoundTrip(t *testing.T) {
 		if got[i].Link != recs[i].Link || got[i].TS != recs[i].TS || !sameVals(got[i], recs[i]) {
 			t.Fatalf("record %d mismatch: %v vs %v", i, got[i], recs[i])
 		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad-header":    "a,b\n",
-		"bad-link":      "link,ts,duration,protocol,payload,src,dst\nx,0,1,ftp,1,1,1\n",
-		"bad-ts":        "link,ts,duration,protocol,payload,src,dst\n0,x,1,ftp,1,1,1\n",
-		"bad-duration":  "link,ts,duration,protocol,payload,src,dst\n0,0,x,ftp,1,1,1\n",
-		"bad-payload":   "link,ts,duration,protocol,payload,src,dst\n0,0,1,ftp,x,1,1\n",
-		"bad-src":       "link,ts,duration,protocol,payload,src,dst\n0,0,1,ftp,1,x,1\n",
-		"bad-dst":       "link,ts,duration,protocol,payload,src,dst\n0,0,1,ftp,1,1,x\n",
-		"ts-regression": "link,ts,duration,protocol,payload,src,dst\n0,5,1,ftp,1,1,1\n0,4,1,ftp,1,1,1\n",
-		"negative-link": "link,ts,duration,protocol,payload,src,dst\n-1,0,1,ftp,1,1,1\n",
-	}
-	for name, data := range cases {
-		if _, err := ReadCSV(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty file accepted")
 	}
 }
 

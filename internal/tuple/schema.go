@@ -12,7 +12,9 @@ type Column struct {
 }
 
 // Schema is an ordered list of named, typed columns. Schemas are immutable
-// after construction; operators derive new schemas rather than mutating.
+// after construction — the type has no mutating method, so one value can be
+// shared freely (trace.Schema hands out a single one) — and operators derive
+// new schemas rather than mutating.
 type Schema struct {
 	cols  []Column
 	index map[string]int

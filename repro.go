@@ -760,7 +760,8 @@ type (
 	TraceRecord = trace.Record
 )
 
-// TraceSchema returns the connection-record schema.
+// TraceSchema returns the connection-record schema: one shared, immutable
+// value, the same on every call.
 func TraceSchema() *Schema { return trace.Schema() }
 
 // GenerateTrace materializes a deterministic synthetic trace.
