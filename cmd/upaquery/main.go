@@ -174,12 +174,8 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	var root *plan.Node
 	nLinks := 0
 	if cqlText != "" {
-		cat := cql.Catalog{Streams: map[string]cql.StreamDef{}}
-		for i := 0; i < cqlLinks; i++ {
-			cat.Streams[fmt.Sprintf("S%d", i)] = cql.StreamDef{ID: i, Schema: trace.Schema()}
-		}
 		var err error
-		root, err = cql.Parse(cqlText, cat)
+		root, err = cql.Parse(cqlText, traceCatalog(cqlLinks))
 		if err != nil {
 			return err
 		}
@@ -192,16 +188,9 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 		nLinks = q.Links()
 	}
-	var strat plan.Strategy
-	switch strings.ToLower(strategyName) {
-	case "nt":
-		strat = plan.NT
-	case "direct":
-		strat = plan.Direct
-	case "upa":
-		strat = plan.UPA
-	default:
-		return fmt.Errorf("unknown strategy %q (want nt, direct, or upa)", strategyName)
+	strat, err := parseStrategy(strategyName)
+	if err != nil {
+		return err
 	}
 	if duration <= 0 {
 		duration = 2 * windowSize
@@ -250,39 +239,21 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		cfg.Tracer = tracer
 	}
 
-	var (
-		seq *exec.Engine
-		sh  *exec.Sharded
-	)
-	if shards > 1 {
-		sh, err = exec.NewSharded(phys, cfg, shards)
-		if err != nil {
-			return err
-		}
-		defer sh.Close()
-		if reason := sh.FallbackReason(); reason != "" {
-			fmt.Fprintf(os.Stderr, "sharding fell back to sequential: %s\n", reason)
-		} else {
-			fmt.Fprintf(os.Stderr, "running key-partitioned across %d shards\n", sh.Shards())
-		}
-	} else {
-		seq, err = exec.New(phys, cfg)
-		if err != nil {
-			return err
-		}
+	eng, fallback, err := exec.Open(exec.QuerySpec{Phys: phys}, cfg, shards)
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	if fallback != "" {
+		fmt.Fprintf(os.Stderr, "sharding fell back to sequential: %s\n", fallback)
+	} else if shards > 1 {
+		fmt.Fprintf(os.Stderr, "running key-partitioned across %d shards\n", eng.Shards())
 	}
 	var healthMon *obs.Health
 	if healthOn {
 		hist := obs.NewHistory(reg, obs.HistoryConfig{Interval: healthInterval})
 		hist.BeforeSample(obs.RegisterProcessMetrics(reg))
-		slo := exec.HealthSLO{DeltaP99: sloP99}
-		var rules []obs.Rule
-		if sh != nil {
-			rules = sh.HealthRules(slo)
-		} else {
-			rules = seq.HealthRules(slo)
-		}
-		healthMon = obs.NewHealth(hist, rules...)
+		healthMon = obs.NewHealth(hist, eng.HealthRules(exec.HealthSLO{DeltaP99: sloP99})...)
 		healthMon.AddSink(obs.NewLogAlertSink(os.Stderr))
 		// Baseline tick before ingest: each series' first sample records a
 		// zero delta, so without this a run shorter than the sampling
@@ -292,18 +263,6 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		healthMon.Start()
 		defer healthMon.Stop()
 	}
-	explainTree := func(an bool) *plan.ExplainTree {
-		if sh != nil {
-			return sh.Explain(an)
-		}
-		return seq.Explain(an)
-	}
-	profiles := func() []exec.OpProfile {
-		if sh != nil {
-			return sh.Profile()
-		}
-		return seq.Profile()
-	}
 	if metricsAddr != "" {
 		// The plan page reads only atomic instruments, so serving it while
 		// the run is in flight is safe.
@@ -311,7 +270,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			Path:  "/debug/plan",
 			Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
-				t := explainTree(r.URL.Query().Get("analyze") != "")
+				t := eng.Explain(r.URL.Query().Get("analyze") != "")
 				if r.URL.Query().Get("format") == "dot" {
 					w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 					_ = t.WriteDOT(w)
@@ -326,7 +285,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			Title: "update-pattern conformance: declared vs observed per operator",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				_ = exec.WriteConformance(w, profiles())
+				_ = exec.WriteConformance(w, eng.Profile())
 			},
 		}
 		pages := []obs.Page{planPage, confPage,
@@ -339,12 +298,6 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (plan at /debug/plan, conformance at /debug/conformance, health at /debug/health, history at /debug/history, pprof at /debug/pprof/)\n", srv.Addr())
 	}
 
-	engStats := func() exec.Stats {
-		if sh != nil {
-			return sh.Stats()
-		}
-		return seq.Stats()
-	}
 	ckptFile := ""
 	if checkpointDir != "" {
 		if err := os.MkdirAll(checkpointDir, 0o755); err != nil {
@@ -360,11 +313,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		if err != nil {
 			return err
 		}
-		if sh != nil {
-			err = sh.Checkpoint(f)
-		} else {
-			err = seq.Checkpoint(f)
-		}
+		err = eng.Checkpoint(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -377,16 +326,12 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	skip := 0
 	if ckptFile != "" {
 		if f, err := os.Open(ckptFile); err == nil {
-			if sh != nil {
-				err = sh.Restore(f)
-			} else {
-				err = seq.Restore(f)
-			}
+			err = eng.Restore(f)
 			f.Close()
 			if err != nil {
 				return fmt.Errorf("resume from %s: %w", ckptFile, err)
 			}
-			skip = int(engStats().Arrivals)
+			skip = int(eng.Stats().Arrivals)
 			fmt.Fprintf(os.Stderr, "resumed from %s at %d arrivals\n", ckptFile, skip)
 		} else if !os.IsNotExist(err) {
 			return err
@@ -399,13 +344,9 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		Seed:            42,
 		DisjointSources: cqlText == "" && q.DisjointSources(),
 	}
-	// Sequential and sharded ingest share the batched fast path: whole
+	// Whichever executor Open chose takes the batched fast path: whole
 	// same-(stream, timestamp) runs flow down the plan with pooled emit
 	// buffers. Progress and periodic checkpoints land on batch boundaries.
-	var eng ingester = seq
-	if sh != nil {
-		eng = sh
-	}
 	start := time.Now()
 	prog := newProgress(start, progressEvery)
 	// flushed is the cumulative arrival count (restored arrivals included) at
@@ -434,7 +375,10 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	if err != nil {
 		return err
 	}
-	if err := eng.Sync(); err != nil {
+	// ResultCount is the run's one Sync: every pending expiration is applied
+	// before the final checkpoint and the statistics.
+	resultLen, err := eng.ResultCount()
+	if err != nil {
 		return err
 	}
 	if ckptFile != "" {
@@ -453,23 +397,10 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		fmt.Fprintf(os.Stderr, "wrote event trace to %s\n", traceOut)
 	}
 
-	var (
-		st        exec.Stats
-		resultLen int
-		touched   int64
-	)
-	if sh != nil {
-		st = sh.Stats()
-		if resultLen, err = sh.ResultCount(); err != nil {
-			return err
-		}
-		if touched, err = sh.Touched(); err != nil {
-			return err
-		}
-	} else {
-		st = seq.Stats()
-		resultLen = seq.View().Len()
-		touched = seq.Touched()
+	st := eng.Stats()
+	touched, err := eng.Touched()
+	if err != nil {
+		return err
 	}
 	if st.Arrivals == 0 {
 		fmt.Println("no tuples processed (empty trace)")
@@ -484,24 +415,19 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		resultLen, st.MaxStateTuples, touched)
 	if analyze {
 		fmt.Println()
-		if err := explainTree(true).WriteText(os.Stdout); err != nil {
+		if err := eng.Explain(true).WriteText(os.Stdout); err != nil {
 			return err
 		}
 	}
 	if latency {
-		var pos, neg obs.LogHistogramSnapshot
-		if sh != nil {
-			pos, neg = sh.DeltaLatency()
-		} else {
-			pos, neg = seq.DeltaLatency()
-		}
+		pos, neg := eng.DeltaLatency()
 		fmt.Println()
 		fmt.Println("delta latency (ingest to view-fold, nanoseconds):")
 		fmt.Printf("  %-10s %12s %12s %12s %12s %12s\n", "polarity", "count", "p50", "p95", "p99", "max")
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "insertion", pos.Count, pos.P50, pos.P95, pos.P99, pos.Max)
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "retraction", neg.Count, neg.P50, neg.P95, neg.P99, neg.Max)
 		fmt.Println()
-		if err := exec.WriteConformance(os.Stdout, profiles()); err != nil {
+		if err := exec.WriteConformance(os.Stdout, eng.Profile()); err != nil {
 			return err
 		}
 	}
@@ -519,13 +445,9 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 	}
 	if dumpView != "" {
-		var rows []tuple.Tuple
-		if sh != nil {
-			if rows, err = sh.Snapshot(); err != nil {
-				return err
-			}
-		} else {
-			rows = seq.View().Snapshot()
+		rows, err := eng.Snapshot()
+		if err != nil {
+			return err
 		}
 		lines := make([]string, 0, len(rows))
 		for _, t := range rows {
@@ -554,21 +476,6 @@ type progress struct {
 
 func newProgress(start time.Time, every time.Duration) *progress {
 	return &progress{every: every, start: start, next: start.Add(every)}
-}
-
-// liveEngine is the stats surface the progress printer reads; both the
-// sequential and sharded executors satisfy it.
-type liveEngine interface {
-	Stats() exec.Stats
-	Clock() int64
-}
-
-// ingester is what a run feeds: the sequential engine (a registry included)
-// or the sharded one.
-type ingester interface {
-	liveEngine
-	PushBatch([]exec.Arrival) error
-	Sync() error
 }
 
 // ingestBatch is the number of arrivals per PushBatch.
@@ -663,7 +570,7 @@ func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
 // maybe emits a progress line when the interval has elapsed. It checks the
 // wall clock only every 1024 tuples (or batch boundary) to keep the run
 // loop cheap.
-func (p *progress) maybe(tuples int, eng liveEngine) {
+func (p *progress) maybe(tuples int, eng exec.Executor) {
 	if p.every <= 0 || tuples&1023 != 0 {
 		return
 	}
@@ -673,14 +580,9 @@ func (p *progress) maybe(tuples int, eng liveEngine) {
 	}
 	p.next = now.Add(p.every)
 	st := eng.Stats()
-	state := -1
-	switch e := eng.(type) {
-	case *exec.Engine:
-		state = e.StateTuples()
-	case *exec.Sharded:
-		if n, err := e.StateTuples(); err == nil {
-			state = n
-		}
+	state, err := eng.StateTuples()
+	if err != nil {
+		state = -1
 	}
 	rate := float64(tuples) / now.Sub(p.start).Seconds()
 	retrRate := 0.0
@@ -689,6 +591,15 @@ func (p *progress) maybe(tuples int, eng liveEngine) {
 	}
 	fmt.Fprintf(os.Stderr, "progress: %d tuples (%.0f tuples/s), clock=%d, state=%d, emitted=%d, retracted=%d (%.3f/arrival)\n",
 		tuples, rate, eng.Clock(), state, st.Emitted, st.Retracted, retrRate)
+}
+
+// traceCatalog names the trace's links S0..S{links-1} for CQL queries.
+func traceCatalog(links int) cql.Catalog {
+	cat := cql.Catalog{Streams: map[string]cql.StreamDef{}}
+	for i := 0; i < links; i++ {
+		cat.Streams[fmt.Sprintf("S%d", i)] = cql.StreamDef{ID: i, Schema: trace.Schema()}
+	}
+	return cat
 }
 
 // parseStrategy maps a -strategy value to the plan constant.
@@ -719,10 +630,7 @@ func runMulti(specs []string, cqlLinks int, strategyName string, windowSize, dur
 	if duration <= 0 {
 		duration = 2 * windowSize
 	}
-	cat := cql.Catalog{Streams: map[string]cql.StreamDef{}}
-	for i := 0; i < cqlLinks; i++ {
-		cat.Streams[fmt.Sprintf("S%d", i)] = cql.StreamDef{ID: i, Schema: trace.Schema()}
-	}
+	cat := traceCatalog(cqlLinks)
 	type namedQuery struct {
 		name string
 		root *plan.Node
@@ -835,7 +743,15 @@ func runMulti(specs []string, cqlLinks int, strategyName string, windowSize, dur
 	if skipped > 0 {
 		fmt.Printf("skipped %d trace records on links no query reads\n", skipped)
 	}
-	fmt.Printf("shared state: %d stored tuples, %d tuple touches\n\n", e.StateTuples(), e.Touched())
+	stored, err := e.StateTuples()
+	if err != nil {
+		return err
+	}
+	touches, err := e.Touched()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("shared state: %d stored tuples, %d tuple touches\n\n", stored, touches)
 	fmt.Printf("%-20s %12s %12s\n", "query", "results", "pattern")
 	for _, h := range handles {
 		n, err := h.ResultCount()

@@ -462,7 +462,7 @@ func runShardSweep(s Scale) ([]Table, error) {
 		Title:   fmt.Sprintf("Shard sweep, Query 1 (ftp), window %d — UPA, batched ingest", w),
 		Columns: []string{"shards", "ms/1k tuples", "tuples/s", "speedup", "allocs/op", "B/op", "peak state"},
 		Notes: "Arrivals are routed by the join key's hash across independent engine shards " +
-			"(DESIGN.md \"Sharded execution\") and fed in batches of 256. Speedup is relative " +
+			"(DESIGN.md §9) and fed in batches of 256. Speedup is relative " +
 			"to the 1-shard row and needs as many idle cores as shards to materialize; on " +
 			"fewer cores the parallel rows mostly measure coordination overhead.",
 	}
@@ -676,7 +676,10 @@ func runMultiQuery(s Scale) ([]Table, error) {
 		}
 		regSec := time.Since(start).Seconds()
 		share := reg.Sharing()
-		regState := reg.StateTuples()
+		regState, err := reg.StateTuples()
+		if err != nil {
+			return nil, fmt.Errorf("e11 N=%d: state: %w", n, err)
+		}
 		var regCkpt bytes.Buffer
 		if err := reg.CheckpointRegistry(&regCkpt); err != nil {
 			return nil, fmt.Errorf("e11 N=%d: checkpoint: %w", n, err)
@@ -708,7 +711,11 @@ func runMultiQuery(s Scale) ([]Table, error) {
 		indepState := 0
 		indepCkpt := 0
 		for i, e := range engines {
-			indepState += e.StateTuples()
+			st, err := e.StateTuples()
+			if err != nil {
+				return nil, fmt.Errorf("e11 N=%d v%d: indep state: %w", n, i, err)
+			}
+			indepState += st
 			var ck bytes.Buffer
 			if err := e.Checkpoint(&ck); err != nil {
 				return nil, fmt.Errorf("e11 N=%d v%d: indep checkpoint: %w", n, i, err)

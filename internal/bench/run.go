@@ -125,14 +125,15 @@ type RunConfig struct {
 	// Tracer, when set, receives the run's typed engine events.
 	Tracer *obs.Tracer
 	// Shards > 1 runs the query key-partitioned across that many parallel
-	// shards with batched ingest (DESIGN.md "Sharded execution"), falling
+	// shards with batched ingest (DESIGN.md §9), falling
 	// back to one shard when the plan admits no routing key.
 	Shards int
-	// Batch > 0 feeds a sequential run through PushBatch in chunks of that
-	// many arrivals instead of per-tuple Push. Batched ingest is what lets
-	// the engine coalesce same-timestamp runs and take the columnar path;
+	// Batch > 0 feeds the run through PushBatch in chunks of that many
+	// arrivals instead of per-tuple Push. Batched ingest is what lets the
+	// engine coalesce same-timestamp runs and take the columnar path;
 	// per-tuple Push (the default) measures the paper's arrival-at-a-time
-	// regime. Ignored when Shards > 1 (sharded ingest is always batched).
+	// regime. Ignored when Shards > 1: such a run is always fed in
+	// shardFeedBatch chunks.
 	Batch int
 	// NoColumnar pins the engine to the row batch path even when the plan
 	// and ingest mode would admit the columnar kernels — the control leg of
@@ -200,7 +201,7 @@ type Result struct {
 	Shards        int
 	ShardFallback string
 	// Columnar reports whether the engine finished the run on the columnar
-	// kernel path (sequential runs only; requires batched ingest and a plan
+	// kernel path (false while shards run; requires batched ingest and a plan
 	// with full kernel coverage, and survives only if no run demoted it).
 	Columnar bool
 	// Allocs/AllocBytes are process-wide heap allocation deltas across the
@@ -286,13 +287,16 @@ func Run(q Query, rc RunConfig) (Result, error) {
 		DisjointSources: q.DisjointSources(),
 	})
 
-	if rc.Shards > 1 {
-		return runSharded(q, rc, phys, cfg, gen)
-	}
-
-	eng, err := exec.New(phys, cfg)
+	// Open decides between the plain engine and key-partitioned shards; the
+	// run drives whichever it returned through the one Executor contract.
+	eng, fallback, err := exec.Open(exec.QuerySpec{Phys: phys}, cfg, rc.Shards)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench %v: %w", q, err)
+	}
+	defer eng.Close()
+	feed := rc.Batch
+	if rc.Shards > 1 {
+		feed = shardFeedBatch
 	}
 	var rh *runHealth
 	if rc.Health {
@@ -302,20 +306,20 @@ func Run(q Query, rc RunConfig) (Result, error) {
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	var n int64
-	if rc.Batch > 0 {
-		batch := make([]exec.Arrival, 0, rc.Batch)
+	if feed > 0 {
+		batch := make([]exec.Arrival, 0, feed)
 		for {
 			rec, ok := gen.Next()
 			if !ok {
 				break
 			}
 			batch = append(batch, exec.Arrival{Stream: rec.Link, TS: rec.TS, Vals: rec.Vals})
-			if len(batch) == rc.Batch {
+			if len(batch) == feed {
 				if err := eng.PushBatch(batch); err != nil {
 					return Result{}, fmt.Errorf("bench %v: push: %w", q, err)
 				}
 				batch = batch[:0]
-				n += int64(rc.Batch)
+				n += int64(feed)
 				if rh != nil && n%healthTickEvery == 0 {
 					rh.mon.Tick()
 				}
@@ -340,99 +344,22 @@ func Run(q Query, rc RunConfig) (Result, error) {
 			}
 		}
 	}
-	if err := eng.Sync(); err != nil {
+	// ResultCount is the run's one Sync: the timed region ends with every
+	// pending expiration applied.
+	finalResults, err := eng.ResultCount()
+	if err != nil {
 		return Result{}, fmt.Errorf("bench %v: sync: %w", q, err)
 	}
 	elapsed := time.Since(start)
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 
+	touched, err := eng.Touched()
+	if err != nil {
+		return Result{}, fmt.Errorf("bench %v: %w", q, err)
+	}
 	st := eng.Stats()
 	latPos, latNeg := eng.DeltaLatency()
-	res := Result{
-		Query:           q,
-		Strategy:        rc.Strategy,
-		Window:          rc.Window,
-		Tuples:          n,
-		Elapsed:         elapsed,
-		MsPerK:          float64(elapsed.Nanoseconds()) / 1e6 / float64(n) * 1000,
-		Touched:         eng.Touched(),
-		MaxState:        st.MaxStateTuples,
-		Emitted:         st.Emitted,
-		Retracted:       st.Retracted,
-		WindowNegatives: st.WindowNegatives,
-		FinalResults:    eng.View().Len(),
-		Allocs:          m1.Mallocs - m0.Mallocs,
-		AllocBytes:      m1.TotalAlloc - m0.TotalAlloc,
-		Metrics:         eng.Metrics().Snapshot(),
-		Ops:             eng.Profile(),
-		Shards:          1,
-		Columnar:        eng.Columnar(),
-		LatencyPos:      latPos,
-		LatencyNeg:      latNeg,
-		Violations:      eng.Violations(),
-	}
-	rh.finish(&res)
-	return res, nil
-}
-
-// runSharded measures a key-partitioned run: arrivals are handed to the
-// sharded executor in PushBatch chunks so shard queues stay full, and the
-// timed region covers ingest through the final cross-shard Sync.
-func runSharded(q Query, rc RunConfig, phys *plan.Physical, cfg exec.Config, gen *trace.Generator) (Result, error) {
-	sh, err := exec.NewSharded(phys, cfg, rc.Shards)
-	if err != nil {
-		return Result{}, fmt.Errorf("bench %v: %w", q, err)
-	}
-	defer sh.Close()
-
-	var rh *runHealth
-	if rc.Health {
-		rh = newRunHealth(q, rc, sh.HealthRules(exec.HealthSLO{}))
-	}
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	var n int64
-	batch := make([]exec.Arrival, 0, shardFeedBatch)
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, exec.Arrival{Stream: rec.Link, TS: rec.TS, Vals: rec.Vals})
-		if len(batch) == shardFeedBatch {
-			if err := sh.PushBatch(batch); err != nil {
-				return Result{}, fmt.Errorf("bench %v: push: %w", q, err)
-			}
-			batch = batch[:0]
-			n += shardFeedBatch
-			if rh != nil && n%healthTickEvery == 0 {
-				rh.mon.Tick()
-			}
-		}
-	}
-	if err := sh.PushBatch(batch); err != nil {
-		return Result{}, fmt.Errorf("bench %v: push: %w", q, err)
-	}
-	n += int64(len(batch))
-	if err := sh.Sync(); err != nil {
-		return Result{}, fmt.Errorf("bench %v: sync: %w", q, err)
-	}
-	elapsed := time.Since(start)
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-
-	touched, err := sh.Touched()
-	if err != nil {
-		return Result{}, fmt.Errorf("bench %v: %w", q, err)
-	}
-	finalResults, err := sh.ResultCount()
-	if err != nil {
-		return Result{}, fmt.Errorf("bench %v: %w", q, err)
-	}
-	st := sh.Stats()
-	latPos, latNeg := sh.DeltaLatency()
 	res := Result{
 		Query:           q,
 		Strategy:        rc.Strategy,
@@ -448,13 +375,18 @@ func runSharded(q Query, rc RunConfig, phys *plan.Physical, cfg exec.Config, gen
 		FinalResults:    finalResults,
 		Allocs:          m1.Mallocs - m0.Mallocs,
 		AllocBytes:      m1.TotalAlloc - m0.TotalAlloc,
-		Metrics:         sh.Metrics().Snapshot(),
-		Ops:             sh.Profile(),
-		Shards:          sh.Shards(),
-		ShardFallback:   sh.FallbackReason(),
+		Metrics:         eng.Metrics().Snapshot(),
+		Ops:             eng.Profile(),
+		Shards:          eng.Shards(),
+		ShardFallback:   fallback,
 		LatencyPos:      latPos,
 		LatencyNeg:      latNeg,
-		Violations:      sh.Violations(),
+		Violations:      eng.Violations(),
+	}
+	// The columnar latch belongs to a single engine; a set of shards has no
+	// one answer and reports false.
+	if c, ok := eng.(interface{ Columnar() bool }); ok {
+		res.Columnar = c.Columnar()
 	}
 	rh.finish(&res)
 	return res, nil

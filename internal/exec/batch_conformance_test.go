@@ -18,13 +18,6 @@ import (
 	"repro/internal/reference"
 )
 
-// batchExecutor is the executor surface plus batched ingest; both Engine and
-// Sharded satisfy it.
-type batchExecutor interface {
-	executor
-	PushBatch(batch []Arrival) error
-}
-
 // burstyTrace emits several tuples per (stream, timestamp) — the run shape the
 // batch path coalesces — round-robining timestamps over the query's streams.
 func burstyTrace(streams int, seed int64, ticks int) []Arrival {
@@ -44,7 +37,7 @@ func burstyTrace(streams int, seed int64, ticks int) []Arrival {
 // feedBatches pushes the trace through PushBatch in fixed-size chunks. The
 // chunk size is deliberately odd so chunk boundaries split same-timestamp runs
 // — the executor must handle a run resuming in the next call.
-func feedBatches(t *testing.T, ex batchExecutor, trace []Arrival, chunk int) {
+func feedBatches(t *testing.T, ex Executor, trace []Arrival, chunk int) {
 	t.Helper()
 	for i := 0; i < len(trace); i += chunk {
 		j := i + chunk
@@ -70,7 +63,7 @@ func TestBatchConformance(t *testing.T) {
 					feed(t, seq, trace)
 					seqObs := observe(t, seq)
 
-					bat := buildExecutor(t, q, strat, shards).(batchExecutor)
+					bat := buildExecutor(t, q, strat, shards)
 					feedBatches(t, bat, trace, 37)
 					batObs := observe(t, bat)
 
@@ -127,7 +120,7 @@ func TestBatchCheckpointMidRun(t *testing.T) {
 						t.Fatal("trace has no same-(stream,ts) run near the middle")
 					}
 
-					b := buildExecutor(t, q, strat, shards).(batchExecutor)
+					b := buildExecutor(t, q, strat, shards)
 					feedBatches(t, b, trace[:cut], 37)
 					var ckpt bytes.Buffer
 					if err := b.Checkpoint(&ckpt); err != nil {
@@ -136,7 +129,7 @@ func TestBatchCheckpointMidRun(t *testing.T) {
 					feedBatches(t, b, trace[cut:], 37)
 					bObs := observe(t, b)
 
-					c := buildExecutor(t, q, strat, shards).(batchExecutor)
+					c := buildExecutor(t, q, strat, shards)
 					if err := c.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
 						t.Fatalf("Restore: %v", err)
 					}

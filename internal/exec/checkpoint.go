@@ -146,10 +146,12 @@ func preorderOps(root *plan.PNode, fn func(pn *plan.PNode) error) error {
 	return nil
 }
 
-// writeState serializes one engine's dynamic state: clock and maintenance
-// cursors, cumulative counters, window contents in source order, operator
-// state in plan pre-order, and the result view.
-func (e *Engine) writeState(enc *checkpoint.Encoder) error {
+// writeState serializes the dynamic state query q observes in this engine:
+// clock and maintenance cursors, cumulative counters, window contents in
+// source order, operator state in plan pre-order, and the result view. It
+// reads through q's canonical mapping, so the section a registry extracts for
+// one of several queries is laid out as a single-query engine's own.
+func (e *Engine) writeState(enc *checkpoint.Encoder, q *queryUnit) error {
 	enc.Varint(e.clock)
 	enc.Varint(e.lastEager)
 	enc.Varint(e.lastLazy)
@@ -157,12 +159,12 @@ func (e *Engine) writeState(enc *checkpoint.Encoder) error {
 		enc.Varint(c.Value())
 	}
 	enc.Varint(e.met.maxStateTuples.Value())
-	for _, src := range e.phys.Sources {
-		if err := src.Window.SaveState(enc); err != nil {
+	for _, src := range q.phys.Sources {
+		if err := q.canonSrc(src).Window.SaveState(enc); err != nil {
 			return err
 		}
 	}
-	err := preorderOps(e.phys.Root, func(pn *plan.PNode) error {
+	err := preorderOps(q.canon(q.phys.Root), func(pn *plan.PNode) error {
 		s, ok := pn.Op.(checkpoint.Snapshotter)
 		if !ok {
 			return fmt.Errorf("exec: operator %T cannot snapshot", pn.Op)
@@ -172,9 +174,9 @@ func (e *Engine) writeState(enc *checkpoint.Encoder) error {
 	if err != nil {
 		return err
 	}
-	vs, ok := e.view.(checkpoint.Snapshotter)
+	vs, ok := q.view.(checkpoint.Snapshotter)
 	if !ok {
-		return fmt.Errorf("exec: view %T cannot snapshot", e.view)
+		return fmt.Errorf("exec: view %T cannot snapshot", q.view)
 	}
 	if err := vs.SaveState(enc); err != nil {
 		return err
@@ -250,6 +252,88 @@ func (e *Engine) readState(dec *checkpoint.Decoder) error {
 	return nil
 }
 
+// writeHeader begins a checkpoint stream: magic and version, the plan
+// fingerprint, the number of state sections that follow, the coordinator
+// clock, and the tables the plan reads, once.
+func writeHeader(enc *checkpoint.Encoder, p *plan.Physical, sections int, clock int64) error {
+	enc.Begin()
+	enc.String(fingerprint(p))
+	enc.Uvarint(uint64(sections))
+	enc.Varint(clock)
+	return writeTables(enc, p)
+}
+
+// writeCheckpoint writes one checkpoint — the header, then one state section
+// per engine — and records it in the first engine's checkpoint instruments.
+// A plain engine passes itself; the coordinator passes its drained shards.
+func writeCheckpoint(w io.Writer, clock int64, engines []*Engine) error {
+	lead := engines[0]
+	var start time.Time
+	if lead.timed {
+		start = time.Now()
+	}
+	enc := checkpoint.NewEncoder(w)
+	if err := writeHeader(enc, lead.phys, len(engines), clock); err != nil {
+		return err
+	}
+	for _, eng := range engines {
+		if err := eng.writeState(enc, eng.queries[0]); err != nil {
+			return err
+		}
+	}
+	lead.met.checkpoints.Inc()
+	lead.met.checkpointBytes.Set(enc.Bytes())
+	lead.met.checkpointLast.Set(obs.Nanotime())
+	if lead.timed {
+		lead.met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
+	}
+	return nil
+}
+
+// readCheckpoint is writeCheckpoint's mirror and returns the coordinator
+// clock. The plan fingerprint and the section count are validated against the
+// engines before any state is touched: a mismatch returns
+// *checkpoint.MismatchError and leaves every engine as it was.
+func readCheckpoint(r io.Reader, engines []*Engine) (clock int64, err error) {
+	lead := engines[0]
+	var start time.Time
+	if lead.timed {
+		start = time.Now()
+	}
+	dec := checkpoint.NewDecoder(r)
+	dec.Begin()
+	fp := dec.String()
+	shards := dec.Count()
+	if err := dec.Err(); err != nil {
+		return 0, err
+	}
+	if want := fingerprint(lead.phys); fp != want {
+		return 0, &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
+	}
+	if shards != len(engines) {
+		return 0, &checkpoint.MismatchError{
+			Field: "shards", Want: strconv.Itoa(len(engines)), Got: strconv.Itoa(shards),
+		}
+	}
+	clock = dec.Varint()
+	if err := dec.Err(); err != nil {
+		return 0, err
+	}
+	if err := readTables(dec, lead.phys); err != nil {
+		return 0, err
+	}
+	for _, eng := range engines {
+		if err := eng.readState(dec); err != nil {
+			return 0, err
+		}
+	}
+	lead.met.restores.Inc()
+	if lead.timed {
+		lead.met.restoreNanos.Observe(time.Since(start).Nanoseconds())
+	}
+	return clock, nil
+}
+
 // Checkpoint writes the engine's complete dynamic state to w. It does not
 // force pending maintenance: cursors travel with the state, so a restored
 // engine resumes the exact maintenance schedule, and checkpointing never
@@ -257,179 +341,51 @@ func (e *Engine) readState(dec *checkpoint.Decoder) error {
 // carrying several registered queries checkpoints with CheckpointRegistry
 // (or per query through QueryHandle.Checkpoint).
 func (e *Engine) Checkpoint(w io.Writer) error {
+	if e.closed {
+		return ErrClosed
+	}
 	if len(e.queries) != 1 {
 		return fmt.Errorf("exec: engine checkpoint requires exactly one registered query (have %d); use CheckpointRegistry", len(e.queries))
 	}
-	var start time.Time
-	if e.timed {
-		start = time.Now()
-	}
-	enc := checkpoint.NewEncoder(w)
-	enc.Begin()
-	enc.String(fingerprint(e.phys))
-	enc.Uvarint(1)
-	enc.Varint(e.clock)
-	if err := writeTables(enc, e.phys); err != nil {
-		return err
-	}
-	if err := e.writeState(enc); err != nil {
-		return err
-	}
-	if err := enc.Err(); err != nil {
-		return err
-	}
-	e.met.checkpoints.Inc()
-	e.met.checkpointBytes.Set(enc.Bytes())
-	e.met.checkpointLast.Set(obs.Nanotime())
-	if e.timed {
-		e.met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	return nil
+	return writeCheckpoint(w, e.clock, []*Engine{e})
 }
 
 // Restore rehydrates the engine from a checkpoint written by an engine built
-// from the same plan. The plan fingerprint and shard count are validated
-// before any state is touched: a mismatch returns *checkpoint.MismatchError
-// and leaves the engine unchanged. The engine should be freshly built;
-// restoring over accumulated state replaces stored tuples but counter deltas
-// assume a zero baseline.
+// from the same plan (see readCheckpoint for what is validated first). The
+// engine should be freshly built; restoring over accumulated state replaces
+// stored tuples but counter deltas assume a zero baseline. The engine's own
+// clock travels in its state section, so the header's is not needed.
 func (e *Engine) Restore(r io.Reader) error {
+	if e.closed {
+		return ErrClosed
+	}
 	if len(e.queries) != 1 {
 		return fmt.Errorf("exec: engine restore requires exactly one registered query (have %d); use RestoreRegistry", len(e.queries))
 	}
-	var start time.Time
-	if e.timed {
-		start = time.Now()
-	}
-	dec := checkpoint.NewDecoder(r)
-	dec.Begin()
-	fp := dec.String()
-	shards := dec.Count()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if want := fingerprint(e.phys); fp != want {
-		return &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
-	}
-	if shards != 1 {
-		return &checkpoint.MismatchError{Field: "shards", Want: "1", Got: strconv.Itoa(shards)}
-	}
-	dec.Varint() // coordinator clock; the engine's own clock travels in its state section
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := readTables(dec, e.phys); err != nil {
-		return err
-	}
-	if err := e.readState(dec); err != nil {
-		return err
-	}
-	e.met.restores.Inc()
-	if e.timed {
-		e.met.restoreNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	return nil
+	_, err := readCheckpoint(r, []*Engine{e})
+	return err
 }
 
 // Checkpoint drains all workers behind a batch barrier, then writes the
 // coordinator clock, the shared tables once, and one state section per
-// shard. A sequential executor writes a single-shard checkpoint that a plain
-// Engine built from the same plan can restore, and vice versa.
-func (s *Sharded) Checkpoint(w io.Writer) error {
-	if s.done {
-		return ErrClosed
-	}
-	if !s.sequential() {
-		if err := s.barrier(); err != nil {
-			return err
-		}
-	}
-	timed := s.shards[0].timed
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	enc := checkpoint.NewEncoder(w)
-	enc.Begin()
-	enc.String(fingerprint(s.phys))
-	enc.Uvarint(uint64(len(s.shards)))
-	clock := s.clock
-	if s.sequential() {
-		clock = s.shards[0].clock
-	}
-	enc.Varint(clock)
-	if err := writeTables(enc, s.phys); err != nil {
+// shard.
+func (s *sharded) Checkpoint(w io.Writer) error {
+	if err := s.barrier(); err != nil {
 		return err
 	}
-	for _, eng := range s.shards {
-		if err := eng.writeState(enc); err != nil {
-			return err
-		}
-	}
-	if err := enc.Err(); err != nil {
-		return err
-	}
-	met := &s.shards[0].met
-	met.checkpoints.Inc()
-	met.checkpointBytes.Set(enc.Bytes())
-	met.checkpointLast.Set(obs.Nanotime())
-	if timed {
-		met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	return nil
+	return writeCheckpoint(w, s.clock, s.shards)
 }
 
 // Restore rehydrates every shard from a checkpoint written by an executor
-// with the same plan AND the same shard layout: a 4-shard checkpoint
-// restores only into a 4-shard executor. The fingerprint and shard count are
-// validated before any state is touched; a mismatch returns
-// *checkpoint.MismatchError and leaves all shards unchanged.
-func (s *Sharded) Restore(r io.Reader) error {
-	if s.done {
-		return ErrClosed
-	}
-	if !s.sequential() {
-		if err := s.barrier(); err != nil {
-			return err
-		}
-	}
-	timed := s.shards[0].timed
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	dec := checkpoint.NewDecoder(r)
-	dec.Begin()
-	fp := dec.String()
-	shards := dec.Count()
-	if err := dec.Err(); err != nil {
+// with the same plan AND the same shard count: a 4-shard checkpoint restores
+// only into four shards (see readCheckpoint).
+func (s *sharded) Restore(r io.Reader) error {
+	if err := s.barrier(); err != nil {
 		return err
 	}
-	if want := fingerprint(s.phys); fp != want {
-		return &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
+	clock, err := readCheckpoint(r, s.shards)
+	if err == nil {
+		s.clock = clock
 	}
-	if shards != len(s.shards) {
-		return &checkpoint.MismatchError{
-			Field: "shards", Want: strconv.Itoa(len(s.shards)), Got: strconv.Itoa(shards),
-		}
-	}
-	clock := dec.Varint()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := readTables(dec, s.phys); err != nil {
-		return err
-	}
-	for _, eng := range s.shards {
-		if err := eng.readState(dec); err != nil {
-			return err
-		}
-	}
-	s.clock = clock
-	met := &s.shards[0].met
-	met.restores.Inc()
-	if timed {
-		met.restoreNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	return nil
+	return err
 }

@@ -1,11 +1,11 @@
 package exec
 
 // Restore-equivalence conformance for the checkpoint subsystem: a run that is
-// checkpointed mid-trace and restored into a fresh executor must be
+// checkpointed mid-trace and restored into a fresh Executor must be
 // indistinguishable — identical view snapshot, result count, cumulative
 // stats, clock, and watermark — from the same run left uninterrupted, across
 // the paper's query shapes, all three execution strategies, and both the
-// sequential and the sharded executor. Mismatched restores (different query,
+// sequential and the sharded Executor. Mismatched restores (different query,
 // strategy, or shard layout) must fail with a typed error before touching any
 // state.
 
@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -24,21 +23,6 @@ import (
 	"repro/internal/tuple"
 	"repro/internal/window"
 )
-
-// executor is the surface shared by Engine and Sharded that the equivalence
-// tests exercise.
-type executor interface {
-	Push(streamID int, ts int64, vals ...tuple.Value) error
-	Advance(ts int64) error
-	Sync() error
-	Snapshot() ([]tuple.Tuple, error)
-	ResultCount() (int, error)
-	Stats() Stats
-	Clock() int64
-	Watermark() int64
-	Checkpoint(w io.Writer) error
-	Restore(r io.Reader) error
-}
 
 // ckptQuery is one paper query shape: a fresh logical plan per call (Annotate
 // mutates the tree) plus the number of base streams it consumes.
@@ -82,14 +66,21 @@ func ckptQueries() []ckptQuery {
 	}
 }
 
-// buildExecutor compiles q fresh with default planner options and returns a
-// 1-shard Engine or an n-shard Sharded executor.
-func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) executor {
+// buildExecutor compiles q fresh with default planner options and opens it
+// at the given shard count (1: the plain engine).
+func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) Executor {
 	t.Helper()
 	return buildExecutorOpts(t, q, strat, plan.Options{}, shards)
 }
 
-func buildExecutorOpts(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, shards int) executor {
+func buildExecutorOpts(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, shards int) Executor {
+	t.Helper()
+	return openQuery(t, q, strat, opts, Config{LazyInterval: 7, EagerInterval: 1}, shards)
+}
+
+// openQuery plans q and opens it at exactly the given shard count; a fallback
+// fails the test.
+func openQuery(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, cfg Config, shards int) Executor {
 	t.Helper()
 	root := q.build()
 	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
@@ -99,20 +90,7 @@ func buildExecutorOpts(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	cfg := Config{LazyInterval: 7, EagerInterval: 1}
-	if shards == 1 {
-		eng, err := New(phys, cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return eng
-	}
-	sh, err := NewSharded(phys, cfg, shards)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	return sh
+	return openAt(t, phys, cfg, shards)
 }
 
 // ckptTrace is a deterministic arrival sequence: 192 tuples round-robined
@@ -127,7 +105,7 @@ func ckptTrace(streams int) []Arrival {
 	return out
 }
 
-func feed(t *testing.T, ex executor, trace []Arrival) {
+func feed(t *testing.T, ex Executor, trace []Arrival) {
 	t.Helper()
 	for _, a := range trace {
 		if err := ex.Push(a.Stream, a.TS, a.Vals...); err != nil {
@@ -146,7 +124,7 @@ type observation struct {
 	watermark int64
 }
 
-func observe(t *testing.T, ex executor) observation {
+func observe(t *testing.T, ex Executor) observation {
 	t.Helper()
 	if err := ex.Advance(400); err != nil {
 		t.Fatalf("Advance: %v", err)
@@ -190,7 +168,7 @@ func diffObservations(t *testing.T, name string, got, want observation) {
 
 // TestCheckpointRestoreEquivalence runs three executors over the same trace:
 // A uninterrupted, B checkpointed mid-trace and continued, C restored from
-// B's checkpoint into a fresh executor and fed the rest. All three must agree
+// B's checkpoint into a fresh Executor and fed the rest. All three must agree
 // on every visible signal, and B must be unperturbed by having checkpointed.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	for _, q := range ckptQueries() {
@@ -238,60 +216,10 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointEngineShardedCompat checks the cross-compatibility promise: a
-// plain Engine and a 1-shard Sharded executor over the same plan produce
-// interchangeable checkpoints.
-func TestCheckpointEngineShardedCompat(t *testing.T) {
-	q := ckptQueries()[0]
-	trace := ckptTrace(q.streams)
-
-	eng := buildExecutor(t, q, plan.UPA, 1)
-	feed(t, eng, trace[:128])
-	var ckpt bytes.Buffer
-	if err := eng.Checkpoint(&ckpt); err != nil {
-		t.Fatalf("Engine.Checkpoint: %v", err)
-	}
-	feed(t, eng, trace[128:])
-	wantObs := observe(t, eng)
-
-	root := q.build()
-	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
-		t.Fatal(err)
-	}
-	phys, err := plan.Build(root, plan.UPA, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewSharded(phys, Config{LazyInterval: 7, EagerInterval: 1}, 1)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	if err := sh.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
-		t.Fatalf("Sharded.Restore of Engine checkpoint: %v", err)
-	}
-	feed(t, sh, trace[128:])
-	diffObservations(t, "Sharded(1) restored from Engine", observe(t, sh), wantObs)
-
-	// And the reverse: a sequential Sharded checkpoint restores into Engine.
-	sh2 := buildExecutor(t, q, plan.UPA, 1)
-	sh2 = sh2.(*Engine) // sanity: shards==1 path builds a plain Engine
-	var ckpt2 bytes.Buffer
-	shSeq, err := NewSharded(phys2(t, q), Config{LazyInterval: 7, EagerInterval: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { shSeq.Close() })
-	feed(t, shSeq, trace[:128])
-	if err := shSeq.Checkpoint(&ckpt2); err != nil {
-		t.Fatalf("Sharded.Checkpoint: %v", err)
-	}
-	if err := sh2.Restore(bytes.NewReader(ckpt2.Bytes())); err != nil {
-		t.Fatalf("Engine.Restore of sequential Sharded checkpoint: %v", err)
-	}
-	feed(t, sh2, trace[128:])
-	diffObservations(t, "Engine restored from Sharded(1)", observe(t, sh2), wantObs)
-}
+// The Engine ↔ 1-shard interchange test that stood here had the coordinator's
+// sequential mode as its only subject. Open(…, 1) now returns the plain
+// engine itself, so both directions are one case: checkpoint → Open → Restore
+// → continue, which TestExecutorContract runs at one shard and at three.
 
 func phys2(t *testing.T, q ckptQuery) *plan.Physical {
 	t.Helper()
@@ -306,7 +234,7 @@ func phys2(t *testing.T, q ckptQuery) *plan.Physical {
 	return phys
 }
 
-// TestRestoreMismatchSafety checks that restoring into an executor built from
+// TestRestoreMismatchSafety checks that restoring into an Executor built from
 // a different query, strategy, or shard layout fails with
 // *checkpoint.MismatchError before mutating any state.
 func TestRestoreMismatchSafety(t *testing.T) {
@@ -322,16 +250,16 @@ func TestRestoreMismatchSafety(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		build func(t *testing.T) executor
+		build func(t *testing.T) Executor
 		field string
 	}{
-		{"different query", func(t *testing.T) executor {
+		{"different query", func(t *testing.T) Executor {
 			return buildExecutor(t, qs[1], plan.UPA, 1)
 		}, "plan"},
-		{"different strategy", func(t *testing.T) executor {
+		{"different strategy", func(t *testing.T) Executor {
 			return buildExecutor(t, qs[0], plan.NT, 1)
 		}, "plan"},
-		{"sharded layout", func(t *testing.T) executor {
+		{"sharded layout", func(t *testing.T) Executor {
 			return buildExecutor(t, qs[0], plan.UPA, 4)
 		}, "shards"},
 	}
@@ -362,7 +290,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 		})
 	}
 
-	// A 4-shard checkpoint must also refuse a 1-shard executor.
+	// A 4-shard checkpoint must also refuse a 1-shard Executor.
 	t.Run("4-shard checkpoint into engine", func(t *testing.T) {
 		sh := buildExecutor(t, qs[0], plan.UPA, 4)
 		feed(t, sh, trace[:64])
@@ -396,8 +324,8 @@ func TestRestoreMismatchSafety(t *testing.T) {
 }
 
 // observeNoAdvance renders visible state without advancing time (mismatch
-// tests must not disturb the executor between the before/after readings).
-func observeNoAdvance(t *testing.T, ex executor) observation {
+// tests must not disturb the Executor between the before/after readings).
+func observeNoAdvance(t *testing.T, ex Executor) observation {
 	t.Helper()
 	snap, err := ex.Snapshot()
 	if err != nil {

@@ -4,8 +4,7 @@ package exec
 // columnar execution are observationally identical on the paper's query
 // shapes; plans without full kernel coverage fall back before the first
 // arrival; kind-nonconforming data demotes an engine without losing the run;
-// and the interner section of a checkpoint restores symbol ids exactly, in
-// both directions between a plain Engine and a sequential Sharded executor.
+// and the interner section of a checkpoint restores symbol ids exactly.
 
 import (
 	"bytes"
@@ -20,19 +19,14 @@ import (
 
 // batchFeed pushes the trace through PushBatch in uneven chunks so runs of
 // several same-timestamp arrivals (the columnar unit of work) actually form.
-func batchFeed(t *testing.T, ex executor, trace []Arrival) {
+func batchFeed(t *testing.T, ex Executor, trace []Arrival) {
 	t.Helper()
-	type batcher interface{ PushBatch([]Arrival) error }
-	pb, ok := ex.(batcher)
-	if !ok {
-		t.Fatalf("executor %T has no PushBatch", ex)
-	}
 	for i := 0; i < len(trace); {
 		j := i + 5 + (i/5)%7
 		if j > len(trace) {
 			j = len(trace)
 		}
-		if err := pb.PushBatch(trace[i:j]); err != nil {
+		if err := ex.PushBatch(trace[i:j]); err != nil {
 			t.Fatalf("PushBatch[%d:%d]: %v", i, j, err)
 		}
 		i = j
@@ -246,9 +240,10 @@ func sameInterner(t *testing.T, name string, got, want *tuple.Interner) {
 // not a sampling or batch boundary — and checks that the checkpoint carries
 // the interner: the restored engine resolves every symbol to the same id,
 // keeps columnar eligibility, and finishes the trace bit-identical to the
-// uninterrupted run. Then the same checkpoint crosses executor shapes in both
-// directions (Engine ↔ sequential Sharded), since shard interchange is the
-// reason interner state is persisted at all.
+// uninterrupted run. (The Engine ↔ one-shard legs that followed exercised the
+// coordinator's sequential mode; Open(…, 1) is this same *Engine, so the
+// round trip above is both directions, and TestExecutorContract repeats it at
+// three shards, where every shard restores its own interner.)
 func TestInternerCheckpointRoundTrip(t *testing.T) {
 	q := ckptQueries()[0] // Q1 join of ftp-selects: joins probe on interned ids
 	trace := colTrace(q.streams, 300)
@@ -281,38 +276,6 @@ func TestInternerCheckpointRoundTrip(t *testing.T) {
 	}
 	batchFeed(t, c, trace[cut:])
 	diffObservations(t, "restored Engine", observe(t, c), wantObs)
-
-	// Engine checkpoint → sequential Sharded executor.
-	sh, err := NewSharded(phys2(t, q), Config{LazyInterval: 7, EagerInterval: 1}, 1)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	if err := sh.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
-		t.Fatalf("Sharded.Restore: %v", err)
-	}
-	sameInterner(t, "restored Sharded(1)", sh.shards[0].intern, b.intern)
-	batchFeed(t, sh, trace[cut:])
-	diffObservations(t, "restored Sharded(1)", observe(t, sh), wantObs)
-
-	// Sequential Sharded checkpoint → Engine.
-	shSrc, err := NewSharded(phys2(t, q), Config{LazyInterval: 7, EagerInterval: 1}, 1)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { shSrc.Close() })
-	batchFeed(t, shSrc, trace[:cut])
-	var ckpt2 bytes.Buffer
-	if err := shSrc.Checkpoint(&ckpt2); err != nil {
-		t.Fatalf("Sharded.Checkpoint: %v", err)
-	}
-	d := buildColEngine(t, q, plan.UPA, Config{LazyInterval: 7, EagerInterval: 1})
-	if err := d.Restore(bytes.NewReader(ckpt2.Bytes())); err != nil {
-		t.Fatalf("Engine.Restore of Sharded checkpoint: %v", err)
-	}
-	sameInterner(t, "Engine from Sharded", d.intern, shSrc.shards[0].intern)
-	batchFeed(t, d, trace[cut:])
-	diffObservations(t, "Engine from Sharded", observe(t, d), wantObs)
 }
 
 // TestRestoredDemotionSticks checks the AND rule: a checkpoint written by a

@@ -682,8 +682,8 @@ func TestConformanceRunningAggregate(t *testing.T) {
 			}
 			d.advance(10000) // nothing ever expires
 			// The engine must not be buffering the stream.
-			if d.eng.StateTuples() > 64 {
-				d.t.Fatalf("running aggregate is buffering input: %d tuples", d.eng.StateTuples())
+			if d.eng.stateTuples() > 64 {
+				d.t.Fatalf("running aggregate is buffering input: %d tuples", d.eng.stateTuples())
 			}
 		})
 }

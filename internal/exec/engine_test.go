@@ -116,10 +116,10 @@ func TestEngineStatsAndStateTuples(t *testing.T) {
 	if st.MaxStateTuples == 0 {
 		t.Error("state never sampled")
 	}
-	if eng.StateTuples() == 0 {
+	if eng.stateTuples() == 0 {
 		t.Error("state tuples should include the window and view")
 	}
-	if eng.Touched() == 0 {
+	if eng.touched() == 0 {
 		t.Error("touched should be counted")
 	}
 }
@@ -293,13 +293,13 @@ func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
 				{func() error { return eng.Advance(clock - 1) },
 					fmt.Sprintf("exec: time %d regresses before %d", clock-1, clock)},
 			}
-			before, stateBefore := observeNoAdvance(t, eng), eng.StateTuples()
+			before, stateBefore := observeNoAdvance(t, eng), eng.stateTuples()
 			for _, r := range rejected {
 				if err := r.call(); err == nil || err.Error() != r.want {
 					t.Errorf("rejected call: error %v, want %q", err, r.want)
 				}
 				diffObservations(t, r.want, observeNoAdvance(t, eng), before)
-				if got := eng.StateTuples(); got != stateBefore {
+				if got := eng.stateTuples(); got != stateBefore {
 					t.Errorf("%s: StateTuples = %d, want %d", r.want, got, stateBefore)
 				}
 				if eng.Columnar() != c.columnar {
@@ -322,6 +322,51 @@ func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
 			batchFeed(t, eng, trace[80:])
 			batchFeed(t, twin, trace[80:])
 			diffObservations(t, "after the bad tuple vs row twin", observe(t, eng), observe(t, twin))
+		})
+	}
+
+	// The two-shard column: the coordinator refuses at its own door, before
+	// routing, in the engine's words and with nothing moved — its clock
+	// included, so an arrival older than the refused one is still admitted and
+	// Sync takes no shard past a time no accepted tuple carried.
+	for _, c := range []struct {
+		name    string
+		deliver func(Executor, Arrival) error
+	}{
+		{"2-shards/Push", func(ex Executor, a Arrival) error { return ex.Push(a.Stream, a.TS, a.Vals...) }},
+		{"2-shards/PushBatch", func(ex Executor, a Arrival) error { return ex.PushBatch([]Arrival{a}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sh := openQuery(t, ckptQueries()[0], plan.UPA, plan.Options{}, Config{LazyInterval: 7}, 2)
+			trace := colTrace(2, 120)
+			batchFeed(t, sh, trace[:80])
+			clock := sh.Clock()
+			good := trace[0].Vals
+			for _, r := range []struct {
+				err  error
+				want string
+			}{
+				{c.deliver(sh, Arrival{Stream: 9, TS: clock + 5, Vals: good}), "exec: no source for stream 9"},
+				{c.deliver(sh, Arrival{Stream: 0, TS: clock - 1, Vals: good}),
+					fmt.Sprintf("exec: timestamp %d regresses before %d", clock-1, clock)},
+				{sh.Advance(clock - 1), fmt.Sprintf("exec: time %d regresses before %d", clock-1, clock)},
+			} {
+				if r.err == nil || r.err.Error() != r.want {
+					t.Errorf("rejected call: error %v, want %q", r.err, r.want)
+				}
+				if got := sh.Clock(); got != clock {
+					t.Fatalf("%s: Clock() = %d after the rejected call, want %d", r.want, got, clock)
+				}
+			}
+			if err := c.deliver(sh, Arrival{Stream: 0, TS: clock + 1, Vals: good}); err != nil {
+				t.Fatalf("arrival at %d after a refused one at %d: %v", clock+1, clock+5, err)
+			}
+			if err := sh.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if sh.Clock() != clock+1 || sh.Watermark() != clock+1 {
+				t.Errorf("after Sync: clock %d, watermark %d, want both %d", sh.Clock(), sh.Watermark(), clock+1)
+			}
 		})
 	}
 }

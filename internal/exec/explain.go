@@ -50,7 +50,7 @@ func (e *Engine) explainQuery(q *queryUnit, analyze bool) *plan.ExplainTree {
 // Explain returns the renderable plan tree for the coordinator's plan. With
 // analyze set, operator counters are the sums over all shards (batch
 // latencies take the max) and the watermark is the oldest shard watermark.
-func (s *Sharded) Explain(analyze bool) *plan.ExplainTree {
+func (s *sharded) Explain(analyze bool) *plan.ExplainTree {
 	t := plan.Explain(s.phys)
 	if analyze {
 		attachStats(t, s.Profile(), len(s.shards), s.Clock(), s.Watermark())

@@ -113,11 +113,7 @@ func TestExplainAnalyzePaperQueries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Build: %v", err)
 				}
-				sh, err := NewSharded(shPhys, cfg, 4)
-				if err != nil {
-					t.Fatalf("NewSharded: %v", err)
-				}
-				t.Cleanup(func() { sh.Close() })
+				sh := openAt(t, shPhys, cfg, 4)
 
 				streams := 1
 				for _, src := range seqPhys.Sources {

@@ -43,7 +43,7 @@ const (
 	RuleCheckpointAge        = "checkpoint-age"
 )
 
-// BuiltinHealthRules builds the rule set every engine registers at compile
+// builtinHealthRules builds the rule set every engine registers at compile
 // time, parameterized only by scalars the engine already knows: the chosen
 // execution strategy, the maintenance cadences (for staleness-lag
 // thresholds), and the caller's SLOs. Keeping the inputs scalar lets tests
@@ -51,7 +51,7 @@ const (
 //
 // Every rule reads series the instrumented engine maintains; on an
 // uninstrumented engine the series never exist and every rule stays OK.
-func BuiltinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int64, slo HealthSLO) []obs.Rule {
+func builtinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int64, slo HealthSLO) []obs.Rule {
 	if slo.CheckpointAge <= 0 {
 		slo.CheckpointAge = defaultCheckpointAge
 	}
@@ -172,20 +172,17 @@ func BuiltinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int6
 }
 
 // HealthRules returns the engine's built-in rule set (see
-// BuiltinHealthRules). The NT-specific rules key off the first registered
-// query's strategy; an empty registry gets the UPA set.
+// builtinHealthRules). The NT-specific rules key off the first registered
+// query's strategy; an empty registry gets the UPA set. Shard queue-depth and
+// blocked-time rules match per-shard label sets via AggMax, so when shards
+// run one slow shard is enough to trip them.
 func (e *Engine) HealthRules(slo HealthSLO) []obs.Rule {
 	strategy := plan.UPA
 	if e.phys != nil {
 		strategy = e.phys.Strategy
 	}
-	return BuiltinHealthRules(strategy, e.cfg.EagerInterval, e.cfg.LazyInterval, slo)
+	return builtinHealthRules(strategy, e.cfg.EagerInterval, e.cfg.LazyInterval, slo)
 }
 
-// HealthRules returns the sharded executor's built-in rule set. Shard
-// queue-depth and blocked-time rules match per-shard label sets via AggMax,
-// so one slow shard is enough to trip them.
-func (s *Sharded) HealthRules(slo HealthSLO) []obs.Rule {
-	e := s.shards[0]
-	return BuiltinHealthRules(s.phys.Strategy, e.cfg.EagerInterval, e.cfg.LazyInterval, slo)
-}
+// HealthRules returns the rule set of the plan every shard runs.
+func (s *sharded) HealthRules(slo HealthSLO) []obs.Rule { return s.shards[0].HealthRules(slo) }

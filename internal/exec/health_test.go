@@ -1,6 +1,6 @@
 package exec
 
-// Fault-injection tests for the built-in health rules: BuiltinHealthRules
+// Fault-injection tests for the built-in health rules: builtinHealthRules
 // takes only scalars, so every fault is injected purely at the metrics
 // layer — bump the counter / skew the gauge an instrumented engine would
 // have written — and the test asserts the rule escalates, honors its
@@ -22,7 +22,7 @@ import (
 func newRuleHarness(slo HealthSLO) (*obs.Registry, *obs.Health) {
 	reg := obs.NewRegistry()
 	hist := obs.NewHistory(reg, obs.HistoryConfig{Capacity: 32})
-	rules := BuiltinHealthRules(plan.UPA, 1, 5, slo)
+	rules := builtinHealthRules(plan.UPA, 1, 5, slo)
 	return reg, obs.NewHealth(hist, rules...)
 }
 
@@ -211,7 +211,7 @@ func TestBuiltinRuleDeltaP99(t *testing.T) {
 }
 
 func TestBuiltinRuleDeltaP99DisabledWithoutSLO(t *testing.T) {
-	rules := BuiltinHealthRules(plan.UPA, 1, 5, HealthSLO{})
+	rules := builtinHealthRules(plan.UPA, 1, 5, HealthSLO{})
 	for _, r := range rules {
 		if r.Name == RuleDeltaP99 {
 			t.Fatal("delta-p99 rule present without an SLO")

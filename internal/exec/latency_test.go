@@ -91,8 +91,7 @@ func TestDeltaSpanSamplingRate(t *testing.T) {
 // strictly positive and covers at least the worker hand-off.
 func TestShardedLatencyCoversEveryDelta(t *testing.T) {
 	q := ckptQueries()[0]
-	ex := buildInstrumented(t, q, plan.NT, 4)
-	sh := ex.(*Sharded)
+	sh := buildInstrumented(t, q, plan.NT, 4)
 	trace := ckptTrace(q.streams)
 	// Batch path: the same entry point upaquery and bench use.
 	if err := sh.PushBatch(trace); err != nil {

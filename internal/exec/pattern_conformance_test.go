@@ -7,7 +7,7 @@ package exec
 // exp-timestamp (WK) edge — and checks each trips exactly the expected
 // violation kind. The acceptance half runs all five paper query shapes
 // under every strategy, sequential and sharded, and requires the monitor
-// to report zero violations (the executor's emissions must conform to the
+// to report zero violations (the Executor's emissions must conform to the
 // classes Section 3's rules declare) while the delta-latency histograms
 // account for every emitted delta.
 
@@ -136,30 +136,10 @@ func TestConformanceOrderlyBoundaryConforms(t *testing.T) {
 
 // buildInstrumented mirrors buildExecutor with a metrics registry attached,
 // so delta latency is recorded and the conformance gauges are live.
-func buildInstrumented(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) executor {
+func buildInstrumented(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) Executor {
 	t.Helper()
-	root := q.build()
-	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
-		t.Fatalf("Annotate: %v", err)
-	}
-	phys, err := plan.Build(root, strat, plan.Options{})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
 	cfg := Config{LazyInterval: 7, EagerInterval: 1, Metrics: obs.NewRegistry()}
-	if shards == 1 {
-		eng, err := New(phys, cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return eng
-	}
-	sh, err := NewSharded(phys, cfg, shards)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	return sh
+	return openQuery(t, q, strat, plan.Options{}, cfg, shards)
 }
 
 // TestPaperQueriesConformant is the monitor's acceptance gate: every paper
@@ -175,16 +155,8 @@ func TestPaperQueriesConformant(t *testing.T) {
 					if err := ex.Sync(); err != nil {
 						t.Fatalf("Sync: %v", err)
 					}
-					var viol int64
-					var pos, neg obs.LogHistogramSnapshot
-					switch e := ex.(type) {
-					case *Engine:
-						viol = e.Violations()
-						pos, neg = e.DeltaLatency()
-					case *Sharded:
-						viol = e.Violations()
-						pos, neg = e.DeltaLatency()
-					}
+					viol := ex.Violations()
+					pos, neg := ex.DeltaLatency()
 					if viol != 0 {
 						t.Errorf("conformance violations = %d, want 0", viol)
 					}

@@ -118,6 +118,9 @@ func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
 
 // WriteProfile renders Profile as an aligned tree.
 func (e *Engine) WriteProfile(w io.Writer) error {
+	if e.closed {
+		return ErrClosed
+	}
 	return writeProfiles(w, e.Profile())
 }
 
@@ -156,7 +159,7 @@ func WriteConformance(w io.Writer, profs []OpProfile) error {
 	return nil
 }
 
-// writeProfiles renders a profile slice (shared by Engine and Sharded).
+// writeProfiles renders a profile slice (one engine's, or one shard's).
 func writeProfiles(w io.Writer, profs []OpProfile) error {
 	if len(profs) == 0 {
 		_, err := fmt.Fprintln(w, "(bare window plan: no operators)")

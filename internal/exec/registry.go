@@ -125,6 +125,9 @@ type QueryHandle struct {
 // after data has flowed starts with cold private state and an empty view —
 // its results reflect arrivals from registration onward.
 func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
+	if e.closed {
+		return nil, ErrClosed
+	}
 	phys := spec.Phys
 	if phys == nil {
 		return nil, fmt.Errorf("exec: RegisterQuery: nil physical plan")
@@ -388,6 +391,9 @@ func (e *Engine) recomputeColPath() {
 // It returns the number of stored tuples freed (retired operator state,
 // retired window contents, and the view).
 func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
+	if e.closed {
+		return 0, ErrClosed
+	}
 	if h == nil || h.e != e {
 		return 0, fmt.Errorf("exec: UnregisterQuery: handle does not belong to this engine")
 	}

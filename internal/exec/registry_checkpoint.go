@@ -10,7 +10,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/operator"
-	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
@@ -77,6 +76,9 @@ func (e *Engine) uniqueRegistryTables() []*relation.Table {
 // state once, per-query views each — restorable into an engine that
 // registered the same queries in the same order (RestoreRegistry).
 func (e *Engine) CheckpointRegistry(w io.Writer) error {
+	if e.closed {
+		return ErrClosed
+	}
 	var start time.Time
 	if e.timed {
 		start = time.Now()
@@ -148,6 +150,9 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 // *checkpoint.MismatchError and leaves the engine unchanged. The engine
 // should be freshly built with the same registration sequence.
 func (e *Engine) RestoreRegistry(r io.Reader) error {
+	if e.closed {
+		return ErrClosed
+	}
 	var start time.Time
 	if e.timed {
 		start = time.Now()
@@ -255,53 +260,12 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 // metric series), so the extracted engine's Stats over-report if other
 // queries were registered.
 func (h *QueryHandle) Checkpoint(w io.Writer) error {
-	e, q := h.e, h.q
+	if h.e.closed {
+		return ErrClosed
+	}
 	enc := checkpoint.NewEncoder(w)
-	enc.Begin()
-	enc.String(fingerprint(q.phys))
-	enc.Uvarint(1)
-	enc.Varint(e.clock)
-	if err := writeTables(enc, q.phys); err != nil {
+	if err := writeHeader(enc, h.q.phys, 1, h.e.clock); err != nil {
 		return err
 	}
-	enc.Varint(e.clock)
-	enc.Varint(e.lastEager)
-	enc.Varint(e.lastLazy)
-	for _, c := range e.counterList() {
-		enc.Varint(c.Value())
-	}
-	enc.Varint(e.met.maxStateTuples.Value())
-	for _, src := range q.phys.Sources {
-		if err := q.canonSrc(src).Window.SaveState(enc); err != nil {
-			return err
-		}
-	}
-	var root *plan.PNode
-	if q.phys.Root != nil {
-		root = q.canon(q.phys.Root)
-	}
-	err := preorderOps(root, func(pn *plan.PNode) error {
-		s, ok := pn.Op.(checkpoint.Snapshotter)
-		if !ok {
-			return fmt.Errorf("exec: operator %T cannot snapshot", pn.Op)
-		}
-		return s.SaveState(enc)
-	})
-	if err != nil {
-		return err
-	}
-	vs, ok := q.view.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("exec: view %T cannot snapshot", q.view)
-	}
-	if err := vs.SaveState(enc); err != nil {
-		return err
-	}
-	strs := e.intern.Strings()
-	enc.Uvarint(uint64(len(strs)))
-	for _, s := range strs {
-		enc.String(s)
-	}
-	enc.Bool(e.colOK)
-	return enc.Err()
+	return h.e.writeState(enc, h.q)
 }

@@ -315,7 +315,7 @@ func registryEmpty(t *testing.T, e *Engine) {
 			t.Errorf("leaked %s: %d entries", name, n)
 		}
 	}
-	if n := e.StateTuples(); n != 0 {
+	if n := e.stateTuples(); n != 0 {
 		t.Errorf("leaked state: %d tuples", n)
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -29,39 +28,28 @@ const (
 	MetricShardBatches = "upa_shard_batches_total"
 )
 
-// ErrClosed is returned by ingest, maintenance, and checkpoint entry points
-// called after Close.
-var ErrClosed = errors.New("exec: executor is closed")
-
-// Sharded executes one continuous query as n independent key-partitioned
-// Engine copies, one per worker goroutine. plan.PartitionKey proves that the
-// plan's stateful operators only ever relate tuples agreeing on a common key
-// reachable from every base stream; arrivals are then routed by that key's
-// hash, so every tuple interaction is shard-local and the final answer is
-// the bag union of the shard views. Table updates are fanned to all shards
-// (relations are replicated state), and plans the analysis rejects fall back
-// to a single sequential engine with FallbackReason explaining why.
+// sharded is the key-partitioned implementation of Executor: n independent
+// Engine copies, one per worker goroutine. Open builds it only after
+// plan.PartitionKey has proved that the plan's stateful operators only ever
+// relate tuples agreeing on a common key reachable from every base stream;
+// arrivals are then routed by that key's hash, so every tuple interaction is
+// shard-local and the final answer is the bag union of the shard views. Table
+// updates are fanned to all shards (relations are replicated state).
 //
 // Arrivals are buffered per shard and handed to workers in batches over a
 // bounded channel, so a fast producer back-pressures instead of ballooning.
 // Within a shard, Engine semantics are untouched: each worker sees its
 // partition of the input in global timestamp order and runs the same
-// maintenance cadence a sequential engine would.
-//
-// Concurrency notes: Config.OnEmit is invoked from worker goroutines (and
-// may be invoked concurrently) when the plan shards; callbacks must be
-// thread-safe. Metrics and traces are safe: the registry and tracer sinks
-// are mutex/atomic-protected, and each shard's series carry a "shard" label.
-type Sharded struct {
+// maintenance cadence a sequential engine would. Metrics and traces are safe
+// under the workers: the registry and tracer sinks are mutex/atomic-protected,
+// and each shard's series carry a "shard" label.
+type sharded struct {
 	phys   *plan.Physical
 	shards []*Engine
 	// route maps streamID -> routing columns (from plan.PartitionKey).
-	route  map[int][]int
-	reason string // non-empty: why the plan fell back to sequential
-	clock  int64
-	reg    *obs.Registry
+	route map[int][]int
+	clock int64
 
-	// Worker plumbing; nil chans means sequential (single shard, no workers).
 	chans   []chan shardOp
 	pending [][]Arrival
 	// pendingOrigin[i] is the monotonic stamp of shard i's oldest buffered
@@ -70,15 +58,14 @@ type Sharded struct {
 	// free recycles drained batch slices from worker back to producer, so
 	// steady-state ingest reuses at most queue-depth+1 buffers per shard
 	// instead of allocating one per flush.
-	free   []chan []Arrival
-	wg     sync.WaitGroup
-	closed sync.Once
-	// done is set by Close; subsequent mutating calls return ErrClosed
+	free []chan []Arrival
+	wg   sync.WaitGroup
+	// done is set by Close; barrier and the ingest calls then return ErrClosed
 	// instead of writing to closed worker channels. Producer-side only, like
 	// the rest of the ingest API.
 	done bool
 
-	// Per-shard ingest-queue instruments (registered only when workers run).
+	// Per-shard ingest-queue instruments.
 	qdepth  []*obs.Gauge
 	blocked []*obs.Counter
 	batches []*obs.Counter
@@ -104,32 +91,25 @@ type shardOp struct {
 	origin int64
 }
 
-// NewSharded builds a sharded executor over the physical plan. n < 2 (or a
-// plan PartitionKey rejects) yields a sequential executor behind the same
-// interface; FallbackReason reports the analysis verdict. The shards share
-// cfg.Metrics (or one private registry), distinguished by a "shard" label.
-func NewSharded(phys *plan.Physical, cfg Config, n int) (*Sharded, error) {
-	if n < 1 {
-		n = 1
-	}
+// newSharded starts n > 1 workers over n copies of spec's plan, routed by
+// route. The shards share cfg.Metrics (or one private registry),
+// distinguished by a "shard" label.
+func newSharded(spec QuerySpec, cfg Config, n int, route map[int][]int) (*sharded, error) {
 	reg := cfg.Metrics
-	if reg == nil && n > 1 {
+	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-
-	s := &Sharded{phys: phys, clock: -1, reg: reg}
-	var part *plan.Partitioning
-	if n > 1 {
-		var err error
-		part, err = plan.PartitionKey(phys)
-		if err != nil {
-			s.reason = err.Error()
-			n = 1
-		} else {
-			s.route = part.ByStream
-		}
+	phys := spec.Phys
+	s := &sharded{
+		phys: phys, route: route, clock: -1, timed: cfg.Metrics != nil,
+		chans:         make([]chan shardOp, n),
+		pending:       make([][]Arrival, n),
+		pendingOrigin: make([]int64, n),
+		free:          make([]chan []Arrival, n),
+		qdepth:        make([]*obs.Gauge, n),
+		blocked:       make([]*obs.Counter, n),
+		batches:       make([]*obs.Counter, n),
 	}
-
 	for i := 0; i < n; i++ {
 		shardPhys := phys
 		if i > 0 {
@@ -143,45 +123,27 @@ func NewSharded(phys *plan.Physical, cfg Config, n int) (*Sharded, error) {
 		}
 		shardCfg := cfg
 		shardCfg.Metrics = reg
-		if n > 1 {
-			labels := obs.Labels{"shard": strconv.Itoa(i)}
-			for k, v := range cfg.MetricLabels {
-				labels[k] = v
-			}
-			shardCfg.MetricLabels = labels
-		}
-		eng, err := New(shardPhys, shardCfg)
-		if err != nil {
+		shardCfg.MetricLabels = withLabel(cfg.MetricLabels, "shard", strconv.Itoa(i))
+		eng := NewMulti(shardCfg)
+		if _, err := eng.RegisterQuery(QuerySpec{Phys: shardPhys, OnEmit: spec.OnEmit}); err != nil {
 			return nil, err
 		}
 		// The shards always share a registry; only the caller asking for
 		// metrics makes them read the clock.
-		eng.timed = cfg.Metrics != nil
+		eng.timed = s.timed
 		s.shards = append(s.shards, eng)
 	}
-
-	if n > 1 {
-		s.timed = cfg.Metrics != nil
-		s.chans = make([]chan shardOp, n)
-		s.pending = make([][]Arrival, n)
-		s.pendingOrigin = make([]int64, n)
-		s.free = make([]chan []Arrival, n)
-		s.qdepth = make([]*obs.Gauge, n)
-		s.blocked = make([]*obs.Counter, n)
-		s.batches = make([]*obs.Counter, n)
-		for i := range s.chans {
-			labels := obs.Labels{"shard": strconv.Itoa(i)}
-			for k, v := range cfg.MetricLabels {
-				labels[k] = v
-			}
-			s.qdepth[i] = reg.Gauge(MetricShardQueueDepth, "in-flight ingest batches", labels)
-			s.blocked[i] = reg.Counter(MetricShardQueueBlocked, "producer wall time blocked on a full shard queue", labels)
-			s.batches[i] = reg.Counter(MetricShardBatches, "ingest batches handed to the shard worker", labels)
-			s.chans[i] = make(chan shardOp, shardQueue)
-			s.free[i] = make(chan []Arrival, shardQueue+1)
-			s.wg.Add(1)
-			go s.worker(i)
-		}
+	// Workers start only once every engine exists: a failed build above
+	// leaves no goroutine behind.
+	for i, eng := range s.shards {
+		labels := eng.cfg.MetricLabels
+		s.qdepth[i] = reg.Gauge(MetricShardQueueDepth, "in-flight ingest batches", labels)
+		s.blocked[i] = reg.Counter(MetricShardQueueBlocked, "producer wall time blocked on a full shard queue", labels)
+		s.batches[i] = reg.Counter(MetricShardBatches, "ingest batches handed to the shard worker", labels)
+		s.chans[i] = make(chan shardOp, shardQueue)
+		s.free[i] = make(chan []Arrival, shardQueue+1)
+		s.wg.Add(1)
+		go s.worker(i)
 	}
 	return s, nil
 }
@@ -189,7 +151,7 @@ func NewSharded(phys *plan.Physical, cfg Config, n int) (*Sharded, error) {
 // worker drains one shard's channel. Errors are sticky until reported at the
 // next barrier; batches after an error are dropped (the engine's state is no
 // longer trustworthy).
-func (s *Sharded) worker(i int) {
+func (s *sharded) worker(i int) {
 	defer s.wg.Done()
 	eng := s.shards[i]
 	var err error
@@ -213,34 +175,21 @@ func (s *Sharded) worker(i int) {
 	}
 }
 
-// Shards returns the number of engine copies (1 when sequential).
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// FallbackReason returns why the plan could not be partitioned, or "" when
-// it shards (or sharding was never requested).
-func (s *Sharded) FallbackReason() string { return s.reason }
-
-// sequential reports whether the executor runs without workers.
-func (s *Sharded) sequential() bool { return s.chans == nil }
+// Shards returns the number of engine copies.
+func (s *sharded) Shards() int { return len(s.shards) }
 
 // Push admits one base-stream tuple; the vals slice is retained.
-func (s *Sharded) Push(streamID int, ts int64, vals ...tuple.Value) error {
+func (s *sharded) Push(streamID int, ts int64, vals ...tuple.Value) error {
 	if s.done {
 		return ErrClosed
-	}
-	if s.sequential() {
-		return s.shards[0].Push(streamID, ts, vals...)
 	}
 	return s.enqueue(Arrival{Stream: streamID, TS: ts, Vals: vals})
 }
 
 // PushBatch admits a run of arrivals; the Vals slices are retained.
-func (s *Sharded) PushBatch(batch []Arrival) error {
+func (s *sharded) PushBatch(batch []Arrival) error {
 	if s.done {
 		return ErrClosed
-	}
-	if s.sequential() {
-		return s.shards[0].PushBatch(batch)
 	}
 	for _, a := range batch {
 		if err := s.enqueue(a); err != nil {
@@ -250,15 +199,18 @@ func (s *Sharded) PushBatch(batch []Arrival) error {
 	return nil
 }
 
-func (s *Sharded) enqueue(a Arrival) error {
+// enqueue validates one arrival exactly as Engine.ingestRun does — same
+// checks, same order, same words, nothing moved on a refusal — then buffers it
+// for the shard its routing key hashes to.
+func (s *sharded) enqueue(a Arrival) error {
 	if a.TS < s.clock {
 		return fmt.Errorf("exec: timestamp %d regresses before %d", a.TS, s.clock)
 	}
-	s.clock = a.TS
 	cols, ok := s.route[a.Stream]
 	if !ok {
 		return fmt.Errorf("exec: no source for stream %d", a.Stream)
 	}
+	s.clock = a.TS
 	i := int(tuple.Tuple{Vals: a.Vals}.Key(cols).Hash64() % uint64(len(s.shards)))
 	if s.pending[i] == nil {
 		select {
@@ -282,7 +234,7 @@ func (s *Sharded) enqueue(a Arrival) error {
 // flushShard hands shard i's buffered arrivals to its worker (blocking when
 // the shard's queue is full — that is the back-pressure, surfaced by the
 // blocked-nanos counter when the engine is timed).
-func (s *Sharded) flushShard(i int) {
+func (s *sharded) flushShard(i int) {
 	if len(s.pending[i]) == 0 {
 		return
 	}
@@ -307,8 +259,13 @@ func (s *Sharded) flushShard(i int) {
 // barrier flushes all buffers and waits until every worker has drained its
 // queue, returning the first worker error. After it returns the coordinator
 // may touch shard engines directly: the ack exchange orders all worker-side
-// engine access before coordinator-side access.
-func (s *Sharded) barrier() error {
+// engine access before coordinator-side access. Every error-returning method
+// but the three buffering ones (Push, PushBatch, Advance) starts here, so this
+// is where a closed executor answers ErrClosed.
+func (s *sharded) barrier() error {
+	if s.done {
+		return ErrClosed
+	}
 	acks := make([]chan error, len(s.shards))
 	for i := range s.shards {
 		s.flushShard(i)
@@ -328,12 +285,9 @@ func (s *Sharded) barrier() error {
 
 // Advance moves logical time forward with no arrival. Shards observe the new
 // clock at the next barrier (Sync/Snapshot), which is when results are read.
-func (s *Sharded) Advance(ts int64) error {
+func (s *sharded) Advance(ts int64) error {
 	if s.done {
 		return ErrClosed
-	}
-	if s.sequential() {
-		return s.shards[0].Advance(ts)
 	}
 	if ts < s.clock {
 		return fmt.Errorf("exec: time %d regresses before %d", ts, s.clock)
@@ -347,20 +301,14 @@ func (s *Sharded) Advance(ts int64) error {
 // the table mid-mutation, and none double-counts a row it already saw), the
 // shared table is mutated once, then the consequences are routed through
 // every shard's plan.
-func (s *Sharded) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error {
-	if s.done {
-		return ErrClosed
-	}
-	if s.sequential() {
-		return s.shards[0].ApplyTableUpdate(tbl, u)
+func (s *sharded) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error {
+	if err := s.barrier(); err != nil {
+		return err
 	}
 	if u.TS < s.clock {
 		return fmt.Errorf("exec: table update at %d regresses before %d", u.TS, s.clock)
 	}
 	s.clock = u.TS
-	if err := s.barrier(); err != nil {
-		return err
-	}
 	// Advance every shard to the update's timestamp BEFORE mutating the
 	// table: pending window expirations must probe the pre-update rows
 	// (the sequential engine orders advance before apply the same way).
@@ -376,7 +324,7 @@ func (s *Sharded) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error
 		return err
 	}
 	for _, eng := range s.shards {
-		if err := eng.RouteTableUpdate(tbl, u); err != nil {
+		if err := eng.routeAppliedUpdate(tbl, u); err != nil {
 			return err
 		}
 	}
@@ -385,13 +333,7 @@ func (s *Sharded) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error
 
 // Sync drains all workers and forces every shard's pending maintenance up to
 // the coordinator clock.
-func (s *Sharded) Sync() error {
-	if s.done {
-		return ErrClosed
-	}
-	if s.sequential() {
-		return s.shards[0].Sync()
-	}
+func (s *sharded) Sync() error {
 	if err := s.barrier(); err != nil {
 		return err
 	}
@@ -413,10 +355,7 @@ func (s *Sharded) Sync() error {
 // key collisions cannot occur when PartitionKey accepted the plan (the
 // routing key is a subset of the group key, so each group lives in exactly
 // one shard), but COUNT/SUM columns are combined anyway as belt-and-braces.
-func (s *Sharded) Snapshot() ([]tuple.Tuple, error) {
-	if s.sequential() {
-		return s.shards[0].Snapshot()
-	}
+func (s *sharded) Snapshot() ([]tuple.Tuple, error) {
 	if err := s.Sync(); err != nil {
 		return nil, err
 	}
@@ -433,7 +372,7 @@ func (s *Sharded) Snapshot() ([]tuple.Tuple, error) {
 // mergeKeyed folds rows sharing a view key into one, summing COUNT/SUM
 // aggregate columns; for other aggregate kinds the later row wins (again,
 // unreachable under the partitioning discipline).
-func (s *Sharded) mergeKeyed(rows []tuple.Tuple) []tuple.Tuple {
+func (s *sharded) mergeKeyed(rows []tuple.Tuple) []tuple.Tuple {
 	var aggs []operator.AggSpec
 	if root := s.phys.Logical; root != nil && root.Kind == plan.GroupBy {
 		aggs = root.Aggs
@@ -479,10 +418,7 @@ func (s *Sharded) mergeKeyed(rows []tuple.Tuple) []tuple.Tuple {
 }
 
 // ResultCount syncs and returns the merged result cardinality.
-func (s *Sharded) ResultCount() (int, error) {
-	if s.sequential() {
-		return s.shards[0].ResultCount()
-	}
+func (s *sharded) ResultCount() (int, error) {
 	snap, err := s.Snapshot()
 	if err != nil {
 		return 0, err
@@ -491,43 +427,34 @@ func (s *Sharded) ResultCount() (int, error) {
 }
 
 // LookupKey returns merged result rows under k across all shards; callers
-// should Sync first (repro's Lookup does). Sequential callers get the
-// underlying view's answer.
-func (s *Sharded) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
+// should Sync first (repro's Lookup does).
+func (s *sharded) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
 	var out []tuple.Tuple
-	ok := true
 	for _, eng := range s.shards {
-		lv, is := eng.View().(Lookup)
-		if !is {
+		rows, ok := eng.LookupKey(k)
+		if !ok {
 			return nil, false
 		}
-		rows, lok := lv.LookupKey(k)
 		out = append(out, rows...)
-		ok = ok && lok
 	}
-	return out, ok
+	return out, true
 }
 
 // Clock returns the coordinator's logical time (the max timestamp admitted).
-func (s *Sharded) Clock() int64 {
-	if s.sequential() {
-		return s.shards[0].Clock()
-	}
-	return s.clock
-}
+func (s *sharded) Clock() int64 { return s.clock }
 
 // Streams returns the base-stream ids the plan reads.
-func (s *Sharded) Streams() []int { return s.shards[0].Streams() }
+func (s *sharded) Streams() []int { return s.shards[0].Streams() }
 
 // Metrics returns the registry shared by all shards (the one passed in
 // Config.Metrics, or a private shared registry).
-func (s *Sharded) Metrics() *obs.Registry { return s.shards[0].Metrics() }
+func (s *sharded) Metrics() *obs.Registry { return s.shards[0].Metrics() }
 
 // Stats sums the per-shard counters. Counter reads are atomic, so Stats is
 // safe while workers run, though mid-flight values are approximate.
 // MaxStateTuples sums per-shard peaks, which may overstate the true
 // simultaneous peak (shards peak at different times).
-func (s *Sharded) Stats() Stats {
+func (s *sharded) Stats() Stats {
 	var out Stats
 	for _, eng := range s.shards {
 		st := eng.Stats()
@@ -541,29 +468,25 @@ func (s *Sharded) Stats() Stats {
 }
 
 // StateTuples drains the workers and sums stored tuples across shards.
-func (s *Sharded) StateTuples() (int, error) {
-	if !s.sequential() {
-		if err := s.barrier(); err != nil {
-			return 0, err
-		}
+func (s *sharded) StateTuples() (int, error) {
+	if err := s.barrier(); err != nil {
+		return 0, err
 	}
 	n := 0
 	for _, eng := range s.shards {
-		n += eng.StateTuples()
+		n += eng.stateTuples()
 	}
 	return n, nil
 }
 
 // Touched drains the workers and sums tuple visits across shards.
-func (s *Sharded) Touched() (int64, error) {
-	if !s.sequential() {
-		if err := s.barrier(); err != nil {
-			return 0, err
-		}
+func (s *sharded) Touched() (int64, error) {
+	if err := s.barrier(); err != nil {
+		return 0, err
 	}
 	var n int64
 	for _, eng := range s.shards {
-		n += eng.Touched()
+		n += eng.touched()
 	}
 	return n, nil
 }
@@ -572,7 +495,7 @@ func (s *Sharded) Touched() (int64, error) {
 // below it is reflected in every shard's view. Reads are atomic-free but the
 // underlying pass timestamps only move inside worker PushBatch calls or
 // under a barrier, so mid-run values are approximate, like Stats.
-func (s *Sharded) Watermark() int64 {
+func (s *sharded) Watermark() int64 {
 	w := s.shards[0].Watermark()
 	for _, eng := range s.shards[1:] {
 		if ew := eng.Watermark(); ew < w {
@@ -584,7 +507,7 @@ func (s *Sharded) Watermark() int64 {
 
 // DeltaLatency merges the per-shard ingest→emit latency distributions
 // (bucket-wise, quantiles recomputed) for positive and negative deltas.
-func (s *Sharded) DeltaLatency() (pos, neg obs.LogHistogramSnapshot) {
+func (s *sharded) DeltaLatency() (pos, neg obs.LogHistogramSnapshot) {
 	pos, neg = s.shards[0].DeltaLatency()
 	for _, eng := range s.shards[1:] {
 		p, n := eng.DeltaLatency()
@@ -596,7 +519,7 @@ func (s *Sharded) DeltaLatency() (pos, neg obs.LogHistogramSnapshot) {
 
 // Violations sums pattern-conformance violations across all shards; a
 // conformant run reports 0.
-func (s *Sharded) Violations() int64 {
+func (s *sharded) Violations() int64 {
 	var total int64
 	for _, eng := range s.shards {
 		total += eng.Violations()
@@ -608,7 +531,7 @@ func (s *Sharded) Violations() int64 {
 // and state sum across shards, batch latencies take the max, and the
 // observed pattern class is the strongest any shard exhibited. Like Stats
 // it reads only atomic instruments, so it is safe while workers run.
-func (s *Sharded) Profile() []OpProfile {
+func (s *sharded) Profile() []OpProfile {
 	out := s.shards[0].Profile()
 	for _, eng := range s.shards[1:] {
 		for i, p := range eng.Profile() {
@@ -641,10 +564,7 @@ func (s *Sharded) Profile() []OpProfile {
 }
 
 // WriteProfile drains the workers and writes each shard's operator profile.
-func (s *Sharded) WriteProfile(w io.Writer) error {
-	if s.sequential() {
-		return s.shards[0].WriteProfile(w)
-	}
+func (s *sharded) WriteProfile(w io.Writer) error {
 	if err := s.barrier(); err != nil {
 		return err
 	}
@@ -652,7 +572,7 @@ func (s *Sharded) WriteProfile(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "shard %d:\n", i); err != nil {
 			return err
 		}
-		if err := eng.WriteProfile(w); err != nil {
+		if err := writeProfiles(w, eng.Profile()); err != nil {
 			return err
 		}
 	}
@@ -660,19 +580,16 @@ func (s *Sharded) WriteProfile(w io.Writer) error {
 }
 
 // Close stops the workers after draining buffered arrivals. Idempotent: the
-// first call drains and stops, later calls return nil immediately. After
-// Close, ingest, maintenance, and checkpoint calls return ErrClosed.
-func (s *Sharded) Close() error {
-	s.closed.Do(func() {
-		s.done = true
-		if s.chans == nil {
-			return
-		}
-		for i := range s.chans {
-			s.flushShard(i)
-			close(s.chans[i])
-		}
-		s.wg.Wait()
-	})
+// first call drains and stops, later calls return nil immediately.
+func (s *sharded) Close() error {
+	if s.done {
+		return nil
+	}
+	s.done = true
+	for i := range s.chans {
+		s.flushShard(i)
+		close(s.chans[i])
+	}
+	s.wg.Wait()
 	return nil
 }

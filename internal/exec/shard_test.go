@@ -26,7 +26,7 @@ import (
 type shardDriver struct {
 	t      *testing.T
 	seq    *Engine
-	sh     *Sharded
+	sh     Executor
 	ref    *reference.Evaluator
 	every  int
 	events int
@@ -50,15 +50,15 @@ func (d *shardDriver) table(tbl *relation.Table, u relation.Update) {
 	// only the sharded one applies the mutation; the sequential engine just
 	// routes it (both see the same post-update rows). The sequential engine
 	// must run its pending expirations against the pre-update table first —
-	// RouteTableUpdate's contract — so advance it before the shared apply.
+	// routeAppliedUpdate's contract — so advance it before the shared apply.
 	if err := d.seq.Advance(u.TS); err != nil {
 		d.t.Fatalf("sequential Advance(%d): %v", u.TS, err)
 	}
 	if err := d.sh.ApplyTableUpdate(tbl, u); err != nil {
 		d.t.Fatalf("sharded ApplyTableUpdate: %v", err)
 	}
-	if err := d.seq.RouteTableUpdate(tbl, u); err != nil {
-		d.t.Fatalf("sequential RouteTableUpdate: %v", err)
+	if err := d.seq.routeAppliedUpdate(tbl, u); err != nil {
+		d.t.Fatalf("sequential routeAppliedUpdate: %v", err)
 	}
 	d.ref.PushTable(tbl, u)
 	d.check(u.TS)
@@ -103,6 +103,21 @@ func (d *shardDriver) check(now int64) {
 	}
 }
 
+// openAt opens phys through the one constructor at exactly n shards (1: the
+// plain engine) and fails the test if the plan fell back.
+func openAt(t testing.TB, phys *plan.Physical, cfg Config, n int) Executor {
+	t.Helper()
+	ex, reason, err := Open(QuerySpec{Phys: phys, OnEmit: cfg.OnEmit}, cfg, n)
+	if err != nil {
+		t.Fatalf("Open at %d shards: %v", n, err)
+	}
+	t.Cleanup(func() { ex.Close() })
+	if _, plain := ex.(*Engine); reason != "" || ex.Shards() != n || plain != (n == 1) {
+		t.Fatalf("Open at %d shards returned %T with %d (%s)", n, ex, ex.Shards(), reason)
+	}
+	return ex
+}
+
 // runShardConformance drives the script for every core strategy with a
 // 4-way sharded executor alongside a sequential engine and the reference.
 func runShardConformance(t *testing.T, build func() (*plan.Node, []*relation.Table), script func(d *shardDriver, tables []*relation.Table)) {
@@ -130,17 +145,7 @@ func runShardConformance(t *testing.T, build func() (*plan.Node, []*relation.Tab
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			sh, err := NewSharded(shPhys, cfg, 4)
-			if err != nil {
-				t.Fatalf("NewSharded: %v", err)
-			}
-			t.Cleanup(func() { sh.Close() })
-			if reason := sh.FallbackReason(); reason != "" {
-				t.Fatalf("plan unexpectedly fell back to sequential: %s", reason)
-			}
-			if sh.Shards() != 4 {
-				t.Fatalf("Shards() = %d, want 4", sh.Shards())
-			}
+			sh := openAt(t, shPhys, cfg, 4)
 			d := &shardDriver{t: t, seq: seq, sh: sh, ref: reference.New(root), every: 1}
 			script(d, tables)
 		})
@@ -355,14 +360,7 @@ func TestShardedPropertyRandomTraces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sh, err := NewSharded(shPhys, cfg, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sh.Close() })
-				if sh.FallbackReason() != "" {
-					t.Fatalf("unexpected fallback: %s", sh.FallbackReason())
-				}
+				sh := openAt(t, shPhys, cfg, shards)
 				d := &shardDriver{t: t, seq: seq, sh: sh, ref: reference.New(root), every: 5}
 				tr := rand.New(rand.NewSource(seed * 13))
 				ts := int64(0)
@@ -386,18 +384,11 @@ func TestShardedBatchedIngest(t *testing.T) {
 	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
 		t.Fatal(err)
 	}
-	mk := func() (*Sharded, error) {
-		phys, err := plan.Build(root, plan.UPA, plan.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return NewSharded(phys, Config{LazyInterval: 5}, 3)
-	}
-	sh, err := mk()
+	phys, err := plan.Build(root, plan.UPA, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sh.Close() })
+	sh := openAt(t, phys, Config{LazyInterval: 5}, 3)
 	ref := reference.New(root)
 	r := rand.New(rand.NewSource(71))
 	var batch []Arrival
@@ -434,8 +425,8 @@ func TestShardedBatchedIngest(t *testing.T) {
 	}
 }
 
-// TestShardedFallback covers the plans PartitionKey must reject: the
-// executor degrades to one sequential shard, reports why, and stays correct.
+// TestShardedFallback covers the plans PartitionKey must reject: Open hands
+// back the ordinary engine, reports why, and the answer stays correct.
 func TestShardedFallback(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -480,16 +471,15 @@ func TestShardedFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh, err := NewSharded(phys, Config{}, 4)
+			sh, reason, err := Open(QuerySpec{Phys: phys}, Config{}, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { sh.Close() })
-			if sh.Shards() != 1 {
-				t.Fatalf("Shards() = %d, want 1 (fallback)", sh.Shards())
+			if _, plain := sh.(*Engine); !plain || sh.Shards() != 1 {
+				t.Fatalf("Open returned %T with Shards() = %d, want a plain *Engine", sh, sh.Shards())
 			}
-			if !strings.Contains(sh.FallbackReason(), tc.reason) {
-				t.Fatalf("FallbackReason = %q, want mention of %q", sh.FallbackReason(), tc.reason)
+			if !strings.Contains(reason, tc.reason) {
+				t.Fatalf("fallback reason = %q, want mention of %q", reason, tc.reason)
 			}
 			// The fallback must still compute the right answer.
 			ref := reference.New(root)
@@ -536,11 +526,7 @@ func TestShardedMetricLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	sh, err := NewSharded(phys, Config{Metrics: reg}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sh.Close() })
+	sh := openAt(t, phys, Config{Metrics: reg}, 2)
 	r := rand.New(rand.NewSource(91))
 	for ts := int64(0); ts < 80; ts++ {
 		if err := sh.Push(int(ts%2), ts, rndTuple(r)...); err != nil {

@@ -35,12 +35,12 @@ type View interface {
 	Touched() int64
 }
 
-// Lookup is implemented by views that can locate result rows by key —
+// keyedLookup is implemented by views that can locate result rows by key —
 // hash-stored results (keyed on the retraction attribute) and keyed
 // group-by views. It is the hook the authors' follow-up work ("Indexing the
 // Results of Sliding Window Queries") builds on: downstream consumers read
 // the materialized answer point-wise instead of scanning snapshots.
-type Lookup interface {
+type keyedLookup interface {
 	// LookupKey returns the current result rows whose key equals k, and
 	// whether the view supports keyed access at all (scan-only structures
 	// report false).
@@ -100,7 +100,7 @@ func (v *bufferView) Snapshot() []tuple.Tuple {
 
 func (v *bufferView) Touched() int64 { return v.buf.Touched() }
 
-// LookupKey implements Lookup when the underlying buffer probes by key.
+// LookupKey implements keyedLookup when the underlying buffer probes by key.
 func (v *bufferView) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
 	p, ok := v.buf.(statebuf.Prober)
 	if !ok {
@@ -165,7 +165,7 @@ func (v *keyedView) Snapshot() []tuple.Tuple {
 
 func (v *keyedView) Touched() int64 { return v.touched }
 
-// LookupKey implements Lookup: at most one row per group.
+// LookupKey implements keyedLookup: at most one row per group.
 func (v *keyedView) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
 	if t, ok := v.rows[k]; ok {
 		return []tuple.Tuple{t}, true

@@ -204,7 +204,7 @@ func (e *Engine) PlanPage() MetricsPage {
 		Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
 		Handler: func(w http.ResponseWriter, r *http.Request) {
 			analyze := r.URL.Query().Get("analyze") != ""
-			t := e.explainTree(analyze)
+			t := e.ex.Explain(analyze)
 			if r.URL.Query().Get("format") == "dot" {
 				w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 				_ = t.WriteDOT(w)
@@ -219,12 +219,7 @@ func (e *Engine) PlanPage() MetricsPage {
 // Metrics returns the registry backing the engine's counters (the one
 // given WithMetrics, or the engine's private registry). A sharded engine's
 // shards share one registry, with per-shard series labeled shard="i".
-func (e *Engine) Metrics() *MetricsRegistry {
-	if e.sh != nil {
-		return e.sh.Metrics()
-	}
-	return e.seq.Metrics()
-}
+func (e *Engine) Metrics() *MetricsRegistry { return e.ex.Metrics() }
 
 // DeltaLatency snapshots the engine's ingest→emit delta-latency
 // distributions, split by output polarity: pos covers emitted insertions,
@@ -232,13 +227,8 @@ func (e *Engine) Metrics() *MetricsRegistry {
 // moment an arrival enters Push/PushBatch (for sharded engines: enters the
 // shard buffer, so queue wait counts) to the moment its consequences are
 // folded into the result view. Recording requires WithMetrics; without it
-// both snapshots are zero. Sharded engines fold all shards' histograms.
-func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) {
-	if e.sh != nil {
-		return e.sh.DeltaLatency()
-	}
-	return e.seq.DeltaLatency()
-}
+// both snapshots are zero. With shards, all shards' histograms are folded.
+func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) { return e.ex.DeltaLatency() }
 
 // PatternViolations returns the total number of update-pattern conformance
 // violations the engine's per-edge monitor has recorded: retractions that
@@ -247,12 +237,7 @@ func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) {
 // edge, premature expirations on a weak edge). Zero on a conformant run.
 // Per-operator and per-kind breakdowns are in OpStats, EXPLAIN ANALYZE, the
 // upa_pattern_violations_total series, and ConformancePage.
-func (e *Engine) PatternViolations() int64 {
-	if e.sh != nil {
-		return e.sh.Violations()
-	}
-	return e.seq.Violations()
-}
+func (e *Engine) PatternViolations() int64 { return e.ex.Violations() }
 
 // NewLogAlertSink builds an alert sink that writes one human-readable line
 // per transition to w.
@@ -296,30 +281,24 @@ func WithHealth(hc HealthConfig) RegistryOption {
 	return registryOption(func(c *compileCfg) { c.health = &hc })
 }
 
-// attachHealth builds the health subsystem post-construction; called by
-// Compile when WithHealth was given.
-func (e *Engine) attachHealth(hc HealthConfig) {
+// newHealth builds the health subsystem over a constructed executor — its
+// registry and its built-in rules, then the user's; Compile and NewRegistry
+// call it when WithHealth was given.
+func newHealth(ex exec.Executor, hc HealthConfig) *HealthMonitor {
 	hcfg := obs.HistoryConfig{Capacity: hc.Capacity}
 	if hc.Interval > 0 {
 		hcfg.Interval = hc.Interval
 	}
-	hist := obs.NewHistory(e.Metrics(), hcfg)
-	hist.BeforeSample(obs.RegisterProcessMetrics(e.Metrics()))
-	var rules []HealthRule
-	if e.sh != nil {
-		rules = e.sh.HealthRules(hc.SLO)
-	} else {
-		rules = e.seq.HealthRules(hc.SLO)
-	}
-	rules = append(rules, hc.Rules...)
-	h := obs.NewHealth(hist, rules...)
+	hist := obs.NewHistory(ex.Metrics(), hcfg)
+	hist.BeforeSample(obs.RegisterProcessMetrics(ex.Metrics()))
+	h := obs.NewHealth(hist, append(ex.HealthRules(hc.SLO), hc.Rules...)...)
 	for _, s := range hc.Sinks {
 		h.AddSink(s)
 	}
-	e.health = h
 	if hc.Interval >= 0 {
 		h.Start()
 	}
+	return h
 }
 
 // Health returns the engine's health monitor, or nil unless compiled

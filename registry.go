@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -32,7 +31,6 @@ type Registry struct {
 	mu      sync.RWMutex
 	queries []*Query
 	nextID  int
-	closed  bool
 }
 
 // Query is a handle on one registered query: its private result view,
@@ -46,8 +44,8 @@ type Query struct {
 	phys *plan.Physical
 }
 
-// NewRegistry builds an empty shared executor. Sharded execution
-// (WithShards) is single-query and rejected here — use Compile.
+// NewRegistry builds an empty shared executor. Running shards (WithShards)
+// is single-query and rejected here — use Compile.
 func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 	all := make([]Option, len(opts))
 	for i, o := range opts {
@@ -62,7 +60,7 @@ func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 	}
 	r := &Registry{e: exec.NewMulti(cfg.execCfg), cfg: cfg}
 	if cfg.health != nil {
-		r.attachHealth(*cfg.health)
+		r.health = newHealth(r.e, *cfg.health)
 	}
 	return r, nil
 }
@@ -74,9 +72,6 @@ func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 // late. Unnamed queries are auto-named "q0", "q1", ... in registration
 // order; names key per-query metric series and EXPLAIN share annotations.
 func (r *Registry) Register(q Node, strategy Strategy, opts ...QueryOption) (*Query, error) {
-	if r.closed {
-		return nil, ErrClosed
-	}
 	all := make([]Option, len(opts))
 	for i, o := range opts {
 		all[i] = o
@@ -106,9 +101,6 @@ func (r *Registry) Register(q Node, strategy Strategy, opts ...QueryOption) (*Qu
 // shared with surviving queries live on; nodes only it used are retired and
 // their state discarded. It returns the number of state tuples freed.
 func (r *Registry) Unregister(q *Query) (freed int, err error) {
-	if r.closed {
-		return 0, ErrClosed
-	}
 	freed, err = r.e.UnregisterQuery(q.h)
 	if err != nil {
 		return 0, fmt.Errorf("repro: unregister: %w", err)
@@ -167,27 +159,14 @@ func (r *Registry) Sharing() SharingStats { return r.e.Sharing() }
 
 // Push feeds one stream tuple to every query reading that stream.
 func (r *Registry) Push(streamID int, ts int64, vals ...Value) error {
-	if r.closed {
-		return ErrClosed
-	}
 	return r.e.Push(streamID, ts, vals...)
 }
 
 // PushBatch feeds many stream tuples at once (see Engine.PushBatch).
-func (r *Registry) PushBatch(batch []Arrival) error {
-	if r.closed {
-		return ErrClosed
-	}
-	return r.e.PushBatch(batch)
-}
+func (r *Registry) PushBatch(batch []Arrival) error { return r.e.PushBatch(batch) }
 
 // Advance moves logical time forward without a tuple arrival.
-func (r *Registry) Advance(ts int64) error {
-	if r.closed {
-		return ErrClosed
-	}
-	return r.e.Advance(ts)
-}
+func (r *Registry) Advance(ts int64) error { return r.e.Advance(ts) }
 
 // Sync forces all pending maintenance so every view is Definition-1 exact.
 func (r *Registry) Sync() error { return r.e.Sync() }
@@ -211,7 +190,7 @@ func (r *Registry) StateTuples() (int, error) {
 	if err := r.e.Sync(); err != nil {
 		return 0, err
 	}
-	return r.e.StateTuples(), nil
+	return r.e.StateTuples()
 }
 
 // Touched syncs and returns cumulative tuple touches across the shared
@@ -220,15 +199,12 @@ func (r *Registry) Touched() (int64, error) {
 	if err := r.e.Sync(); err != nil {
 		return 0, err
 	}
-	return r.e.Touched(), nil
+	return r.e.Touched()
 }
 
 // UpdateTable applies one table mutation at its timestamp, routing the
 // consequences through every plan that reads the table.
 func (r *Registry) UpdateTable(tbl *Table, u TableUpdate) error {
-	if r.closed {
-		return ErrClosed
-	}
 	return r.e.ApplyTableUpdate(tbl, u)
 }
 
@@ -243,54 +219,21 @@ func (r *Registry) Health() *HealthMonitor { return r.health }
 // state once, per-query views each — restorable by a registry that
 // registered the same queries (same names, plans, order); see Restore.
 // Single-query extraction is Query.Checkpoint.
-func (r *Registry) Checkpoint(w io.Writer) error {
-	if r.closed {
-		return ErrClosed
-	}
-	return r.e.CheckpointRegistry(w)
-}
+func (r *Registry) Checkpoint(w io.Writer) error { return r.e.CheckpointRegistry(w) }
 
 // Restore rehydrates a freshly built registry from a Checkpoint stream. The
 // checkpoint's registration fingerprint — query names, plans, and order —
 // is validated first; a disagreement fails with *MismatchError before any
 // state is touched.
-func (r *Registry) Restore(rd io.Reader) error {
-	if r.closed {
-		return ErrClosed
-	}
-	return r.e.RestoreRegistry(rd)
-}
+func (r *Registry) Restore(rd io.Reader) error { return r.e.RestoreRegistry(rd) }
 
-// Close stops the health sampler and marks the registry closed. Idempotent;
-// afterwards Register, Unregister, ingest, and checkpoint calls fail with
+// Close stops the health sampler and closes the shared executor.
+// Idempotent; afterwards every method that returns an error — Register,
+// Unregister, ingest, Sync, the syncing reads, checkpoints — fails with
 // ErrClosed.
 func (r *Registry) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
 	r.health.Stop()
-	return nil
-}
-
-// attachHealth builds the health subsystem over the shared executor.
-func (r *Registry) attachHealth(hc HealthConfig) {
-	hcfg := obs.HistoryConfig{Capacity: hc.Capacity}
-	if hc.Interval > 0 {
-		hcfg.Interval = hc.Interval
-	}
-	hist := obs.NewHistory(r.e.Metrics(), hcfg)
-	hist.BeforeSample(obs.RegisterProcessMetrics(r.e.Metrics()))
-	rules := r.e.HealthRules(hc.SLO)
-	rules = append(rules, hc.Rules...)
-	h := obs.NewHealth(hist, rules...)
-	for _, s := range hc.Sinks {
-		h.AddSink(s)
-	}
-	r.health = h
-	if hc.Interval >= 0 {
-		h.Start()
-	}
+	return r.e.Close()
 }
 
 // Name returns the query's (possibly auto-assigned) unique name.
@@ -368,9 +311,4 @@ func (q *Query) DeltaLatency() (pos, neg LatencySnapshot) { return q.h.DeltaLate
 // single-engine format: the stream restores into an engine compiled by
 // Compile (or Open) from the same query and strategy, carrying exactly the
 // windows, operator state, and view this query observes.
-func (q *Query) Checkpoint(w io.Writer) error {
-	if q.r.closed {
-		return ErrClosed
-	}
-	return q.h.Checkpoint(w)
-}
+func (q *Query) Checkpoint(w io.Writer) error { return q.h.Checkpoint(w) }

@@ -70,8 +70,10 @@ import (
 
 // Sentinel errors of the facade's error contract. Test them with errors.Is.
 var (
-	// ErrClosed is returned by ingest and checkpoint calls after Close.
-	ErrClosed = errors.New("repro: engine is closed")
+	// ErrClosed is returned, after Close, by every Engine and Registry method
+	// that returns an error; the error-free accessors keep answering from the
+	// state the engine was closed in.
+	ErrClosed = exec.ErrClosed
 	// ErrNoKeyedView is returned by Lookup when the chosen view structure
 	// does not support keyed access (FIFO/list/partitioned views under
 	// DIRECT and most UPA plans — use Snapshot there).
@@ -294,10 +296,11 @@ func WithQueryName(name string) QueryOption {
 }
 
 // WithShards runs the query key-partitioned across n parallel shards when
-// the plan admits a routing key (see plan.PartitionKey); otherwise the
-// engine silently runs sequentially and ShardFallbackReason explains why.
-// Sharded engines should be Closed when done to stop their workers.
-// Sharded execution is single-query: NewRegistry rejects it.
+// the plan admits a routing key (see plan.PartitionKey); otherwise Compile
+// returns the ordinary sequential engine and ShardFallbackReason explains
+// why. An engine running shards should be Closed when done to stop its
+// workers, and its WithOnEmit callback is called from the workers, possibly
+// concurrently. Running shards is single-query: NewRegistry rejects it.
 func WithShards(n int) RegistryOption {
 	return registryOption(func(c *compileCfg) { c.shards = n })
 }
@@ -313,22 +316,20 @@ func WithStreamStats(streamID int, rate float64, distinct map[int]float64) Query
 	})
 }
 
-// Engine executes one compiled continuous query, either on a single
-// sequential executor or key-partitioned across parallel shards
-// (WithShards). A sequential engine is a thin wrapper over a one-query
-// Registry — the same shared executor that serves multi-query workloads —
-// and exposes that registry through the Registry and Query accessors.
-// Exactly one of seq/sh is set; every method delegates to whichever is
-// live.
+// Engine executes one compiled continuous query on whichever executor
+// exec.Open chose for it: a single sequential engine, or key-partitioned
+// shards (WithShards on a plan that admits a routing key). A sequential
+// engine is a one-query Registry — the same shared executor that serves
+// multi-query workloads — reachable through the Registry and Query accessors.
+// All methods must be driven from one goroutine.
 type Engine struct {
-	seq    *exec.Engine
-	sh     *exec.Sharded
-	reg    *Registry // backing one-query registry (sequential only)
-	q      *Query    // its single query handle
-	phys   *plan.Physical
-	root   *plan.Node
-	health *HealthMonitor
-	closed bool
+	ex       exec.Executor
+	reg      *Registry // backing one-query registry; nil while shards run
+	q        *Query    // its single query handle
+	phys     *plan.Physical
+	root     *plan.Node
+	health   *HealthMonitor
+	fallback string // why WithShards was refused, "" otherwise
 }
 
 // buildPhysical runs the compilation pipeline — annotate, optionally
@@ -374,34 +375,24 @@ func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Engine{phys: phys, root: root}
-	if cfg.shards > 1 {
-		sh, err := exec.NewSharded(phys, cfg.execCfg, cfg.shards)
-		if err != nil {
-			return nil, fmt.Errorf("repro: executor: %w", err)
-		}
-		out.sh = sh
-	} else {
-		// The sequential engine is a registry with this as its only query.
-		// The query stays unnamed so its metric series match a standalone
-		// engine's exactly; name it with WithQueryName to get per-query
-		// series alongside.
-		r := &Registry{e: exec.NewMulti(cfg.execCfg), cfg: cfg}
-		h, err := r.e.RegisterQuery(exec.QuerySpec{
-			Name: cfg.name, Phys: phys, OnEmit: cfg.execCfg.OnEmit,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("repro: executor: %w", err)
-		}
-		qh := &Query{r: r, h: h, root: root, phys: phys}
-		r.queries = append(r.queries, qh)
-		r.nextID = 1
-		out.seq = r.e
-		out.reg = r
-		out.q = qh
+	// The query stays unnamed unless WithQueryName asks, so a plain engine's
+	// metric series match a standalone engine's exactly.
+	ex, reason, err := exec.Open(exec.QuerySpec{
+		Name: cfg.name, Phys: phys, OnEmit: cfg.execCfg.OnEmit,
+	}, cfg.execCfg, cfg.shards)
+	if err != nil {
+		return nil, fmt.Errorf("repro: executor: %w", err)
+	}
+	out := &Engine{ex: ex, phys: phys, root: root, fallback: reason}
+	// Only a single engine can take further registrations: when Open chose
+	// one, it is the backing registry with this as its only query.
+	if seq, ok := ex.(*exec.Engine); ok {
+		out.reg = &Registry{e: seq, cfg: cfg, nextID: 1}
+		out.q = &Query{r: out.reg, h: seq.Queries()[0], root: root, phys: phys}
+		out.reg.queries = []*Query{out.q}
 	}
 	if cfg.health != nil {
-		out.attachHealth(*cfg.health)
+		out.health = newHealth(ex, *cfg.health)
 		if out.reg != nil {
 			out.reg.health = out.health
 		}
@@ -411,11 +402,12 @@ func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 
 // Registry returns the one-query registry backing a sequential engine —
 // register further queries on it to share this query's sub-plans — or nil
-// on a sharded engine (sharded execution is single-query).
+// while shards are running (sharded execution is single-query). An engine
+// whose WithShards request fell back is sequential and has one.
 func (e *Engine) Registry() *Registry { return e.reg }
 
 // Query returns the engine's query handle on its backing registry, or nil
-// on a sharded engine.
+// while shards are running.
 func (e *Engine) Query() *Query { return e.q }
 
 // Open compiles the query and restores the engine's state from a checkpoint
@@ -437,53 +429,25 @@ func Open(r io.Reader, q Node, strategy Strategy, opts ...Option) (*Engine, erro
 
 // Push feeds one stream tuple at its timestamp.
 func (e *Engine) Push(streamID int, ts int64, vals ...Value) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.Push(streamID, ts, vals...)
-	}
-	return e.seq.Push(streamID, ts, vals...)
+	return e.ex.Push(streamID, ts, vals...)
 }
 
 // PushBatch feeds many stream tuples at once — semantically identical to
 // pushing each in order, but amortizes per-call overhead and, on sharded
 // engines, keeps every shard's ingest queue full.
-func (e *Engine) PushBatch(batch []Arrival) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.PushBatch(batch)
-	}
-	return e.seq.PushBatch(batch)
-}
+func (e *Engine) PushBatch(batch []Arrival) error { return e.ex.PushBatch(batch) }
 
 // Advance moves logical time forward without a tuple arrival.
-func (e *Engine) Advance(ts int64) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.Advance(ts)
-	}
-	return e.seq.Advance(ts)
-}
+func (e *Engine) Advance(ts int64) error { return e.ex.Advance(ts) }
 
 // Sync forces all pending maintenance so the view is Definition-1 exact.
-func (e *Engine) Sync() error {
-	if e.sh != nil {
-		return e.sh.Sync()
-	}
-	return e.seq.Sync()
-}
+func (e *Engine) Sync() error { return e.ex.Sync() }
 
-// synced is the shared sync-then-read path of every accessor that must
-// observe a Definition-1-exact view (Snapshot, ResultCount, StateTuples,
-// Touched, Lookup): force pending maintenance, then evaluate read against
-// the quiescent engine.
+// synced is the sync-then-read path of the accessors whose executor method
+// reads without syncing (StateTuples, Touched, Lookup): force pending
+// maintenance, then evaluate read against the quiescent engine.
 func synced[T any](e *Engine, read func() (T, error)) (T, error) {
-	if err := e.Sync(); err != nil {
+	if err := e.ex.Sync(); err != nil {
 		var zero T
 		return zero, err
 	}
@@ -491,130 +455,60 @@ func synced[T any](e *Engine, read func() (T, error)) (T, error) {
 }
 
 // Snapshot syncs and copies the current result rows.
-func (e *Engine) Snapshot() ([]Tuple, error) {
-	return synced(e, func() ([]Tuple, error) {
-		if e.sh != nil {
-			return e.sh.Snapshot()
-		}
-		return e.seq.View().Snapshot(), nil
-	})
-}
+func (e *Engine) Snapshot() ([]Tuple, error) { return e.ex.Snapshot() }
 
 // ResultCount syncs and returns the current result cardinality.
-func (e *Engine) ResultCount() (int, error) {
-	return synced(e, func() (int, error) {
-		if e.sh != nil {
-			return e.sh.ResultCount()
-		}
-		return e.seq.View().Len(), nil
-	})
-}
+func (e *Engine) ResultCount() (int, error) { return e.ex.ResultCount() }
 
 // Stats returns executor counters (summed across shards when sharded).
-func (e *Engine) Stats() Stats {
-	if e.sh != nil {
-		return e.sh.Stats()
-	}
-	return e.seq.Stats()
-}
+func (e *Engine) Stats() Stats { return e.ex.Stats() }
 
 // Clock returns the engine's logical time.
-func (e *Engine) Clock() int64 {
-	if e.sh != nil {
-		return e.sh.Clock()
-	}
-	return e.seq.Clock()
-}
+func (e *Engine) Clock() int64 { return e.ex.Clock() }
 
 // Streams returns the base stream IDs the query reads.
-func (e *Engine) Streams() []int {
-	if e.sh != nil {
-		return e.sh.Streams()
-	}
-	return e.seq.Streams()
-}
+func (e *Engine) Streams() []int { return e.ex.Streams() }
 
 // StateTuples syncs and returns the total stored tuples (state + view),
 // summed across shards when sharded.
-func (e *Engine) StateTuples() (int, error) {
-	return synced(e, func() (int, error) {
-		if e.sh != nil {
-			return e.sh.StateTuples()
-		}
-		return e.seq.StateTuples(), nil
-	})
-}
+func (e *Engine) StateTuples() (int, error) { return synced(e, e.ex.StateTuples) }
 
 // Touched syncs and returns cumulative tuple touches — the paper's
 // Section 6 work measure — summed across shards when sharded.
-func (e *Engine) Touched() (int64, error) {
-	return synced(e, func() (int64, error) {
-		if e.sh != nil {
-			return e.sh.Touched()
-		}
-		return e.seq.Touched(), nil
-	})
-}
+func (e *Engine) Touched() (int64, error) { return synced(e, e.ex.Touched) }
 
-// View exposes the sequential engine's result view, or nil on a sharded
-// engine (each shard owns a private view; use Snapshot or Lookup instead).
+// View exposes the sequential engine's result view, or nil while shards are
+// running (each shard owns a private view; use Snapshot or Lookup instead).
 func (e *Engine) View() exec.View {
-	if e.sh != nil {
+	if e.q == nil {
 		return nil
 	}
-	return e.seq.View()
+	return e.q.View()
 }
 
 // Shards returns the number of parallel shards executing the query (1 when
 // sequential, including after a partitionability fallback).
-func (e *Engine) Shards() int {
-	if e.sh != nil {
-		return e.sh.Shards()
-	}
-	return 1
-}
+func (e *Engine) Shards() int { return e.ex.Shards() }
 
 // ShardFallbackReason explains why a WithShards request degraded to
 // sequential execution; it is empty when sharding is active or was never
 // requested.
-func (e *Engine) ShardFallbackReason() string {
-	if e.sh != nil {
-		return e.sh.FallbackReason()
-	}
-	return ""
-}
+func (e *Engine) ShardFallbackReason() string { return e.fallback }
 
-// Close stops shard workers and marks the engine closed. It is idempotent —
-// the first call does the work, later calls return nil — and after it
-// returns, Push, PushBatch, Advance, UpdateTable, Checkpoint, and Restore
-// fail with ErrClosed.
+// Close stops shard workers and the health sampler and closes the engine
+// (and the Registry it backs). It is idempotent, and after it returns every
+// method that returns an error fails with ErrClosed.
 func (e *Engine) Close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
 	e.health.Stop()
-	if e.sh != nil {
-		return e.sh.Close()
-	}
-	e.reg.closed = true
-	return nil
+	return e.ex.Close()
 }
 
 // Checkpoint writes the engine's complete dynamic state — clock, maintenance
 // cursors, counters, window contents, per-operator state, table contents,
 // and the result view, per shard when sharded — as a versioned binary
-// snapshot. Sharded engines quiesce their workers behind a batch barrier
+// snapshot. Engines running shards quiesce their workers behind a barrier
 // first; checkpointing never perturbs the run it snapshots.
-func (e *Engine) Checkpoint(w io.Writer) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.Checkpoint(w)
-	}
-	return e.seq.Checkpoint(w)
-}
+func (e *Engine) Checkpoint(w io.Writer) error { return e.ex.Checkpoint(w) }
 
 // Restore rehydrates a freshly compiled engine from a checkpoint written by
 // an engine compiled from the same query, strategy, options, and shard
@@ -622,15 +516,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 // first: a disagreement fails with *MismatchError before any engine state
 // is touched. Truncated or damaged input fails with an error wrapping
 // ErrCheckpointCorrupt.
-func (e *Engine) Restore(r io.Reader) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.Restore(r)
-	}
-	return e.seq.Restore(r)
-}
+func (e *Engine) Restore(r io.Reader) error { return e.ex.Restore(r) }
 
 // Schema returns the result schema.
 func (e *Engine) Schema() *Schema { return e.phys.Schema }
@@ -644,7 +530,7 @@ func (e *Engine) Pattern() Pattern { return e.phys.Pattern }
 // physical configuration (key columns, chosen state structures), the chosen
 // view structure, and the plan's partition-key status.
 func (e *Engine) Explain(w io.Writer) error {
-	return e.explainTree(false).WriteText(w)
+	return e.ex.Explain(false).WriteText(w)
 }
 
 // ExplainAnalyze syncs the engine and writes the Explain tree with each
@@ -654,7 +540,7 @@ func (e *Engine) ExplainAnalyze(w io.Writer) error {
 	if err := e.Sync(); err != nil {
 		return err
 	}
-	return e.explainTree(true).WriteText(w)
+	return e.ex.Explain(true).WriteText(w)
 }
 
 // ExplainDOT writes the Explain tree as a Graphviz digraph; with analyze
@@ -665,37 +551,20 @@ func (e *Engine) ExplainDOT(w io.Writer, analyze bool) error {
 			return err
 		}
 	}
-	return e.explainTree(analyze).WriteDOT(w)
-}
-
-func (e *Engine) explainTree(analyze bool) *plan.ExplainTree {
-	if e.sh != nil {
-		return e.sh.Explain(analyze)
-	}
-	return e.seq.Explain(analyze)
+	return e.ex.Explain(analyze).WriteDOT(w)
 }
 
 // OpStats returns per-operator runtime counters in plan pre-order (root
 // first), summed across shards on a sharded engine. Reads are atomic, so it
 // is safe while the engine runs; gauge-backed fields (state, touched) are as
 // of the last sampling point.
-func (e *Engine) OpStats() []exec.OpProfile {
-	if e.sh != nil {
-		return e.sh.Profile()
-	}
-	return e.seq.Profile()
-}
+func (e *Engine) OpStats() []exec.OpProfile { return e.ex.Profile() }
 
 // Watermark returns the staleness low-watermark: every expiration at or
 // below this timestamp is reflected in the result view. It trails Clock by
 // at most the larger maintenance interval and reaches Clock after a Sync;
 // sharded engines report the oldest shard watermark.
-func (e *Engine) Watermark() int64 {
-	if e.sh != nil {
-		return e.sh.Watermark()
-	}
-	return e.seq.Watermark()
-}
+func (e *Engine) Watermark() int64 { return e.ex.Watermark() }
 
 // Lookup syncs and returns the current result rows whose key columns (the
 // view's retraction or group key) match the given values. When the chosen
@@ -709,19 +578,7 @@ func (e *Engine) Lookup(vals ...Value) ([]Tuple, error) {
 		for i := range cols {
 			cols[i] = i
 		}
-		k := tuple.Tuple{Vals: vals}.Key(cols)
-		if e.sh != nil {
-			rows, ok := e.sh.LookupKey(k)
-			if !ok {
-				return nil, ErrNoKeyedView
-			}
-			return rows, nil
-		}
-		lv, ok := e.seq.View().(exec.Lookup)
-		if !ok {
-			return nil, ErrNoKeyedView
-		}
-		rows, ok := lv.LookupKey(k)
+		rows, ok := e.ex.LookupKey(tuple.Tuple{Vals: vals}.Key(cols))
 		if !ok {
 			return nil, ErrNoKeyedView
 		}
@@ -732,25 +589,13 @@ func (e *Engine) Lookup(vals ...Value) ([]Tuple, error) {
 // UpdateTable applies one table mutation at its timestamp, routing the
 // consequences (for retroactive tables) through the plan.
 func (e *Engine) UpdateTable(tbl *Table, u TableUpdate) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.sh != nil {
-		return e.sh.ApplyTableUpdate(tbl, u)
-	}
-	return e.seq.ApplyTableUpdate(tbl, u)
+	return e.ex.ApplyTableUpdate(tbl, u)
 }
 
 // WriteProfile renders per-operator runtime counters (state size, tuple
 // touches, emissions, retractions) as an aligned tree — an EXPLAIN ANALYZE
-// for the running continuous query. Sharded engines print one tree per
-// shard.
-func (e *Engine) WriteProfile(w io.Writer) error {
-	if e.sh != nil {
-		return e.sh.WriteProfile(w)
-	}
-	return e.seq.WriteProfile(w)
-}
+// for the running continuous query, one tree per shard when shards run.
+func (e *Engine) WriteProfile(w io.Writer) error { return e.ex.WriteProfile(w) }
 
 // Trace re-exports: the synthetic LBL-style traffic workload of Section 6.1.
 type (

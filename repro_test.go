@@ -500,10 +500,22 @@ func TestWithShardsFallback(t *testing.T) {
 	if !strings.Contains(eng.ShardFallbackReason(), "count-based window") {
 		t.Fatalf("reason = %q", eng.ShardFallbackReason())
 	}
+	// A fallen-back engine is an ordinary sequential engine: it has a view,
+	// and it is a one-query registry that takes further registrations.
+	if eng.View() == nil || eng.Registry() == nil || eng.Query() == nil {
+		t.Fatalf("fallback engine: View %v, Registry %v, Query %v — want all non-nil",
+			eng.View(), eng.Registry(), eng.Query())
+	}
+	if _, err := eng.Registry().Register(repro.Stream(0, schema, repro.CountWindow(10)).Select("src"), repro.UPA); err != nil {
+		t.Fatalf("Register on the fallback engine's registry: %v", err)
+	}
 	if err := eng.Push(0, 1, repro.Int(1), repro.Str("ftp"), repro.Int(5)); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := eng.ResultCount(); err != nil || n != 1 {
 		t.Fatalf("ResultCount = %d, %v", n, err)
+	}
+	if n := eng.View().Len(); n != 1 {
+		t.Fatalf("View().Len() = %d, want 1", n)
 	}
 }
