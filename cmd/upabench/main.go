@@ -1,15 +1,13 @@
 // Command upabench regenerates the evaluation tables of the paper's
-// Section 6: for every experiment in DESIGN.md's index it runs the workload
-// under each execution strategy and prints the measured series.
+// Section 6: for every experiment E1–E8 it runs the workload under each
+// execution strategy and prints the measured time and state series.
+// Performance of the system as a whole is measured by benchmark/run.sh.
 //
 // Usage:
 //
 //	upabench                 # run every experiment at quick scale
 //	upabench -scale full     # paper-scale window sweeps (slow)
 //	upabench -exp e1a,e3a    # run a subset
-//	upabench -json > out.json  # machine-readable results (see BENCH_PR2.json)
-//	upabench -metrics-addr :9090  # expose the in-progress run's metrics
-//	upabench -health         # monitor every run's health, report alert transitions
 //	upabench -list           # list experiment ids
 package main
 
@@ -17,74 +15,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
 
 func main() {
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	exps := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	jsonOut := flag.Bool("json", false, "write results as one JSON report on stdout instead of text tables")
-	note := flag.String("note", "", "free-form caveat embedded in the -json report")
-	shardCounts := flag.String("shards", "", "comma-separated shard counts for the e9 sweep (default 1,2,4,8)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the in-progress run's metrics/pprof on this address (e.g. :9090)")
-	health := flag.Bool("health", false, "monitor every run with the engine's built-in health rules and report alert transitions at exit")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
-	if *health {
-		bench.EnableHealth()
-	}
-
-	if *metricsAddr != "" {
-		bench.EnableLiveMetrics()
-		srv, err := obs.ServeFunc(*metricsAddr, bench.LiveMetrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "upabench: metrics endpoint:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
-	}
-	if *shardCounts != "" {
-		counts, err := parseCounts(*shardCounts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "upabench:", err)
-			os.Exit(1)
-		}
-		bench.SetShardSweep(counts)
-	}
-	if err := run(*scale, *exps, *list, *jsonOut, *note); err != nil {
+	if err := run(*scale, *exps, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "upabench:", err)
 		os.Exit(1)
 	}
-	if *health {
-		alerts := bench.DrainAlertLog()
-		if len(alerts) == 0 {
-			fmt.Fprintln(os.Stderr, "health: no alert transitions across all runs")
-		}
-		for _, line := range alerts {
-			fmt.Fprintln(os.Stderr, "health:", line)
-		}
-	}
 }
 
-func parseCounts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shards value %q (want positive integers, e.g. 1,2,4,8)", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func run(scaleName, expFilter string, list, jsonOut bool, note string) error {
+func run(scaleName, expFilter string, list bool) error {
 	all := bench.Experiments()
 	if list {
 		for _, e := range all {
@@ -112,36 +60,20 @@ func run(scaleName, expFilter string, list, jsonOut bool, note string) error {
 			}
 		}
 	}
-	var report *bench.Report
-	if jsonOut {
-		report = bench.NewReport(scaleName)
-		report.Note = note
-	}
 	for _, e := range all {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		if !jsonOut {
-			fmt.Printf("# %s\n\n", e.Title)
-		} else {
-			fmt.Fprintf(os.Stderr, "running %s...\n", e.ID)
-		}
+		fmt.Printf("# %s\n\n", e.Title)
 		tabs, err := e.Run(scale)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		if jsonOut {
-			report.Add(e.ID, e.Title, tabs)
-			continue
 		}
 		for _, t := range tabs {
 			if err := bench.WriteTable(os.Stdout, t); err != nil {
 				return err
 			}
 		}
-	}
-	if jsonOut {
-		return report.WriteJSON(os.Stdout)
 	}
 	return nil
 }

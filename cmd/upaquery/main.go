@@ -11,10 +11,9 @@
 //	upaquery -query q3 -strategy upa -explain
 //	upaquery -query q3 -strategy upa -analyze
 //	upaquery -cql "SELECT DISTINCT src FROM S0 [RANGE 2000]" -links 1
-//	upaquery -query q3 -strategy nt -metrics-addr :9090 -trace-out events.jsonl
+//	upaquery -query q3 -strategy nt -metrics-addr :9090
 //	upaquery -query q1-ftp -strategy upa -latency
 //	upaquery -query q1-ftp -strategy upa -health -slo-p99 5ms
-//	upaquery -query q1-ftp -trace-out spans.jsonl -trace-sample 1000
 //	upaquery -query q1-ftp -checkpoint-dir ./state -checkpoint-every 100000
 //	upaquery -list
 //
@@ -23,10 +22,8 @@
 // -analyze runs the trace and then prints the same tree with each
 // operator's live counters (EXPLAIN ANALYZE). With -metrics-addr the run
 // serves live Prometheus text-format metrics at /metrics (plus
-// /metrics.json, /debug/vars, /debug/pprof/, and the running plan at
-// /debug/plan?analyze=1) while it is in progress; with -trace-out every
-// typed engine event (arrivals, emissions, retractions, window expirations,
-// maintenance passes) is written as JSON Lines.
+// /metrics.json, /debug/pprof/, and the running plan at
+// /debug/plan?analyze=1) while it is in progress.
 //
 // -latency records every output delta's ingest→emit latency and prints a
 // percentile table plus the update-pattern conformance verdict (declared vs
@@ -40,9 +37,7 @@
 // prints at exit, and a CRIT overall verdict exits with code 2. With
 // -metrics-addr the live status is served at /debug/health (JSON, or HTML
 // with ?format=html) and retained series windows at
-// /debug/history?series=NAME. -trace-sample N additionally traces
-// one in N arrivals through the plan as per-operator EvDeltaSpan events on
-// the -trace-out sink; keep N large on hot streams.
+// /debug/history?series=NAME.
 //
 // With -checkpoint-dir the run writes a versioned binary checkpoint
 // (atomically, via temp file + rename) every -checkpoint-every tuples and
@@ -109,7 +104,6 @@ func main() {
 	partitions := flag.Int("partitions", 10, "state-buffer partitions")
 	shards := flag.Int("shards", 1, "run key-partitioned across this many parallel shards (falls back to 1 with a reason when the plan has no routing key)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics/pprof on this address (e.g. :9090)")
-	traceOut := flag.String("trace-out", "", "write typed engine events as JSON Lines to this file")
 	progressEvery := flag.Duration("progress", time.Second, "progress-line interval (0 disables)")
 	explain := flag.Bool("explain", false, "print the annotated physical plan (EXPLAIN) and exit")
 	analyze := flag.Bool("analyze", false, "after the run, print the plan with live per-operator counters (EXPLAIN ANALYZE)")
@@ -117,7 +111,6 @@ func main() {
 	health := flag.Bool("health", false, "run the self-monitoring health subsystem (built-in rules, alert log on stderr, final report; exit code 2 on CRIT)")
 	sloP99 := flag.Duration("slo-p99", 0, "delta-latency p99 SLO for the built-in health rule (e.g. 5ms; implies -health)")
 	healthInterval := flag.Duration("health-interval", 200*time.Millisecond, "health sampling cadence")
-	traceSample := flag.Int("trace-sample", 0, "trace one in N arrivals as per-operator spans (EvDeltaSpan events on -trace-out; 0 disables)")
 	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint into this directory and resume from an existing checkpoint on start")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "also checkpoint every N processed tuples (0: only a final checkpoint)")
 	maxTuples := flag.Int("max-tuples", 0, "stop after this many trace records (0: the whole trace)")
@@ -147,8 +140,8 @@ func main() {
 			single = queries[0]
 		}
 		err = run(single, *cqlText, *links, *strategy, *windowSize, *duration, *traceFile,
-			*partitions, *shards, *metricsAddr, *traceOut, *progressEvery, *explain, *analyze,
-			*latency, *health, *sloP99, *healthInterval, *traceSample, *checkpointDir,
+			*partitions, *shards, *metricsAddr, *progressEvery, *explain, *analyze,
+			*latency, *health, *sloP99, *healthInterval, *checkpointDir,
 			*checkpointEvery, *maxTuples, *dumpView)
 	}
 	if err != nil {
@@ -166,8 +159,8 @@ func main() {
 var errHealthCrit = errors.New("health is CRIT")
 
 func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSize, duration int64,
-	traceFile string, partitions, shards int, metricsAddr, traceOut string, progressEvery time.Duration,
-	explain, analyze, latency, healthOn bool, sloP99, healthInterval time.Duration, traceSample int,
+	traceFile string, partitions, shards int, metricsAddr string, progressEvery time.Duration,
+	explain, analyze, latency, healthOn bool, sloP99, healthInterval time.Duration,
 	checkpointDir string, checkpointEvery, maxTuples int, dumpView string) error {
 	healthOn = healthOn || sloP99 > 0
 	var q bench.Query
@@ -226,17 +219,6 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		// Config.Metrics is set, and health rules read registered series.
 		reg = obs.NewRegistry()
 		cfg.Metrics = reg
-	}
-	cfg.TraceSampleEvery = traceSample
-	var tracer *obs.Tracer
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tracer = obs.NewTracer(obs.NewJSONLSink(f))
-		cfg.Tracer = tracer
 	}
 
 	eng, fallback, err := exec.Open(exec.QuerySpec{Phys: phys}, cfg, shards)
@@ -390,12 +372,6 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 	}
 	elapsed := time.Since(start)
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return fmt.Errorf("trace sink: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote event trace to %s\n", traceOut)
-	}
 
 	st := eng.Stats()
 	touched, err := eng.Touched()

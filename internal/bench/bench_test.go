@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -71,62 +69,6 @@ func TestStrategiesAgreeOnFinalAnswer(t *testing.T) {
 	}
 }
 
-// TestShardedRunMatchesSequential drives the same trace through the
-// sequential and key-partitioned paths: the output-stream totals and final
-// view must agree exactly.
-func TestShardedRunMatchesSequential(t *testing.T) {
-	for _, q := range []Query{Q1FTP, Q2Distinct, Q3Negation, Q4DistinctJoin, Q5PushDown} {
-		seq, err := Run(q, RunConfig{Strategy: plan.UPA, Window: 400})
-		if err != nil {
-			t.Fatalf("%v sequential: %v", q, err)
-		}
-		sh, err := Run(q, RunConfig{Strategy: plan.UPA, Window: 400, Shards: 3})
-		if err != nil {
-			t.Fatalf("%v sharded: %v", q, err)
-		}
-		if sh.ShardFallback != "" {
-			t.Fatalf("%v: unexpected fallback: %s", q, sh.ShardFallback)
-		}
-		if sh.Shards != 3 {
-			t.Fatalf("%v: shards = %d, want 3", q, sh.Shards)
-		}
-		// Gross emission counts can legitimately differ under strict
-		// negation: a shard whose clock only advances at its own batch
-		// boundaries never emits (then retracts) a result that is
-		// transiently true between two of its batches. The net output and
-		// the final view are what Definition 1 fixes.
-		if sh.Tuples != seq.Tuples ||
-			sh.Emitted-sh.Retracted != seq.Emitted-seq.Retracted ||
-			sh.FinalResults != seq.FinalResults {
-			t.Errorf("%v: sharded run diverged: sharded tuples=%d net=%d final=%d vs sequential tuples=%d net=%d final=%d",
-				q, sh.Tuples, sh.Emitted-sh.Retracted, sh.FinalResults,
-				seq.Tuples, seq.Emitted-seq.Retracted, seq.FinalResults)
-		}
-	}
-}
-
-func TestShardSweepExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweeps are not short")
-	}
-	old := shardSweepCounts
-	SetShardSweep([]int{1, 2})
-	defer SetShardSweep(old)
-	var e9 Experiment
-	for _, e := range Experiments() {
-		if e.ID == "e9" {
-			e9 = e
-		}
-	}
-	tabs, err := e9.Run(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 || len(tabs[0].Rows) != 2 {
-		t.Fatalf("e9 tables = %+v", tabs)
-	}
-}
-
 func TestNTGeneratesWindowNegatives(t *testing.T) {
 	res, err := Run(Q1FTP, RunConfig{Strategy: plan.NT, Window: 500})
 	if err != nil {
@@ -181,7 +123,6 @@ func TestExperimentsQuickScale(t *testing.T) {
 
 func TestWriteTable(t *testing.T) {
 	tab := Table{
-		ID:      "t",
 		Title:   "Demo",
 		Columns: []string{"a", "long-column"},
 		Rows:    [][]string{{"1", "2"}, {"333333", "4"}},
@@ -196,29 +137,5 @@ func TestWriteTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestReportStampsPlatformPerExperiment(t *testing.T) {
-	r := NewReport("quick")
-	r.Add("e1", "throughput", nil)
-	if len(r.Experiments) != 1 {
-		t.Fatalf("got %d experiments", len(r.Experiments))
-	}
-	e := r.Experiments[0]
-	if e.GOOS != runtime.GOOS || e.GOARCH != runtime.GOARCH || e.NumCPU != runtime.NumCPU() {
-		t.Fatalf("experiment host stamp = %s/%s/%d, want %s/%s/%d",
-			e.GOOS, e.GOARCH, e.NumCPU, runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Experiments[0].GOOS != runtime.GOOS || back.Experiments[0].GOARCH != runtime.GOARCH {
-		t.Fatalf("platform stamp lost in JSON round-trip: %+v", back.Experiments[0])
 	}
 }

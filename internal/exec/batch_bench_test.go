@@ -4,9 +4,8 @@ package exec
 // stream pushed tuple-at-a-time (Push), run-coalesced on the row batch path
 // (PushBatch with NoColumnar), and run-coalesced on the columnar path
 // (PushBatch, the default) into the paper's Query 1 (join of ftp-selections)
-// compiled with the UPA strategy over a 5000-tick window. The tuples/sec
-// ratios and allocs/op drops are the acceptance numbers recorded in
-// BENCH_PR5.json and BENCH_PR7.json.
+// compiled with the UPA strategy over a 5000-tick window. They isolate the
+// exec layer; end-to-end performance is what benchmark/run.sh measures.
 
 import (
 	"math/rand"
@@ -25,7 +24,7 @@ import (
 // wall-clock sampling around every Push and every operator invocation — is
 // one of the overheads the batch path amortizes per run instead of paying
 // per tuple, so the instrumented engine is where the tuple/batch contrast is
-// representative. BENCH_PR5.json records the bare-engine numbers alongside.
+// representative. The *Bare variants run the same loops uninstrumented.
 func benchQ1Engine(b testing.TB, winSize int64, metrics, columnar bool) *Engine {
 	b.Helper()
 	ftpSel := func(id int) *plan.Node {

@@ -157,7 +157,7 @@ func (e *Engine) feedSourceCols(src *plan.PSource, cb *tuple.ColBatch) error {
 	}
 	for _, ed := range cell.outs {
 		var t0 int64
-		if e.timed || e.spanActive {
+		if e.timed {
 			t0 = obs.Nanotime()
 		}
 		if err := e.feedCols(ed.node, ed.side, cb, t0); err != nil {
@@ -196,11 +196,7 @@ func (e *Engine) feedCols(node *plan.PNode, side int, in *tuple.ColBatch, prev i
 		d := end - prev
 		if e.timed {
 			st.procNanos.Add(d)
-			st.lastBatch.Set(d)
 			st.maxBatch.SetMax(d)
-		}
-		if e.spanActive {
-			e.tracer.Emit(obs.Event{Kind: obs.EvDeltaSpan, TS: e.clock, Node: st.name, Nanos: d, N: out.Len()})
 		}
 	}
 	if err != nil {
@@ -242,7 +238,7 @@ func (e *Engine) propagateCols(node *plan.PNode, outs *tuple.ColBatch, prev int6
 	}
 	for _, ed := range em.outs {
 		var t0 int64
-		if e.timed || e.spanActive {
+		if e.timed {
 			t0 = obs.Nanotime()
 		}
 		if err := e.feedCols(ed.node, ed.side, outs, t0); err != nil {

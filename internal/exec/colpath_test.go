@@ -66,15 +66,15 @@ func buildColEngine(t *testing.T, q ckptQuery, strat plan.Strategy, cfg Config) 
 	return eng
 }
 
-// TestColumnarRowBatchEquivalence runs every paper query under every strategy
-// twice — columnar enabled (the default) and pinned to the row batch path —
-// over an identical bursty trace, and demands identical visible state.
-// Eligibility is pinned so the comparison can't silently go vacuous: with
-// kernels covering the stateful tail (GroupBy, Distinct, Negate) and
-// AdmitRunCols feeding NT's materialized windows, every paper query must
-// engage the columnar path under every strategy.
+// TestColumnarRowBatchEquivalence runs every paper query (plus the Query 6
+// group-by) under every strategy twice — columnar enabled (the default) and
+// pinned to the row batch path — over an identical bursty trace, and demands
+// identical visible state. Eligibility is pinned so the comparison can't
+// silently go vacuous: with kernels covering the stateful tail (GroupBy,
+// Distinct, Negate) and AdmitRunCols feeding NT's materialized windows, every
+// query must engage the columnar path under every strategy.
 func TestColumnarRowBatchEquivalence(t *testing.T) {
-	for _, q := range ckptQueries() {
+	for _, q := range append(ckptQueries(), ckptQuery{"Q6-groupby", 1, gbPlan}) {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
 			t.Run(fmt.Sprintf("%s/%v", q.name, strat), func(t *testing.T) {
 				trace := colTrace(q.streams, 256)

@@ -4,11 +4,10 @@ package exec
 // arrival stream pushed through the row batch path (PushBatch with
 // NoColumnar) and the columnar kernels (PushBatch, the default) into a
 // Q3-style grouped aggregation and a Q5-style negation, both compiled with
-// the UPA strategy over a 5000-tick window. The tuples/sec ratios are the
-// stateful-tail acceptance numbers recorded in BENCH_PR10.json (experiment
-// e12); the committed benchstat baselines in internal/bench/baselines/ hold
-// CI to them. Engines run instrumented (metrics registry attached), the
-// deployment shape the acceptance is measured in.
+// the UPA strategy over a 5000-tick window. They isolate the kernels at exec
+// grain; the end-to-end verdict on the columnar tail is q6-groupby-col in
+// benchmark/run.sh. Engines run instrumented (metrics registry attached), the
+// deployment shape benchmark/ measures too.
 
 import (
 	"math/rand"

@@ -147,8 +147,8 @@ func builtinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int6
 				Source: obs.SourceAge,
 				Agg:    obs.AggMax,
 			},
-			Warn: float64(slo.CheckpointAge.Nanoseconds()) / 2,
-			Crit: float64(slo.CheckpointAge.Nanoseconds()),
+			Warn:     float64(slo.CheckpointAge.Nanoseconds()) / 2,
+			Crit:     float64(slo.CheckpointAge.Nanoseconds()),
 			ForTicks: 1, HoldTicks: 1,
 		},
 	}
@@ -163,8 +163,8 @@ func builtinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int6
 				Window: w,
 				Q:      0.99,
 			},
-			Warn: 0.8 * float64(slo.DeltaP99.Nanoseconds()),
-			Crit: float64(slo.DeltaP99.Nanoseconds()),
+			Warn:     0.8 * float64(slo.DeltaP99.Nanoseconds()),
+			Crit:     float64(slo.DeltaP99.Nanoseconds()),
 			ForTicks: 2, HoldTicks: 2,
 		})
 	}

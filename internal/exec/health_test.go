@@ -8,12 +8,14 @@ package exec
 // fault-injection step runs exactly these (go test -run TestBuiltinRule).
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/tuple"
 )
 
 // newRuleHarness wires a manual-tick monitor with the engine's built-in
@@ -106,7 +108,7 @@ func TestBuiltinRuleShardQueueDepth(t *testing.T) {
 	reg, h := newRuleHarness(HealthSLO{Window: 3})
 	depth := reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "1"})
 	reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "0"}).Set(0)
-	h.Tick() // baseline
+	h.Tick()              // baseline
 	depth.Set(shardQueue) // stalled: queue pinned at capacity
 	h.Tick()              // breach #1: pending only (ForTicks 2)
 	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevOK {
@@ -197,7 +199,7 @@ func TestBuiltinRuleDeltaP99(t *testing.T) {
 	lat := reg.LogHistogram(MetricDeltaLatency, "", obs.Labels{"polarity": PolarityPos})
 	reg.LogHistogram(MetricDeltaLatency, "", obs.Labels{"polarity": PolarityNeg}).
 		ObserveN(10e9, 100) // neg-polarity tail must not count against the SLO
-	h.Tick()               // baseline
+	h.Tick() // baseline
 	lat.ObserveN((5 * time.Millisecond).Nanoseconds(), 50)
 	h.Tick()
 	h.Tick() // ForTicks 2
@@ -219,6 +221,40 @@ func TestBuiltinRuleDeltaP99DisabledWithoutSLO(t *testing.T) {
 	}
 	if len(rules) != 6 {
 		t.Errorf("builtin rule count = %d, want 6 without a latency SLO", len(rules))
+	}
+}
+
+// TestQuantileRuleOnRefreshNanos: a user SourceQuantile rule over one of the
+// engine's call-latency series must see the calls. These series were once a
+// second, fixed-bucket histogram type the history sampler kept no
+// distributions for, so such a rule read 0 forever and stayed OK however slow
+// the call.
+func TestQuantileRuleOnRefreshNanos(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := buildEngine(t, simpleSelect(10), plan.UPA, Config{Metrics: reg})
+	h := obs.NewHealth(obs.NewHistory(reg, obs.HistoryConfig{Capacity: 16}), obs.Rule{
+		Name: "refresh-p99",
+		Signal: obs.Signal{
+			Series: MetricRefreshNanos,
+			Source: obs.SourceQuantile,
+			Window: 4,
+			Q:      0.99,
+		},
+		Warn: math.NaN(), Crit: 1, // any Sync slower than a nanosecond
+		ForTicks: 1, HoldTicks: 1,
+	})
+	h.Tick() // baseline
+	for ts := int64(1); ts <= 3; ts++ {
+		if err := eng.Push(0, ts, tuple.Int(ts), tuple.String_("ftp"), tuple.Int(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		h.Tick()
+	}
+	if got := ruleStatus(t, h, "refresh-p99"); got.Severity != obs.SevCrit || got.Value <= 1 {
+		t.Fatalf("p99 of %s: severity %v value %g, want CRIT above 1 ns", MetricRefreshNanos, got.Severity, got.Value)
 	}
 }
 
@@ -280,8 +316,8 @@ func TestEngineHealthLiveIngest(t *testing.T) {
 
 // BenchmarkIngestColQ1UPAHealth is BenchmarkIngestColQ1UPA plus the full
 // health subsystem live (sampler goroutine at the default 1 s interval,
-// built-in rules evaluating every tick). CI's bench smoke holds this
-// within 5% of the base benchmark — the tentpole's overhead budget.
+// built-in rules evaluating every tick); the difference between the two is
+// the subsystem's overhead.
 func BenchmarkIngestColQ1UPAHealth(b *testing.B) {
 	eng := benchQ1Engine(b, 5000, true, true)
 	hist := obs.NewHistory(eng.Metrics(), obs.HistoryConfig{})

@@ -38,15 +38,12 @@ const (
 	// min(last eager pass, last lazy pass) and trails MetricClock by at most
 	// max(EagerInterval, LazyInterval).
 	MetricWatermark = "upa_watermark"
-	// MetricStateTuples is the sampled total of stored tuples (operator
-	// state + materialized windows + result view).
-	MetricStateTuples = "upa_state_tuples"
-	// MetricStateTuplesPeak is the high-water mark of MetricStateTuples.
+	// MetricStateTuplesPeak is the high-water mark of stored tuples
+	// (operator state + materialized windows + result views), sampled on the
+	// first arrival, every 64th arrival and every Sync.
 	MetricStateTuplesPeak = "upa_state_tuples_peak"
-	// MetricViewRows is the sampled result-view cardinality.
-	MetricViewRows = "upa_view_rows"
-	// MetricPushNanos is the per-Push wall-clock latency histogram,
-	// recorded only when Config.Metrics is set.
+	// MetricPushNanos is the per-Push (per-PushBatch) wall-clock latency
+	// histogram, recorded only when Config.Metrics is set.
 	MetricPushNanos = "upa_push_nanos"
 	// MetricRefreshNanos is the result-refresh latency histogram: the
 	// wall-clock cost of each Sync (forcing all pending expirations into the
@@ -111,9 +108,8 @@ const (
 	// input runs and expiring state (its Advance calls in the maintenance
 	// passes), recorded only when Config.Metrics is set.
 	MetricOpProcNanos = "upa_op_proc_nanos_total"
-	// MetricOpBatchMax / MetricOpBatchLast bound the latency of one run.
-	MetricOpBatchMax  = "upa_op_batch_nanos_max"
-	MetricOpBatchLast = "upa_op_batch_nanos_last"
+	// MetricOpBatchMax is the latency of the operator's slowest run.
+	MetricOpBatchMax = "upa_op_batch_nanos_max"
 	// MetricOpObservedPattern is the pattern class the operator's output
 	// stream has actually exhibited so far, as an integer in the paper's
 	// lattice order (0=MONO, 1=WKS, 2=WK, 3=STR). Comparing it with the
@@ -151,6 +147,56 @@ var violationKinds = [numViolationKinds]string{
 	ViolationExpiration, ViolationOutOfOrder, ViolationPremature,
 }
 
+// seriesConsumers is the series inventory: every series name an executor, a
+// registry and the health monitor register on a metrics registry, each with
+// what reads it — a health rule, EXPLAIN ANALYZE, upaquery output, a /debug
+// page, the checkpoint format or benchmark/. TestSeriesInventory fails when a
+// series is registered without an entry here (a new series needs a named
+// consumer) and when an entry names a series nothing registers.
+var seriesConsumers = map[string]string{
+	MetricArrivals:          "upaquery result lines (Stats); checkpoint counters",
+	MetricEmitted:           "upaquery result lines (Stats); checkpoint counters",
+	MetricRetracted:         "upaquery result lines (Stats); checkpoint counters",
+	MetricWindowNegatives:   "upaquery result lines (Stats); checkpoint counters",
+	MetricEagerPasses:       "checkpoint counters",
+	MetricLazyPasses:        "checkpoint counters",
+	MetricTableUpdates:      "checkpoint counters",
+	MetricViewExpired:       "checkpoint counters",
+	MetricClock:             "health rule staleness-lag",
+	MetricWatermark:         "health rule staleness-lag",
+	MetricStateTuplesPeak:   "upaquery peak stored tuples (Stats); checkpoint",
+	MetricPushNanos:         "health: quantile rules (SLO on ingest-call latency)",
+	MetricRefreshNanos:      "health: quantile rules (TestQuantileRuleOnRefreshNanos)",
+	MetricCheckpoints:       "/debug/history checkpoint cadence (TestCheckpointMetrics)",
+	MetricRestores:          "/debug/history restore count (TestCheckpointMetrics)",
+	MetricCheckpointBytes:   "/debug/history checkpoint size (TestCheckpointMetrics)",
+	MetricCheckpointLast:    "health rule checkpoint-age",
+	MetricCheckpointNanos:   "health: quantile rules (checkpoint-write latency)",
+	MetricRestoreNanos:      "health: quantile rules (restore latency)",
+	MetricDeltaLatency:      "health rule delta-p99; upaquery -latency; /debug/conformance",
+	MetricOpEmitted:         "EXPLAIN ANALYZE out+; benchmark/ operator.out",
+	MetricOpRetracted:       "EXPLAIN ANALYZE out-; benchmark/ operator.retracted",
+	MetricOpInPos:           "EXPLAIN ANALYZE in+; benchmark/ operator.in",
+	MetricOpInNeg:           "EXPLAIN ANALYZE in-; benchmark/ operator.in",
+	MetricOpExpired:         "EXPLAIN ANALYZE expired",
+	MetricOpState:           "EXPLAIN ANALYZE state; benchmark/ operator.state_tuples",
+	MetricOpTouched:         "EXPLAIN ANALYZE touched; benchmark/ operator.touched_per_tuple",
+	MetricOpProcNanos:       "EXPLAIN ANALYZE proc; benchmark/ operator.busy_share",
+	MetricOpBatchMax:        "EXPLAIN ANALYZE proc (max)",
+	MetricOpObservedPattern: "EXPLAIN ANALYZE observed; /debug/conformance",
+	MetricPatternViolations: "health rules pattern-violations and premature-expirations",
+	MetricShardQueueDepth:   "health rule shard-queue-depth",
+	MetricShardQueueBlocked: "health rule shard-blocked; benchmark/ exec.shard_blocked_share",
+
+	obs.MetricHealthSeverity:    "/debug/health rule states as series (TestHealthEscalationNeedsForTicks)",
+	obs.MetricHealthTransitions: "/debug/health transition counts as series (TestHealthEscalationNeedsForTicks)",
+	obs.MetricBuildInfo:         "/debug/history process series (WithHealth, upaquery -health)",
+	obs.MetricUptime:            "/debug/history process series (WithHealth, upaquery -health)",
+	obs.MetricGoroutines:        "/debug/history process series (WithHealth, upaquery -health)",
+	obs.MetricHeapBytes:         "/debug/history process series (WithHealth, upaquery -health)",
+	obs.MetricGCCycles:          "/debug/history process series (WithHealth, upaquery -health)",
+}
+
 // engineMetrics bundles the engine's registered instruments. The registry
 // is the single source of truth: Stats() and Profile() read these same
 // counters.
@@ -158,11 +204,10 @@ type engineMetrics struct {
 	arrivals, emitted, retracted, windowNegatives      *obs.Counter
 	eagerPasses, lazyPasses, tableUpdates, viewExpired *obs.Counter
 	checkpoints, restores                              *obs.Counter
-	clock, watermark                                   *obs.Gauge
-	stateTuples, maxStateTuples, viewRows              *obs.Gauge
+	clock, watermark, maxStateTuples                   *obs.Gauge
 	checkpointBytes, checkpointLast                    *obs.Gauge
-	pushNanos, refreshNanos                            *obs.Histogram
-	checkpointNanos, restoreNanos                      *obs.Histogram
+	pushNanos, refreshNanos                            *obs.LogHistogram
+	checkpointNanos, restoreNanos                      *obs.LogHistogram
 	latPos, latNeg                                     *obs.LogHistogram
 }
 
@@ -190,17 +235,15 @@ func newEngineMetrics(reg *obs.Registry, base obs.Labels) engineMetrics {
 		viewExpired:     reg.Counter(MetricViewExpired, "result rows retired by view expiration", base),
 		clock:           reg.Gauge(MetricClock, "engine logical time", base),
 		watermark:       reg.Gauge(MetricWatermark, "timestamp up to which expirations are reflected in the view", base),
-		stateTuples:     reg.Gauge(MetricStateTuples, "stored tuples (sampled)", base),
 		maxStateTuples:  reg.Gauge(MetricStateTuplesPeak, "peak stored tuples", base),
-		viewRows:        reg.Gauge(MetricViewRows, "result view cardinality (sampled)", base),
 		checkpoints:     reg.Counter(MetricCheckpoints, "completed checkpoints", base),
 		restores:        reg.Counter(MetricRestores, "completed restores", base),
 		checkpointBytes: reg.Gauge(MetricCheckpointBytes, "size of the most recent checkpoint", base),
 		checkpointLast:  reg.Gauge(MetricCheckpointLast, "monotonic stamp of the most recent checkpoint (0 = never)", base),
-		pushNanos:       reg.Histogram(MetricPushNanos, "Push wall-clock latency in nanoseconds", obs.DefaultLatencyBuckets(), base),
-		refreshNanos:    reg.Histogram(MetricRefreshNanos, "Sync (result refresh) wall-clock latency in nanoseconds", obs.DefaultLatencyBuckets(), base),
-		checkpointNanos: reg.Histogram(MetricCheckpointNanos, "checkpoint-write wall-clock latency in nanoseconds", obs.DefaultLatencyBuckets(), base),
-		restoreNanos:    reg.Histogram(MetricRestoreNanos, "restore wall-clock latency in nanoseconds", obs.DefaultLatencyBuckets(), base),
+		pushNanos:       reg.LogHistogram(MetricPushNanos, "Push wall-clock latency in nanoseconds (log-bucketed)", base),
+		refreshNanos:    reg.LogHistogram(MetricRefreshNanos, "Sync (result refresh) wall-clock latency in nanoseconds (log-bucketed)", base),
+		checkpointNanos: reg.LogHistogram(MetricCheckpointNanos, "checkpoint-write wall-clock latency in nanoseconds (log-bucketed)", base),
+		restoreNanos:    reg.LogHistogram(MetricRestoreNanos, "restore wall-clock latency in nanoseconds (log-bucketed)", base),
 	}
 }
 
@@ -210,15 +253,12 @@ func newEngineMetrics(reg *obs.Registry, base obs.Labels) engineMetrics {
 // always maintained; the wall-clock fields are written only when the engine
 // is timed.
 type opStats struct {
-	inPos, inNeg        *obs.Counter
-	pos, neg            *obs.Counter
-	expired, procNanos  *obs.Counter
-	state               *obs.Gauge
-	touched             *obs.Gauge
-	maxBatch, lastBatch *obs.Gauge
-	// name is the pre-rendered "class#id" span label, so emitting a sampled
-	// EvDeltaSpan allocates nothing beyond the event itself.
-	name string
+	inPos, inNeg       *obs.Counter
+	pos, neg           *obs.Counter
+	expired, procNanos *obs.Counter
+	state              *obs.Gauge
+	touched            *obs.Gauge
+	maxBatch           *obs.Gauge
 	// id is the node's engine-wide operator index (the "id" metric label),
 	// assigned at registration and never reused.
 	id int
@@ -334,7 +374,6 @@ func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) *opS
 		labels[k] = v
 	}
 	st := &opStats{
-		name:      n.Class.String() + "#" + id,
 		id:        idx,
 		inPos:     reg.Counter(MetricOpInPos, "per-operator positive input tuples", labels),
 		inNeg:     reg.Counter(MetricOpInNeg, "per-operator negative input tuples", labels),
@@ -345,7 +384,6 @@ func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) *opS
 		state:     reg.Gauge(MetricOpState, "per-operator stored tuples (sampled)", labels),
 		touched:   reg.Gauge(MetricOpTouched, "per-operator tuple visits (sampled)", labels),
 		maxBatch:  reg.Gauge(MetricOpBatchMax, "per-operator max latency of one run", labels),
-		lastBatch: reg.Gauge(MetricOpBatchLast, "per-operator latency of the last run", labels),
 	}
 	st.conf = conformance{
 		declared:       n.Pattern,

@@ -9,10 +9,8 @@ import (
 )
 
 // benchPush measures Engine.Push on the Query-1-shaped join under UPA.
-// Compare BenchmarkPushObsDisabled against BenchmarkPushObsMetrics /
-// BenchmarkPushObsTraced to verify the disabled path stays within 5% of
-// the fully-uninstrumented cost (the disabled path adds one nil check per
-// trace site and atomic counter adds that pre-date this layer).
+// Compare BenchmarkPushObsDisabled against BenchmarkPushObsMetrics for the
+// cost of the wall-clock instruments a metrics registry switches on.
 func benchPush(b *testing.B, cfg Config) {
 	b.Helper()
 	root := joinOfSelects(1000)
@@ -46,11 +44,4 @@ func BenchmarkPushObsDisabled(b *testing.B) {
 
 func BenchmarkPushObsMetrics(b *testing.B) {
 	benchPush(b, Config{Metrics: obs.NewRegistry()})
-}
-
-func BenchmarkPushObsTraced(b *testing.B) {
-	benchPush(b, Config{
-		Metrics: obs.NewRegistry(),
-		Tracer:  obs.NewTracer(obs.NewRingSink(4096)),
-	})
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
@@ -38,17 +40,20 @@ func TestEngineMetricsRegistry(t *testing.T) {
 	if snap.Gauges[MetricStateTuplesPeak] < 1 {
 		t.Errorf("peak state gauge: %d", snap.Gauges[MetricStateTuplesPeak])
 	}
-	// Wall-clock Push timing is on because a registry was supplied.
-	if h := snap.Histograms[MetricPushNanos]; h.Count != 3 {
-		t.Errorf("push histogram count: %d", h.Count)
+	// Wall-clock Push timing is on because a registry was supplied; the
+	// latency series is a log-bucketed histogram with summary exposition.
+	if h := snap.LogHistograms[MetricPushNanos]; h.Count != 3 || h.Max <= 0 || h.P99 > h.Max {
+		t.Errorf("push histogram: %+v", h)
 	}
 	// The same registry renders as Prometheus text.
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "upa_arrivals_total 3") {
-		t.Errorf("prometheus text missing arrivals:\n%s", b.String())
+	for _, want := range []string{"upa_arrivals_total 3", "# TYPE upa_push_nanos summary", "upa_push_nanos_count 3"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("prometheus text missing %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -65,51 +70,6 @@ func TestEngineMetricsAccessor(t *testing.T) {
 	eng2 := buildEngine(t, simpleSelect(10), plan.UPA, Config{Metrics: reg})
 	if eng2.Metrics() != reg {
 		t.Error("engine must expose the supplied registry")
-	}
-}
-
-func TestEngineTraceEventsEndToEnd(t *testing.T) {
-	// Under NT, one short run must produce typed arrival, emission,
-	// window-expiration, and retraction events in sequence order.
-	ring := obs.NewRingSink(256)
-	var jsonl strings.Builder
-	tr := obs.NewTracer(ring, obs.NewJSONLSink(&jsonl))
-	eng := buildEngine(t, simpleSelect(10), plan.NT, Config{Tracer: tr})
-	eng.Push(0, 1, tuple.Int(7), tuple.String_("ftp"), tuple.Int(1))
-	eng.Push(0, 30, tuple.Int(8), tuple.String_("ftp"), tuple.Int(1))
-	if err := eng.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[obs.EventKind]int{}
-	var lastSeq uint64
-	for _, ev := range ring.Events() {
-		counts[ev.Kind]++
-		if ev.Seq <= lastSeq {
-			t.Fatalf("sequence not increasing: %+v after %d", ev, lastSeq)
-		}
-		lastSeq = ev.Seq
-	}
-	if counts[obs.EvArrival] != 2 {
-		t.Errorf("arrival events: %d", counts[obs.EvArrival])
-	}
-	if counts[obs.EvEmit] != 2 {
-		t.Errorf("emit events: %d", counts[obs.EvEmit])
-	}
-	if counts[obs.EvWindowExpire] != 1 || counts[obs.EvRetract] != 1 {
-		t.Errorf("expire/retract events: %d/%d", counts[obs.EvWindowExpire], counts[obs.EvRetract])
-	}
-	// The JSONL sink saw the same stream, one object per line.
-	lines := strings.Split(strings.TrimRight(jsonl.String(), "\n"), "\n")
-	if len(lines) != len(ring.Events()) {
-		t.Errorf("jsonl lines %d != ring events %d", len(lines), len(ring.Events()))
-	}
-	for _, l := range lines {
-		if !strings.HasPrefix(l, `{"seq":`) {
-			t.Fatalf("bad jsonl line: %q", l)
-		}
 	}
 }
 
@@ -132,4 +92,94 @@ func TestMaxStateTuplesShortRun(t *testing.T) {
 	if st := eng.Stats(); st.MaxStateTuples < 3 {
 		t.Errorf("post-Sync peak = %d, want >= 3 (view holds 3 rows)", st.MaxStateTuples)
 	}
+}
+
+// TestSeriesInventory holds the registered series to seriesConsumers: a
+// 2-shard executor and a two-query registry, monitored by the health
+// subsystem the way WithHealth wires it, share one metrics registry and go
+// through every entry point that instruments something — push, advance,
+// checkpoint, restore, sync, a health tick. The series names registered must
+// be exactly the inventory's.
+func TestSeriesInventory(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := Config{Metrics: reg, LazyInterval: 7, EagerInterval: 1}
+	q := ckptQueries()[0]
+	sh := openQuery(t, q, plan.UPA, plan.Options{}, cfg, 2)
+	defer sh.Close()
+	multi := NewMulti(cfg)
+	for _, name := range []string{"a", "b"} {
+		if _, err := multi.RegisterQuery(QuerySpec{Name: name, Phys: buildPhys(t, q.build(), plan.UPA, plan.Options{})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist := obs.NewHistory(reg, obs.HistoryConfig{Capacity: 8})
+	hist.BeforeSample(obs.RegisterProcessMetrics(reg))
+	h := obs.NewHealth(hist, multi.HealthRules(HealthSLO{DeltaP99: 1})...)
+	h.Tick()
+
+	trace := ckptTrace(q.streams)
+	for _, ex := range []Executor{sh, multi} {
+		if err := ex.PushBatch(trace); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Advance(trace[len(trace)-1].TS + 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ckpt, regCkpt bytes.Buffer
+	if err := sh.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := multi.CheckpointRegistry(&regCkpt); err != nil {
+		t.Fatal(err)
+	}
+	fresh := openQuery(t, q, plan.UPA, plan.Options{}, cfg, 2)
+	defer fresh.Close()
+	if err := fresh.Restore(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []Executor{sh, multi, fresh} {
+		if err := ex.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Tick()
+
+	snap := reg.Snapshot()
+	got := map[string]bool{}
+	for _, keys := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for k := range keys {
+			got[seriesName(k)] = true
+		}
+	}
+	for k := range snap.LogHistograms {
+		got[seriesName(k)] = true
+	}
+	var unlisted, stale []string
+	for name := range got {
+		if _, ok := seriesConsumers[name]; !ok {
+			unlisted = append(unlisted, name)
+		}
+	}
+	for name := range seriesConsumers {
+		if !got[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(unlisted)
+	sort.Strings(stale)
+	if len(unlisted) > 0 {
+		t.Errorf("series registered without a named consumer in seriesConsumers: %v", unlisted)
+	}
+	if len(stale) > 0 {
+		t.Errorf("seriesConsumers lists series nothing registered: %v", stale)
+	}
+}
+
+// seriesName strips the rendered label set from a snapshot key.
+func seriesName(key string) string {
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		return key[:i]
+	}
+	return key
 }

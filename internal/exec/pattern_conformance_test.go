@@ -25,7 +25,7 @@ import (
 // backed by a private registry.
 func newConfCell(declared core.Pattern, replacement bool) *opStats {
 	reg := obs.NewRegistry()
-	st := &opStats{name: "test#0"}
+	st := &opStats{}
 	st.conf = conformance{
 		declared:       declared,
 		maxBoundaryExp: math.MinInt64,

@@ -35,10 +35,9 @@ type OpProfile struct {
 	// Expired counts outputs produced by expiration work (Advance passes).
 	Expired int64
 	// ProcNanos is cumulative wall time processing input runs and expiring
-	// state in the maintenance passes; MaxBatchNanos and LastBatchNanos bound
-	// one run. All three are zero unless the
-	// engine was built with Config.Metrics set.
-	ProcNanos, MaxBatchNanos, LastBatchNanos int64
+	// state in the maintenance passes; MaxBatchNanos is the slowest single
+	// run. Both are zero unless the engine was built with Config.Metrics set.
+	ProcNanos, MaxBatchNanos int64
 	// Observed is the strongest update-pattern class the operator's output
 	// stream has actually exhibited (the conformance monitor's verdict);
 	// compare with Pattern, the declared class.
@@ -101,7 +100,6 @@ func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
 			Expired:        st.expired.Value(),
 			ProcNanos:      st.procNanos.Value(),
 			MaxBatchNanos:  st.maxBatch.Value(),
-			LastBatchNanos: st.lastBatch.Value(),
 			Observed:       core.Pattern(st.conf.observedG.Value()),
 			ViolExpiration: byKind[violExpiration],
 			ViolOutOfOrder: byKind[violOutOfOrder],

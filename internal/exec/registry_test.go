@@ -116,6 +116,15 @@ func TestRegistrySharesIdenticalPlans(t *testing.T) {
 	}
 }
 
+// gbPlan is the Query 6 shape: one window grouped by protocol with a count
+// and summed bytes.
+func gbPlan() *plan.Node {
+	src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 50}, linkSchema())
+	return plan.NewGroupBy(src, []int{1},
+		operator.AggSpec{Kind: operator.Count},
+		operator.AggSpec{Kind: operator.Sum, Col: 2})
+}
+
 // TestRegistrySharedGroupByColumnar registers two identical group-by queries
 // — protocol grouping with count and summed bytes — on one registry and feeds
 // it batched runs, so the single deduplicated physical group-by executes
@@ -124,12 +133,6 @@ func TestRegistrySharesIdenticalPlans(t *testing.T) {
 // a standalone engine pinned to the row path, and the run must stay columnar
 // throughout: shared sub-plans and the columnar stateful tail compose.
 func TestRegistrySharedGroupByColumnar(t *testing.T) {
-	gbPlan := func() *plan.Node {
-		src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 50}, linkSchema())
-		return plan.NewGroupBy(src, []int{1},
-			operator.AggSpec{Kind: operator.Count},
-			operator.AggSpec{Kind: operator.Sum, Col: 2})
-	}
 	cfg := Config{LazyInterval: 7, EagerInterval: 1}
 	e := NewMulti(cfg)
 	q1, err := e.RegisterQuery(QuerySpec{Name: "gb1", Phys: buildPhys(t, gbPlan(), plan.UPA, plan.Options{})})

@@ -24,8 +24,6 @@ const (
 	// blocked on a full shard queue, recorded only when Config.Metrics is
 	// set.
 	MetricShardQueueBlocked = "upa_shard_queue_blocked_nanos_total"
-	// MetricShardBatches counts batches handed to the shard's worker.
-	MetricShardBatches = "upa_shard_batches_total"
 )
 
 // sharded is the key-partitioned implementation of Executor: n independent
@@ -40,9 +38,9 @@ const (
 // bounded channel, so a fast producer back-pressures instead of ballooning.
 // Within a shard, Engine semantics are untouched: each worker sees its
 // partition of the input in global timestamp order and runs the same
-// maintenance cadence a sequential engine would. Metrics and traces are safe
-// under the workers: the registry and tracer sinks are mutex/atomic-protected,
-// and each shard's series carry a "shard" label.
+// maintenance cadence a sequential engine would. Metrics are safe under the
+// workers: the registry is mutex/atomic-protected, and each shard's series
+// carry a "shard" label.
 type sharded struct {
 	phys   *plan.Physical
 	shards []*Engine
@@ -68,7 +66,6 @@ type sharded struct {
 	// Per-shard ingest-queue instruments.
 	qdepth  []*obs.Gauge
 	blocked []*obs.Counter
-	batches []*obs.Counter
 	// timed gates the wall-clock blocked measurement, like Engine.timed.
 	timed bool
 }
@@ -108,7 +105,6 @@ func newSharded(spec QuerySpec, cfg Config, n int, route map[int][]int) (*sharde
 		free:          make([]chan []Arrival, n),
 		qdepth:        make([]*obs.Gauge, n),
 		blocked:       make([]*obs.Counter, n),
-		batches:       make([]*obs.Counter, n),
 	}
 	for i := 0; i < n; i++ {
 		shardPhys := phys
@@ -139,7 +135,6 @@ func newSharded(spec QuerySpec, cfg Config, n int, route map[int][]int) (*sharde
 		labels := eng.cfg.MetricLabels
 		s.qdepth[i] = reg.Gauge(MetricShardQueueDepth, "in-flight ingest batches", labels)
 		s.blocked[i] = reg.Counter(MetricShardQueueBlocked, "producer wall time blocked on a full shard queue", labels)
-		s.batches[i] = reg.Counter(MetricShardBatches, "ingest batches handed to the shard worker", labels)
 		s.chans[i] = make(chan shardOp, shardQueue)
 		s.free[i] = make(chan []Arrival, shardQueue+1)
 		s.wg.Add(1)
@@ -252,7 +247,6 @@ func (s *sharded) flushShard(i int) {
 			s.chans[i] <- op
 		}
 	}
-	s.batches[i].Inc()
 	s.qdepth[i].Set(int64(len(s.chans[i])))
 }
 
@@ -548,9 +542,6 @@ func (s *sharded) Profile() []OpProfile {
 			out[i].ProcNanos += p.ProcNanos
 			if p.MaxBatchNanos > out[i].MaxBatchNanos {
 				out[i].MaxBatchNanos = p.MaxBatchNanos
-			}
-			if p.LastBatchNanos > out[i].LastBatchNanos {
-				out[i].LastBatchNanos = p.LastBatchNanos
 			}
 			if p.Observed > out[i].Observed {
 				out[i].Observed = p.Observed

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -27,34 +26,23 @@ type Page struct {
 //
 //	/metrics        Prometheus text exposition format
 //	/metrics.json   JSON snapshot of every metric
-//	/debug/vars     expvar (includes the registry, published once)
 //	/debug/pprof/*  runtime profiling
 //
 // Extra pages (e.g. /debug/plan) may be mounted alongside. The handler reads
 // the registry with atomic loads only, so it is safe to scrape while an
 // engine is mid-run.
 func Handler(reg *Registry, pages ...Page) http.Handler {
-	return HandlerFunc(func() *Registry { return reg }, pages...)
-}
-
-// HandlerFunc is Handler over a dynamic registry source — get is invoked
-// per request, so a driver running engines sequentially (each with its own
-// registry) can expose whichever run is currently in progress. get may
-// return nil (served as an empty registry).
-func HandlerFunc(get func() *Registry, pages ...Page) http.Handler {
-	publishExpvar("upa_metrics", get)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Header().Set("Cache-Control", "no-cache")
-		_ = get().WritePrometheus(w)
+		_ = reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.Header().Set("Cache-Control", "no-cache")
-		_ = get().WriteJSON(w)
+		_ = reg.WriteJSON(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -68,7 +56,7 @@ func HandlerFunc(get func() *Registry, pages ...Page) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "upa observability endpoint\n\n/metrics\n/metrics.json\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "upa observability endpoint\n\n/metrics\n/metrics.json\n/debug/pprof/\n")
 		for _, p := range pages {
 			if p.Title != "" {
 				fmt.Fprintf(w, "%s  (%s)\n", p.Path, p.Title)
@@ -78,19 +66,6 @@ func HandlerFunc(get func() *Registry, pages ...Page) http.Handler {
 		}
 	})
 	return mux
-}
-
-var expvarMu sync.Mutex
-
-// publishExpvar publishes the registry snapshot under name, tolerating
-// repeated calls (expvar.Publish panics on duplicates).
-func publishExpvar(name string, get func() *Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return get().Snapshot() }))
 }
 
 // Server is a running exposition endpoint.
@@ -123,16 +98,11 @@ func (s *Server) Close() error {
 // Serve binds addr (e.g. ":9090") and serves Handler(reg, pages...) in a
 // background goroutine until Close.
 func Serve(addr string, reg *Registry, pages ...Page) (*Server, error) {
-	return ServeFunc(addr, func() *Registry { return reg }, pages...)
-}
-
-// ServeFunc is Serve over a dynamic registry source (see HandlerFunc).
-func ServeFunc(addr string, get func() *Registry, pages ...Page) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: HandlerFunc(get, pages...), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: Handler(reg, pages...), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{ln: ln, srv: srv}, nil
 }

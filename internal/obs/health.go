@@ -62,16 +62,16 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 type SignalSource int
 
 const (
-	// SourceValue reads the current value: cumulative total for counters
-	// and histograms, the sampled value for gauges.
+	// SourceValue reads the current value: cumulative total for counters,
+	// observation count for histograms, the sampled value for gauges.
 	SourceValue SignalSource = iota
 	// SourceDelta sums the per-tick deltas across the window (counters,
-	// histograms, log-histogram counts); for gauges it is newest minus
-	// oldest value in the window.
+	// histogram observation counts); for gauges it is newest minus oldest
+	// value in the window.
 	SourceDelta
 	// SourceRate is SourceDelta divided by the window's elapsed seconds.
 	SourceRate
-	// SourceQuantile merges the window's bucket-wise log-histogram deltas
+	// SourceQuantile merges the window's bucket-wise histogram deltas
 	// across all matching series and reads the Q-quantile of the combined
 	// distribution (merging first keeps the quantile exact; quantiles of
 	// per-series quantiles would not be).
@@ -185,26 +185,6 @@ func (s *LogAlertSink) Alert(t Transition) {
 	fmt.Fprintf(s.w, "health: %s %s -> %s (value %.6g) at %s\n",
 		t.Rule, t.From, t.To, t.Value,
 		time.Unix(0, t.WallNanos).UTC().Format(time.RFC3339Nano))
-}
-
-// TracerAlertSink forwards transitions as EvAlert events through an
-// existing Tracer, reusing its JSONL/ring sinks: Node carries the rule
-// name, Tuple the "FROM->TO" edge, N the new severity, Nanos the value.
-type TracerAlertSink struct{ T *Tracer }
-
-// Alert implements AlertSink.
-func (s TracerAlertSink) Alert(t Transition) {
-	if s.T == nil {
-		return
-	}
-	s.T.Emit(Event{
-		Kind:  EvAlert,
-		TS:    t.WallNanos,
-		Node:  t.Rule,
-		Tuple: t.From.String() + "->" + t.To.String(),
-		N:     int(t.To),
-		Nanos: int64(t.Value),
-	})
 }
 
 // ruleState is one rule's alert state machine. Escalation requires

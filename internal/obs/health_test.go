@@ -254,22 +254,6 @@ func TestLogAlertSink(t *testing.T) {
 	}
 }
 
-func TestTracerAlertSink(t *testing.T) {
-	ring := NewRingSink(8)
-	tr := NewTracer(ring)
-	s := TracerAlertSink{T: tr}
-	s.Alert(Transition{Rule: "r", From: SevWarn, To: SevCrit, Value: 7, WallNanos: 123})
-	evs := ring.Events()
-	if len(evs) != 1 {
-		t.Fatalf("traced %d events, want 1", len(evs))
-	}
-	ev := evs[0]
-	if ev.Kind != EvAlert || ev.Node != "r" || ev.Tuple != "WARN->CRIT" || ev.N != int(SevCrit) || ev.Nanos != 7 {
-		t.Errorf("event = %+v", ev)
-	}
-	TracerAlertSink{}.Alert(Transition{}) // nil tracer is a no-op
-}
-
 func TestHealthPage(t *testing.T) {
 	reg, h := newTestHealth(Rule{
 		Name: "depth", Help: "queue depth",

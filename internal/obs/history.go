@@ -16,14 +16,14 @@ import (
 // series do over the last N ticks" without an external TSDB.
 //
 // Storage per sample tick:
-//   - counters and fixed histograms store the tick-over-tick *delta*, so
-//     rates and windowed sums come free (the cumulative value stays
-//     available as the running baseline);
+//   - counters store the tick-over-tick *delta*, so rates and windowed sums
+//     come free (the cumulative value stays available as the running
+//     baseline);
 //   - gauges store the sampled value;
-//   - log histograms store a bucket-wise delta snapshot, so an exact
-//     windowed distribution — and therefore exact windowed p50/p95/p99 —
-//     is a Merge of the window's deltas (quantiles cannot be averaged;
-//     bucket counts can).
+//   - histograms store a bucket-wise delta snapshot, so an exact windowed
+//     distribution — and therefore exact windowed p50/p95/p99 — is a Merge
+//     of the window's deltas (quantiles cannot be averaged; bucket counts
+//     can).
 //
 // Sampling is lock-light: instruments are atomics, so a tick reads each
 // series once without stopping recorders; History's own mutex only orders
@@ -74,10 +74,10 @@ type seriesRing struct {
 	m      *metric
 
 	first int64   // global tick index of this series' first sample
-	vals  []int64 // counter/histogram deltas, gauge values
+	vals  []int64 // counter deltas, histogram count deltas, gauge values
 	hists []LogHistogramSnapshot
 	prev  int64                // last cumulative count (counters, histograms)
-	prevH LogHistogramSnapshot // last cumulative snapshot (log histograms)
+	prevH LogHistogramSnapshot // last cumulative snapshot (histograms)
 }
 
 // NewHistory builds a sampler over reg. The first tick of each series is a
@@ -184,8 +184,6 @@ func (h *History) sampleAt(wall, mono int64) {
 			switch m.kind {
 			case kindCounter:
 				r.prev = m.c.Value()
-			case kindHistogram:
-				r.prev = m.h.Count()
 			case kindLogHistogram:
 				r.prevH = m.lh.Snapshot()
 				r.prev = r.prevH.Count
@@ -198,10 +196,6 @@ func (h *History) sampleAt(wall, mono int64) {
 			r.prev = cur
 		case kindGauge:
 			r.vals[slot] = m.g.Value()
-		case kindHistogram:
-			cur := m.h.Count()
-			r.vals[slot] = cur - r.prev
-			r.prev = cur
 		case kindLogHistogram:
 			cur := m.lh.Snapshot()
 			d := diffLogSnapshots(cur, r.prevH)
@@ -329,7 +323,7 @@ func (h *History) retainedLocked() int {
 // SeriesKey identifies one retained series.
 type SeriesKey struct {
 	Key  string `json:"key"`  // name + rendered labels
-	Kind string `json:"kind"` // counter | gauge | histogram | summary
+	Kind string `json:"kind"` // counter | gauge | summary
 }
 
 // Series lists every retained series in registration order. Safe on nil.
@@ -352,16 +346,14 @@ type SeriesWindow struct {
 	Kind string `json:"kind"`
 	// WallNanos stamps each retained tick (UnixNano).
 	WallNanos []int64 `json:"wall_nanos"`
-	// Values holds per-tick deltas for counters/histograms and sampled
-	// values for gauges; for log histograms it holds per-tick observation
-	// counts.
+	// Values holds per-tick deltas for counters, sampled values for gauges,
+	// and per-tick observation counts for histograms.
 	Values []int64 `json:"values"`
 	// Cumulative is the series' running total as of the newest tick
-	// (counters, histograms, log-histogram counts); latest value for
-	// gauges.
+	// (counters, histogram counts); latest value for gauges.
 	Cumulative int64 `json:"cumulative"`
 	// Quantiles is the Merge of the window's bucket-wise deltas — the
-	// exact distribution observed across the window (log histograms only).
+	// exact distribution observed across the window (histograms only).
 	Quantiles *LogHistogramSnapshot `json:"quantiles,omitempty"`
 }
 
@@ -419,8 +411,8 @@ func (h *History) latestLocked(r *seriesRing) int64 {
 	return r.vals[int((h.count-1)%int64(h.cfg.Capacity))]
 }
 
-// windowSumLocked sums the last n stored values of r (deltas for
-// counters/histograms).
+// windowSumLocked sums the last n stored values of r (deltas for counters,
+// observation counts for histograms).
 func (h *History) windowSumLocked(r *seriesRing, n int) int64 {
 	avail := h.retainedLocked()
 	if n <= 0 || n > avail {
@@ -455,7 +447,7 @@ func (h *History) windowElapsedLocked(n int) int64 {
 	return newest - oldest
 }
 
-// windowHistLocked merges the last n bucket-wise deltas of a log-histogram
+// windowHistLocked merges the last n bucket-wise deltas of a histogram
 // series into one distribution.
 func (h *History) windowHistLocked(r *seriesRing, n int) LogHistogramSnapshot {
 	var merged LogHistogramSnapshot

@@ -1,13 +1,14 @@
 // Package obs is the engine's observability layer: a dependency-free
-// metrics registry (atomic counters, gauges, and fixed-bucket histograms),
-// a structured event tracer with pluggable sinks, and exposition in
-// Prometheus text format and JSON — the instrumentation backbone that turns
-// the paper's end-of-run aggregates (tuple touches, retraction volume,
-// stored state) into live, continuously observable series.
+// metrics registry (atomic counters, gauges, and log-bucketed histograms),
+// an in-process history sampler with declarative health rules over it, and
+// exposition in Prometheus text format and JSON — the instrumentation
+// backbone that turns the paper's end-of-run aggregates (tuple touches,
+// retraction volume, stored state) into live, continuously observable
+// series.
 //
-// Everything is nil-safe: methods on a nil *Counter, *Gauge, *Histogram,
-// *Registry, or *Tracer are no-ops, so instrumented code pays one nil check
-// (no atomics, no allocation) when observability is disabled.
+// Everything is nil-safe: methods on a nil *Counter, *Gauge, *LogHistogram,
+// or *Registry are no-ops, so instrumented code pays one nil check (no
+// atomics, no allocation) when observability is disabled.
 package obs
 
 import (
@@ -90,95 +91,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bucket cumulative histogram (Prometheus semantics:
-// bucket i counts observations <= Buckets[i], plus an implicit +Inf
-// bucket). Buckets are chosen at registration and never reallocated, so
-// Observe is a branchless-ish scan plus two atomic adds.
-type Histogram struct {
-	bounds []int64 // ascending upper bounds
-	counts []atomic.Int64
-	inf    atomic.Int64
-	sum    atomic.Int64
-	n      atomic.Int64
-}
-
-// NewHistogram builds a standalone histogram with the given ascending
-// bucket upper bounds.
-func NewHistogram(bounds []int64) *Histogram {
-	b := append([]int64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b))}
-}
-
-// DefaultLatencyBuckets covers 100ns..100ms in roughly decade steps —
-// suitable for per-tuple processing latency in nanoseconds.
-func DefaultLatencyBuckets() []int64 {
-	return []int64{100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
-		100_000, 250_000, 500_000, 1_000_000, 10_000_000, 100_000_000}
-}
-
-// Observe records one value. Safe on nil.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.sum.Add(v)
-	h.n.Add(1)
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i].Add(1)
-			return
-		}
-	}
-	h.inf.Add(1)
-}
-
-// Count returns the number of observations. Safe on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of observed values. Safe on nil.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds; Counts[i] observations fell in
-	// (Bounds[i-1], Bounds[i]]. Inf counts observations above the last
-	// bound.
-	Bounds []int64 `json:"bounds"`
-	Counts []int64 `json:"counts"`
-	Inf    int64   `json:"inf"`
-	Sum    int64   `json:"sum"`
-	Count  int64   `json:"count"`
-}
-
-// Snapshot copies the histogram's current state. Safe on nil.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Bounds: append([]int64(nil), h.bounds...),
-		Counts: make([]int64, len(h.counts)),
-		Inf:    h.inf.Load(),
-		Sum:    h.sum.Load(),
-		Count:  h.n.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
 // Labels are constant metric dimensions, e.g. {"op": "join", "node": "1"}.
 type Labels map[string]string
 
@@ -238,7 +150,6 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindLogHistogram
 )
 
@@ -248,8 +159,6 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	case kindLogHistogram:
 		// Log-bucketed histograms expose pre-computed quantiles, which is
 		// the Prometheus summary shape.
@@ -267,7 +176,6 @@ type metric struct {
 	kind   metricKind
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 	lh     *LogHistogram
 }
 
@@ -324,21 +232,6 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	return r.lookup(name, labels, kindGauge, help).g
 }
 
-// Histogram registers (or retrieves) a fixed-bucket histogram. Safe on nil
-// (returns nil). The bounds of the first registration win.
-func (r *Registry) Histogram(name, help string, bounds []int64, labels Labels) *Histogram {
-	if r == nil {
-		return nil
-	}
-	m := r.lookup(name, labels, kindHistogram, help)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.h == nil {
-		m.h = NewHistogram(bounds)
-	}
-	return m.h
-}
-
 // LogHistogram registers (or retrieves) a lock-free log-bucketed histogram
 // with quantile exposition (Prometheus summary shape). Safe on nil
 // (returns nil).
@@ -377,8 +270,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.c.Value())
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.g.Value())
-		case kindHistogram:
-			err = writePromHistogram(w, m)
 		case kindLogHistogram:
 			err = writePromLogHistogram(w, m)
 		}
@@ -387,26 +278,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func writePromHistogram(w io.Writer, m *metric) error {
-	s := m.h.Snapshot()
-	cum := int64(0)
-	for i, b := range s.Bounds {
-		cum += s.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, mergeLabel(m.labels, fmt.Sprintf(`le="%d"`, b)), cum); err != nil {
-			return err
-		}
-	}
-	cum += s.Inf
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, mergeLabel(m.labels, `le="+Inf"`), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", m.name, m.labels, s.Sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, m.labels, s.Count)
-	return err
 }
 
 func writePromLogHistogram(w io.Writer, m *metric) error {
@@ -443,7 +314,6 @@ func mergeLabel(rendered, extra string) string {
 type Snapshot struct {
 	Counters      map[string]int64                `json:"counters,omitempty"`
 	Gauges        map[string]int64                `json:"gauges,omitempty"`
-	Histograms    map[string]HistogramSnapshot    `json:"histograms,omitempty"`
 	LogHistograms map[string]LogHistogramSnapshot `json:"log_histograms,omitempty"`
 }
 
@@ -453,7 +323,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:      map[string]int64{},
 		Gauges:        map[string]int64{},
-		Histograms:    map[string]HistogramSnapshot{},
 		LogHistograms: map[string]LogHistogramSnapshot{},
 	}
 	if r == nil {
@@ -469,8 +338,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[key] = m.c.Value()
 		case kindGauge:
 			s.Gauges[key] = m.g.Value()
-		case kindHistogram:
-			s.Histograms[key] = m.h.Snapshot()
 		case kindLogHistogram:
 			s.LogHistograms[key] = m.lh.Snapshot()
 		}

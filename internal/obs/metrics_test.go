@@ -20,14 +20,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("nil gauge value = %d", g.Value())
 	}
-	var h *Histogram
-	h.Observe(3)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram recorded")
-	}
 	var r *Registry
 	if r.Counter("x", "", nil) != nil || r.Gauge("x", "", nil) != nil ||
-		r.Histogram("x", "", nil, nil) != nil {
+		r.LogHistogram("x", "", nil) != nil {
 		t.Fatal("nil registry returned live instruments")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -78,29 +73,14 @@ func TestLabeledSeriesAreDistinct(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]int64{10, 100, 1000})
-	for _, v := range []int64{5, 10, 11, 500, 5000} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	want := []int64{2, 1, 1} // <=10: {5,10}; (10,100]: {11}; (100,1000]: {500}
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (snapshot %+v)", i, s.Counts[i], w, s)
-		}
-	}
-	if s.Inf != 1 || s.Count != 5 || s.Sum != 5+10+11+500+5000 {
-		t.Fatalf("snapshot %+v", s)
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("upa_arrivals_total", "base-stream tuples pushed", nil).Add(42)
 	r.Gauge("upa_state_tuples", "stored tuples", nil).Set(17)
 	r.Counter("upa_op_emitted_total", "per-operator emissions", Labels{"op": "join"}).Add(3)
-	r.Histogram("upa_push_nanos", "push latency", []int64{100, 1000}, nil).Observe(150)
+	push := r.LogHistogram("upa_push_nanos", "push latency", nil)
+	push.Observe(150)
+	push.Observe(150)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -114,12 +94,12 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE upa_state_tuples gauge",
 		"upa_state_tuples 17",
 		`upa_op_emitted_total{op="join"} 3`,
-		"# TYPE upa_push_nanos histogram",
-		`upa_push_nanos_bucket{le="100"} 0`,
-		`upa_push_nanos_bucket{le="1000"} 1`,
-		`upa_push_nanos_bucket{le="+Inf"} 1`,
-		"upa_push_nanos_sum 150",
-		"upa_push_nanos_count 1",
+		"# TYPE upa_push_nanos summary",
+		`upa_push_nanos{quantile="0.5"} 150`,
+		`upa_push_nanos{quantile="0.99"} 150`,
+		"upa_push_nanos_max 150",
+		"upa_push_nanos_sum 300",
+		"upa_push_nanos_count 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
@@ -163,7 +143,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("upa_shared_total", "", nil).Inc()
 				r.Gauge("upa_shared_gauge", "", nil).SetMax(int64(j))
-				r.Histogram("upa_shared_hist", "", []int64{10}, nil).Observe(int64(j % 20))
+				r.LogHistogram("upa_shared_hist", "", nil).Observe(int64(j % 20))
 			}
 		}()
 	}
@@ -171,7 +151,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if v := r.Counter("upa_shared_total", "", nil).Value(); v != 8000 {
 		t.Fatalf("counter = %d, want 8000", v)
 	}
-	if h := r.Histogram("upa_shared_hist", "", []int64{10}, nil); h.Count() != 8000 {
+	if h := r.LogHistogram("upa_shared_hist", "", nil); h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
 }

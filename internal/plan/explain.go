@@ -35,8 +35,8 @@ type NodeStats struct {
 	// ProcNanos is cumulative wall time processing input runs (only measured
 	// when the engine runs with a metrics registry attached).
 	ProcNanos int64
-	// MaxBatchNanos/LastBatchNanos bound the latency of one run.
-	MaxBatchNanos, LastBatchNanos int64
+	// MaxBatchNanos is the latency of the slowest run.
+	MaxBatchNanos int64
 	// Observed is the update-pattern class the operator's output stream has
 	// actually exhibited, per the executor's conformance monitor; compare
 	// with the node's declared class on the tree line. Mismatch marks

@@ -10,10 +10,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Observability re-exports: the metrics registry, typed event tracer, and
-// exposition endpoint of internal/obs, attachable to a compiled query via
-// WithMetrics and WithTracer. Both are off by default; a disabled engine
-// pays one nil check per trace site and atomic counter adds only.
+// Observability re-exports: the metrics registry, exposition endpoint and
+// health monitor of internal/obs, attachable to a compiled query via
+// WithMetrics and WithHealth. Both are off by default; a disabled engine pays
+// atomic counter adds only.
 type (
 	// MetricsRegistry holds named counters, gauges, and histograms; an
 	// engine compiled WithMetrics registers its instruments here (see the
@@ -21,19 +21,6 @@ type (
 	MetricsRegistry = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = obs.Snapshot
-	// Tracer fans typed engine events out to sinks.
-	Tracer = obs.Tracer
-	// TraceEvent is one typed engine event.
-	TraceEvent = obs.Event
-	// TraceEventKind classifies a TraceEvent.
-	TraceEventKind = obs.EventKind
-	// TraceSink receives every traced event.
-	TraceSink = obs.Sink
-	// JSONLSink streams traced events as JSON lines; Flush forces buffered
-	// events to the writer mid-run, Close flushes and finishes.
-	JSONLSink = obs.JSONLSink
-	// RingSink keeps the last N events in memory.
-	RingSink = obs.RingSink
 	// MetricsServer is a running HTTP exposition endpoint.
 	MetricsServer = obs.Server
 	// MetricsPage is one extra endpoint mounted on the exposition handler,
@@ -62,8 +49,8 @@ type (
 	HealthSeverity = obs.Severity
 	// AlertTransition is one alert state change delivered to sinks.
 	AlertTransition = obs.Transition
-	// AlertSink receives alert transitions (see NewLogAlertSink,
-	// AlertFunc, and TracerAlertSink).
+	// AlertSink receives alert transitions (see NewLogAlertSink and
+	// AlertFunc).
 	AlertSink = obs.AlertSink
 	// HealthSLO carries deployment-specific targets for the engine's
 	// built-in rules (delta-latency p99, checkpoint age).
@@ -102,57 +89,13 @@ const (
 	AggMin = obs.AggMin
 )
 
-// Trace event kinds.
-const (
-	// EvArrival is one base-stream tuple admitted.
-	EvArrival = obs.EvArrival
-	// EvEmit is one positive output-stream tuple.
-	EvEmit = obs.EvEmit
-	// EvRetract is one negative output-stream tuple.
-	EvRetract = obs.EvRetract
-	// EvWindowExpire is one window-generated negative tuple (NT strategy).
-	EvWindowExpire = obs.EvWindowExpire
-	// EvViewExpire is one lazy result-view expiration pass.
-	EvViewExpire = obs.EvViewExpire
-	// EvTableUpdate is one table mutation routed through the plan.
-	EvTableUpdate = obs.EvTableUpdate
-	// EvEagerPass is one eager maintenance pass that moved tuples.
-	EvEagerPass = obs.EvEagerPass
-	// EvLazyPass is one lazy maintenance pass that moved tuples.
-	EvLazyPass = obs.EvLazyPass
-	// EvDeltaSpan is one sampled per-delta span: the operator-by-operator
-	// dwell breakdown of a traced arrival (see WithTraceSampling).
-	EvDeltaSpan = obs.EvDeltaSpan
-	// EvAlert is one health-rule alert transition forwarded through a
-	// tracer (see TracerAlertSink).
-	EvAlert = obs.EvAlert
-)
-
 // NewMetricsRegistry builds an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewTracer builds a tracer over the given sinks with every event kind
-// enabled; restrict with its Only method.
-func NewTracer(sinks ...TraceSink) *Tracer { return obs.NewTracer(sinks...) }
-
-// NewJSONLSink writes one JSON object per traced event to w (buffered;
-// Flush forces partial output mid-run, Close flushes and finishes).
-func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
-
-// NewRingSink keeps the most recent n events in memory. Overwritten events
-// are counted; chain .ExposeDropped(reg) to surface that count as the
-// upa_trace_dropped_total series instead of dropping silently.
-func NewRingSink(n int) *RingSink { return obs.NewRingSink(n) }
 
 // WithMetrics registers the compiled engine's instruments in reg and
 // enables wall-clock Push latency sampling.
 func WithMetrics(reg *MetricsRegistry) RegistryOption {
 	return registryOption(func(c *compileCfg) { c.execCfg.Metrics = reg })
-}
-
-// WithTracer attaches a typed-event tracer to the compiled engine.
-func WithTracer(t *Tracer) RegistryOption {
-	return registryOption(func(c *compileCfg) { c.execCfg.Tracer = t })
 }
 
 // WithQueryLabel merges a {query: name} label into every metric series the
@@ -169,20 +112,9 @@ func WithQueryLabel(name string) RegistryOption {
 	})
 }
 
-// WithTraceSampling enables per-delta span tracing: one in every n admitted
-// arrivals (or arrival runs, on the batch path) is traced through the plan,
-// emitting one EvDeltaSpan event per operator it touches with that
-// operator's dwell time. Requires a WithTracer tracer that wants
-// EvDeltaSpan; n <= 0 disables sampling (the default). Keep n large (say,
-// 1000+) on hot streams — sampling exists so spans stay within the <5%
-// instrumentation overhead budget.
-func WithTraceSampling(n int) RegistryOption {
-	return registryOption(func(c *compileCfg) { c.execCfg.TraceSampleEvery = n })
-}
-
 // MetricsHandler serves reg over HTTP: /metrics (Prometheus text format),
-// /metrics.json, /debug/vars (expvar), and /debug/pprof/. Extra pages (e.g.
-// Engine.PlanPage) are mounted alongside and listed on the index.
+// /metrics.json, and /debug/pprof/. Extra pages (e.g. Engine.PlanPage) are
+// mounted alongside and listed on the index.
 func MetricsHandler(reg *MetricsRegistry, pages ...MetricsPage) http.Handler {
 	return obs.Handler(reg, pages...)
 }
@@ -245,10 +177,6 @@ func NewLogAlertSink(w io.Writer) AlertSink { return obs.NewLogAlertSink(w) }
 
 // AlertFunc adapts a callback to the AlertSink interface.
 func AlertFunc(fn func(AlertTransition)) AlertSink { return obs.AlertFunc(fn) }
-
-// TracerAlertSink forwards alert transitions as EvAlert events through an
-// existing tracer, reusing its JSONL/ring sinks.
-func TracerAlertSink(t *Tracer) AlertSink { return obs.TracerAlertSink{T: t} }
 
 // HealthConfig parameterizes WithHealth.
 type HealthConfig struct {

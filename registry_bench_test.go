@@ -1,8 +1,8 @@
 // Benchmarks pinning the facade's single-query ingest cost through both
 // entry points: the legacy Compile engine and a one-query Registry. Compile
-// is itself a thin wrapper over a one-query registry, so CI holds the two
-// medians within 5% of each other (same-run pairing, so host speed cancels
-// out) — the multi-query redesign must not tax single-query workloads.
+// is itself a thin wrapper over a one-query registry, so the two should
+// measure alike — the multi-query redesign must not tax single-query
+// workloads.
 package repro_test
 
 import (

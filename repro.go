@@ -47,9 +47,9 @@
 // (internal/operator), pattern-aware state buffers (internal/statebuf), the
 // planner, cost model and optimizer (internal/plan), the three execution
 // strategies (internal/exec), a Definition-1/2 reference evaluator
-// (internal/reference), and the Section 6 experiment harness
-// (internal/bench) with its synthetic LBL-style traffic generator
-// (internal/trace).
+// (internal/reference), the synthetic LBL-style traffic generator
+// (internal/trace), and the Section 6 experiment harness (internal/bench,
+// driven by cmd/upabench).
 package repro
 
 import (
@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bench"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -200,7 +199,7 @@ type Option interface {
 
 // RegistryOption configures the shared executor that all queries registered
 // on one Registry run on: shard/worker topology, observability wiring
-// (metrics, tracing, health), and the maintenance cadence every shared plan
+// (metrics, health), and the maintenance cadence every shared plan
 // node follows. Accepted by NewRegistry, Compile, and Open.
 type RegistryOption interface {
 	Option
@@ -611,16 +610,3 @@ func TraceSchema() *Schema { return trace.Schema() }
 
 // GenerateTrace materializes a deterministic synthetic trace.
 func GenerateTrace(cfg TraceConfig) []TraceRecord { return trace.Generate(cfg) }
-
-// Benchmark re-exports: the Section 6 experiment harness.
-type (
-	// BenchQuery identifies one of the paper's five experimental queries.
-	BenchQuery = bench.Query
-	// BenchResult is one measured run.
-	BenchResult = bench.Result
-	// BenchConfig parameterizes a measured run.
-	BenchConfig = bench.RunConfig
-)
-
-// RunBench executes one experimental query under a configuration.
-func RunBench(q BenchQuery, rc BenchConfig) (BenchResult, error) { return bench.Run(q, rc) }
