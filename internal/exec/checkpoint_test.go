@@ -63,6 +63,7 @@ func ckptQueries() []ckptQuery {
 			neg := plan.NewNegate(a, b, []int{0}, []int{0})
 			return plan.NewJoin(neg, ftpSel(2, 20), []int{0}, []int{0})
 		}},
+		{"Q6-groupby", 1, gbPlan},
 	}
 }
 
@@ -170,6 +171,9 @@ func diffObservations(t *testing.T, name string, got, want observation) {
 // A uninterrupted, B checkpointed mid-trace and continued, C restored from
 // B's checkpoint into a fresh Executor and fed the rest. All three must agree
 // on every visible signal, and B must be unperturbed by having checkpointed.
+// The checkpoint is also a function of the input alone: a second executor fed
+// the same prefix writes B's exact bytes, and so does C checkpointed again
+// right after its Restore.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	for _, q := range ckptQueries() {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
@@ -191,10 +195,15 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 					feed(t, b, trace[half:])
 					bObs := observe(t, b)
 
+					twin := buildExecutor(t, q, strat, shards)
+					feed(t, twin, trace[:half])
+					sameBytes(t, "a second executor fed the same prefix", twin, ckpt.Bytes())
+
 					c := buildExecutor(t, q, strat, shards)
 					if err := c.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
 						t.Fatalf("Restore: %v", err)
 					}
+					sameBytes(t, "the restored executor", c, ckpt.Bytes())
 					feed(t, c, trace[half:])
 					cObs := observe(t, c)
 
@@ -214,6 +223,24 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameBytes checkpoints ex and requires exactly want, reporting the first
+// differing byte.
+func sameBytes(t *testing.T, who string, ex Executor, want []byte) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := ex.Checkpoint(&got); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	at := 0
+	for at < min(got.Len(), len(want)) && got.Bytes()[at] == want[at] {
+		at++
+	}
+	t.Errorf("%s checkpoints %d bytes differing from B's %d at byte %d", who, got.Len(), len(want), at)
 }
 
 // The Engine ↔ 1-shard interchange test that stood here had the coordinator's

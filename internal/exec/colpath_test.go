@@ -74,7 +74,7 @@ func buildColEngine(t *testing.T, q ckptQuery, strat plan.Strategy, cfg Config) 
 // Distinct, Negate) and AdmitRunCols feeding NT's materialized windows, every
 // query must engage the columnar path under every strategy.
 func TestColumnarRowBatchEquivalence(t *testing.T) {
-	for _, q := range append(ckptQueries(), ckptQuery{"Q6-groupby", 1, gbPlan}) {
+	for _, q := range ckptQueries() {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
 			t.Run(fmt.Sprintf("%s/%v", q.name, strat), func(t *testing.T) {
 				trace := colTrace(q.streams, 256)

@@ -174,6 +174,9 @@ func TestExecutorContract(t *testing.T) {
 					a := openContract(t, p, strat, shards)
 					a.play(t, steps)
 					keyed := lookups(t, a.ex)
+					if sh, ok := a.ex.(*sharded); ok && sh.phys.View.Kind == plan.ViewKeyed {
+						groupsInOneShard(t, sh)
+					}
 					if v := a.ex.Violations(); v != 0 {
 						t.Errorf("shards=%d: %d pattern violations", shards, v)
 					}
@@ -235,6 +238,26 @@ func TestExecutorContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// groupsInOneShard requires each group of a keyed view to live in exactly one
+// shard — the premise that lets Snapshot concatenate the shard views without
+// merging rows.
+func groupsInOneShard(t *testing.T, s *sharded) {
+	t.Helper()
+	home := make(map[tuple.Key]int)
+	for i, eng := range s.shards {
+		for _, r := range eng.View().Snapshot() {
+			k := r.Key(s.phys.View.KeyCols)
+			if j, seen := home[k]; seen {
+				t.Errorf("group %v is in the views of shards %d and %d", k, j, i)
+			}
+			home[k] = i
+		}
+	}
+	if len(home) == 0 {
+		t.Error("no shard holds a group: the check is vacuous")
 	}
 }
 

@@ -128,8 +128,8 @@ func gbPlan() *plan.Node {
 // TestRegistrySharedGroupByColumnar registers two identical group-by queries
 // — protocol grouping with count and summed bytes — on one registry and feeds
 // it batched runs, so the single deduplicated physical group-by executes
-// through the columnar kernel (interned-id group index, arena-carved key
-// copies) on behalf of both owners. Both handles must stay byte-identical to
+// through the columnar kernel (keyed group table, arena-carved key copies) on
+// behalf of both owners. Both handles must stay byte-identical to
 // a standalone engine pinned to the row path, and the run must stay columnar
 // throughout: shared sub-plans and the columnar stateful tail compose.
 func TestRegistrySharedGroupByColumnar(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/tuple"
@@ -345,10 +344,9 @@ func (s *sharded) Sync() error {
 }
 
 // Snapshot syncs and returns the merged result multiset: the bag union of
-// the shard views. For keyed (running-aggregate) views the union is keyed;
-// key collisions cannot occur when PartitionKey accepted the plan (the
-// routing key is a subset of the group key, so each group lives in exactly
-// one shard), but COUNT/SUM columns are combined anyway as belt-and-braces.
+// the shard views. A keyed (group-by) view needs no merge: PartitionKey
+// accepts a group-by only when the routing columns are group columns, so each
+// group lives in exactly one shard.
 func (s *sharded) Snapshot() ([]tuple.Tuple, error) {
 	if err := s.Sync(); err != nil {
 		return nil, err
@@ -357,58 +355,7 @@ func (s *sharded) Snapshot() ([]tuple.Tuple, error) {
 	for _, eng := range s.shards {
 		out = append(out, eng.View().Snapshot()...)
 	}
-	if s.phys.View.Kind == plan.ViewKeyed {
-		out = s.mergeKeyed(out)
-	}
 	return out, nil
-}
-
-// mergeKeyed folds rows sharing a view key into one, summing COUNT/SUM
-// aggregate columns; for other aggregate kinds the later row wins (again,
-// unreachable under the partitioning discipline).
-func (s *sharded) mergeKeyed(rows []tuple.Tuple) []tuple.Tuple {
-	var aggs []operator.AggSpec
-	if root := s.phys.Logical; root != nil && root.Kind == plan.GroupBy {
-		aggs = root.Aggs
-	}
-	keyCols := s.phys.View.KeyCols
-	byKey := make(map[tuple.Key]int, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		k := r.Key(keyCols)
-		at, seen := byKey[k]
-		if !seen {
-			byKey[k] = len(out)
-			out = append(out, r)
-			continue
-		}
-		prev := out[at]
-		merged := prev.Clone()
-		for i, spec := range aggs {
-			col := len(keyCols) + i
-			if col >= len(merged.Vals) || col >= len(r.Vals) {
-				continue
-			}
-			switch spec.Kind {
-			case operator.Count, operator.Sum:
-				a, b := merged.Vals[col], r.Vals[col]
-				if a.Kind == tuple.KindFloat || b.Kind == tuple.KindFloat {
-					merged.Vals[col] = tuple.Float(a.AsFloat() + b.AsFloat())
-				} else {
-					merged.Vals[col] = tuple.Int(a.I + b.I)
-				}
-			default:
-				if r.TS > merged.TS {
-					merged.Vals[col] = r.Vals[col]
-				}
-			}
-		}
-		if r.TS > merged.TS {
-			merged.TS = r.TS
-		}
-		out[at] = merged
-	}
-	return out
 }
 
 // ResultCount syncs and returns the merged result cardinality.

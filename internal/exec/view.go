@@ -6,6 +6,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -53,7 +54,7 @@ func NewView(cfg plan.ViewConfig) (View, error) {
 	case plan.ViewAppend:
 		return &appendView{}, nil
 	case plan.ViewKeyed:
-		return &keyedView{keyCols: cfg.KeyCols, rows: make(map[tuple.Key]tuple.Tuple)}, nil
+		return &keyedView{keyCols: cfg.KeyCols}, nil
 	case plan.ViewFIFO:
 		return &bufferView{buf: statebuf.NewFIFO(), timeExpiry: cfg.TimeExpiry}, nil
 	case plan.ViewList:
@@ -102,61 +103,47 @@ func (v *bufferView) Touched() int64 { return v.buf.Touched() }
 
 // LookupKey implements keyedLookup when the underlying buffer probes by key.
 func (v *bufferView) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
-	p, ok := v.buf.(statebuf.Prober)
+	p, ok := v.buf.(statebuf.ProbeAppender)
 	if !ok {
 		return nil, false
 	}
-	var out []tuple.Tuple
-	p.Probe(k, func(t tuple.Tuple) bool { out = append(out, t); return true })
-	return out, true
+	return p.ProbeAppend(k, math.MinInt64, nil), true
 }
 
 // SaveState implements checkpoint.Snapshotter by delegating to the buffer.
-func (v *bufferView) SaveState(enc *checkpoint.Encoder) error {
-	s, ok := v.buf.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("exec: view buffer %T cannot snapshot", v.buf)
-	}
-	return s.SaveState(enc)
-}
+func (v *bufferView) SaveState(enc *checkpoint.Encoder) error { return v.buf.SaveState(enc) }
 
 // LoadState implements checkpoint.Snapshotter.
-func (v *bufferView) LoadState(dec *checkpoint.Decoder) error {
-	s, ok := v.buf.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("exec: view buffer %T cannot snapshot", v.buf)
-	}
-	return s.LoadState(dec)
-}
+func (v *bufferView) LoadState(dec *checkpoint.Decoder) error { return v.buf.LoadState(dec) }
 
 // keyedView replaces rows by key — group-by results, where a new aggregate
 // value for a group supersedes the previous one without a retraction
 // (Section 2.1), and a negative tuple removes the group's row.
 type keyedView struct {
 	keyCols []int
-	rows    map[tuple.Key]tuple.Tuple
+	rows    statebuf.Table[tuple.Tuple]
 	touched int64
 }
 
 func (v *keyedView) Apply(t tuple.Tuple) {
 	v.touched++
-	k := t.Key(v.keyCols)
 	if t.Neg {
-		delete(v.rows, k)
+		if ref := v.rows.FindRow(t, v.keyCols); ref != 0 {
+			v.rows.Delete(ref)
+		}
 		return
 	}
-	v.rows[k] = t
+	ref, _ := v.rows.UpsertRow(t, v.keyCols)
+	*v.rows.At(ref) = t
 }
 
 func (v *keyedView) ExpireUpTo(int64) int { return 0 } // rows die by replacement only
 
-func (v *keyedView) Len() int { return len(v.rows) }
+func (v *keyedView) Len() int { return v.rows.Len() }
 
 func (v *keyedView) Snapshot() []tuple.Tuple {
-	out := make([]tuple.Tuple, 0, len(v.rows))
-	for _, t := range v.rows {
-		out = append(out, t)
-	}
+	out := make([]tuple.Tuple, 0, v.rows.Len())
+	v.rows.Range(func(ref int32) { out = append(out, *v.rows.At(ref)) })
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Key(v.keyCols).String() < out[j].Key(v.keyCols).String()
 	})
@@ -167,8 +154,8 @@ func (v *keyedView) Touched() int64 { return v.touched }
 
 // LookupKey implements keyedLookup: at most one row per group.
 func (v *keyedView) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
-	if t, ok := v.rows[k]; ok {
-		return []tuple.Tuple{t}, true
+	if ref := v.rows.Find(k); ref != 0 {
+		return []tuple.Tuple{*v.rows.At(ref)}, true
 	}
 	return nil, true
 }
@@ -177,24 +164,15 @@ func (v *keyedView) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
 // group rows with their keys.
 func (v *keyedView) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(v.touched)
-	enc.Uvarint(uint64(len(v.rows)))
-	for k, t := range v.rows {
-		enc.Key(k)
-		enc.Tuple(t)
-	}
+	v.rows.Save(enc, nil, nil, func(t *tuple.Tuple) { enc.Tuple(*t) })
 	return enc.Err()
 }
 
 // LoadState implements checkpoint.Snapshotter.
 func (v *keyedView) LoadState(dec *checkpoint.Decoder) error {
 	v.touched = dec.Varint()
-	v.rows = make(map[tuple.Key]tuple.Tuple)
-	n := dec.Count()
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		k := dec.Key()
-		v.rows[k] = dec.Tuple()
-	}
-	return dec.Err()
+	v.rows = statebuf.Table[tuple.Tuple]{}
+	return v.rows.Load(dec, func(t *tuple.Tuple, _ bool) error { *t = dec.Tuple(); return nil })
 }
 
 // appendView is the append-only result of a monotonic query; it retains a

@@ -183,3 +183,40 @@ func TestGroupByAdvanceAllocBudget(t *testing.T) {
 	}
 	allocBudget(t, "GroupBy expiration wave of four groups", float64(len(protos)), wave)
 }
+
+// TestDistinctDeltaWaveAllocFree holds δ's steady state — duplicates
+// refreshing auxiliaries, expiration waves promoting them — to zero
+// allocations per run: the slots, the calendar's slab and the wave's output
+// are all reused.
+func TestDistinctDeltaWaveAllocFree(t *testing.T) {
+	d := NewDistinctDelta(linkSchema(), 16, 4)
+	run := make([]tuple.Tuple, 32)
+	for i := range run {
+		run[i] = linkTuple(0, 0, int64(i%16), "ftp", 1)
+	}
+	var out Emit
+	now, waves := int64(0), 0
+	tick := func() {
+		now++
+		for i := range run {
+			// Sixteen values, two copies each; lifetimes differ by value, so
+			// representatives expire in most waves.
+			run[i].TS, run[i].Exp = now, now+3+int64(i%5)+int64(i/16)
+		}
+		out.Reset()
+		if err := d.ProcessBatch(0, run, now, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() > 0 {
+			waves++
+		}
+	}
+	for i := 0; i < 200; i++ {
+		tick()
+	}
+	waves = 0
+	allocBudget(t, "DistinctDelta run with an expiration wave", 0, tick)
+	if waves < 100 {
+		t.Fatalf("only %d of 201 runs promoted an auxiliary", waves)
+	}
+}

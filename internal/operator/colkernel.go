@@ -353,7 +353,7 @@ func (j *Join) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.C
 	for i := 0; i < n; i++ {
 		k := in.Key(i, j.keyCols[side], intern)
 		var h uint64
-		if useHashed {
+		if hIns != nil {
 			h = k.Hash64()
 		}
 		neg := in.NegAt(i)
@@ -371,10 +371,8 @@ func (j *Join) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.C
 			}
 		} else {
 			t := in.RowTuple(i, &j.colArena, intern)
-			if useHashed {
+			if hIns != nil {
 				hIns.InsertHashed(h, t)
-			} else if ki := j.keyed[side]; ki != nil {
-				ki.InsertKeyed(k, t)
 			} else {
 				j.state[side].Insert(t)
 			}

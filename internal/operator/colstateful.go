@@ -9,7 +9,7 @@ import (
 
 // Columnar kernels for the stateful tail: group-by, duplicate elimination
 // (Distinct and δ), and negation. These operators keep row-form state —
-// buffers, group maps, representative maps — so the kernels' job is to keep
+// buffers and keyed tables — so the kernels' job is to keep
 // the run column-major across the operator boundary while touching state no
 // more than the row path would:
 //
@@ -43,14 +43,14 @@ func appendEmissions(out *tuple.ColBatch, ts []tuple.Tuple, op string, intern *t
 }
 
 // ProcessCols is the columnar group-by kernel. Group keys come from the
-// column vectors and address the groups map directly — one probe per tuple;
-// aggregate updates read values from the vectors (aggState.addValue) — no
-// per-tuple keyValsOf slice, no row render on the hot path. (A per-run
-// scratch cache of key→group was tried and reverted: it costs the same hash
-// work per probe as the persistent map, and its clear-and-refill cycle
-// churns bucket storage every run.) Each arrival still emits its replacement
-// row (the row path's per-arrival contract), but the emission reuses a
-// per-group scratch slice and is copied column-major.
+// column vectors and are hashed once, for the group lookup and the input
+// store's insert alike; aggregate updates read values from the vectors
+// (aggState.addValue) — no per-tuple keyValsOf slice, no row render on the
+// hot path. (A per-run scratch cache of key→group was tried and reverted: it
+// costs the same hash work per probe as the persistent table, and its
+// clear-and-refill cycle churns bucket storage every run.) Each arrival still
+// emits its replacement row (the row path's per-arrival contract), but the
+// emission reuses a per-group scratch slice and is copied column-major.
 func (g *GroupBy) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
 	if side != 0 {
 		return badSide("groupby", side)
@@ -61,14 +61,6 @@ func (g *GroupBy) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tupl
 	}
 	if err := appendEmissions(out, adv, "groupby", intern); err != nil {
 		return err
-	}
-	fast := g.idCol >= 0
-	if fast && g.idIntern != intern {
-		// First kernel run, or a batch from a different interner (a shared
-		// sub-plan can be fed by more than one engine): the index's ids no
-		// longer mean anything — start over against the new interner.
-		g.idGroups = make(map[uint32]*groupState, len(g.groups))
-		g.idIntern = intern
 	}
 	n := in.Len()
 	for i := 0; i < n; i++ {
@@ -90,44 +82,20 @@ func (g *GroupBy) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tupl
 			}
 			continue
 		}
-		// Resolve the group. The interned-id index answers single-string-col
-		// groupings from the column vector alone — no composite Key build, no
-		// 144-byte struct hash; the composite Key is only derived on an index
-		// miss or when the input store needs its digest anyway.
-		var gs *groupState
-		var id uint32
-		if fast {
-			id = in.Col(g.idCol).ID[i]
-			gs = g.idGroups[id]
+		k := in.Key(i, g.groupCols, intern)
+		h := k.Hash64()
+		if g.input != nil {
+			row := in.RowTuple(i, &g.colArena, intern)
+			if g.hashedIn != nil {
+				g.hashedIn.InsertHashed(h, row)
+			} else {
+				g.input.Insert(row)
+			}
 		}
-		if gs == nil || g.input != nil {
-			k := in.Key(i, g.groupCols, intern)
-			if g.input != nil {
-				row := in.RowTuple(i, &g.colArena, intern)
-				if g.hashedIn != nil {
-					g.hashedIn.InsertHashed(k.Hash64(), row)
-				} else {
-					g.input.Insert(row)
-				}
-			}
-			if gs == nil {
-				gs = g.groups[k]
-				if gs == nil {
-					kv := g.colArena.Alloc(len(g.groupCols))
-					for j, c := range g.groupCols {
-						kv[j] = in.ValueAt(i, c, intern)
-					}
-					gs = &groupState{keyVals: kv}
-					for _, spec := range g.specs {
-						gs.aggs = append(gs.aggs, newAggState(spec))
-					}
-					g.groups[k] = gs
-				}
-				if fast {
-					gs.internID, gs.hasID = id, true
-					g.idGroups[id] = gs
-				}
-			}
+		ref, fresh := g.groups.UpsertHashed(h, k)
+		gs := g.groups.At(ref)
+		if fresh {
+			g.open(gs, func(c int) tuple.Value { return in.ValueAt(i, c, intern) })
 		}
 		for _, a := range gs.aggs {
 			if a.spec.Kind == Count {
@@ -189,7 +157,7 @@ func (d *Distinct) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tup
 		if in.NegAt(i) {
 			pat := in.RowTuple(i, &d.colArena, intern)
 			d.colEmit.Reset()
-			d.processNegative(k, pat, now, &d.colEmit)
+			d.processNegative(d.reps.Find(k), pat, now, &d.colEmit)
 			d.colArena.Recycle(pat.Vals)
 			if err := appendEmissions(out, d.colEmit.ts, "distinct", intern); err != nil {
 				return err
@@ -197,27 +165,14 @@ func (d *Distinct) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tup
 			continue
 		}
 		row := in.RowTuple(i, &d.colArena, intern)
-		var h uint64
-		if d.hashedIn != nil || d.hashedRep != nil {
-			h = k.Hash64()
-		}
+		h := k.Hash64()
 		if d.hashedIn != nil {
 			d.hashedIn.InsertHashed(h, row)
 		} else {
 			d.input.Insert(row)
 		}
-		if _, ok := d.reps[k]; !ok {
-			rep := row
-			rep.TS = now
-			d.reps[k] = rep
-			if d.timeExpiry {
-				if d.hashedRep != nil {
-					d.hashedRep.InsertHashed(h, rep)
-				} else {
-					d.expIdx.Insert(rep)
-				}
-			}
-			if !out.AppendRow(rep, intern) {
+		if ref, fresh := d.reps.UpsertHashed(h, k); fresh {
+			if rep := d.represent(ref, row, now); !out.AppendRow(rep, intern) {
 				return fmt.Errorf("distinct: representative %v does not fit the columnar result layout", rep)
 			}
 		}
@@ -226,8 +181,8 @@ func (d *Distinct) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tup
 }
 
 // ProcessCols is the columnar kernel for the δ operator. Duplicates — the
-// overwhelming hot path δ exists for — cost a key derivation and two map
-// probes with no materialization at all; a row is built only when it is
+// overwhelming hot path δ exists for — cost a key derivation and one table
+// lookup with no materialization at all; a row is built only when it is
 // actually stored (new representative, or an auxiliary that outlives the
 // current one). Negative tuples reject exactly as the row path does, before
 // the clock advances.
@@ -249,20 +204,14 @@ func (d *DistinctDelta) ProcessCols(side int, in *tuple.ColBatch, now int64, out
 				return err
 			}
 		}
-		k := in.Key(i, d.allCols, intern)
-		if rep, ok := d.reps[k]; ok {
-			exp := in.ExpAt(i)
-			if aux, ok := d.aux[k]; !ok || exp > aux.Exp {
-				if exp > rep.Exp {
-					d.aux[k] = in.RowTuple(i, &d.colArena, intern)
-				}
+		ref, fresh := d.slots.Upsert(in.Key(i, d.allCols, intern))
+		if !fresh {
+			if s := d.slots.At(ref); s.outlives(in.ExpAt(i)) {
+				d.keepAux(s, in.RowTuple(i, &d.colArena, intern))
 			}
 			continue
 		}
-		rep := in.RowTuple(i, &d.colArena, intern)
-		rep.TS = now
-		d.reps[k] = rep
-		d.expIdx.Insert(rep)
+		rep := d.represent(ref, in.RowTuple(i, &d.colArena, intern), now)
 		if !out.AppendRow(rep, intern) {
 			return fmt.Errorf("distinct-delta: representative %v does not fit the columnar result layout", rep)
 		}
@@ -304,7 +253,8 @@ func (n *Negate) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple
 			t = in.RowTuple(i, &n.colArena, intern)
 		}
 		n.colEmit.Reset()
-		n.processKeyed(side, k, t, now, &n.colEmit)
+		ref, _ := n.slots.Upsert(k)
+		n.processSlot(side, ref, t, now, &n.colEmit)
 		if t.Neg {
 			n.colArena.Recycle(t.Vals)
 		}

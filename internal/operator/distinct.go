@@ -21,7 +21,7 @@ import (
 type Distinct struct {
 	schema *tuple.Schema
 	input  statebuf.Buffer
-	reps   map[tuple.Key]tuple.Tuple
+	reps   statebuf.Table[tuple.Tuple]
 	// expIdx schedules representative expirations.
 	expIdx     statebuf.Buffer
 	allCols    []int
@@ -33,15 +33,19 @@ type Distinct struct {
 	trimEvery int64
 	lastTrim  int64
 	touched   int64
-	// hashedIn/hashedRep are the digest-taking views of input and expIdx when
-	// they are hash-keyed on all columns, so the columnar kernel hashes each
-	// row's key exactly once for every insert it feeds (colstateful.go).
-	hashedIn  statebuf.HashedBuffer
-	hashedRep statebuf.HashedBuffer
+	// hashedIn is the digest-taking view of the input when it is hash-keyed on
+	// all columns, so the columnar kernel hashes each row's key exactly once
+	// for both the input insert and the representative lookup (colstateful.go).
+	hashedIn statebuf.HashedBuffer
 	// colArena carves the value slices of rows the columnar kernel
 	// materializes; colEmit stages row-path emissions it copies column-major.
 	colArena tuple.ValueArena
 	colEmit  Emit
+	// cands is the reusable scratch of replacement candidates.
+	cands []tuple.Tuple
+	// advOut is the expiration wave's output: what Advance returns is valid
+	// until the next Advance.
+	advOut Emit
 }
 
 // DistinctConfig configures the literature duplicate-elimination operator.
@@ -62,15 +66,9 @@ type DistinctConfig struct {
 
 // NewDistinct builds the literature duplicate-elimination operator.
 func NewDistinct(cfg DistinctConfig) *Distinct {
-	cols := make([]int, cfg.Schema.Len())
-	for i := range cols {
-		cols[i] = i
-	}
+	cols := allColumns(cfg.Schema.Len())
 	if cfg.InputBuf.Kind == statebuf.KindHash {
 		cfg.InputBuf.KeyCols = cols
-	}
-	if cfg.RepIdx.Kind == statebuf.KindHash {
-		cfg.RepIdx.KeyCols = cols
 	}
 	trimEvery := cfg.TrimEvery
 	if trimEvery <= 0 {
@@ -82,7 +80,6 @@ func NewDistinct(cfg DistinctConfig) *Distinct {
 	d := &Distinct{
 		schema:     cfg.Schema,
 		input:      statebuf.New(cfg.InputBuf),
-		reps:       make(map[tuple.Key]tuple.Tuple),
 		expIdx:     statebuf.New(cfg.RepIdx),
 		allCols:    cols,
 		clock:      -1,
@@ -90,15 +87,8 @@ func NewDistinct(cfg DistinctConfig) *Distinct {
 		trimEvery:  trimEvery,
 		lastTrim:   -1,
 	}
-	if ki, ok := d.input.(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), d.allCols) {
-		if hb, ok := d.input.(statebuf.HashedBuffer); ok {
-			d.hashedIn = hb
-		}
-	}
-	if ki, ok := d.expIdx.(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), d.allCols) {
-		if hb, ok := d.expIdx.(statebuf.HashedBuffer); ok {
-			d.hashedRep = hb
-		}
+	if hb, ok := d.input.(statebuf.HashedBuffer); ok && equalCols(hb.KeyCols(), d.allCols) {
+		d.hashedIn = hb
 	}
 	return d
 }
@@ -130,69 +120,58 @@ func (d *Distinct) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit
 // processOne handles one element of a run; the caller has already run
 // Advance for now.
 func (d *Distinct) processOne(t tuple.Tuple, now int64, out *Emit) {
-	k := t.Key(d.allCols)
 	if t.Neg {
-		d.processNegative(k, t, now, out)
+		d.processNegative(d.reps.FindRow(t, d.allCols), t, now, out)
 		return
 	}
 	d.input.Insert(t)
-	if _, ok := d.reps[k]; !ok {
-		rep := t
-		rep.TS = now
-		d.reps[k] = rep
-		// Under the negative-tuple strategy the expiry index is never read
-		// (retirement arrives as retractions), so it is not maintained either.
-		if d.timeExpiry {
-			d.expIdx.Insert(rep)
-		}
-		out.Append(rep)
+	if ref, fresh := d.reps.UpsertRow(t, d.allCols); fresh {
+		out.Append(d.represent(ref, t, now))
 	}
 }
 
+// represent makes t, stamped now, the representative in slot ref.
+func (d *Distinct) represent(ref int32, t tuple.Tuple, now int64) tuple.Tuple {
+	t.TS = now
+	*d.reps.At(ref) = t
+	// Under the negative-tuple strategy the expiry index is never read
+	// (retirement arrives as retractions), so it is not maintained either.
+	if d.timeExpiry {
+		d.expIdx.Insert(t)
+	}
+	return t
+}
+
 // processNegative removes one retracted input tuple and repairs the
-// representative for its value: retract it if no live duplicates remain, or
-// re-emit with a tighter expiration if the retracted tuple was the longest-
-// lived support.
-func (d *Distinct) processNegative(k tuple.Key, t tuple.Tuple, now int64, out *Emit) {
-	if !d.input.Remove(t) {
+// representative in its value's slot ref (0: none): retract it if no live
+// duplicates remain, or re-emit with a tighter expiration if the retracted
+// tuple was the longest-lived support.
+func (d *Distinct) processNegative(ref int32, t tuple.Tuple, now int64, out *Emit) {
+	if !d.input.Remove(t) || ref == 0 {
 		return
 	}
-	rep, ok := d.reps[k]
-	if !ok {
-		return
-	}
+	rep := *d.reps.At(ref)
 	// Find the longest-lived remaining duplicate. Under the negative-tuple
 	// strategy stored tuples stay live until retracted, whatever their exp.
 	probeAt := now
 	if !d.timeExpiry {
 		probeAt = noExpiry
 	}
-	var best tuple.Tuple
-	found := false
-	probe(d.input, d.allCols, k, probeAt, func(m tuple.Tuple) bool {
-		if !found || m.Exp > best.Exp {
-			best, found = m, true
-		}
-		return true
-	})
+	best, found := d.longestLived(ref, probeAt)
 	switch {
 	case !found:
-		delete(d.reps, k)
+		d.reps.Delete(ref)
 		if d.timeExpiry {
 			d.expIdx.Remove(rep)
 		}
 		out.Append(rep.Negative(now))
 	case rep.Exp > best.Exp:
 		// The retracted tuple was the rep's support; shorten the rep.
-		newRep := best
-		newRep.TS = now
-		d.reps[k] = newRep
 		if d.timeExpiry {
 			d.expIdx.Remove(rep)
-			d.expIdx.Insert(newRep)
 		}
 		out.Append(rep.Negative(now))
-		out.Append(newRep)
+		out.Append(d.represent(ref, best, now))
 	}
 }
 
@@ -203,43 +182,49 @@ func (d *Distinct) Advance(now int64) ([]tuple.Tuple, error) {
 		return nil, nil
 	}
 	d.clock = now
-	var out []tuple.Tuple
+	out := &d.advOut
+	out.Reset()
 	for _, rep := range d.expIdx.ExpireUpTo(now) {
-		k := rep.Key(d.allCols)
-		cur, ok := d.reps[k]
-		if !ok || cur.Exp != rep.Exp || cur.TS != rep.TS {
-			continue // stale index entry; rep was replaced or retracted
+		ref := d.reps.FindRow(rep, d.allCols)
+		if ref == 0 {
+			continue // stale index entry; the value was retracted
 		}
-		delete(d.reps, k)
+		if cur := d.reps.At(ref); cur.Exp != rep.Exp || cur.TS != rep.TS {
+			continue // stale index entry; rep was replaced
+		}
 		// Replacement: youngest live duplicate in the input buffer.
-		var best tuple.Tuple
-		found := false
-		probe(d.input, d.allCols, k, now, func(m tuple.Tuple) bool {
-			d.touched++
-			if !found || m.Exp > best.Exp {
-				best, found = m, true
-			}
-			return true
-		})
+		best, found := d.longestLived(ref, now)
+		d.touched += int64(len(d.cands))
 		if found {
-			newRep := best
-			newRep.TS = now
-			d.reps[k] = newRep
-			d.expIdx.Insert(newRep)
-			out = append(out, newRep)
+			out.Append(d.represent(ref, best, now))
+		} else {
+			d.reps.Delete(ref)
 		}
 	}
 	if now-d.lastTrim >= d.trimEvery {
 		d.lastTrim = now
 		d.input.ExpireUpTo(now)
 	}
-	return out, nil
+	return out.Tuples(), nil
+}
+
+// longestLived returns the duplicate in the input, live at now, with the
+// latest exp — the replacement for slot ref's representative — leaving every
+// live duplicate in d.cands.
+func (d *Distinct) longestLived(ref int32, now int64) (best tuple.Tuple, found bool) {
+	d.cands = probeAppend(d.input, d.allCols, d.reps.Key(ref), now, d.cands[:0])
+	for _, m := range d.cands {
+		if !found || m.Exp > best.Exp {
+			best, found = m, true
+		}
+	}
+	return best, found
 }
 
 // StateSize implements Operator: the stored input, the output state, and the
 // expiry index scheduling representative expirations — every structure a
 // state sampler should see, consistent with the other stateful operators.
-func (d *Distinct) StateSize() int { return d.input.Len() + len(d.reps) + d.expIdx.Len() }
+func (d *Distinct) StateSize() int { return d.input.Len() + d.reps.Len() + d.expIdx.Len() }
 
 // Touched implements Operator.
 func (d *Distinct) Touched() int64 { return d.touched + d.input.Touched() + d.expIdx.Touched() }

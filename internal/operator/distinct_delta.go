@@ -22,8 +22,8 @@ import (
 // measure exactly this advantage over Distinct.
 type DistinctDelta struct {
 	schema *tuple.Schema
-	reps   map[tuple.Key]tuple.Tuple
-	aux    map[tuple.Key]tuple.Tuple
+	slots  statebuf.Table[deltaSlot]
+	naux   int // slots holding an auxiliary
 	// expIdx schedules representative expirations eagerly.
 	expIdx  statebuf.Buffer
 	allCols []int
@@ -31,25 +31,24 @@ type DistinctDelta struct {
 	// colArena carves the value slices of rows the columnar kernel stores
 	// (colstateful.go); duplicates materialize nothing.
 	colArena tuple.ValueArena
+	// advOut is the expiration wave's output: what Advance returns is valid
+	// until the next Advance.
+	advOut Emit
 }
+
+// deltaSlot is one value's state: its representative and, when one has
+// arrived since, the longest-lived duplicate outliving it (aux.Vals is nil
+// while there is none).
+type deltaSlot struct{ rep, aux tuple.Tuple }
 
 // NewDistinctDelta builds a δ operator; horizon bounds tuple lifetimes (the
 // window size), sizing the expiration calendar of partitions buckets
 // (default 10).
 func NewDistinctDelta(schema *tuple.Schema, horizon int64, partitions int) *DistinctDelta {
-	cols := make([]int, schema.Len())
-	for i := range cols {
-		cols[i] = i
-	}
-	if partitions <= 0 {
-		partitions = statebuf.DefaultPartitions
-	}
 	return &DistinctDelta{
 		schema:  schema,
-		reps:    make(map[tuple.Key]tuple.Tuple),
-		aux:     make(map[tuple.Key]tuple.Tuple),
-		expIdx:  statebuf.NewPartitioned(partitions, horizon, true),
-		allCols: cols,
+		expIdx:  expiryCalendar(false, partitions, horizon),
+		allCols: allColumns(schema.Len()),
 		clock:   -1,
 	}
 }
@@ -89,23 +88,35 @@ func (d *DistinctDelta) ProcessBatch(side int, in []tuple.Tuple, now int64, out 
 // processOne handles one element of a run; the caller has already run
 // Advance for now and rejected negative tuples.
 func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
-	k := t.Key(d.allCols)
-	if rep, ok := d.reps[k]; ok {
-		// Duplicate: remember it only if it outlives the current auxiliary
-		// (and the representative itself — shorter-lived duplicates can
-		// never be needed as replacements).
-		if aux, ok := d.aux[k]; !ok || t.Exp > aux.Exp {
-			if t.Exp > rep.Exp {
-				d.aux[k] = t
-			}
-		}
-		return
+	ref, fresh := d.slots.UpsertRow(t, d.allCols)
+	if fresh {
+		out.Append(d.represent(ref, t, now))
+	} else if s := d.slots.At(ref); s.outlives(t.Exp) {
+		d.keepAux(s, t)
 	}
-	rep := t
-	rep.TS = now
-	d.reps[k] = rep
-	d.expIdx.Insert(rep)
-	out.Append(rep)
+}
+
+// outlives reports whether a duplicate expiring at exp should become the
+// value's auxiliary: it outlives the current auxiliary and the representative
+// itself — shorter-lived duplicates can never be needed as replacements.
+func (s *deltaSlot) outlives(exp int64) bool {
+	return (s.aux.Vals == nil || exp > s.aux.Exp) && exp > s.rep.Exp
+}
+
+func (d *DistinctDelta) keepAux(s *deltaSlot, t tuple.Tuple) {
+	if s.aux.Vals == nil {
+		d.naux++
+	}
+	s.aux = t
+}
+
+// represent makes t, stamped now, the representative in slot ref and
+// schedules its expiration.
+func (d *DistinctDelta) represent(ref int32, t tuple.Tuple, now int64) tuple.Tuple {
+	t.TS = now
+	d.slots.At(ref).rep = t
+	d.expIdx.Insert(t)
+	return t
 }
 
 // Advance expires representatives eagerly, promoting live auxiliaries.
@@ -114,31 +125,35 @@ func (d *DistinctDelta) Advance(now int64) ([]tuple.Tuple, error) {
 		return nil, nil
 	}
 	d.clock = now
-	var out []tuple.Tuple
+	out := &d.advOut
+	out.Reset()
 	for _, rep := range d.expIdx.ExpireUpTo(now) {
-		k := rep.Key(d.allCols)
-		cur, ok := d.reps[k]
-		if !ok || cur.Exp != rep.Exp || cur.TS != rep.TS {
+		ref := d.slots.FindRow(rep, d.allCols)
+		if ref == 0 {
+			continue
+		}
+		s := d.slots.At(ref)
+		if s.rep.Exp != rep.Exp || s.rep.TS != rep.TS {
 			continue // stale index entry
 		}
-		delete(d.reps, k)
-		aux, ok := d.aux[k]
-		delete(d.aux, k)
-		if ok && !aux.Expired(now) {
-			newRep := aux
-			newRep.TS = now
-			d.reps[k] = newRep
-			d.expIdx.Insert(newRep)
-			out = append(out, newRep)
+		aux := s.aux
+		if aux.Vals != nil {
+			d.naux--
+			s.aux = tuple.Tuple{}
+		}
+		if aux.Vals != nil && !aux.Expired(now) {
+			out.Append(d.represent(ref, aux, now))
+		} else {
+			d.slots.Delete(ref)
 		}
 	}
-	return out, nil
+	return out.Tuples(), nil
 }
 
 // StateSize implements Operator: output plus auxiliary state — the "at most
 // twice the size of the output" bound of Section 5.3.1 — plus the expiry
 // calendar entries, so sampling is consistent across the stateful operators.
-func (d *DistinctDelta) StateSize() int { return len(d.reps) + len(d.aux) + d.expIdx.Len() }
+func (d *DistinctDelta) StateSize() int { return d.slots.Len() + d.naux + d.expIdx.Len() }
 
 // Touched implements Operator.
 func (d *DistinctDelta) Touched() int64 { return d.expIdx.Touched() }

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/statebuf"
@@ -31,12 +30,12 @@ type GroupBy struct {
 	groupCols  []int
 	specs      []AggSpec
 	input      statebuf.Buffer // nil when the input never expires
-	groups     map[tuple.Key]*groupState
+	groups     statebuf.Table[groupState]
 	clock      int64
 	timeExpiry bool
 	// hashedIn is the input buffer's digest-taking view when it is hash-keyed
 	// on the group columns, so the columnar kernel hashes each row's group key
-	// exactly once for both the map lookup and the state insert.
+	// exactly once for both the group lookup and the state insert.
 	hashedIn statebuf.HashedBuffer
 	// colArena carves retained value slices — group key copies and rows the
 	// columnar kernel materializes for input state (colstateful.go).
@@ -48,17 +47,8 @@ type GroupBy struct {
 	// is the wave's output: what Advance returns is valid until the next
 	// Advance. Steady-state waves allocate only their emissions.
 	advWave  uint64
-	advOrder []tuple.Key
+	advOrder []int32
 	advOut   Emit
-	// idCol is the single string group column's input position, or -1. When
-	// set, the columnar kernel probes idGroups by the column vector's interned
-	// id — a 4-byte map key — instead of hashing the full composite Key per
-	// arrival. Entries attach lazily on kernel misses and are dropped at the
-	// two group-deletion sites (dropGroup); idIntern pins the interner whose
-	// ids the index speaks, so a batch from a different interner resets it.
-	idCol    int
-	idGroups map[uint32]*groupState
-	idIntern *tuple.Interner
 }
 
 type groupState struct {
@@ -69,9 +59,6 @@ type groupState struct {
 	colVals []tuple.Value
 	// wave is the last expiration wave that touched the group (see advWave).
 	wave uint64
-	// internID is the group's entry in the idGroups index (valid when hasID).
-	internID uint32
-	hasID    bool
 }
 
 // GroupByConfig configures a grouped aggregation.
@@ -131,20 +118,13 @@ func NewGroupBy(cfg GroupByConfig) (*GroupBy, error) {
 		schema:     schema,
 		groupCols:  append([]int(nil), cfg.GroupCols...),
 		specs:      append([]AggSpec(nil), cfg.Aggs...),
-		groups:     make(map[tuple.Key]*groupState),
 		clock:      -1,
 		timeExpiry: !cfg.NoTimeExpiry && !cfg.NoInputStore,
-		idCol:      -1,
-	}
-	if len(cfg.GroupCols) == 1 && cfg.Input.Col(cfg.GroupCols[0]).Kind == tuple.KindString {
-		g.idCol = cfg.GroupCols[0]
 	}
 	if !cfg.NoInputStore {
 		g.input = statebuf.New(cfg.InputBuf)
-		if ki, ok := g.input.(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), g.groupCols) {
-			if hb, ok := g.input.(statebuf.HashedBuffer); ok {
-				g.hashedIn = hb
-			}
+		if hb, ok := g.input.(statebuf.HashedBuffer); ok && equalCols(hb.KeyCols(), g.groupCols) {
+			g.hashedIn = hb
 		}
 	}
 	return g, nil
@@ -187,34 +167,34 @@ func (g *GroupBy) processOne(t tuple.Tuple, now int64, out *Emit) {
 	if g.input != nil {
 		g.input.Insert(t)
 	}
-	k := t.Key(g.groupCols)
-	gs, ok := g.groups[k]
-	if !ok {
-		gs = &groupState{keyVals: g.keyValsOf(t)}
-		for _, spec := range g.specs {
-			gs.aggs = append(gs.aggs, newAggState(spec))
-		}
-		g.groups[k] = gs
+	ref, fresh := g.groups.UpsertRow(t, g.groupCols)
+	gs := g.groups.At(ref)
+	if fresh {
+		g.open(gs, func(c int) tuple.Value { return t.Vals[c] })
 	}
 	for _, a := range gs.aggs {
 		a.add(t)
 	}
-	out.Append(g.emit(k, gs, now))
+	out.Append(g.emit(gs, now))
 }
 
-// keyValsOf copies the group columns into a retained slice carved from the
-// operator's arena — group creation shares slab space with the columnar
-// kernel's materializations instead of taking a dedicated allocation.
-func (g *GroupBy) keyValsOf(t tuple.Tuple) []tuple.Value {
-	vals := g.colArena.Alloc(len(g.groupCols))
+// open initializes a new group: its key values, copied from the group
+// columns into a retained slice carved from the operator's arena (group
+// creation shares slab space with the columnar kernel's materializations
+// instead of taking a dedicated allocation), and one empty cell per
+// aggregate.
+func (g *GroupBy) open(gs *groupState, col func(c int) tuple.Value) {
+	gs.keyVals = g.colArena.Alloc(len(g.groupCols))
 	for i, c := range g.groupCols {
-		vals[i] = t.Vals[c]
+		gs.keyVals[i] = col(c)
 	}
-	return vals
+	for _, spec := range g.specs {
+		gs.aggs = append(gs.aggs, newAggState(spec))
+	}
 }
 
 // emit builds and records the replacement result row for a group.
-func (g *GroupBy) emit(k tuple.Key, gs *groupState, now int64) tuple.Tuple {
+func (g *GroupBy) emit(gs *groupState, now int64) tuple.Tuple {
 	vals := make([]tuple.Value, 0, len(gs.keyVals)+len(gs.aggs))
 	vals = append(vals, gs.keyVals...)
 	for _, a := range gs.aggs {
@@ -228,30 +208,26 @@ func (g *GroupBy) emit(k tuple.Key, gs *groupState, now int64) tuple.Tuple {
 // applyRemoval decrements a group after an input tuple leaves and appends the
 // updated (or retracted) group row.
 func (g *GroupBy) applyRemoval(t tuple.Tuple, now int64, out *Emit) {
-	k := t.Key(g.groupCols)
-	gs, ok := g.groups[k]
-	if !ok {
+	ref := g.groups.FindRow(t, g.groupCols)
+	if ref == 0 {
 		return
 	}
-	for _, a := range gs.aggs {
+	for _, a := range g.groups.At(ref).aggs {
 		a.remove(t)
 	}
-	if gs.aggs[0].n == 0 {
-		g.dropGroup(k, gs)
-		out.Append(gs.last.Negative(now))
-		return
-	}
-	out.Append(g.emit(k, gs, now))
+	out.Append(g.report(ref, now))
 }
 
-// dropGroup removes a vanished group from the groups map and, when the group
-// was attached to the columnar kernel's interned-id index, from that index —
-// the one sync point that keeps a stale id from resurrecting a dead group.
-func (g *GroupBy) dropGroup(k tuple.Key, gs *groupState) {
-	delete(g.groups, k)
-	if gs.hasID {
-		delete(g.idGroups, gs.internID)
+// report returns a changed group's replacement row or, when its last live
+// tuple left, the retraction of its last row, deleting the group.
+func (g *GroupBy) report(ref int32, now int64) tuple.Tuple {
+	gs := g.groups.At(ref)
+	if gs.aggs[0].n > 0 {
+		return g.emit(gs, now)
 	}
+	r := gs.last.Negative(now)
+	g.groups.Delete(ref)
+	return r
 }
 
 // Advance expires input state eagerly — aggregate values must stay correct
@@ -271,40 +247,35 @@ func (g *GroupBy) Advance(now int64) ([]tuple.Tuple, error) {
 	g.advWave++
 	g.advOrder = g.advOrder[:0]
 	for _, t := range expired {
-		k := t.Key(g.groupCols)
-		gs, ok := g.groups[k]
-		if !ok {
+		ref := g.groups.FindRow(t, g.groupCols)
+		if ref == 0 {
 			continue
 		}
+		gs := g.groups.At(ref)
 		if gs.wave != g.advWave {
 			gs.wave = g.advWave
-			g.advOrder = append(g.advOrder, k)
+			g.advOrder = append(g.advOrder, ref)
 		}
 		for _, a := range gs.aggs {
 			a.remove(t)
 		}
 	}
-	order := g.advOrder
-	if len(order) > 1 {
-		slices.SortFunc(order, tuple.Key.Compare)
+	if len(g.advOrder) > 1 {
+		g.groups.SortByKey(g.advOrder)
 	}
 	out := &g.advOut
 	out.Reset()
-	for _, k := range order {
-		gs := g.groups[k]
-		if gs.aggs[0].n == 0 {
-			g.dropGroup(k, gs)
-			out.Append(gs.last.Negative(now))
-		} else {
-			out.Append(g.emit(k, gs, now))
-		}
+	// Deleting an emptied group frees its slot, but nothing in the wave
+	// allocates one, so the references still to come stay valid.
+	for _, ref := range g.advOrder {
+		out.Append(g.report(ref, now))
 	}
 	return out.Tuples(), nil
 }
 
 // StateSize implements Operator: stored input plus one row per group.
 func (g *GroupBy) StateSize() int {
-	n := len(g.groups)
+	n := g.groups.Len()
 	if g.input != nil {
 		n += g.input.Len()
 	}
@@ -321,10 +292,4 @@ func (g *GroupBy) Touched() int64 {
 
 // GroupCols returns the grouping column positions in the output schema
 // (always the leading columns) — the result view keys replacements on them.
-func (g *GroupBy) GroupCols() []int {
-	cols := make([]int, len(g.groupCols))
-	for i := range cols {
-		cols[i] = i
-	}
-	return cols
-}
+func (g *GroupBy) GroupCols() []int { return allColumns(len(g.groupCols)) }

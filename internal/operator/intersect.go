@@ -1,8 +1,9 @@
 package operator
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/statebuf"
@@ -24,14 +25,21 @@ import (
 // output (Rule 3).
 type Intersect struct {
 	schema     *tuple.Schema
-	sides      [2]map[tuple.Key][]*isectEntry
+	slots      statebuf.Table[isectSupports]
 	expIdx     [2]statebuf.Buffer
 	allCols    []int
 	sizes      [2]int
 	clock      int64
 	timeExpiry bool
 	touched    int64
+	// advOut is the expiration wave's output: what Advance returns is valid
+	// until the next Advance.
+	advOut Emit
 }
+
+// isectSupports is one value's supports, side by side, so a tuple's own
+// side and its partner's are one lookup.
+type isectSupports [2][]*isectEntry
 
 type isectEntry struct {
 	t       tuple.Tuple
@@ -58,28 +66,13 @@ func NewIntersect(cfg IntersectConfig) (*Intersect, error) {
 	if !cfg.Left.EqualLayout(cfg.Right) {
 		return nil, fmt.Errorf("intersect: schemas %v and %v are not layout-equal", cfg.Left, cfg.Right)
 	}
-	parts := cfg.Partitions
-	if parts <= 0 {
-		parts = statebuf.DefaultPartitions
-	}
-	calendar := func() statebuf.Buffer {
-		if cfg.ListCalendars {
-			return statebuf.NewList()
-		}
-		return statebuf.NewPartitioned(parts, cfg.Horizon, true)
-	}
-	cols := make([]int, cfg.Left.Len())
-	for i := range cols {
-		cols[i] = i
-	}
 	return &Intersect{
 		schema: cfg.Left,
-		sides: [2]map[tuple.Key][]*isectEntry{
-			make(map[tuple.Key][]*isectEntry),
-			make(map[tuple.Key][]*isectEntry),
+		expIdx: [2]statebuf.Buffer{
+			expiryCalendar(cfg.ListCalendars, cfg.Partitions, cfg.Horizon),
+			expiryCalendar(cfg.ListCalendars, cfg.Partitions, cfg.Horizon),
 		},
-		expIdx:     [2]statebuf.Buffer{calendar(), calendar()},
-		allCols:    cols,
+		allCols:    allColumns(cfg.Left.Len()),
 		clock:      -1,
 		timeExpiry: !cfg.NoTimeExpiry,
 	}, nil
@@ -111,25 +104,28 @@ func (x *Intersect) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emi
 // processOne handles one element of a run; the caller has already run
 // Advance for now.
 func (x *Intersect) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
-	k := t.Key(x.allCols)
 	if t.Neg {
-		x.retract(side, k, t, now, out)
+		if ref := x.slots.FindRow(t, x.allCols); ref != 0 {
+			x.retract(side, ref, t, now, out)
+		}
 		return
 	}
+	ref, _ := x.slots.UpsertRow(t, x.allCols)
 	e := &isectEntry{t: t, side: side}
-	x.sides[side][k] = append(x.sides[side][k], e)
+	supports := x.slots.At(ref)
+	supports[side] = append(supports[side], e)
 	x.sizes[side]++
 	x.expIdx[side].Insert(t)
-	if r := x.tryPair(e, k, now); r != nil {
+	if r := x.tryPair(e, ref, now); r != nil {
 		out.Append(*r)
 	}
 }
 
 // tryPair pairs e with the longest-lived unpaired live tuple on the opposite
 // side, returning the emitted result if a pair forms.
-func (x *Intersect) tryPair(e *isectEntry, k tuple.Key, now int64) *tuple.Tuple {
+func (x *Intersect) tryPair(e *isectEntry, ref int32, now int64) *tuple.Tuple {
 	var best *isectEntry
-	for _, c := range x.sides[1-e.side][k] {
+	for _, c := range x.slots.At(ref)[1-e.side] {
 		x.touched++
 		if c.partner != nil || c.t.Expired(now) {
 			continue
@@ -156,8 +152,8 @@ func (x *Intersect) tryPair(e *isectEntry, k tuple.Key, now int64) *tuple.Tuple 
 // expiration match the negative tuple names (it identifies the actual
 // tuple), then unpaired entries (less churn). Retracting a paired support
 // emits a negative result and attempts a replacement pairing for the partner.
-func (x *Intersect) retract(side int, k tuple.Key, t tuple.Tuple, now int64, out *Emit) {
-	entries := x.sides[side][k]
+func (x *Intersect) retract(side int, ref int32, t tuple.Tuple, now int64, out *Emit) {
+	entries := x.slots.At(ref)[side]
 	score := func(e *isectEntry) int {
 		s := 0
 		if e.t.Exp == t.Exp {
@@ -182,7 +178,7 @@ func (x *Intersect) retract(side int, k tuple.Key, t tuple.Tuple, now int64, out
 		return
 	}
 	e := entries[victim]
-	x.drop(side, k, victim)
+	x.drop(side, ref, victim)
 	if e.partner == nil {
 		return
 	}
@@ -196,19 +192,20 @@ func (x *Intersect) retract(side int, k tuple.Key, t tuple.Tuple, now int64, out
 	neg.Exp = exp
 	out.Append(neg)
 	if !p.t.Expired(now) {
-		if r := x.tryPair(p, k, now); r != nil {
+		if r := x.tryPair(p, ref, now); r != nil {
 			out.Append(*r)
 		}
 	}
 }
 
-func (x *Intersect) drop(side int, k tuple.Key, i int) {
-	entries := x.sides[side][k]
-	entries = append(entries[:i], entries[i+1:]...)
-	if len(entries) == 0 {
-		delete(x.sides[side], k)
-	} else {
-		x.sides[side][k] = entries
+// drop removes support i on side from slot ref, deleting the slot once
+// neither side holds a support. A retracted support's partner lives on in the
+// same slot, so the slot outlives the drop whenever a re-pairing follows.
+func (x *Intersect) drop(side int, ref int32, i int) {
+	supports := x.slots.At(ref)
+	supports[side] = append(supports[side][:i], supports[side][i+1:]...)
+	if len(supports[0])+len(supports[1]) == 0 {
+		x.slots.Delete(ref)
 	}
 	x.sizes[side]--
 }
@@ -222,14 +219,17 @@ func (x *Intersect) Advance(now int64) ([]tuple.Tuple, error) {
 	}
 	x.clock = now
 	type repairJob struct {
-		e *isectEntry
-		k tuple.Key
+		e   *isectEntry
+		ref int32
 	}
 	var jobs []repairJob
 	for side := 0; side < 2; side++ {
 		for _, t := range x.expIdx[side].ExpireUpTo(now) {
-			k := t.Key(x.allCols)
-			entries := x.sides[side][k]
+			ref := x.slots.FindRow(t, x.allCols)
+			if ref == 0 {
+				continue // stale calendar entry (support was retracted)
+			}
+			entries := x.slots.At(ref)[side]
 			victim := -1
 			for i, e := range entries {
 				x.touched++
@@ -243,32 +243,34 @@ func (x *Intersect) Advance(now int64) ([]tuple.Tuple, error) {
 				continue // stale calendar entry (support was retracted)
 			}
 			e := entries[victim]
-			x.drop(side, k, victim)
+			x.drop(side, ref, victim)
 			if p := e.partner; p != nil {
 				p.partner, e.partner = nil, nil
 				if !p.t.Expired(now) {
-					jobs = append(jobs, repairJob{e: p, k: k})
+					jobs = append(jobs, repairJob{e: p, ref: ref})
 				}
 			}
 		}
 	}
-	// Re-pair survivors deterministically after all expirations settle.
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if jobs[i].e.side != jobs[j].e.side {
-			return jobs[i].e.side < jobs[j].e.side
+	// Re-pair survivors deterministically after all expirations settle. A
+	// job's slot holds its live support, so it is still the value's.
+	slices.SortStableFunc(jobs, func(a, b repairJob) int {
+		if a.e.side != b.e.side {
+			return a.e.side - b.e.side
 		}
-		return jobs[i].e.t.TS < jobs[j].e.t.TS
+		return cmp.Compare(a.e.t.TS, b.e.t.TS)
 	})
-	var out []tuple.Tuple
+	out := &x.advOut
+	out.Reset()
 	for _, j := range jobs {
 		if j.e.partner != nil || j.e.t.Expired(now) {
 			continue // already re-paired by an earlier job
 		}
-		if r := x.tryPair(j.e, j.k, now); r != nil {
-			out = append(out, *r)
+		if r := x.tryPair(j.e, j.ref, now); r != nil {
+			out.Append(*r)
 		}
 	}
-	return out, nil
+	return out.Tuples(), nil
 }
 
 // StateSize implements Operator.

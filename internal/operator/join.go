@@ -31,13 +31,9 @@ type Join struct {
 	residual  Predicate // optional filter over the concatenated tuple
 	state     [2]statebuf.Buffer
 	keyCols   [2][]int
-	// keyed caches the KeyedInserter view of each buffer when its key
-	// columns are the join columns, so processOne derives the composite key
-	// once per tuple for both insert and probe.
-	keyed [2]statebuf.KeyedInserter
-	// hashed narrows keyed further: the columnar kernel hands both sides the
-	// key's 64-bit digest, hashing each arrival's join key exactly once for
-	// its own side's insert and the opposite side's probe.
+	// hashed caches the HashedBuffer view of each buffer when its key columns
+	// are the join columns, so each arrival's join key is derived and hashed
+	// once for its own side's insert and the opposite side's probe.
 	hashed [2]statebuf.HashedBuffer
 	// cands is the reusable probe-candidate scratch of matches.
 	cands []tuple.Tuple
@@ -114,11 +110,8 @@ func NewJoin(cfg JoinConfig) (*Join, error) {
 	j.state[0] = statebuf.New(lb)
 	j.state[1] = statebuf.New(rb)
 	for side := range j.state {
-		if ki, ok := j.state[side].(statebuf.KeyedInserter); ok && equalCols(ki.KeyCols(), j.keyCols[side]) {
-			j.keyed[side] = ki
-			if hb, ok := j.state[side].(statebuf.HashedBuffer); ok {
-				j.hashed[side] = hb
-			}
+		if hb, ok := j.state[side].(statebuf.HashedBuffer); ok && equalCols(hb.KeyCols(), j.keyCols[side]) {
+			j.hashed[side] = hb
 		}
 	}
 	return j, nil
@@ -165,8 +158,8 @@ func (j *Join) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	}
 	k := t.Key(j.keyCols[side])
 	j.mixedState = true // t.Vals is the caller's slice, stored by reference
-	if ki := j.keyed[side]; ki != nil {
-		ki.InsertKeyed(k, t)
+	if hb := j.hashed[side]; hb != nil {
+		hb.InsertHashed(k.Hash64(), t)
 	} else {
 		j.state[side].Insert(t)
 	}

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/statebuf"
@@ -37,8 +36,7 @@ type Negate struct {
 	schema     *tuple.Schema
 	keyCols    []int
 	rightCols  []int
-	w1         map[tuple.Key]*negGroup
-	w2         map[tuple.Key][]int64 // live W2 expiration times, per value
+	slots      statebuf.Table[negSlot]
 	w1idx      statebuf.Buffer
 	w2idx      statebuf.Buffer
 	w1size     int
@@ -61,55 +59,44 @@ type Negate struct {
 	// row immediately; after a row-path batch, stored rows may be caller-owned
 	// or referenced by downstream emissions, and recycling must stop for good.
 	rowFed bool
-	// advSeen/advOrder are the expiration wave's reusable key scratch, advOut
-	// its output: what Advance returns is valid until the next Advance.
-	advSeen  map[tuple.Key]bool
-	advOrder []tuple.Key
+	// advWave numbers the expiration waves; a slot whose wave equals it is
+	// already in advOrder, the wave's reusable list of values touched. advOut
+	// is the wave's output: what Advance returns is valid until the next
+	// Advance.
+	advWave  uint64
+	advOrder []int32
 	advOut   Emit
 	// entries/groupFree recycle the per-stored-tuple entry records and the
 	// per-value groups through window churn, so steady-state W1 traffic
-	// costs one slab allocation per negEntrySlab stored tuples instead of
-	// one per tuple.
-	entries   negEntryArena
+	// costs one page allocation per page of stored tuples instead of one per
+	// tuple.
+	entries   statebuf.Slab[negEntry]
 	groupFree []*negGroup
 }
 
+// negSlot is one value's state: its W1 tuples and its live W2 expiration
+// times (the value's W2 multiplicity is their count). A slot holding neither
+// is deleted.
+type negSlot struct {
+	w1   *negGroup
+	w2   []int64
+	wave uint64 // the last expiration wave that touched the value (see advWave)
+}
+
+// negEntry is one stored W1 tuple. Entries are only ever referenced from
+// their group's entries/members slices (emissions copy the tuple by value), so
+// a dropped entry goes back to the slab at once.
 type negEntry struct {
 	t     tuple.Tuple
 	inAns bool
+	ref   int32 // the entry's slab reference
 }
 
-// negEntrySlab is how many entry records one arena slab carves.
-const negEntrySlab = 256
-
-// negEntryArena hands out negEntry records carved from fixed slabs, with a
-// freelist fed by removals. Entries are only ever referenced from their
-// group's entries/members slices (emissions copy the tuple by value), so a
-// dropped entry can be recycled immediately.
-type negEntryArena struct {
-	slab []negEntry
-	free []*negEntry
-}
-
-func (a *negEntryArena) get(t tuple.Tuple) *negEntry {
-	if n := len(a.free); n > 0 {
-		e := a.free[n-1]
-		a.free = a.free[:n-1]
-		e.t = t
-		return e
-	}
-	if len(a.slab) == 0 {
-		a.slab = make([]negEntry, negEntrySlab)
-	}
-	e := &a.slab[0]
-	a.slab = a.slab[1:]
-	e.t = t
+// newEntry stores a W1 tuple in an entry from the slab.
+func (n *Negate) newEntry(t tuple.Tuple, inAns bool) *negEntry {
+	ref, e := n.entries.Alloc()
+	*e = negEntry{t: t, inAns: inAns, ref: ref}
 	return e
-}
-
-func (a *negEntryArena) put(e *negEntry) {
-	*e = negEntry{}
-	a.free = append(a.free, e)
 }
 
 // negGroup tracks one value's W1 tuples plus the subset currently in the
@@ -159,24 +146,12 @@ func NewNegate(cfg NegateConfig) (*Negate, error) {
 			return nil, fmt.Errorf("negate: right column %d out of range", c)
 		}
 	}
-	parts := cfg.Partitions
-	if parts <= 0 {
-		parts = statebuf.DefaultPartitions
-	}
-	calendar := func() statebuf.Buffer {
-		if cfg.ListCalendars {
-			return statebuf.NewList()
-		}
-		return statebuf.NewPartitioned(parts, cfg.Horizon, true)
-	}
 	return &Negate{
 		schema:     cfg.Left,
 		keyCols:    append([]int(nil), cfg.LeftCols...),
 		rightCols:  append([]int(nil), cfg.RightCols...),
-		w1:         make(map[tuple.Key]*negGroup),
-		w2:         make(map[tuple.Key][]int64),
-		w1idx:      calendar(),
-		w2idx:      calendar(),
+		w1idx:      expiryCalendar(cfg.ListCalendars, cfg.Partitions, cfg.Horizon),
+		w2idx:      expiryCalendar(cfg.ListCalendars, cfg.Partitions, cfg.Horizon),
 		clock:      -1,
 		timeExpiry: !cfg.NoTimeExpiry,
 		negOnExp:   cfg.NegativeOnExpiry,
@@ -220,73 +195,72 @@ func (n *Negate) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	if side == 1 {
 		cols = n.rightCols
 	}
-	n.processKeyed(side, t.Key(cols), t, now, out)
+	ref, _ := n.slots.UpsertRow(t, cols)
+	n.processSlot(side, ref, t, now, out)
 }
 
-// processKeyed is processOne with the negation key precomputed — the columnar
-// kernel derives it from the column vectors instead of the row.
-func (n *Negate) processKeyed(side int, k tuple.Key, t tuple.Tuple, now int64, out *Emit) {
+// processSlot applies one event to its value's slot — looked up by row on the
+// row path, by the key the columnar kernel derives from the column vectors —
+// and deletes the slot if the event emptied it.
+func (n *Negate) processSlot(side int, ref int32, t tuple.Tuple, now int64, out *Emit) {
+	s := n.slots.At(ref)
 	switch {
 	case side == 0 && !t.Neg:
-		g := n.w1[k]
-		if g == nil {
+		if s.w1 == nil {
 			if l := len(n.groupFree); l > 0 {
-				g = n.groupFree[l-1]
+				s.w1 = n.groupFree[l-1]
 				n.groupFree = n.groupFree[:l-1]
 			} else {
-				g = &negGroup{}
+				s.w1 = &negGroup{}
 			}
-			n.w1[k] = g
 		}
-		g.entries = append(g.entries, n.entries.get(t))
+		s.w1.entries = append(s.w1.entries, n.newEntry(t, false))
 		n.w1size++
 		if n.timeExpiry {
 			n.w1idx.Insert(t)
 		}
-		n.repairGroup(g, len(n.w2[k]), now, out)
+		n.repairGroup(s.w1, len(s.w2), now, out)
 	case side == 0 && t.Neg:
-		n.retractW1(k, t, now, out)
+		n.retractW1(s, t, now, out)
 	case side == 1 && !t.Neg:
-		exps := append(n.w2[k], t.Exp)
-		n.w2[k] = exps
+		s.w2 = append(s.w2, t.Exp)
 		n.w2size++
 		if n.timeExpiry {
 			n.w2idx.Insert(t)
 		}
-		n.repairGroup(n.w1[k], len(exps), now, out)
+		n.repairGroup(s.w1, len(s.w2), now, out)
 	default: // side == 1, negative
-		if n.removeW2(k, t.Exp) {
+		if n.removeW2(s, t.Exp) {
 			// The calendar entry stays and is skipped when it fires.
-			n.repairGroup(n.w1[k], len(n.w2[k]), now, out)
+			n.repairGroup(s.w1, len(s.w2), now, out)
 		}
+	}
+	n.tidy(ref)
+}
+
+// tidy deletes a slot that holds neither W1 tuples nor W2 multiplicities.
+func (n *Negate) tidy(ref int32) {
+	if s := n.slots.At(ref); s.w1 == nil && len(s.w2) == 0 {
+		n.slots.Delete(ref)
 	}
 }
 
-// removeW2 drops one live W2 multiplicity for k, preferring the exact
-// expiration time the retraction names (negatives carry the original Exp).
-func (n *Negate) removeW2(k tuple.Key, exp int64) bool {
-	exps := n.w2[k]
-	if len(exps) == 0 {
+// removeW2 drops one live W2 multiplicity, preferring the exact expiration
+// time the retraction names (negatives carry the original Exp).
+func (n *Negate) removeW2(s *negSlot, exp int64) bool {
+	if len(s.w2) == 0 {
 		return false
 	}
-	at := -1
-	for i, e := range exps {
+	at := 0 // retraction of an unknown twin: drop any copy
+	for i, e := range s.w2 {
 		n.touched++
 		if e == exp {
 			at = i
 			break
 		}
 	}
-	if at < 0 {
-		at = 0 // retraction of an unknown twin: drop any copy
-	}
-	exps = append(exps[:at], exps[at+1:]...)
+	s.w2 = append(s.w2[:at], s.w2[at+1:]...)
 	n.w2size--
-	if len(exps) == 0 {
-		delete(n.w2, k)
-	} else {
-		n.w2[k] = exps
-	}
 	return true
 }
 
@@ -294,8 +268,8 @@ func (n *Negate) removeW2(k tuple.Key, exp int64) bool {
 // tuple is removed, preferring one that is not currently in the answer (so
 // no retraction needs to propagate); the quota repair handles the rest. The
 // calendar entry is left to fire as a no-op.
-func (n *Negate) retractW1(k tuple.Key, t tuple.Tuple, now int64, out *Emit) {
-	g := n.w1[k]
+func (n *Negate) retractW1(slot *negSlot, t tuple.Tuple, now int64, out *Emit) {
+	g := slot.w1
 	if g == nil {
 		return
 	}
@@ -329,11 +303,12 @@ func (n *Negate) retractW1(k tuple.Key, t tuple.Tuple, now int64, out *Emit) {
 		out.Append(e.t.Negative(now))
 		n.prematureRetractions++
 	}
-	n.dropW1(k, g, victim)
-	n.repair(k, now, out)
+	n.dropW1(slot, victim)
+	n.repairGroup(slot.w1, len(slot.w2), now, out)
 }
 
-func (n *Negate) dropW1(k tuple.Key, g *negGroup, i int) {
+func (n *Negate) dropW1(s *negSlot, i int) {
+	g := s.w1
 	e := g.entries[i]
 	if e.inAns {
 		g.dropMember(e)
@@ -348,9 +323,10 @@ func (n *Negate) dropW1(k tuple.Key, g *negGroup, i int) {
 	if !n.rowFed && !n.timeExpiry {
 		n.colArena.Recycle(e.t.Vals)
 	}
-	n.entries.put(e)
+	n.entries.Release(e.ref)
+	*e = negEntry{}
 	if len(g.entries) == 0 {
-		delete(n.w1, k)
+		s.w1 = nil
 		g.members = g.members[:0]
 		n.groupFree = append(n.groupFree, g)
 	}
@@ -366,15 +342,9 @@ func (g *negGroup) dropMember(e *negEntry) {
 	}
 }
 
-// repair enforces the Equation 1 invariant for one value: exactly
-// max(v1 − v2, 0) live W1-tuples in the answer.
-func (n *Negate) repair(k tuple.Key, now int64, out *Emit) {
-	n.repairGroup(n.w1[k], len(n.w2[k]), now, out)
-}
-
-// repairGroup is repair with the group and W2 multiplicity already resolved —
-// the per-arrival event rules hold both from their own state touch, so the
-// hot path never re-hashes the key for a second (and third) map probe.
+// repairGroup enforces the Equation 1 invariant for one value: exactly
+// max(v1 − v2, 0) live W1-tuples in the answer, given its W1 group and W2
+// multiplicity.
 func (n *Negate) repairGroup(g *negGroup, w2n int, now int64, out *Emit) {
 	if g == nil {
 		return
@@ -433,25 +403,22 @@ func (n *Negate) Advance(now int64) ([]tuple.Tuple, error) {
 	n.clock = now
 	out := &n.advOut
 	out.Reset()
-	if n.advSeen == nil {
-		n.advSeen = make(map[tuple.Key]bool)
-	}
-	clear(n.advSeen)
+	n.advWave++
 	n.advOrder = n.advOrder[:0]
-	note := func(k tuple.Key) {
-		if !n.advSeen[k] {
-			n.advSeen[k] = true
-			n.advOrder = append(n.advOrder, k)
+	note := func(ref int32, s *negSlot) {
+		if s.wave != n.advWave {
+			s.wave = n.advWave
+			n.advOrder = append(n.advOrder, ref)
 		}
 	}
 
 	for _, t := range n.w1idx.ExpireUpTo(now) {
-		k := t.Key(n.keyCols)
-		g := n.w1[k]
-		if g == nil {
+		ref := n.slots.FindRow(t, n.keyCols)
+		if ref == 0 || n.slots.At(ref).w1 == nil {
 			continue
 		}
-		entries := g.entries
+		s := n.slots.At(ref)
+		entries := s.w1.entries
 		// Remove the entry the calendar fired for: the one with this Exp and
 		// TS, which sits near the head of its group because entries are in
 		// arrival order. If a retraction took it, remove a value twin with the
@@ -484,33 +451,35 @@ func (n *Negate) Advance(now int64) ([]tuple.Tuple, error) {
 			if n.negOnExp && entries[victim].inAns {
 				out.Append(entries[victim].t.Negative(now))
 			}
-			n.dropW1(k, g, victim)
-			note(k)
+			n.dropW1(s, victim)
+			note(ref, s)
 		}
 	}
 	for _, t := range n.w2idx.ExpireUpTo(now) {
-		k := t.Key(n.rightCols)
-		exps := n.w2[k]
-		for i, e := range exps {
+		ref := n.slots.FindRow(t, n.rightCols)
+		if ref == 0 {
+			continue
+		}
+		s := n.slots.At(ref)
+		for i, e := range s.w2 {
 			n.touched++
 			if e == t.Exp {
-				exps = append(exps[:i], exps[i+1:]...)
+				s.w2 = append(s.w2[:i], s.w2[i+1:]...)
 				n.w2size--
-				if len(exps) == 0 {
-					delete(n.w2, k)
-				} else {
-					n.w2[k] = exps
-				}
-				note(k)
+				note(ref, s)
 				break
 			}
 		}
 	}
 	if len(n.advOrder) > 1 {
-		slices.SortFunc(n.advOrder, tuple.Key.Compare)
+		n.slots.SortByKey(n.advOrder)
 	}
-	for _, k := range n.advOrder {
-		n.repair(k, now, out)
+	// Emptied slots are deleted only after the repairs: nothing in the wave
+	// allocates a slot, so every noted reference stays valid until then.
+	for _, ref := range n.advOrder {
+		s := n.slots.At(ref)
+		n.repairGroup(s.w1, len(s.w2), now, out)
+		n.tidy(ref)
 	}
 	return out.ts, nil
 }
@@ -520,7 +489,7 @@ func (n *Negate) Advance(now int64) ([]tuple.Tuple, error) {
 // retracted entries wait to fire as no-ops) — consistent with the other
 // stateful operators' expiry-index accounting. The W2 count is maintained
 // incrementally; the engine samples StateSize on a metrics cadence, so it
-// must stay O(1) rather than iterate the multiplicity map.
+// must stay O(1) rather than iterate the slots.
 func (n *Negate) StateSize() int {
 	return n.w1size + n.w2size + n.w1idx.Len() + n.w2idx.Len()
 }

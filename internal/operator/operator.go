@@ -58,31 +58,11 @@ type Operator interface {
 // state, where only explicit retractions retire tuples.
 const noExpiry = int64(-1) << 62
 
-// probe visits live (non-expired) tuples in buf whose key over keyCols
-// equals k, using O(1) hash probing when the buffer supports it and a
-// filtered scan otherwise (the linked-list probing of the DIRECT baseline).
-func probe(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, fn func(t tuple.Tuple) bool) {
-	if p, ok := buf.(statebuf.Prober); ok {
-		p.Probe(k, func(t tuple.Tuple) bool {
-			if t.Expired(now) {
-				return true
-			}
-			return fn(t)
-		})
-		return
-	}
-	buf.Scan(func(t tuple.Tuple) bool {
-		if t.Expired(now) || !t.KeyMatches(keyCols, k) {
-			return true
-		}
-		return fn(t)
-	})
-}
-
-// probeAppend collects the live key matches into dst without a visitor
-// closure; hot operators keep a scratch slice so steady-state probing
-// allocates nothing. Buffers without ProbeAppend (the DIRECT lists) are
-// scanned.
+// probeAppend collects the live (non-expired) tuples in buf whose key over
+// keyCols equals k into dst, using the buffer's keyed probe when it has one
+// and a filtered scan otherwise (the linked-list probing of the DIRECT
+// baseline). Hot operators keep a scratch slice, so steady-state probing
+// allocates nothing.
 func probeAppend(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
 	if pa, ok := buf.(statebuf.ProbeAppender); ok {
 		return pa.ProbeAppend(k, now, dst)
@@ -100,6 +80,30 @@ func scanAppend(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, dst 
 		return true
 	})
 	return dst
+}
+
+// expiryCalendar builds the eager expiration index δ, negation and
+// intersection keep per input: a calendar sorted by exp over the given number
+// of partitions (statebuf.DefaultPartitions when not positive), or the DIRECT
+// baseline's list.
+func expiryCalendar(list bool, partitions int, horizon int64) statebuf.Buffer {
+	if list {
+		return statebuf.NewList()
+	}
+	if partitions <= 0 {
+		partitions = statebuf.DefaultPartitions
+	}
+	return statebuf.NewPartitioned(partitions, horizon, true)
+}
+
+// allColumns lists the positions 0..n-1: the key of a whole row, or of the
+// leading n columns.
+func allColumns(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 // badSide builds the error for an out-of-range input side.

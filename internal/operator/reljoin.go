@@ -36,9 +36,9 @@ type NRRJoin struct {
 	table      *relation.Table
 	streamCols []int
 	tableCols  []int
-	// emitted logs results per stream tuple for NT-mode retraction (nil
+	// emitted logs results per stream tuple for NT-mode retraction (empty
 	// unless logAll).
-	emitted map[tuple.Key][]emitRecord
+	emitted statebuf.Table[[]emitRecord]
 	logAll  bool
 	size    int
 	touched int64
@@ -75,9 +75,6 @@ func NewNRRJoin(cfg NRRJoinConfig) (*NRRJoin, error) {
 		streamCols: append([]int(nil), cfg.StreamCols...),
 		tableCols:  append([]int(nil), cfg.TableCols...),
 		logAll:     cfg.LogResults,
-	}
-	if cfg.LogResults {
-		j.emitted = make(map[tuple.Key][]emitRecord)
 	}
 	return j, nil
 }
@@ -133,7 +130,9 @@ func (j *NRRJoin) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit)
 		if j.logAll && out.Len() > first {
 			// The log outlives the call; out's backing array does not.
 			results := append([]tuple.Tuple(nil), out.ts[first:]...)
-			j.emitted[k] = append(j.emitted[k], emitRecord{exp: t.Exp, results: results})
+			ref, _ := j.emitted.Upsert(k)
+			recs := j.emitted.At(ref)
+			*recs = append(*recs, emitRecord{exp: t.Exp, results: results})
 			j.size += len(results)
 		}
 	}
@@ -145,11 +144,11 @@ func (j *NRRJoin) processNegative(t tuple.Tuple, now int64, out *Emit) {
 		// Direct strategies: results expire via exp; nothing to do.
 		return
 	}
-	k := t.Key(j.streamCols)
-	recs := j.emitted[k]
-	if len(recs) == 0 {
+	ref := j.emitted.FindRow(t, j.streamCols)
+	if ref == 0 {
 		return
 	}
+	recs := *j.emitted.At(ref)
 	// Retract only the record matching the expiring tuple's expiration —
 	// a value twin that produced no results has no record, and guessing
 	// would retract someone else's results.
@@ -164,11 +163,10 @@ func (j *NRRJoin) processNegative(t tuple.Tuple, now int64, out *Emit) {
 		return
 	}
 	rec := recs[at]
-	recs = append(recs[:at], recs[at+1:]...)
-	if len(recs) == 0 {
-		delete(j.emitted, k)
+	if len(recs) == 1 {
+		j.emitted.Delete(ref)
 	} else {
-		j.emitted[k] = recs
+		*j.emitted.At(ref) = append(recs[:at], recs[at+1:]...)
 	}
 	j.size -= len(rec.results)
 	for _, r := range rec.results {
@@ -298,14 +296,13 @@ func (j *RelJoin) ApplyTableUpdate(u relation.Update, now int64) ([]tuple.Tuple,
 		probeAt = noExpiry
 	}
 	var out []tuple.Tuple
-	probe(j.state, j.streamCols, k, probeAt, func(s tuple.Tuple) bool {
+	for _, s := range probeAppend(j.state, j.streamCols, k, probeAt, nil) {
 		j.touched++
 		r := s.Concat(rowT, now)
 		r.Exp = s.Exp
 		r.Neg = u.Kind == relation.Delete
 		out = append(out, r)
-		return true
-	})
+	}
 	return out, nil
 }
 

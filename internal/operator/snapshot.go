@@ -4,12 +4,14 @@ package operator
 // operator serializes only its dynamic state — configuration (schemas, key
 // columns, aggregate specs, buffer choices) is rebuilt from the plan, and the
 // executor's restore fingerprint guarantees the plan matches before any
-// LoadState runs. Map keys are serialized explicitly through the Key codec so
-// a decoded key indexes the same bucket it was saved from, even for entries
-// that retain no tuple to recompute it from (e.g. Negate's W2 counters).
+// LoadState runs. Keyed state is a statebuf.Table, which writes each slot's
+// key through the Key codec, so a decoded key finds the slot it was saved
+// from even where no stored tuple could recompute it (Negate's W2 counters);
+// the operator supplies only the payload.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/statebuf"
@@ -30,44 +32,6 @@ var (
 	_ checkpoint.Snapshotter = (*NRRJoin)(nil)
 	_ checkpoint.Snapshotter = (*RelJoin)(nil)
 )
-
-// saveBuf / loadBuf delegate to a state buffer's own section. Every statebuf
-// implementation is a Snapshotter; the assertion guards future buffer kinds.
-func saveBuf(enc *checkpoint.Encoder, b statebuf.Buffer) error {
-	s, ok := b.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("operator: state buffer %T cannot snapshot", b)
-	}
-	return s.SaveState(enc)
-}
-
-func loadBuf(dec *checkpoint.Decoder, b statebuf.Buffer) error {
-	s, ok := b.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("operator: state buffer %T cannot snapshot", b)
-	}
-	return s.LoadState(dec)
-}
-
-// saveKeyTuples / loadKeyTuples serialize a key → tuple map (map order is
-// unspecified; equality of the rebuilt map is what matters).
-func saveKeyTuples(enc *checkpoint.Encoder, m map[tuple.Key]tuple.Tuple) {
-	enc.Uvarint(uint64(len(m)))
-	for k, t := range m {
-		enc.Key(k)
-		enc.Tuple(t)
-	}
-}
-
-func loadKeyTuples(dec *checkpoint.Decoder) map[tuple.Key]tuple.Tuple {
-	m := make(map[tuple.Key]tuple.Tuple)
-	n := dec.Count()
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		k := dec.Key()
-		m[k] = dec.Tuple()
-	}
-	return m
-}
 
 // SaveState implements checkpoint.Snapshotter (stateless: empty section).
 func (s *Select) SaveState(enc *checkpoint.Encoder) error { return enc.Err() }
@@ -97,10 +61,10 @@ func (u *Union) LoadState(dec *checkpoint.Decoder) error {
 // SaveState implements checkpoint.Snapshotter: clock, then both side buffers.
 func (j *Join) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(j.clock)
-	if err := saveBuf(enc, j.state[0]); err != nil {
+	if err := j.state[0].SaveState(enc); err != nil {
 		return err
 	}
-	return saveBuf(enc, j.state[1])
+	return j.state[1].SaveState(enc)
 }
 
 // LoadState implements checkpoint.Snapshotter. Restored rows hold
@@ -109,10 +73,10 @@ func (j *Join) SaveState(enc *checkpoint.Encoder) error {
 func (j *Join) LoadState(dec *checkpoint.Decoder) error {
 	j.clock = dec.Varint()
 	j.mixedState = true
-	if err := loadBuf(dec, j.state[0]); err != nil {
+	if err := j.state[0].LoadState(dec); err != nil {
 		return err
 	}
-	return loadBuf(dec, j.state[1])
+	return j.state[1].LoadState(dec)
 }
 
 // SaveState implements checkpoint.Snapshotter: clocks and counters, the
@@ -121,11 +85,11 @@ func (d *Distinct) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(d.clock)
 	enc.Varint(d.lastTrim)
 	enc.Varint(d.touched)
-	saveKeyTuples(enc, d.reps)
-	if err := saveBuf(enc, d.input); err != nil {
+	d.reps.Save(enc, nil, nil, func(t *tuple.Tuple) { enc.Tuple(*t) })
+	if err := d.input.SaveState(enc); err != nil {
 		return err
 	}
-	return saveBuf(enc, d.expIdx)
+	return d.expIdx.SaveState(enc)
 }
 
 // LoadState implements checkpoint.Snapshotter.
@@ -133,48 +97,63 @@ func (d *Distinct) LoadState(dec *checkpoint.Decoder) error {
 	d.clock = dec.Varint()
 	d.lastTrim = dec.Varint()
 	d.touched = dec.Varint()
-	d.reps = loadKeyTuples(dec)
-	if err := dec.Err(); err != nil {
+	d.reps = statebuf.Table[tuple.Tuple]{}
+	if err := d.reps.Load(dec, func(t *tuple.Tuple, _ bool) error { *t = dec.Tuple(); return nil }); err != nil {
 		return err
 	}
-	if err := loadBuf(dec, d.input); err != nil {
+	if err := d.input.LoadState(dec); err != nil {
 		return err
 	}
-	return loadBuf(dec, d.expIdx)
+	return d.expIdx.LoadState(dec)
 }
 
-// SaveState implements checkpoint.Snapshotter: clock, representative and
-// auxiliary maps, then the expiration calendar.
+// SaveState implements checkpoint.Snapshotter: clock, the representatives,
+// the auxiliaries (one section each), then the expiration calendar.
 func (d *DistinctDelta) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(d.clock)
-	saveKeyTuples(enc, d.reps)
-	saveKeyTuples(enc, d.aux)
-	return saveBuf(enc, d.expIdx)
+	d.slots.Save(enc, nil, nil, func(s *deltaSlot) { enc.Tuple(s.rep) })
+	d.slots.Save(enc, func(s *deltaSlot) bool { return s.aux.Vals != nil }, nil, func(s *deltaSlot) { enc.Tuple(s.aux) })
+	return d.expIdx.SaveState(enc)
 }
 
-// LoadState implements checkpoint.Snapshotter.
+// LoadState implements checkpoint.Snapshotter. An auxiliary whose value has
+// no representative is corrupt: δ never keeps one.
 func (d *DistinctDelta) LoadState(dec *checkpoint.Decoder) error {
 	d.clock = dec.Varint()
-	d.reps = loadKeyTuples(dec)
-	d.aux = loadKeyTuples(dec)
-	if err := dec.Err(); err != nil {
+	d.slots, d.naux = statebuf.Table[deltaSlot]{}, 0
+	err := d.slots.Load(dec, func(s *deltaSlot, _ bool) error { s.rep = dec.Tuple(); return nil })
+	if err == nil {
+		err = d.slots.Load(dec, func(s *deltaSlot, fresh bool) error {
+			if fresh {
+				return fmt.Errorf("%w: distinct-delta auxiliary without a representative", checkpoint.ErrCorrupt)
+			}
+			d.keepAux(s, dec.Tuple())
+			return nil
+		})
+	}
+	if err != nil {
 		return err
 	}
-	return loadBuf(dec, d.expIdx)
+	return d.expIdx.LoadState(dec)
 }
 
 // saveAgg / loadAgg serialize one per-group aggregate cell. The spec is
 // plan-provided; only the running values travel. MIN/MAX multisets keep their
-// live value multiplicities.
+// live value multiplicities, written in value order.
 func saveAgg(enc *checkpoint.Encoder, a *aggState) {
 	enc.Varint(a.n)
 	enc.Float(a.sum)
 	enc.Bool(a.multi != nil)
 	if a.multi != nil {
-		enc.Uvarint(uint64(len(a.multi)))
-		for v, c := range a.multi {
+		vals := make([]tuple.Value, 0, len(a.multi))
+		for v := range a.multi {
+			vals = append(vals, v)
+		}
+		slices.SortFunc(vals, tuple.Value.Compare)
+		enc.Uvarint(uint64(len(vals)))
+		for _, v := range vals {
 			enc.Value(v)
-			enc.Varint(int64(c))
+			enc.Varint(int64(a.multi[v]))
 		}
 	}
 }
@@ -207,13 +186,11 @@ func (g *GroupBy) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(g.clock)
 	enc.Bool(g.input != nil)
 	if g.input != nil {
-		if err := saveBuf(enc, g.input); err != nil {
+		if err := g.input.SaveState(enc); err != nil {
 			return err
 		}
 	}
-	enc.Uvarint(uint64(len(g.groups)))
-	for k, gs := range g.groups {
-		enc.Key(k)
+	g.groups.Save(enc, nil, nil, func(gs *groupState) {
 		enc.Uvarint(uint64(len(gs.keyVals)))
 		for _, v := range gs.keyVals {
 			enc.Value(v)
@@ -222,7 +199,7 @@ func (g *GroupBy) SaveState(enc *checkpoint.Encoder) error {
 		for _, a := range gs.aggs {
 			saveAgg(enc, a)
 		}
-	}
+	})
 	return enc.Err()
 }
 
@@ -237,19 +214,12 @@ func (g *GroupBy) LoadState(dec *checkpoint.Decoder) error {
 		return fmt.Errorf("%w: groupby input-store flag disagrees with plan", checkpoint.ErrCorrupt)
 	}
 	if g.input != nil {
-		if err := loadBuf(dec, g.input); err != nil {
+		if err := g.input.LoadState(dec); err != nil {
 			return err
 		}
 	}
-	g.groups = make(map[tuple.Key]*groupState)
-	// The interned-id index holds pointers into the replaced group map; the
-	// kernel rebuilds it lazily against whatever interner feeds it next.
-	g.idGroups = nil
-	g.idIntern = nil
-	n := dec.Count()
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		k := dec.Key()
-		gs := &groupState{}
+	g.groups = statebuf.Table[groupState]{}
+	return g.groups.Load(dec, func(gs *groupState, _ bool) error {
 		nv := dec.Count()
 		for j := 0; j < nv && dec.Err() == nil; j++ {
 			gs.keyVals = append(gs.keyVals, dec.Value())
@@ -262,9 +232,8 @@ func (g *GroupBy) LoadState(dec *checkpoint.Decoder) error {
 			}
 			gs.aggs = append(gs.aggs, a)
 		}
-		g.groups[k] = gs
-	}
-	return dec.Err()
+		return nil
+	})
 }
 
 // SaveState implements checkpoint.Snapshotter: clock and counters, the W1
@@ -276,33 +245,30 @@ func (n *Negate) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(int64(n.w1size))
 	enc.Varint(n.prematureRetractions)
 	enc.Varint(n.touched)
-	enc.Uvarint(uint64(len(n.w1)))
-	for k, g := range n.w1 {
-		enc.Key(k)
-		idx := make(map[*negEntry]int, len(g.entries))
-		enc.Uvarint(uint64(len(g.entries)))
-		for i, e := range g.entries {
+	hasW1 := func(s *negSlot) bool { return s.w1 != nil }
+	n.slots.Save(enc, hasW1, nil, func(s *negSlot) {
+		idx := make(map[*negEntry]int, len(s.w1.entries))
+		enc.Uvarint(uint64(len(s.w1.entries)))
+		for i, e := range s.w1.entries {
 			idx[e] = i
 			enc.Tuple(e.t)
 			enc.Bool(e.inAns)
 		}
-		enc.Uvarint(uint64(len(g.members)))
-		for _, m := range g.members {
+		enc.Uvarint(uint64(len(s.w1.members)))
+		for _, m := range s.w1.members {
 			enc.Uvarint(uint64(idx[m]))
 		}
-	}
-	enc.Uvarint(uint64(len(n.w2)))
-	for k, exps := range n.w2 {
-		enc.Key(k)
-		enc.Uvarint(uint64(len(exps)))
-		for _, e := range exps {
+	})
+	n.slots.Save(enc, func(s *negSlot) bool { return len(s.w2) > 0 }, hasW1, func(s *negSlot) {
+		enc.Uvarint(uint64(len(s.w2)))
+		for _, e := range s.w2 {
 			enc.Varint(e)
 		}
-	}
-	if err := saveBuf(enc, n.w1idx); err != nil {
+	})
+	if err := n.w1idx.SaveState(enc); err != nil {
 		return err
 	}
-	return saveBuf(enc, n.w2idx)
+	return n.w2idx.SaveState(enc)
 }
 
 // LoadState implements checkpoint.Snapshotter.
@@ -311,14 +277,12 @@ func (n *Negate) LoadState(dec *checkpoint.Decoder) error {
 	n.w1size = int(dec.Varint())
 	n.prematureRetractions = dec.Varint()
 	n.touched = dec.Varint()
-	n.w1 = make(map[tuple.Key]*negGroup)
-	ng := dec.Count()
-	for i := 0; i < ng && dec.Err() == nil; i++ {
-		k := dec.Key()
-		g := &negGroup{}
+	n.slots, n.w2size = statebuf.Table[negSlot]{}, 0
+	err := n.slots.Load(dec, func(s *negSlot, _ bool) error {
+		s.w1 = &negGroup{}
 		ne := dec.Count()
 		for j := 0; j < ne && dec.Err() == nil; j++ {
-			g.entries = append(g.entries, &negEntry{t: dec.Tuple(), inAns: dec.Bool()})
+			s.w1.entries = append(s.w1.entries, n.newEntry(dec.Tuple(), dec.Bool()))
 		}
 		nm := dec.Count()
 		for j := 0; j < nm && dec.Err() == nil; j++ {
@@ -326,38 +290,36 @@ func (n *Negate) LoadState(dec *checkpoint.Decoder) error {
 			if dec.Err() != nil {
 				break
 			}
-			if at < 0 || at >= len(g.entries) {
+			if at < 0 || at >= len(s.w1.entries) {
 				return fmt.Errorf("%w: negate member index %d out of range", checkpoint.ErrCorrupt, at)
 			}
-			g.members = append(g.members, g.entries[at])
+			s.w1.members = append(s.w1.members, s.w1.entries[at])
 		}
-		n.w1[k] = g
+		return nil
+	})
+	if err == nil {
+		err = n.slots.Load(dec, func(s *negSlot, _ bool) error {
+			ne := dec.Count()
+			for j := 0; j < ne && dec.Err() == nil; j++ {
+				s.w2 = append(s.w2, dec.Varint())
+			}
+			n.w2size += len(s.w2)
+			return nil
+		})
 	}
-	n.w2 = make(map[tuple.Key][]int64)
-	n.w2size = 0
-	nw := dec.Count()
-	for i := 0; i < nw && dec.Err() == nil; i++ {
-		k := dec.Key()
-		ne := dec.Count()
-		var exps []int64
-		for j := 0; j < ne && dec.Err() == nil; j++ {
-			exps = append(exps, dec.Varint())
-		}
-		n.w2[k] = exps
-		n.w2size += len(exps)
-	}
-	if err := dec.Err(); err != nil {
+	if err != nil {
 		return err
 	}
-	if err := loadBuf(dec, n.w1idx); err != nil {
+	if err := n.w1idx.LoadState(dec); err != nil {
 		return err
 	}
-	return loadBuf(dec, n.w2idx)
+	return n.w2idx.LoadState(dec)
 }
 
 // SaveState implements checkpoint.Snapshotter: clock and counters, both
-// sides' entry maps (entries numbered globally in write order), the partner
-// links as id pairs written once each, then both expiration calendars.
+// sides' supports value by value (entries numbered globally in write order),
+// the partner links as id pairs written once each, then both expiration
+// calendars.
 func (x *Intersect) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(x.clock)
 	enc.Varint(int64(x.sizes[0]))
@@ -365,18 +327,17 @@ func (x *Intersect) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(x.touched)
 	ids := make(map[*isectEntry]int)
 	var flat []*isectEntry
-	for side := 0; side < 2; side++ {
-		m := x.sides[side]
-		enc.Uvarint(uint64(len(m)))
-		for k, entries := range m {
-			enc.Key(k)
-			enc.Uvarint(uint64(len(entries)))
-			for _, e := range entries {
+	for side := range 2 {
+		has := func(sup *isectSupports) bool { return len(sup[side]) > 0 }
+		before := func(sup *isectSupports) bool { return side == 1 && len(sup[0]) > 0 }
+		x.slots.Save(enc, has, before, func(sup *isectSupports) {
+			enc.Uvarint(uint64(len(sup[side])))
+			for _, e := range sup[side] {
 				ids[e] = len(flat)
 				flat = append(flat, e)
 				enc.Tuple(e.t)
 			}
-		}
+		})
 	}
 	var pairs [][2]int
 	for _, e := range flat {
@@ -389,10 +350,10 @@ func (x *Intersect) SaveState(enc *checkpoint.Encoder) error {
 		enc.Uvarint(uint64(p[0]))
 		enc.Uvarint(uint64(p[1]))
 	}
-	if err := saveBuf(enc, x.expIdx[0]); err != nil {
+	if err := x.expIdx[0].SaveState(enc); err != nil {
 		return err
 	}
-	return saveBuf(enc, x.expIdx[1])
+	return x.expIdx[1].SaveState(enc)
 }
 
 // LoadState implements checkpoint.Snapshotter.
@@ -401,20 +362,20 @@ func (x *Intersect) LoadState(dec *checkpoint.Decoder) error {
 	x.sizes[0] = int(dec.Varint())
 	x.sizes[1] = int(dec.Varint())
 	x.touched = dec.Varint()
+	x.slots = statebuf.Table[isectSupports]{}
 	var flat []*isectEntry
-	for side := 0; side < 2; side++ {
-		x.sides[side] = make(map[tuple.Key][]*isectEntry)
-		nk := dec.Count()
-		for i := 0; i < nk && dec.Err() == nil; i++ {
-			k := dec.Key()
+	for side := range 2 {
+		err := x.slots.Load(dec, func(sup *isectSupports, _ bool) error {
 			ne := dec.Count()
-			var entries []*isectEntry
 			for j := 0; j < ne && dec.Err() == nil; j++ {
 				e := &isectEntry{t: dec.Tuple(), side: side}
-				entries = append(entries, e)
+				sup[side] = append(sup[side], e)
 				flat = append(flat, e)
 			}
-			x.sides[side][k] = entries
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	np := dec.Count()
@@ -432,10 +393,10 @@ func (x *Intersect) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := loadBuf(dec, x.expIdx[0]); err != nil {
+	if err := x.expIdx[0].LoadState(dec); err != nil {
 		return err
 	}
-	return loadBuf(dec, x.expIdx[1])
+	return x.expIdx[1].LoadState(dec)
 }
 
 // SaveState implements checkpoint.Snapshotter: counters, then the NT-mode
@@ -443,17 +404,15 @@ func (x *Intersect) LoadState(dec *checkpoint.Decoder) error {
 func (j *NRRJoin) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(int64(j.size))
 	enc.Varint(j.touched)
-	enc.Bool(j.emitted != nil)
-	if j.emitted != nil {
-		enc.Uvarint(uint64(len(j.emitted)))
-		for k, recs := range j.emitted {
-			enc.Key(k)
-			enc.Uvarint(uint64(len(recs)))
-			for _, r := range recs {
+	enc.Bool(j.logAll)
+	if j.logAll {
+		j.emitted.Save(enc, nil, nil, func(recs *[]emitRecord) {
+			enc.Uvarint(uint64(len(*recs)))
+			for _, r := range *recs {
 				enc.Varint(r.exp)
 				enc.Tuples(r.results)
 			}
-		}
+		})
 	}
 	return enc.Err()
 }
@@ -466,23 +425,20 @@ func (j *NRRJoin) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if hasLog != (j.emitted != nil) {
+	if hasLog != j.logAll {
 		return fmt.Errorf("%w: nrr-join retraction-log flag disagrees with plan", checkpoint.ErrCorrupt)
 	}
-	if hasLog {
-		j.emitted = make(map[tuple.Key][]emitRecord)
-		nk := dec.Count()
-		for i := 0; i < nk && dec.Err() == nil; i++ {
-			k := dec.Key()
-			nr := dec.Count()
-			var recs []emitRecord
-			for r := 0; r < nr && dec.Err() == nil; r++ {
-				recs = append(recs, emitRecord{exp: dec.Varint(), results: dec.Tuples()})
-			}
-			j.emitted[k] = recs
-		}
+	if !hasLog {
+		return nil
 	}
-	return dec.Err()
+	j.emitted = statebuf.Table[[]emitRecord]{}
+	return j.emitted.Load(dec, func(recs *[]emitRecord, _ bool) error {
+		nr := dec.Count()
+		for r := 0; r < nr && dec.Err() == nil; r++ {
+			*recs = append(*recs, emitRecord{exp: dec.Varint(), results: dec.Tuples()})
+		}
+		return nil
+	})
 }
 
 // SaveState implements checkpoint.Snapshotter: clock and counter, then the
@@ -490,12 +446,12 @@ func (j *NRRJoin) LoadState(dec *checkpoint.Decoder) error {
 func (j *RelJoin) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(j.clock)
 	enc.Varint(j.touched)
-	return saveBuf(enc, j.state)
+	return j.state.SaveState(enc)
 }
 
 // LoadState implements checkpoint.Snapshotter.
 func (j *RelJoin) LoadState(dec *checkpoint.Decoder) error {
 	j.clock = dec.Varint()
 	j.touched = dec.Varint()
-	return loadBuf(dec, j.state)
+	return j.state.LoadState(dec)
 }

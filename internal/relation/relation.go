@@ -17,6 +17,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/tuple"
@@ -218,13 +219,19 @@ func (t *Table) Probe(cols []int, k tuple.Key, fn func(vals []tuple.Value) bool)
 }
 
 // SaveState implements checkpoint.Snapshotter: the current rows with their
-// insertion timestamps. Secondary indexes are derived state and are rebuilt
-// on load rather than serialized. Per-key bucket order (which decides the
-// deletion victim among duplicate rows) is preserved.
+// insertion timestamps, in full-row key order (tuple.Key.Compare), so equal
+// tables write equal bytes. Secondary indexes are derived state and are
+// rebuilt on load rather than serialized. Per-key bucket order (which decides
+// the deletion victim among duplicate rows) is preserved.
 func (t *Table) SaveState(enc *checkpoint.Encoder) error {
 	enc.Uvarint(uint64(t.size))
-	for _, bucket := range t.rows {
-		for _, r := range bucket {
+	keys := make([]tuple.Key, 0, len(t.rows))
+	for k := range t.rows {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, tuple.Key.Compare)
+	for _, k := range keys {
+		for _, r := range t.rows[k] {
 			enc.Varint(r.ts)
 			enc.Uvarint(uint64(len(r.vals)))
 			for _, v := range r.vals {

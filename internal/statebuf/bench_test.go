@@ -85,8 +85,8 @@ func BenchmarkBufferProbe(b *testing.B) {
 			key := mk(0, 0, 13).Key([]int{0})
 			for i := 0; i < b.N; i++ {
 				hits := 0
-				if p, ok := buf.(Prober); ok {
-					p.Probe(key, func(tuple.Tuple) bool { hits++; return true })
+				if p, ok := buf.(ProbeAppender); ok {
+					hits = len(p.ProbeAppend(key, 0, nil))
 				} else {
 					buf.Scan(func(t tuple.Tuple) bool {
 						if t.Key([]int{0}) == key {

@@ -24,11 +24,17 @@
 //
 // All buffers account the number of tuples they touch per operation, which
 // the experiment harness reports alongside wall-clock time.
+//
+// Beside the buffers sits Table, the keyed state of the stateful operators:
+// one slot per value in the calendar's paged Slab, found by key digest. Every
+// structure here checkpoints in an order fixed by its contents and history —
+// slot order, digest order, insertion order — never in Go's map order.
 package statebuf
 
 import (
 	"sort"
 
+	"repro/internal/checkpoint"
 	"repro/internal/tuple"
 )
 
@@ -70,45 +76,33 @@ type Buffer interface {
 	// this buffer across all operations — the cost-accounting signal that
 	// distinguishes the strategies in the experiments.
 	Touched() int64
+
+	// SaveState and LoadState write and restore the stored tuples, cursors
+	// and counters; the configuration comes from the plan.
+	checkpoint.Snapshotter
 }
 
-// Prober is implemented by buffers that can locate tuples by key faster than
-// a full scan. Join operators type-assert their state buffers to Prober and
-// fall back to Scan otherwise.
-type Prober interface {
-	// Probe visits stored tuples whose key (over the buffer's configured
-	// key columns) equals k, until fn returns false.
-	Probe(k tuple.Key, fn func(t tuple.Tuple) bool)
-}
-
-// ProbeAppender is the allocation-free companion of Prober: live tuples
-// (Exp > now) stored under k are appended to dst and the extended slice is
-// returned, so a caller can reuse one scratch slice across probes. Callback
-// probing forces the visitor closure — and everything it captures — onto the
-// heap on every call, which dominated steady-state ingest allocation
-// profiles.
+// ProbeAppender is implemented by buffers that can locate tuples by key
+// faster than a full scan; operators and views type-assert their buffers to
+// it and scan otherwise. Live tuples (Exp > now) whose key over the buffer's
+// key columns equals k are appended to dst and the extended slice is
+// returned, so a caller can reuse one scratch slice across probes — callback
+// probing forced the visitor closure, and everything it captured, onto the
+// heap on every call.
 type ProbeAppender interface {
 	ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple
 }
 
-// KeyedInserter is implemented by buffers that can reuse a caller-computed
-// composite key on insert instead of re-deriving it from the tuple. The key
-// must be the tuple's key over the buffer's KeyCols; callers check the column
-// match once at construction time (joins compute the key once per tuple for
-// both the insert and the probe of the opposite side).
-type KeyedInserter interface {
-	KeyCols() []int
-	InsertKeyed(k tuple.Key, t tuple.Tuple)
-}
-
-// HashedBuffer extends KeyedInserter one step further: the caller hands over
-// the key's 64-bit digest as well, so a join that inserts a tuple on one side
-// and probes the other with the same key hashes it exactly once. The digest
-// must be k.Hash64(); k itself still travels with the probe because distinct
-// keys can collide into one digest bucket and each visited tuple is verified
+// HashedBuffer is implemented by buffers indexed on key columns that take a
+// caller-computed key digest instead of re-deriving it from the tuple, so a
+// join that inserts a tuple on one side and probes the other with the same key
+// hashes it exactly once. The digest must be the Hash64 of the tuple's key
+// over KeyCols, which callers match against their own key columns once, at
+// construction; k itself still travels with the probe because distinct keys
+// can collide into one digest bucket and each visited tuple is verified
 // against it.
 type HashedBuffer interface {
-	KeyedInserter
+	KeyCols() []int
 	InsertHashed(h uint64, t tuple.Tuple)
 	ProbeAppendHashed(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple
 }

@@ -216,13 +216,11 @@ func TestHashProbe(t *testing.T) {
 	b.Insert(mk(1, 101, 10))
 	b.Insert(mk(2, 102, 10))
 	b.Insert(mk(3, 103, 20))
-	var hits int
-	b.Probe(mk(0, 0, 10).Key([]int{0}), func(tuple.Tuple) bool { hits++; return true })
+	hits := len(b.ProbeAppend(mk(0, 0, 10).Key([]int{0}), 0, nil))
 	if hits != 2 {
 		t.Errorf("probe hits = %d", hits)
 	}
-	hits = 0
-	b.Probe(mk(0, 0, 99).Key([]int{0}), func(tuple.Tuple) bool { hits++; return true })
+	hits = len(b.ProbeAppend(mk(0, 0, 99).Key([]int{0}), 0, nil))
 	if hits != 0 {
 		t.Errorf("probe of absent key hits = %d", hits)
 	}
@@ -396,8 +394,7 @@ func TestIndexedFIFOProbe(t *testing.T) {
 	b.Insert(mk(1, 101, 10))
 	b.Insert(mk(2, 102, 10))
 	b.Insert(mk(3, 103, 20))
-	hits := 0
-	b.Probe(mk(0, 0, 10).Key([]int{0}), func(tuple.Tuple) bool { hits++; return true })
+	hits := len(b.ProbeAppend(mk(0, 0, 10).Key([]int{0}), 0, nil))
 	if hits != 2 {
 		t.Errorf("probe hits = %d", hits)
 	}

@@ -1,6 +1,8 @@
 package statebuf
 
 import (
+	"slices"
+
 	"repro/internal/checkpoint"
 	"repro/internal/tuple"
 )
@@ -18,7 +20,7 @@ import (
 // Buckets are addressed by the composite key's 64-bit digest rather than the
 // composite itself: hashing and copying the fat tuple.Key struct on every map
 // operation dominated ingest profiles. Distinct keys may collide into one
-// bucket, so Probe verifies each visited tuple against the probe key;
+// bucket, so a probe verifies each visited tuple against the probe key;
 // Remove/removeExact already compare full values, which subsumes the key.
 //
 // Buckets are heap nodes reached through a pointer map and recycled through a
@@ -68,12 +70,6 @@ func (b *HashBuffer) KeyCols() []int { return b.keyCols }
 // Insert stores t under its key.
 func (b *HashBuffer) Insert(t tuple.Tuple) {
 	b.insertHashed(t.KeyHash64(b.keyCols), t)
-}
-
-// InsertKeyed implements KeyedInserter: stores t under a caller-computed key,
-// which must equal t's key over this buffer's key columns.
-func (b *HashBuffer) InsertKeyed(k tuple.Key, t tuple.Tuple) {
-	b.insertHashed(k.Hash64(), t)
 }
 
 // InsertHashed implements HashedBuffer: stores t under a caller-computed key
@@ -268,31 +264,8 @@ func (b *HashBuffer) removeExactIn(bk *bucket, t tuple.Tuple) bool {
 	return false
 }
 
-// Probe visits tuples stored under key k. Digest collisions put foreign keys
-// in the same bucket, so each visited tuple is verified against k before fn
-// sees it.
-func (b *HashBuffer) Probe(k tuple.Key, fn func(t tuple.Tuple) bool) {
-	bk, ok := b.buckets[k.Hash64()]
-	if !ok {
-		return
-	}
-	b.touched++
-	if bk.head.KeyMatches(b.keyCols, k) && !fn(bk.head) {
-		return
-	}
-	for _, t := range bk.rest {
-		b.touched++
-		if !t.KeyMatches(b.keyCols, k) {
-			continue
-		}
-		if !fn(t) {
-			return
-		}
-	}
-}
-
 // ProbeAppend implements ProbeAppender: live (Exp > now) tuples stored under
-// k are appended to dst in bucket order — the same order Probe visits them.
+// k are appended to dst in bucket order.
 func (b *HashBuffer) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
 	return b.ProbeAppendHashed(k.Hash64(), k, now, dst)
 }
@@ -344,11 +317,18 @@ func (b *HashBuffer) Touched() int64 { return b.touched }
 func (b *HashBuffer) Kind() Kind { return KindHash }
 
 // SaveState implements checkpoint.Snapshotter: cost counter, then the stored
-// tuples (bucket order is unspecified; LoadState re-keys them).
+// tuples, bucket by bucket in ascending digest order and in bucket order
+// within one, which is the order LoadState re-keys them back into.
 func (b *HashBuffer) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(b.touched)
 	enc.Uvarint(uint64(b.size))
-	for _, bk := range b.buckets {
+	digests := make([]uint64, 0, len(b.buckets))
+	for h := range b.buckets {
+		digests = append(digests, h)
+	}
+	slices.Sort(digests)
+	for _, h := range digests {
+		bk := b.buckets[h]
 		enc.Tuple(bk.head)
 		for _, t := range bk.rest {
 			enc.Tuple(t)

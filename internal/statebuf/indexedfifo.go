@@ -54,11 +54,6 @@ func (b *IndexedFIFO) Insert(t tuple.Tuple) {
 // KeyCols returns the index's key column positions.
 func (b *IndexedFIFO) KeyCols() []int { return b.hash.KeyCols() }
 
-// InsertKeyed implements KeyedInserter (see HashBuffer.InsertKeyed).
-func (b *IndexedFIFO) InsertKeyed(k tuple.Key, t tuple.Tuple) {
-	b.insertHashed(k.Hash64(), t)
-}
-
 // InsertHashed implements HashedBuffer (see HashBuffer.InsertHashed).
 func (b *IndexedFIFO) InsertHashed(h uint64, t tuple.Tuple) {
 	b.insertHashed(h, t)
@@ -129,9 +124,6 @@ func (b *IndexedFIFO) ExpireUpTo(now int64) []tuple.Tuple {
 // Remove deletes one matching tuple from the index; its queue entry goes
 // stale and is skipped later.
 func (b *IndexedFIFO) Remove(t tuple.Tuple) bool { return b.hash.Remove(t) }
-
-// Probe visits stored tuples under key k.
-func (b *IndexedFIFO) Probe(k tuple.Key, fn func(t tuple.Tuple) bool) { b.hash.Probe(k, fn) }
 
 // ProbeAppend implements ProbeAppender (see HashBuffer.ProbeAppend).
 func (b *IndexedFIFO) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {

@@ -43,7 +43,7 @@ type PartitionedBuffer struct {
 	size    int   // live tuples (stale references excluded)
 	byExp   bool  // partitions sorted by Exp (eager) vs insertion order (lazy)
 	touched int64
-	ents    entrySlab
+	ents    Slab[calEntry]
 	keyCols []int
 	index   map[uint64]int32 // key digest → first entry of its chain; nil when unkeyed
 	// scratch backs ExpireUpTo's result slice across passes (the calendar is
@@ -96,41 +96,6 @@ type calEntry struct {
 
 const dead = -1
 
-// entrySlab hands out calendar entries from fixed pages and recycles released
-// ones through an intrusive freelist, so steady-state churn allocates
-// nothing. References are one-based; zero means none.
-type entrySlab struct {
-	pages []*[chunkSize]calEntry
-	used  int32 // references handed out from pages so far
-	free  int32 // head of the released list, linked through next
-}
-
-func (s *entrySlab) at(ref int32) *calEntry {
-	i := uint32(ref - 1)
-	return &s.pages[i/chunkSize][i%chunkSize]
-}
-
-func (s *entrySlab) alloc() (int32, *calEntry) {
-	if ref := s.free; ref != 0 {
-		e := s.at(ref)
-		s.free, e.next = e.next, 0
-		return ref, e
-	}
-	if int(s.used) == len(s.pages)*chunkSize {
-		s.pages = append(s.pages, new([chunkSize]calEntry))
-	}
-	s.used++
-	return s.used, s.at(s.used)
-}
-
-// release recycles a slot. Only the value slice is cleared (a parked slot
-// must pin no tuple); alloc's caller overwrites the rest.
-func (s *entrySlab) release(ref int32) {
-	e := s.at(ref)
-	e.t.Vals, e.next = nil, s.free
-	s.free = ref
-}
-
 // NewPartitioned builds a buffer with n partitions covering a rolling
 // expiration horizon of the given length (typically the window size: every
 // window-derived tuple satisfies Exp <= now + horizon). byExp selects the
@@ -170,7 +135,7 @@ func newCalendar(n int, horizon int64, byExp bool, keyCols []int) *PartitionedBu
 // reset drops every stored tuple, leaving the cursor alone.
 func (b *PartitionedBuffer) reset() {
 	clear(b.parts)
-	b.ents = entrySlab{}
+	b.ents = Slab[calEntry]{}
 	clear(b.index)
 	b.size = 0
 }
@@ -213,7 +178,7 @@ func (b *PartitionedBuffer) Insert(t tuple.Tuple) {
 func (b *PartitionedBuffer) insertHashed(h uint64, t tuple.Tuple) {
 	b.touched++
 	b.size++
-	ref, e := b.ents.alloc()
+	ref, e := b.ents.Alloc()
 	e.t, e.h = t, h
 	b.file(ref, e)
 }
@@ -228,11 +193,11 @@ func (b *PartitionedBuffer) file(ref int32, e *calEntry) {
 	if b.sorted(slot) {
 		live := p.live()
 		i := len(live) - 1
-		if i > 0 && expiresBefore(e.t, b.ents.at(live[i-1]).t) {
+		if i > 0 && expiresBefore(e.t, b.ents.At(live[i-1]).t) {
 			// Out of order: binary search for the first entry expiring later.
 			lo, hi := 0, i
 			for lo < hi {
-				if mid := (lo + hi) / 2; expiresBefore(e.t, b.ents.at(live[mid]).t) {
+				if mid := (lo + hi) / 2; expiresBefore(e.t, b.ents.At(live[mid]).t) {
 					hi = mid
 				} else {
 					lo = mid + 1
@@ -261,7 +226,7 @@ func (b *PartitionedBuffer) link(ref int32, e *calEntry) {
 	next := b.index[e.h]
 	sorted := b.sorted(int(e.slot))
 	for next != 0 {
-		c := b.ents.at(next)
+		c := b.ents.At(next)
 		if c.slot > e.slot || c.slot == e.slot && sorted && expiresBefore(e.t, c.t) {
 			break
 		}
@@ -269,10 +234,10 @@ func (b *PartitionedBuffer) link(ref int32, e *calEntry) {
 	}
 	e.prev, e.next = prev, next
 	if next != 0 {
-		b.ents.at(next).prev = ref
+		b.ents.At(next).prev = ref
 	}
 	if prev != 0 {
-		b.ents.at(prev).next = ref
+		b.ents.At(prev).next = ref
 	} else {
 		b.index[e.h] = ref
 	}
@@ -281,11 +246,11 @@ func (b *PartitionedBuffer) link(ref int32, e *calEntry) {
 // unlink takes an entry out of its chain.
 func (b *PartitionedBuffer) unlink(e *calEntry) {
 	if e.next != 0 {
-		b.ents.at(e.next).prev = e.prev
+		b.ents.At(e.next).prev = e.prev
 	}
 	switch {
 	case e.prev != 0:
-		b.ents.at(e.prev).next = e.next
+		b.ents.At(e.prev).next = e.next
 	case e.next != 0:
 		b.index[e.h] = e.next
 	default:
@@ -295,9 +260,10 @@ func (b *PartitionedBuffer) unlink(e *calEntry) {
 }
 
 // fire releases a reference leaving its partition, appending the tuple to
-// out unless the entry is stale.
+// out unless the entry is stale. Only the value slice is cleared (a parked
+// entry must pin no tuple); alloc's caller overwrites the rest.
 func (b *PartitionedBuffer) fire(ref int32, out []tuple.Tuple) []tuple.Tuple {
-	e := b.ents.at(ref)
+	e := b.ents.At(ref)
 	if e.slot != dead {
 		out = append(out, e.t)
 		b.size--
@@ -305,7 +271,8 @@ func (b *PartitionedBuffer) fire(ref int32, out []tuple.Tuple) []tuple.Tuple {
 			b.unlink(e)
 		}
 	}
-	b.ents.release(ref)
+	e.t.Vals = nil
+	b.ents.Release(ref)
 	return out
 }
 
@@ -335,7 +302,7 @@ func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 		case b.byExp:
 			// Sorted: expired tuples are a prefix.
 			i := 0
-			for i < len(live) && b.ents.at(live[i]).t.Exp <= now {
+			for i < len(live) && b.ents.At(live[i]).t.Exp <= now {
 				out = b.fire(live[i], out)
 				i++
 			}
@@ -345,7 +312,7 @@ func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 			b.touched += int64(len(live))
 			kept := live[:0]
 			for _, ref := range live {
-				if e := b.ents.at(ref); e.t.Exp <= now || e.slot == dead {
+				if e := b.ents.At(ref); e.t.Exp <= now || e.slot == dead {
 					out = b.fire(ref, out)
 				} else {
 					kept = append(kept, ref)
@@ -372,7 +339,7 @@ func (b *PartitionedBuffer) drainOverflow(now int64, out []tuple.Tuple) []tuple.
 	kept := p.refs[:0]
 	for _, ref := range p.refs {
 		b.touched++
-		e := b.ents.at(ref)
+		e := b.ents.At(ref)
 		switch {
 		case e.slot == dead || e.t.Exp <= now:
 			out = b.fire(ref, out)
@@ -401,7 +368,7 @@ func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 	var victim int32
 	if b.index != nil {
 		for ref := b.index[t.KeyHash64(b.keyCols)]; ref != 0; {
-			e := b.ents.at(ref)
+			e := b.ents.At(ref)
 			b.touched++
 			if e.t.SameVals(t) {
 				if e.t.Exp == t.Exp {
@@ -415,7 +382,7 @@ func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 	} else if victim = b.exactTwin(t); victim == 0 {
 		for pi := range b.parts {
 			for _, ref := range b.parts[pi].live() {
-				e := b.ents.at(ref)
+				e := b.ents.At(ref)
 				if e.slot == dead {
 					continue
 				}
@@ -429,7 +396,7 @@ func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 	if victim == 0 {
 		return false
 	}
-	e := b.ents.at(victim)
+	e := b.ents.At(victim)
 	if b.index != nil {
 		b.unlink(e)
 	}
@@ -443,7 +410,7 @@ func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 // looking only where such a tuple can be.
 func (b *PartitionedBuffer) exactTwin(t tuple.Tuple) int32 {
 	for _, ref := range b.parts[b.slotFor(t.Exp)].live() {
-		e := b.ents.at(ref)
+		e := b.ents.At(ref)
 		if e.slot == dead {
 			continue
 		}
@@ -458,7 +425,7 @@ func (b *PartitionedBuffer) exactTwin(t tuple.Tuple) int32 {
 // older returns whichever of two entries has the lower TS, the first on a
 // tie; zero stands for no entry.
 func (b *PartitionedBuffer) older(best, ref int32) int32 {
-	if best == 0 || b.ents.at(ref).t.TS < b.ents.at(best).t.TS {
+	if best == 0 || b.ents.At(ref).t.TS < b.ents.At(best).t.TS {
 		return ref
 	}
 	return best
@@ -469,7 +436,7 @@ func (b *PartitionedBuffer) older(best, ref int32) int32 {
 func (b *PartitionedBuffer) Scan(fn func(t tuple.Tuple) bool) {
 	for pi := range b.parts {
 		for _, ref := range b.parts[pi].live() {
-			e := b.ents.at(ref)
+			e := b.ents.At(ref)
 			if e.slot == dead {
 				continue
 			}
@@ -501,7 +468,7 @@ func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
 	enc.Uvarint(uint64(b.size))
 	for pi := range b.parts {
 		for _, ref := range b.parts[pi].live() {
-			if e := b.ents.at(ref); e.slot != dead {
+			if e := b.ents.At(ref); e.slot != dead {
 				enc.Tuple(e.t)
 			}
 		}
@@ -534,33 +501,18 @@ func (b *PartitionedBuffer) LoadState(dec *checkpoint.Decoder) error {
 
 // keyedCalendar is a PartitionedBuffer built with key columns. It is the same
 // structure; the type exists so that only a calendar that has an index
-// satisfies Prober, ProbeAppender, KeyedInserter and HashedBuffer, which is
+// satisfies ProbeAppender and HashedBuffer, which is
 // how joins, views and replays decide between a keyed probe and a scan.
 type keyedCalendar struct{ *PartitionedBuffer }
 
 // KeyCols returns the indexed column positions.
 func (b keyedCalendar) KeyCols() []int { return b.keyCols }
 
-// InsertKeyed implements KeyedInserter (see HashBuffer.InsertKeyed).
-func (b keyedCalendar) InsertKeyed(k tuple.Key, t tuple.Tuple) { b.insertHashed(k.Hash64(), t) }
-
 // InsertHashed implements HashedBuffer (see HashBuffer.InsertHashed).
 func (b keyedCalendar) InsertHashed(h uint64, t tuple.Tuple) { b.insertHashed(h, t) }
 
-// Probe implements Prober: it visits the stored tuples under key k in Scan
+// ProbeAppend implements ProbeAppender: the live tuples under key k, in Scan
 // order. Distinct keys can share a digest, so each is verified against k.
-func (b keyedCalendar) Probe(k tuple.Key, fn func(t tuple.Tuple) bool) {
-	for ref := b.index[k.Hash64()]; ref != 0; {
-		e := b.ents.at(ref)
-		b.touched++
-		if e.t.KeyMatches(b.keyCols, k) && !fn(e.t) {
-			return
-		}
-		ref = e.next
-	}
-}
-
-// ProbeAppend implements ProbeAppender (see HashBuffer.ProbeAppend).
 func (b keyedCalendar) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
 	return b.ProbeAppendHashed(k.Hash64(), k, now, dst)
 }
@@ -569,7 +521,7 @@ func (b keyedCalendar) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []
 // HashBuffer.ProbeAppendHashed).
 func (b keyedCalendar) ProbeAppendHashed(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
 	for ref := b.index[h]; ref != 0; {
-		e := b.ents.at(ref)
+		e := b.ents.At(ref)
 		b.touched++
 		if now < e.t.Exp && e.t.KeyMatches(b.keyCols, k) {
 			dst = append(dst, e.t)
