@@ -17,7 +17,9 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/race"
+	"repro/internal/relation"
 	"repro/internal/tuple"
+	"repro/internal/window"
 )
 
 // ingestAllocBudget is the checked-in ceiling for one steady-state 64-arrival
@@ -177,17 +179,36 @@ func TestColIngestAllocBudget(t *testing.T) {
 // it replaced (the commit before Operator.Process was removed: 102 for
 // Q1/UPA, 293 for Q5/UPA, deterministic). A run of one must never cost more
 // than that chain did: no per-call run slice, no unpooled Emit, no per-call
-// emission slices. Measured after the change: 51 and 204.
+// emission slices. Measured after the change: 51 and 204. The ⋈NRR plan is
+// held to one allocation per matched row, the result's Concat: every arrival
+// matches one row, and the probe itself allocates nothing (the commit before
+// relations moved onto statebuf.Table paid 4 per Push, 3 of them in the probe).
 var pushAllocBudget = map[string]float64{
 	"Q1-join-of-selects": 102,
 	"Q5-negation-join":   293,
+	"nrr-join":           64,
+}
+
+// nrrAllocQuery is a window ⋈NRR a table holding one row per key the trace
+// draws, so each arrival matches exactly one row.
+func nrrAllocQuery() ckptQuery {
+	return ckptQuery{"nrr-join", 1, func() *plan.Node {
+		tbl := relation.NewNRR("companies", companies())
+		for sym := int64(0); sym < 6; sym++ {
+			if err := tbl.Apply(relation.Update{Kind: relation.Insert, Row: []tuple.Value{tuple.Int(sym), tuple.String_("x")}}); err != nil {
+				panic(err)
+			}
+		}
+		src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 20}, linkSchema())
+		return plan.NewNRRJoin(src, tbl, []int{0}, []int{0})
+	}}
 }
 
 func TestPushAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
-	for _, q := range ckptQueries() {
+	for _, q := range append(ckptQueries(), nrrAllocQuery()) {
 		budget, ok := pushAllocBudget[q.name]
 		if !ok {
 			continue

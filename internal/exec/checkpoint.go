@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -51,30 +52,25 @@ func fingerprint(p *plan.Physical) string {
 	return b.String()
 }
 
-// uniqueTables lists the distinct tables the plan consumes, deduplicated by
-// pointer, in plan registration order. Sharded engines share table pointers
-// (shards rebuild the plan from the same logical tree), so table contents are
-// written once per checkpoint regardless of shard count.
-func uniqueTables(p *plan.Physical) []*relation.Table {
-	seen := make(map[*relation.Table]bool)
+// uniqueTables lists the distinct tables the nodes consume (a plan's or a
+// registry's table readers), deduplicated by pointer, in node order. Sharded
+// engines share table pointers (shards rebuild the plan from the same logical
+// tree), and so do registered queries, so table contents are written once per
+// checkpoint regardless of shard or query count.
+func uniqueTables(nodes []*plan.PNode) []*relation.Table {
 	var out []*relation.Table
-	for _, pn := range p.Tables {
+	for _, pn := range nodes {
 		top, ok := pn.Op.(operator.TableOperator)
-		if !ok {
-			continue
+		if ok && !slices.Contains(out, top.Table()) {
+			out = append(out, top.Table())
 		}
-		t := top.Table()
-		if t == nil || seen[t] {
-			continue
-		}
-		seen[t] = true
-		out = append(out, t)
 	}
 	return out
 }
 
-func writeTables(enc *checkpoint.Encoder, p *plan.Physical) error {
-	tables := uniqueTables(p)
+// writeTables writes the table section: the count, then each table's name
+// and contents.
+func writeTables(enc *checkpoint.Encoder, tables []*relation.Table) error {
 	enc.Uvarint(uint64(len(tables)))
 	for _, t := range tables {
 		enc.String(t.Name())
@@ -85,8 +81,9 @@ func writeTables(enc *checkpoint.Encoder, p *plan.Physical) error {
 	return enc.Err()
 }
 
-func readTables(dec *checkpoint.Decoder, p *plan.Physical) error {
-	tables := uniqueTables(p)
+// readTables is writeTables' mirror into the same tables, refusing a section
+// that names others.
+func readTables(dec *checkpoint.Decoder, tables []*relation.Table) error {
 	n := dec.Count()
 	if err := dec.Err(); err != nil {
 		return err
@@ -260,7 +257,7 @@ func writeHeader(enc *checkpoint.Encoder, p *plan.Physical, sections int, clock 
 	enc.String(fingerprint(p))
 	enc.Uvarint(uint64(sections))
 	enc.Varint(clock)
-	return writeTables(enc, p)
+	return writeTables(enc, uniqueTables(p.Tables))
 }
 
 // writeCheckpoint writes one checkpoint — the header, then one state section
@@ -319,7 +316,7 @@ func readCheckpoint(r io.Reader, engines []*Engine) (clock int64, err error) {
 	if err := dec.Err(); err != nil {
 		return 0, err
 	}
-	if err := readTables(dec, lead.phys); err != nil {
+	if err := readTables(dec, uniqueTables(lead.phys.Tables)); err != nil {
 		return 0, err
 	}
 	for _, eng := range engines {

@@ -247,7 +247,8 @@ func TestProfile(t *testing.T) {
 // with the same error text and no change to engine state, and takes a
 // kind-nonconforming tuple with the same outcome: accepted, Columnar() false
 // from then on, visible state equal to an engine that never ran columnar.
-// Advance rejects a regressing time the same way, in its own words.
+// Advance rejects a regressing time the same way, in its own words, and
+// ApplyTableUpdate an update its table refuses, in the table's.
 func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
 	q1 := ckptQueries()[0].build // join of ftp-selects over streams 0 and 1
 	selfJoin := func() *plan.Node {
@@ -368,5 +369,40 @@ func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
 				t.Errorf("after Sync: clock %d, watermark %d, want both %d", sh.Clock(), sh.Watermark(), clock+1)
 			}
 		})
+	}
+
+	// A table update the table refuses moves nothing either, at one shard
+	// and at three: it is checked before the executor advances to its time,
+	// which is past every window here, so nothing expires.
+	for _, shards := range []int{1, 3} {
+		for _, p := range contractPlans()[3:] { // the table plans
+			t.Run(fmt.Sprintf("table-update/%s/shards=%d", p.name, shards), func(t *testing.T) {
+				c := openContract(t, p, plan.UPA, shards)
+				c.play(t, contractSteps(p)[:contractCut])
+				clock := c.ex.Clock()
+				before := observeNoAdvance(t, c.ex)
+				stateBefore, _ := c.ex.StateTuples()
+				for _, r := range []struct {
+					u    relation.Update
+					want string
+				}{
+					{relation.Update{Kind: relation.Delete, TS: clock + 60, Row: []tuple.Value{tuple.Int(1), tuple.String_("w")}},
+						"relation companies: delete of absent row [1 w]"},
+					{relation.Update{Kind: relation.Insert, TS: clock + 60, Row: []tuple.Value{tuple.Int(1)}},
+						"relation companies: row arity 1 != schema 2"},
+				} {
+					if err := c.ex.ApplyTableUpdate(c.tbl, r.u); err == nil || err.Error() != r.want {
+						t.Errorf("refused update: error %v, want %q", err, r.want)
+					}
+					if got := c.ex.Clock(); got != clock {
+						t.Errorf("%s: Clock() = %d, want %d", r.want, got, clock)
+					}
+					diffObservations(t, r.want, observeNoAdvance(t, c.ex), before)
+					if got, _ := c.ex.StateTuples(); got != stateBefore {
+						t.Errorf("%s: StateTuples = %d, want %d", r.want, got, stateBefore)
+					}
+				}
+			})
+		}
 	}
 }

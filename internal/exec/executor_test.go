@@ -54,15 +54,25 @@ func contractPlans() []contractPlan {
 				operator.AggSpec{Kind: operator.Sum, Col: 2}), nil
 		}},
 		{name: "rel-join", streams: 2, build: func() (*plan.Node, *relation.Table) {
-			tbl := relation.NewRelation("companies", tuple.MustSchema(
-				tuple.Column{Name: "sym", Kind: tuple.KindInt},
-				tuple.Column{Name: "name", Kind: tuple.KindString},
-			))
+			tbl := relation.NewRelation("companies", companies())
 			a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 16}, linkSchema())
 			b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 20}, linkSchema())
 			return plan.NewRelJoin(plan.NewJoin(a, b, []int{0}, []int{0}), tbl, []int{0}, []int{0}), tbl
 		}},
+		{name: "nrr-join", streams: 1, build: func() (*plan.Node, *relation.Table) {
+			tbl := relation.NewNRR("companies", companies())
+			src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 16}, linkSchema())
+			return plan.NewNRRJoin(src, tbl, []int{0}, []int{0}), tbl
+		}},
 	}
+}
+
+// companies is the schema of the contract plans' table.
+func companies() *tuple.Schema {
+	return tuple.MustSchema(
+		tuple.Column{Name: "sym", Kind: tuple.KindInt},
+		tuple.Column{Name: "name", Kind: tuple.KindString},
+	)
 }
 
 // contractRun is one opened executor with the table its plan reads.
@@ -73,6 +83,11 @@ type contractRun struct {
 
 func openContract(t *testing.T, p contractPlan, strat plan.Strategy, shards int) contractRun {
 	t.Helper()
+	return openContractCfg(t, p, strat, shards, Config{LazyInterval: 7, EagerInterval: 1})
+}
+
+func openContractCfg(t *testing.T, p contractPlan, strat plan.Strategy, shards int, cfg Config) contractRun {
+	t.Helper()
 	root, tbl := p.build()
 	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
 		t.Fatalf("Annotate: %v", err)
@@ -81,13 +96,18 @@ func openContract(t *testing.T, p contractPlan, strat plan.Strategy, shards int)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	ex := openAt(t, phys, Config{LazyInterval: 7, EagerInterval: 1}, shards)
-	return contractRun{ex, tbl}
+	return contractRun{openAt(t, phys, cfg, shards), tbl}
 }
+
+// contractCut is where the contract tests checkpoint the schedule: past the
+// Advance gap, mid-refill.
+const contractCut = 120
 
 // contractSteps is the schedule: arrivals round-robined over the streams,
 // table updates when the plan has a table, and one Advance gap longer than
-// every window in the table, so the answer drains and refills.
+// every window in the table, so the answer drains and refills. The rows are
+// keyed 0 and 1, and at the cut of TestExecutorContract each key holds two
+// distinct rows and a duplicate, inserted out of key order (z, z, x).
 type contractStep struct {
 	arrival *Arrival
 	update  *relation.Update
@@ -96,9 +116,10 @@ type contractStep struct {
 
 func contractSteps(p contractPlan) []contractStep {
 	r := rand.New(rand.NewSource(23))
-	names := []string{"Sun", "IBM", "DEC"}
+	names := []string{"y", "z", "z", "x"}
 	_, tbl := p.build()
 	var inserted [][]tuple.Value
+	var deleted int
 	var steps []contractStep
 	ts := int64(0)
 	for i := 0; i < 180; i++ {
@@ -111,8 +132,10 @@ func contractSteps(p contractPlan) []contractStep {
 			// Retroactive delete of the oldest row still in the table.
 			steps = append(steps, contractStep{update: &relation.Update{Kind: relation.Delete, TS: ts, Row: inserted[0]}})
 			inserted = inserted[1:]
+			deleted++
 		case tbl != nil && i%11 == 2:
-			row := []tuple.Value{tuple.Int(int64(i % 6)), tuple.String_(names[i%len(names)])}
+			n := len(inserted) + deleted
+			row := []tuple.Value{tuple.Int(int64(n % 2)), tuple.String_(names[n/2%len(names)])}
 			inserted = append(inserted, row)
 			steps = append(steps, contractStep{update: &relation.Update{Kind: relation.Insert, TS: ts, Row: row}})
 		default:
@@ -164,7 +187,7 @@ func TestExecutorContract(t *testing.T) {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
 			t.Run(p.name+"/"+strat.String(), func(t *testing.T) {
 				steps := contractSteps(p)
-				cut := 120 // past the Advance gap, mid-refill
+				cut := contractCut
 
 				var whole [2]observation
 				var ckpts [2][]byte
@@ -235,6 +258,53 @@ func TestExecutorContract(t *testing.T) {
 						t.Fatalf("shards=%d restoring the other layout: %v, want MismatchError{Field: shards}", shards, err)
 					}
 					diffObservations(t, fmt.Sprintf("shards=%d after refused restore", shards), observeNoAdvance(t, d.ex), before)
+				}
+			})
+		}
+	}
+}
+
+// TestRestoredTableProbesInInsertionOrder: a table join visits a key's rows
+// in insertion order, and a restored table keeps that order, so after the cut
+// a restored engine emits the uninterrupted engine's exact OnEmit sequence —
+// for ⋈NRR and ⋈R, whose keys hold rows inserted out of key order at the cut.
+func TestRestoredTableProbesInInsertionOrder(t *testing.T) {
+	for _, p := range contractPlans() {
+		if _, tbl := p.build(); tbl == nil {
+			continue
+		}
+		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
+			t.Run(p.name+"/"+strat.String(), func(t *testing.T) {
+				steps := contractSteps(p)
+				var whole, resumed []string
+				emitting := func(seq *[]string) Config {
+					return Config{LazyInterval: 7, EagerInterval: 1, OnEmit: func(tp tuple.Tuple) { *seq = append(*seq, tp.String()) }}
+				}
+				a := openContractCfg(t, p, strat, 1, emitting(&whole))
+				a.play(t, steps[:contractCut])
+				var ckpt bytes.Buffer
+				if err := a.ex.Checkpoint(&ckpt); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+				mark := len(whole)
+				a.play(t, steps[contractCut:])
+
+				c := openContractCfg(t, p, strat, 1, emitting(&resumed))
+				if err := c.ex.Restore(&ckpt); err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				c.play(t, steps[contractCut:])
+				want := whole[mark:]
+				if len(want) == 0 {
+					t.Fatal("nothing emitted after the cut: the check is vacuous")
+				}
+				if fmt.Sprint(resumed) != fmt.Sprint(want) {
+					i := 0
+					for i < min(len(resumed), len(want)) && resumed[i] == want[i] {
+						i++
+					}
+					t.Errorf("restored OnEmit sequence diverges at delta %d of %d/%d\n got %v\nwant %v",
+						i, len(resumed), len(want), resumed[i:min(i+4, len(resumed))], want[i:min(i+4, len(want))])
 				}
 			})
 		}

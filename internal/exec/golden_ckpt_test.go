@@ -43,8 +43,18 @@ func goldenCheckpoints() []struct {
 	}
 }
 
+// tableGoldens names the checkpoints the commit before relation tables kept
+// insertion order (5c78873) wrote at contractCut of the contract's ⋈R plan
+// (over a join): each of the table's two keys held two distinct rows and a
+// duplicate, saved in key order rather than the z, z, x they were inserted in.
+var tableGoldens = []struct {
+	file  string
+	strat plan.Strategy
+}{{"reljoin_upa.ckpt", plan.UPA}, {"reljoin_nt.ckpt", plan.NT}}
+
 // TestRestoreParentCheckpoints restores each of them into an engine built by
-// this commit, feeds the rest of the trace, and requires every visible signal
+// this commit, feeds the rest of the trace (of the contract schedule, for the
+// table goldens), and requires every visible signal
 // to equal an uninterrupted run's: the format version, the plan fingerprint
 // and the section layouts have not moved, and the rebuilt index serves the
 // same state.
@@ -71,6 +81,31 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 				got.stats.MaxStateTuples, want.stats.MaxStateTuples = 0, 0
 			}
 			diffObservations(t, "restored from the parent's checkpoint", got, want)
+		})
+	}
+
+	// The table goldens play the rest of the contract schedule instead.
+	p := contractPlans()[3] // rel-join
+	steps := contractSteps(p)
+	for _, g := range tableGoldens {
+		t.Run(g.file, func(t *testing.T) {
+			ckpt, err := os.ReadFile("testdata/" + g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := openContract(t, p, g.strat, 1)
+			whole.play(t, steps)
+			want := observe(t, whole.ex)
+
+			resumed := openContract(t, p, g.strat, 1)
+			if err := resumed.ex.Restore(bytes.NewReader(ckpt)); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			if n := resumed.tbl.Len(); n != 6 {
+				t.Fatalf("restored table holds %d rows, want 6", n)
+			}
+			resumed.play(t, steps[contractCut:])
+			diffObservations(t, "restored from the parent's checkpoint", observe(t, resumed.ex), want)
 		})
 	}
 }

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
-	"repro/internal/operator"
-	"repro/internal/relation"
 )
 
 // Registry checkpoint format. A multi-query engine's dynamic state is one
@@ -52,26 +50,6 @@ func (e *Engine) registryFingerprint() string {
 	return b.String()
 }
 
-// uniqueRegistryTables lists the distinct tables the live dataflow
-// consumes, deduplicated by pointer, in canonical registration order.
-func (e *Engine) uniqueRegistryTables() []*relation.Table {
-	seen := make(map[*relation.Table]bool)
-	var out []*relation.Table
-	for _, pn := range e.tables {
-		top, ok := pn.Op.(operator.TableOperator)
-		if !ok {
-			continue
-		}
-		t := top.Table()
-		if t == nil || seen[t] {
-			continue
-		}
-		seen[t] = true
-		out = append(out, t)
-	}
-	return out
-}
-
 // CheckpointRegistry writes the full multi-query engine state — shared
 // state once, per-query views each — restorable into an engine that
 // registered the same queries in the same order (RestoreRegistry).
@@ -88,13 +66,8 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 	enc.String(e.registryFingerprint())
 	enc.Uvarint(uint64(len(e.queries)))
 	enc.Varint(e.clock)
-	tables := e.uniqueRegistryTables()
-	enc.Uvarint(uint64(len(tables)))
-	for _, t := range tables {
-		enc.String(t.Name())
-		if err := t.SaveState(enc); err != nil {
-			return err
-		}
+	if err := writeTables(enc, uniqueTables(e.tables)); err != nil {
+		return err
 	}
 	enc.Varint(e.clock)
 	enc.Varint(e.lastEager)
@@ -173,27 +146,8 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 		}
 	}
 	dec.Varint() // coordinator clock; the engine's clock travels below
-	tables := e.uniqueRegistryTables()
-	tn := dec.Count()
-	if err := dec.Err(); err != nil {
+	if err := readTables(dec, uniqueTables(e.tables)); err != nil {
 		return err
-	}
-	if tn != len(tables) {
-		return &checkpoint.MismatchError{
-			Field: "tables", Want: strconv.Itoa(len(tables)), Got: strconv.Itoa(tn),
-		}
-	}
-	for _, t := range tables {
-		name := dec.String()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if name != t.Name() {
-			return &checkpoint.MismatchError{Field: "table", Want: t.Name(), Got: name}
-		}
-		if err := t.LoadState(dec); err != nil {
-			return err
-		}
 	}
 	e.clock = dec.Varint()
 	e.lastEager = dec.Varint()

@@ -292,14 +292,17 @@ func (s *sharded) Advance(ts int64) error {
 // ApplyTableUpdate applies one relation/NRR mutation. The update is a
 // replicated-state write: all workers are drained first (so no worker probes
 // the table mid-mutation, and none double-counts a row it already saw), the
-// shared table is mutated once, then the consequences are routed through
-// every shard's plan.
+// update is checked before the clock moves, the shared table is mutated once,
+// then the consequences are routed through every shard's plan.
 func (s *sharded) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error {
 	if err := s.barrier(); err != nil {
 		return err
 	}
 	if u.TS < s.clock {
 		return fmt.Errorf("exec: table update at %d regresses before %d", u.TS, s.clock)
+	}
+	if err := tbl.Check(u); err != nil {
+		return err
 	}
 	s.clock = u.TS
 	// Advance every shard to the update's timestamp BEFORE mutating the
@@ -317,7 +320,7 @@ func (s *sharded) ApplyTableUpdate(tbl *relation.Table, u relation.Update) error
 		return err
 	}
 	for _, eng := range s.shards {
-		if err := eng.routeAppliedUpdate(tbl, u); err != nil {
+		if err := eng.tableUpdate(tbl, u, false); err != nil {
 			return err
 		}
 	}

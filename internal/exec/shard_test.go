@@ -50,15 +50,15 @@ func (d *shardDriver) table(tbl *relation.Table, u relation.Update) {
 	// only the sharded one applies the mutation; the sequential engine just
 	// routes it (both see the same post-update rows). The sequential engine
 	// must run its pending expirations against the pre-update table first —
-	// routeAppliedUpdate's contract — so advance it before the shared apply.
+	// tableUpdate's contract — so advance it before the shared apply.
 	if err := d.seq.Advance(u.TS); err != nil {
 		d.t.Fatalf("sequential Advance(%d): %v", u.TS, err)
 	}
 	if err := d.sh.ApplyTableUpdate(tbl, u); err != nil {
 		d.t.Fatalf("sharded ApplyTableUpdate: %v", err)
 	}
-	if err := d.seq.routeAppliedUpdate(tbl, u); err != nil {
-		d.t.Fatalf("sequential routeAppliedUpdate: %v", err)
+	if err := d.seq.tableUpdate(tbl, u, false); err != nil {
+		d.t.Fatalf("sequential tableUpdate: %v", err)
 	}
 	d.ref.PushTable(tbl, u)
 	d.check(u.TS)

@@ -32,16 +32,12 @@ type TableOperator interface {
 // joined; it therefore keeps a log of the results each stream tuple produced
 // (only in that mode does any state accrue).
 type NRRJoin struct {
-	schema     *tuple.Schema
-	table      *relation.Table
-	streamCols []int
-	tableCols  []int
+	tableProbe
 	// emitted logs results per stream tuple for NT-mode retraction (empty
 	// unless logAll).
 	emitted statebuf.Table[[]emitRecord]
 	logAll  bool
 	size    int
-	touched int64
 }
 
 type emitRecord struct {
@@ -65,18 +61,55 @@ func NewNRRJoin(cfg NRRJoinConfig) (*NRRJoin, error) {
 	if cfg.Table.Retroactive() {
 		return nil, fmt.Errorf("nrr-join: table %s is retroactive; use RelJoin", cfg.Table.Name())
 	}
-	if err := checkJoinCols("nrr-join", cfg.Stream, cfg.Table.Schema(), cfg.StreamCols, cfg.TableCols); err != nil {
+	p, err := newTableProbe("nrr-join", cfg.Stream, cfg.Table, cfg.StreamCols, cfg.TableCols)
+	if err != nil {
 		return nil, err
 	}
-	cfg.Table.EnsureIndex(cfg.TableCols)
-	j := &NRRJoin{
-		schema:     cfg.Stream.Concat(cfg.Table.Schema()),
-		table:      cfg.Table,
-		streamCols: append([]int(nil), cfg.StreamCols...),
-		tableCols:  append([]int(nil), cfg.TableCols...),
-		logAll:     cfg.LogResults,
+	return &NRRJoin{tableProbe: p, logAll: cfg.LogResults}, nil
+}
+
+// tableProbe is what both table joins share: the output schema, the table,
+// the index the join asked for at construction, the equijoin columns, and a
+// scratch slice of matching rows reused across probes.
+type tableProbe struct {
+	schema     *tuple.Schema
+	table      *relation.Table
+	index      int
+	streamCols []int
+	tableCols  []int
+	rows       [][]tuple.Value
+	touched    int64
+}
+
+func newTableProbe(op string, stream *tuple.Schema, tbl *relation.Table, streamCols, tableCols []int) (tableProbe, error) {
+	if err := checkJoinCols(op, stream, tbl.Schema(), streamCols, tableCols); err != nil {
+		return tableProbe{}, err
 	}
-	return j, nil
+	return tableProbe{
+		schema:     stream.Concat(tbl.Schema()),
+		table:      tbl,
+		index:      tbl.EnsureIndex(tableCols),
+		streamCols: append([]int(nil), streamCols...),
+		tableCols:  append([]int(nil), tableCols...),
+	}, nil
+}
+
+// Schema implements Operator.
+func (p *tableProbe) Schema() *tuple.Schema { return p.schema }
+
+// Table implements TableOperator.
+func (p *tableProbe) Table() *relation.Table { return p.table }
+
+// join appends t joined with every matching table row, in insertion order and
+// in t's polarity. A row never expires, so each result expires with t.
+func (p *tableProbe) join(t tuple.Tuple, now int64, out *Emit) {
+	p.rows = p.table.Probe(p.index, t, p.streamCols, p.rows[:0])
+	for _, vals := range p.rows {
+		p.touched++
+		r := t.Concat(tuple.Tuple{TS: t.TS, Exp: tuple.NeverExpires, Vals: vals}, now)
+		r.Neg = t.Neg
+		out.Append(r)
+	}
 }
 
 func checkJoinCols(op string, left, right *tuple.Schema, lc, rc []int) error {
@@ -99,12 +132,6 @@ func checkJoinCols(op string, left, right *tuple.Schema, lc, rc []int) error {
 // Class implements Operator.
 func (j *NRRJoin) Class() core.OpClass { return core.OpNRRJoin }
 
-// Schema implements Operator.
-func (j *NRRJoin) Schema() *tuple.Schema { return j.schema }
-
-// Table implements TableOperator.
-func (j *NRRJoin) Table() *relation.Table { return j.table }
-
 // ProcessBatch implements Operator.
 func (j *NRRJoin) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
@@ -115,22 +142,14 @@ func (j *NRRJoin) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit)
 			j.processNegative(t, now, out)
 			continue
 		}
-		k := t.Key(j.streamCols)
 		first := out.Len()
-		j.table.Probe(j.tableCols, k, func(vals []tuple.Value) bool {
-			j.touched++
-			row := tuple.Tuple{TS: t.TS, Exp: tuple.NeverExpires, Vals: vals}
-			r := t.Concat(row, now)
-			// NRR deletions never retract: the result lives as long as the
-			// stream tuple, regardless of the row's fate (Definition 2).
-			r.Exp = t.Exp
-			out.Append(r)
-			return true
-		})
+		// NRR deletions never retract: a result lives as long as its stream
+		// tuple, regardless of the row's fate (Definition 2).
+		j.join(t, now, out)
 		if j.logAll && out.Len() > first {
 			// The log outlives the call; out's backing array does not.
 			results := append([]tuple.Tuple(nil), out.ts[first:]...)
-			ref, _ := j.emitted.Upsert(k)
+			ref, _ := j.emitted.UpsertRow(t, j.streamCols)
 			recs := j.emitted.At(ref)
 			*recs = append(*recs, emitRecord{exp: t.Exp, results: results})
 			j.size += len(results)
@@ -197,14 +216,10 @@ func (j *NRRJoin) Touched() int64 { return j.touched }
 // retracts previously reported results with negative tuples. The window side
 // must therefore be stored.
 type RelJoin struct {
-	schema     *tuple.Schema
-	table      *relation.Table
-	streamCols []int
-	tableCols  []int
+	tableProbe
 	state      statebuf.Buffer
 	clock      int64
 	timeExpiry bool
-	touched    int64
 }
 
 // RelJoinConfig configures a ⋈R operator.
@@ -222,18 +237,15 @@ type RelJoinConfig struct {
 
 // NewRelJoin builds a ⋈R operator.
 func NewRelJoin(cfg RelJoinConfig) (*RelJoin, error) {
-	if err := checkJoinCols("rel-join", cfg.Stream, cfg.Table.Schema(), cfg.StreamCols, cfg.TableCols); err != nil {
+	p, err := newTableProbe("rel-join", cfg.Stream, cfg.Table, cfg.StreamCols, cfg.TableCols)
+	if err != nil {
 		return nil, err
 	}
-	cfg.Table.EnsureIndex(cfg.TableCols)
 	if cfg.StreamBuf.Kind == statebuf.KindHash {
 		cfg.StreamBuf.KeyCols = cfg.StreamCols
 	}
 	return &RelJoin{
-		schema:     cfg.Stream.Concat(cfg.Table.Schema()),
-		table:      cfg.Table,
-		streamCols: append([]int(nil), cfg.StreamCols...),
-		tableCols:  append([]int(nil), cfg.TableCols...),
+		tableProbe: p,
 		state:      statebuf.New(cfg.StreamBuf),
 		clock:      -1,
 		timeExpiry: !cfg.NoTimeExpiry,
@@ -242,12 +254,6 @@ func NewRelJoin(cfg RelJoinConfig) (*RelJoin, error) {
 
 // Class implements Operator.
 func (j *RelJoin) Class() core.OpClass { return core.OpRelJoin }
-
-// Schema implements Operator.
-func (j *RelJoin) Schema() *tuple.Schema { return j.schema }
-
-// Table implements TableOperator.
-func (j *RelJoin) Table() *relation.Table { return j.table }
 
 // ProcessBatch implements Operator.
 func (j *RelJoin) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
@@ -265,22 +271,9 @@ func (j *RelJoin) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit)
 		} else {
 			j.state.Insert(t)
 		}
-		j.joinRow(t, now, out)
+		j.join(t, now, out)
 	}
 	return nil
-}
-
-// joinRow appends t joined with every matching table row, in t's polarity.
-func (j *RelJoin) joinRow(t tuple.Tuple, now int64, out *Emit) {
-	j.table.Probe(j.tableCols, t.Key(j.streamCols), func(vals []tuple.Value) bool {
-		j.touched++
-		row := tuple.Tuple{TS: t.TS, Exp: tuple.NeverExpires, Vals: vals}
-		r := t.Concat(row, now)
-		r.Exp = t.Exp
-		r.Neg = t.Neg
-		out.Append(r)
-		return true
-	})
 }
 
 // ApplyTableUpdate implements TableOperator: insertions join against the

@@ -11,8 +11,8 @@
 //     the update pattern of their streaming input (monotonic over streams,
 //     weakest non-monotonic over windows).
 //
-// Both structures deliver update notifications to registered listeners; the
-// executor wires those to ⋈R operators.
+// A table only stores rows and answers keyed probes; the executor routes each
+// update to the ⋈R operators reading the table.
 package relation
 
 import (
@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"repro/internal/checkpoint"
+	"repro/internal/statebuf"
 	"repro/internal/tuple"
 )
 
@@ -49,30 +50,31 @@ type Update struct {
 	Row  []tuple.Value
 }
 
-// Listener receives table mutations after they are applied.
-type Listener func(u Update)
-
-// Table is the shared implementation of Relation and NRR: a multiset of rows
-// hash-indexed by full row value for O(1) deletion, with secondary probing
-// by arbitrary key columns for joins.
+// Table is the shared implementation of Relation and NRR: a multiset of rows.
+// Each copy of a row is one entry of a slab, linked into insertion order, and
+// each index — the one over every column, then one per EnsureIndex — is a
+// statebuf.Table from a key to its copies, oldest first. Scan, SaveState and
+// every probe therefore visit copies in insertion order, and Delete removes
+// the oldest copy of its row.
 type Table struct {
-	name      string
-	schema    *tuple.Schema
-	retro     bool
-	rows      map[tuple.Key][]row // keyed by full-row key
-	byKey     map[string]*index   // lazily built secondary indexes
-	size      int
-	listeners []Listener
+	name        string
+	schema      *tuple.Schema
+	retro       bool
+	copies      statebuf.Slab[rowCopy]
+	first, last int32    // the oldest and the youngest copy
+	indexes     []*index // indexes[0] is over every column
+	size        int
 }
 
-type row struct {
-	ts   int64 // insertion time
-	vals []tuple.Value
+type rowCopy struct {
+	ts         int64 // insertion time
+	vals       []tuple.Value
+	prev, next int32 // neighbours in insertion order
 }
 
 type index struct {
-	cols    []int
-	buckets map[tuple.Key][]row
+	cols []int
+	keys statebuf.Table[[]int32] // a key's copies, oldest first
 }
 
 // NewRelation builds a retroactive relation.
@@ -86,13 +88,11 @@ func NewNRR(name string, schema *tuple.Schema) *Table {
 }
 
 func newTable(name string, schema *tuple.Schema, retro bool) *Table {
-	return &Table{
-		name:   name,
-		schema: schema,
-		retro:  retro,
-		rows:   make(map[tuple.Key][]row),
-		byKey:  make(map[string]*index),
+	all := make([]int, schema.Len())
+	for i := range all {
+		all[i] = i
 	}
+	return &Table{name: name, schema: schema, retro: retro, indexes: []*index{{cols: all}}}
 }
 
 // Name returns the table name.
@@ -108,151 +108,157 @@ func (t *Table) Retroactive() bool { return t.retro }
 // Len returns the current row count.
 func (t *Table) Len() int { return t.size }
 
-// Subscribe registers a listener invoked after every applied update.
-func (t *Table) Subscribe(fn Listener) { t.listeners = append(t.listeners, fn) }
-
-func (t *Table) fullKey(vals []tuple.Value) tuple.Key {
-	cols := make([]int, len(vals))
-	for i := range cols {
-		cols[i] = i
-	}
-	return tuple.Tuple{Vals: vals}.Key(cols)
+// Check reports the error Apply would return for u without applying it: a
+// wrong arity, an unknown kind, the delete of an absent row. An executor
+// checks before it advances its clock to u.TS, so a refused update moves
+// nothing.
+func (t *Table) Check(u Update) error {
+	_, err := t.check(u)
+	return err
 }
 
-// Apply executes one mutation and notifies listeners. Deleting an absent row
-// is an error (callers must not retract what was never inserted).
-func (t *Table) Apply(u Update) error {
+// check is Check, returning the slot of u's row in the full-row index when u
+// is a Delete.
+func (t *Table) check(u Update) (int32, error) {
 	if len(u.Row) != t.schema.Len() {
-		return fmt.Errorf("relation %s: row arity %d != schema %d", t.name, len(u.Row), t.schema.Len())
+		return 0, fmt.Errorf("relation %s: row arity %d != schema %d", t.name, len(u.Row), t.schema.Len())
 	}
 	switch u.Kind {
 	case Insert:
-		r := row{ts: u.TS, vals: append([]tuple.Value(nil), u.Row...)}
-		k := t.fullKey(u.Row)
-		t.rows[k] = append(t.rows[k], r)
-		for _, idx := range t.byKey {
-			ik := tuple.Tuple{Vals: r.vals}.Key(idx.cols)
-			idx.buckets[ik] = append(idx.buckets[ik], r)
-		}
-		t.size++
+		return 0, nil
 	case Delete:
-		k := t.fullKey(u.Row)
-		bucket := t.rows[k]
-		if len(bucket) == 0 {
-			return fmt.Errorf("relation %s: delete of absent row %v", t.name, u.Row)
+		all := t.indexes[0]
+		if ref := all.keys.FindRow(tuple.Tuple{Vals: u.Row}, all.cols); ref != 0 {
+			return ref, nil
 		}
-		victim := bucket[0] // oldest first, deterministic
-		t.rows[k] = bucket[1:]
-		if len(t.rows[k]) == 0 {
-			delete(t.rows, k)
-		}
-		for _, idx := range t.byKey {
-			ik := tuple.Tuple{Vals: victim.vals}.Key(idx.cols)
-			ib := idx.buckets[ik]
-			for i := range ib {
-				if sameVals(ib[i].vals, victim.vals) && ib[i].ts == victim.ts {
-					idx.buckets[ik] = append(ib[:i], ib[i+1:]...)
-					break
-				}
-			}
-			if len(idx.buckets[ik]) == 0 {
-				delete(idx.buckets, ik)
-			}
-		}
-		t.size--
-	default:
-		return fmt.Errorf("relation %s: unknown update kind %d", t.name, u.Kind)
+		return 0, fmt.Errorf("relation %s: delete of absent row %v", t.name, u.Row)
 	}
-	for _, fn := range t.listeners {
-		fn(u)
+	return 0, fmt.Errorf("relation %s: unknown update kind %d", t.name, u.Kind)
+}
+
+// Apply executes one mutation after the checks of Check. Deleting removes the
+// oldest copy of the row.
+func (t *Table) Apply(u Update) error {
+	ref, err := t.check(u)
+	if err != nil {
+		return err
+	}
+	if u.Kind == Insert {
+		t.insert(u.TS, append([]tuple.Value(nil), u.Row...))
+	} else {
+		t.remove((*t.indexes[0].keys.At(ref))[0])
 	}
 	return nil
 }
 
-func sameVals(a, b []tuple.Value) bool {
-	if len(a) != len(b) {
-		return false
+func (t *Table) insert(ts int64, vals []tuple.Value) {
+	ref, c := t.copies.Alloc()
+	*c = rowCopy{ts: ts, vals: vals, prev: t.last}
+	if t.last == 0 {
+		t.first = ref
+	} else {
+		t.copies.At(t.last).next = ref
 	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
+	t.last = ref
+	for _, ix := range t.indexes {
+		ix.add(ref, vals)
 	}
-	return true
+	t.size++
 }
 
-// EnsureIndex builds (or returns) a secondary index over the given columns,
-// so ⋈NRR / ⋈R probe in O(1) expected time.
-func (t *Table) EnsureIndex(cols []int) {
-	key := fmt.Sprint(cols)
-	if _, ok := t.byKey[key]; ok {
-		return
-	}
-	idx := &index{cols: append([]int(nil), cols...), buckets: make(map[tuple.Key][]row)}
-	for _, bucket := range t.rows {
-		for _, r := range bucket {
-			ik := tuple.Tuple{Vals: r.vals}.Key(cols)
-			idx.buckets[ik] = append(idx.buckets[ik], r)
-		}
-	}
-	t.byKey[key] = idx
+func (ix *index) add(ref int32, vals []tuple.Value) {
+	k, _ := ix.keys.UpsertRow(tuple.Tuple{Vals: vals}, ix.cols)
+	refs := ix.keys.At(k)
+	*refs = append(*refs, ref)
 }
 
-// Probe visits current rows whose key over cols equals k. The index over
-// cols must have been built with EnsureIndex; otherwise Probe falls back to a
-// full scan.
-func (t *Table) Probe(cols []int, k tuple.Key, fn func(vals []tuple.Value) bool) {
-	if idx, ok := t.byKey[fmt.Sprint(cols)]; ok {
-		for _, r := range idx.buckets[k] {
-			if !fn(r.vals) {
-				return
-			}
+func (t *Table) remove(ref int32) {
+	c := t.copies.At(ref)
+	for _, ix := range t.indexes {
+		k := ix.keys.FindRow(tuple.Tuple{Vals: c.vals}, ix.cols)
+		refs := ix.keys.At(k)
+		i := slices.Index(*refs, ref)
+		if *refs = slices.Delete(*refs, i, i+1); len(*refs) == 0 {
+			ix.keys.Delete(k)
 		}
-		return
 	}
-	t.Scan(func(vals []tuple.Value) bool {
-		if (tuple.Tuple{Vals: vals}).Key(cols) == k {
-			return fn(vals)
+	if c.prev == 0 {
+		t.first = c.next
+	} else {
+		t.copies.At(c.prev).next = c.next
+	}
+	if c.next == 0 {
+		t.last = c.prev
+	} else {
+		t.copies.At(c.next).prev = c.prev
+	}
+	*c = rowCopy{}
+	t.copies.Release(ref)
+	t.size--
+}
+
+// EnsureIndex returns the handle Probe takes for the index over cols,
+// building the index over the current rows when there is none yet.
+func (t *Table) EnsureIndex(cols []int) int {
+	for i, ix := range t.indexes {
+		if slices.Equal(ix.cols, cols) {
+			return i
 		}
-		return true
-	})
+	}
+	ix := &index{cols: slices.Clone(cols)}
+	for ref := t.first; ref != 0; ref = t.copies.At(ref).next {
+		ix.add(ref, t.copies.At(ref).vals)
+	}
+	t.indexes = append(t.indexes, ix)
+	return len(t.indexes) - 1
+}
+
+// Probe appends to dst the current rows whose key over index idx's columns
+// equals s's key over cols, and returns the extended slice, so a caller
+// reuses one scratch slice across probes. It builds no key and writes
+// nothing, so shards sharing the table probe it concurrently.
+func (t *Table) Probe(idx int, s tuple.Tuple, cols []int, dst [][]tuple.Value) [][]tuple.Value {
+	ix := t.indexes[idx]
+	if k := ix.keys.FindRow(s, cols); k != 0 {
+		for _, ref := range *ix.keys.At(k) {
+			dst = append(dst, t.copies.At(ref).vals)
+		}
+	}
+	return dst
+}
+
+// Scan visits every current row.
+func (t *Table) Scan(fn func(vals []tuple.Value) bool) {
+	for ref := t.first; ref != 0; ref = t.copies.At(ref).next {
+		if !fn(t.copies.At(ref).vals) {
+			return
+		}
+	}
 }
 
 // SaveState implements checkpoint.Snapshotter: the current rows with their
-// insertion timestamps, in full-row key order (tuple.Key.Compare), so equal
-// tables write equal bytes. Secondary indexes are derived state and are
-// rebuilt on load rather than serialized. Per-key bucket order (which decides
-// the deletion victim among duplicate rows) is preserved.
+// insertion timestamps. Indexes are derived state, rebuilt on load.
 func (t *Table) SaveState(enc *checkpoint.Encoder) error {
 	enc.Uvarint(uint64(t.size))
-	keys := make([]tuple.Key, 0, len(t.rows))
-	for k := range t.rows {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, tuple.Key.Compare)
-	for _, k := range keys {
-		for _, r := range t.rows[k] {
-			enc.Varint(r.ts)
-			enc.Uvarint(uint64(len(r.vals)))
-			for _, v := range r.vals {
-				enc.Value(v)
-			}
+	for ref := t.first; ref != 0; ref = t.copies.At(ref).next {
+		c := t.copies.At(ref)
+		enc.Varint(c.ts)
+		enc.Uvarint(uint64(len(c.vals)))
+		for _, v := range c.vals {
+			enc.Value(v)
 		}
 	}
 	return enc.Err()
 }
 
-// LoadState implements checkpoint.Snapshotter. Rows are re-keyed and every
-// secondary index already requested via EnsureIndex is rebuilt. Listeners
-// are NOT notified: a restore reproduces state, it is not a stream of
-// updates.
+// LoadState implements checkpoint.Snapshotter, inserting the rows in the
+// order they were written, which is the order they were inserted in.
 func (t *Table) LoadState(dec *checkpoint.Decoder) error {
-	n := dec.Count()
-	t.rows = make(map[tuple.Key][]row)
-	t.size = 0
-	for _, idx := range t.byKey {
-		idx.buckets = make(map[tuple.Key][]row)
+	t.copies, t.first, t.last, t.size = statebuf.Slab[rowCopy]{}, 0, 0, 0
+	for _, ix := range t.indexes {
+		ix.keys = statebuf.Table[[]int32]{}
 	}
+	n := dec.Count()
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		ts := dec.Varint()
 		nv := dec.Count()
@@ -267,25 +273,7 @@ func (t *Table) LoadState(dec *checkpoint.Decoder) error {
 			return fmt.Errorf("%w: table %s row arity %d != schema %d",
 				checkpoint.ErrCorrupt, t.name, len(vals), t.schema.Len())
 		}
-		r := row{ts: ts, vals: vals}
-		k := t.fullKey(vals)
-		t.rows[k] = append(t.rows[k], r)
-		for _, idx := range t.byKey {
-			ik := tuple.Tuple{Vals: vals}.Key(idx.cols)
-			idx.buckets[ik] = append(idx.buckets[ik], r)
-		}
-		t.size++
+		t.insert(ts, vals)
 	}
 	return dec.Err()
-}
-
-// Scan visits every current row.
-func (t *Table) Scan(fn func(vals []tuple.Value) bool) {
-	for _, bucket := range t.rows {
-		for _, r := range bucket {
-			if !fn(r.vals) {
-				return
-			}
-		}
-	}
 }
