@@ -9,16 +9,19 @@ import (
 	"repro/internal/window"
 )
 
-// goldenCheckpoints names the engine checkpoints under testdata/ that the
-// parent commit (7ac7748) wrote after the first 128 arrivals of ckptTrace —
-// before PartitionedBuffer stored slab references and kept a key index, with
-// join sides and the strict-root view scanned. Q4 holds keyed calendars on
-// both join sides under a weak (unkeyed) calendar view; Q5 with the negation
-// pulled up and STRPartitioned holds the keyed calendar view that negative
-// tuples retract from.
+// goldenCheckpoints names the engine checkpoints under testdata/ that a
+// parent commit wrote after the first 128 arrivals of ckptTrace. The UPA ones
+// are 7ac7748's, before PartitionedBuffer stored slab references and kept a
+// key index, with join sides and the strict-root view scanned: Q4 holds keyed
+// calendars on both join sides under a weak (unkeyed) calendar view; Q5 with
+// the negation pulled up and STRPartitioned holds the keyed calendar view that
+// negative tuples retract from. Q4 under NT is 227f40a's, before HashBuffer
+// moved onto the keyed store: its join sides, δ inputs and view are five hash
+// buffers.
 func goldenCheckpoints() []struct {
 	file   string
 	q      ckptQuery
+	strat  plan.Strategy
 	opts   plan.Options
 	shards int
 } {
@@ -33,13 +36,15 @@ func goldenCheckpoints() []struct {
 	return []struct {
 		file   string
 		q      ckptQuery
+		strat  plan.Strategy
 		opts   plan.Options
 		shards int
 	}{
-		{"q4_upa.ckpt", q4, plan.Options{}, 1},
-		{"q4_upa_shards2.ckpt", q4, plan.Options{}, 2},
-		{"q5_upa.ckpt", q5, plan.Options{}, 1},
-		{"q5_pullup_upa_strpartitioned.ckpt", q5up, plan.Options{STR: plan.STRPartitioned}, 1},
+		{"q4_upa.ckpt", q4, plan.UPA, plan.Options{}, 1},
+		{"q4_upa_shards2.ckpt", q4, plan.UPA, plan.Options{}, 2},
+		{"q5_upa.ckpt", q5, plan.UPA, plan.Options{}, 1},
+		{"q5_pullup_upa_strpartitioned.ckpt", q5up, plan.UPA, plan.Options{STR: plan.STRPartitioned}, 1},
+		{"q4_nt.ckpt", q4, plan.NT, plan.Options{}, 1},
 	}
 }
 
@@ -66,16 +71,23 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			trace := ckptTrace(g.q.streams)
-			whole := buildExecutorOpts(t, g.q, plan.UPA, g.opts, g.shards)
+			whole := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
 			feed(t, whole, trace)
 			want := observe(t, whole)
 
-			resumed := buildExecutorOpts(t, g.q, plan.UPA, g.opts, g.shards)
+			resumed := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
 			if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
 			feed(t, resumed, trace[128:])
 			got := observe(t, resumed)
+			if g.strat == plan.NT {
+				// Nothing in an NT engine has changed its layout or its cost
+				// accounting since: the cut is the parent's, byte for byte.
+				cut := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
+				feed(t, cut, trace[:128])
+				sameBytes(t, "an executor fed the parent's prefix", cut, ckpt)
+			}
 			if g.shards > 1 {
 				// Sampled at batch granularity; see TestCheckpointRestoreEquivalence.
 				got.stats.MaxStateTuples, want.stats.MaxStateTuples = 0, 0

@@ -386,8 +386,9 @@ func (e *Engine) recomputeColPath() {
 }
 
 // UnregisterQuery removes a registered query: its references on shared nodes
-// are released, orphaned nodes are retired from the dataflow with their
-// state buffers cleared back to the arenas, and the query's view is dropped.
+// are released, orphaned nodes are retired from the dataflow (their state
+// buffers are left to the collector), retired window sources are discarded,
+// and the query's view is dropped.
 // It returns the number of stored tuples freed (retired operator state,
 // retired window contents, and the view).
 func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {

@@ -241,7 +241,7 @@ func (p *Physical) bufFor(pattern core.Pattern, horizon int64, keyCols []int, ea
 		switch {
 		case pattern <= core.Weakest:
 			if len(keyCols) > 0 {
-				// FIFO expiration plus a hash index for O(1) key probes
+				// FIFO expiration plus a key index for O(1) key probes
 				// (joins, retractions); plain FIFO when no key is probed.
 				return statebuf.Config{Kind: statebuf.KindIndexedFIFO, KeyCols: keyCols}
 			}

@@ -18,7 +18,7 @@ func churnBuffers(horizon int64) map[string]Buffer {
 		"partitioned": NewPartitioned(10, horizon, false),
 		"keyed":       keyedCal(10, horizon, false),
 		"hash":        NewHash([]int{0}),
-		"indexedfifo": NewIndexedFIFO([]int{0}),
+		"indexedfifo": keyedFIFO(),
 	}
 }
 

@@ -12,23 +12,29 @@
 //     state with rare premature expirations — a circular array of partitions
 //     bucketed by expiration time (calendar-queue-like), so expiration touches
 //     only due partitions while insertion stays O(1) (lazy) or O(log
-//     partition) (eager, partitions sorted by expiration). Tuples live in a
-//     paged slab and a partition is a run of references with a head offset,
-//     so due entries pop without shifting the rest. When the plan probes or
-//     retracts the state by key, the planner passes the key columns and the
-//     calendar also chains its entries by key digest: probes and removals
-//     then cost O(bucket), not O(state).
+//     partition) (eager, partitions sorted by expiration). A partition is a
+//     run of entry references with a head offset, so due entries pop without
+//     shifting the rest.
 //   - HashBuffer: for the NT strategy and for strict non-monotonic (STR)
-//     state with frequent premature expirations — a hash table on a key so
+//     state with frequent premature expirations — tuples found by key, so
 //     negative tuples delete in O(1) expected time.
+//   - The indexed FIFO (KindIndexedFIFO): for probed WKS state — a keyed
+//     calendar with one partition, sorted by expiration, that spans all time.
+//
+// The last three are one keyed store: tuples in the entries of a paged Slab
+// and, when the plan probes or retracts the state by key, one index from a
+// key digest to a chain of entries, which gives probes and removals O(bucket)
+// cost instead of O(state). The hash is that store alone; the calendars file
+// the same entries into partitions.
 //
 // All buffers account the number of tuples they touch per operation, which
 // the experiment harness reports alongside wall-clock time.
 //
 // Beside the buffers sits Table, the keyed state of the stateful operators:
-// one slot per value in the calendar's paged Slab, found by key digest. Every
-// structure here checkpoints in an order fixed by its contents and history —
-// slot order, digest order, insertion order — never in Go's map order.
+// one slot per value in a paged Slab, found by key digest. Every structure
+// here iterates, expires equal (Exp, TS) and checkpoints in an order fixed by
+// its contents and history — slot order, digest order, insertion order —
+// never in Go's map order.
 package statebuf
 
 import (
@@ -58,9 +64,12 @@ type Buffer interface {
 	// Remove deletes one stored tuple whose values equal t's (the matching
 	// rule for negative tuples) and reports whether one was found. Among
 	// value twins every kind takes the one carrying t's exact Exp (negative
-	// tuples carry the original's), else the oldest: lowest TS in the indexed
-	// kinds, first inserted in the list kinds, which is the same tuple because
-	// TS never decreases along a stream.
+	// tuples carry the original's), else the oldest: lowest TS in the keyed
+	// store, first inserted in the list kinds, which is the same tuple because
+	// TS never decreases along a stream. The tuple leaves Len, Scan, probes
+	// and every later ExpireUpTo at once. A calendar may keep a stale
+	// reference to its entry in a partition until that partition fires; the
+	// hash releases the entry immediately.
 	Remove(t tuple.Tuple) bool
 
 	// Scan visits every stored tuple (including ones that are expired but

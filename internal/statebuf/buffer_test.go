@@ -1,6 +1,7 @@
 package statebuf
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,6 +12,10 @@ import (
 func mk(ts, exp int64, v int64) tuple.Tuple {
 	return tuple.Tuple{TS: ts, Exp: exp, Vals: []tuple.Value{tuple.Int(v)}}
 }
+
+// keyedFIFO builds what the planner builds for probed WKS state, indexed on
+// column 0.
+func keyedFIFO() Buffer { return New(Config{Kind: KindIndexedFIFO, KeyCols: []int{0}}) }
 
 // allBuffers builds one of each buffer kind with sensible parameters for the
 // given horizon, so shared tests can run across implementations.
@@ -24,7 +29,7 @@ func allBuffers(horizon int64) map[string]Buffer {
 		"keyed-lazy":       keyedCal(7, horizon, false),
 		"keyed-exp":        keyedCal(7, horizon, true),
 		"hash":             NewHash([]int{0}),
-		"indexed-fifo":     NewIndexedFIFO([]int{0}),
+		"indexed-fifo":     keyedFIFO(),
 	}
 }
 
@@ -158,6 +163,26 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 }
 
+// TestFIFOClear empties a FIFO the way a discarded window does: nothing
+// stays stored or due, and the buffer stays usable.
+func TestFIFOClear(t *testing.T) {
+	b := NewFIFO()
+	for i := int64(0); i < 3*chunkSize; i++ {
+		b.Insert(mk(i, i+100, i))
+	}
+	b.Clear()
+	if b.Len() != 0 || len(snapshot(b)) != 0 {
+		t.Fatalf("Len = %d, Scan found %d after Clear", b.Len(), len(snapshot(b)))
+	}
+	if got := b.ExpireUpTo(1 << 40); len(got) != 0 {
+		t.Fatalf("ExpireUpTo after Clear returned %d tuples", len(got))
+	}
+	b.Insert(mk(7, 107, 7))
+	if got := snapshot(b); b.Len() != 1 || len(got) != 1 || got[0].TS != 7 {
+		t.Fatalf("after re-insert: Len %d, Scan %v", b.Len(), got)
+	}
+}
+
 func TestPartitionedOverflowMigration(t *testing.T) {
 	b := NewPartitioned(4, 40, true)
 	// Exp way beyond the initial horizon.
@@ -253,7 +278,7 @@ func TestFactory(t *testing.T) {
 	if _, ok := New(Config{Kind: KindHash, KeyCols: []int{0}}).(*HashBuffer); !ok {
 		t.Error("factory hash")
 	}
-	if _, ok := New(Config{Kind: KindIndexedFIFO, KeyCols: []int{0}}).(*IndexedFIFO); !ok {
+	if b, ok := New(Config{Kind: KindIndexedFIFO, KeyCols: []int{0}}).(HashedBuffer); !ok || KindOf(b.(Buffer)) != "indexed-fifo" {
 		t.Error("factory indexed-fifo")
 	}
 	for _, k := range []Kind{KindFIFO, KindList, KindPartitioned, KindHash, KindIndexedFIFO, Kind(99)} {
@@ -390,46 +415,69 @@ func TestBuffersAgreeWithModel(t *testing.T) {
 }
 
 func TestIndexedFIFOProbe(t *testing.T) {
-	b := NewIndexedFIFO([]int{0})
+	b := keyedFIFO()
 	b.Insert(mk(1, 101, 10))
 	b.Insert(mk(2, 102, 10))
 	b.Insert(mk(3, 103, 20))
-	hits := len(b.ProbeAppend(mk(0, 0, 10).Key([]int{0}), 0, nil))
-	if hits != 2 {
-		t.Errorf("probe hits = %d", hits)
+	k := mk(0, 0, 10).Key([]int{0})
+	if hits := b.(ProbeAppender).ProbeAppend(k, 0, nil); fmt.Sprint(render(hits)) != fmt.Sprint(render([]tuple.Tuple{mk(1, 101, 10), mk(2, 102, 10)})) {
+		t.Errorf("probe hits = %v", hits)
 	}
-	// Remove one, then expire its queue twin: the stale entry must be
-	// skipped, not double-returned.
+	// A retraction takes its tuple out of Len, Scan and probes at once, and
+	// expiration does not return it again.
 	if !b.Remove(mk(0, 101, 10)) {
 		t.Fatal("Remove failed")
 	}
+	if hits := b.(ProbeAppender).ProbeAppend(k, 0, nil); len(hits) != 1 || hits[0].TS != 2 {
+		t.Errorf("probe after Remove = %v", hits)
+	}
+	if b.Len() != 2 || len(snapshot(b)) != 2 {
+		t.Errorf("Len = %d, Scan found %d", b.Len(), len(snapshot(b)))
+	}
 	exp := b.ExpireUpTo(103)
 	if len(exp) != 2 {
-		t.Fatalf("expired %d, want 2 (stale entry skipped): %v", len(exp), exp)
+		t.Fatalf("expired %d, want 2 (the retracted tuple not again): %v", len(exp), exp)
 	}
 	if b.Len() != 0 {
 		t.Errorf("Len = %d", b.Len())
 	}
 }
 
+// TestIndexedFIFOUnsortedFallback feeds the indexed FIFO expirations out of
+// insertion order (a union of windows of different sizes): expiration still
+// returns exactly the due tuples in (Exp, TS) order, touching no more than
+// what it expires plus one, and Scan lists the survivors in that order too.
 func TestIndexedFIFOUnsortedFallback(t *testing.T) {
-	b := NewIndexedFIFO([]int{0})
+	b := keyedFIFO()
 	b.Insert(mk(1, 200, 1))
 	b.Insert(mk(2, 150, 2)) // violates FIFO exp order
 	b.Insert(mk(3, 300, 3))
 	exp := b.ExpireUpTo(150)
 	if len(exp) != 1 || exp[0].Vals[0] != tuple.Int(2) {
-		t.Fatalf("fallback expiration wrong: %v", exp)
+		t.Fatalf("out-of-order expiration wrong: %v", exp)
 	}
 	if b.Len() != 2 {
 		t.Errorf("Len = %d", b.Len())
 	}
-	// Stale-queue pruning under sustained out-of-order traffic.
+	model := &modelBuffer{items: snapshot(b)}
 	for i := int64(0); i < 500; i++ {
-		b.Insert(mk(10+i, 400-(i%2), 10+i))
-		b.ExpireUpTo(160)
+		tp := mk(10+i, 400+i/2-(i%2)*5, i%7)
+		b.Insert(tp)
+		model.insert(tp)
+		now := 160 + i/2
+		before := b.Touched()
+		got := b.ExpireUpTo(now)
+		if want := model.expireUpTo(now); fmt.Sprint(render(got)) != fmt.Sprint(render(want)) {
+			t.Fatalf("ExpireUpTo(%d) = %v, want %v", now, got, want)
+		}
+		if n := b.Touched() - before; n > int64(len(got))+1 {
+			t.Fatalf("ExpireUpTo(%d) expired %d and touched %d tuples", now, len(got), n)
+		}
+		if b.Len() != len(model.items) {
+			t.Fatalf("Len = %d, want %d", b.Len(), len(model.items))
+		}
 	}
-	if b.queue.Len() > 2*b.Len()+64+2 {
-		t.Errorf("queue not pruned: %d entries for %d live", b.queue.Len(), b.Len())
+	if got := inScanOrder(b); !sort.SliceIsSorted(got, func(i, j int) bool { return expiresBefore(got[i], got[j]) }) {
+		t.Errorf("Scan order is not expiration order: %v", got)
 	}
 }

@@ -2,6 +2,7 @@ package statebuf
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -71,12 +72,13 @@ func reload(t *testing.T, b Buffer, fresh Buffer) Buffer {
 }
 
 // TestCalendarEquivalence drives the keyed calendar, the calendar without an
-// index, the DIRECT list and the NT hash through one random schedule and
-// requires the same observable behaviour of all four: ExpireUpTo returns the
-// same sequence, Remove reports the same and takes the same victim, a probe
-// finds the same bag, the survivors are the same bag. The two calendars must
-// also agree on order — a keyed probe is a filtered Scan — and a SaveState →
-// LoadState round trip at a random step must change nothing.
+// index, the DIRECT list, the NT hash and the indexed FIFO through one random
+// schedule and requires the same observable behaviour of all five:
+// ExpireUpTo returns the same sequence, Remove reports the same and takes the
+// same victim, a probe finds the same bag, the survivors are the same bag.
+// The two calendars must also agree on order — a keyed probe is a filtered
+// Scan — and a SaveState → LoadState round trip at a random step must change
+// nothing.
 //
 // TS is the insertion sequence number, so (Exp, TS) orders expirations
 // totally and "oldest by TS" names one tuple; the schedule has value twins
@@ -100,8 +102,9 @@ func TestCalendarEquivalence(t *testing.T) {
 					func() Buffer { return NewPartitioned(parts, horizon, byExp) },
 					func() Buffer { return NewList() },
 					func() Buffer { return NewHash([]int{0}) },
+					keyedFIFO,
 				}
-				names := []string{"keyed", "unkeyed", "list", "hash"}
+				names := []string{"keyed", "unkeyed", "list", "hash", "indexed-fifo"}
 				bufs := make([]Buffer, len(fresh))
 				for i := range fresh {
 					bufs[i] = fresh[i]()
@@ -203,8 +206,8 @@ func inScanOrder(b Buffer) []tuple.Tuple {
 	return out
 }
 
-// goldenStep applies step i of the fixed schedule behind
-// testdata/partitioned_*.ckpt and returns what the step observed.
+// goldenStep applies step i of the fixed schedule behind the section goldens
+// in testdata/ and returns what the step observed.
 func goldenStep(b Buffer, r *rand.Rand, i int) string {
 	now := int64(i / 2)
 	switch c := r.Intn(12); {
@@ -246,62 +249,195 @@ func sectionTuples(t *testing.T, section []byte) string {
 	return fmt.Sprint(lowBkt, render(rows))
 }
 
-// TestCalendarRestoresParentSection loads a PartitionedBuffer checkpoint
-// section written at the parent commit (7ac7748, before partitions were runs
-// of slab references and before the index existed; steps 0..299 of
-// goldenStep, both variants) into a calendar with and without an index, runs
-// the rest of the schedule, and requires every step to observe what an
-// uninterrupted run observes.
+// fifoSectionTuples decodes an indexed-FIFO section down to what this commit
+// keeps of it: the tuples of its hash section, digest by digest. The flags,
+// the queue (which at the parent also held stale entries) and the cost
+// counter are left out, and so is the order within one digest: the parent
+// listed a digest's tuples in insertion order (TS order here), this commit
+// in expiration order.
+func fifoSectionTuples(t *testing.T, section []byte) string {
+	t.Helper()
+	dec := checkpoint.NewDecoder(bytes.NewReader(section))
+	dec.Varint()
+	dec.Bool()
+	dec.Tuples()
+	dec.Varint()
+	rows := dec.Tuples()
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := 0, 0; i < len(rows); i = j {
+		h := rows[i].KeyHash64([]int{0})
+		for j = i + 1; j < len(rows) && rows[j].KeyHash64([]int{0}) == h; j++ {
+		}
+		run := rows[i:j]
+		sort.Slice(run, func(a, b int) bool { return run[a].TS < run[b].TS })
+	}
+	return fmt.Sprint(render(rows))
+}
+
+// TestCalendarRestoresParentSection loads a checkpoint section of every keyed
+// kind written by a parent commit — PartitionedBuffer sections by 7ac7748,
+// before partitions were runs of slab references and before the index
+// existed; hash and indexed-FIFO sections by 227f40a, before both moved onto
+// the keyed store — each after steps 0..299 of goldenStep, runs the rest of
+// the schedule, and requires every step to observe what an uninterrupted run
+// observes. At the cut this commit must write what the parent wrote: the
+// same bytes for the hash; the same cursor and tuples in the same order for
+// the calendars, whose cost counter differs by design (Remove visits less);
+// the same hash-section tuples for the indexed FIFO.
 func TestCalendarRestoresParentSection(t *testing.T) {
 	const cut, steps = 300, 600
+	type parentSection struct {
+		name, file string
+		fresh      func() Buffer
+		kept       func(t *testing.T, section []byte) string
+	}
+	var cases []parentSection
 	for _, byExp := range []bool{false, true} {
 		file := "testdata/partitioned_lazy.ckpt"
 		if byExp {
 			file = "testdata/partitioned_sorted.ckpt"
 		}
-		section, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, keyed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("byExp=%v/keyed=%v", byExp, keyed), func(t *testing.T) {
-				fresh := func() Buffer {
-					if keyed {
-						return keyedCal(8, 64, byExp)
-					}
-					return NewPartitioned(8, 64, byExp)
+			cases = append(cases, parentSection{fmt.Sprintf("byExp=%v/keyed=%v", byExp, keyed), file, func() Buffer {
+				if keyed {
+					return keyedCal(8, 64, byExp)
 				}
-				// shadow only takes rr to the cut through the draws the parent's
-				// run made there.
-				whole, wr := fresh(), rand.New(rand.NewSource(5))
-				shadow, rr := fresh(), rand.New(rand.NewSource(5))
-				for i := 0; i < cut; i++ {
-					goldenStep(whole, wr, i)
-					goldenStep(shadow, rr, i)
-				}
-				var again bytes.Buffer
-				if err := whole.(checkpoint.Snapshotter).SaveState(checkpoint.NewEncoder(&again)); err != nil {
-					t.Fatal(err)
-				}
-				// Same cursor and the same tuples in the same order; the cost
-				// counter between them differs by design (Remove visits less).
-				if got, want := sectionTuples(t, again.Bytes()), sectionTuples(t, section); got != want {
-					t.Errorf("the section this commit writes at the cut\n  %s\nthe parent's\n  %s", got, want)
-				}
-				restored := fresh()
-				if err := restored.(checkpoint.Snapshotter).LoadState(checkpoint.NewDecoder(bytes.NewReader(section))); err != nil {
-					t.Fatal(err)
-				}
-				for i := cut; i < steps; i++ {
-					if got, want := goldenStep(restored, rr, i), goldenStep(whole, wr, i); got != want {
-						t.Fatalf("step %d: restored %s, uninterrupted %s", i, got, want)
-					}
-				}
-				if got, want := render(inScanOrder(restored)), render(inScanOrder(whole)); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("final state: restored\n  %v\nuninterrupted\n  %v", got, want)
-				}
-			})
+				return NewPartitioned(8, 64, byExp)
+			}, sectionTuples})
 		}
+	}
+	cases = append(cases,
+		parentSection{"hash", "testdata/hash.ckpt", func() Buffer { return NewHash([]int{0}) },
+			func(_ *testing.T, section []byte) string { return fmt.Sprint(section) }},
+		parentSection{"indexed-fifo", "testdata/indexedfifo.ckpt", keyedFIFO, fifoSectionTuples})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			section, err := os.ReadFile(c.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// shadow only takes rr to the cut through the draws the parent's
+			// run made there.
+			whole, wr := c.fresh(), rand.New(rand.NewSource(5))
+			shadow, rr := c.fresh(), rand.New(rand.NewSource(5))
+			for i := 0; i < cut; i++ {
+				goldenStep(whole, wr, i)
+				goldenStep(shadow, rr, i)
+			}
+			var again bytes.Buffer
+			if err := whole.SaveState(checkpoint.NewEncoder(&again)); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.kept(t, again.Bytes()), c.kept(t, section); got != want {
+				t.Errorf("the section this commit writes at the cut\n  %s\nthe parent's\n  %s", got, want)
+			}
+			restored := c.fresh()
+			if err := restored.LoadState(checkpoint.NewDecoder(bytes.NewReader(section))); err != nil {
+				t.Fatal(err)
+			}
+			for i := cut; i < steps; i++ {
+				if got, want := goldenStep(restored, rr, i), goldenStep(whole, wr, i); got != want {
+					t.Fatalf("step %d: restored %s, uninterrupted %s", i, got, want)
+				}
+			}
+			got, want := render(inScanOrder(restored)), render(inScanOrder(whole))
+			if c.name == "hash" {
+				// A reload re-inserts in digest order, which is the hash's
+				// slot order from then on.
+				got, want = sortedCopy(got), sortedCopy(want)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("final state: restored\n  %v\nuninterrupted\n  %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRestoreKeepsTieOrder fills each calendar kind with tuples that share
+// (Exp, TS) on keys inserted against digest order, value twins among them
+// and a retraction, and requires a save → load → save to write the same bytes
+// and the restored buffer to scan and expire in the uninterrupted one's
+// order. (The hash is left out: a reload resets its slot order, see
+// HashBuffer.)
+func TestRestoreKeepsTieOrder(t *testing.T) {
+	keys := make([]int64, 16)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	digest := func(k int64) uint64 { return row(0, 0, k, 0).KeyHash64([]int{0}) }
+	sort.Slice(keys, func(i, j int) bool { return digest(keys[i]) > digest(keys[j]) })
+	for _, kind := range []struct {
+		name  string
+		fresh func() Buffer
+	}{
+		{"indexed-fifo", keyedFIFO},
+		{"keyed-sorted", func() Buffer { return keyedCal(4, 64, true) }},
+		{"keyed-lazy", func() Buffer { return keyedCal(4, 64, false) }},
+		{"unkeyed-sorted", func() Buffer { return NewPartitioned(4, 64, true) }},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			whole := kind.fresh()
+			for _, k := range keys {
+				whole.Insert(row(7, 50, k, 0))
+			}
+			for _, k := range keys[:4] {
+				whole.Insert(row(7, 50, k, 0)) // an identical twin
+				whole.Insert(row(8, 50, k, 1))
+			}
+			whole.Remove(row(7, 50, keys[1], 0))
+			var first, second bytes.Buffer
+			if err := whole.SaveState(checkpoint.NewEncoder(&first)); err != nil {
+				t.Fatal(err)
+			}
+			restored := kind.fresh()
+			if err := restored.LoadState(checkpoint.NewDecoder(bytes.NewReader(first.Bytes()))); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.SaveState(checkpoint.NewEncoder(&second)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatal("save → load → save wrote different bytes")
+			}
+			got := fmt.Sprint(render(inScanOrder(restored)), render(restored.ExpireUpTo(50)))
+			if want := fmt.Sprint(render(inScanOrder(whole)), render(whole.ExpireUpTo(50))); got != want {
+				t.Fatalf("Scan order, then ExpireUpTo: restored\n  %s\nuninterrupted\n  %s", got, want)
+			}
+		})
+	}
+}
+
+// TestIndexedFIFOLoadsOlderQueue loads indexed-FIFO sections in the layout
+// written before the keyed store, whose queue was in arrival order and kept
+// stale entries, and requires the hash section to decide what is stored and
+// the queue in what order.
+func TestIndexedFIFOLoadsOlderQueue(t *testing.T) {
+	a, b := row(7, 50, 1, 0), row(7, 50, 2, 0)
+	early := row(9, 40, 3, 0) // arrived after a and b, expires before them
+	section := func(queue, stored []tuple.Tuple) *checkpoint.Decoder {
+		var buf bytes.Buffer
+		enc := checkpoint.NewEncoder(&buf)
+		enc.Varint(50)
+		enc.Bool(true)
+		enc.Tuples(queue)
+		enc.Varint(0)
+		enc.Tuples(stored)
+		return checkpoint.NewDecoder(&buf)
+	}
+	// The first a went stale (a retraction takes the first of equal twins),
+	// so the survivor is the one queued after b.
+	fifo := keyedFIFO()
+	if err := fifo.LoadState(section([]tuple.Tuple{a, b, a, early, row(5, 50, 1, 0)}, []tuple.Tuple{early, a, b})); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(render(inScanOrder(fifo))), fmt.Sprint(render([]tuple.Tuple{early, b, a})); got != want {
+		t.Fatalf("restored\n  %s\nwant\n  %s", got, want)
+	}
+	err := keyedFIFO().LoadState(section([]tuple.Tuple{a}, []tuple.Tuple{a, b}))
+	if !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("a queue without a stored tuple loaded with error %v, want checkpoint.ErrCorrupt", err)
 	}
 }
 
@@ -309,7 +445,9 @@ func TestCalendarRestoresParentSection(t *testing.T) {
 // 10 000 tuples stored over 1 000 keys, a keyed probe or retraction visits no
 // more than the key's bucket and an expiration pass no more than what it
 // expires plus one, where the scans they replace visited all 10 000, up to
-// 10 000, and the boundary partition.
+// 10 000, and the boundary partition. The probe and retraction bounds hold
+// for every keyed kind, the expiration bound for the two calendars (the NT
+// hash expires by a full walk, which the NT strategy never asks for).
 func TestCalendarTouchesOnlyWhatItMust(t *testing.T) {
 	const (
 		stored  = 10000
@@ -317,41 +455,84 @@ func TestCalendarTouchesOnlyWhatItMust(t *testing.T) {
 		bucket  = stored / keys
 		horizon = 10000
 	)
-	b := keyedCal(10, horizon, true).(keyedCalendar)
-	for i := int64(0); i < stored; i++ {
-		b.Insert(row(i, i+horizon, i%keys, i))
-		if i%100 == 0 {
-			b.ExpireUpTo(i) // nothing is due; the calendar's horizon follows the clock
-		}
-	}
-	touched := func(op func()) int64 {
-		before := b.Touched()
-		op()
-		return b.Touched() - before
-	}
-	for _, key := range []int64{0, 1, 500, 999} {
-		k := row(0, 0, key, 0).Key([]int{0})
-		var got []tuple.Tuple
-		if n := touched(func() { got = b.ProbeAppend(k, 0, nil) }); n > bucket || len(got) != bucket {
-			t.Errorf("ProbeAppend(key %d) found %d of %d and touched %d tuples, want at most %d", key, len(got), bucket, n, bucket)
-		}
-	}
-	// None of the retracted tuples is due in the passes below; one that was
-	// would add a visit for its stale reference.
-	for _, i := range []int64{777, 4321, 9999} {
-		neg := row(0, i+horizon, i%keys, i)
-		if n := touched(func() {
-			if !b.Remove(neg) {
-				t.Errorf("Remove(%v) found nothing", neg)
+	for _, kind := range []struct {
+		name    string
+		fresh   func() Buffer
+		expires bool
+	}{
+		{"keyed-calendar", func() Buffer { return keyedCal(10, horizon, true) }, true},
+		{"indexed-fifo", keyedFIFO, true},
+		{"hash", func() Buffer { return NewHash([]int{0}) }, false},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			b := kind.fresh()
+			for i := int64(0); i < stored; i++ {
+				b.Insert(row(i, i+horizon, i%keys, i))
+				if i%100 == 0 && kind.expires {
+					b.ExpireUpTo(i) // nothing is due; the calendar's horizon follows the clock
+				}
 			}
-		}); n > bucket {
-			t.Errorf("Remove touched %d tuples, want at most %d", n, bucket)
-		}
+			touched := func(op func()) int64 {
+				before := b.Touched()
+				op()
+				return b.Touched() - before
+			}
+			for _, key := range []int64{0, 1, 500, 999} {
+				k := row(0, 0, key, 0).Key([]int{0})
+				var got []tuple.Tuple
+				if n := touched(func() { got = b.(ProbeAppender).ProbeAppend(k, 0, nil) }); n > bucket || len(got) != bucket {
+					t.Errorf("ProbeAppend(key %d) found %d of %d and touched %d tuples, want at most %d", key, len(got), bucket, n, bucket)
+				}
+			}
+			// None of the retracted tuples is due in the passes below; one that
+			// was would add a visit for its stale reference.
+			for _, i := range []int64{777, 4321, 9999} {
+				neg := row(0, i+horizon, i%keys, i)
+				if n := touched(func() {
+					if !b.Remove(neg) {
+						t.Errorf("Remove(%v) found nothing", neg)
+					}
+				}); n > bucket {
+					t.Errorf("Remove touched %d tuples, want at most %d", n, bucket)
+				}
+			}
+			for now := int64(horizon); now < horizon+50 && kind.expires; now += 5 {
+				var expired int
+				if n := touched(func() { expired = len(b.ExpireUpTo(now)) }); expired == 0 || n > int64(expired)+1 {
+					t.Errorf("ExpireUpTo(%d) expired %d and touched %d tuples, want at most %d", now, expired, n, expired+1)
+				}
+			}
+		})
 	}
-	for now := int64(horizon); now < horizon+50; now += 5 {
-		var expired int
-		if n := touched(func() { expired = len(b.ExpireUpTo(now)) }); expired == 0 || n > int64(expired)+1 {
-			t.Errorf("ExpireUpTo(%d) expired %d and touched %d tuples, want at most %d", now, expired, n, expired+1)
+}
+
+// TestExpiryOrderIsReproducible builds the same buffer of every kind twenty
+// times over — value twins with equal (Exp, TS), retractions among them — and
+// requires one ExpireUpTo sequence and one Scan order from all twenty:
+// sortExpired keeps equal (Exp, TS) in the order a buffer hands them over, so
+// replacement emissions are reproducible only if that order is.
+func TestExpiryOrderIsReproducible(t *testing.T) {
+	build := func(b Buffer) string {
+		for i := int64(0); i < 24; i++ {
+			b.Insert(row(7, 50, i%5, i))
 		}
+		for i := int64(0); i < 24; i += 6 {
+			b.Remove(row(7, 50, i%5, i))
+		}
+		for i := int64(0); i < 8; i++ {
+			b.Insert(row(8, 50, i%3, 100+i))
+		}
+		scan := render(inScanOrder(b))
+		return fmt.Sprint(scan, render(b.ExpireUpTo(50)))
+	}
+	for name := range allBuffers(100) {
+		t.Run(name, func(t *testing.T) {
+			want := build(allBuffers(100)[name])
+			for run := 1; run < 20; run++ {
+				if got := build(allBuffers(100)[name]); got != want {
+					t.Fatalf("build %d: Scan order, then ExpireUpTo\n  %s\nbuild 0\n  %s", run, got, want)
+				}
+			}
+		})
 	}
 }

@@ -87,15 +87,6 @@ func (c *chunkedTuples) RemoveAt(i int) {
 	}
 }
 
-// Scan visits elements in order until fn returns false.
-func (c *chunkedTuples) Scan(fn func(t tuple.Tuple) bool) {
-	for i := 0; i < c.n; i++ {
-		if !fn(*c.At(i)) {
-			return
-		}
-	}
-}
-
 // Reset empties the deque, releasing every page to the freelist.
 func (c *chunkedTuples) Reset() {
 	for len(c.pages) > 0 {
@@ -126,53 +117,4 @@ func (c *chunkedTuples) newPage() *chunk {
 		return pg
 	}
 	return new(chunk)
-}
-
-// bkRing is a growable ring buffer of bucket pointers — the expiry twin of a
-// chunkedTuples queue. Each entry points at the hash bucket its queue-mate
-// was inserted into, so sorted expiration removes straight from the bucket
-// with no key rendering, hashing, or map access. A single contiguous array
-// (doubled in place when full) beats paging: head-pops just advance an index
-// (the vacated slot is nilled so parked buckets are not pinned forever).
-//
-// The zero value is an empty ring.
-type bkRing struct {
-	buf  []*bucket
-	head int // index of logical element 0
-	n    int
-}
-
-// Len returns the number of stored pointers.
-func (r *bkRing) Len() int { return r.n }
-
-// Push appends bk at the tail.
-func (r *bkRing) Push(bk *bucket) {
-	if r.n == len(r.buf) {
-		grown := make([]*bucket, max(2*len(r.buf), 64))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = grown
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = bk
-	r.n++
-}
-
-// PopHead removes and returns the front pointer.
-func (r *bkRing) PopHead() *bucket {
-	bk := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return bk
-}
-
-// Reset empties the ring, keeping its storage but releasing the pointers.
-func (r *bkRing) Reset() {
-	for i := range r.buf {
-		r.buf[i] = nil
-	}
-	r.head = 0
-	r.n = 0
 }

@@ -12,29 +12,21 @@ const (
 	KindList
 	// KindPartitioned is the WK structure: calendar of expiration buckets.
 	KindPartitioned
-	// KindHash is the NT/STR structure: hash table on key columns.
+	// KindHash is the NT/STR structure: the keyed store on key columns.
 	KindHash
-	// KindIndexedFIFO is the UPA structure for probed WKS state: FIFO
-	// expiration queue plus a hash index on key columns.
+	// KindIndexedFIFO is the UPA structure for probed WKS state: a keyed
+	// calendar with one partition, sorted by expiration, spanning all time.
 	KindIndexedFIFO
 )
 
+var kindNames = [...]string{"fifo", "list", "partitioned", "hash", "indexed-fifo"}
+
 // String names the kind as used in experiment reports.
 func (k Kind) String() string {
-	switch k {
-	case KindFIFO:
-		return "fifo"
-	case KindList:
-		return "list"
-	case KindPartitioned:
-		return "partitioned"
-	case KindHash:
-		return "hash"
-	case KindIndexedFIFO:
-		return "indexed-fifo"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Config carries the construction parameters a physical plan assigns to each
@@ -71,15 +63,16 @@ func New(cfg Config) Buffer {
 		if n <= 0 {
 			n = DefaultPartitions
 		}
-		b := newCalendar(n, cfg.Horizon, cfg.SortedByExp, cfg.KeyCols)
-		if b.index != nil {
-			return keyedCalendar{b}
+		b := NewPartitioned(n, cfg.Horizon, cfg.SortedByExp)
+		if len(cfg.KeyCols) == 0 {
+			return b
 		}
-		return b
+		b.indexOn(cfg.KeyCols)
+		return keyedCalendar{b}
 	case KindHash:
 		return NewHash(cfg.KeyCols)
 	case KindIndexedFIFO:
-		return NewIndexedFIFO(cfg.KeyCols)
+		return newIndexedFIFO(cfg.KeyCols)
 	default:
 		panic(fmt.Sprintf("statebuf: unknown kind %v", cfg.Kind))
 	}

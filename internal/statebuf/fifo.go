@@ -71,20 +71,16 @@ func (b *FIFOBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 			}
 		}
 		b.keep = kept
-		if len(out) > 1 {
-			sortExpired(out)
+	} else {
+		for b.items.Len() > 0 {
+			b.touched++
+			if b.items.At(0).Exp > now {
+				break
+			}
+			out = append(out, b.items.PopHead())
 		}
-		b.scratch = out
-		return out
 	}
-	for b.items.Len() > 0 {
-		b.touched++
-		if b.items.At(0).Exp > now {
-			break
-		}
-		out = append(out, b.items.PopHead())
-	}
-	// out is already Exp-ordered (the FIFO invariant held); the sort only
+	// A pop under the FIFO invariant is already Exp-ordered and the sort only
 	// settles TS ties, so skip it for the common 0/1-tuple pops.
 	if len(out) > 1 {
 		sortExpired(out)
@@ -131,6 +127,17 @@ func (b *FIFOBuffer) Scan(fn func(t tuple.Tuple) bool) {
 	}
 }
 
+// Clear empties the buffer, releasing whole pages back to the deque
+// freelist. The cumulative Touched counter is preserved (it is a cost
+// ledger, not state).
+func (b *FIFOBuffer) Clear() {
+	b.items.Reset()
+	b.lastExp = 0
+	b.unsorted = false
+	b.scratch = nil
+	b.keep = nil
+}
+
 // Len returns the number of stored tuples.
 func (b *FIFOBuffer) Len() int { return b.items.Len() }
 
@@ -148,10 +155,9 @@ func (b *FIFOBuffer) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(b.lastExp)
 	enc.Bool(b.unsorted)
 	enc.Uvarint(uint64(b.items.Len()))
-	b.items.Scan(func(t tuple.Tuple) bool {
-		enc.Tuple(t)
-		return true
-	})
+	for i := 0; i < b.items.Len(); i++ {
+		enc.Tuple(*b.items.At(i))
+	}
 	return enc.Err()
 }
 

@@ -104,9 +104,8 @@ func (b *ListBuffer) SaveState(enc *checkpoint.Encoder) error {
 func (b *ListBuffer) LoadState(dec *checkpoint.Decoder) error {
 	b.touched = dec.Varint()
 	b.items = list.New()
-	n := dec.Count()
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		b.items.PushBack(dec.Tuple())
+	for _, t := range dec.Tuples() {
+		b.items.PushBack(t)
 	}
 	return dec.Err()
 }

@@ -1,6 +1,9 @@
 package statebuf
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/checkpoint"
 	"repro/internal/tuple"
 )
@@ -19,36 +22,27 @@ import (
 // insertion/expiration at the price of per-partition overhead — the trade-off
 // explored by the partition-sweep experiment.
 //
-// Every stored tuple is one entry of a paged slab; a partition is a run of
+// Every stored tuple is an entry of the keyed store; a partition is a run of
 // entry references with a head offset, so popping due entries moves the
 // offset instead of shifting the remainder, and a sorted insert shifts
 // four-byte references instead of tuples.
 //
 // Built with key columns, the calendar also chains its entries by key digest
-// (the construction IndexedFIFO is over HashBuffer, with the storage shared
-// instead of mirrored): probes and retractions walk one digest's chain, and a
-// retracted entry stays in its partition as a stale reference that is skipped
-// and released when it fires. A chain is kept in Scan order — partition slot,
-// then position within the partition — so a keyed probe returns exactly what
-// a filtered Scan would, in the same order. Without key columns there is no
-// index (and no probe interface, see keyedCalendar), and Remove goes to the
-// one partition the retraction's Exp names.
+// in Scan order — partition slot, then position within the partition: probes
+// and retractions walk one digest's chain, and a retracted entry stays in its
+// partition as a stale reference that is skipped and released when it fires.
+// Without key columns there is no index (and no probe interface, see
+// keyedCalendar), and Remove goes to the one partition the retraction's Exp
+// names.
 type PartitionedBuffer struct {
+	store
 	width int64 // expiration-time span covered by one partition
 	// parts[:cal] is the circular calendar, parts[cal] the overflow area for
 	// tuples whose Exp lies beyond the horizon or is NeverExpires.
-	parts   []partition
-	cal     int
-	lowBkt  int64 // lowest expiration bucket not yet fully expired
-	size    int   // live tuples (stale references excluded)
-	byExp   bool  // partitions sorted by Exp (eager) vs insertion order (lazy)
-	touched int64
-	ents    Slab[calEntry]
-	keyCols []int
-	index   map[uint64]int32 // key digest → first entry of its chain; nil when unkeyed
-	// scratch backs ExpireUpTo's result slice across passes (the calendar is
-	// pumped every maintenance tick, so per-pass allocation would dominate).
-	scratch []tuple.Tuple
+	parts  []partition
+	cal    int
+	lowBkt int64 // lowest expiration bucket not yet fully expired
+	byExp  bool  // partitions sorted by Exp (eager) vs insertion order (lazy)
 }
 
 // partition is a run of entry references; refs[:head] have already fired.
@@ -78,24 +72,6 @@ func (p *partition) pop(n int) {
 	}
 }
 
-// truncate keeps the first n live references.
-func (p *partition) truncate(n int) {
-	p.refs = p.refs[:p.head+n]
-	p.pop(0)
-}
-
-// calEntry is one stored tuple. slot is the partition it sits in, or dead
-// once a retraction removed it ahead of its expiration; h, next and prev are
-// its place in the key index.
-type calEntry struct {
-	t          tuple.Tuple
-	h          uint64
-	next, prev int32
-	slot       int32
-}
-
-const dead = -1
-
 // NewPartitioned builds a buffer with n partitions covering a rolling
 // expiration horizon of the given length (typically the window size: every
 // window-derived tuple satisfies Exp <= now + horizon). byExp selects the
@@ -103,12 +79,6 @@ const dead = -1
 // partition is allocated internally so that the live bucket span never wraps
 // onto itself.
 func NewPartitioned(n int, horizon int64, byExp bool) *PartitionedBuffer {
-	return newCalendar(n, horizon, byExp, nil)
-}
-
-// newCalendar is NewPartitioned plus the key columns to index (none: no
-// index).
-func newCalendar(n int, horizon int64, byExp bool, keyCols []int) *PartitionedBuffer {
 	if n < 1 {
 		n = 1
 	}
@@ -119,25 +89,18 @@ func newCalendar(n int, horizon int64, byExp bool, keyCols []int) *PartitionedBu
 	if width < 1 {
 		width = 1
 	}
-	b := &PartitionedBuffer{
+	return &PartitionedBuffer{
 		width: width,
 		parts: make([]partition, n+2),
 		cal:   n + 1,
 		byExp: byExp,
 	}
-	if len(keyCols) > 0 {
-		b.keyCols = append([]int(nil), keyCols...)
-		b.index = make(map[uint64]int32)
-	}
-	return b
 }
 
 // reset drops every stored tuple, leaving the cursor alone.
 func (b *PartitionedBuffer) reset() {
 	clear(b.parts)
-	b.ents = Slab[calEntry]{}
-	clear(b.index)
-	b.size = 0
+	b.store.reset()
 }
 
 // Partitions returns the configured partition count (excluding the internal
@@ -172,15 +135,7 @@ func (b *PartitionedBuffer) Insert(t tuple.Tuple) {
 	if b.index != nil {
 		h = t.KeyHash64(b.keyCols)
 	}
-	b.insertHashed(h, t)
-}
-
-func (b *PartitionedBuffer) insertHashed(h uint64, t tuple.Tuple) {
-	b.touched++
-	b.size++
-	ref, e := b.ents.Alloc()
-	e.t, e.h = t, h
-	b.file(ref, e)
+	b.file(b.alloc(h, t))
 }
 
 // file puts an entry into its partition — at the tail, or at its (Exp, TS)
@@ -190,7 +145,8 @@ func (b *PartitionedBuffer) file(ref int32, e *calEntry) {
 	e.slot = int32(slot)
 	p := &b.parts[slot]
 	p.push(ref)
-	if b.sorted(slot) {
+	sorted := b.byExp && slot != b.cal // the overflow area never is
+	if sorted {
 		live := p.live()
 		i := len(live) - 1
 		if i > 0 && expiresBefore(e.t, b.ents.At(live[i-1]).t) {
@@ -209,54 +165,8 @@ func (b *PartitionedBuffer) file(ref int32, e *calEntry) {
 		}
 	}
 	if b.index != nil {
-		b.link(ref, e)
+		b.link(ref, e, sorted)
 	}
-}
-
-// sorted reports whether a partition is kept in (Exp, TS) order; the
-// overflow area never is.
-func (b *PartitionedBuffer) sorted(slot int) bool { return b.byExp && slot != b.cal }
-
-// link threads a just-filed entry into its digest's chain at its Scan
-// position: after every member in an earlier partition and, within its own,
-// after every member that does not expire later (a sorted partition) or after
-// all of them (insertion order).
-func (b *PartitionedBuffer) link(ref int32, e *calEntry) {
-	var prev int32
-	next := b.index[e.h]
-	sorted := b.sorted(int(e.slot))
-	for next != 0 {
-		c := b.ents.At(next)
-		if c.slot > e.slot || c.slot == e.slot && sorted && expiresBefore(e.t, c.t) {
-			break
-		}
-		prev, next = next, c.next
-	}
-	e.prev, e.next = prev, next
-	if next != 0 {
-		b.ents.At(next).prev = ref
-	}
-	if prev != 0 {
-		b.ents.At(prev).next = ref
-	} else {
-		b.index[e.h] = ref
-	}
-}
-
-// unlink takes an entry out of its chain.
-func (b *PartitionedBuffer) unlink(e *calEntry) {
-	if e.next != 0 {
-		b.ents.At(e.next).prev = e.prev
-	}
-	switch {
-	case e.prev != 0:
-		b.ents.At(e.prev).next = e.next
-	case e.next != 0:
-		b.index[e.h] = e.next
-	default:
-		delete(b.index, e.h)
-	}
-	e.next, e.prev = 0, 0
 }
 
 // fire releases a reference leaving its partition, appending the tuple to
@@ -318,7 +228,8 @@ func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 					kept = append(kept, ref)
 				}
 			}
-			p.truncate(len(kept))
+			p.refs = p.refs[:p.head+len(kept)]
+			p.pop(0)
 		}
 	}
 	if hi > b.lowBkt {
@@ -356,42 +267,23 @@ func (b *PartitionedBuffer) drainOverflow(now int64, out []tuple.Tuple) []tuple.
 	return out
 }
 
-// Remove deletes one stored tuple with values equal to t's: the one with t's
-// exact expiration if there is one (negative tuples carry the original
-// tuple's Exp, which disambiguates value twins), else the oldest by TS — the
-// rule every buffer kind follows. An indexed calendar walks the chain of t's
-// key. One without an index goes straight to the partition t.Exp names, where
-// an exact twin can only be, and looks through the others only for a
-// retraction whose Exp no twin carries. The entry's reference stays in its
-// partition and is skipped when it fires.
+// Remove deletes the stored tuple the retraction rule names (store.victim).
+// An indexed calendar walks the chain of t's key. One without an index goes
+// straight to the partition t.Exp names, where an exact twin can only be, and
+// looks through the others only for a retraction whose Exp no twin carries.
+// The entry's reference stays in its partition and is skipped when it fires.
 func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 	var victim int32
 	if b.index != nil {
-		for ref := b.index[t.KeyHash64(b.keyCols)]; ref != 0; {
-			e := b.ents.At(ref)
+		victim = b.victim(t)
+	} else if victim = b.exactTwin(t); victim == 0 {
+		b.each(func(ref int32, e *calEntry) bool {
 			b.touched++
 			if e.t.SameVals(t) {
-				if e.t.Exp == t.Exp {
-					victim = ref
-					break
-				}
 				victim = b.older(victim, ref)
 			}
-			ref = e.next
-		}
-	} else if victim = b.exactTwin(t); victim == 0 {
-		for pi := range b.parts {
-			for _, ref := range b.parts[pi].live() {
-				e := b.ents.At(ref)
-				if e.slot == dead {
-					continue
-				}
-				b.touched++
-				if e.t.SameVals(t) {
-					victim = b.older(victim, ref)
-				}
-			}
-		}
+			return true
+		})
 	}
 	if victim == 0 {
 		return false
@@ -422,37 +314,26 @@ func (b *PartitionedBuffer) exactTwin(t tuple.Tuple) int32 {
 	return 0
 }
 
-// older returns whichever of two entries has the lower TS, the first on a
-// tie; zero stands for no entry.
-func (b *PartitionedBuffer) older(best, ref int32) int32 {
-	if best == 0 || b.ents.At(ref).t.TS < b.ents.At(best).t.TS {
-		return ref
-	}
-	return best
-}
-
 // Scan visits all stored tuples, partition by partition, the overflow area
 // last.
 func (b *PartitionedBuffer) Scan(fn func(t tuple.Tuple) bool) {
+	b.each(func(_ int32, e *calEntry) bool {
+		b.touched++
+		return fn(e.t)
+	})
+}
+
+// each calls fn with every stored entry in Scan order, counting no visit,
+// until fn returns false.
+func (b *PartitionedBuffer) each(fn func(ref int32, e *calEntry) bool) {
 	for pi := range b.parts {
 		for _, ref := range b.parts[pi].live() {
-			e := b.ents.At(ref)
-			if e.slot == dead {
-				continue
-			}
-			b.touched++
-			if !fn(e.t) {
+			if e := b.ents.At(ref); e.slot != dead && !fn(ref, e) {
 				return
 			}
 		}
 	}
 }
-
-// Len returns the number of stored tuples.
-func (b *PartitionedBuffer) Len() int { return b.size }
-
-// Touched returns cumulative tuple visits.
-func (b *PartitionedBuffer) Touched() int64 { return b.touched }
 
 // Kind identifies the buffer implementation (KindPartitioned).
 func (b *PartitionedBuffer) Kind() Kind { return KindPartitioned }
@@ -466,13 +347,7 @@ func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(b.lowBkt)
 	enc.Varint(b.touched)
 	enc.Uvarint(uint64(b.size))
-	for pi := range b.parts {
-		for _, ref := range b.parts[pi].live() {
-			if e := b.ents.At(ref); e.slot != dead {
-				enc.Tuple(e.t)
-			}
-		}
-	}
+	b.each(func(_ int32, e *calEntry) bool { enc.Tuple(e.t); return true })
 	return enc.Err()
 }
 
@@ -483,20 +358,7 @@ func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
 // chain; the saved cost counter then overwrites the inserts' increments.
 func (b *PartitionedBuffer) LoadState(dec *checkpoint.Decoder) error {
 	b.lowBkt = dec.Varint()
-	touched := dec.Varint()
-	b.reset()
-	n := dec.Count()
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		t := dec.Tuple()
-		// Check the latch before inserting so a truncated stream cannot
-		// plant a zero tuple in a live bucket (or index its missing columns).
-		if dec.Err() != nil {
-			break
-		}
-		b.Insert(t)
-	}
-	b.touched = touched
-	return dec.Err()
+	return b.load(dec, b.reset, b.Insert)
 }
 
 // keyedCalendar is a PartitionedBuffer built with key columns. It is the same
@@ -509,24 +371,87 @@ type keyedCalendar struct{ *PartitionedBuffer }
 func (b keyedCalendar) KeyCols() []int { return b.keyCols }
 
 // InsertHashed implements HashedBuffer (see HashBuffer.InsertHashed).
-func (b keyedCalendar) InsertHashed(h uint64, t tuple.Tuple) { b.insertHashed(h, t) }
+func (b keyedCalendar) InsertHashed(h uint64, t tuple.Tuple) { b.file(b.alloc(h, t)) }
 
 // ProbeAppend implements ProbeAppender: the live tuples under key k, in Scan
 // order. Distinct keys can share a digest, so each is verified against k.
 func (b keyedCalendar) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
-	return b.ProbeAppendHashed(k.Hash64(), k, now, dst)
+	return b.probe(k.Hash64(), k, now, dst)
 }
 
 // ProbeAppendHashed implements HashedBuffer (see
 // HashBuffer.ProbeAppendHashed).
 func (b keyedCalendar) ProbeAppendHashed(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
-	for ref := b.index[h]; ref != 0; {
-		e := b.ents.At(ref)
-		b.touched++
-		if now < e.t.Exp && e.t.KeyMatches(b.keyCols, k) {
-			dst = append(dst, e.t)
-		}
-		ref = e.next
+	return b.probe(h, k, now, dst)
+}
+
+// indexedFIFO is what New builds for KindIndexedFIFO, the UPA structure for
+// probed weakest non-monotonic state: a keyed calendar whose one partition,
+// kept sorted by Exp, spans all time. Expiration order is insertion order
+// there, so an insert appends, expiry pops the due prefix and a probe walks
+// one key's chain. An insert out of order (a union of windows of different
+// sizes) takes the sorted partition's binary-search insert.
+type indexedFIFO struct{ keyedCalendar }
+
+func newIndexedFIFO(keyCols []int) indexedFIFO {
+	b := NewPartitioned(1, math.MaxInt64, true)
+	b.indexOn(keyCols)
+	return indexedFIFO{keyedCalendar{b}}
+}
+
+// Kind identifies the buffer implementation (KindIndexedFIFO).
+func (b indexedFIFO) Kind() Kind { return KindIndexedFIFO }
+
+// SaveState implements checkpoint.Snapshotter in the indexed-FIFO section
+// layout: the highest queued Exp, the out-of-order flag, the queue, then the
+// hash section (store.saveByDigest). The queue is the stored tuples in
+// expiration order, so it holds no stale entry and the flag is never set.
+func (b indexedFIFO) SaveState(enc *checkpoint.Encoder) error {
+	var queue []tuple.Tuple
+	var last int64
+	b.each(func(_ int32, e *calEntry) bool { queue, last = append(queue, e.t), e.t.Exp; return true })
+	enc.Varint(last)
+	enc.Bool(false)
+	enc.Tuples(queue)
+	return b.saveByDigest(enc)
+}
+
+// LoadState implements checkpoint.Snapshotter. The hash section names the
+// stored tuples, the queue their order: a queue entry is re-inserted, in
+// queue order, if its digest's chain has a twin left for it. Matching runs
+// from the back, as a retraction takes the first of equal twins; stale
+// entries, which a section written before the keyed store may hold, find
+// none. Equal (Exp, TS) thus keep arrival order, and an ordered queue loads
+// by appends.
+func (b indexedFIFO) LoadState(dec *checkpoint.Decoder) error {
+	dec.Varint()
+	dec.Bool()
+	queue := dec.Tuples()
+	touched, rows := dec.Varint(), dec.Tuples()
+	if err := dec.Err(); err != nil {
+		return err
 	}
-	return dst
+	chains := make(map[uint64][]tuple.Tuple)
+	for _, t := range rows {
+		h := t.KeyHash64(b.keyCols)
+		chains[h] = append(chains[h], t)
+	}
+	live := len(queue) // queue[live:] are the survivors
+	for i := len(queue) - 1; i >= 0; i-- {
+		q, h := queue[i], queue[i].KeyHash64(b.keyCols)
+		c := chains[h]
+		if n := len(c) - 1; n >= 0 && c[n].TS == q.TS && c[n].Exp == q.Exp && c[n].SameVals(q) {
+			live, chains[h] = live-1, c[:n]
+			queue[live] = q
+		}
+	}
+	if len(queue)-live != len(rows) {
+		return fmt.Errorf("%w: indexed-FIFO queue lacks stored tuples", checkpoint.ErrCorrupt)
+	}
+	b.reset()
+	for _, t := range queue[live:] {
+		b.Insert(t)
+	}
+	b.touched = touched
+	return nil
 }

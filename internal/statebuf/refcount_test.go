@@ -1,10 +1,6 @@
 package statebuf
 
-import (
-	"testing"
-
-	"repro/internal/tuple"
-)
+import "testing"
 
 func TestRefCountLifecycle(t *testing.T) {
 	r := NewRefCount()
@@ -22,43 +18,5 @@ func TestRefCountLifecycle(t *testing.T) {
 	}
 	if n := r.Release(); n != 0 {
 		t.Fatalf("release past zero = %d, want 0 (must not go negative)", n)
-	}
-}
-
-func TestClearEmptiesEveryBufferKind(t *testing.T) {
-	mk := func(i int64) tuple.Tuple {
-		return tuple.Tuple{TS: i, Exp: i + 100, Vals: []tuple.Value{tuple.Int(i)}}
-	}
-	bufs := map[string]Buffer{
-		"fifo":        NewFIFO(),
-		"list":        NewList(),
-		"hash":        NewHash([]int{0}),
-		"indexedfifo": NewIndexedFIFO([]int{0}),
-		"partitioned": NewPartitioned(4, 100, true),
-	}
-	for name, b := range bufs {
-		for i := int64(0); i < 50; i++ {
-			b.Insert(mk(i))
-		}
-		if b.Len() != 50 {
-			t.Fatalf("%s: Len = %d before Clear, want 50", name, b.Len())
-		}
-		Drop(b)
-		if b.Len() != 0 {
-			t.Fatalf("%s: Len = %d after Clear, want 0", name, b.Len())
-		}
-		if got := b.ExpireUpTo(1 << 40); len(got) != 0 {
-			t.Fatalf("%s: ExpireUpTo after Clear returned %d tuples, want 0", name, len(got))
-		}
-		// The buffer must stay usable after Clear.
-		b.Insert(mk(7))
-		if b.Len() != 1 {
-			t.Fatalf("%s: Len = %d after re-insert, want 1", name, b.Len())
-		}
-		n := 0
-		b.Scan(func(tuple.Tuple) bool { n++; return true })
-		if n != 1 {
-			t.Fatalf("%s: Scan visited %d after re-insert, want 1", name, n)
-		}
 	}
 }

@@ -32,7 +32,7 @@ func snapshotVariants() []struct {
 		{"fifo", func() snapBuffer { return NewFIFO() }},
 		{"list", func() snapBuffer { return NewList() }},
 		{"hash", func() snapBuffer { return NewHash([]int{0}) }},
-		{"indexedfifo", func() snapBuffer { return NewIndexedFIFO([]int{0}) }},
+		{"indexedfifo", func() snapBuffer { return keyedFIFO().(snapBuffer) }},
 		{"partitioned-lazy", func() snapBuffer { return NewPartitioned(8, 64, false) }},
 		{"partitioned-eager", func() snapBuffer { return NewPartitioned(8, 64, true) }},
 		{"keyed-lazy", func() snapBuffer { return keyedCal(8, 64, false).(snapBuffer) }},
