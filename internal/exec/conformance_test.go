@@ -311,6 +311,34 @@ func TestConformanceNegationDisjoint(t *testing.T) {
 		})
 }
 
+// TestConformanceNegationEqualTSTwins pins which W1 twin leaves the answer
+// when several share a TS: the answer is the youngest max(v1 − v2, 0) in
+// arrival order, so after a, b and c arrive at one TS and are all admitted,
+// a W2 arrival retracts a. Breaking the tie by admission order — c was
+// admitted first, when two W2 copies still held the others out — leaves
+// {a, b} where the oracle holds {b, c}.
+func TestConformanceNegationEqualTSTwins(t *testing.T) {
+	runConformance(t,
+		func() (*plan.Node, []*relation.Table) {
+			w1 := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 100}, linkSchema())
+			w2 := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 10}, linkSchema())
+			return plan.NewNegate(w1, w2, []int{0}, []int{0}), nil
+		},
+		func(d *driver, _ []*relation.Table) {
+			row := func(proto string) []tuple.Value {
+				return []tuple.Value{tuple.Int(5), tuple.String_(proto), tuple.Int(0)}
+			}
+			d.push(1, 1, row("w2")...)
+			d.push(1, 1, row("w2")...)
+			for _, p := range []string{"a", "b", "c"} {
+				d.push(0, 2, row(p)...)
+			}
+			d.advance(11)
+			d.push(1, 12, row("w2")...)
+			d.advance(30)
+		})
+}
+
 func TestConformanceIntersect(t *testing.T) {
 	runConformance(t,
 		func() (*plan.Node, []*relation.Table) {

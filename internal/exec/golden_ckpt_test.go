@@ -3,9 +3,12 @@ package exec
 import (
 	"bytes"
 	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/plan"
+	"repro/internal/tuple"
 	"repro/internal/window"
 )
 
@@ -17,14 +20,27 @@ import (
 // the negation pulled up and STRPartitioned holds the keyed calendar view that
 // negative tuples retract from. Q4 under NT is 227f40a's, before HashBuffer
 // moved onto the keyed store: its join sides, δ inputs and view are five hash
-// buffers.
-func goldenCheckpoints() []struct {
-	file   string
-	q      ckptQuery
-	strat  plan.Strategy
-	opts   plan.Options
-	shards int
-} {
+// buffers. The intersections are 4a2a3e9's, before negation and intersection
+// filed slab entries in their calendars: under NT that commit's intersection
+// filed every support in calendars it never expired.
+//
+// parentBytes marks a cut that this commit writes byte for byte. tieBroken
+// marks one whose writer, before the cut, took W1 twins with equal TS out of
+// the answer in admission order rather than arrival order (the Q5 join emits
+// such twins at one TS): its counters hold one retraction the suffix rule
+// makes at another time, so from the cut on the runs must agree on what they
+// emit, not on the totals.
+type goldenCheckpoint struct {
+	file        string
+	q           ckptQuery
+	strat       plan.Strategy
+	opts        plan.Options
+	shards      int
+	parentBytes bool
+	tieBroken   bool
+}
+
+func goldenCheckpoints() []goldenCheckpoint {
 	qs := ckptQueries()
 	q4, q5 := qs[3], qs[4]
 	q5up := ckptQuery{"Q5-negation-pulled-up", 3, func() *plan.Node {
@@ -33,18 +49,19 @@ func goldenCheckpoints() []struct {
 		c := plan.NewSource(2, window.Spec{Type: window.TimeBased, Size: 20}, linkSchema())
 		return plan.NewNegate(plan.NewJoin(a, c, []int{0}, []int{0}), b, []int{0}, []int{0})
 	}}
-	return []struct {
-		file   string
-		q      ckptQuery
-		strat  plan.Strategy
-		opts   plan.Options
-		shards int
-	}{
-		{"q4_upa.ckpt", q4, plan.UPA, plan.Options{}, 1},
-		{"q4_upa_shards2.ckpt", q4, plan.UPA, plan.Options{}, 2},
-		{"q5_upa.ckpt", q5, plan.UPA, plan.Options{}, 1},
-		{"q5_pullup_upa_strpartitioned.ckpt", q5up, plan.UPA, plan.Options{STR: plan.STRPartitioned}, 1},
-		{"q4_nt.ckpt", q4, plan.NT, plan.Options{}, 1},
+	isect := ckptQuery{"intersection", 2, func() *plan.Node {
+		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 14}, linkSchema())
+		b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 22}, linkSchema())
+		return plan.NewIntersect(plan.NewProject(a, 0), plan.NewProject(b, 0))
+	}}
+	return []goldenCheckpoint{
+		{file: "q4_upa.ckpt", q: q4, strat: plan.UPA, shards: 1},
+		{file: "q4_upa_shards2.ckpt", q: q4, strat: plan.UPA, shards: 2},
+		{file: "q5_upa.ckpt", q: q5, strat: plan.UPA, shards: 1},
+		{file: "q5_pullup_upa_strpartitioned.ckpt", q: q5up, strat: plan.UPA, opts: plan.Options{STR: plan.STRPartitioned}, shards: 1, tieBroken: true},
+		{file: "q4_nt.ckpt", q: q4, strat: plan.NT, shards: 1, parentBytes: true},
+		{file: "intersect_upa.ckpt", q: isect, strat: plan.UPA, shards: 1},
+		{file: "intersect_nt.ckpt", q: isect, strat: plan.NT, shards: 1},
 	}
 }
 
@@ -79,14 +96,56 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 			if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
+			atCut := resumed.Stats()
 			feed(t, resumed, trace[128:])
 			got := observe(t, resumed)
-			if g.strat == plan.NT {
-				// Nothing in an NT engine has changed its layout or its cost
-				// accounting since: the cut is the parent's, byte for byte.
-				cut := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
-				feed(t, cut, trace[:128])
+			cut := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
+			feed(t, cut, trace[:128])
+			if g.parentBytes {
+				// Nothing here has changed its layout or its cost accounting
+				// since: the cut is the parent's, byte for byte.
 				sameBytes(t, "an executor fed the parent's prefix", cut, ckpt)
+			}
+			if err := cut.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			cutStats := cut.Stats()
+			if g.shards > 1 {
+				// Sampled at batch granularity; see TestCheckpointRestoreEquivalence.
+				atCut.MaxStateTuples, cutStats.MaxStateTuples = 0, 0
+			}
+			// Save → load → save is a fixed point from the parent's state too.
+			var saved bytes.Buffer
+			if err := resumed.Checkpoint(&saved); err != nil {
+				t.Fatal(err)
+			}
+			reloaded := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
+			if err := reloaded.Restore(bytes.NewReader(saved.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			sameBytes(t, "a reload of the resumed executor", reloaded, saved.Bytes())
+			if g.strat == plan.NT && g.q.name == "intersection" {
+				// The supports the parent filed under NT are not read back.
+				var again bytes.Buffer
+				if err := resumed.Checkpoint(&again); err != nil {
+					t.Fatal(err)
+				}
+				if again.Len() >= len(ckpt) {
+					t.Errorf("resumed NT intersection checkpoints %d bytes, the parent's %d: its calendar entries came back", again.Len(), len(ckpt))
+				}
+			}
+			if g.tieBroken {
+				// Compare what each run emitted from the cut on.
+				for _, s := range []*Stats{&got.stats, &want.stats} {
+					at := atCut
+					if s == &want.stats {
+						at = cutStats
+					}
+					s.Emitted -= at.Emitted
+					s.Retracted -= at.Retracted
+				}
+			} else if atCut != cutStats {
+				t.Errorf("restored counters %+v, an executor fed the prefix %+v", atCut, cutStats)
 			}
 			if g.shards > 1 {
 				// Sampled at batch granularity; see TestCheckpointRestoreEquivalence.
@@ -119,5 +178,67 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 			resumed.play(t, steps[contractCut:])
 			diffObservations(t, "restored from the parent's checkpoint", observe(t, resumed.ex), want)
 		})
+	}
+}
+
+// TestRestoreParentTieAnswer restores negate_tie_upa.ckpt, which 4a2a3e9
+// wrote in a state its tie rule produced: W2 held two copies of value 5 from
+// t=1, W1 took a, b and c at t=2, Advance(11) expired both copies and
+// re-admitted c, then b, then a, and a W2 arrival at t=12 retracted c, the
+// first admitted of three equal TS. The view holds {a, b}, where the oracle's
+// answer is the youngest two in arrival order, {b, c}. The loader keeps the
+// saved answer, since the view holds it: a and b move behind c, and the
+// operator's answer is the suffix {a, b} again. From there every retraction
+// it emits finds its tuple in the view, and once W2 empties the view is the
+// oracle's.
+func TestRestoreParentTieAnswer(t *testing.T) {
+	ckpt, err := os.ReadFile("testdata/negate_tie_upa.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ckptQuery{"negation-tie", 2, func() *plan.Node {
+		w1 := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 100}, linkSchema())
+		w2 := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 10}, linkSchema())
+		return plan.NewNegate(w1, w2, []int{0}, []int{0})
+	}}
+	ex := buildExecutorOpts(t, q, plan.UPA, plan.Options{}, 1)
+	if err := ex.Restore(bytes.NewReader(ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	view := func() string {
+		snap, err := ex.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var protos []string
+		for _, tp := range snap {
+			protos = append(protos, tp.Vals[1].S)
+		}
+		sort.Strings(protos)
+		return strings.Join(protos, ",")
+	}
+	if got := view(); got != "a,b" {
+		t.Fatalf("restored view holds %s, want the parent's a,b", got)
+	}
+	steps := []struct {
+		do   func() error
+		want string
+	}{
+		// One more W2 copy: the oldest of the answer, a, goes.
+		{func() error {
+			return ex.Push(1, 13, tuple.Int(5), tuple.String_("w2"), tuple.Int(0))
+		}, "b"},
+		// The copy from t=12 expires: the youngest outsider, a, is back.
+		{func() error { return ex.Advance(22) }, "a,b"},
+		// The last copy expires: c is in, and the view is the oracle's.
+		{func() error { return ex.Advance(23) }, "a,b,c"},
+	}
+	for i, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatal(err)
+		}
+		if got := view(); got != st.want {
+			t.Fatalf("step %d: view holds %s, want %s", i, got, st.want)
+		}
 	}
 }

@@ -219,12 +219,13 @@ func (d *DistinctDelta) ProcessCols(side int, in *tuple.ColBatch, now int64, out
 	return nil
 }
 
-// ProcessCols is the columnar negation kernel. Negation's event rules are
-// inherently row-grained — quota repair walks per-value entry lists — so the
-// kernel derives each row's negation key from the vectors, materializes the
-// row once from the arena (stored rows are retained by the calendars and
-// entry lists; removal patterns are recycled), and runs the row-path event
-// body, copying emissions column-major so the run stays columnar end-to-end.
+// ProcessCols is the columnar negation kernel. Negation stores rows — each W1
+// tuple, and each W2 tuple its calendars file, is a slab entry whose answer
+// position is its place on an arrival-order list — so the kernel derives each
+// row's negation key from the vectors, materializes the row once from the
+// arena (stored rows stay with their entries; removal patterns are recycled),
+// and runs the row-path event body, copying emissions column-major so the run
+// stays columnar end-to-end.
 func (n *Negate) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
 	if side != 0 && side != 1 {
 		return badSide("negate", side)

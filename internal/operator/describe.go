@@ -66,7 +66,7 @@ func (g *GroupBy) Describe() string {
 // Describe implements Describer.
 func (n *Negate) Describe() string {
 	out := fmt.Sprintf("attr %v=%v calendars w1=%s w2=%s",
-		n.keyCols, n.rightCols, statebuf.KindOf(n.w1idx), statebuf.KindOf(n.w2idx))
+		n.keyCols, n.rightCols, n.cal[0].Kind(), n.cal[1].Kind())
 	if n.negOnExp {
 		out += " negative-on-expiry"
 	}
@@ -75,7 +75,7 @@ func (n *Negate) Describe() string {
 
 // Describe implements Describer.
 func (i *Intersect) Describe() string {
-	return fmt.Sprintf("calendars l=%s r=%s", statebuf.KindOf(i.expIdx[0]), statebuf.KindOf(i.expIdx[1]))
+	return fmt.Sprintf("calendars l=%s r=%s", i.cal[0].Kind(), i.cal[1].Kind())
 }
 
 // Describe implements Describer.

@@ -47,7 +47,7 @@ type deltaSlot struct{ rep, aux tuple.Tuple }
 func NewDistinctDelta(schema *tuple.Schema, horizon int64, partitions int) *DistinctDelta {
 	return &DistinctDelta{
 		schema:  schema,
-		expIdx:  expiryCalendar(false, partitions, horizon),
+		expIdx:  statebuf.NewPartitioned(partitions, horizon, true),
 		allCols: allColumns(schema.Len()),
 		clock:   -1,
 	}

@@ -23,28 +23,25 @@ import (
 // tuples on either input retract a support; retracting a paired support
 // retracts its result with a negative tuple, so strict inputs yield strict
 // output (Rule 3).
+//
+// Supports are quotaCore entries: per value and side, on an arrival-order
+// list, each naming its partner, and the unpaired ones also on a list in
+// (Exp, arrival) order whose tail is the longest-lived, so a pairing looks at
+// one end of one list.
 type Intersect struct {
-	schema     *tuple.Schema
-	slots      statebuf.Table[isectSupports]
-	expIdx     [2]statebuf.Buffer
-	allCols    []int
-	sizes      [2]int
-	clock      int64
-	timeExpiry bool
-	touched    int64
-	// advOut is the expiration wave's output: what Advance returns is valid
-	// until the next Advance.
-	advOut Emit
+	quotaCore
+	schema  *tuple.Schema
+	slots   statebuf.Table[isectSlot]
+	allCols []int
+	seq     uint32 // arrivals numbered so far
+	// jobs are the expiration wave's survivors to re-pair, reused.
+	jobs []int32
 }
 
-// isectSupports is one value's supports, side by side, so a tuple's own
-// side and its partner's are one lookup.
-type isectSupports [2][]*isectEntry
-
-type isectEntry struct {
-	t       tuple.Tuple
-	partner *isectEntry
-	side    int
+// isectSlot is one value's supports: per side, in arrival order, and the
+// unpaired ones in (Exp, arrival) order.
+type isectSlot struct {
+	sup, free [2]qList
 }
 
 // IntersectConfig configures an intersection.
@@ -66,16 +63,9 @@ func NewIntersect(cfg IntersectConfig) (*Intersect, error) {
 	if !cfg.Left.EqualLayout(cfg.Right) {
 		return nil, fmt.Errorf("intersect: schemas %v and %v are not layout-equal", cfg.Left, cfg.Right)
 	}
-	return &Intersect{
-		schema: cfg.Left,
-		expIdx: [2]statebuf.Buffer{
-			expiryCalendar(cfg.ListCalendars, cfg.Partitions, cfg.Horizon),
-			expiryCalendar(cfg.ListCalendars, cfg.Partitions, cfg.Horizon),
-		},
-		allCols:    allColumns(cfg.Left.Len()),
-		clock:      -1,
-		timeExpiry: !cfg.NoTimeExpiry,
-	}, nil
+	x := &Intersect{schema: cfg.Left, allCols: allColumns(cfg.Left.Len())}
+	x.init(cfg.ListCalendars, cfg.Partitions, cfg.Horizon, !cfg.NoTimeExpiry)
+	return x, nil
 }
 
 // Class implements Operator.
@@ -105,178 +95,194 @@ func (x *Intersect) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emi
 // Advance for now.
 func (x *Intersect) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	if t.Neg {
+		if x.gone(t, now) {
+			return
+		}
 		if ref := x.slots.FindRow(t, x.allCols); ref != 0 {
 			x.retract(side, ref, t, now, out)
 		}
 		return
 	}
-	ref, _ := x.slots.UpsertRow(t, x.allCols)
-	e := &isectEntry{t: t, side: side}
-	supports := x.slots.At(ref)
-	supports[side] = append(supports[side], e)
-	x.sizes[side]++
-	x.expIdx[side].Insert(t)
-	if r := x.tryPair(e, ref, now); r != nil {
-		out.Append(*r)
-	}
+	slot, _ := x.slots.UpsertRow(t, x.allCols)
+	s := x.slots.At(slot)
+	ref, e := x.add(side, slot, &s.sup[side], t)
+	e.seq = x.seq
+	x.seq++
+	x.settle(s, ref, false, now, out)
 }
 
-// tryPair pairs e with the longest-lived unpaired live tuple on the opposite
-// side, returning the emitted result if a pair forms.
-func (x *Intersect) tryPair(e *isectEntry, ref int32, now int64) *tuple.Tuple {
-	var best *isectEntry
-	for _, c := range x.slots.At(ref)[1-e.side] {
+// settle pairs the unpaired support ref with the longest-lived unpaired live
+// support on the other side — the first to arrive among equally long-lived
+// ones — and emits the result; a support that finds no partner waits on its
+// side's unpaired list, where parked says it already is.
+func (x *Intersect) settle(s *isectSlot, ref int32, parked bool, now int64, out *Emit) {
+	e := x.ents.At(ref)
+	o := 1 - int(e.side)
+	c := s.free[o].tail
+	if c == 0 || x.ents.At(c).t.Expired(now) {
+		if !parked {
+			x.park(&s.free[e.side], ref)
+		}
+		return
+	}
+	exp := x.ents.At(c).t.Exp
+	for p := x.ents.At(c).link[unpaired].prev; p != 0 && x.ents.At(p).t.Exp == exp; p = x.ents.At(p).link[unpaired].prev {
 		x.touched++
-		if c.partner != nil || c.t.Expired(now) {
-			continue
-		}
-		if best == nil || c.t.Exp > best.t.Exp {
-			best = c
-		}
+		c = p
 	}
-	if best == nil {
-		return nil
+	x.touched++
+	x.unlink(&s.free[o], unpaired, c)
+	if parked {
+		x.unlink(&s.free[e.side], unpaired, ref)
 	}
-	e.partner, best.partner = best, e
-	exp := e.t.Exp
-	if best.t.Exp < exp {
-		exp = best.t.Exp
-	}
+	e.mate, x.ents.At(c).mate = c, ref
 	r := e.t
 	r.TS = now
-	r.Exp = exp
-	return &r
+	r.Exp = min(e.t.Exp, exp)
+	out.Append(r)
 }
 
-// retract removes one support on side matching t, preferring the exact
-// expiration match the negative tuple names (it identifies the actual
-// tuple), then unpaired entries (less churn). Retracting a paired support
-// emits a negative result and attempts a replacement pairing for the partner.
-func (x *Intersect) retract(side int, ref int32, t tuple.Tuple, now int64, out *Emit) {
-	entries := x.slots.At(ref)[side]
-	score := func(e *isectEntry) int {
-		s := 0
-		if e.t.Exp == t.Exp {
-			s += 2
+// park puts an unpaired support on its list at its (Exp, arrival) place,
+// walking from the tail, so in-order input costs O(1).
+func (x *Intersect) park(l *qList, ref int32) {
+	e := x.ents.At(ref)
+	at := l.tail
+	for at != 0 {
+		a := x.ents.At(at)
+		if a.t.Exp < e.t.Exp || a.t.Exp == e.t.Exp && int32(a.seq-e.seq) < 0 {
+			break
 		}
-		if e.partner == nil {
-			s++
-		}
-		return s
-	}
-	victim := -1
-	for i, e := range entries {
 		x.touched++
-		if !e.t.SameVals(t) {
-			continue
-		}
-		if victim < 0 || score(e) > score(entries[victim]) {
-			victim = i
-		}
+		at = a.link[unpaired].prev
 	}
-	if victim < 0 {
-		return
-	}
-	e := entries[victim]
-	x.drop(side, ref, victim)
-	if e.partner == nil {
-		return
-	}
-	p := e.partner
-	p.partner, e.partner = nil, nil
-	exp := e.t.Exp
-	if p.t.Exp < exp {
-		exp = p.t.Exp
-	}
-	neg := e.t.Negative(now)
-	neg.Exp = exp
-	out.Append(neg)
-	if !p.t.Expired(now) {
-		if r := x.tryPair(p, ref, now); r != nil {
-			out.Append(*r)
-		}
-	}
+	x.insert(l, unpaired, at, ref)
 }
 
-// drop removes support i on side from slot ref, deleting the slot once
-// neither side holds a support. A retracted support's partner lives on in the
-// same slot, so the slot outlives the drop whenever a re-pairing follows.
-func (x *Intersect) drop(side int, ref int32, i int) {
-	supports := x.slots.At(ref)
-	supports[side] = append(supports[side][:i], supports[side][i+1:]...)
-	if len(supports[0])+len(supports[1]) == 0 {
-		x.slots.Delete(ref)
+// victim names the support on side a retraction of t takes. The exact
+// expiration match the negative tuple names identifies the actual tuple;
+// among those an unpaired one is preferred (less churn), then the first to
+// arrive. Without an exact match, the first unpaired support to arrive goes,
+// else the first.
+func (x *Intersect) victim(s *isectSlot, side int, t tuple.Tuple) int32 {
+	for ref := s.free[side].head; ref != 0; ref = x.next(unpaired, ref) {
+		x.touched++
+		if exp := x.ents.At(ref).t.Exp; exp >= t.Exp {
+			if exp == t.Exp {
+				return ref
+			}
+			break
+		}
 	}
-	x.sizes[side]--
+	var spare int32
+	for ref := s.sup[side].head; ref != 0; ref = x.next(arrivals, ref) {
+		x.touched++
+		e := x.ents.At(ref)
+		if e.t.Exp == t.Exp {
+			return ref
+		}
+		if spare == 0 && e.mate == 0 {
+			spare = ref
+		}
+	}
+	if spare != 0 {
+		return spare
+	}
+	return s.sup[side].head
+}
+
+// retract removes the support on side a negative tuple names. Retracting a
+// paired support emits a negative result and attempts a replacement pairing
+// for the partner.
+func (x *Intersect) retract(side int, slot int32, t tuple.Tuple, now int64, out *Emit) {
+	s := x.slots.At(slot)
+	ref := x.victim(s, side, t)
+	if ref == 0 {
+		return
+	}
+	lost := x.ents.At(ref).t
+	if p := x.drop(s, ref); p != 0 {
+		pe := x.ents.At(p)
+		neg := lost.Negative(now)
+		neg.Exp = min(lost.Exp, pe.t.Exp)
+		out.Append(neg)
+		if pe.t.Expired(now) {
+			x.park(&s.free[pe.side], p)
+		} else {
+			x.settle(s, p, false, now, out)
+		}
+	}
+	x.tidy(slot)
+}
+
+// drop takes support ref off its lists and returns its partner, unpaired
+// now and on no unpaired list yet, or 0.
+func (x *Intersect) drop(s *isectSlot, ref int32) int32 {
+	e := x.ents.At(ref)
+	side, p := int(e.side), e.mate
+	if p == 0 {
+		x.unlink(&s.free[side], unpaired, ref)
+	} else {
+		x.ents.At(p).mate = 0
+	}
+	x.remove(&s.sup[side], ref)
+	return p
+}
+
+// tidy deletes a slot that holds no support.
+func (x *Intersect) tidy(slot int32) {
+	if s := x.slots.At(slot); s.sup[0].n+s.sup[1].n == 0 {
+		x.slots.Delete(slot)
+	}
 }
 
 // Advance expires supports eagerly. A result whose pair loses a support
 // expires on its own exp downstream; the surviving partner re-pairs if it
-// can, emitting a replacement.
+// can, emitting a replacement, once every expiration of the wave has
+// settled, in (side, TS) order.
 func (x *Intersect) Advance(now int64) ([]tuple.Tuple, error) {
 	if !x.timeExpiry || now <= x.clock {
 		return nil, nil
 	}
 	x.clock = now
-	type repairJob struct {
-		e   *isectEntry
-		ref int32
-	}
-	var jobs []repairJob
-	for side := 0; side < 2; side++ {
-		for _, t := range x.expIdx[side].ExpireUpTo(now) {
-			ref := x.slots.FindRow(t, x.allCols)
-			if ref == 0 {
-				continue // stale calendar entry (support was retracted)
-			}
-			entries := x.slots.At(ref)[side]
-			victim := -1
-			for i, e := range entries {
-				x.touched++
-				if !e.t.SameVals(t) || e.t.Exp != t.Exp {
-					continue
-				}
-				victim = i
-				break
-			}
-			if victim < 0 {
-				continue // stale calendar entry (support was retracted)
-			}
-			e := entries[victim]
-			x.drop(side, ref, victim)
-			if p := e.partner; p != nil {
-				p.partner, e.partner = nil, nil
-				if !p.t.Expired(now) {
-					jobs = append(jobs, repairJob{e: p, ref: ref})
+	x.jobs = x.jobs[:0]
+	for side := range 2 {
+		for _, ref := range x.fired(side, now) {
+			x.touched++
+			slot := x.ents.At(ref).slot
+			s := x.slots.At(slot)
+			if p := x.drop(s, ref); p != 0 {
+				pe := x.ents.At(p)
+				x.park(&s.free[pe.side], p)
+				if !pe.t.Expired(now) {
+					x.jobs = append(x.jobs, p)
 				}
 			}
+			// A survivor keeps its slot: only an emptied one goes.
+			x.tidy(slot)
 		}
 	}
-	// Re-pair survivors deterministically after all expirations settle. A
-	// job's slot holds its live support, so it is still the value's.
-	slices.SortStableFunc(jobs, func(a, b repairJob) int {
-		if a.e.side != b.e.side {
-			return a.e.side - b.e.side
-		}
-		return cmp.Compare(a.e.t.TS, b.e.t.TS)
-	})
+	slices.SortStableFunc(x.jobs, x.jobOrder)
 	out := &x.advOut
 	out.Reset()
-	for _, j := range jobs {
-		if j.e.partner != nil || j.e.t.Expired(now) {
-			continue // already re-paired by an earlier job
-		}
-		if r := x.tryPair(j.e, j.ref, now); r != nil {
-			out.Append(*r)
+	for _, ref := range x.jobs {
+		if e := x.ents.At(ref); e.mate == 0 {
+			x.settle(x.slots.At(e.slot), ref, true, now, out)
 		}
 	}
 	return out.Tuples(), nil
 }
 
+// jobOrder orders re-pairing survivors by side, then TS.
+func (x *Intersect) jobOrder(a, b int32) int {
+	ea, eb := x.ents.At(a), x.ents.At(b)
+	if ea.side != eb.side {
+		return int(ea.side) - int(eb.side)
+	}
+	return cmp.Compare(ea.t.TS, eb.t.TS)
+}
+
 // StateSize implements Operator.
-func (x *Intersect) StateSize() int { return x.sizes[0] + x.sizes[1] }
+func (x *Intersect) StateSize() int { return x.size[0] + x.size[1] }
 
 // Touched implements Operator.
-func (x *Intersect) Touched() int64 {
-	return x.touched + x.expIdx[0].Touched() + x.expIdx[1].Touched()
-}
+func (x *Intersect) Touched() int64 { return x.touched + x.calTouched() }

@@ -1,8 +1,10 @@
 package operator
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/tuple"
 )
@@ -130,5 +132,36 @@ func TestIntersectValidation(t *testing.T) {
 	}
 	if x.Touched() != 0 {
 		t.Error("fresh operator touched")
+	}
+}
+
+// TestIntersectNTFilesNothing: without time expiry nothing ever fires a
+// calendar, so an NT intersection must not file its supports in one. After
+// 1 000 insert/retract pairs the state is empty, and so is the checkpoint
+// but for its counters; filing every support would have left all 1 000 in
+// the calendars and in every checkpoint.
+func TestIntersectNTFilesNothing(t *testing.T) {
+	x, err := NewIntersect(IntersectConfig{Left: ipSchema1(), Right: ipSchema1(), Horizon: 100, NoTimeExpiry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int {
+		var buf bytes.Buffer
+		if err := x.SaveState(checkpoint.NewEncoder(&buf)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	empty := size()
+	for i := int64(0); i < 1000; i++ {
+		tp := ip(i, i+100, i%7)
+		mustProcess(t, x, int(i%2), tp, i)
+		mustProcess(t, x, int(i%2), tp.Negative(i), i)
+	}
+	if n := x.StateSize(); n != 0 {
+		t.Fatalf("StateSize = %d after every support was retracted", n)
+	}
+	if got := size(); got > empty+8 {
+		t.Errorf("SaveState writes %d bytes, %d when fresh: retracted supports are still filed", got, empty)
 	}
 }

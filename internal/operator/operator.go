@@ -82,20 +82,6 @@ func scanAppend(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, dst 
 	return dst
 }
 
-// expiryCalendar builds the eager expiration index δ, negation and
-// intersection keep per input: a calendar sorted by exp over the given number
-// of partitions (statebuf.DefaultPartitions when not positive), or the DIRECT
-// baseline's list.
-func expiryCalendar(list bool, partitions int, horizon int64) statebuf.Buffer {
-	if list {
-		return statebuf.NewList()
-	}
-	if partitions <= 0 {
-		partitions = statebuf.DefaultPartitions
-	}
-	return statebuf.NewPartitioned(partitions, horizon, true)
-}
-
 // allColumns lists the positions 0..n-1: the key of a whole row, or of the
 // leading n columns.
 func allColumns(n int) []int {

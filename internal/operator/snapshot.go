@@ -236,141 +236,179 @@ func (g *GroupBy) LoadState(dec *checkpoint.Decoder) error {
 	})
 }
 
-// SaveState implements checkpoint.Snapshotter: clock and counters, the W1
-// groups (entries with their in-answer flags, plus member indexes into the
-// entry list so the answer subset relinks exactly), the W2 multiplicity
-// lists, then both expiration calendars.
+// SaveState implements checkpoint.Snapshotter: clock and counters, each
+// value's W1 tuples in arrival order with their in-answer flags and the
+// positions of the answer (the list's suffix), each value's W2 expiration
+// times, then both expiration calendars.
 func (n *Negate) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(n.clock)
-	enc.Varint(int64(n.w1size))
+	enc.Varint(int64(n.size[0]))
 	enc.Varint(n.prematureRetractions)
 	enc.Varint(n.touched)
-	hasW1 := func(s *negSlot) bool { return s.w1 != nil }
+	hasW1 := func(s *negSlot) bool { return s.w[0].n > 0 }
 	n.slots.Save(enc, hasW1, nil, func(s *negSlot) {
-		idx := make(map[*negEntry]int, len(s.w1.entries))
-		enc.Uvarint(uint64(len(s.w1.entries)))
-		for i, e := range s.w1.entries {
-			idx[e] = i
-			enc.Tuple(e.t)
-			enc.Bool(e.inAns)
+		enc.Uvarint(uint64(s.w[0].n))
+		for ref := s.w[0].head; ref != 0; ref = n.next(arrivals, ref) {
+			enc.Tuple(n.ents.At(ref).t)
+			enc.Bool(n.ents.At(ref).inAns)
 		}
-		enc.Uvarint(uint64(len(s.w1.members)))
-		for _, m := range s.w1.members {
-			enc.Uvarint(uint64(idx[m]))
+		enc.Uvarint(uint64(s.nAns))
+		for i := s.w[0].n - s.nAns; i < s.w[0].n; i++ {
+			enc.Uvarint(uint64(i))
 		}
 	})
-	n.slots.Save(enc, func(s *negSlot) bool { return len(s.w2) > 0 }, hasW1, func(s *negSlot) {
-		enc.Uvarint(uint64(len(s.w2)))
-		for _, e := range s.w2 {
-			enc.Varint(e)
+	n.slots.Save(enc, func(s *negSlot) bool { return s.w[1].n > 0 }, hasW1, func(s *negSlot) {
+		enc.Uvarint(uint64(s.w[1].n))
+		for ref := s.w[1].head; ref != 0; ref = n.next(arrivals, ref) {
+			enc.Varint(n.ents.At(ref).t.Exp)
 		}
 	})
-	if err := n.w1idx.SaveState(enc); err != nil {
-		return err
-	}
-	return n.w2idx.SaveState(enc)
+	return n.saveCalendars(enc)
 }
 
-// LoadState implements checkpoint.Snapshotter.
+// LoadState implements checkpoint.Snapshotter. The answer a section names is
+// kept, since the view downstream holds it. Sections written before answers
+// were arrival-order suffixes can name another subset — negation admitted
+// W1 twins with equal TS out of arrival order — so the members are moved
+// behind the other W1 tuples of their value, each group in its saved order,
+// and the answer is the suffix again.
 func (n *Negate) LoadState(dec *checkpoint.Decoder) error {
 	n.clock = dec.Varint()
-	n.w1size = int(dec.Varint())
+	dec.Varint() // the W1 count, which the lists hold
 	n.prematureRetractions = dec.Varint()
 	n.touched = dec.Varint()
-	n.slots, n.w2size = statebuf.Table[negSlot]{}, 0
+	n.slots = statebuf.Table[negSlot]{}
+	n.resetEntries()
+	var refs []int32
 	err := n.slots.Load(dec, func(s *negSlot, _ bool) error {
-		s.w1 = &negGroup{}
+		refs = refs[:0]
 		ne := dec.Count()
 		for j := 0; j < ne && dec.Err() == nil; j++ {
-			s.w1.entries = append(s.w1.entries, n.newEntry(dec.Tuple(), dec.Bool()))
+			ref, e := n.ents.Alloc()
+			*e = qEntry{t: dec.Tuple()}
+			dec.Bool() // the member positions below say the same
+			refs = append(refs, ref)
 		}
 		nm := dec.Count()
 		for j := 0; j < nm && dec.Err() == nil; j++ {
-			at := int(dec.Uvarint())
+			at := dec.Uvarint()
 			if dec.Err() != nil {
 				break
 			}
-			if at < 0 || at >= len(s.w1.entries) {
+			if at >= uint64(len(refs)) {
 				return fmt.Errorf("%w: negate member index %d out of range", checkpoint.ErrCorrupt, at)
 			}
-			s.w1.members = append(s.w1.members, s.w1.entries[at])
+			n.ents.At(refs[at]).inAns = true
 		}
+		for _, members := range []bool{false, true} {
+			for _, ref := range refs {
+				if e := n.ents.At(ref); e.inAns == members {
+					n.push(&s.w[0], ref)
+					if members && s.nAns == 0 {
+						s.ans = ref
+					}
+					if members {
+						s.nAns++
+					}
+				}
+			}
+		}
+		n.size[0] += len(refs)
 		return nil
 	})
 	if err == nil {
 		err = n.slots.Load(dec, func(s *negSlot, _ bool) error {
 			ne := dec.Count()
 			for j := 0; j < ne && dec.Err() == nil; j++ {
-				s.w2 = append(s.w2, dec.Varint())
+				ref, e := n.ents.Alloc()
+				*e = qEntry{t: tuple.Tuple{Exp: dec.Varint()}, side: 1}
+				n.push(&s.w[1], ref)
+				n.size[1]++
 			}
-			n.w2size += len(s.w2)
 			return nil
 		})
 	}
 	if err != nil {
 		return err
 	}
-	if err := n.w1idx.LoadState(dec); err != nil {
-		return err
-	}
-	return n.w2idx.LoadState(dec)
+	n.slots.Range(func(slot int32) {
+		for _, l := range n.slots.At(slot).w {
+			for ref := l.head; ref != 0; ref = n.next(arrivals, ref) {
+				n.ents.At(ref).slot = slot
+			}
+		}
+	})
+	cols := [2][]int{n.keyCols, n.rightCols}
+	return n.loadCalendars(dec, func(side int, t tuple.Tuple) int32 { return n.slots.FindRow(t, cols[side]) })
 }
 
 // SaveState implements checkpoint.Snapshotter: clock and counters, both
-// sides' supports value by value (entries numbered globally in write order),
-// the partner links as id pairs written once each, then both expiration
-// calendars.
+// sides' supports value by value in arrival order (numbered globally in write
+// order), the partner links as number pairs, then both expiration calendars.
+// Partners sit on opposite sides and every left support is written first, so
+// a pair is a left support's number, then its partner's.
 func (x *Intersect) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(x.clock)
-	enc.Varint(int64(x.sizes[0]))
-	enc.Varint(int64(x.sizes[1]))
+	enc.Varint(int64(x.size[0]))
+	enc.Varint(int64(x.size[1]))
 	enc.Varint(x.touched)
-	ids := make(map[*isectEntry]int)
-	var flat []*isectEntry
+	var flat []int32
 	for side := range 2 {
-		has := func(sup *isectSupports) bool { return len(sup[side]) > 0 }
-		before := func(sup *isectSupports) bool { return side == 1 && len(sup[0]) > 0 }
-		x.slots.Save(enc, has, before, func(sup *isectSupports) {
-			enc.Uvarint(uint64(len(sup[side])))
-			for _, e := range sup[side] {
-				ids[e] = len(flat)
-				flat = append(flat, e)
-				enc.Tuple(e.t)
+		has := func(s *isectSlot) bool { return s.sup[side].n > 0 }
+		before := func(s *isectSlot) bool { return side == 1 && s.sup[0].n > 0 }
+		x.slots.Save(enc, has, before, func(s *isectSlot) {
+			enc.Uvarint(uint64(s.sup[side].n))
+			for ref := s.sup[side].head; ref != 0; ref = x.next(arrivals, ref) {
+				flat = append(flat, ref)
+				enc.Tuple(x.ents.At(ref).t)
 			}
 		})
 	}
-	var pairs [][2]int
-	for _, e := range flat {
-		if e.partner != nil && ids[e] < ids[e.partner] {
-			pairs = append(pairs, [2]int{ids[e], ids[e.partner]})
+	var last int32
+	for _, ref := range flat {
+		last = max(last, ref)
+	}
+	ids := make([]int, last+1) // right supports' numbers, by reference
+	for i, ref := range flat[x.size[0]:] {
+		ids[ref] = x.size[0] + i
+	}
+	var pairs int
+	for _, ref := range flat[:x.size[0]] {
+		if x.ents.At(ref).mate != 0 {
+			pairs++
 		}
 	}
-	enc.Uvarint(uint64(len(pairs)))
-	for _, p := range pairs {
-		enc.Uvarint(uint64(p[0]))
-		enc.Uvarint(uint64(p[1]))
+	enc.Uvarint(uint64(pairs))
+	for i, ref := range flat[:x.size[0]] {
+		if m := x.ents.At(ref).mate; m != 0 {
+			enc.Uvarint(uint64(i))
+			enc.Uvarint(uint64(ids[m]))
+		}
 	}
-	if err := x.expIdx[0].SaveState(enc); err != nil {
-		return err
-	}
-	return x.expIdx[1].SaveState(enc)
+	return x.saveCalendars(enc)
 }
 
-// LoadState implements checkpoint.Snapshotter.
+// LoadState implements checkpoint.Snapshotter: supports are renumbered in
+// arrival order as read, and the unpaired ones parked.
 func (x *Intersect) LoadState(dec *checkpoint.Decoder) error {
 	x.clock = dec.Varint()
-	x.sizes[0] = int(dec.Varint())
-	x.sizes[1] = int(dec.Varint())
-	x.touched = dec.Varint()
-	x.slots = statebuf.Table[isectSupports]{}
-	var flat []*isectEntry
+	dec.Varint() // both sizes, which the lists hold
+	dec.Varint()
+	touched := dec.Varint()
+	x.slots = statebuf.Table[isectSlot]{}
+	x.resetEntries()
+	x.seq = 0
+	var flat []int32
 	for side := range 2 {
-		err := x.slots.Load(dec, func(sup *isectSupports, _ bool) error {
+		err := x.slots.Load(dec, func(s *isectSlot, _ bool) error {
 			ne := dec.Count()
 			for j := 0; j < ne && dec.Err() == nil; j++ {
-				e := &isectEntry{t: dec.Tuple(), side: side}
-				sup[side] = append(sup[side], e)
-				flat = append(flat, e)
+				ref, e := x.ents.Alloc()
+				*e = qEntry{t: dec.Tuple(), side: uint8(side), seq: x.seq}
+				x.seq++
+				x.push(&s.sup[side], ref)
+				x.size[side]++
+				flat = append(flat, ref)
 			}
 			return nil
 		})
@@ -380,23 +418,35 @@ func (x *Intersect) LoadState(dec *checkpoint.Decoder) error {
 	}
 	np := dec.Count()
 	for i := 0; i < np && dec.Err() == nil; i++ {
-		a := int(dec.Uvarint())
-		b := int(dec.Uvarint())
+		a, b := dec.Uvarint(), dec.Uvarint()
 		if dec.Err() != nil {
 			break
 		}
-		if a < 0 || a >= len(flat) || b < 0 || b >= len(flat) || a == b {
+		if a >= uint64(len(flat)) || b >= uint64(len(flat)) || a == b {
 			return fmt.Errorf("%w: intersect partner indexes (%d,%d) out of range", checkpoint.ErrCorrupt, a, b)
 		}
-		flat[a].partner, flat[b].partner = flat[b], flat[a]
+		ea, eb := x.ents.At(flat[a]), x.ents.At(flat[b])
+		if ea.side == eb.side || ea.mate != 0 || eb.mate != 0 {
+			return fmt.Errorf("%w: intersect partner indexes (%d,%d) pair supports twice or on one side", checkpoint.ErrCorrupt, a, b)
+		}
+		ea.mate, eb.mate = flat[b], flat[a]
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := x.expIdx[0].LoadState(dec); err != nil {
-		return err
-	}
-	return x.expIdx[1].LoadState(dec)
+	x.slots.Range(func(slot int32) {
+		s := x.slots.At(slot)
+		for side := range 2 {
+			for ref := s.sup[side].head; ref != 0; ref = x.next(arrivals, ref) {
+				x.ents.At(ref).slot = slot
+				if x.ents.At(ref).mate == 0 {
+					x.park(&s.free[side], ref)
+				}
+			}
+		}
+	})
+	x.touched = touched // parking counted visits
+	return x.loadCalendars(dec, func(_ int, t tuple.Tuple) int32 { return x.slots.FindRow(t, x.allCols) })
 }
 
 // SaveState implements checkpoint.Snapshotter: counters, then the NT-mode

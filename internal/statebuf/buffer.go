@@ -12,9 +12,8 @@
 //     state with rare premature expirations — a circular array of partitions
 //     bucketed by expiration time (calendar-queue-like), so expiration touches
 //     only due partitions while insertion stays O(1) (lazy) or O(log
-//     partition) (eager, partitions sorted by expiration). A partition is a
-//     run of entry references with a head offset, so due entries pop without
-//     shifting the rest.
+//     partition) (eager, partitions sorted by expiration). Its Calendar is
+//     also what negation and intersection file their entries in.
 //   - HashBuffer: for the NT strategy and for strict non-monotonic (STR)
 //     state with frequent premature expirations — tuples found by key, so
 //     negative tuples delete in O(1) expected time.

@@ -536,3 +536,60 @@ func TestExpiryOrderIsReproducible(t *testing.T) {
 		})
 	}
 }
+
+// TestCalendarFiresReferences pins the Calendar contract negation and
+// intersection rely on, for the eager calendar and the DIRECT list: Expire
+// hands back exactly the references due, in (Exp, TS) order whatever the
+// insertion order — stale ones included, for the owner to release — and a
+// reference parked beyond the horizon comes back once it is due. Save then
+// Load, resolving each tuple to a reference of the owner's choosing, files
+// the same references in the same places.
+func TestCalendarFiresReferences(t *testing.T) {
+	for name, fresh := range map[string]func(at func(int32) (*tuple.Tuple, bool)) *Calendar{
+		"eager": func(at func(int32) (*tuple.Tuple, bool)) *Calendar { return NewCalendar(4, 40, at) },
+		"list":  NewListCalendar,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var ents []tuple.Tuple // entry i+1
+			stale := map[int32]bool{}
+			at := func(ref int32) (*tuple.Tuple, bool) { return &ents[ref-1], !stale[ref] }
+			c := fresh(at)
+			for i, exp := range []int64{30, 12, 25, 12, 90, 7, 30} {
+				ents = append(ents, row(int64(i/2), exp, int64(i), 0))
+				c.Insert(int32(i+1), &ents[i])
+			}
+			stale[3] = true // retracted: it still fires, at 25
+			fires := func(c *Calendar, now int64) []int32 { return append([]int32(nil), c.Expire(now)...) }
+
+			var saved bytes.Buffer
+			if err := c.Save(checkpoint.NewEncoder(&saved)); err != nil {
+				t.Fatal(err)
+			}
+			// The reload resolves by payload position, as an owner matching
+			// tuples to its entries would.
+			reload := fresh(at)
+			err := reload.Load(checkpoint.NewDecoder(&saved), func(tp tuple.Tuple) int32 { return int32(tp.Vals[0].I) + 1 })
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for _, cal := range []*Calendar{c, reload} {
+				if got := fmt.Sprint(fires(cal, 12)); got != "[6 2 4]" {
+					t.Errorf("Expire(12) = %s, want [6 2 4]: (Exp, TS) order", got)
+				}
+				if got := fmt.Sprint(fires(cal, 30)); got != "[3 1 7]" {
+					t.Errorf("Expire(30) = %s, want [3 1 7], the stale 3 included", got)
+				}
+				if cal.Len() != 1 {
+					t.Errorf("Len = %d, want the one reference beyond the horizon", cal.Len())
+				}
+				if got := fmt.Sprint(fires(cal, 89)); got != "[]" {
+					t.Errorf("Expire(89) = %s, want nothing", got)
+				}
+				if got := fmt.Sprint(fires(cal, 90)); got != "[5]" {
+					t.Errorf("Expire(90) = %s, want [5] from beyond the horizon", got)
+				}
+			}
+		})
+	}
+}

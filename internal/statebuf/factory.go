@@ -59,11 +59,7 @@ func New(cfg Config) Buffer {
 	case KindList:
 		return NewList()
 	case KindPartitioned:
-		n := cfg.Partitions
-		if n <= 0 {
-			n = DefaultPartitions
-		}
-		b := NewPartitioned(n, cfg.Horizon, cfg.SortedByExp)
+		b := NewPartitioned(cfg.Partitions, cfg.Horizon, cfg.SortedByExp)
 		if len(cfg.KeyCols) == 0 {
 			return b
 		}

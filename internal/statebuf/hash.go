@@ -112,7 +112,7 @@ func (b *HashBuffer) Kind() Kind { return KindHash }
 
 // SaveState implements checkpoint.Snapshotter with the hash section
 // (store.saveByDigest).
-func (b *HashBuffer) SaveState(enc *checkpoint.Encoder) error { return b.saveByDigest(enc) }
+func (b *HashBuffer) SaveState(enc *checkpoint.Encoder) error { return b.saveByDigest(enc, b.touched) }
 
 // LoadState implements checkpoint.Snapshotter: tuples are re-inserted (the
 // key columns come from the plan-built configuration).

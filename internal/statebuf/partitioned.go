@@ -9,12 +9,11 @@ import (
 )
 
 // PartitionedBuffer is the update-pattern-aware structure of Section 5.3.2
-// and Figure 7: a circular array of partitions, each covering a fixed span of
-// expiration time, so the buffer behaves like a calendar queue over
-// expirations. Weak non-monotonic state — where insertion order differs from
-// expiration order — gets O(1)-ish insertion (locate the partition by the
-// tuple's Exp) and expiration that touches only the partitions that are due,
-// instead of the full sequential scans the DIRECT baseline performs.
+// and Figure 7: the keyed store's entries filed in a Calendar, so weak
+// non-monotonic state — where insertion order differs from expiration order —
+// gets O(1)-ish insertion (locate the partition by the tuple's Exp) and
+// expiration that touches only the partitions that are due, instead of the
+// full sequential scans the DIRECT baseline performs.
 //
 // Partitions are either kept sorted by expiration time (for operators that
 // must expire eagerly) or in insertion order (for lazily-maintained state),
@@ -22,110 +21,49 @@ import (
 // insertion/expiration at the price of per-partition overhead — the trade-off
 // explored by the partition-sweep experiment.
 //
-// Every stored tuple is an entry of the keyed store; a partition is a run of
-// entry references with a head offset, so popping due entries moves the
-// offset instead of shifting the remainder, and a sorted insert shifts
-// four-byte references instead of tuples.
-//
-// Built with key columns, the calendar also chains its entries by key digest
+// Built with key columns, the buffer also chains its entries by key digest
 // in Scan order — partition slot, then position within the partition: probes
-// and retractions walk one digest's chain, and a retracted entry stays in its
-// partition as a stale reference that is skipped and released when it fires.
-// Without key columns there is no index (and no probe interface, see
-// keyedCalendar), and Remove goes to the one partition the retraction's Exp
-// names.
+// and retractions walk one digest's chain. Without key columns there is no
+// index (and no probe interface, see keyedCalendar), and Remove goes to the
+// one partition the retraction's Exp names. Either way a retracted entry
+// stays in its partition as a stale reference that is skipped and released
+// when it fires.
 type PartitionedBuffer struct {
 	store
-	width int64 // expiration-time span covered by one partition
-	// parts[:cal] is the circular calendar, parts[cal] the overflow area for
-	// tuples whose Exp lies beyond the horizon or is NeverExpires.
-	parts  []partition
-	cal    int
-	lowBkt int64 // lowest expiration bucket not yet fully expired
-	byExp  bool  // partitions sorted by Exp (eager) vs insertion order (lazy)
+	cal Calendar
 }
 
-// partition is a run of entry references; refs[:head] have already fired.
-type partition struct {
-	refs []int32
-	head int
-}
-
-func (p *partition) live() []int32 { return p.refs[p.head:] }
-
-// push appends ref. A full run whose fired prefix is at least half of it is
-// slid down first instead of grown, so a partition that is popped and pushed
-// at once stays bounded by its peak live size.
-func (p *partition) push(ref int32) {
-	if len(p.refs) == cap(p.refs) && p.head > 0 && p.head >= len(p.refs)/2 {
-		p.refs = p.refs[:copy(p.refs, p.refs[p.head:])]
-		p.head = 0
-	}
-	p.refs = append(p.refs, ref)
-}
-
-// pop drops the first n live references.
-func (p *partition) pop(n int) {
-	p.head += n
-	if p.head == len(p.refs) {
-		p.refs, p.head = p.refs[:0], 0
-	}
-}
-
-// NewPartitioned builds a buffer with n partitions covering a rolling
-// expiration horizon of the given length (typically the window size: every
-// window-derived tuple satisfies Exp <= now + horizon). byExp selects the
-// eager variant with partitions sorted by expiration time. One extra
-// partition is allocated internally so that the live bucket span never wraps
-// onto itself.
+// NewPartitioned builds a buffer with n partitions (DefaultPartitions when
+// not positive) covering a rolling expiration horizon of the given length
+// (typically the window size: every window-derived tuple satisfies
+// Exp <= now + horizon). byExp selects the eager variant with partitions
+// sorted by expiration time.
 func NewPartitioned(n int, horizon int64, byExp bool) *PartitionedBuffer {
-	if n < 1 {
-		n = 1
+	b := &PartitionedBuffer{cal: newCalendar(n, horizon, byExp)}
+	b.cal.at = func(ref int32) (*tuple.Tuple, bool) {
+		e := b.ents.At(ref)
+		return &e.t, e.slot != dead
 	}
-	if horizon < 1 {
-		horizon = 1
+	b.cal.refiled = func(ref int32, slot int) {
+		if b.index != nil {
+			e := b.ents.At(ref)
+			b.unlink(e)
+			e.slot = int32(slot)
+			b.link(ref, e, b.cal.sorted(slot))
+		}
 	}
-	width := (horizon + int64(n) - 1) / int64(n)
-	if width < 1 {
-		width = 1
-	}
-	return &PartitionedBuffer{
-		width: width,
-		parts: make([]partition, n+2),
-		cal:   n + 1,
-		byExp: byExp,
-	}
+	return b
 }
 
 // reset drops every stored tuple, leaving the cursor alone.
 func (b *PartitionedBuffer) reset() {
-	clear(b.parts)
+	b.cal.reset()
 	b.store.reset()
 }
 
 // Partitions returns the configured partition count (excluding the internal
 // wrap-guard partition).
-func (b *PartitionedBuffer) Partitions() int { return b.cal - 1 }
-
-func (b *PartitionedBuffer) bucket(exp int64) int64 { return exp / b.width }
-
-func (b *PartitionedBuffer) slot(bkt int64) int { return int(bkt % int64(b.cal)) }
-
-// slotFor names the partition that holds a tuple expiring at exp: the one
-// covering exp, the lowest live one when exp is already past due (so the next
-// expiration pass returns it), the overflow area when exp lies beyond the
-// horizon or never comes. The answer only changes in ExpireUpTo, which moves
-// what it affects, so it also locates a stored tuple from its Exp alone.
-func (b *PartitionedBuffer) slotFor(exp int64) int {
-	if exp == tuple.NeverExpires {
-		return b.cal
-	}
-	bkt := max(b.bucket(exp), b.lowBkt)
-	if bkt >= b.lowBkt+int64(b.cal) {
-		return b.cal
-	}
-	return b.slot(bkt)
-}
+func (b *PartitionedBuffer) Partitions() int { return b.cal.span - 1 }
 
 // Insert places t in the partition covering its expiration time. Tuples
 // whose expiration lies beyond the current horizon (or never expire) go to an
@@ -138,132 +76,36 @@ func (b *PartitionedBuffer) Insert(t tuple.Tuple) {
 	b.file(b.alloc(h, t))
 }
 
-// file puts an entry into its partition — at the tail, or at its (Exp, TS)
-// position in a sorted partition — and into its key chain.
+// file puts an entry into its partition and into its key chain.
 func (b *PartitionedBuffer) file(ref int32, e *calEntry) {
-	slot := b.slotFor(e.t.Exp)
+	slot := b.cal.Insert(ref, &e.t)
 	e.slot = int32(slot)
-	p := &b.parts[slot]
-	p.push(ref)
-	sorted := b.byExp && slot != b.cal // the overflow area never is
-	if sorted {
-		live := p.live()
-		i := len(live) - 1
-		if i > 0 && expiresBefore(e.t, b.ents.At(live[i-1]).t) {
-			// Out of order: binary search for the first entry expiring later.
-			lo, hi := 0, i
-			for lo < hi {
-				if mid := (lo + hi) / 2; expiresBefore(e.t, b.ents.At(live[mid]).t) {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			b.touched += int64(i - lo) // shifted references
-			copy(live[lo+1:], live[lo:])
-			live[lo] = ref
-		}
-	}
 	if b.index != nil {
-		b.link(ref, e, sorted)
+		b.link(ref, e, b.cal.sorted(slot))
 	}
 }
 
-// fire releases a reference leaving its partition, appending the tuple to
-// out unless the entry is stale. Only the value slice is cleared (a parked
-// entry must pin no tuple); alloc's caller overwrites the rest.
-func (b *PartitionedBuffer) fire(ref int32, out []tuple.Tuple) []tuple.Tuple {
-	e := b.ents.At(ref)
-	if e.slot != dead {
-		out = append(out, e.t)
-		b.size--
-		if b.index != nil {
-			b.unlink(e)
-		}
-	}
-	e.t.Vals = nil
-	b.ents.Release(ref)
-	return out
-}
-
-// ExpireUpTo removes and returns every tuple with Exp <= now, visiting only
-// the partitions whose buckets are due plus the boundary partition. The
-// returned slice is only valid until the next ExpireUpTo call on this buffer
-// (see the Buffer contract).
+// ExpireUpTo removes and returns every tuple with Exp <= now, releasing the
+// stale references the calendar hands back with them. The returned slice is
+// only valid until the next ExpireUpTo call on this buffer (see the Buffer
+// contract).
 func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 	out := b.scratch[:0]
-	hi := b.bucket(now)
-	// Fully-due buckets: everything in them expires. Occupied buckets all lie
-	// in [lowBkt, lowBkt+cal), so cap the walk at one full cycle even if time
-	// jumped far ahead.
-	for bkt := b.lowBkt; bkt < min(hi, b.lowBkt+int64(b.cal)); bkt++ {
-		p := &b.parts[b.slot(bkt)]
-		b.touched += int64(len(p.live()))
-		for _, ref := range p.live() {
-			out = b.fire(ref, out)
-		}
-		p.pop(len(p.live()))
-	}
-	if hi >= b.lowBkt && hi < b.lowBkt+int64(b.cal) {
-		// Boundary bucket: partially due.
-		p := &b.parts[b.slot(hi)]
-		switch live := p.live(); {
-		case len(live) == 0:
-		case b.byExp:
-			// Sorted: expired tuples are a prefix.
-			i := 0
-			for i < len(live) && b.ents.At(live[i]).t.Exp <= now {
-				out = b.fire(live[i], out)
-				i++
-			}
-			b.touched += int64(i) + 1
-			p.pop(i)
-		default:
-			b.touched += int64(len(live))
-			kept := live[:0]
-			for _, ref := range live {
-				if e := b.ents.At(ref); e.t.Exp <= now || e.slot == dead {
-					out = b.fire(ref, out)
-				} else {
-					kept = append(kept, ref)
-				}
-			}
-			p.refs = p.refs[:p.head+len(kept)]
-			p.pop(0)
-		}
-	}
-	if hi > b.lowBkt {
-		b.lowBkt = hi
-	}
-	out = b.drainOverflow(now, out)
-	if len(out) > 1 {
-		sortExpired(out)
-	}
-	b.scratch = out
-	return out
-}
-
-// drainOverflow migrates overflow tuples that are now within the horizon (or
-// already expired) back into the calendar, and drops stale references.
-func (b *PartitionedBuffer) drainOverflow(now int64, out []tuple.Tuple) []tuple.Tuple {
-	p := &b.parts[b.cal]
-	kept := p.refs[:0]
-	for _, ref := range p.refs {
-		b.touched++
+	for _, ref := range b.cal.Expire(now) {
 		e := b.ents.At(ref)
-		switch {
-		case e.slot == dead || e.t.Exp <= now:
-			out = b.fire(ref, out)
-		case b.slotFor(e.t.Exp) != b.cal:
+		if e.slot != dead {
+			out = append(out, e.t)
+			b.size--
 			if b.index != nil {
 				b.unlink(e)
 			}
-			b.file(ref, e)
-		default:
-			kept = append(kept, ref)
 		}
+		// Only the value slice is cleared (a parked entry must pin no tuple);
+		// alloc's caller overwrites the rest.
+		e.t.Vals = nil
+		b.ents.Release(ref)
 	}
-	p.refs = kept
+	b.scratch = out
 	return out
 }
 
@@ -301,14 +143,14 @@ func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 // exactTwin finds the first stored tuple with t's values and t's Exp by
 // looking only where such a tuple can be.
 func (b *PartitionedBuffer) exactTwin(t tuple.Tuple) int32 {
-	for _, ref := range b.parts[b.slotFor(t.Exp)].live() {
-		e := b.ents.At(ref)
+	for _, f := range b.cal.parts[b.cal.slotFor(t.Exp)].live() {
+		e := b.ents.At(f.ref)
 		if e.slot == dead {
 			continue
 		}
 		b.touched++
 		if e.t.Exp == t.Exp && e.t.SameVals(t) {
-			return ref
+			return f.ref
 		}
 	}
 	return 0
@@ -326,14 +168,14 @@ func (b *PartitionedBuffer) Scan(fn func(t tuple.Tuple) bool) {
 // each calls fn with every stored entry in Scan order, counting no visit,
 // until fn returns false.
 func (b *PartitionedBuffer) each(fn func(ref int32, e *calEntry) bool) {
-	for pi := range b.parts {
-		for _, ref := range b.parts[pi].live() {
-			if e := b.ents.At(ref); e.slot != dead && !fn(ref, e) {
-				return
-			}
-		}
-	}
+	b.cal.each(func(ref int32) bool {
+		e := b.ents.At(ref)
+		return e.slot == dead || fn(ref, e)
+	})
 }
+
+// Touched returns cumulative tuple visits: the store's and the calendar's.
+func (b *PartitionedBuffer) Touched() int64 { return b.touched + b.cal.touched }
 
 // Kind identifies the buffer implementation (KindPartitioned).
 func (b *PartitionedBuffer) Kind() Kind { return KindPartitioned }
@@ -344,8 +186,8 @@ func (b *PartitionedBuffer) Kind() Kind { return KindPartitioned }
 // plan-built configuration and are not serialized; stale references are not
 // state and are not written.
 func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
-	enc.Varint(b.lowBkt)
-	enc.Varint(b.touched)
+	enc.Varint(b.cal.lowBkt)
+	enc.Varint(b.Touched())
 	enc.Uvarint(uint64(b.size))
 	b.each(func(_ int32, e *calEntry) bool { enc.Tuple(e.t); return true })
 	return enc.Err()
@@ -353,12 +195,14 @@ func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
 
 // LoadState implements checkpoint.Snapshotter. The cursor is restored before
 // re-inserting so every tuple lands in the bucket it occupied at save time
-// (live buckets all lie in [lowBkt, lowBkt+cal), so placement is
+// (live buckets all lie in [lowBkt, lowBkt+span), so placement is
 // deterministic) and, arriving in Scan order, at the same place in its key
 // chain; the saved cost counter then overwrites the inserts' increments.
 func (b *PartitionedBuffer) LoadState(dec *checkpoint.Decoder) error {
-	b.lowBkt = dec.Varint()
-	return b.load(dec, b.reset, b.Insert)
+	b.cal.lowBkt = dec.Varint()
+	err := b.load(dec, b.reset, b.Insert)
+	b.cal.touched = 0
+	return err
 }
 
 // keyedCalendar is a PartitionedBuffer built with key columns. It is the same
@@ -413,7 +257,7 @@ func (b indexedFIFO) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(last)
 	enc.Bool(false)
 	enc.Tuples(queue)
-	return b.saveByDigest(enc)
+	return b.saveByDigest(enc, b.Touched())
 }
 
 // LoadState implements checkpoint.Snapshotter. The hash section names the
@@ -452,6 +296,6 @@ func (b indexedFIFO) LoadState(dec *checkpoint.Decoder) error {
 	for _, t := range queue[live:] {
 		b.Insert(t)
 	}
-	b.touched = touched
+	b.touched, b.cal.touched = touched, 0
 	return nil
 }

@@ -169,11 +169,11 @@ func (s *store) reset() {
 	s.size = 0
 }
 
-// saveByDigest writes the hash section: the cost counter, then the stored
-// tuples chain by chain in ascending digest order, in chain order within
-// one, which is the order load re-links them in.
-func (s *store) saveByDigest(enc *checkpoint.Encoder) error {
-	enc.Varint(s.touched)
+// saveByDigest writes the hash section: the owner's cost counter, then the
+// stored tuples chain by chain in ascending digest order, in chain order
+// within one, which is the order load re-links them in.
+func (s *store) saveByDigest(enc *checkpoint.Encoder, touched int64) error {
+	enc.Varint(touched)
 	enc.Uvarint(uint64(s.size))
 	digests := make([]uint64, 0, len(s.index))
 	for h := range s.index {

@@ -9,9 +9,9 @@ import (
 
 // Slab hands out entries from fixed pages and recycles released ones, so
 // steady-state churn allocates nothing and an entry never moves. References
-// are one-based; zero means none. The calendar keeps its tuples in one, Table
-// its keyed slots, negation its per-tuple entries and a relation its row
-// copies. The zero value is an empty slab.
+// are one-based; zero means none. The keyed store keeps its tuples in one,
+// Table its keyed slots, negation and intersection their per-tuple entries and
+// a relation its row copies. The zero value is an empty slab.
 type Slab[E any] struct {
 	pages []*[chunkSize]E
 	used  int32   // references handed out from pages so far
