@@ -123,32 +123,26 @@ type counterCell interface {
 	Value() int64
 }
 
-// preorderOps visits the operator tree root-first, left to right — the same
-// order plan.Explain numbers nodes, so the fingerprint and the state layout
-// agree on which section belongs to which operator.
-func preorderOps(root *plan.PNode, fn func(pn *plan.PNode) error) error {
-	if root == nil {
-		return nil
-	}
-	if err := fn(root); err != nil {
-		return err
-	}
-	for _, in := range root.Inputs {
-		if in != nil {
-			if err := preorderOps(in, fn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// writeState serializes the dynamic state query q observes in this engine:
+// window contents in source order, operator state in plan pre-order, and
+// the result view, between writeSections' preamble and trailer. It reads
+// through q's records, so the section a registry extracts for one of several
+// queries is laid out as a single-query engine's own.
+func (e *Engine) writeState(enc *checkpoint.Encoder, q *queryUnit) error {
+	return e.writeSections(enc, q.srcs, q.nodes, []*queryUnit{q})
 }
 
-// writeState serializes the dynamic state query q observes in this engine:
-// clock and maintenance cursors, cumulative counters, window contents in
-// source order, operator state in plan pre-order, and the result view. It
-// reads through q's canonical mapping, so the section a registry extracts for
-// one of several queries is laid out as a single-query engine's own.
-func (e *Engine) writeState(enc *checkpoint.Encoder, q *queryUnit) error {
+// readState is writeState's mirror for the engine's one query.
+func (e *Engine) readState(dec *checkpoint.Decoder) error {
+	q := e.queries[0]
+	return e.readSections(dec, q.srcs, q.nodes, e.queries[:1])
+}
+
+// writeSections writes one engine state section: clock and maintenance
+// cursors, cumulative counters and the state peak; then the given windows,
+// operators and views in the order given; then the interner and the
+// columnar flag. Both checkpoint formats write their engines through it.
+func (e *Engine) writeSections(enc *checkpoint.Encoder, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
 	enc.Varint(e.clock)
 	enc.Varint(e.lastEager)
 	enc.Varint(e.lastLazy)
@@ -156,27 +150,28 @@ func (e *Engine) writeState(enc *checkpoint.Encoder, q *queryUnit) error {
 		enc.Varint(c.Value())
 	}
 	enc.Varint(e.met.maxStateTuples.Value())
-	for _, src := range q.phys.Sources {
-		if err := q.canonSrc(src).Window.SaveState(enc); err != nil {
+	for _, src := range srcs {
+		if err := src.win.SaveState(enc); err != nil {
 			return err
 		}
 	}
-	err := preorderOps(q.canon(q.phys.Root), func(pn *plan.PNode) error {
-		s, ok := pn.Op.(checkpoint.Snapshotter)
+	for _, n := range nodes {
+		s, ok := n.op.(checkpoint.Snapshotter)
 		if !ok {
-			return fmt.Errorf("exec: operator %T cannot snapshot", pn.Op)
+			return fmt.Errorf("exec: operator %T cannot snapshot", n.op)
 		}
-		return s.SaveState(enc)
-	})
-	if err != nil {
-		return err
+		if err := s.SaveState(enc); err != nil {
+			return err
+		}
 	}
-	vs, ok := q.view.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("exec: view %T cannot snapshot", q.view)
-	}
-	if err := vs.SaveState(enc); err != nil {
-		return err
+	for _, q := range views {
+		vs, ok := q.view.(checkpoint.Snapshotter)
+		if !ok {
+			return fmt.Errorf("exec: view %T cannot snapshot", q.view)
+		}
+		if err := vs.SaveState(enc); err != nil {
+			return err
+		}
 	}
 	// Interner section (format version 2): the symbol table in id order, so
 	// restored columnar state and kernel constants resolve to identical ids,
@@ -191,11 +186,11 @@ func (e *Engine) writeState(enc *checkpoint.Encoder, q *queryUnit) error {
 	return enc.Err()
 }
 
-// readState is writeState's mirror. Counters are rehydrated by delta so a
-// registry-backed series lands exactly on the saved value; afterwards the
+// readSections is writeSections' mirror. Counters are rehydrated by delta so
+// a registry-backed series lands exactly on the saved value; afterwards the
 // clock/watermark gauges and state samples are refreshed so metrics read
 // consistently with the restored engine.
-func (e *Engine) readState(dec *checkpoint.Decoder) error {
+func (e *Engine) readSections(dec *checkpoint.Decoder, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
 	e.clock = dec.Varint()
 	e.lastEager = dec.Varint()
 	e.lastLazy = dec.Varint()
@@ -203,27 +198,28 @@ func (e *Engine) readState(dec *checkpoint.Decoder) error {
 		c.Add(dec.Varint() - c.Value())
 	}
 	e.met.maxStateTuples.SetMax(dec.Varint())
-	for _, src := range e.phys.Sources {
-		if err := src.Window.LoadState(dec); err != nil {
+	for _, src := range srcs {
+		if err := src.win.LoadState(dec); err != nil {
 			return err
 		}
 	}
-	err := preorderOps(e.phys.Root, func(pn *plan.PNode) error {
-		s, ok := pn.Op.(checkpoint.Snapshotter)
+	for _, n := range nodes {
+		s, ok := n.op.(checkpoint.Snapshotter)
 		if !ok {
-			return fmt.Errorf("exec: operator %T cannot snapshot", pn.Op)
+			return fmt.Errorf("exec: operator %T cannot snapshot", n.op)
 		}
-		return s.LoadState(dec)
-	})
-	if err != nil {
-		return err
+		if err := s.LoadState(dec); err != nil {
+			return err
+		}
 	}
-	vs, ok := e.view.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("exec: view %T cannot snapshot", e.view)
-	}
-	if err := vs.LoadState(dec); err != nil {
-		return err
+	for _, q := range views {
+		vs, ok := q.view.(checkpoint.Snapshotter)
+		if !ok {
+			return fmt.Errorf("exec: view %T cannot snapshot", q.view)
+		}
+		if err := vs.LoadState(dec); err != nil {
+			return err
+		}
 	}
 	n := dec.Count()
 	if err := dec.Err(); err != nil {

@@ -3,7 +3,6 @@ package exec
 import (
 	"repro/internal/obs"
 	"repro/internal/operator"
-	"repro/internal/plan"
 	"repro/internal/tuple"
 	"repro/internal/window"
 )
@@ -31,37 +30,37 @@ import (
 
 // colPlanSupported reports whether every layer of the live dataflow has a
 // columnar fast path. Recomputed (recomputeColPath) after every registration
-// change, over the canonical sources and operators.
+// change, over the live sources and nodes.
 func (e *Engine) colPlanSupported() bool {
 	if len(e.sources) == 0 {
 		return false
 	}
 	counts := make(map[int]int, len(e.sources))
 	for _, s := range e.sources {
-		counts[s.StreamID]++
+		counts[s.stream]++
 	}
 	for _, s := range e.sources {
 		// A stream feeding several windows (self-join shapes) interleaves
 		// stamped tuples and evictions across sources; the row path keeps
 		// that ordering exact.
-		if counts[s.StreamID] != 1 {
+		if counts[s.stream] != 1 {
 			return false
 		}
 		// Count-based windows evict per arrival; no run-grained admission.
 		// Materialized time-based windows (the NT strategy) admit whole runs
 		// through AdmitRunCols.
-		if s.Window.Spec().Type == window.CountBased {
+		if s.win.Spec().Type == window.CountBased {
 			return false
 		}
-		if !tuple.ColumnarKinds(s.Schema) {
+		if !tuple.ColumnarKinds(s.schema) {
 			return false
 		}
 	}
-	for _, n := range e.order {
-		if !operator.ColSupported(n.Op) {
+	for _, n := range e.nodes {
+		if !operator.ColSupported(n.op) {
 			return false
 		}
-		if !tuple.ColumnarKinds(n.Op.Schema()) {
+		if !tuple.ColumnarKinds(n.op.Schema()) {
 			return false
 		}
 	}
@@ -75,17 +74,19 @@ func (e *Engine) colPlanSupported() bool {
 // is actually the leg that ran.
 func (e *Engine) Columnar() bool { return e.colOK }
 
-// initColPath allocates the per-source and per-node batch buffers the
-// columnar path stages runs in. One buffer per plan edge suffices: a run
-// flows root-ward depth-first and no operator retains its input batch.
+// initColPath gives every live record that has none the batch buffer the
+// columnar path stages its output runs in. One buffer per record suffices: a
+// run flows root-ward depth-first and no operator retains its input batch.
 func (e *Engine) initColPath() {
-	e.colSrc = make(map[*plan.PSource]*tuple.ColBatch, len(e.sources))
 	for _, s := range e.sources {
-		e.colSrc[s] = tuple.NewColBatch(s.Schema)
+		if s.cols == nil {
+			s.cols = tuple.NewColBatch(s.schema)
+		}
 	}
-	e.colOut = make(map[*plan.PNode]*tuple.ColBatch, len(e.order))
-	for _, n := range e.order {
-		e.colOut[n] = tuple.NewColBatch(n.Op.Schema())
+	for _, n := range e.nodes {
+		if n.cols == nil {
+			n.cols = tuple.NewColBatch(n.op.Schema())
+		}
 	}
 }
 
@@ -112,8 +113,8 @@ func valsConform(schema *tuple.Schema, run []Arrival) bool {
 // conforms=false, having touched nothing but its staging batch, when the
 // run fails valsConform (AppendRun refuses exactly those runs); the caller
 // then demotes the engine.
-func (e *Engine) ingestRunCols(src *plan.PSource, ts int64, run []Arrival) (conforms bool, err error) {
-	cb := e.colSrc[src]
+func (e *Engine) ingestRunCols(src *liveSource, ts int64, run []Arrival) (conforms bool, err error) {
+	cb := src.cols
 	cb.Reset()
 	rows := e.colRows[:0]
 	for i := range run {
@@ -128,10 +129,10 @@ func (e *Engine) ingestRunCols(src *plan.PSource, ts int64, run []Arrival) (conf
 		return false, nil
 	}
 	var exp int64
-	if src.Window.Materialized() {
-		exp, err = src.Window.AdmitRunCols(ts, cb, e.intern)
+	if src.win.Materialized() {
+		exp, err = src.win.AdmitRunCols(ts, cb, e.intern)
 	} else {
-		exp, err = src.Window.StampRun(ts, cb.Len())
+		exp, err = src.win.StampRun(ts, cb.Len())
 	}
 	if err != nil {
 		return true, err
@@ -147,15 +148,14 @@ func (e *Engine) ingestRunCols(src *plan.PSource, ts int64, run []Arrival) (conf
 // never retain their input batch and a node never appears in its own
 // downstream (the dataflow is acyclic), so one staged batch can feed every
 // edge in turn.
-func (e *Engine) feedSourceCols(src *plan.PSource, cb *tuple.ColBatch) error {
+func (e *Engine) feedSourceCols(src *liveSource, cb *tuple.ColBatch) error {
 	if cb.Len() == 0 {
 		return nil
 	}
-	cell := src.Scratch.(*srcCell)
-	for _, q := range cell.sinks {
+	for _, q := range src.sinks {
 		e.applyResultCols(q, cb)
 	}
-	for _, ed := range cell.outs {
+	for _, ed := range src.outs {
 		var t0 int64
 		if e.timed {
 			t0 = obs.Nanotime()
@@ -177,26 +177,25 @@ func (e *Engine) feedSourceCols(src *plan.PSource, cb *tuple.ColBatch) error {
 // on short bursty runs the clock reads themselves were a double-digit share
 // of ingest time. Inter-kernel bookkeeping (polarity counters, batch reset)
 // rides in the downstream node's span; it is a few counter updates.
-func (e *Engine) feedCols(node *plan.PNode, side int, in *tuple.ColBatch, prev int64) error {
-	st := node.Scratch.(*opStats)
+func (e *Engine) feedCols(node *liveNode, side int, in *tuple.ColBatch, prev int64) error {
 	neg := int64(in.NegCount())
 	pos := int64(in.Len()) - neg
 	if pos > 0 {
-		st.inPos.Add(pos)
+		node.inPos.Add(pos)
 	}
 	if neg > 0 {
-		st.inNeg.Add(neg)
+		node.inNeg.Add(neg)
 	}
-	out := e.colOut[node]
+	out := node.cols
 	out.Reset()
-	err := operator.ProcessColBatch(node.Op, side, in, e.clock, out, e.intern)
+	err := operator.ProcessColBatch(node.op, side, in, e.clock, out, e.intern)
 	var end int64
 	if prev != 0 {
 		end = obs.Nanotime()
 		d := end - prev
 		if e.timed {
-			st.procNanos.Add(d)
-			st.maxBatch.SetMax(d)
+			node.procNanos.Add(d)
+			node.maxBatch.SetMax(d)
 		}
 	}
 	if err != nil {
@@ -211,32 +210,31 @@ func (e *Engine) feedCols(node *plan.PNode, side int, in *tuple.ColBatch, prev i
 // observer classifies by expiration timestamp alone, so no row values are
 // materialized for it. prev is the chained clock reading for the parent's
 // span (see feedCols).
-func (e *Engine) propagateCols(node *plan.PNode, outs *tuple.ColBatch, prev int64) error {
+func (e *Engine) propagateCols(node *liveNode, outs *tuple.ColBatch, prev int64) error {
 	if outs.Len() == 0 {
 		return nil
 	}
-	em := node.Scratch.(*opStats)
 	neg := int64(outs.NegCount())
 	pos := int64(outs.Len()) - neg
 	if neg > 0 {
 		for i, n := 0, outs.Len(); i < n; i++ {
 			if outs.NegAt(i) {
-				em.observeRetraction(tuple.Tuple{TS: outs.TSAt(i), Exp: outs.ExpAt(i), Neg: true}, e.clock)
+				node.observeRetraction(tuple.Tuple{TS: outs.TSAt(i), Exp: outs.ExpAt(i), Neg: true}, e.clock)
 			}
 		}
-		em.neg.Add(neg)
+		node.neg.Add(neg)
 	}
 	if pos > 0 {
-		em.pos.Add(pos)
+		node.pos.Add(pos)
 	}
-	for _, q := range em.sinks {
+	for _, q := range node.sinks {
 		e.applyResultCols(q, outs)
 	}
-	if len(em.outs) == 1 {
+	if len(node.outs) == 1 {
 		// The common spine: hand the chained reading straight through.
-		return e.feedCols(em.outs[0].node, em.outs[0].side, outs, prev)
+		return e.feedCols(node.outs[0].node, node.outs[0].side, outs, prev)
 	}
-	for _, ed := range em.outs {
+	for _, ed := range node.outs {
 		var t0 int64
 		if e.timed {
 			t0 = obs.Nanotime()

@@ -27,19 +27,19 @@ func (h *QueryHandle) Explain(analyze bool) *plan.ExplainTree {
 
 func (e *Engine) explainQuery(q *queryUnit, analyze bool) *plan.ExplainTree {
 	t := plan.Explain(q.phys)
+	// The walk is pre-order: operators come in ID order, and window leaves in
+	// the DFS order Build registered them in, phys.Sources order. A private
+	// source (a stream windowed several times by one query) has no key.
+	src := 0
 	t.Walk(func(n *plan.ExplainNode) {
-		switch {
-		case n.PNode != nil:
-			canon := q.canon(n.PNode)
-			n.ShareKey = e.nodeKey[canon]
-			n.SharedWith = e.sharedWith(canon, q)
-		case n.Source != nil:
-			canon := q.canonSrc(n.Source)
-			// srcKey is set only for shareable sources; a stream windowed
-			// several times by one query keeps an empty key (private by rule).
-			n.ShareKey = e.srcKey[canon]
-			n.SharedWith = e.sharedWithSource(canon, q)
+		var r *record
+		if n.PNode != nil {
+			r = &q.nodes[n.ID].record
+		} else {
+			r = &q.srcs[src].record
+			src++
 		}
+		n.ShareKey, n.SharedWith = r.key, r.sharedWith(q)
 	})
 	if analyze {
 		attachStats(t, e.profileQuery(q), 1, e.Clock(), e.Watermark())

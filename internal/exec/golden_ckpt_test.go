@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"sort"
 	"strings"
@@ -178,6 +179,105 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 			resumed.play(t, steps[contractCut:])
 			diffObservations(t, "restored from the parent's checkpoint", observe(t, resumed.ex), want)
 		})
+	}
+
+	// The registry golden is pinned by its parentBytes rule alone.
+	t.Run("registry_mix.ckpt", restoreRegistryGolden)
+}
+
+// registryGoldenQuery is one query of the registry that wrote
+// registry_mix.ckpt.
+type registryGoldenQuery struct {
+	name  string
+	strat plan.Strategy
+	build func() *plan.Node
+}
+
+// registryGoldenQueries mixes NT and UPA: sel-http reads the stream-0 window
+// of both UPA joins, join70 shares join20's join and both its windows, and
+// join30-nt shares sel-ftp-nt's materialized window.
+func registryGoldenQueries() []registryGoldenQuery {
+	return []registryGoldenQuery{
+		{"sel-http", plan.UPA, func() *plan.Node { return selPlan(40, "http") }},
+		{"join20", plan.UPA, func() *plan.Node { return joinPlan(20) }},
+		{"join70", plan.UPA, func() *plan.Node { return joinPlan(70) }},
+		{"sel-ftp-nt", plan.NT, func() *plan.Node { return selPlan(40, "ftp") }},
+		{"join30-nt", plan.NT, func() *plan.Node { return joinPlan(30) }},
+		{"gb", plan.UPA, gbPlan},
+	}
+}
+
+// registryGoldenCut is the arrival of ckptTrace(2) at which 267a2c3 wrote
+// registry_mix.ckpt.
+const registryGoldenCut = 128
+
+// newRegistryGolden registers registryGoldenQueries on a fresh registry.
+func newRegistryGolden(t *testing.T) (*Engine, []*QueryHandle) {
+	t.Helper()
+	e := NewMulti(Config{LazyInterval: 7, EagerInterval: 1})
+	var hs []*QueryHandle
+	for _, g := range registryGoldenQueries() {
+		h, err := e.RegisterQuery(QuerySpec{Name: g.name, Phys: buildPhys(t, g.build(), g.strat, plan.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	return e, hs
+}
+
+// observeRegistry finalizes a registry run like observe and renders every
+// query's answer, sorted, with the engine-wide counters.
+func observeRegistry(t *testing.T, e *Engine, hs []*QueryHandle) string {
+	t.Helper()
+	if err := e.Advance(400); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, h := range hs {
+		rows, err := h.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		strs := make([]string, 0, len(rows))
+		for _, r := range rows {
+			strs = append(strs, r.String())
+		}
+		sort.Strings(strs)
+		fmt.Fprintf(&b, "%s: %s\n", h.Name(), strings.Join(strs, " "))
+	}
+	fmt.Fprintf(&b, "%+v clock %d watermark %d\n", e.Stats(), e.Clock(), e.Watermark())
+	return b.String()
+}
+
+// restoreRegistryGolden pins the registry layout: a registry fed the golden
+// prefix writes 267a2c3's registry_mix.ckpt byte for byte, and a registry
+// restored from it ends where an uninterrupted one does.
+func restoreRegistryGolden(t *testing.T) {
+	ckpt, err := os.ReadFile("testdata/registry_mix.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := ckptTrace(2)
+	cut, _ := newRegistryGolden(t)
+	feed(t, cut, trace[:registryGoldenCut])
+	var got bytes.Buffer
+	if err := cut.CheckpointRegistry(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), ckpt) {
+		t.Errorf("a registry fed the parent's prefix checkpoints %d bytes, not the parent's %d", got.Len(), len(ckpt))
+	}
+
+	whole, wholeHs := newRegistryGolden(t)
+	feed(t, whole, trace)
+	resumed, resumedHs := newRegistryGolden(t)
+	if err := resumed.RestoreRegistry(bytes.NewReader(ckpt)); err != nil {
+		t.Fatalf("RestoreRegistry: %v", err)
+	}
+	feed(t, resumed, trace[registryGoldenCut:])
+	if got, want := observeRegistry(t, resumed, resumedHs), observeRegistry(t, whole, wholeHs); got != want {
+		t.Errorf("restored from the parent's registry checkpoint\ngot:\n%swant:\n%s", got, want)
 	}
 }
 

@@ -259,26 +259,9 @@ type opStats struct {
 	state              *obs.Gauge
 	touched            *obs.Gauge
 	maxBatch           *obs.Gauge
-	// id is the node's engine-wide operator index (the "id" metric label),
-	// assigned at registration and never reused.
-	id int
 	// conf is the operator's pattern-conformance cell, maintained on the
-	// output edge by propagate/propagateBatch.
+	// output edge by propagateBatch/propagateCols.
 	conf conformance
-	// outs and sinks are the node's fan-out: the operator input edges its
-	// emissions feed, and the registered queries whose result view it is the
-	// root of. A single-query engine has exactly one entry between them per
-	// node; shared nodes in a registry fan out to several consumers. Mutated
-	// only at Register/Unregister time.
-	outs  []outEdge
-	sinks []*queryUnit
-}
-
-// outEdge is one consumer edge of the shared dataflow: emissions are fed to
-// node's input side.
-type outEdge struct {
-	node *plan.PNode
-	side int
 }
 
 // conformance watches one operator's output stream and checks every
@@ -367,14 +350,13 @@ func (st *opStats) violations() (byKind [numViolationKinds]int64, total int64) {
 // (for a single-query engine the index is the root's pre-order position; in
 // a registry ids are assigned in registration order and never reused). base
 // labels (e.g. a shard id) are merged into every series.
-func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) *opStats {
+func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) opStats {
 	id := strconv.Itoa(idx)
 	labels := obs.Labels{"op": n.Class.String(), "id": id}
 	for k, v := range base {
 		labels[k] = v
 	}
-	st := &opStats{
-		id:        idx,
+	st := opStats{
 		inPos:     reg.Counter(MetricOpInPos, "per-operator positive input tuples", labels),
 		inNeg:     reg.Counter(MetricOpInNeg, "per-operator negative input tuples", labels),
 		pos:       reg.Counter(MetricOpEmitted, "per-operator emitted tuples", labels),
@@ -396,6 +378,5 @@ func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) *opS
 		st.conf.viol[i] = reg.Counter(MetricPatternViolations,
 			"retractions exceeding the operator's declared pattern class", withLabel(labels, "kind", kind))
 	}
-	n.Scratch = st // hot-path cache: feed/propagate skip the map lookup
 	return st
 }

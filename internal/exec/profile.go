@@ -67,7 +67,7 @@ func (e *Engine) Profile() []OpProfile {
 }
 
 // Profile returns the query's per-operator runtime counters, in pre-order
-// of its plan. Rows for shared operators report the canonical node's
+// of its plan. Rows for shared operators report the shared node's
 // counters — the physical work, summed over every query it serves. The ID
 // field is the row's pre-order position in this query's plan (matching its
 // EXPLAIN ids); only for the engine's first query does it also match the
@@ -84,7 +84,7 @@ func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
 		if n == nil {
 			return
 		}
-		st := e.ops[q.canon(n)]
+		st := q.nodes[idx]
 		byKind, _ := st.violations()
 		out = append(out, OpProfile{
 			ID:             idx,

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -9,8 +10,8 @@ import (
 	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/relation"
-	"repro/internal/statebuf"
 	"repro/internal/tuple"
+	"repro/internal/window"
 )
 
 // Multi-query registration: queries are compiled into one shared dataflow by
@@ -18,9 +19,10 @@ import (
 // plan.ComputeDigests) keyed by operator, predicate digest, window spec,
 // strategy, and update-pattern class — so pattern agreement is a sharing
 // precondition by construction — plus the resolved identities of the node's
-// actual inputs. Identical sub-plans across queries dedupe into one physical
-// node with a refcounted state buffer; each arrival traverses the shared
-// prefix once and deltas fan out along consumer edges to per-query views.
+// actual inputs. Identical sub-plans across queries dedupe into one live
+// record — a liveNode or liveSource holding the operator or window, its
+// fan-out and the queries it serves; each arrival traverses the shared prefix
+// once and deltas fan out along consumer edges to per-query views.
 //
 // Two deliberate non-sharing rules keep per-query results byte-identical to
 // a standalone engine's:
@@ -36,32 +38,121 @@ import (
 // single-writer discipline as ingest; they are not safe to call concurrently
 // with Push.
 
-// srcCell is the executor's per-source cell, cached in PSource.Scratch: the
-// consumer fan-out edges, the queries whose view the source feeds directly
-// (bare-window plans), and the expiry policy of the strategy that built it.
-type srcCell struct {
+// record is what a live node and a live source share: their place in the
+// shared dataflow and the queries that hold them. Registration and
+// unregistration are the only writers.
+type record struct {
+	// outs and sinks are the fan-out: the operator input edges the record's
+	// emissions feed, and the queries whose view it feeds directly (the root
+	// of their plan, or the window of a bare-window plan).
 	outs  []outEdge
 	sinks []*queryUnit
+	// holders are the live queries whose plans map onto the record, in
+	// registration order. The record retires when the last one leaves.
+	holders []*queryUnit
+	// key is the share key registration dedups on (empty for a private
+	// source); cid is the record's identity inside other records' keys.
+	key string
+	cid int
+	// cols stages the record's columnar output run (colpath.go).
+	cols *tuple.ColBatch
+}
+
+// liveNode is one live physical operator.
+type liveNode struct {
+	record
+	opStats
+	op operator.Operator
+	// eager marks operators that must expire state eagerly (Section 2.3).
+	eager bool
+}
+
+// liveSource is one live window leaf.
+type liveSource struct {
+	record
+	stream int
+	schema *tuple.Schema
+	win    *window.Window
 	// nt marks sources built by the negative-tuple strategy: their
 	// materialized windows announce expirations with explicit negative
 	// tuples at eager cadence (see Engine.advance).
 	nt bool
 }
 
+// outEdge is one consumer edge of the shared dataflow: emissions are fed to
+// node's input side.
+type outEdge struct {
+	node *liveNode
+	side int
+}
+
+// base hands lookup and unindex the record of a liveNode or liveSource.
+func (r *record) base() *record { return r }
+
+// retired reports whether no live query holds the record any more.
+func (r *record) retired() bool { return len(r.holders) == 0 }
+
+// release drops q from the record's holders and sinks and reports whether
+// that retired it.
+func (r *record) release(q *queryUnit) bool {
+	r.holders = slices.DeleteFunc(r.holders, func(h *queryUnit) bool { return h == q })
+	r.sinks = slices.DeleteFunc(r.sinks, func(h *queryUnit) bool { return h == q })
+	return r.retired()
+}
+
+// sharedWith lists the names of the holders other than q, sorted, for
+// EXPLAIN share annotations.
+func (r *record) sharedWith(q *queryUnit) []string {
+	var out []string
+	for _, h := range r.holders {
+		if h != q {
+			out = append(out, h.label())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// lookup returns the first record indexed under key that q does not hold
+// yet: within one query, duplicate sub-plans are never shared. q is the
+// query being registered, so it is the last holder of any record it holds.
+func lookup[R interface{ base() *record }](index map[string][]R, key string, q *queryUnit) (R, bool) {
+	for _, c := range index[key] {
+		if h := c.base().holders; h[len(h)-1] != q {
+			return c, true
+		}
+	}
+	var none R
+	return none, false
+}
+
+// unindex removes a retired record from its share-key index.
+func unindex[R interface {
+	comparable
+	base() *record
+}](index map[string][]R, r R) {
+	key := r.base().key
+	list := slices.DeleteFunc(index[key], func(c R) bool { return c == r })
+	if len(list) == 0 {
+		delete(index, key)
+	} else {
+		index[key] = list
+	}
+}
+
 // queryUnit is one registered query's private state: its plan, its result
-// view, the mapping from its own plan nodes onto the canonical shared nodes,
-// and its output instruments.
+// view, the live records executing its plan, and its output instruments.
 type queryUnit struct {
 	id     int
 	name   string
 	phys   *plan.Physical
 	view   View
 	onEmit func(t tuple.Tuple)
-	// nodeMap/srcMap map the query's own plan nodes (the keys, from its
-	// private Build) to the canonical nodes executing them. Adopted nodes
-	// map to themselves.
-	nodeMap map[*plan.PNode]*plan.PNode
-	srcMap  map[*plan.PSource]*plan.PSource
+	// nodes are the records executing the plan's operators, in plan
+	// pre-order (EXPLAIN's ids); srcs execute its window leaves, in
+	// phys.Sources order.
+	nodes []*liveNode
+	srcs  []*liveSource
 	// Per-query output series, registered only for named queries (an
 	// unnamed single query keeps the legacy engine-wide series shape).
 	emitted, retracted *obs.Counter
@@ -71,22 +162,34 @@ type queryUnit struct {
 	deltaPos, deltaNeg int64
 }
 
-// canon maps one of the query's plan nodes to the canonical node executing
-// it. Nodes under a shared subtree are already canonical (registration
-// rewires input pointers), so an unmapped node maps to itself.
-func (q *queryUnit) canon(pn *plan.PNode) *plan.PNode {
-	if c, ok := q.nodeMap[pn]; ok {
-		return c
+// feeder returns the record of the source feeding side of pn, one of the
+// query's own plan nodes, or nil.
+func (q *queryUnit) feeder(pn *plan.PNode, side int) *liveSource {
+	for i, s := range q.phys.Sources {
+		if s.Consumer == pn && s.Side == side {
+			return q.srcs[i]
+		}
 	}
-	return pn
+	return nil
 }
 
-// canonSrc is canon for window leaves.
-func (q *queryUnit) canonSrc(s *plan.PSource) *plan.PSource {
-	if c, ok := q.srcMap[s]; ok {
-		return c
+// postorder visits the query's node records children-first.
+func (q *queryUnit) postorder(fn func(n *liveNode)) {
+	next := 0
+	var walk func(pn *plan.PNode)
+	walk = func(pn *plan.PNode) {
+		n := q.nodes[next]
+		next++
+		for _, in := range pn.Inputs {
+			if in != nil {
+				walk(in)
+			}
+		}
+		fn(n)
 	}
-	return s
+	if q.phys.Root != nil {
+		walk(q.phys.Root)
+	}
 }
 
 // label renders the query's display name ("q<id>" when unnamed).
@@ -105,7 +208,8 @@ type QuerySpec struct {
 	// among live queries.
 	Name string
 	// Phys is the compiled physical plan (plan.Build output). The registry
-	// takes ownership: the plan's nodes may become canonical shared nodes.
+	// takes ownership: the plan's operators and windows may become live
+	// records other queries share. The plan itself is not rewired.
 	Phys *plan.Physical
 	// OnEmit, when set, observes every output delta of this query before it
 	// is folded into the query's view.
@@ -121,7 +225,7 @@ type QueryHandle struct {
 // RegisterQuery compiles spec's plan into the shared dataflow and returns
 // its handle. Sub-plans identical to already-registered ones (same
 // descriptor, same resolved inputs) share the existing physical nodes;
-// private fragments are adopted as new canonical nodes. A query registered
+// private fragments install new live records. A query registered
 // after data has flowed starts with cold private state and an empty view —
 // its results reflect arrivals from registration onward.
 func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
@@ -143,11 +247,7 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &queryUnit{
-		id: e.nextQID, name: spec.Name, phys: phys, view: view, onEmit: spec.OnEmit,
-		nodeMap: make(map[*plan.PNode]*plan.PNode),
-		srcMap:  make(map[*plan.PSource]*plan.PSource),
-	}
+	q := &queryUnit{id: e.nextQID, name: spec.Name, phys: phys, view: view, onEmit: spec.OnEmit}
 	e.nextQID++
 	if spec.Name != "" {
 		ql := withLabel(e.cfg.MetricLabels, "query", spec.Name)
@@ -161,149 +261,93 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	digests := plan.ComputeDigests(phys)
 
 	// Sources first (the leaves). A stream read through several windows by
-	// this query keeps all of them private, preserving the standalone
-	// per-tuple interleave.
+	// this query keeps all of them private (no key), preserving the
+	// standalone per-tuple interleave.
 	streamCount := map[int]int{}
 	for _, s := range phys.Sources {
 		streamCount[s.StreamID]++
 	}
-	usedSrc := map[*plan.PSource]bool{}
-	for _, s := range phys.Sources {
-		dg := digests.Sources[s]
-		shareable := streamCount[s.StreamID] == 1
-		var canon *plan.PSource
-		if shareable {
-			for _, cand := range e.srcByKey[dg] {
-				if !usedSrc[cand] {
-					canon = cand
-					break
+	q.srcs = make([]*liveSource, len(phys.Sources))
+	for i, s := range phys.Sources {
+		var key string
+		if streamCount[s.StreamID] == 1 {
+			key = digests.Sources[s]
+		}
+		src, ok := lookup(e.srcIndex, key, q)
+		if !ok {
+			src = &liveSource{record: record{key: key, cid: e.canonSeq},
+				stream: s.StreamID, schema: s.Schema, win: s.Window, nt: phys.Strategy == plan.NT}
+			e.canonSeq++
+			e.sources = append(e.sources, src)
+			if key != "" {
+				e.srcIndex[key] = append(e.srcIndex[key], src)
+			}
+		}
+		src.holders = append(src.holders, q)
+		q.srcs[i] = src
+	}
+
+	// Operators, children-first, each resolved against the index after its
+	// inputs; q.nodes fills in pre-order. A new record is fed by its inputs;
+	// a shared one already is.
+	var own []*plan.PNode // q's plan nodes, parallel to q.nodes
+	var resolve func(pn *plan.PNode) *liveNode
+	resolve = func(pn *plan.PNode) *liveNode {
+		at := len(q.nodes)
+		q.nodes, own = append(q.nodes, nil), append(own, pn)
+		ins := make([]*liveNode, len(pn.Inputs))
+		for i, in := range pn.Inputs {
+			if in != nil {
+				ins[i] = resolve(in)
+			}
+		}
+		key := e.shareKey(q, pn, digests.Own[pn], ins)
+		n, ok := lookup(e.nodeIndex, key, q)
+		if !ok {
+			n = &liveNode{record: record{key: key, cid: e.canonSeq}, op: pn.Op}
+			e.canonSeq++
+			switch pn.Op.(type) {
+			case *operator.Distinct, *operator.DistinctDelta, *operator.GroupBy, *operator.Negate, *operator.Intersect:
+				n.eager = true
+			}
+			e.nodes = append(e.nodes, n)
+			e.nodeIndex[key] = append(e.nodeIndex[key], n)
+			for i, in := range ins {
+				if in != nil {
+					in.outs = append(in.outs, outEdge{node: n, side: i})
+				} else if src := q.feeder(pn, i); src != nil {
+					src.outs = append(src.outs, outEdge{node: n, side: i})
 				}
 			}
 		}
-		if canon != nil {
-			e.srcRefs[canon].Acquire()
-		} else {
-			canon = s
-			s.Scratch = &srcCell{nt: phys.Strategy == plan.NT}
-			e.sources = append(e.sources, s)
-			e.srcRefs[s] = statebuf.NewRefCount()
-			e.canonID[s] = e.canonSeq
-			e.canonSeq++
-			if shareable {
-				e.srcByKey[dg] = append(e.srcByKey[dg], s)
-				e.srcKey[s] = dg
-			}
-		}
-		usedSrc[canon] = true
-		q.srcMap[s] = canon
-	}
-
-	// srcEdge locates, for each of the query's own operators, the own source
-	// feeding each source-fed input side.
-	srcEdge := map[*plan.PNode]map[int]*plan.PSource{}
-	for _, s := range phys.Sources {
-		if s.Consumer == nil {
-			continue
-		}
-		m := srcEdge[s.Consumer]
-		if m == nil {
-			m = map[int]*plan.PSource{}
-			srcEdge[s.Consumer] = m
-		}
-		m[s.Side] = s
-	}
-
-	// Operators, children-first: resolve each node against the canonical map
-	// (skipping candidates already used by this query — within-query sharing
-	// is forbidden), rewiring input pointers to canonical children as we go.
-	usedNode := map[*plan.PNode]bool{}
-	var adoptedPost []*plan.PNode
-	var resolve func(pn *plan.PNode) *plan.PNode
-	resolve = func(pn *plan.PNode) *plan.PNode {
-		for i, in := range pn.Inputs {
-			if in != nil {
-				pn.Inputs[i] = resolve(in)
-			}
-		}
-		key := e.shareKey(pn, digests, srcEdge, q)
-		var canon *plan.PNode
-		for _, cand := range e.nodeByKey[key] {
-			if !usedNode[cand] {
-				canon = cand
-				break
-			}
-		}
-		if canon != nil {
-			e.nodeRefs[canon].Acquire()
-		} else {
-			canon = pn
-			e.nodeKey[pn] = key
-			e.nodeByKey[key] = append(e.nodeByKey[key], pn)
-			e.nodeRefs[pn] = statebuf.NewRefCount()
-			e.canonID[pn] = e.canonSeq
-			e.canonSeq++
-			e.order = append(e.order, pn)
-			adoptedPost = append(adoptedPost, pn)
-			switch pn.Op.(type) {
-			case *operator.Distinct, *operator.DistinctDelta, *operator.GroupBy, *operator.Negate, *operator.Intersect:
-				e.eager[pn] = true
-			}
-		}
-		usedNode[canon] = true
-		q.nodeMap[pn] = canon
-		return canon
+		n.holders = append(n.holders, q)
+		q.nodes[at] = n
+		return n
 	}
 	if phys.Root != nil {
 		resolve(phys.Root)
 	}
 
 	// Stats cells in pre-order of the query plan, so a single-query engine's
-	// operator ids match the legacy pre-order numbering (and EXPLAIN's).
-	var preorder func(pn *plan.PNode)
-	preorder = func(pn *plan.PNode) {
-		if pn == nil {
-			return
-		}
-		if q.nodeMap[pn] == pn && e.ops[pn] == nil {
-			e.ops[pn] = newOpStats(e.reg, pn, e.nextOpID, e.cfg.MetricLabels)
+	// operator ids match EXPLAIN's pre-order numbering.
+	for i, n := range q.nodes {
+		if len(n.holders) == 1 { // new with this query
+			n.opStats = newOpStats(e.reg, own[i], e.nextOpID, e.cfg.MetricLabels)
 			e.nextOpID++
-			if _, ok := pn.Op.(operator.TableOperator); ok {
-				e.tables = append(e.tables, pn)
+			if _, ok := n.op.(operator.TableOperator); ok {
+				e.tables = append(e.tables, n)
 			}
-		}
-		for _, c := range pn.Inputs {
-			preorder(c)
-		}
-	}
-	preorder(phys.Root)
-
-	// Consumer edges: every adopted node is fed by its canonical inputs.
-	// Shared nodes need no new in-edges — their canonical inputs already
-	// feed them.
-	for _, pn := range adoptedPost {
-		for i, c := range pn.Inputs {
-			if c != nil {
-				st := e.ops[c]
-				st.outs = append(st.outs, outEdge{node: pn, side: i})
-			}
-		}
-		for side, s := range srcEdge[pn] {
-			canonSrc := q.srcMap[s]
-			cell := canonSrc.Scratch.(*srcCell)
-			cell.outs = append(cell.outs, outEdge{node: pn, side: side})
 		}
 	}
 
-	// Sinks: the query's view hangs off its canonical root (or, for a
-	// bare-window plan, off its canonical sources).
+	// Sinks: the query's view hangs off its root (or, for a bare-window
+	// plan, off its sources).
 	if phys.Root != nil {
-		st := e.ops[q.nodeMap[phys.Root]]
-		st.sinks = append(st.sinks, q)
+		q.nodes[0].sinks = append(q.nodes[0].sinks, q)
 	} else {
-		for _, s := range phys.Sources {
+		for i, s := range phys.Sources {
 			if s.Consumer == nil {
-				cell := q.srcMap[s].Scratch.(*srcCell)
-				cell.sinks = append(cell.sinks, q)
+				q.srcs[i].sinks = append(q.srcs[i].sinks, q)
 			}
 		}
 	}
@@ -317,30 +361,29 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	return &QueryHandle{e: e, q: q}, nil
 }
 
-// shareKey builds the executor-level dedup key for one of the registering
-// query's nodes: the plan descriptor's own component (operator, predicate
-// digest, physical detail, strategy, pattern class) plus table pointer
-// identity and the canonical identities of the node's resolved inputs. Using
-// resolved identities — rather than the descriptor's structural child
-// digests — means a node whose child could NOT be shared (multi-window
-// stream, within-query duplicate) is itself unshareable, keeping input state
-// exactly per-query.
-func (e *Engine) shareKey(pn *plan.PNode, digests *plan.Digests, srcEdge map[*plan.PNode]map[int]*plan.PSource, q *queryUnit) string {
-	key := digests.Own[pn]
+// shareKey builds the executor-level dedup key for pn, one of q's plan
+// nodes whose inputs resolved to ins: the plan descriptor's own component
+// (operator, predicate digest, physical detail, strategy, pattern class) plus
+// table pointer identity and the identities of the resolved inputs. Using
+// resolved identities — rather than the descriptor's structural child digests
+// — means a node whose child could NOT be shared (multi-window stream,
+// within-query duplicate) is itself unshareable, keeping input state exactly
+// per-query.
+func (e *Engine) shareKey(q *queryUnit, pn *plan.PNode, own string, ins []*liveNode) string {
+	key := own
 	if top, ok := pn.Op.(operator.TableOperator); ok {
 		key += fmt.Sprintf("|tbl#%d", e.tableID(top.Table()))
 	}
 	key += "["
-	for i := range pn.Inputs {
+	for i, in := range ins {
 		if i > 0 {
 			key += ","
 		}
-		switch {
-		case pn.Inputs[i] != nil:
-			key += fmt.Sprintf("n%d", e.canonID[pn.Inputs[i]])
-		case srcEdge[pn][i] != nil:
-			key += fmt.Sprintf("s%d", e.canonID[q.srcMap[srcEdge[pn][i]]])
-		default:
+		if in != nil {
+			key += fmt.Sprintf("n%d", in.cid)
+		} else if src := q.feeder(pn, i); src != nil {
+			key += fmt.Sprintf("s%d", src.cid)
+		} else {
 			key += "t" // table-only edge: identity carried by tbl# above
 		}
 	}
@@ -350,26 +393,26 @@ func (e *Engine) shareKey(pn *plan.PNode, digests *plan.Digests, srcEdge map[*pl
 // tableID returns a stable per-engine ordinal for a table pointer, so nodes
 // over same-named but distinct tables never share.
 func (e *Engine) tableID(tbl *relation.Table) int {
-	id, ok := e.tableIDs[tbl]
-	if !ok {
+	id := slices.Index(e.tableIDs, tbl)
+	if id < 0 {
 		id = len(e.tableIDs)
-		e.tableIDs[tbl] = id
+		e.tableIDs = append(e.tableIDs, tbl)
 	}
 	return id
 }
 
-// rebuildMaintenance re-partitions e.order into the eager and lazy
-// maintenance passes (order is children-first by construction: canonical
-// nodes append in post-order per registration, and shared prefixes were
-// appended by earlier registrations).
+// rebuildMaintenance re-partitions the live nodes into the eager and lazy
+// maintenance passes. e.nodes is children-first by construction: records
+// append in post-order per registration, and shared prefixes were appended
+// by earlier registrations.
 func (e *Engine) rebuildMaintenance() {
 	e.eagerNodes = e.eagerNodes[:0]
 	e.lazyNodes = e.lazyNodes[:0]
-	for _, pn := range e.order {
-		if e.eager[pn] {
-			e.eagerNodes = append(e.eagerNodes, pn)
+	for _, n := range e.nodes {
+		if n.eager {
+			e.eagerNodes = append(e.eagerNodes, n)
 		} else {
-			e.lazyNodes = append(e.lazyNodes, pn)
+			e.lazyNodes = append(e.lazyNodes, n)
 		}
 	}
 }
@@ -385,12 +428,12 @@ func (e *Engine) recomputeColPath() {
 	}
 }
 
-// UnregisterQuery removes a registered query: its references on shared nodes
-// are released, orphaned nodes are retired from the dataflow (their state
-// buffers are left to the collector), retired window sources are discarded,
-// and the query's view is dropped.
-// It returns the number of stored tuples freed (retired operator state,
-// retired window contents, and the view).
+// UnregisterQuery removes a registered query: it leaves the holders of every
+// record its plan maps onto, the records left with no holder retire from the
+// dataflow (their state buffers are left to the collector, their windows are
+// discarded), and the query's view is dropped. It returns the number of
+// stored tuples freed (retired operator state, retired window contents, and
+// the view).
 func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 	if e.closed {
 		return 0, ErrClosed
@@ -399,92 +442,39 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 		return 0, fmt.Errorf("exec: UnregisterQuery: handle does not belong to this engine")
 	}
 	q := h.q
-	idx := -1
-	for i, cand := range e.queries {
-		if cand == q {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(e.queries, q)
 	if idx < 0 {
 		return 0, fmt.Errorf("exec: query %s is not registered", q.label())
 	}
 
 	freed += q.view.Len()
-
-	retiredN := map[*plan.PNode]bool{}
-	for _, canon := range q.nodeMap {
-		if e.nodeRefs[canon].Release() == 0 {
-			retiredN[canon] = true
+	for _, n := range q.nodes {
+		if n.release(q) {
+			freed += n.op.StateSize()
+			n.state.Set(0)
+			unindex(e.nodeIndex, n)
 		}
 	}
-	retiredS := map[*plan.PSource]bool{}
-	for _, canon := range q.srcMap {
-		if e.srcRefs[canon].Release() == 0 {
-			retiredS[canon] = true
+	for _, s := range q.srcs {
+		if s.release(q) {
+			freed += s.win.Len()
+			s.win.Discard()
+			unindex(e.srcIndex, s)
 		}
 	}
-
-	for pn := range retiredN {
-		st := e.ops[pn]
-		freed += pn.Op.StateSize()
-		st.state.Set(0)
-		delete(e.ops, pn)
-		if key, ok := e.nodeKey[pn]; ok {
-			e.nodeByKey[key] = removeNode(e.nodeByKey[key], pn)
-			if len(e.nodeByKey[key]) == 0 {
-				delete(e.nodeByKey, key)
-			}
-			delete(e.nodeKey, pn)
-		}
-		delete(e.nodeRefs, pn)
-		delete(e.canonID, pn)
-		delete(e.eager, pn)
-		delete(e.colOut, pn)
+	e.nodes = slices.DeleteFunc(e.nodes, (*liveNode).retired)
+	e.tables = slices.DeleteFunc(e.tables, (*liveNode).retired)
+	e.sources = slices.DeleteFunc(e.sources, (*liveSource).retired)
+	// Only the query's own records can feed a node it retired.
+	intoRetired := func(ed outEdge) bool { return ed.node.retired() }
+	for _, n := range q.nodes {
+		n.outs = slices.DeleteFunc(n.outs, intoRetired)
 	}
-	for s := range retiredS {
-		freed += s.Window.Len()
-		s.Window.Discard()
-		if key, ok := e.srcKey[s]; ok {
-			e.srcByKey[key] = removeSource(e.srcByKey[key], s)
-			if len(e.srcByKey[key]) == 0 {
-				delete(e.srcByKey, key)
-			}
-			delete(e.srcKey, s)
-		}
-		delete(e.srcRefs, s)
-		delete(e.canonID, s)
-		delete(e.colSrc, s)
+	for _, s := range q.srcs {
+		s.outs = slices.DeleteFunc(s.outs, intoRetired)
 	}
 
-	if len(retiredN) > 0 {
-		e.order = filterNodes(e.order, retiredN)
-		e.tables = filterNodes(e.tables, retiredN)
-	}
-	if len(retiredS) > 0 {
-		live := e.sources[:0]
-		for _, s := range e.sources {
-			if !retiredS[s] {
-				live = append(live, s)
-			}
-		}
-		e.sources = live
-	}
-
-	// Sweep surviving cells: drop edges into retired nodes and this query's
-	// sink entries.
-	for _, s := range e.sources {
-		cell := s.Scratch.(*srcCell)
-		cell.outs = filterEdges(cell.outs, retiredN)
-		cell.sinks = removeSink(cell.sinks, q)
-	}
-	for _, pn := range e.order {
-		st := e.ops[pn]
-		st.outs = filterEdges(st.outs, retiredN)
-		st.sinks = removeSink(st.sinks, q)
-	}
-
-	e.queries = append(e.queries[:idx], e.queries[idx+1:]...)
+	e.queries = slices.Delete(e.queries, idx, idx+1)
 	if len(e.queries) > 0 {
 		e.phys, e.view = e.queries[0].phys, e.queries[0].view
 	} else {
@@ -494,56 +484,6 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 	e.recomputeColPath()
 	e.refreshStateGauges()
 	return freed, nil
-}
-
-func removeNode(list []*plan.PNode, n *plan.PNode) []*plan.PNode {
-	out := list[:0]
-	for _, cand := range list {
-		if cand != n {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-func removeSource(list []*plan.PSource, s *plan.PSource) []*plan.PSource {
-	out := list[:0]
-	for _, cand := range list {
-		if cand != s {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-func filterNodes(list []*plan.PNode, drop map[*plan.PNode]bool) []*plan.PNode {
-	out := list[:0]
-	for _, n := range list {
-		if !drop[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func filterEdges(list []outEdge, drop map[*plan.PNode]bool) []outEdge {
-	out := list[:0]
-	for _, ed := range list {
-		if !drop[ed.node] {
-			out = append(out, ed)
-		}
-	}
-	return out
-}
-
-func removeSink(list []*queryUnit, q *queryUnit) []*queryUnit {
-	out := list[:0]
-	for _, cand := range list {
-		if cand != q {
-			out = append(out, cand)
-		}
-	}
-	return out
 }
 
 // Queries returns handles for the live registered queries, in registration
@@ -614,10 +554,10 @@ type SharingStats struct {
 	Queries int
 	// PlanNodes/PlanSources count plan nodes and window sources summed over
 	// every registered query's plan; LiveNodes/LiveSources count the
-	// canonical physical nodes actually executing them.
+	// live records actually executing them.
 	PlanNodes, LiveNodes     int
 	PlanSources, LiveSources int
-	// SharedNodes/SharedSources count canonical nodes referenced by more
+	// SharedNodes/SharedSources count live records held by more
 	// than one query.
 	SharedNodes, SharedSources int
 }
@@ -636,59 +576,22 @@ func (s SharingStats) Ratio() float64 {
 func (e *Engine) Sharing() SharingStats {
 	s := SharingStats{
 		Queries:     len(e.queries),
-		LiveNodes:   len(e.order),
+		LiveNodes:   len(e.nodes),
 		LiveSources: len(e.sources),
 	}
 	for _, q := range e.queries {
-		s.PlanNodes += len(q.nodeMap)
-		s.PlanSources += len(q.srcMap)
+		s.PlanNodes += len(q.nodes)
+		s.PlanSources += len(q.srcs)
 	}
-	for _, rc := range e.nodeRefs {
-		if rc.Count() > 1 {
+	for _, n := range e.nodes {
+		if len(n.holders) > 1 {
 			s.SharedNodes++
 		}
 	}
-	for _, rc := range e.srcRefs {
-		if rc.Count() > 1 {
+	for _, src := range e.sources {
+		if len(src.holders) > 1 {
 			s.SharedSources++
 		}
 	}
 	return s
-}
-
-// sharedWith lists the names of live queries other than q whose plans map
-// onto canonical node canon, sorted, for EXPLAIN share annotations.
-func (e *Engine) sharedWith(canon *plan.PNode, q *queryUnit) []string {
-	var out []string
-	for _, other := range e.queries {
-		if other == q {
-			continue
-		}
-		for _, c := range other.nodeMap {
-			if c == canon {
-				out = append(out, other.label())
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sharedWithSource is sharedWith for window leaves.
-func (e *Engine) sharedWithSource(canon *plan.PSource, q *queryUnit) []string {
-	var out []string
-	for _, other := range e.queries {
-		if other == q {
-			continue
-		}
-		for _, c := range other.srcMap {
-			if c == canon {
-				out = append(out, other.label())
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,12 +3,15 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
+	"repro/internal/operator"
+	"repro/internal/relation"
 )
 
 // Registry checkpoint format. A multi-query engine's dynamic state is one
@@ -21,23 +24,17 @@ import (
 //	coordinator clock (varint)
 //	table section: count, then per unique table (deduplicated across all
 //	  queries) its name and contents
-//	clock + maintenance cursors + global counters
-//	window state, one section per canonical source in registration order
-//	operator state, one section per canonical operator in registration
-//	  (children-first) order
-//	view state, one section per query in registration order
-//	interner + columnar flag
+//	one engine state section (writeSections): every live window, every live
+//	  operator, then one view per query in registration order
 //
 // Shared state is written once — a node serving eight queries contributes
-// one section. The fingerprint pins the full registration sequence (names,
-// plans, order), and the canonical layout is a deterministic function of
-// that sequence, so a restoring engine that was rebuilt by replaying the
-// same registrations lays its sections out identically. A registry that has
-// seen unregistrations restores only into an engine that replayed the same
-// register/unregister history's surviving sequence... which the fingerprint
-// cannot distinguish from a fresh engine registered with the survivors in
-// order — but those two engines differ in canonical layout only if
-// registration order changed, which the fingerprint does encode.
+// one section. The fingerprint pins the live queries (names, plans, order),
+// so the layout is derived from them alone: walk the live queries in
+// registration order, each plan's sources in Sources order and its operators
+// in post-order (tables in pre-order), and take each record at its first
+// visit. An engine that registered the survivors of an unregistration, in
+// order, lays its sections out the same way; for a registry that never
+// unregistered the walk is install order.
 
 // registryFingerprint renders the registration-sequence identity a registry
 // checkpoint must match.
@@ -50,9 +47,34 @@ func (e *Engine) registryFingerprint() string {
 	return b.String()
 }
 
+// layout walks the live queries for the registry section order (see the
+// format comment): the first holder of a record is the first query to visit
+// it, since holders are in registration order.
+func (e *Engine) layout() (tables []*relation.Table, srcs []*liveSource, nodes []*liveNode) {
+	for _, q := range e.queries {
+		for _, n := range q.nodes {
+			top, ok := n.op.(operator.TableOperator)
+			if ok && n.holders[0] == q && !slices.Contains(tables, top.Table()) {
+				tables = append(tables, top.Table())
+			}
+		}
+		for _, s := range q.srcs {
+			if s.holders[0] == q {
+				srcs = append(srcs, s)
+			}
+		}
+		q.postorder(func(n *liveNode) {
+			if n.holders[0] == q {
+				nodes = append(nodes, n)
+			}
+		})
+	}
+	return tables, srcs, nodes
+}
+
 // CheckpointRegistry writes the full multi-query engine state — shared
 // state once, per-query views each — restorable into an engine that
-// registered the same queries in the same order (RestoreRegistry).
+// registered the same live queries in the same order (RestoreRegistry).
 func (e *Engine) CheckpointRegistry(w io.Writer) error {
 	if e.closed {
 		return ErrClosed
@@ -61,51 +83,16 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 	if e.timed {
 		start = time.Now()
 	}
+	tables, srcs, nodes := e.layout()
 	enc := checkpoint.NewEncoder(w)
 	enc.Begin()
 	enc.String(e.registryFingerprint())
 	enc.Uvarint(uint64(len(e.queries)))
 	enc.Varint(e.clock)
-	if err := writeTables(enc, uniqueTables(e.tables)); err != nil {
+	if err := writeTables(enc, tables); err != nil {
 		return err
 	}
-	enc.Varint(e.clock)
-	enc.Varint(e.lastEager)
-	enc.Varint(e.lastLazy)
-	for _, c := range e.counterList() {
-		enc.Varint(c.Value())
-	}
-	enc.Varint(e.met.maxStateTuples.Value())
-	for _, src := range e.sources {
-		if err := src.Window.SaveState(enc); err != nil {
-			return err
-		}
-	}
-	for _, pn := range e.order {
-		s, ok := pn.Op.(checkpoint.Snapshotter)
-		if !ok {
-			return fmt.Errorf("exec: operator %T cannot snapshot", pn.Op)
-		}
-		if err := s.SaveState(enc); err != nil {
-			return err
-		}
-	}
-	for _, q := range e.queries {
-		vs, ok := q.view.(checkpoint.Snapshotter)
-		if !ok {
-			return fmt.Errorf("exec: view %T cannot snapshot", q.view)
-		}
-		if err := vs.SaveState(enc); err != nil {
-			return err
-		}
-	}
-	strs := e.intern.Strings()
-	enc.Uvarint(uint64(len(strs)))
-	for _, s := range strs {
-		enc.String(s)
-	}
-	enc.Bool(e.colOK)
-	if err := enc.Err(); err != nil {
+	if err := e.writeSections(enc, srcs, nodes, e.queries); err != nil {
 		return err
 	}
 	e.met.checkpoints.Inc()
@@ -121,7 +108,8 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 // stream. The registry fingerprint — query names, plans, and registration
 // order — is validated before any state is touched; a mismatch returns
 // *checkpoint.MismatchError and leaves the engine unchanged. The engine
-// should be freshly built with the same registration sequence.
+// should be freshly built by registering the checkpointed engine's live
+// queries in order.
 func (e *Engine) RestoreRegistry(r io.Reader) error {
 	if e.closed {
 		return ErrClosed
@@ -146,58 +134,13 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 		}
 	}
 	dec.Varint() // coordinator clock; the engine's clock travels below
-	if err := readTables(dec, uniqueTables(e.tables)); err != nil {
+	tables, srcs, nodes := e.layout()
+	if err := readTables(dec, tables); err != nil {
 		return err
 	}
-	e.clock = dec.Varint()
-	e.lastEager = dec.Varint()
-	e.lastLazy = dec.Varint()
-	for _, c := range e.counterList() {
-		c.Add(dec.Varint() - c.Value())
-	}
-	e.met.maxStateTuples.SetMax(dec.Varint())
-	for _, src := range e.sources {
-		if err := src.Window.LoadState(dec); err != nil {
-			return err
-		}
-	}
-	for _, pn := range e.order {
-		s, ok := pn.Op.(checkpoint.Snapshotter)
-		if !ok {
-			return fmt.Errorf("exec: operator %T cannot snapshot", pn.Op)
-		}
-		if err := s.LoadState(dec); err != nil {
-			return err
-		}
-	}
-	for _, q := range e.queries {
-		vs, ok := q.view.(checkpoint.Snapshotter)
-		if !ok {
-			return fmt.Errorf("exec: view %T cannot snapshot", q.view)
-		}
-		if err := vs.LoadState(dec); err != nil {
-			return err
-		}
-	}
-	sn := dec.Count()
-	if err := dec.Err(); err != nil {
+	if err := e.readSections(dec, srcs, nodes, e.queries); err != nil {
 		return err
 	}
-	strs := make([]string, 0, sn)
-	for i := 0; i < sn; i++ {
-		strs = append(strs, dec.String())
-	}
-	savedColOK := dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := e.intern.Reset(strs); err != nil {
-		return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	e.colOK = e.colOK && savedColOK
-	e.met.clock.Set(e.clock)
-	e.met.watermark.Set(e.Watermark())
-	e.refreshStateGauges()
 	e.met.restores.Inc()
 	if e.timed {
 		e.met.restoreNanos.Observe(time.Since(start).Nanoseconds())
@@ -208,7 +151,7 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 // Checkpoint writes this query's slice of the registry in the standalone
 // single-engine format: a stream restorable into a plain engine built from
 // the same plan (exec.New / the facade's Compile). Shared state is written
-// through the query's canonical mapping, so the extracted engine carries
+// through the query's records, so the extracted engine carries
 // exactly the windows, operator state, and view this query observes.
 // Cumulative counters are registry-wide (per-query counters exist only as
 // metric series), so the extracted engine's Stats over-report if other

@@ -81,8 +81,8 @@ func TestRegistrySharesIdenticalPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.sources) != 1 || len(e.order) != 1 {
-		t.Fatalf("identical plans did not dedupe: %d sources, %d operators", len(e.sources), len(e.order))
+	if len(e.sources) != 1 || len(e.nodes) != 1 {
+		t.Fatalf("identical plans did not dedupe: %d sources, %d operators", len(e.sources), len(e.nodes))
 	}
 	s := e.Sharing()
 	if s.Queries != 2 || s.LiveNodes != 1 || s.PlanNodes != 2 || s.SharedNodes != 1 || s.SharedSources != 1 {
@@ -143,8 +143,8 @@ func TestRegistrySharedGroupByColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.order) != 1 || len(e.sources) != 1 {
-		t.Fatalf("identical group-by plans did not dedupe: %d sources, %d operators", len(e.sources), len(e.order))
+	if len(e.nodes) != 1 || len(e.sources) != 1 {
+		t.Fatalf("identical group-by plans did not dedupe: %d sources, %d operators", len(e.sources), len(e.nodes))
 	}
 	if !e.colOK {
 		t.Fatal("shared group-by plan did not engage the columnar path")
@@ -189,8 +189,8 @@ func TestRegistrySharedPrefixPrivateTop(t *testing.T) {
 	if len(e.sources) != 2 {
 		t.Fatalf("windows not shared: %d sources", len(e.sources))
 	}
-	if len(e.order) != 1+len(cutoffs) {
-		t.Fatalf("join not shared: %d operators, want %d", len(e.order), 1+len(cutoffs))
+	if len(e.nodes) != 1+len(cutoffs) {
+		t.Fatalf("join not shared: %d operators, want %d", len(e.nodes), 1+len(cutoffs))
 	}
 
 	pushScript(120, func(st int, ts int64, vals ...tuple.Value) {
@@ -227,8 +227,8 @@ func TestRegistryMixedStrategiesDontShareSources(t *testing.T) {
 	}
 	// The NT window is materialized, the UPA one is not: the descriptor
 	// differs, so nothing dedupes and each query keeps its expiry policy.
-	if len(e.sources) != 2 || len(e.order) != 2 {
-		t.Fatalf("cross-strategy plans shared: %d sources, %d operators", len(e.sources), len(e.order))
+	if len(e.sources) != 2 || len(e.nodes) != 2 {
+		t.Fatalf("cross-strategy plans shared: %d sources, %d operators", len(e.sources), len(e.nodes))
 	}
 	stdU := buildEngine(t, selPlan(30, "ftp"), plan.UPA, Config{})
 	stdN := buildEngine(t, selPlan(30, "ftp"), plan.NT, Config{})
@@ -293,25 +293,21 @@ func TestRegistryDuplicateNameRejected(t *testing.T) {
 	}
 }
 
-// registryEmpty asserts every canonical structure drained to zero.
+// registryEmpty asserts the record slices and the share-key indexes drained
+// to zero.
 func registryEmpty(t *testing.T, e *Engine) {
 	t.Helper()
 	if n := len(e.queries); n != 0 {
 		t.Fatalf("%d queries left", n)
 	}
 	checks := map[string]int{
-		"order":     len(e.order),
-		"sources":   len(e.sources),
-		"tables":    len(e.tables),
-		"ops":       len(e.ops),
-		"nodeByKey": len(e.nodeByKey),
-		"srcByKey":  len(e.srcByKey),
-		"nodeKey":   len(e.nodeKey),
-		"srcKey":    len(e.srcKey),
-		"nodeRefs":  len(e.nodeRefs),
-		"srcRefs":   len(e.srcRefs),
-		"canonID":   len(e.canonID),
-		"eager":     len(e.eager),
+		"nodes":      len(e.nodes),
+		"sources":    len(e.sources),
+		"tables":     len(e.tables),
+		"eagerNodes": len(e.eagerNodes),
+		"lazyNodes":  len(e.lazyNodes),
+		"nodeIndex":  len(e.nodeIndex),
+		"srcIndex":   len(e.srcIndex),
 	}
 	for name, n := range checks {
 		if n != 0 {
@@ -352,8 +348,8 @@ func TestRegistryUnregisterRetiresOrphans(t *testing.T) {
 	}
 	// The shared join and both windows survive for b; only a's private
 	// selection retired.
-	if len(e.sources) != 2 || len(e.order) != 2 {
-		t.Fatalf("after unregister(a): %d sources, %d operators", len(e.sources), len(e.order))
+	if len(e.sources) != 2 || len(e.nodes) != 2 {
+		t.Fatalf("after unregister(a): %d sources, %d operators", len(e.sources), len(e.nodes))
 	}
 	if _, err := e.UnregisterQuery(h1); err == nil {
 		t.Fatal("double unregister accepted")
@@ -385,90 +381,139 @@ func TestRegistryUnregisterRetiresOrphans(t *testing.T) {
 
 func TestRegistryChurn(t *testing.T) {
 	// Random register/push/unregister churn: the property under test is the
-	// canonical bookkeeping — refcounts drain to zero, retired nodes leave no
-	// state, edges never dangle.
+	// record bookkeeping — holders drain to zero, retired records leave no
+	// state, edges never dangle — and the registry checkpoint: at random
+	// steps a fresh engine registers the survivors by name, in order,
+	// restores the checkpoint, and must then answer like the original.
 	rng := rand.New(rand.NewSource(7))
-	e := NewMulti(Config{})
 	shapes := []func() *plan.Node{
 		func() *plan.Node { return selPlan(30, "http") },
 		func() *plan.Node { return selPlan(30, "ftp") },
 		func() *plan.Node { return joinPlan(50) },
 		func() *plan.Node { return selPlan(70, "smtp") },
 	}
-	var live []*QueryHandle
+	type liveQuery struct {
+		h     *QueryHandle
+		shape int
+		strat plan.Strategy
+	}
+	register := func(e *Engine, name string, shape int, strat plan.Strategy) *QueryHandle {
+		h, err := e.RegisterQuery(QuerySpec{Name: name, Phys: buildPhys(t, shapes[shape](), strat, plan.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	e := NewMulti(Config{})
+	var live []liveQuery
 	ts := int64(0)
-	for step := 0; step < 200; step++ {
-		switch {
-		case len(live) == 0 || rng.Intn(3) == 0:
-			shape := shapes[rng.Intn(len(shapes))]()
-			strat := plan.UPA
-			if rng.Intn(4) == 0 {
-				strat = plan.NT
+	// push feeds n ticks to every engine, skipping streams no query reads.
+	push := func(n int, engines ...*Engine) {
+		streams := map[int]bool{}
+		for _, id := range e.Streams() {
+			streams[id] = true
+		}
+		for k := 0; k < n; k++ {
+			ts++
+			if !streams[int(ts)%2] {
+				continue
 			}
-			h, err := e.RegisterQuery(QuerySpec{Phys: buildPhys(t, shape, strat, plan.Options{})})
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, h)
-		case rng.Intn(2) == 0 && len(live) > 1:
-			i := rng.Intn(len(live))
-			if _, err := e.UnregisterQuery(live[i]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-		default:
-			streams := map[int]bool{}
-			for _, id := range e.Streams() {
-				streams[id] = true
-			}
-			for k := 0; k < 5; k++ {
-				ts++
-				if !streams[int(ts)%2] {
-					continue // no live query reads this stream right now
-				}
-				err := e.Push(int(ts)%2, ts, tuple.Int(ts%5), tuple.String_(protos[int(ts)%len(protos)]), tuple.Int(ts*3%90))
+			for _, eng := range engines {
+				err := eng.Push(int(ts)%2, ts, tuple.Int(ts%5), tuple.String_(protos[int(ts)%len(protos)]), tuple.Int(ts*3%90))
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		// Invariants: one stats cell per live operator, refcounts sum to the
-		// total mapped plan nodes, every consumer edge targets a live node.
-		if len(e.ops) != len(e.order) {
-			t.Fatalf("step %d: %d stats cells, %d operators", step, len(e.ops), len(e.order))
+	}
+	cuts := 0
+	for step := 0; step < 200; step++ {
+		switch {
+		case len(live) == 0 || rng.Intn(3) == 0:
+			shape := rng.Intn(len(shapes))
+			strat := plan.UPA
+			if rng.Intn(4) == 0 {
+				strat = plan.NT
+			}
+			live = append(live, liveQuery{register(e, fmt.Sprintf("c%d", step), shape, strat), shape, strat})
+		case rng.Intn(2) == 0 && len(live) > 1:
+			i := rng.Intn(len(live))
+			if _, err := e.UnregisterQuery(live[i].h); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		case rng.Intn(6) == 0:
+			var buf bytes.Buffer
+			if err := e.CheckpointRegistry(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fresh := NewMulti(Config{})
+			var hs []*QueryHandle
+			for _, lq := range live {
+				hs = append(hs, register(fresh, lq.h.Name(), lq.shape, lq.strat))
+			}
+			if err := fresh.RestoreRegistry(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			push(60, e, fresh)
+			for i, lq := range live {
+				want, err := lq.h.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := hs[i].Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := reference.RowsOf(got), reference.RowsOf(want); !reference.SameBag(g, w) {
+					t.Fatalf("step %d: restored %s diverged\ngot:\n%swant:\n%s",
+						step, lq.h.Name(), reference.Render(g), reference.Render(w))
+				}
+			}
+			cuts++
+		default:
+			push(5, e)
 		}
-		wantRefs := 0
+		// Invariants: one stats cell per live operator, holders sum to the
+		// total plan nodes, every consumer edge targets a live node.
+		holders := 0
+		for _, n := range e.nodes {
+			holders += len(n.holders)
+			if n.opStats.inPos == nil {
+				t.Fatalf("step %d: live node without a stats cell", step)
+			}
+		}
+		planNodes := 0
 		for _, q := range e.queries {
-			wantRefs += len(q.nodeMap)
+			planNodes += len(q.nodes)
 		}
-		gotRefs := 0
-		for _, rc := range e.nodeRefs {
-			gotRefs += rc.Count()
+		if holders != planNodes {
+			t.Fatalf("step %d: node holders sum %d, want %d", step, holders, planNodes)
 		}
-		if gotRefs != wantRefs {
-			t.Fatalf("step %d: node refcounts sum %d, want %d", step, gotRefs, wantRefs)
-		}
-		liveNode := map[*plan.PNode]bool{}
-		for _, pn := range e.order {
-			liveNode[pn] = true
+		liveNode := map[*liveNode]bool{}
+		for _, n := range e.nodes {
+			liveNode[n] = true
 		}
 		for _, src := range e.sources {
-			for _, ed := range src.Scratch.(*srcCell).outs {
+			for _, ed := range src.outs {
 				if !liveNode[ed.node] {
 					t.Fatalf("step %d: source edge targets retired node", step)
 				}
 			}
 		}
-		for _, pn := range e.order {
-			for _, ed := range e.ops[pn].outs {
+		for _, n := range e.nodes {
+			for _, ed := range n.outs {
 				if !liveNode[ed.node] {
 					t.Fatalf("step %d: operator edge targets retired node", step)
 				}
 			}
 		}
 	}
-	for _, h := range live {
-		if _, err := e.UnregisterQuery(h); err != nil {
+	if cuts == 0 {
+		t.Fatal("the schedule took no checkpoint cut")
+	}
+	for _, lq := range live {
+		if _, err := e.UnregisterQuery(lq.h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,6 +582,72 @@ func TestRegistryCheckpointRestore(t *testing.T) {
 	}
 	if err := e3.RestoreRegistry(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("fingerprint mismatch accepted")
+	}
+}
+
+// TestRegistryRestoreAfterUnregister checkpoints a registry that has lost a
+// query whose window a survivor shares, and restores it into a fresh registry
+// that registered only the survivor. The shared stream-1 window was installed
+// first by the departed query, so install order puts it before the
+// survivor's stream-0 window while the fresh registry installs them the other
+// way round; the sections must follow the survivors, not the install order.
+func TestRegistryRestoreAfterUnregister(t *testing.T) {
+	sel1 := func() *plan.Node {
+		src := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 60}, linkSchema())
+		return plan.NewSelect(src, operator.ColConst{Col: 1, Op: operator.EQ, Val: tuple.String_("ftp")})
+	}
+	e := NewMulti(Config{})
+	a, err := e.RegisterQuery(QuerySpec{Name: "a", Phys: buildPhys(t, sel1(), plan.NT, plan.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.RegisterQuery(QuerySpec{Name: "b", Phys: buildPhys(t, joinPlan(20), plan.NT, plan.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushScript(50, func(st int, ts int64, vals ...tuple.Value) {
+		if err := e.Push(st, ts, vals...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, err := e.UnregisterQuery(a); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.CheckpointRegistry(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewMulti(Config{})
+	fb, err := fresh.RegisterQuery(QuerySpec{Name: "b", Phys: buildPhys(t, joinPlan(20), plan.NT, plan.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreRegistry(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	pushScript(120, func(st int, ts int64, vals ...tuple.Value) {
+		for _, eng := range []*Engine{e, fresh} {
+			if err := eng.Push(st, ts+50, vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	want, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fb.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := reference.RowsOf(got), reference.RowsOf(want); !reference.SameBag(g, w) {
+		t.Fatalf("restored survivor diverged\ngot:\n%swant:\n%s", reference.Render(g), reference.Render(w))
+	}
+	for _, r := range got {
+		if r.Exp < r.TS {
+			t.Fatalf("restored view holds %s, which expires before its timestamp", r)
+		}
 	}
 }
 

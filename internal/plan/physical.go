@@ -116,13 +116,6 @@ type PNode struct {
 	Class   core.OpClass
 	Pattern core.Pattern
 	Inputs  []*PNode // nil entries are source-fed edges
-	Parent  *PNode
-	Side    int // input side of Parent this node feeds
-	// Scratch is executor-owned: the engine bound to this plan caches its
-	// per-operator stats cell here so the per-tuple hot path avoids a map
-	// lookup. A Physical is bound to at most one executor (operators already
-	// carry engine-owned state), so there is no sharing to guard.
-	Scratch any
 }
 
 // PSource is one base-stream window leaf.
@@ -135,9 +128,6 @@ type PSource struct {
 	// Consumer means the source feeds the materialized view directly.
 	Consumer *PNode
 	Side     int
-	// Scratch is executor-owned: the engine bound to this plan caches its
-	// per-source cell (consumer fan-out edges, expiry policy) here.
-	Scratch any
 }
 
 // Physical is an executable plan: operators constructed and wired, sources
@@ -212,9 +202,7 @@ func (p *Physical) build(n *Node, opts Options) (*PNode, error) {
 	pn.Class = op.Class()
 	for i, c := range children {
 		if c != nil {
-			c.Parent = pn
-			c.Side = i
-			continue
+			continue // its sources feed operators inside it
 		}
 		// The child edge is a source (or a table-only edge): bind any
 		// sources registered while building it to this operator input.

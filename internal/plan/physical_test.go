@@ -27,26 +27,22 @@ func TestBuildRequiresAnnotation(t *testing.T) {
 	}
 }
 
-func TestBuildWiresSourcesAndParents(t *testing.T) {
+func TestBuildWiresSourcesAndInputs(t *testing.T) {
 	p := buildFor(t, q1Plan(100, "ftp"), UPA, Options{})
 	if len(p.Sources) != 2 {
 		t.Fatalf("sources = %d", len(p.Sources))
 	}
-	for _, src := range p.Sources {
-		if src.Consumer == nil || src.Consumer.Class != core.OpSelect {
-			t.Errorf("source S%d consumer wrong", src.StreamID)
+	if p.Root == nil || p.Root.Class != core.OpJoin || len(p.Root.Inputs) != 2 {
+		t.Fatal("root must be the binary join")
+	}
+	for i, src := range p.Sources {
+		sel := p.Root.Inputs[i]
+		if sel == nil || sel.Class != core.OpSelect {
+			t.Fatalf("join input %d is not a selection", i)
 		}
-	}
-	if p.Root == nil || p.Root.Class != core.OpJoin {
-		t.Fatal("root must be the join")
-	}
-	for _, c := range p.Root.Inputs {
-		if c == nil || c.Parent != p.Root {
-			t.Error("child parent wiring")
+		if src.Consumer != sel || src.Side != 0 {
+			t.Errorf("source S%d feeds %v side %d, want join input %d side 0", src.StreamID, src.Consumer, src.Side, i)
 		}
-	}
-	if p.Root.Inputs[0].Side != 0 || p.Root.Inputs[1].Side != 1 {
-		t.Error("child side wiring")
 	}
 }
 

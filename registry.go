@@ -216,13 +216,15 @@ func (r *Registry) Metrics() *MetricsRegistry { return r.e.Metrics() }
 func (r *Registry) Health() *HealthMonitor { return r.health }
 
 // Checkpoint writes the full multi-query state — shared operator and window
-// state once, per-query views each — restorable by a registry that
-// registered the same queries (same names, plans, order); see Restore.
+// state once, per-query views each — restorable by a fresh registry that
+// registered the live queries (same names, plans, order); see Restore. After
+// an Unregister that means registering only the survivors, in order: the
+// layout follows the live queries, not the history that built the registry.
 // Single-query extraction is Query.Checkpoint.
 func (r *Registry) Checkpoint(w io.Writer) error { return r.e.CheckpointRegistry(w) }
 
 // Restore rehydrates a freshly built registry from a Checkpoint stream. The
-// checkpoint's registration fingerprint — query names, plans, and order —
+// checkpoint's fingerprint — the live queries' names, plans, and order —
 // is validated first; a disagreement fails with *MismatchError before any
 // state is touched.
 func (r *Registry) Restore(rd io.Reader) error { return r.e.RestoreRegistry(rd) }

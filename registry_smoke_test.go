@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,8 +12,13 @@ import (
 // TestRegistryCISmoke is the CI multi-query smoke: register 8 queries on one
 // registry, push traffic, unregister half, push more, and require (a) every
 // survivor's view to stay bag-equal to a standalone twin fed the same
-// arrivals, (b) unregistration to free state, and (c) the /debug/plan page
-// to carry "shared with" annotations.
+// arrivals, (b) unregistration to free state, (c) the /debug/plan page to
+// carry "shared with" annotations, and (d) a checkpoint taken after the
+// unregistration to restore into a fresh registry that registered only the
+// survivors, which must then match the twins too. The NT survivor's windows
+// travel with their contents, and the departed q2-link1 installed the
+// stream-1 window and distinct it shares, so install order is not the
+// survivors' order.
 func TestRegistryCISmoke(t *testing.T) {
 	sch := connSchema()
 	w := func(link int) repro.Node { return repro.Stream(link, sch, repro.TimeWindow(30)) }
@@ -27,16 +33,17 @@ func TestRegistryCISmoke(t *testing.T) {
 	// push loop stays valid after the odd half is unregistered.
 	specs := []struct {
 		name  string
+		strat repro.Strategy
 		build func() repro.Node
 	}{
-		{"q5-pushdown", paper["q5-pushdown"]},
-		{"q3-negation", paper["q3-negation"]},
-		{"q1-ftp", paper["q1-join"]},
-		{"q4-distinct-join", paper["q4-distinct-join"]},
-		{"q2-distinct", paper["q2-distinct"]},
-		{"j-smtp", join("smtp")},
-		{"j-telnet", join("telnet")},
-		{"j-http", join("http")},
+		{"q5-pushdown", repro.UPA, paper["q5-pushdown"]},
+		{"q2-link1", repro.NT, func() repro.Node { return w(1).Select("src").Distinct() }},
+		{"q4-distinct-join", repro.NT, paper["q4-distinct-join"]},
+		{"q3-negation", repro.UPA, paper["q3-negation"]},
+		{"q2-distinct", repro.UPA, paper["q2-distinct"]},
+		{"j-smtp", repro.UPA, join("smtp")},
+		{"q1-ftp", repro.UPA, paper["q1-join"]},
+		{"j-http", repro.UPA, join("http")},
 	}
 	reg, err := repro.NewRegistry()
 	if err != nil {
@@ -46,11 +53,11 @@ func TestRegistryCISmoke(t *testing.T) {
 	handles := make([]*repro.Query, len(specs))
 	twins := make([]*repro.Engine, len(specs))
 	for i, s := range specs {
-		if handles[i], err = reg.Register(s.build(), repro.UPA, repro.WithQueryName(s.name)); err != nil {
+		if handles[i], err = reg.Register(s.build(), s.strat, repro.WithQueryName(s.name)); err != nil {
 			t.Fatalf("register %s: %v", s.name, err)
 		}
 		if i%2 == 0 {
-			if twins[i], err = repro.Compile(s.build(), repro.UPA); err != nil {
+			if twins[i], err = repro.Compile(s.build(), s.strat); err != nil {
 				t.Fatalf("compile twin %s: %v", s.name, err)
 			}
 		}
@@ -68,7 +75,7 @@ func TestRegistryCISmoke(t *testing.T) {
 
 	protos := []string{"ftp", "telnet", "smtp", "http"}
 	ts := int64(0)
-	push := func(n int) {
+	push := func(n int, regs ...*repro.Registry) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			ts++
@@ -76,8 +83,10 @@ func TestRegistryCISmoke(t *testing.T) {
 			vals := []repro.Value{
 				repro.Int(ts * 7 % 13), repro.Int(ts * 3 % 7), repro.Str(protos[int(ts)%4]),
 			}
-			if err := reg.Push(stream, ts, vals...); err != nil {
-				t.Fatal(err)
+			for _, r := range regs {
+				if err := r.Push(stream, ts, vals...); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for _, tw := range twins {
 				if tw == nil {
@@ -94,7 +103,7 @@ func TestRegistryCISmoke(t *testing.T) {
 			}
 		}
 	}
-	push(120)
+	push(120, reg)
 	freed := 0
 	for i := 1; i < len(specs); i += 2 {
 		n, err := reg.Unregister(handles[i])
@@ -109,19 +118,42 @@ func TestRegistryCISmoke(t *testing.T) {
 	if n := len(reg.Queries()); n != len(specs)/2 {
 		t.Fatalf("%d queries live after unregistering half, want %d", n, len(specs)/2)
 	}
-	push(120)
+
+	var ckpt bytes.Buffer
+	if err := reg.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := repro.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	resumed := make([]*repro.Query, len(specs))
 	for i := 0; i < len(specs); i += 2 {
-		rows, err := handles[i].Snapshot()
-		if err != nil {
-			t.Fatalf("%s snapshot: %v", specs[i].name, err)
+		s := specs[i]
+		if resumed[i], err = restored.Register(s.build(), s.strat, repro.WithQueryName(s.name)); err != nil {
+			t.Fatalf("register survivor %s: %v", s.name, err)
 		}
+	}
+	if err := restored.Restore(&ckpt); err != nil {
+		t.Fatalf("restore after unregistering half: %v", err)
+	}
+
+	push(120, reg, restored)
+	for i := 0; i < len(specs); i += 2 {
 		want, err := twins[i].Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, wantBag := bagOf(rows), bagOf(want); got != wantBag {
-			t.Errorf("%s diverged from standalone after churn\ngot:\n%s\nwant:\n%s",
-				specs[i].name, got, wantBag)
+		for who, h := range map[string]*repro.Query{"registry": handles[i], "restored registry": resumed[i]} {
+			rows, err := h.Snapshot()
+			if err != nil {
+				t.Fatalf("%s snapshot: %v", specs[i].name, err)
+			}
+			if got, wantBag := bagOf(rows), bagOf(want); got != wantBag {
+				t.Errorf("%s: %s diverged from standalone after churn\ngot:\n%s\nwant:\n%s",
+					who, specs[i].name, got, wantBag)
+			}
 		}
 	}
 }
