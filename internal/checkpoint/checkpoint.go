@@ -82,8 +82,10 @@ type Snapshotter interface {
 // latches: subsequent calls are no-ops and Err returns it. Methods therefore
 // need no individual error checks; callers consult Err once at the end.
 type Encoder struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
+	w io.Writer
+	// buf stages varints, single bytes and pieces of strings, so no write
+	// hands io.Writer a slice that escapes and allocates.
+	buf [64]byte
 	n   int64
 	err error
 }
@@ -108,9 +110,26 @@ func (e *Encoder) write(p []byte) {
 	}
 }
 
+// writeString writes s through buf a piece at a time: converting s to a byte
+// slice would escape through io.Writer and allocate, and io.WriteString does
+// exactly that for a writer without a WriteString method.
+func (e *Encoder) writeString(s string) {
+	for len(s) > 0 && e.err == nil {
+		n := copy(e.buf[:], s)
+		e.write(e.buf[:n])
+		s = s[n:]
+	}
+}
+
+// writeByte writes one byte through the Encoder's own buffer.
+func (e *Encoder) writeByte(b byte) {
+	e.buf[0] = b
+	e.write(e.buf[:1])
+}
+
 // Begin writes the format magic and version; the first call on any stream.
 func (e *Encoder) Begin() {
-	e.write([]byte(magic))
+	e.writeString(magic)
 	e.Uvarint(Version)
 }
 
@@ -129,16 +148,16 @@ func (e *Encoder) Varint(v int64) {
 // Bool writes a boolean as one byte.
 func (e *Encoder) Bool(b bool) {
 	if b {
-		e.write([]byte{1})
+		e.writeByte(1)
 	} else {
-		e.write([]byte{0})
+		e.writeByte(0)
 	}
 }
 
 // String writes a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
-	e.write([]byte(s))
+	e.writeString(s)
 }
 
 // Float writes a float64 as the varint of its IEEE-754 bits, round-tripping
@@ -150,7 +169,7 @@ func (e *Encoder) Float(f float64) {
 // Value writes one column value: a kind byte followed by the kind-specific
 // payload (nothing for null).
 func (e *Encoder) Value(v tuple.Value) {
-	e.write([]byte{byte(v.Kind)})
+	e.writeByte(byte(v.Kind))
 	switch v.Kind {
 	case tuple.KindInt:
 		e.Varint(v.I)

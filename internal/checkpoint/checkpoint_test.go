@@ -3,11 +3,37 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/tuple"
 )
+
+// TestEncoderTupleAllocFree writes a row with a string, a bool and a kind
+// byte per value without allocating, to a writer that has Write alone:
+// nothing is converted into a slice that escapes through io.Writer. A string
+// longer than the Encoder's buffer goes out in pieces, byte for byte what a
+// writer taking the whole string receives.
+func TestEncoderTupleAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation budgets are meaningless under -race")
+	}
+	long := strings.Repeat("a string longer than the staging buffer ", 3)
+	row := tuple.Tuple{TS: 3, Exp: 9, Neg: true, Vals: []tuple.Value{tuple.Int(7), tuple.String_("ftp"), tuple.Float(2.5), tuple.Null, tuple.String_(long)}}
+	enc := NewEncoder(struct{ io.Writer }{io.Discard})
+	if got := testing.AllocsPerRun(100, func() { enc.Tuple(row) }); got != 0 {
+		t.Errorf("Encoder.Tuple: %.1f allocs, want 0", got)
+	}
+	var whole, pieces bytes.Buffer
+	NewEncoder(&whole).Tuple(row)
+	NewEncoder(struct{ io.Writer }{&pieces}).Tuple(row)
+	if !bytes.Equal(whole.Bytes(), pieces.Bytes()) {
+		t.Errorf("a Write-only writer received %q, want %q", pieces.Bytes(), whole.Bytes())
+	}
+}
 
 func TestPrimitiveRoundTrip(t *testing.T) {
 	var buf bytes.Buffer

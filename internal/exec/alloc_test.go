@@ -175,18 +175,29 @@ func TestColIngestAllocBudget(t *testing.T) {
 }
 
 // pushAllocBudget holds single-tuple Push — a run of one on the row chain —
-// to the allocations per 64 arrivals measured on the per-tuple operator chain
-// it replaced (the commit before Operator.Process was removed: 102 for
-// Q1/UPA, 293 for Q5/UPA, deterministic). A run of one must never cost more
-// than that chain did: no per-call run slice, no unpooled Emit, no per-call
-// emission slices. Measured after the change: 51 and 204. The ⋈NRR plan is
-// held to one allocation per matched row, the result's Concat: every arrival
-// matches one row, and the probe itself allocates nothing (the commit before
-// relations moved onto statebuf.Table paid 4 per Push, 3 of them in the probe).
+// to the allocations per 64 arrivals measured, per query and strategy, once
+// DIRECT's list moved onto the FIFO's pages and Project onto 16-row value
+// blocks (deterministic). What is left escapes: join results (Concat), one
+// Project block per 16 rows, and under NT each window's negatives. The commit
+// before measured 234 for Q1, 254 for Q2, 310 for Q5 and 200 for ⋈NRR under
+// DIRECT (a list element and a boxed tuple per insert, a visitor closure per
+// probe, a fresh slice per expiry pass), and 72 and 64 for Q2 under NT and
+// UPA (one projection array per run of one). The ⋈NRR plan pays one
+// allocation per matched row: every arrival matches one row, and the probe
+// itself allocates nothing.
 var pushAllocBudget = map[string]float64{
-	"Q1-join-of-selects": 102,
-	"Q5-negation-join":   293,
-	"nrr-join":           64,
+	"Q1-join-of-selects/NT":      96,
+	"Q1-join-of-selects/DIRECT":  48,
+	"Q1-join-of-selects/UPA":     48,
+	"Q2-distinct-project/NT":     8,
+	"Q2-distinct-project/DIRECT": 4,
+	"Q2-distinct-project/UPA":    4,
+	"Q5-negation-join/NT":        86,
+	"Q5-negation-join/DIRECT":    68,
+	"Q5-negation-join/UPA":       68,
+	"nrr-join/NT":                128,
+	"nrr-join/DIRECT":            64,
+	"nrr-join/UPA":               64,
 }
 
 // nrrAllocQuery is a window ⋈NRR a table holding one row per key the trace
@@ -209,33 +220,40 @@ func TestPushAllocBudget(t *testing.T) {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
 	for _, q := range append(ckptQueries(), nrrAllocQuery()) {
-		budget, ok := pushAllocBudget[q.name]
-		if !ok {
+		if _, ok := pushAllocBudget[q.name+"/"+plan.UPA.String()]; !ok {
 			continue
 		}
 		t.Run(q.name, func(t *testing.T) {
-			eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
-			r := rand.New(rand.NewSource(17))
-			vals := make([][]tuple.Value, 64)
-			for i := range vals {
-				vals[i] = rndTuple(r)
-			}
-			base := int64(0)
-			runOnce := func() {
-				for i, v := range vals {
-					if err := eng.Push(i%q.streams, base+int64(i/8), v...); err != nil {
-						t.Fatal(err)
-					}
+			for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
+				budget, ok := pushAllocBudget[q.name+"/"+strat.String()]
+				if !ok {
+					continue
 				}
-				base += 8
-			}
-			for i := 0; i < 64; i++ {
-				runOnce()
-			}
-			got := testing.AllocsPerRun(100, runOnce)
-			t.Logf("steady-state Push: %.1f allocs per 64 arrivals (%.2f/tuple)", got, got/64)
-			if got > budget {
-				t.Errorf("steady-state Push: %.1f allocs per 64 arrivals, budget %.1f", got, budget)
+				t.Run(strat.String(), func(t *testing.T) {
+					eng := buildExecutor(t, q, strat, 1).(*Engine)
+					r := rand.New(rand.NewSource(17))
+					vals := make([][]tuple.Value, 64)
+					for i := range vals {
+						vals[i] = rndTuple(r)
+					}
+					base := int64(0)
+					runOnce := func() {
+						for i, v := range vals {
+							if err := eng.Push(i%q.streams, base+int64(i/8), v...); err != nil {
+								t.Fatal(err)
+							}
+						}
+						base += 8
+					}
+					for i := 0; i < 64; i++ {
+						runOnce()
+					}
+					got := testing.AllocsPerRun(100, runOnce)
+					t.Logf("steady-state Push: %.1f allocs per 64 arrivals (%.2f/tuple)", got, got/64)
+					if got > budget {
+						t.Errorf("steady-state Push: %.1f allocs per 64 arrivals, budget %.1f", got, budget)
+					}
+				})
 			}
 		})
 	}

@@ -23,7 +23,10 @@ import (
 // moved onto the keyed store: its join sides, δ inputs and view are five hash
 // buffers. The intersections are 4a2a3e9's, before negation and intersection
 // filed slab entries in their calendars: under NT that commit's intersection
-// filed every support in calendars it never expired.
+// filed every support in calendars it never expired. The DIRECT ones are
+// 5c9fe3b's, before the list moved onto the FIFO's paged deque: Q1's join
+// sides, Q2's distinct input and representative index, and both views are
+// lists.
 //
 // parentBytes marks a cut that this commit writes byte for byte. tieBroken
 // marks one whose writer, before the cut, took W1 twins with equal TS out of
@@ -63,6 +66,8 @@ func goldenCheckpoints() []goldenCheckpoint {
 		{file: "q4_nt.ckpt", q: q4, strat: plan.NT, shards: 1, parentBytes: true},
 		{file: "intersect_upa.ckpt", q: isect, strat: plan.UPA, shards: 1},
 		{file: "intersect_nt.ckpt", q: isect, strat: plan.NT, shards: 1},
+		{file: "q1_direct.ckpt", q: qs[0], strat: plan.Direct, shards: 1, parentBytes: true},
+		{file: "q2_direct.ckpt", q: qs[1], strat: plan.Direct, shards: 1, parentBytes: true},
 	}
 }
 

@@ -3,8 +3,8 @@ package operator
 // Allocation-regression gate for the stateless batch fast path. These budgets
 // are the point of ProcessBatch: once the Emit buffer has warmed to capacity,
 // Select and Union must process a whole run without a single heap allocation,
-// and Project must pay exactly one (the shared backing array for the batch's
-// projected rows). A failure here means a change re-introduced per-tuple
+// and Project at most one per projectBlockRows rows (the value block its rows
+// are carved from). A failure here means a change re-introduced per-tuple
 // allocations on the hot path — fix the change, don't raise the budget
 // without a recorded benchmark justifying it.
 //
@@ -92,12 +92,21 @@ func TestProjectBatchSingleAlloc(t *testing.T) {
 	if err := p.ProcessBatch(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
-	// One allocation per batch — the shared Value backing array all projected
-	// rows sub-slice — instead of one per tuple.
-	allocBudget(t, "Project.ProcessBatch", 1, func() {
+	// At most one allocation per projectBlockRows rows, whether the rows come
+	// as one run or as runs of one arrival each.
+	budget := float64(len(in)) / projectBlockRows
+	allocBudget(t, "Project.ProcessBatch of one run", budget, func() {
 		out.Reset()
 		if err := p.ProcessBatch(0, in, 10, out); err != nil {
 			t.Fatal(err)
+		}
+	})
+	allocBudget(t, "Project.ProcessBatch of single-arrival runs", budget, func() {
+		for i := range in {
+			out.Reset()
+			if err := p.ProcessBatch(0, in[i:i+1], 10, out); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -184,6 +184,8 @@ func (d *Distinct) Advance(now int64) ([]tuple.Tuple, error) {
 	d.clock = now
 	out := &d.advOut
 	out.Reset()
+	// The wave is the index's expiry scratch; represent inserts into the
+	// index's store, not into the wave, so it may run while the loop iterates.
 	for _, rep := range d.expIdx.ExpireUpTo(now) {
 		ref := d.reps.FindRow(rep, d.allCols)
 		if ref == 0 {

@@ -60,12 +60,15 @@ const noExpiry = int64(-1) << 62
 
 // probeAppend collects the live (non-expired) tuples in buf whose key over
 // keyCols equals k into dst, using the buffer's keyed probe when it has one
-// and a filtered scan otherwise (the linked-list probing of the DIRECT
-// baseline). Hot operators keep a scratch slice, so steady-state probing
-// allocates nothing.
+// and a filtered scan otherwise: the DIRECT list's own ScanAppend, or Scan
+// with a visitor for any other buffer. Hot operators keep a scratch slice, so
+// steady-state probing allocates nothing.
 func probeAppend(buf statebuf.Buffer, keyCols []int, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
-	if pa, ok := buf.(statebuf.ProbeAppender); ok {
-		return pa.ProbeAppend(k, now, dst)
+	switch b := buf.(type) {
+	case statebuf.ProbeAppender:
+		return b.ProbeAppend(k, now, dst)
+	case *statebuf.ListBuffer:
+		return b.ScanAppend(keyCols, k, now, dst)
 	}
 	return scanAppend(buf, keyCols, k, now, dst)
 }

@@ -59,12 +59,22 @@ func (s *Select) StateSize() int { return 0 }
 // Touched implements Operator.
 func (s *Select) Touched() int64 { return 0 }
 
+// projectBlockRows is how many projected rows one value block holds. Rows
+// escape downstream, and a stale tuple left in a truncated scratch slice or a
+// pooled Emit keeps its whole block alive, so blocks stay small.
+const projectBlockRows = 16
+
 // Project keeps the columns at the configured positions, preserving
 // duplicates (bag semantics). Negative tuples are projected identically so
-// their values keep matching the positive results they retract.
+// their values keep matching the positive results they retract. Projected
+// rows carve their values from a per-operator block of projectBlockRows rows,
+// so a run of one arrival costs 1/16 of an allocation; a longer run than a
+// block holds takes one array of its own.
 type Project struct {
 	cols   []int
 	schema *tuple.Schema
+	// block is the unused tail of the current value block.
+	block []tuple.Value
 }
 
 // NewProject builds a projection onto the given column positions of in.
@@ -85,16 +95,20 @@ func (p *Project) Schema() *tuple.Schema { return p.schema }
 // Cols returns the projected column positions.
 func (p *Project) Cols() []int { return p.cols }
 
-// ProcessBatch implements Operator: all projected value slices of a run
-// share one backing array, so a run costs one allocation.
+// ProcessBatch implements Operator: the run's value slices are carved from
+// the current block, or from a fresh one when the run does not fit, so a
+// run costs at most one allocation.
 func (p *Project) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
 		return badSide("project", side)
 	}
-	backing := make([]tuple.Value, len(in)*len(p.cols))
+	w := len(p.cols)
+	if need := len(in) * w; need > len(p.block) {
+		p.block = make([]tuple.Value, max(need, projectBlockRows*w))
+	}
 	for _, t := range in {
-		vals := backing[:len(p.cols):len(p.cols)]
-		backing = backing[len(p.cols):]
+		vals := p.block[:w:w]
+		p.block = p.block[w:]
 		for i, c := range p.cols {
 			vals[i] = t.Vals[c]
 		}

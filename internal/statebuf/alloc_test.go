@@ -12,6 +12,7 @@ package statebuf
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/race"
@@ -46,6 +47,55 @@ func TestPartitionedExpireSteadyStateAllocFree(t *testing.T) {
 				t.Errorf("steady-state insert+expire: %.1f allocs/tick, want 0", got)
 			}
 		})
+	}
+}
+
+// TestListSteadyStateAllocFree holds the DIRECT list, at more pages than the
+// freelist caches, to zero allocations per insert + expire tick: expiration
+// compacts the survivors in their pages and recycles only the pages it
+// empties, so the next inserts find them on the freelist.
+func TestListSteadyStateAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation budgets are meaningless under -race")
+	}
+	const horizon = 1000
+	b := NewList()
+	vals := []tuple.Value{tuple.Int(7)}
+	now := int64(0)
+	tick := func() {
+		now++
+		b.Insert(tuple.Tuple{TS: now, Exp: now + horizon - now%7, Vals: vals})
+		b.ExpireUpTo(now)
+	}
+	for i := 0; i < 2*horizon; i++ {
+		tick()
+	}
+	if b.Len() <= maxFreePages*chunkSize {
+		t.Fatalf("list holds %d tuples, want more than %d pages", b.Len(), maxFreePages)
+	}
+	if got := testing.AllocsPerRun(200, tick); got > 0 {
+		t.Errorf("steady-state insert+expire: %.1f allocs/tick, want 0", got)
+	}
+}
+
+// TestSortExpiredAllocFree sorts a 64-tuple out-of-order wave without
+// allocating, into the order a stable sort by (Exp, TS) gives.
+func TestSortExpiredAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation budgets are meaningless under -race")
+	}
+	src := make([]tuple.Tuple, 64)
+	for i := range src {
+		src[i] = tuple.Tuple{TS: int64(i % 5), Exp: int64(100 - i%9), Vals: []tuple.Value{tuple.Int(int64(i))}}
+	}
+	want := append([]tuple.Tuple(nil), src...)
+	sort.SliceStable(want, func(i, j int) bool { return expiresBefore(want[i], want[j]) })
+	wave := make([]tuple.Tuple, len(src))
+	if got := testing.AllocsPerRun(100, func() { copy(wave, src); sortExpired(wave) }); got > 0 {
+		t.Errorf("sortExpired of 64 tuples: %.1f allocs, want 0", got)
+	}
+	if fmt.Sprint(render(wave)) != fmt.Sprint(render(want)) {
+		t.Errorf("sortExpired order differs from a stable sort:\n got %v\nwant %v", render(wave), render(want))
 	}
 }
 

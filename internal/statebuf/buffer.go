@@ -5,9 +5,9 @@
 //   - FIFOBuffer: for weakest non-monotonic (WKS) state, where expiration
 //     order equals insertion order — O(1) insert at the tail, O(1) expire
 //     from the head.
-//   - ListBuffer: the DIRECT baseline — an insertion-ordered linked list;
-//     out-of-FIFO expiration and negative-tuple removal need sequential
-//     scans. This is the inefficiency UPA removes.
+//   - ListBuffer: the DIRECT baseline — the FIFO's paged deque in insertion
+//     order, scanned whole by every expiration, negative-tuple removal and
+//     probe. This is the inefficiency UPA removes.
 //   - PartitionedBuffer: for weak non-monotonic (WK) state, and for strict
 //     state with rare premature expirations — a circular array of partitions
 //     bucketed by expiration time (calendar-queue-like), so expiration touches
@@ -37,7 +37,8 @@
 package statebuf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/tuple"
@@ -118,37 +119,22 @@ type HashedBuffer interface {
 // sortExpired orders expired tuples deterministically by (Exp, TS) so
 // replacement emissions are reproducible across buffer kinds. FIFO-shaped
 // buffers pop expirations already in that order, so an O(n) sortedness scan
-// runs first — a large lazy pass then skips the sort entirely instead of
-// paying sort.SliceStable's reflection swapper to move nothing. Small
-// unsorted slices take an allocation-free stable insertion sort (the
+// runs first. The stable sort is the generic one: sort.SliceStable's
 // reflection swapper allocates on every call, which the steady-state
-// allocation gates forbid).
+// allocation gates forbid.
 func sortExpired(ts []tuple.Tuple) []tuple.Tuple {
-	sorted := true
-	for i := 1; i < len(ts); i++ {
-		if expiresBefore(ts[i], ts[i-1]) {
-			sorted = false
-			break
-		}
+	if !slices.IsSortedFunc(ts, compareExpiry) {
+		slices.SortStableFunc(ts, compareExpiry)
 	}
-	if sorted {
-		return ts
-	}
-	if len(ts) <= 32 {
-		for i := 1; i < len(ts); i++ {
-			for j := i; j > 0 && expiresBefore(ts[j], ts[j-1]); j-- {
-				ts[j], ts[j-1] = ts[j-1], ts[j]
-			}
-		}
-		return ts
-	}
-	sort.SliceStable(ts, func(i, j int) bool { return expiresBefore(ts[i], ts[j]) })
 	return ts
 }
 
-func expiresBefore(a, b tuple.Tuple) bool {
+func expiresBefore(a, b tuple.Tuple) bool { return compareExpiry(a, b) < 0 }
+
+// compareExpiry orders tuples by (Exp, TS).
+func compareExpiry(a, b tuple.Tuple) int {
 	if a.Exp != b.Exp {
-		return a.Exp < b.Exp
+		return cmp.Compare(a.Exp, b.Exp)
 	}
-	return a.TS < b.TS
+	return cmp.Compare(a.TS, b.TS)
 }

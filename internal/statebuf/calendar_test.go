@@ -280,10 +280,12 @@ func fifoSectionTuples(t *testing.T, section []byte) string {
 // kind written by a parent commit — PartitionedBuffer sections by 7ac7748,
 // before partitions were runs of slab references and before the index
 // existed; hash and indexed-FIFO sections by 227f40a, before both moved onto
-// the keyed store — each after steps 0..299 of goldenStep, runs the rest of
-// the schedule, and requires every step to observe what an uninterrupted run
-// observes. At the cut this commit must write what the parent wrote: the
-// same bytes for the hash; the same cursor and tuples in the same order for
+// the keyed store; the list section by 5c9fe3b, before the list moved onto
+// the FIFO's paged deque — each after steps 0..299 of goldenStep, runs the
+// rest of the schedule, and requires every step to observe what an
+// uninterrupted run observes. At the cut this commit must write what the
+// parent wrote: the same bytes for the hash and the list; the same cursor and
+// tuples in the same order for
 // the calendars, whose cost counter differs by design (Remove visits less);
 // the same hash-section tuples for the indexed FIFO.
 func TestCalendarRestoresParentSection(t *testing.T) {
@@ -308,10 +310,11 @@ func TestCalendarRestoresParentSection(t *testing.T) {
 			}, sectionTuples})
 		}
 	}
+	raw := func(_ *testing.T, section []byte) string { return fmt.Sprint(section) }
 	cases = append(cases,
-		parentSection{"hash", "testdata/hash.ckpt", func() Buffer { return NewHash([]int{0}) },
-			func(_ *testing.T, section []byte) string { return fmt.Sprint(section) }},
-		parentSection{"indexed-fifo", "testdata/indexedfifo.ckpt", keyedFIFO, fifoSectionTuples})
+		parentSection{"hash", "testdata/hash.ckpt", func() Buffer { return NewHash([]int{0}) }, raw},
+		parentSection{"indexed-fifo", "testdata/indexedfifo.ckpt", keyedFIFO, fifoSectionTuples},
+		parentSection{"list", "testdata/list.ckpt", func() Buffer { return NewList() }, raw})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			section, err := os.ReadFile(c.file)

@@ -1,6 +1,9 @@
 package statebuf
 
-import "repro/internal/tuple"
+import (
+	"repro/internal/checkpoint"
+	"repro/internal/tuple"
+)
 
 // chunkSize is the number of tuples per page. A power of two keeps the
 // index arithmetic to a shift and a mask; 128 tuples × ~56 bytes is a ~7 KiB
@@ -74,17 +77,23 @@ func (c *chunkedTuples) RemoveAt(i int) {
 	for j := i; j < c.n-1; j++ {
 		*c.At(j) = *c.At(j + 1)
 	}
-	*c.At(c.n - 1) = tuple.Tuple{}
-	c.n--
-	if c.n == 0 {
+	c.Truncate(c.n - 1)
+}
+
+// Truncate keeps the first n elements: the slots it frees in the last page
+// kept are cleared, and every page after that one is recycled.
+func (c *chunkedTuples) Truncate(n int) {
+	if n == 0 {
 		c.Reset()
 		return
 	}
-	// Drop a now-empty tail page.
-	used := (c.off + c.n + chunkSize - 1) / chunkSize
-	if used < len(c.pages) {
-		c.recycle(used)
+	last := (c.off + n - 1) / chunkSize // the last page kept
+	base := last * chunkSize
+	clear(c.pages[last].items[c.off+n-base : min(c.off+c.n-base, chunkSize)])
+	for len(c.pages) > last+1 {
+		c.recycle(len(c.pages) - 1)
 	}
+	c.n = n
 }
 
 // Reset empties the deque, releasing every page to the freelist.
@@ -94,6 +103,22 @@ func (c *chunkedTuples) Reset() {
 	}
 	c.off = 0
 	c.n = 0
+}
+
+// Save writes the elements front to back, in Encoder.Tuples' layout.
+func (c *chunkedTuples) Save(enc *checkpoint.Encoder) {
+	enc.Uvarint(uint64(c.n))
+	for i := 0; i < c.n; i++ {
+		enc.Tuple(*c.At(i))
+	}
+}
+
+// Load replaces the contents with the tuples Save wrote.
+func (c *chunkedTuples) Load(dec *checkpoint.Decoder) {
+	c.Reset()
+	for _, t := range dec.Tuples() {
+		c.Push(t)
+	}
 }
 
 // recycle detaches pages[i], clears it in one pass, and caches it for reuse.

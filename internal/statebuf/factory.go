@@ -8,7 +8,8 @@ type Kind int
 const (
 	// KindFIFO is the WKS structure: a deque ordered by expiration.
 	KindFIFO Kind = iota
-	// KindList is the DIRECT baseline: insertion-ordered linked list.
+	// KindList is the DIRECT baseline: the FIFO's paged deque in insertion
+	// order, scanned whole by every expiration, removal and probe.
 	KindList
 	// KindPartitioned is the WK structure: calendar of expiration buckets.
 	KindPartitioned

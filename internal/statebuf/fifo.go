@@ -28,8 +28,6 @@ type FIFOBuffer struct {
 	// ExpireUpTo once per maintenance tick to mint negative tuples, so
 	// reusing one buffer removes that per-tick allocation.
 	scratch []tuple.Tuple
-	// keep backs the unsorted path's survivor list across passes.
-	keep []tuple.Tuple
 }
 
 // NewFIFO returns an empty FIFO buffer.
@@ -53,24 +51,22 @@ func (b *FIFOBuffer) Insert(t tuple.Tuple) {
 func (b *FIFOBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 	out := b.scratch[:0]
 	if b.unsorted {
-		kept := b.keep[:0]
-		n := b.items.Len()
+		// Survivors move toward the head within their pages; the pages the
+		// compaction empties go back to the freelist.
+		n, kept := b.items.Len(), 0
 		for i := 0; i < n; i++ {
 			b.touched++
-			t := *b.items.At(i)
+			t := b.items.At(i)
 			if t.Exp <= now {
-				out = append(out, t)
-			} else {
-				kept = append(kept, t)
+				out = append(out, *t)
+				continue
 			}
-		}
-		if len(out) > 0 {
-			b.items.Reset()
-			for _, t := range kept {
-				b.items.Push(t)
+			if kept != i {
+				*b.items.At(kept) = *t
 			}
+			kept++
 		}
-		b.keep = kept
+		b.items.Truncate(kept)
 	} else {
 		for b.items.Len() > 0 {
 			b.touched++
@@ -135,7 +131,6 @@ func (b *FIFOBuffer) Clear() {
 	b.lastExp = 0
 	b.unsorted = false
 	b.scratch = nil
-	b.keep = nil
 }
 
 // Len returns the number of stored tuples.
@@ -154,10 +149,7 @@ func (b *FIFOBuffer) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(b.touched)
 	enc.Varint(b.lastExp)
 	enc.Bool(b.unsorted)
-	enc.Uvarint(uint64(b.items.Len()))
-	for i := 0; i < b.items.Len(); i++ {
-		enc.Tuple(*b.items.At(i))
-	}
+	b.items.Save(enc)
 	return enc.Err()
 }
 
@@ -166,9 +158,6 @@ func (b *FIFOBuffer) LoadState(dec *checkpoint.Decoder) error {
 	b.touched = dec.Varint()
 	b.lastExp = dec.Varint()
 	b.unsorted = dec.Bool()
-	b.items.Reset()
-	for _, t := range dec.Tuples() {
-		b.items.Push(t)
-	}
+	b.items.Load(dec)
 	return dec.Err()
 }

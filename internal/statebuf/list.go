@@ -1,89 +1,57 @@
 package statebuf
 
 import (
-	"container/list"
-
 	"repro/internal/checkpoint"
 	"repro/internal/tuple"
 )
 
-// ListBuffer is the straightforward insertion-ordered linked list that the
-// DIRECT strategy uses for all state (Section 2.3.3, Section 6.1: "sliding
-// windows and state buffers are implemented as linked lists"). Insertions are
-// O(1), but expiration of weak non-monotonic state and negative-tuple removal
-// require sequential scans of the whole buffer — the inefficiency that the
-// partitioned buffer eliminates. It is retained as the experimental baseline.
-type ListBuffer struct {
-	items   *list.List
-	touched int64
-}
+// ListBuffer is the insertion-ordered list the DIRECT strategy keeps all its
+// state in (Section 2.3.3, Section 6.1: "sliding windows and state buffers
+// are implemented as linked lists"): the FIFO's paged deque with its head-pop
+// fast path switched off for good. Insertions append; every expiration pass,
+// removal and probe scans the list from the head and counts one touch per
+// tuple it visits — the inefficiency the partitioned buffer eliminates. It is
+// retained as the experimental baseline, whose cost model is its scans: the
+// pages only keep the scans from allocating.
+type ListBuffer struct{ fifo FIFOBuffer }
 
 // NewList returns an empty list buffer.
-func NewList() *ListBuffer { return &ListBuffer{items: list.New()} }
+func NewList() *ListBuffer { return &ListBuffer{fifo: FIFOBuffer{unsorted: true}} }
 
-// Insert appends t at the tail (insertion order).
-func (b *ListBuffer) Insert(t tuple.Tuple) {
-	b.touched++
-	b.items.PushBack(t)
-}
+// Insert appends t at the tail.
+func (b *ListBuffer) Insert(t tuple.Tuple) { b.fifo.Insert(t) }
 
-// ExpireUpTo scans the entire list and unlinks every expired tuple.
-func (b *ListBuffer) ExpireUpTo(now int64) []tuple.Tuple {
-	var out []tuple.Tuple
-	for e := b.items.Front(); e != nil; {
-		b.touched++
-		next := e.Next()
-		t := e.Value.(tuple.Tuple)
-		if t.Exp <= now {
-			out = append(out, t)
-			b.items.Remove(e)
-		}
-		e = next
-	}
-	return sortExpired(out)
-}
+// ExpireUpTo scans the entire list and removes every expired tuple.
+func (b *ListBuffer) ExpireUpTo(now int64) []tuple.Tuple { return b.fifo.ExpireUpTo(now) }
 
-// Remove scans for one tuple with values equal to t's and unlinks it,
-// preferring an exact expiration match (negative tuples carry the original
-// tuple's Exp, which disambiguates value twins).
-func (b *ListBuffer) Remove(t tuple.Tuple) bool {
-	var fallback *list.Element
-	for e := b.items.Front(); e != nil; e = e.Next() {
-		b.touched++
-		got := e.Value.(tuple.Tuple)
-		if !got.SameVals(t) {
-			continue
-		}
-		if got.Exp == t.Exp {
-			b.items.Remove(e)
-			return true
-		}
-		if fallback == nil {
-			fallback = e
-		}
-	}
-	if fallback == nil {
-		return false
-	}
-	b.items.Remove(fallback)
-	return true
-}
+// Remove scans for one tuple with values equal to t's and removes it,
+// preferring an exact expiration match, else the first twin.
+func (b *ListBuffer) Remove(t tuple.Tuple) bool { return b.fifo.Remove(t) }
 
 // Scan visits stored tuples in insertion order.
-func (b *ListBuffer) Scan(fn func(t tuple.Tuple) bool) {
-	for e := b.items.Front(); e != nil; e = e.Next() {
-		b.touched++
-		if !fn(e.Value.(tuple.Tuple)) {
-			return
+func (b *ListBuffer) Scan(fn func(t tuple.Tuple) bool) { b.fifo.Scan(fn) }
+
+// ScanAppend appends to dst the tuples live at now whose key over keyCols
+// equals k, and returns the extended slice: the baseline's probe, a filtered
+// scan that visits and counts every stored tuple as Scan does. It is not
+// ProbeAppend on purpose: a list has no keyed access, so list-backed views
+// keep refusing key lookups.
+func (b *ListBuffer) ScanAppend(keyCols []int, k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
+	items := &b.fifo.items
+	b.fifo.touched += int64(items.Len())
+	for i := 0; i < items.Len(); i++ {
+		if t := items.At(i); !t.Expired(now) && t.KeyMatches(keyCols, k) {
+			dst = append(dst, *t)
 		}
 	}
+	return dst
 }
 
 // Len returns the number of stored tuples.
-func (b *ListBuffer) Len() int { return b.items.Len() }
+func (b *ListBuffer) Len() int { return b.fifo.Len() }
 
 // Touched returns cumulative tuple visits.
-func (b *ListBuffer) Touched() int64 { return b.touched }
+func (b *ListBuffer) Touched() int64 { return b.fifo.Touched() }
 
 // Kind identifies the buffer implementation (KindList).
 func (b *ListBuffer) Kind() Kind { return KindList }
@@ -91,21 +59,15 @@ func (b *ListBuffer) Kind() Kind { return KindList }
 // SaveState implements checkpoint.Snapshotter: cost counter, then the tuples
 // front to back.
 func (b *ListBuffer) SaveState(enc *checkpoint.Encoder) error {
-	enc.Varint(b.touched)
-	enc.Uvarint(uint64(b.items.Len()))
-	for e := b.items.Front(); e != nil; e = e.Next() {
-		enc.Tuple(e.Value.(tuple.Tuple))
-	}
+	enc.Varint(b.fifo.touched)
+	b.fifo.items.Save(enc)
 	return enc.Err()
 }
 
-// LoadState implements checkpoint.Snapshotter. Tuples are relinked directly
+// LoadState implements checkpoint.Snapshotter. Tuples are pushed directly
 // (not via Insert) so the saved cost counter is reproduced exactly.
 func (b *ListBuffer) LoadState(dec *checkpoint.Decoder) error {
-	b.touched = dec.Varint()
-	b.items = list.New()
-	for _, t := range dec.Tuples() {
-		b.items.PushBack(t)
-	}
+	b.fifo.touched = dec.Varint()
+	b.fifo.items.Load(dec)
 	return dec.Err()
 }
