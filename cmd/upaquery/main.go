@@ -57,6 +57,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -666,8 +667,8 @@ func runMulti(specs []string, cqlLinks int, strategyName string, windowSize, dur
 		handles = append(handles, h)
 	}
 	s := e.Sharing()
-	fmt.Printf("registered %d queries under %v: %d physical operators for %d plan nodes, %d windows for %d sources (sharing ratio %.2f)\n\n",
-		s.Queries, strat, s.LiveNodes, s.PlanNodes, s.LiveSources, s.PlanSources, s.Ratio())
+	fmt.Printf("registered %d queries under %v: %d physical operators for %d plan nodes, %d windows for %d sources (sharing ratio %.2f); %d independent components, ingested on up to %d cores\n\n",
+		s.Queries, strat, s.LiveNodes, s.PlanNodes, s.LiveSources, s.PlanSources, s.Ratio(), s.Components, min(s.Components, runtime.GOMAXPROCS(0)))
 	for _, h := range handles {
 		fmt.Printf("=== %s ===\n", h.Name())
 		if err := h.Explain(false).WriteText(os.Stdout); err != nil {

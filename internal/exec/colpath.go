@@ -27,6 +27,9 @@ import (
 // Both paths mutate the same operator state through the same buffer
 // operations and canonical keys, so they are freely interleavable (Push,
 // Advance, table updates, and NT retractions always use the row chain).
+// Columnar runs flow on the caller, after the tape recorded before them has
+// been replayed (tape.go), and a columnar engine never replays on workers;
+// their output deltas are counted on the engine's direct flow.
 
 // colPlanSupported reports whether every layer of the live dataflow has a
 // columnar fast path. Recomputed (recomputeColPath) after every registration
@@ -252,6 +255,6 @@ func (e *Engine) propagateCols(node *liveNode, outs *tuple.ColBatch, prev int64)
 func (e *Engine) applyResultCols(q *queryUnit, cb *tuple.ColBatch) {
 	n := cb.Len()
 	for i := 0; i < n; i++ {
-		e.applyResult(q, cb.RowTuple(i, &e.colArena, e.intern))
+		e.direct.applyResult(q, cb.RowTuple(i, &e.colArena, e.intern))
 	}
 }

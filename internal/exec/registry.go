@@ -56,6 +56,9 @@ type record struct {
 	cid int
 	// cols stages the record's columnar output run (colpath.go).
 	cols *tuple.ColBatch
+	// slot is the record's index in Engine.nodes or Engine.sources, set by
+	// rebuildComponents; tape events name sources by it.
+	slot int
 }
 
 // liveNode is one live physical operator.
@@ -212,7 +215,9 @@ type QuerySpec struct {
 	// records other queries share. The plan itself is not rewired.
 	Phys *plan.Physical
 	// OnEmit, when set, observes every output delta of this query before it
-	// is folded into the query's view.
+	// is folded into the query's view. During a PushBatch it may run
+	// concurrently with the observers of queries in other components
+	// (tape.go); this query's calls never overlap and keep output order.
 	OnEmit func(t tuple.Tuple)
 }
 
@@ -356,7 +361,7 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	if len(e.queries) == 1 {
 		e.phys, e.view = q.phys, q.view
 	}
-	e.rebuildMaintenance()
+	e.rebuildComponents()
 	e.recomputeColPath()
 	return &QueryHandle{e: e, q: q}, nil
 }
@@ -399,22 +404,6 @@ func (e *Engine) tableID(tbl *relation.Table) int {
 		e.tableIDs = append(e.tableIDs, tbl)
 	}
 	return id
-}
-
-// rebuildMaintenance re-partitions the live nodes into the eager and lazy
-// maintenance passes. e.nodes is children-first by construction: records
-// append in post-order per registration, and shared prefixes were appended
-// by earlier registrations.
-func (e *Engine) rebuildMaintenance() {
-	e.eagerNodes = e.eagerNodes[:0]
-	e.lazyNodes = e.lazyNodes[:0]
-	for _, n := range e.nodes {
-		if n.eager {
-			e.eagerNodes = append(e.eagerNodes, n)
-		} else {
-			e.lazyNodes = append(e.lazyNodes, n)
-		}
-	}
 }
 
 // recomputeColPath re-derives the columnar fast-path gate after a
@@ -480,7 +469,7 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 	} else {
 		e.phys, e.view = nil, nil
 	}
-	e.rebuildMaintenance()
+	e.rebuildComponents()
 	e.recomputeColPath()
 	e.refreshStateGauges()
 	return freed, nil
@@ -560,6 +549,11 @@ type SharingStats struct {
 	// SharedNodes/SharedSources count live records held by more
 	// than one query.
 	SharedNodes, SharedSources int
+	// Components counts the connected components of the live dataflow:
+	// queries that share no operator and no table fall in different
+	// components, and a PushBatch replays different components on
+	// different cores. A registry of one component ingests on one core.
+	Components int
 }
 
 // Ratio is plan size over live size (1 = no sharing; N = every node serves
@@ -578,6 +572,7 @@ func (e *Engine) Sharing() SharingStats {
 		Queries:     len(e.queries),
 		LiveNodes:   len(e.nodes),
 		LiveSources: len(e.sources),
+		Components:  len(e.comps),
 	}
 	for _, q := range e.queries {
 		s.PlanNodes += len(q.nodes)

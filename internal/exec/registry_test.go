@@ -304,8 +304,7 @@ func registryEmpty(t *testing.T, e *Engine) {
 		"nodes":      len(e.nodes),
 		"sources":    len(e.sources),
 		"tables":     len(e.tables),
-		"eagerNodes": len(e.eagerNodes),
-		"lazyNodes":  len(e.lazyNodes),
+		"components": len(e.comps),
 		"nodeIndex":  len(e.nodeIndex),
 		"srcIndex":   len(e.srcIndex),
 	}

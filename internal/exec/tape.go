@@ -1,0 +1,484 @@
+package exec
+
+import (
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/obs"
+	"repro/internal/operator"
+	"repro/internal/tuple"
+)
+
+// Row-chain ingest runs in two stages. The window stage, on the caller,
+// validates each run, advances the clock, decides the eager and lazy
+// passes, expires NT windows and admits arrivals through their windows; it
+// touches no operator and records what happened, in order, on the engine's
+// run tape. The component stage replays the tape once per connected
+// component of the live operator graph: each component feeds the rows to
+// its own edges and bare-window views and runs its own maintenance passes.
+// Components share nothing but windows, and Definition 1 fixes each query's
+// answer from its window states alone, so the components of one tape may
+// replay concurrently and no query's output sequence changes.
+
+// Tape event kinds.
+const (
+	// evRows: rows[lo:hi] came out of sources[src] at now.
+	evRows uint8 = iota
+	// evEager / evLazy: an eager or lazy maintenance pass at now.
+	evEager
+	evLazy
+)
+
+// tapeEvent is one step of the window stage.
+type tapeEvent struct {
+	kind   uint8
+	src    int32 // evRows: the source's slot in Engine.sources
+	lo, hi int32 // evRows: the range of runTape.rows
+	now    int64 // the clock when the step happened
+}
+
+// runTape is the engine's reusable record of one ingest call's window stage.
+type runTape struct {
+	events []tapeEvent
+	rows   []tuple.Tuple
+}
+
+// pass records a maintenance pass.
+func (t *runTape) pass(kind uint8, now int64) {
+	t.events = append(t.events, tapeEvent{kind: kind, now: now})
+}
+
+// closeRows records the rows appended since lo as one run out of src.
+func (t *runTape) closeRows(src *liveSource, lo int, now int64) {
+	if len(t.rows) > lo {
+		t.events = append(t.events, tapeEvent{kind: evRows, src: int32(src.slot), lo: int32(lo), hi: int32(len(t.rows)), now: now})
+	}
+}
+
+// reset empties the tape, after a replay and before a window stage (a
+// replay a panic cut short leaves its events behind).
+func (t *runTape) reset() {
+	t.rows = t.rows[:0]
+	t.events = t.events[:0]
+}
+
+// tapeFlushRows bounds the tape: a window stage that has recorded this many
+// rows is replayed before it goes on, so a huge PushBatch does not hold its
+// whole stamped input at once.
+const tapeFlushRows = 4096
+
+// flow is the context a run travels the operator graph in: the logical time
+// of the step being replayed, and the output deltas and view expirations
+// applied so far, which settle adds to the engine-wide counters once per
+// flush instead of once per delta.
+type flow struct {
+	e           *Engine
+	now         int64
+	pos, neg    int64
+	viewExpired int64
+}
+
+// component is one connected component of the live operator graph: nodes
+// that feed one another or probe the same table, and the queries rooted in
+// them. A bare-window query is a component of its own.
+type component struct {
+	flow
+	// eager and lazy are the component's nodes by maintenance pass,
+	// children-first.
+	eager, lazy []*liveNode
+	queries     []*queryUnit
+	// fan is, per source slot, the part of the source's fan-out inside the
+	// component.
+	fan []srcFan
+	// weight orders components heaviest-first for the workers: nodes plus
+	// views.
+	weight int
+	// err is the component's first replay error and errAt the index of the
+	// event that raised it.
+	err   error
+	errAt int
+}
+
+// srcFan is one source's consumer edges and bare-window views.
+type srcFan struct {
+	outs  []outEdge
+	sinks []*queryUnit
+}
+
+// rebuildComponents re-partitions the live dataflow into components. Two
+// nodes are connected when one feeds the other or when both probe the same
+// relation table (probes mutate the table's index state). Runs on every
+// registration change.
+func (e *Engine) rebuildComponents() {
+	for i, s := range e.sources {
+		s.slot = i
+	}
+	for i, n := range e.nodes {
+		n.slot = i
+	}
+	parent := make([]int, len(e.nodes))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(i int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
+		}
+		return parent[i]
+	}
+	union := func(a, b int) { parent[find(a)] = find(b) }
+	for _, n := range e.nodes {
+		for _, ed := range n.outs {
+			union(n.slot, ed.node.slot)
+		}
+	}
+	for i, n := range e.tables {
+		for _, m := range e.tables[:i] {
+			if n.op.(operator.TableOperator).Table() == m.op.(operator.TableOperator).Table() {
+				union(n.slot, m.slot)
+			}
+		}
+	}
+	e.comps = e.comps[:0]
+	newComp := func() *component {
+		c := &component{flow: flow{e: e}, fan: make([]srcFan, len(e.sources))}
+		e.comps = append(e.comps, c)
+		return c
+	}
+	// e.nodes is children-first (records append in post-order per
+	// registration, and shared prefixes were appended by earlier ones), so
+	// each component's pass lists are too.
+	compOf := make([]*component, len(e.nodes))
+	for _, n := range e.nodes {
+		r := find(n.slot)
+		if compOf[r] == nil {
+			compOf[r] = newComp()
+		}
+		c := compOf[r]
+		compOf[n.slot] = c
+		if n.eager {
+			c.eager = append(c.eager, n)
+		} else {
+			c.lazy = append(c.lazy, n)
+		}
+		c.weight++
+	}
+	qcomp := make(map[*queryUnit]*component, len(e.queries))
+	for _, q := range e.queries {
+		var c *component
+		if q.phys.Root != nil {
+			c = compOf[q.nodes[0].slot]
+		} else {
+			c = newComp()
+		}
+		c.queries = append(c.queries, q)
+		c.weight++
+		qcomp[q] = c
+	}
+	for _, s := range e.sources {
+		for _, ed := range s.outs {
+			f := &compOf[ed.node.slot].fan[s.slot]
+			f.outs = append(f.outs, ed)
+		}
+		for _, q := range s.sinks {
+			f := &qcomp[q].fan[s.slot]
+			f.sinks = append(f.sinks, q)
+		}
+	}
+	slices.SortStableFunc(e.comps, func(a, b *component) int { return b.weight - a.weight })
+}
+
+// flush replays the tape and empties it, then settles the flows' counts and
+// publishes the watermark the replayed passes certify (also when a
+// subscriber's panic unwinds through it). It returns the first replay error
+// in tape order.
+func (e *Engine) flush(batched bool) error {
+	defer e.settle()
+	if len(e.tape.events) == 0 {
+		return nil
+	}
+	if e.sharesReplay(batched) {
+		e.replayParallel()
+	} else {
+		for _, c := range e.comps {
+			c.replay(&e.tape)
+		}
+	}
+	var err error
+	at := len(e.tape.events)
+	for _, c := range e.comps {
+		if c.err != nil && c.errAt < at {
+			err, at = c.err, c.errAt
+		}
+	}
+	e.tape.reset()
+	return err
+}
+
+// sharesReplay reports whether a flush shares its replay among workers: only
+// a PushBatch (batched) on the row chain of an engine with several
+// components, and only when there is more than one processor. Push,
+// Advance, Sync, table updates, columnar engines, single queries and shards
+// replay on the caller.
+func (e *Engine) sharesReplay(batched bool) bool {
+	return batched && !e.colOK && len(e.comps) > 1 && runtime.GOMAXPROCS(0) > 1
+}
+
+// settle adds every flow's accumulated output counts to the engine-wide
+// counters and the pending latency counts, and sets the watermark gauge.
+// It runs at the end of every flush and after work on the direct flow, so
+// the engine-wide counters lag the per-query ones by at most one flush.
+func (e *Engine) settle() {
+	e.settleFlow(&e.direct)
+	for _, c := range e.comps {
+		e.settleFlow(&c.flow)
+	}
+	e.met.watermark.Set(e.Watermark())
+}
+
+func (e *Engine) settleFlow(f *flow) {
+	if f.pos > 0 {
+		e.deltaPos += f.pos
+		e.met.emitted.Add(f.pos)
+		f.pos = 0
+	}
+	if f.neg > 0 {
+		e.deltaNeg += f.neg
+		e.met.retracted.Add(f.neg)
+		f.neg = 0
+	}
+	if f.viewExpired > 0 {
+		e.met.viewExpired.Add(f.viewExpired)
+		f.viewExpired = 0
+	}
+}
+
+// replayParallel shares the tape's components among min(GOMAXPROCS,
+// components) workers, the caller being one; each takes the heaviest
+// component left. It returns when every worker has finished, so no
+// goroutine outlives the call. A panic on any worker is re-raised here,
+// after the join, with its original value.
+func (e *Engine) replayParallel() {
+	workers := min(runtime.GOMAXPROCS(0), len(e.comps))
+	e.work.next.Store(0)
+	e.work.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go func() {
+			defer e.work.wg.Done()
+			e.replayWorker()
+		}()
+	}
+	e.replayWorker()
+	e.work.wg.Wait()
+	if e.work.panicked.Load() {
+		v := e.work.panicVal
+		e.work.panicked.Store(false)
+		e.work.panicVal = nil
+		panic(v)
+	}
+}
+
+// workers is the parallel replay's shared state. panicVal is written only
+// by the worker that set panicked, and read after the join.
+type workers struct {
+	next     atomic.Int32
+	wg       sync.WaitGroup
+	panicked atomic.Bool
+	panicVal any
+}
+
+// replayWorker replays components until none is left, recording the first
+// panic instead of unwinding past the join.
+func (e *Engine) replayWorker() {
+	defer func() {
+		if r := recover(); r != nil && e.work.panicked.CompareAndSwap(false, true) {
+			e.work.panicVal = r
+		}
+	}()
+	for {
+		i := int(e.work.next.Add(1)) - 1
+		if i >= len(e.comps) {
+			return
+		}
+		e.comps[i].replay(&e.tape)
+	}
+}
+
+// replay runs the tape through the component, stopping at its first error.
+func (c *component) replay(t *runTape) {
+	c.err = nil
+	for i := range t.events {
+		ev := &t.events[i]
+		c.now = ev.now
+		var err error
+		switch ev.kind {
+		case evRows:
+			fan := &c.fan[ev.src]
+			rows := t.rows[ev.lo:ev.hi]
+			for _, q := range fan.sinks {
+				for _, r := range rows {
+					c.applyResult(q, r)
+				}
+			}
+			for _, ed := range fan.outs {
+				if err = c.feedBatch(ed.node, ed.side, rows); err != nil {
+					break
+				}
+			}
+		case evEager:
+			err = c.expireNodes(c.eager)
+		case evLazy:
+			if err = c.expireNodes(c.lazy); err == nil {
+				for _, q := range c.queries {
+					c.viewExpired += int64(q.view.ExpireUpTo(c.now))
+				}
+			}
+		}
+		if err != nil {
+			c.err, c.errAt = err, i
+			return
+		}
+	}
+}
+
+// expireNodes moves each node's local clock to the flow's time and sends
+// what its expirations emit down the plan, one run per node. On a timed
+// engine the wall time of each Advance goes to the node's processing-time
+// counter, beside its ProcessBatch time, so expiry shows up under the
+// operator that pays for it. The clock is read once per node — one Advance
+// ends where the next begins — and once more after a propagation, which is
+// charged where it lands.
+func (f *flow) expireNodes(nodes []*liveNode) error {
+	timed := f.e.timed
+	var last int64
+	if timed {
+		last = obs.Nanotime()
+	}
+	for _, n := range nodes {
+		outs, err := n.op.Advance(f.now)
+		if timed {
+			t := obs.Nanotime()
+			n.procNanos.Add(t - last)
+			last = t
+		}
+		if err != nil {
+			return err
+		}
+		if len(outs) == 0 {
+			continue
+		}
+		n.expired.Add(int64(len(outs)))
+		if err := f.propagateBatch(n, outs); err != nil {
+			return err
+		}
+		if timed {
+			last = obs.Nanotime()
+		}
+	}
+	return nil
+}
+
+// feedBatch processes a same-side run at node and pushes the accumulated
+// emissions toward the root as one run. This is the one place operator input
+// counters and processing wall time are charged on the row chain: polarity
+// counters take two atomic adds per run, and the clock is read only on a
+// timed engine. The Emit buffer is pooled, so steady-state execution
+// allocates no output slices.
+func (f *flow) feedBatch(node *liveNode, side int, in []tuple.Tuple) error {
+	var pos, neg int64
+	for i := range in {
+		if in[i].Neg {
+			neg++
+		} else {
+			pos++
+		}
+	}
+	if pos > 0 {
+		node.inPos.Add(pos)
+	}
+	if neg > 0 {
+		node.inNeg.Add(neg)
+	}
+	var start int64
+	if f.e.timed {
+		start = obs.Nanotime()
+	}
+	out := operator.GetEmit()
+	err := node.op.ProcessBatch(side, in, f.now, out)
+	if f.e.timed {
+		d := obs.Nanotime() - start
+		node.procNanos.Add(d)
+		node.maxBatch.SetMax(d)
+	}
+	if err == nil {
+		err = f.propagateBatch(node, out.Tuples())
+	}
+	operator.PutEmit(out)
+	return err
+}
+
+// propagateBatch forwards a run of emissions originating at node — from
+// ProcessBatch, from an expiration pass, or from a table update — to its
+// consumer edges (and into the views of queries rooted here), charging the
+// node's output counters and the conformance monitor. Relative emission order
+// is preserved per consumer, so each operator up every spine sees exactly the
+// sequence a standalone engine would deliver; operators never retain their
+// input run, so one slice can feed every edge in turn.
+func (f *flow) propagateBatch(node *liveNode, outs []tuple.Tuple) error {
+	if len(outs) == 0 {
+		return nil
+	}
+	var pos, neg int64
+	for i := range outs {
+		if outs[i].Neg {
+			neg++
+			node.observeRetraction(outs[i], f.now)
+		} else {
+			pos++
+		}
+	}
+	if pos > 0 {
+		node.pos.Add(pos)
+	}
+	if neg > 0 {
+		node.neg.Add(neg)
+	}
+	for _, q := range node.sinks {
+		for _, t := range outs {
+			f.applyResult(q, t)
+		}
+	}
+	for _, ed := range node.outs {
+		if err := f.feedBatch(ed.node, ed.side, outs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyResult folds one output delta into q's view. The engine-wide counts
+// accumulate on the flow; per-query counters exist only for named registry
+// queries (an unnamed single query keeps the legacy series shape) and fire
+// per delivery.
+func (f *flow) applyResult(q *queryUnit, t tuple.Tuple) {
+	if t.Neg {
+		f.neg++
+		q.deltaNeg++
+		if q.retracted != nil {
+			q.retracted.Inc()
+		}
+	} else {
+		f.pos++
+		q.deltaPos++
+		if q.emitted != nil {
+			q.emitted.Inc()
+		}
+	}
+	if q.onEmit != nil {
+		q.onEmit(t)
+	}
+	q.view.Apply(t)
+}

@@ -19,9 +19,12 @@ import (
 // exact: a query's view is always byte-equivalent to what a standalone
 // engine compiled from the same query would hold.
 //
-// All methods must be driven from one goroutine, like Engine. A Registry
-// with one query is exactly Compile's sequential engine (Engine.Registry
-// exposes it); NewRegistry is the entry point for multi-query workloads.
+// All methods must be driven from one goroutine, like Engine. Queries that
+// share no operator and no table form independent components of the
+// dataflow (Sharing().Components), and PushBatch ingests different
+// components on different cores. A Registry with one query is exactly
+// Compile's sequential engine (Engine.Registry exposes it); NewRegistry is
+// the entry point for multi-query workloads.
 type Registry struct {
 	e      *exec.Engine
 	cfg    compileCfg
@@ -162,7 +165,14 @@ func (r *Registry) Push(streamID int, ts int64, vals ...Value) error {
 	return r.e.Push(streamID, ts, vals...)
 }
 
-// PushBatch feeds many stream tuples at once (see Engine.PushBatch).
+// PushBatch feeds many stream tuples at once (see Engine.PushBatch). When
+// the registered queries form several independent components (see
+// SharingStats.Components) and GOMAXPROCS is above one, the components
+// process the batch on up to GOMAXPROCS goroutines, and the call returns
+// when all of them are done. OnEmit callbacks of queries in different
+// components may then run concurrently; one query's callbacks never
+// overlap and arrive in the same order as from a serial engine. A panic in
+// a callback is re-raised on the caller with its own value.
 func (r *Registry) PushBatch(batch []Arrival) error { return r.e.PushBatch(batch) }
 
 // Advance moves logical time forward without a tuple arrival.
@@ -270,7 +280,10 @@ func (q *Query) ResultCount() (int, error) {
 }
 
 // OnEmit sets (or, with nil, clears) the callback observing every output
-// tuple this query produces — insertions and retractions.
+// tuple this query produces — insertions and retractions. During a
+// PushBatch, callbacks of queries in other components may run at the same
+// time as this one (see Registry.PushBatch); this query's own callbacks
+// run one at a time, in output order. Do not call it during ingest.
 func (q *Query) OnEmit(fn func(Tuple)) { q.h.SetOnEmit(fn) }
 
 // Explain writes the query's annotated physical plan; operators and window

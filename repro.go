@@ -275,7 +275,12 @@ func WithEagerInterval(n int64) RegistryOption {
 
 // WithOnEmit observes every output-stream tuple (insertions and
 // retractions) this query produces. Per-query: on a shared plan each query
-// sees its own output stream, not its neighbors'.
+// sees its own output stream, not its neighbors'. One query's callbacks
+// never overlap and arrive in output order, but callbacks of different
+// queries may run concurrently: on a running-shards engine (WithShards)
+// and during a Registry's PushBatch when the queries sit in independent
+// components (see Registry.PushBatch). A callback that shares state with
+// another query's callback must synchronize.
 func WithOnEmit(fn func(Tuple)) QueryOption {
 	return queryOption(func(c *compileCfg) { c.execCfg.OnEmit = fn })
 }
