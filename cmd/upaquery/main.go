@@ -31,7 +31,7 @@
 //
 // -health runs the self-monitoring subsystem during the run: a history
 // sampler over the engine's registry plus the built-in health rules
-// (pattern violations, premature expirations, shard backpressure, staleness
+// (pattern violations, premature expirations, partition-join wait, staleness
 // lag, checkpoint age, and — with -slo-p99 — the delta-latency p99 SLO).
 // Alert transitions print to stderr as they fire, a final per-rule report
 // prints at exit, and a CRIT overall verdict exits with code 2. With
@@ -547,7 +547,7 @@ func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
 // maybe emits a progress line when the interval has elapsed. It checks the
 // wall clock only every 1024 tuples (or batch boundary) to keep the run
 // loop cheap.
-func (p *progress) maybe(tuples int, eng exec.Executor) {
+func (p *progress) maybe(tuples int, eng *exec.Engine) {
 	if p.every <= 0 || tuples&1023 != 0 {
 		return
 	}

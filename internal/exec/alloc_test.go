@@ -49,7 +49,7 @@ func TestBatchIngestAllocBudget(t *testing.T) {
 			continue
 		}
 		t.Run(q.name, func(t *testing.T) {
-			eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+			eng := buildExecutor(t, q, plan.UPA, 1)
 
 			// A reusable 64-arrival batch: 8 ticks × 2 streams × 4-tuple bursts.
 			// Vals are generated once; only timestamps advance between runs.
@@ -97,7 +97,7 @@ func TestBatchIngestAllocBudgetInstrumented(t *testing.T) {
 		t.Skip("allocation budgets are meaningless under -race")
 	}
 	q := ckptQueries()[0] // Q1-join-of-selects
-	eng := buildInstrumented(t, q, plan.UPA, 1).(*Engine)
+	eng := buildInstrumented(t, q, plan.UPA, 1)
 
 	r := rand.New(rand.NewSource(17))
 	batch := make([]Arrival, 0, 64)
@@ -230,7 +230,7 @@ func TestPushAllocBudget(t *testing.T) {
 					continue
 				}
 				t.Run(strat.String(), func(t *testing.T) {
-					eng := buildExecutor(t, q, strat, 1).(*Engine)
+					eng := buildExecutor(t, q, strat, 1)
 					r := rand.New(rand.NewSource(17))
 					vals := make([][]tuple.Value, 64)
 					for i := range vals {

@@ -37,7 +37,7 @@ func burstyTrace(streams int, seed int64, ticks int) []Arrival {
 // feedBatches pushes the trace through PushBatch in fixed-size chunks. The
 // chunk size is deliberately odd so chunk boundaries split same-timestamp runs
 // — the executor must handle a run resuming in the next call.
-func feedBatches(t *testing.T, ex Executor, trace []Arrival, chunk int) {
+func feedBatches(t *testing.T, ex *Engine, trace []Arrival, chunk int) {
 	t.Helper()
 	for i := 0; i < len(trace); i += chunk {
 		j := i + chunk

@@ -13,6 +13,7 @@ import (
 	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/tuple"
 )
 
 // This file implements engine-level checkpoint and restore on top of the
@@ -20,22 +21,29 @@ import (
 //
 //	magic+version (checkpoint.Encoder.Begin)
 //	plan fingerprint (string)
-//	shard count (uvarint)
-//	coordinator clock (varint)
+//	section count (uvarint): the number of partitions, 1 when unpartitioned
+//	clock (varint)
 //	table section: count, then per unique table its name and contents
-//	per shard, in shard order: one engine state section
+//	per partition, in partition order: one engine state section
+//
+// A partition's section holds its slice of each shared window (the rows its
+// route selects), its operators and its view; the engine-wide counts travel
+// in section 0 and are zero in the others. The reader merges the window
+// slices in (TS, section) order, so a checkpoint of the earlier shard
+// coordinator, whose sections were whole engines over their own windows,
+// restores through the same code.
 //
 // The fingerprint pins everything a checkpoint is NOT allowed to carry
 // across: execution strategy, update-pattern class, view structure, output
 // schema, and the full operator tree (ids and parameterized names). Restore
-// validates the fingerprint and the shard count before touching any state,
-// so a mismatched restore leaves the engine exactly as it was.
+// validates the fingerprint and the section count before touching any
+// state, so a mismatched restore leaves the engine exactly as it was.
 //
 // Configuration never travels in a checkpoint: windows, state-buffer
 // choices, and operator wiring are rebuilt from the plan, and only dynamic
 // state (clocks, cursors, counters, stored tuples) is serialized. A
 // checkpoint therefore restores only into an engine built from the same
-// query, strategy, options, and shard layout.
+// query, strategy, options, and partition count.
 
 // fingerprint renders the plan identity a checkpoint must match: strategy,
 // root pattern, view structure, output schema, and the pre-order operator
@@ -53,10 +61,10 @@ func fingerprint(p *plan.Physical) string {
 }
 
 // uniqueTables lists the distinct tables the nodes consume (a plan's or a
-// registry's table readers), deduplicated by pointer, in node order. Sharded
-// engines share table pointers (shards rebuild the plan from the same logical
-// tree), and so do registered queries, so table contents are written once per
-// checkpoint regardless of shard or query count.
+// registry's table readers), deduplicated by pointer, in node order. The
+// partitions of a query share table pointers (they rebuild the plan from the
+// same logical tree), and so do registered queries, so table contents are
+// written once per checkpoint regardless of partition or query count.
 func uniqueTables(nodes []*plan.PNode) []*relation.Table {
 	var out []*relation.Table
 	for _, pn := range nodes {
@@ -124,34 +132,45 @@ type counterCell interface {
 }
 
 // writeState serializes the dynamic state query q observes in this engine:
-// window contents in source order, operator state in plan pre-order, and
-// the result view, between writeSections' preamble and trailer. It reads
-// through q's records, so the section a registry extracts for one of several
-// queries is laid out as a single-query engine's own.
+// window contents in source order (q's partition of them on a partitioned
+// engine), operator state in plan pre-order, and the result view, between
+// writeSections' preamble and trailer. It reads through q's records, so the
+// section a registry extracts for one of several queries is laid out as a
+// single-query engine's own.
 func (e *Engine) writeState(enc *checkpoint.Encoder, q *queryUnit) error {
-	return e.writeSections(enc, q.srcs, q.nodes, []*queryUnit{q})
-}
-
-// readState is writeState's mirror for the engine's one query.
-func (e *Engine) readState(dec *checkpoint.Decoder) error {
-	q := e.queries[0]
-	return e.readSections(dec, q.srcs, q.nodes, e.queries[:1])
+	return e.writeSections(enc, q.part, q.srcs, q.nodes, []*queryUnit{q})
 }
 
 // writeSections writes one engine state section: clock and maintenance
 // cursors, cumulative counters and the state peak; then the given windows,
 // operators and views in the order given; then the interner and the
 // columnar flag. Both checkpoint formats write their engines through it.
-func (e *Engine) writeSections(enc *checkpoint.Encoder, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
+// part is the partition the section belongs to: on a partitioned engine it
+// holds the rows of each window that partition's route selects, and only
+// section 0 carries the counts.
+func (e *Engine) writeSections(enc *checkpoint.Encoder, part int, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
+	lead := part == 0
+	count := func(v int64) int64 {
+		if lead {
+			return v
+		}
+		return 0
+	}
 	enc.Varint(e.clock)
 	enc.Varint(e.lastEager)
 	enc.Varint(e.lastLazy)
 	for _, c := range e.counterList() {
-		enc.Varint(c.Value())
+		enc.Varint(count(c.Value()))
 	}
-	enc.Varint(e.met.maxStateTuples.Value())
+	enc.Varint(count(e.met.maxStateTuples.Value()))
 	for _, src := range srcs {
-		if err := src.win.SaveState(enc); err != nil {
+		var err error
+		if e.parts == 1 {
+			err = src.win.SaveState(enc)
+		} else {
+			err = src.win.SaveSlice(enc, lead, func(t tuple.Tuple) bool { return e.partOf(src, t) == part })
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -186,20 +205,40 @@ func (e *Engine) writeSections(enc *checkpoint.Encoder, srcs []*liveSource, node
 	return enc.Err()
 }
 
-// readSections is writeSections' mirror. Counters are rehydrated by delta so
-// a registry-backed series lands exactly on the saved value; afterwards the
+// readSections is writeSections' mirror. Section 0 sets the engine's
+// scalars: counters are rehydrated by delta so a registry-backed series lands
+// exactly on the saved value. A later partition section adds its counts and
+// state peak, merges its window slices in (TS, section) order, and keeps the
+// latest clock and the earliest maintenance cursors: the shard coordinator's
+// sections moved their clocks only when their shard got work, and the
+// earliest cursor skips no pass a lagging shard still owed. Afterwards the
 // clock/watermark gauges and state samples are refreshed so metrics read
 // consistently with the restored engine.
-func (e *Engine) readSections(dec *checkpoint.Decoder, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
-	e.clock = dec.Varint()
-	e.lastEager = dec.Varint()
-	e.lastLazy = dec.Varint()
-	for _, c := range e.counterList() {
-		c.Add(dec.Varint() - c.Value())
+func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
+	clock, lastEager, lastLazy := dec.Varint(), dec.Varint(), dec.Varint()
+	if part == 0 {
+		e.clock, e.lastEager, e.lastLazy = clock, lastEager, lastLazy
+		for _, c := range e.counterList() {
+			c.Add(dec.Varint() - c.Value())
+		}
+		e.met.maxStateTuples.SetMax(dec.Varint())
+	} else {
+		e.clock = max(e.clock, clock)
+		e.lastEager = min(e.lastEager, lastEager)
+		e.lastLazy = min(e.lastLazy, lastLazy)
+		for _, c := range e.counterList() {
+			c.Add(dec.Varint())
+		}
+		e.met.maxStateTuples.Set(e.met.maxStateTuples.Value() + dec.Varint())
 	}
-	e.met.maxStateTuples.SetMax(dec.Varint())
 	for _, src := range srcs {
-		if err := src.win.LoadState(dec); err != nil {
+		var err error
+		if part == 0 {
+			err = src.win.LoadState(dec)
+		} else {
+			err = src.win.LoadSlice(dec)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -233,21 +272,26 @@ func (e *Engine) readSections(dec *checkpoint.Decoder, srcs []*liveSource, nodes
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := e.intern.Reset(strs); err != nil {
-		return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
+	// A partitioned engine runs no columnar chain, so only section 0's
+	// symbol table is kept.
+	if part == 0 {
+		if err := e.intern.Reset(strs); err != nil {
+			return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
+		}
 	}
 	// AND, never OR: a plan this engine cannot run columnar stays row-form
 	// regardless of what the saving engine did, and a saved demotion sticks.
 	e.colOK = e.colOK && savedColOK
+	e.mark = min(e.lastEager, e.lastLazy)
 	e.met.clock.Set(e.clock)
-	e.met.watermark.Set(e.Watermark())
+	e.met.watermark.Set(e.mark)
 	e.refreshStateGauges()
 	return nil
 }
 
 // writeHeader begins a checkpoint stream: magic and version, the plan
-// fingerprint, the number of state sections that follow, the coordinator
-// clock, and the tables the plan reads, once.
+// fingerprint, the number of state sections that follow, the clock, and the
+// tables the plan reads, once.
 func writeHeader(enc *checkpoint.Encoder, p *plan.Physical, sections int, clock int64) error {
 	enc.Begin()
 	enc.String(fingerprint(p))
@@ -256,129 +300,94 @@ func writeHeader(enc *checkpoint.Encoder, p *plan.Physical, sections int, clock 
 	return writeTables(enc, uniqueTables(p.Tables))
 }
 
-// writeCheckpoint writes one checkpoint — the header, then one state section
-// per engine — and records it in the first engine's checkpoint instruments.
-// A plain engine passes itself; the coordinator passes its drained shards.
-func writeCheckpoint(w io.Writer, clock int64, engines []*Engine) error {
-	lead := engines[0]
+// Checkpoint writes the engine's complete dynamic state to w: the header,
+// then one state section per partition (one for an unpartitioned engine),
+// after replaying what a partitioned engine's tape still holds. It does not
+// force pending maintenance: cursors travel with the state, so a restored
+// engine resumes the exact maintenance schedule, and checkpointing never
+// perturbs the run it snapshots. This is the single-query format; an
+// engine carrying several registered queries checkpoints with
+// CheckpointRegistry (or per query through QueryHandle.Checkpoint).
+func (e *Engine) Checkpoint(w io.Writer) error {
+	if err := e.catchUp(); err != nil {
+		return err
+	}
+	if len(e.queries) != e.parts {
+		return fmt.Errorf("exec: engine checkpoint requires exactly one registered query (have %d); use CheckpointRegistry", len(e.queries))
+	}
 	var start time.Time
-	if lead.timed {
+	if e.timed {
 		start = time.Now()
 	}
 	enc := checkpoint.NewEncoder(w)
-	if err := writeHeader(enc, lead.phys, len(engines), clock); err != nil {
+	if err := writeHeader(enc, e.phys, e.parts, e.clock); err != nil {
 		return err
 	}
-	for _, eng := range engines {
-		if err := eng.writeState(enc, eng.queries[0]); err != nil {
+	for _, q := range e.queries {
+		if err := e.writeState(enc, q); err != nil {
 			return err
 		}
 	}
-	lead.met.checkpoints.Inc()
-	lead.met.checkpointBytes.Set(enc.Bytes())
-	lead.met.checkpointLast.Set(obs.Nanotime())
-	if lead.timed {
-		lead.met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
+	e.met.checkpoints.Inc()
+	e.met.checkpointBytes.Set(enc.Bytes())
+	e.met.checkpointLast.Set(obs.Nanotime())
+	if e.timed {
+		e.met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
 	}
 	return nil
 }
 
-// readCheckpoint is writeCheckpoint's mirror and returns the coordinator
-// clock. The plan fingerprint and the section count are validated against the
-// engines before any state is touched: a mismatch returns
-// *checkpoint.MismatchError and leaves every engine as it was.
-func readCheckpoint(r io.Reader, engines []*Engine) (clock int64, err error) {
-	lead := engines[0]
+// Restore rehydrates the engine from a checkpoint written by an engine built
+// from the same plan at the same partition count. The plan fingerprint and
+// the section count are validated before any state is touched: a mismatch
+// returns *checkpoint.MismatchError and leaves the engine as it was. The
+// engine should be freshly built; restoring over accumulated state replaces
+// stored tuples but counter deltas assume a zero baseline.
+func (e *Engine) Restore(r io.Reader) error {
+	if err := e.catchUp(); err != nil {
+		return err
+	}
+	if len(e.queries) != e.parts {
+		return fmt.Errorf("exec: engine restore requires exactly one registered query (have %d); use RestoreRegistry", len(e.queries))
+	}
 	var start time.Time
-	if lead.timed {
+	if e.timed {
 		start = time.Now()
 	}
 	dec := checkpoint.NewDecoder(r)
 	dec.Begin()
 	fp := dec.String()
-	shards := dec.Count()
+	sections := dec.Count()
 	if err := dec.Err(); err != nil {
-		return 0, err
-	}
-	if want := fingerprint(lead.phys); fp != want {
-		return 0, &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
-	}
-	if shards != len(engines) {
-		return 0, &checkpoint.MismatchError{
-			Field: "shards", Want: strconv.Itoa(len(engines)), Got: strconv.Itoa(shards),
-		}
-	}
-	clock = dec.Varint()
-	if err := dec.Err(); err != nil {
-		return 0, err
-	}
-	if err := readTables(dec, uniqueTables(lead.phys.Tables)); err != nil {
-		return 0, err
-	}
-	for _, eng := range engines {
-		if err := eng.readState(dec); err != nil {
-			return 0, err
-		}
-	}
-	lead.met.restores.Inc()
-	if lead.timed {
-		lead.met.restoreNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	return clock, nil
-}
-
-// Checkpoint writes the engine's complete dynamic state to w. It does not
-// force pending maintenance: cursors travel with the state, so a restored
-// engine resumes the exact maintenance schedule, and checkpointing never
-// perturbs the run it snapshots. This is the single-query format; an engine
-// carrying several registered queries checkpoints with CheckpointRegistry
-// (or per query through QueryHandle.Checkpoint).
-func (e *Engine) Checkpoint(w io.Writer) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if len(e.queries) != 1 {
-		return fmt.Errorf("exec: engine checkpoint requires exactly one registered query (have %d); use CheckpointRegistry", len(e.queries))
-	}
-	return writeCheckpoint(w, e.clock, []*Engine{e})
-}
-
-// Restore rehydrates the engine from a checkpoint written by an engine built
-// from the same plan (see readCheckpoint for what is validated first). The
-// engine should be freshly built; restoring over accumulated state replaces
-// stored tuples but counter deltas assume a zero baseline. The engine's own
-// clock travels in its state section, so the header's is not needed.
-func (e *Engine) Restore(r io.Reader) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if len(e.queries) != 1 {
-		return fmt.Errorf("exec: engine restore requires exactly one registered query (have %d); use RestoreRegistry", len(e.queries))
-	}
-	_, err := readCheckpoint(r, []*Engine{e})
-	return err
-}
-
-// Checkpoint drains all workers behind a batch barrier, then writes the
-// coordinator clock, the shared tables once, and one state section per
-// shard.
-func (s *sharded) Checkpoint(w io.Writer) error {
-	if err := s.barrier(); err != nil {
 		return err
 	}
-	return writeCheckpoint(w, s.clock, s.shards)
-}
-
-// Restore rehydrates every shard from a checkpoint written by an executor
-// with the same plan AND the same shard count: a 4-shard checkpoint restores
-// only into four shards (see readCheckpoint).
-func (s *sharded) Restore(r io.Reader) error {
-	if err := s.barrier(); err != nil {
+	if want := fingerprint(e.phys); fp != want {
+		return &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
+	}
+	if sections != e.parts {
+		return &checkpoint.MismatchError{
+			Field: "shards", Want: strconv.Itoa(e.parts), Got: strconv.Itoa(sections),
+		}
+	}
+	clock := dec.Varint()
+	if err := dec.Err(); err != nil {
 		return err
 	}
-	clock, err := readCheckpoint(r, s.shards)
-	if err == nil {
-		s.clock = clock
+	if err := readTables(dec, uniqueTables(e.phys.Tables)); err != nil {
+		return err
 	}
-	return err
+	for p, q := range e.queries {
+		if err := e.readSections(dec, p, q.srcs, q.nodes, []*queryUnit{q}); err != nil {
+			return err
+		}
+	}
+	// The header's clock is the largest timestamp admitted; a shard
+	// coordinator's sections could lag it.
+	e.clock = max(e.clock, clock)
+	e.met.clock.Set(e.clock)
+	e.met.restores.Inc()
+	if e.timed {
+		e.met.restoreNanos.Observe(time.Since(start).Nanoseconds())
+	}
+	return nil
 }

@@ -1,13 +1,13 @@
 package exec
 
 // Restore-equivalence conformance for the checkpoint subsystem: a run that is
-// checkpointed mid-trace and restored into a fresh Executor must be
+// checkpointed mid-trace and restored into a fresh executor must be
 // indistinguishable — identical view snapshot, result count, cumulative
 // stats, clock, and watermark — from the same run left uninterrupted, across
 // the paper's query shapes, all three execution strategies, and both the
-// sequential and the sharded Executor. Mismatched restores (different query,
-// strategy, or shard layout) must fail with a typed error before touching any
-// state.
+// sequential and the partitioned engine. Mismatched restores (different
+// query, strategy, or partition count) must fail with a typed error before
+// touching any state.
 
 import (
 	"bytes"
@@ -69,19 +69,19 @@ func ckptQueries() []ckptQuery {
 
 // buildExecutor compiles q fresh with default planner options and opens it
 // at the given shard count (1: the plain engine).
-func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) Executor {
+func buildExecutor(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) *Engine {
 	t.Helper()
 	return buildExecutorOpts(t, q, strat, plan.Options{}, shards)
 }
 
-func buildExecutorOpts(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, shards int) Executor {
+func buildExecutorOpts(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, shards int) *Engine {
 	t.Helper()
 	return openQuery(t, q, strat, opts, Config{LazyInterval: 7, EagerInterval: 1}, shards)
 }
 
 // openQuery plans q and opens it at exactly the given shard count; a fallback
 // fails the test.
-func openQuery(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, cfg Config, shards int) Executor {
+func openQuery(t *testing.T, q ckptQuery, strat plan.Strategy, opts plan.Options, cfg Config, shards int) *Engine {
 	t.Helper()
 	root := q.build()
 	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
@@ -106,7 +106,7 @@ func ckptTrace(streams int) []Arrival {
 	return out
 }
 
-func feed(t *testing.T, ex Executor, trace []Arrival) {
+func feed(t *testing.T, ex *Engine, trace []Arrival) {
 	t.Helper()
 	for _, a := range trace {
 		if err := ex.Push(a.Stream, a.TS, a.Vals...); err != nil {
@@ -125,7 +125,7 @@ type observation struct {
 	watermark int64
 }
 
-func observe(t *testing.T, ex Executor) observation {
+func observe(t *testing.T, ex *Engine) observation {
 	t.Helper()
 	if err := ex.Advance(400); err != nil {
 		t.Fatalf("Advance: %v", err)
@@ -169,7 +169,7 @@ func diffObservations(t *testing.T, name string, got, want observation) {
 
 // TestCheckpointRestoreEquivalence runs three executors over the same trace:
 // A uninterrupted, B checkpointed mid-trace and continued, C restored from
-// B's checkpoint into a fresh Executor and fed the rest. All three must agree
+// B's checkpoint into a fresh executor and fed the rest. All three must agree
 // on every visible signal, and B must be unperturbed by having checkpointed.
 // The checkpoint is also a function of the input alone: a second executor fed
 // the same prefix writes B's exact bytes, and so does C checkpointed again
@@ -207,17 +207,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 					feed(t, c, trace[half:])
 					cObs := observe(t, c)
 
-					want, bCmp := wantObs, bObs
-					if shards > 1 {
-						// Sharded ingest samples the state-size gauge at
-						// batch granularity, and the checkpoint barrier
-						// changes batch boundaries, so the sampled peak may
-						// differ from the uninterrupted run. Everything else
-						// is exact — and B vs C below compares the peak too.
-						want.stats.MaxStateTuples = 0
-						bCmp.stats.MaxStateTuples = 0
-					}
-					diffObservations(t, "B (checkpointed, continued)", bCmp, want)
+					diffObservations(t, "B (checkpointed, continued)", bObs, wantObs)
 					diffObservations(t, "C (restored) vs B", cObs, bObs)
 				})
 			}
@@ -227,7 +217,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 
 // sameBytes checkpoints ex and requires exactly want, reporting the first
 // differing byte.
-func sameBytes(t *testing.T, who string, ex Executor, want []byte) {
+func sameBytes(t *testing.T, who string, ex *Engine, want []byte) {
 	t.Helper()
 	var got bytes.Buffer
 	if err := ex.Checkpoint(&got); err != nil {
@@ -243,11 +233,6 @@ func sameBytes(t *testing.T, who string, ex Executor, want []byte) {
 	t.Errorf("%s checkpoints %d bytes differing from B's %d at byte %d", who, got.Len(), len(want), at)
 }
 
-// The Engine ↔ 1-shard interchange test that stood here had the coordinator's
-// sequential mode as its only subject. Open(…, 1) now returns the plain
-// engine itself, so both directions are one case: checkpoint → Open → Restore
-// → continue, which TestExecutorContract runs at one shard and at three.
-
 func phys2(t *testing.T, q ckptQuery) *plan.Physical {
 	t.Helper()
 	root := q.build()
@@ -261,8 +246,8 @@ func phys2(t *testing.T, q ckptQuery) *plan.Physical {
 	return phys
 }
 
-// TestRestoreMismatchSafety checks that restoring into an Executor built from
-// a different query, strategy, or shard layout fails with
+// TestRestoreMismatchSafety checks that restoring into an executor built from
+// a different query, strategy, or partition count fails with
 // *checkpoint.MismatchError before mutating any state.
 func TestRestoreMismatchSafety(t *testing.T) {
 	qs := ckptQueries()
@@ -277,16 +262,16 @@ func TestRestoreMismatchSafety(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		build func(t *testing.T) Executor
+		build func(t *testing.T) *Engine
 		field string
 	}{
-		{"different query", func(t *testing.T) Executor {
+		{"different query", func(t *testing.T) *Engine {
 			return buildExecutor(t, qs[1], plan.UPA, 1)
 		}, "plan"},
-		{"different strategy", func(t *testing.T) Executor {
+		{"different strategy", func(t *testing.T) *Engine {
 			return buildExecutor(t, qs[0], plan.NT, 1)
 		}, "plan"},
-		{"sharded layout", func(t *testing.T) Executor {
+		{"sharded layout", func(t *testing.T) *Engine {
 			return buildExecutor(t, qs[0], plan.UPA, 4)
 		}, "shards"},
 	}
@@ -317,7 +302,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 		})
 	}
 
-	// A 4-shard checkpoint must also refuse a 1-shard Executor.
+	// A 4-shard checkpoint must also refuse a 1-shard executor.
 	t.Run("4-shard checkpoint into engine", func(t *testing.T) {
 		sh := buildExecutor(t, qs[0], plan.UPA, 4)
 		feed(t, sh, trace[:64])
@@ -351,8 +336,8 @@ func TestRestoreMismatchSafety(t *testing.T) {
 }
 
 // observeNoAdvance renders visible state without advancing time (mismatch
-// tests must not disturb the Executor between the before/after readings).
-func observeNoAdvance(t *testing.T, ex Executor) observation {
+// tests must not disturb the executor between the before/after readings).
+func observeNoAdvance(t *testing.T, ex *Engine) observation {
 	t.Helper()
 	snap, err := ex.Snapshot()
 	if err != nil {
@@ -373,7 +358,7 @@ func observeNoAdvance(t *testing.T, ex Executor) observation {
 // TestCheckpointMetrics checks the upa_checkpoint_* series move.
 func TestCheckpointMetrics(t *testing.T) {
 	q := ckptQueries()[0]
-	eng := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+	eng := buildExecutor(t, q, plan.UPA, 1)
 	feed(t, eng, ckptTrace(q.streams)[:32])
 	var ckpt bytes.Buffer
 	if err := eng.Checkpoint(&ckpt); err != nil {
@@ -385,7 +370,7 @@ func TestCheckpointMetrics(t *testing.T) {
 	if got := eng.met.checkpointBytes.Value(); got != int64(ckpt.Len()) {
 		t.Fatalf("%s = %d, want %d", MetricCheckpointBytes, got, ckpt.Len())
 	}
-	fresh := buildExecutor(t, q, plan.UPA, 1).(*Engine)
+	fresh := buildExecutor(t, q, plan.UPA, 1)
 	if err := fresh.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 
 // batchFeed pushes the trace through PushBatch in uneven chunks so runs of
 // several same-timestamp arrivals (the columnar unit of work) actually form.
-func batchFeed(t *testing.T, ex Executor, trace []Arrival) {
+func batchFeed(t *testing.T, ex *Engine, trace []Arrival) {
 	t.Helper()
 	for i := 0; i < len(trace); {
 		j := i + 5 + (i/5)%7
@@ -240,10 +240,7 @@ func sameInterner(t *testing.T, name string, got, want *tuple.Interner) {
 // not a sampling or batch boundary — and checks that the checkpoint carries
 // the interner: the restored engine resolves every symbol to the same id,
 // keeps columnar eligibility, and finishes the trace bit-identical to the
-// uninterrupted run. (The Engine ↔ one-shard legs that followed exercised the
-// coordinator's sequential mode; Open(…, 1) is this same *Engine, so the
-// round trip above is both directions, and TestExecutorContract repeats it at
-// three shards, where every shard restores its own interner.)
+// uninterrupted run.
 func TestInternerCheckpointRoundTrip(t *testing.T) {
 	q := ckptQueries()[0] // Q1 join of ftp-selects: joins probe on interned ids
 	trace := colTrace(q.streams, 300)

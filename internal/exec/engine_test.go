@@ -326,16 +326,16 @@ func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
 		})
 	}
 
-	// The two-shard column: the coordinator refuses at its own door, before
-	// routing, in the engine's words and with nothing moved — its clock
-	// included, so an arrival older than the refused one is still admitted and
-	// Sync takes no shard past a time no accepted tuple carried.
+	// The two-partition column: the engine refuses before stamping, in the
+	// same words and with nothing moved — its clock included, so an arrival
+	// older than the refused one is still admitted and Sync takes no
+	// partition past a time no accepted tuple carried.
 	for _, c := range []struct {
 		name    string
-		deliver func(Executor, Arrival) error
+		deliver func(*Engine, Arrival) error
 	}{
-		{"2-shards/Push", func(ex Executor, a Arrival) error { return ex.Push(a.Stream, a.TS, a.Vals...) }},
-		{"2-shards/PushBatch", func(ex Executor, a Arrival) error { return ex.PushBatch([]Arrival{a}) }},
+		{"2-shards/Push", func(ex *Engine, a Arrival) error { return ex.Push(a.Stream, a.TS, a.Vals...) }},
+		{"2-shards/PushBatch", func(ex *Engine, a Arrival) error { return ex.PushBatch([]Arrival{a}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sh := openQuery(t, ckptQueries()[0], plan.UPA, plan.Options{}, Config{LazyInterval: 7}, 2)

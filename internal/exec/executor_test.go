@@ -1,9 +1,9 @@
 package exec
 
-// The Executor contract, once: whatever Open returns — the plain engine at
-// one shard, the worker coordinator at three — answers the same schedule the
-// same way, resumes from its own checkpoints, refuses another shard count's
-// before touching state, and is closed by the same rule.
+// The executor contract, once: whatever Open returns — the plain engine at
+// one shard, three key partitions of one engine at three — answers the same
+// schedule the same way, resumes from its own checkpoints, refuses another
+// partition count's before touching state, and is closed by the same rule.
 
 import (
 	"bytes"
@@ -28,13 +28,6 @@ type contractPlan struct {
 	name    string
 	streams int
 	build   func() (*plan.Node, *relation.Table)
-	// transients marks plans whose expiration passes emit replacements
-	// (δ-distinct) or re-aggregates (group-by) under DIRECT and UPA. A shard
-	// runs a pass only at the ticks it has an arrival in, so it folds several
-	// of the sequential engine's passes into one and emits fewer of those
-	// short-lived outputs (DESIGN.md §9); under NT every expiration is its own
-	// negative tuple and the counts agree exactly.
-	transients bool
 }
 
 func contractPlans() []contractPlan {
@@ -42,12 +35,10 @@ func contractPlans() []contractPlan {
 		return contractPlan{name: q.name, streams: q.streams,
 			build: func() (*plan.Node, *relation.Table) { return q.build(), nil }}
 	}
-	q4 := paper(ckptQueries()[3]) // Q4: join of distincts
-	q4.transients = true
 	return []contractPlan{
 		paper(ckptQueries()[0]), // Q1: join of ftp-selects
-		q4,
-		{name: "Q6-group-by", streams: 1, transients: true, build: func() (*plan.Node, *relation.Table) {
+		paper(ckptQueries()[3]), // Q4: join of distincts
+		{name: "Q6-group-by", streams: 1, build: func() (*plan.Node, *relation.Table) {
 			src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 18}, linkSchema())
 			return plan.NewGroupBy(src, []int{0},
 				operator.AggSpec{Kind: operator.Count},
@@ -77,7 +68,7 @@ func companies() *tuple.Schema {
 
 // contractRun is one opened executor with the table its plan reads.
 type contractRun struct {
-	ex  Executor
+	ex  *Engine
 	tbl *relation.Table
 }
 
@@ -164,7 +155,7 @@ func (c contractRun) play(t *testing.T, steps []contractStep) {
 }
 
 // lookups renders LookupKey for every value of the key column's domain.
-func lookups(t *testing.T, ex Executor) string {
+func lookups(t *testing.T, ex *Engine) string {
 	t.Helper()
 	if err := ex.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -197,8 +188,8 @@ func TestExecutorContract(t *testing.T) {
 					a := openContract(t, p, strat, shards)
 					a.play(t, steps)
 					keyed := lookups(t, a.ex)
-					if sh, ok := a.ex.(*sharded); ok && sh.phys.View.Kind == plan.ViewKeyed {
-						groupsInOneShard(t, sh)
+					if shards > 1 && a.ex.phys.View.Kind == plan.ViewKeyed {
+						groupsInOneShard(t, a.ex)
 					}
 					if v := a.ex.Violations(); v != 0 {
 						t.Errorf("shards=%d: %d pattern violations", shards, v)
@@ -222,11 +213,6 @@ func TestExecutorContract(t *testing.T) {
 						t.Errorf("shards=%d: resumed lookups diverge\n got %s\nwant %s", shards, got, keyed)
 					}
 					resumed := observe(t, c.ex)
-					if shards > 1 {
-						// Shards sample the state peak at their own batch
-						// boundaries, which a checkpoint cut moves.
-						resumed.stats.MaxStateTuples = whole[i].stats.MaxStateTuples
-					}
 					diffObservations(t, fmt.Sprintf("shards=%d resumed", shards), resumed, whole[i])
 
 					if i == 1 {
@@ -238,12 +224,9 @@ func TestExecutorContract(t *testing.T) {
 					}
 				}
 
-				// One shard and three agree on everything but the sampled
-				// state peak and, where the plan has them, the transients.
-				whole[1].stats.MaxStateTuples = whole[0].stats.MaxStateTuples
-				if p.transients && strat != plan.NT {
-					whole[1].stats.Emitted, whole[1].stats.Retracted = whole[0].stats.Emitted, whole[0].stats.Retracted
-				}
+				// One partition and three agree on everything: every
+				// partition sees every maintenance pass, and the engine
+				// samples its state once for all of them.
 				diffObservations(t, "3 shards vs 1", whole[1], whole[0])
 
 				// An N-shard checkpoint is refused at M shards, either way
@@ -312,14 +295,14 @@ func TestRestoredTableProbesInInsertionOrder(t *testing.T) {
 }
 
 // groupsInOneShard requires each group of a keyed view to live in exactly one
-// shard — the premise that lets Snapshot concatenate the shard views without
-// merging rows.
-func groupsInOneShard(t *testing.T, s *sharded) {
+// partition — the premise that lets Snapshot concatenate the partitions'
+// views without merging rows.
+func groupsInOneShard(t *testing.T, e *Engine) {
 	t.Helper()
 	home := make(map[tuple.Key]int)
-	for i, eng := range s.shards {
-		for _, r := range eng.View().Snapshot() {
-			k := r.Key(s.phys.View.KeyCols)
+	for i, q := range e.queries {
+		for _, r := range q.view.Snapshot() {
+			k := r.Key(e.phys.View.KeyCols)
 			if j, seen := home[k]; seen {
 				t.Errorf("group %v is in the views of shards %d and %d", k, j, i)
 			}

@@ -8,12 +8,20 @@ import (
 // (the only one of a single-query engine), nil when the registry is empty.
 // With analyze set, each operator node carries its live counters (EXPLAIN
 // ANALYZE); the counters are read with atomic loads, so calling it while
-// the engine runs is safe.
+// the engine runs is safe. A partitioned engine renders its plan once, with
+// the partitions' counters merged by plan position (see Profile).
 func (e *Engine) Explain(analyze bool) *plan.ExplainTree {
 	if len(e.queries) == 0 {
 		return nil
 	}
-	return e.explainQuery(e.queries[0], analyze)
+	if e.parts == 1 {
+		return e.explainQuery(e.queries[0], analyze)
+	}
+	t := plan.Explain(e.phys)
+	if analyze {
+		attachStats(t, e.Profile(), e.parts, e.Clock(), e.Watermark())
+	}
+	return t
 }
 
 // Explain returns the query's renderable plan tree, annotated with the
@@ -43,17 +51,6 @@ func (e *Engine) explainQuery(q *queryUnit, analyze bool) *plan.ExplainTree {
 	})
 	if analyze {
 		attachStats(t, e.profileQuery(q), 1, e.Clock(), e.Watermark())
-	}
-	return t
-}
-
-// Explain returns the renderable plan tree for the coordinator's plan. With
-// analyze set, operator counters are the sums over all shards (batch
-// latencies take the max) and the watermark is the oldest shard watermark.
-func (s *sharded) Explain(analyze bool) *plan.ExplainTree {
-	t := plan.Explain(s.phys)
-	if analyze {
-		attachStats(t, s.Profile(), len(s.shards), s.Clock(), s.Watermark())
 	}
 	return t
 }

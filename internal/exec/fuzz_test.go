@@ -1,0 +1,194 @@
+package exec
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/reference"
+	"repro/internal/relation"
+	"repro/internal/tuple"
+)
+
+// fuzzPlans is FuzzExecutor's plan pool: the partitionable plans Q1, Q3, Q4,
+// Q5, the Q6 group-by on its join key, the intersection and ⋈R over a table.
+func fuzzPlans() []contractPlan {
+	ps := partitionPlans()
+	return []contractPlan{ps[0], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7]}
+}
+
+// fuzzInput reads the fuzz bytes one at a time; once they run out every
+// read is 0.
+type fuzzInput struct{ b []byte }
+
+func (in *fuzzInput) next() int {
+	if len(in.b) == 0 {
+		return 0
+	}
+	v := in.b[0]
+	in.b = in.b[1:]
+	return int(v)
+}
+
+// fuzzRun is one executor of FuzzExecutor with the table its plan reads.
+type fuzzRun struct {
+	ex     *Engine
+	tbl    *relation.Table
+	shards int
+}
+
+func openFuzzRun(t *testing.T, p contractPlan, strat plan.Strategy, shards int) (fuzzRun, *plan.Node) {
+	root, tbl := p.build()
+	phys := buildPhys(t, root, strat, plan.Options{})
+	return fuzzRun{openAt(t, phys, Config{LazyInterval: 7, EagerInterval: 1}, shards), tbl, shards}, root
+}
+
+// FuzzExecutor decodes its bytes into a partitionable plan, a strategy and a
+// schedule of Push and PushBatch splits (some past the tape's flush bound),
+// Advance gaps, table updates, Syncs and one checkpoint → restore cut into
+// fresh executors, and drives the schedule into Open(…, 1) and Open(…, 3).
+// After every Sync both answer what internal/reference evaluates, and both
+// have emitted and retracted as many deltas. At the cut each checkpoint is
+// written twice with the same bytes, and the executor restored from it
+// writes them again.
+func FuzzExecutor(f *testing.F) {
+	f.Add([]byte{0, 2, 0, 1, 7, 9, 2, 0, 2, 3, 1, 6, 4, 20, 6})
+	f.Add([]byte{2, 0, 2, 30, 7, 1, 7, 4, 9, 6, 2, 12, 6})
+	f.Add([]byte{4, 1, 3, 2, 11, 5, 1, 3, 4, 5, 9, 7, 2, 6, 6})
+	f.Add([]byte{6, 2, 5, 3, 1, 0, 2, 9, 5, 0, 4, 3, 6, 7, 5, 9, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &fuzzInput{data}
+		plans := fuzzPlans()
+		p := plans[in.next()%len(plans)]
+		strat := []plan.Strategy{plan.NT, plan.Direct, plan.UPA}[in.next()%3]
+		one, root := openFuzzRun(t, p, strat, 1)
+		three, _ := openFuzzRun(t, p, strat, 3)
+		runs := []*fuzzRun{&one, &three}
+		ref, refTbl := reference.New(root), one.tbl
+
+		ts := int64(0)
+		arrival := func() Arrival {
+			ts += int64(in.next() % 3)
+			return Arrival{Stream: in.next() % p.streams, TS: ts, Vals: []tuple.Value{
+				tuple.Int(int64(in.next() % 6)), tuple.String_(protos[in.next()%len(protos)]), tuple.Int(int64(in.next() % 100)),
+			}}
+		}
+		each := func(what string, fn func(r *fuzzRun) error) {
+			t.Helper()
+			for _, r := range runs {
+				if err := fn(r); err != nil {
+					t.Fatalf("%s at %d partitions: %v", what, r.shards, err)
+				}
+			}
+		}
+		pushBatch := func(batch []Arrival) {
+			each("PushBatch", func(r *fuzzRun) error { return r.ex.PushBatch(batch) })
+			for _, a := range batch {
+				ref.Push(a.Stream, a.TS, a.Vals...)
+			}
+		}
+		check := func() {
+			t.Helper()
+			if one.ex.Clock() < 0 {
+				return
+			}
+			want, err := ref.Eval(one.ex.Clock())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range runs {
+				got, err := r.ex.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reference.SameBag(reference.RowsOf(got), want) {
+					t.Fatalf("%d partitions at t=%d answer\n%s\nthe reference\n%s", r.shards, r.ex.Clock(),
+						reference.Render(reference.RowsOf(got)), reference.Render(want))
+				}
+			}
+			if s1, s3 := one.ex.Stats(), three.ex.Stats(); s1.Emitted != s3.Emitted || s1.Retracted != s3.Retracted {
+				t.Fatalf("3 partitions emitted %+v, 1 partition %+v", s3, s1)
+			}
+		}
+		var inserted [][]tuple.Value
+		cut, big := false, false
+		for step := 0; step < 64 && len(in.b) > 0; step++ {
+			switch in.next() % 8 {
+			case 0, 1:
+				a := arrival()
+				each("Push", func(r *fuzzRun) error { return r.ex.Push(a.Stream, a.TS, a.Vals...) })
+				ref.Push(a.Stream, a.TS, a.Vals...)
+			case 2:
+				batch := make([]Arrival, 1+in.next()%48)
+				for i := range batch {
+					batch[i] = arrival()
+				}
+				pushBatch(batch)
+			case 3:
+				// A batch past the tape's flush bound, drawn from a seed; one
+				// per input keeps the reference's recomputation cheap.
+				if big {
+					continue
+				}
+				big = true
+				rng := rand.New(rand.NewSource(int64(in.next())))
+				batch := make([]Arrival, tapeFlushRows+1+rng.Intn(512))
+				for i := range batch {
+					ts += int64(rng.Intn(2))
+					batch[i] = Arrival{Stream: rng.Intn(p.streams), TS: ts, Vals: rndTuple(rng)}
+				}
+				pushBatch(batch)
+			case 4:
+				ts += int64(in.next() % 48)
+				at := ts
+				each("Advance", func(r *fuzzRun) error { return r.ex.Advance(at) })
+			case 5:
+				if one.tbl == nil {
+					continue
+				}
+				u := relation.Update{Kind: relation.Insert, TS: ts,
+					Row: []tuple.Value{tuple.Int(int64(in.next() % 6)), tuple.String_(protos[in.next()%len(protos)])}}
+				if len(inserted) > 0 && in.next()%3 == 0 {
+					u = relation.Update{Kind: relation.Delete, TS: ts, Row: inserted[0]}
+					inserted = inserted[1:]
+				} else {
+					inserted = append(inserted, u.Row)
+				}
+				each("ApplyTableUpdate", func(r *fuzzRun) error { return r.ex.ApplyTableUpdate(r.tbl, u) })
+				ref.PushTable(refTbl, u)
+			case 6:
+				check()
+			case 7:
+				if cut {
+					continue
+				}
+				cut = true
+				for _, r := range runs {
+					var a, b, c bytes.Buffer
+					if err := r.ex.Checkpoint(&a); err != nil {
+						t.Fatal(err)
+					}
+					if err := r.ex.Checkpoint(&b); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(a.Bytes(), b.Bytes()) {
+						t.Fatalf("%d partitions: two checkpoints of one state differ", r.shards)
+					}
+					fresh, _ := openFuzzRun(t, p, strat, r.shards)
+					if err := fresh.ex.Restore(bytes.NewReader(a.Bytes())); err != nil {
+						t.Fatalf("%d partitions: Restore: %v", r.shards, err)
+					}
+					if err := fresh.ex.Checkpoint(&c); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(a.Bytes(), c.Bytes()) {
+						t.Fatalf("%d partitions: the restored executor checkpoints other bytes", r.shards)
+					}
+					*r = fresh
+				}
+			}
+		}
+		check()
+	})
+}

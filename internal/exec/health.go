@@ -36,7 +36,6 @@ const (
 const (
 	RulePatternViolations    = "pattern-violations"
 	RulePrematureExpirations = "premature-expirations"
-	RuleShardQueueDepth      = "shard-queue-depth"
 	RuleShardBlocked         = "shard-blocked"
 	RuleDeltaP99             = "delta-p99"
 	RuleStalenessLag         = "staleness-lag"
@@ -100,20 +99,8 @@ func builtinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int6
 			ForTicks: 1, HoldTicks: 2,
 		},
 		{
-			Name: RuleShardQueueDepth,
-			Help: "a shard ingest queue is backing up (capacity " +
-				fmt.Sprint(shardQueue) + " batches)",
-			Signal: obs.Signal{
-				Series: MetricShardQueueDepth,
-				Source: obs.SourceValue,
-				Agg:    obs.AggMax,
-			},
-			Warn: float64(shardQueue) - 2, Crit: float64(shardQueue) - 1,
-			ForTicks: 2, HoldTicks: 2,
-		},
-		{
 			Name: RuleShardBlocked,
-			Help: "producers are spending a large share of wall time blocked on full shard queues (ns blocked per second)",
+			Help: "the caller of a partitioned engine spends a large share of wall time waiting at the partition join for partitions replaying on other workers (ns waited per second)",
 			Signal: obs.Signal{
 				Series: MetricShardQueueBlocked,
 				Source: obs.SourceRate,
@@ -173,9 +160,7 @@ func builtinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int6
 
 // HealthRules returns the engine's built-in rule set (see
 // builtinHealthRules). The NT-specific rules key off the first registered
-// query's strategy; an empty registry gets the UPA set. Shard queue-depth and
-// blocked-time rules match per-shard label sets via AggMax, so when shards
-// run one slow shard is enough to trip them.
+// query's strategy; an empty registry gets the UPA set.
 func (e *Engine) HealthRules(slo HealthSLO) []obs.Rule {
 	strategy := plan.UPA
 	if e.phys != nil {
@@ -183,6 +168,3 @@ func (e *Engine) HealthRules(slo HealthSLO) []obs.Rule {
 	}
 	return builtinHealthRules(strategy, e.cfg.EagerInterval, e.cfg.LazyInterval, slo)
 }
-
-// HealthRules returns the rule set of the plan every shard runs.
-func (s *sharded) HealthRules(slo HealthSLO) []obs.Rule { return s.shards[0].HealthRules(slo) }

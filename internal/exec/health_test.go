@@ -100,40 +100,11 @@ func TestBuiltinRulePrematureExpirations(t *testing.T) {
 	}
 }
 
-// TestBuiltinRuleShardQueueDepth is the stalled-shard scenario: a shard
-// stops draining, its queue-depth gauge pins at capacity, and the
-// backpressure rule escalates — but only after ForTicks consecutive
-// breaching ticks, so one transient full queue does not page.
-func TestBuiltinRuleShardQueueDepth(t *testing.T) {
-	reg, h := newRuleHarness(HealthSLO{Window: 3})
-	depth := reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "1"})
-	reg.Gauge(MetricShardQueueDepth, "", obs.Labels{"shard": "0"}).Set(0)
-	h.Tick()              // baseline
-	depth.Set(shardQueue) // stalled: queue pinned at capacity
-	h.Tick()              // breach #1: pending only (ForTicks 2)
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevOK {
-		t.Fatalf("one breaching tick escalated immediately: %v", got.Severity)
-	}
-	h.Tick() // breach #2: escalates
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevCrit {
-		t.Fatalf("severity with queue pinned = %v, want CRIT (AggMax across shards)", got.Severity)
-	}
-	depth.Set(0) // shard drains
-	h.Tick()     // clear #1 (HoldTicks 2)
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevCrit {
-		t.Fatalf("one clear tick de-escalated immediately: %v", got.Severity)
-	}
-	h.Tick() // clear #2: recovers
-	if got := ruleStatus(t, h, RuleShardQueueDepth); got.Severity != obs.SevOK {
-		t.Fatalf("severity after drain = %v, want OK", got.Severity)
-	}
-}
-
 func TestBuiltinRuleShardBlocked(t *testing.T) {
 	reg, h := newRuleHarness(HealthSLO{Window: 3})
-	blocked := reg.Counter(MetricShardQueueBlocked, "", obs.Labels{"shard": "0"})
+	blocked := reg.Counter(MetricShardQueueBlocked, "", nil)
 	h.Tick() // baseline
-	// Producers report far more blocked-nanos than wall time elapses
+	// The caller reports far more join-wait nanos than wall time elapses
 	// between manual ticks — a rate deep past the 0.6 s/s CRIT line.
 	blocked.Add(5e9)
 	h.Tick()
@@ -219,8 +190,8 @@ func TestBuiltinRuleDeltaP99DisabledWithoutSLO(t *testing.T) {
 			t.Fatal("delta-p99 rule present without an SLO")
 		}
 	}
-	if len(rules) != 6 {
-		t.Errorf("builtin rule count = %d, want 6 without a latency SLO", len(rules))
+	if len(rules) != 5 {
+		t.Errorf("builtin rule count = %d, want 5 without a latency SLO", len(rules))
 	}
 }
 

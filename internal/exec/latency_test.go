@@ -9,9 +9,10 @@ import (
 	"repro/internal/plan"
 )
 
-// TestShardedLatencyCoversEveryDelta: a sharded run's latency origin is
-// stamped when the arrival is first buffered, so recorded latency is
-// strictly positive and covers at least the worker hand-off.
+// TestShardedLatencyCoversEveryDelta: a partitioned run charges every
+// delta of every partition to the latency histograms, with an origin taken
+// when the call entered the engine, so recorded latency is strictly positive
+// and covers the replay on the workers.
 func TestShardedLatencyCoversEveryDelta(t *testing.T) {
 	q := ckptQueries()[0]
 	sh := buildInstrumented(t, q, plan.NT, 4)

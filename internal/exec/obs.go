@@ -67,11 +67,11 @@ const (
 	MetricRestoreNanos = "upa_checkpoint_restore_nanos"
 	// MetricDeltaLatency is the ingest→emit delta-latency distribution: for
 	// every tuple the query emits (insertion or retraction), the monotonic
-	// time from when the causing event entered the system (arrival admission,
-	// or — sharded — when it was first buffered for its shard) until the
-	// delta was folded into the result view. A log-bucketed histogram
-	// (summary exposition: p50/p95/p99/max), labeled {polarity} plus any
-	// Config.MetricLabels (shard, query). Recorded only when Config.Metrics
+	// time from when the causing call (Push, PushBatch, Advance, a table
+	// update, Sync) entered the engine until the delta was folded into the
+	// result view. A log-bucketed histogram (summary exposition:
+	// p50/p95/p99/max), labeled {polarity} plus any Config.MetricLabels and,
+	// for a named registry query, {query}. Recorded only when Config.Metrics
 	// is set.
 	MetricDeltaLatency = "upa_delta_latency_nanos"
 )
@@ -185,7 +185,6 @@ var seriesConsumers = map[string]string{
 	MetricOpBatchMax:        "EXPLAIN ANALYZE proc (max)",
 	MetricOpObservedPattern: "EXPLAIN ANALYZE observed; /debug/conformance",
 	MetricPatternViolations: "health rules pattern-violations and premature-expirations",
-	MetricShardQueueDepth:   "health rule shard-queue-depth",
 	MetricShardQueueBlocked: "health rule shard-blocked; benchmark/ exec.shard_blocked_share",
 
 	obs.MetricHealthSeverity:    "/debug/health rule states as series (TestHealthEscalationNeedsForTicks)",

@@ -118,7 +118,7 @@ func TestSeriesInventory(t *testing.T) {
 	h.Tick()
 
 	trace := ckptTrace(q.streams)
-	for _, ex := range []Executor{sh, multi} {
+	for _, ex := range []*Engine{sh, multi} {
 		if err := ex.PushBatch(trace); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestSeriesInventory(t *testing.T) {
 	if err := fresh.Restore(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	for _, ex := range []Executor{sh, multi, fresh} {
+	for _, ex := range []*Engine{sh, multi, fresh} {
 		if err := ex.Sync(); err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ package exec
 // exp-timestamp (WK) edge — and checks each trips exactly the expected
 // violation kind. The acceptance half runs all five paper query shapes
 // under every strategy, sequential and sharded, and requires the monitor
-// to report zero violations (the Executor's emissions must conform to the
+// to report zero violations (the executor's emissions must conform to the
 // classes Section 3's rules declare) while the delta-latency histograms
 // account for every emitted delta.
 
@@ -136,7 +136,7 @@ func TestConformanceOrderlyBoundaryConforms(t *testing.T) {
 
 // buildInstrumented mirrors buildExecutor with a metrics registry attached,
 // so delta latency is recorded and the conformance gauges are live.
-func buildInstrumented(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) Executor {
+func buildInstrumented(t *testing.T, q ckptQuery, strat plan.Strategy, shards int) *Engine {
 	t.Helper()
 	cfg := Config{LazyInterval: 7, EagerInterval: 1, Metrics: obs.NewRegistry()}
 	return openQuery(t, q, strat, plan.Options{}, cfg, shards)

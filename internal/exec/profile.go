@@ -56,14 +56,22 @@ func (p OpProfile) Violations() int64 {
 // Profile returns per-operator runtime counters for the first registered
 // query in pre-order (root first) — an EXPLAIN ANALYZE for continuous
 // queries: which edges carry retractions, where state lives, and which
-// structures do the touching. Every field is read from the operator's
-// registry instruments with atomic loads, so Profile is safe to call from
-// another goroutine (e.g. the /debug/plan page) while the engine runs.
+// structures do the touching. On a partitioned engine the partitions' rows
+// merge by plan position: counters and state sum, batch latencies take the
+// max, and the observed class is the strongest. Every field is read from the
+// operator's registry instruments with atomic loads, so Profile is safe to
+// call from another goroutine (e.g. the /debug/plan page) while the engine
+// runs.
 func (e *Engine) Profile() []OpProfile {
-	if len(e.queries) == 0 {
+	qs := e.answer()
+	if len(qs) == 0 {
 		return nil
 	}
-	return e.profileQuery(e.queries[0])
+	parts := make([][]OpProfile, len(qs))
+	for i, q := range qs {
+		parts[i] = e.profileQuery(q)
+	}
+	return mergeProfiles(parts)
 }
 
 // Profile returns the query's per-operator runtime counters, in pre-order
@@ -114,12 +122,24 @@ func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
 	return out
 }
 
-// WriteProfile renders Profile as an aligned tree.
+// WriteProfile renders Profile as an aligned tree, one per partition on a
+// partitioned engine.
 func (e *Engine) WriteProfile(w io.Writer) error {
-	if e.closed {
-		return ErrClosed
+	if err := e.catchUp(); err != nil {
+		return err
 	}
-	return writeProfiles(w, e.Profile())
+	if e.parts == 1 {
+		return writeProfiles(w, e.Profile())
+	}
+	for _, q := range e.queries {
+		if _, err := fmt.Fprintf(w, "shard %d:\n", q.part); err != nil {
+			return err
+		}
+		if err := writeProfiles(w, e.profileQuery(q)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteConformance renders the conformance monitor's verdict as a table:
@@ -157,7 +177,7 @@ func WriteConformance(w io.Writer, profs []OpProfile) error {
 	return nil
 }
 
-// writeProfiles renders a profile slice (one engine's, or one shard's).
+// writeProfiles renders a profile slice (one engine's, or one partition's).
 func writeProfiles(w io.Writer, profs []OpProfile) error {
 	if len(profs) == 0 {
 		_, err := fmt.Fprintln(w, "(bare window plan: no operators)")

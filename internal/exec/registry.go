@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -80,6 +81,9 @@ type liveSource struct {
 	// materialized windows announce expirations with explicit negative
 	// tuples at eager cadence (see Engine.advance).
 	nt bool
+	// route, on a partitioned engine, is the stream's routing columns: a
+	// row of this source belongs to partition KeyHash64(route) % parts.
+	route []int
 }
 
 // outEdge is one consumer edge of the shared dataflow: emissions are fed to
@@ -146,7 +150,10 @@ func unindex[R interface {
 // queryUnit is one registered query's private state: its plan, its result
 // view, the live records executing its plan, and its output instruments.
 type queryUnit struct {
-	id     int
+	id int
+	// part is the partition the query computes on a partitioned engine (0
+	// otherwise).
+	part   int
 	name   string
 	phys   *plan.Physical
 	view   View
@@ -237,6 +244,21 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
+	if e.parts > 1 {
+		return nil, fmt.Errorf("exec: a partitioned engine takes no further queries")
+	}
+	q, err := e.install(spec, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryHandle{e: e, q: q}, nil
+}
+
+// install is RegisterQuery's body. part is the partition the query computes:
+// a copy of a partitioned query (part > 0) reads the windows of partition
+// 0's copy, private ones included, and shares no operator with another
+// partition.
+func (e *Engine) install(spec QuerySpec, part int) (*queryUnit, error) {
 	phys := spec.Phys
 	if phys == nil {
 		return nil, fmt.Errorf("exec: RegisterQuery: nil physical plan")
@@ -252,7 +274,7 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &queryUnit{id: e.nextQID, name: spec.Name, phys: phys, view: view, onEmit: spec.OnEmit}
+	q := &queryUnit{id: e.nextQID, part: part, name: spec.Name, phys: phys, view: view, onEmit: spec.OnEmit}
 	e.nextQID++
 	if spec.Name != "" {
 		ql := withLabel(e.cfg.MetricLabels, "query", spec.Name)
@@ -278,7 +300,13 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 		if streamCount[s.StreamID] == 1 {
 			key = digests.Sources[s]
 		}
-		src, ok := lookup(e.srcIndex, key, q)
+		var src *liveSource
+		var ok bool
+		if part > 0 {
+			src, ok = e.queries[0].srcs[i], true
+		} else {
+			src, ok = lookup(e.srcIndex, key, q)
+		}
 		if !ok {
 			src = &liveSource{record: record{key: key, cid: e.canonSeq},
 				stream: s.StreamID, schema: s.Schema, win: s.Window, nt: phys.Strategy == plan.NT}
@@ -334,10 +362,15 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	}
 
 	// Stats cells in pre-order of the query plan, so a single-query engine's
-	// operator ids match EXPLAIN's pre-order numbering.
+	// operator ids match EXPLAIN's pre-order numbering. A partition's series
+	// carry its shard label.
+	labels := e.cfg.MetricLabels
+	if e.parts > 1 {
+		labels = withLabel(labels, "shard", strconv.Itoa(part))
+	}
 	for i, n := range q.nodes {
 		if len(n.holders) == 1 { // new with this query
-			n.opStats = newOpStats(e.reg, own[i], e.nextOpID, e.cfg.MetricLabels)
+			n.opStats = newOpStats(e.reg, own[i], e.nextOpID, labels)
 			e.nextOpID++
 			if _, ok := n.op.(operator.TableOperator); ok {
 				e.tables = append(e.tables, n)
@@ -363,7 +396,7 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	}
 	e.rebuildComponents()
 	e.recomputeColPath()
-	return &QueryHandle{e: e, q: q}, nil
+	return q, nil
 }
 
 // shareKey builds the executor-level dedup key for pn, one of q's plan
@@ -373,11 +406,15 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 // resolved identities — rather than the descriptor's structural child digests
 // — means a node whose child could NOT be shared (multi-window stream,
 // within-query duplicate) is itself unshareable, keeping input state exactly
-// per-query.
+// per-query. The copy of a partitioned query carries its partition, so
+// copies never merge.
 func (e *Engine) shareKey(q *queryUnit, pn *plan.PNode, own string, ins []*liveNode) string {
 	key := own
 	if top, ok := pn.Op.(operator.TableOperator); ok {
 		key += fmt.Sprintf("|tbl#%d", e.tableID(top.Table()))
+	}
+	if q.part > 0 {
+		key += fmt.Sprintf("|part#%d", q.part)
 	}
 	key += "["
 	for i, in := range ins {
@@ -409,9 +446,10 @@ func (e *Engine) tableID(tbl *relation.Table) int {
 // recomputeColPath re-derives the columnar fast-path gate after a
 // registration change. The data-driven demotion latch survives: once an
 // arrival has planted row-form state no registration change can make the
-// kernels safe again.
+// kernels safe again. A partitioned engine stays on the row chain: a
+// columnar run would flow on the caller, past the routing of the tape.
 func (e *Engine) recomputeColPath() {
-	e.colOK = !e.cfg.NoColumnar && !e.colDemoted && e.colPlanSupported()
+	e.colOK = e.parts == 1 && !e.cfg.NoColumnar && !e.colDemoted && e.colPlanSupported()
 	if e.colOK {
 		e.initColPath()
 	}
@@ -429,6 +467,9 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 	}
 	if h == nil || h.e != e {
 		return 0, fmt.Errorf("exec: UnregisterQuery: handle does not belong to this engine")
+	}
+	if e.parts > 1 {
+		return 0, fmt.Errorf("exec: a partitioned engine's queries are its partitions; they do not unregister")
 	}
 	q := h.q
 	idx := slices.Index(e.queries, q)
@@ -550,9 +591,9 @@ type SharingStats struct {
 	// than one query.
 	SharedNodes, SharedSources int
 	// Components counts the connected components of the live dataflow:
-	// queries that share no operator and no table fall in different
-	// components, and a PushBatch replays different components on
-	// different cores. A registry of one component ingests on one core.
+	// queries that share no operator fall in different components, and a
+	// PushBatch replays different components on different cores. A registry
+	// of one component ingests on one core.
 	Components int
 }
 

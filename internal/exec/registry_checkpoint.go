@@ -92,7 +92,7 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 	if err := writeTables(enc, tables); err != nil {
 		return err
 	}
-	if err := e.writeSections(enc, srcs, nodes, e.queries); err != nil {
+	if err := e.writeSections(enc, 0, srcs, nodes, e.queries); err != nil {
 		return err
 	}
 	e.met.checkpoints.Inc()
@@ -138,7 +138,7 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 	if err := readTables(dec, tables); err != nil {
 		return err
 	}
-	if err := e.readSections(dec, srcs, nodes, e.queries); err != nil {
+	if err := e.readSections(dec, 0, srcs, nodes, e.queries); err != nil {
 		return err
 	}
 	e.met.restores.Inc()

@@ -26,7 +26,7 @@ import (
 type shardDriver struct {
 	t      *testing.T
 	seq    *Engine
-	sh     Executor
+	sh     *Engine
 	ref    *reference.Evaluator
 	every  int
 	events int
@@ -46,20 +46,21 @@ func (d *shardDriver) push(stream int, ts int64, vals ...tuple.Value) {
 
 func (d *shardDriver) table(tbl *relation.Table, u relation.Update) {
 	d.t.Helper()
-	// The table is shared between the sequential and sharded executors, so
-	// only the sharded one applies the mutation; the sequential engine just
-	// routes it (both see the same post-update rows). The sequential engine
-	// must run its pending expirations against the pre-update table first —
-	// tableUpdate's contract — so advance it before the shared apply.
+	// The table is shared between the sequential and partitioned engines,
+	// so only the partitioned one applies the mutation; the sequential engine
+	// just routes it (both see the same post-update rows). The sequential
+	// engine must run its pending expirations against the pre-update table
+	// first — tableUpdate's contract — so advance it before the shared apply.
 	if err := d.seq.Advance(u.TS); err != nil {
 		d.t.Fatalf("sequential Advance(%d): %v", u.TS, err)
 	}
 	if err := d.sh.ApplyTableUpdate(tbl, u); err != nil {
 		d.t.Fatalf("sharded ApplyTableUpdate: %v", err)
 	}
-	if err := d.seq.tableUpdate(tbl, u, false); err != nil {
-		d.t.Fatalf("sequential tableUpdate: %v", err)
+	if err := d.seq.routeTableUpdate(tbl, u); err != nil {
+		d.t.Fatalf("sequential routeTableUpdate: %v", err)
 	}
+	d.seq.settle()
 	d.ref.PushTable(tbl, u)
 	d.check(u.TS)
 }
@@ -105,15 +106,15 @@ func (d *shardDriver) check(now int64) {
 
 // openAt opens phys through the one constructor at exactly n shards (1: the
 // plain engine) and fails the test if the plan fell back.
-func openAt(t testing.TB, phys *plan.Physical, cfg Config, n int) Executor {
+func openAt(t testing.TB, phys *plan.Physical, cfg Config, n int) *Engine {
 	t.Helper()
 	ex, reason, err := Open(QuerySpec{Phys: phys, OnEmit: cfg.OnEmit}, cfg, n)
 	if err != nil {
 		t.Fatalf("Open at %d shards: %v", n, err)
 	}
 	t.Cleanup(func() { ex.Close() })
-	if _, plain := ex.(*Engine); reason != "" || ex.Shards() != n || plain != (n == 1) {
-		t.Fatalf("Open at %d shards returned %T with %d (%s)", n, ex, ex.Shards(), reason)
+	if reason != "" || ex.Shards() != n {
+		t.Fatalf("Open at %d shards returned %d (%s)", n, ex.Shards(), reason)
 	}
 	return ex
 }
@@ -475,8 +476,8 @@ func TestShardedFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, plain := sh.(*Engine); !plain || sh.Shards() != 1 {
-				t.Fatalf("Open returned %T with Shards() = %d, want a plain *Engine", sh, sh.Shards())
+			if sh.Shards() != 1 {
+				t.Fatalf("Open returned Shards() = %d, want a plain engine", sh.Shards())
 			}
 			if !strings.Contains(reason, tc.reason) {
 				t.Fatalf("fallback reason = %q, want mention of %q", reason, tc.reason)
@@ -511,8 +512,9 @@ func TestShardedFallback(t *testing.T) {
 	}
 }
 
-// TestShardedMetricLabels checks that each shard's series carry its label in
-// the shared registry.
+// TestShardedMetricLabels checks that each partition's operator series carry
+// its shard label in the engine's registry, and that the partitions' inputs
+// add up to the arrivals.
 func TestShardedMetricLabels(t *testing.T) {
 	root := plan.NewJoin(
 		plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 20}, linkSchema()),
@@ -539,15 +541,15 @@ func TestShardedMetricLabels(t *testing.T) {
 	snap := reg.Snapshot()
 	var total int64
 	for _, shard := range []string{"0", "1"} {
-		key := MetricArrivals + `{shard="` + shard + `"}`
+		key := MetricOpInPos + `{id="0",op="join",shard="` + shard + `"}`
 		v, ok := snap.Counters[key]
 		if !ok {
 			t.Fatalf("missing series %s in %v", key, snap.Counters)
 		}
 		total += v
 	}
-	if total != 80 {
-		t.Fatalf("shard arrivals sum = %d, want 80", total)
+	if total != 80 || snap.Counters[MetricArrivals] != 80 {
+		t.Fatalf("shard join inputs sum = %d, arrivals = %d, want 80", total, snap.Counters[MetricArrivals])
 	}
 }
 

@@ -18,9 +18,11 @@ import (
 // run tape. The component stage replays the tape once per connected
 // component of the live operator graph: each component feeds the rows to
 // its own edges and bare-window views and runs its own maintenance passes.
-// Components share nothing but windows, and Definition 1 fixes each query's
-// answer from its window states alone, so the components of one tape may
-// replay concurrently and no query's output sequence changes.
+// Components share nothing but windows and read-only tables, and
+// Definition 1 fixes each query's answer from its window states alone, so
+// the components of one tape may replay concurrently and no query's output
+// sequence changes. The partitions of a partitioned engine are components
+// too, each replaying its own share of the rows (deal).
 
 // Tape event kinds.
 const (
@@ -39,10 +41,15 @@ type tapeEvent struct {
 	now    int64 // the clock when the step happened
 }
 
-// runTape is the engine's reusable record of one ingest call's window stage.
+// runTape is the engine's reusable record of the window stage not yet
+// replayed: one call's, or on a partitioned engine several PushBatch calls'.
+// There (parts > 1) part holds, parallel to rows, the partition each row
+// belongs to once the flush has dealt them.
 type runTape struct {
 	events []tapeEvent
 	rows   []tuple.Tuple
+	parts  int
+	part   []int32
 }
 
 // pass records a maintenance pass.
@@ -57,8 +64,26 @@ func (t *runTape) closeRows(src *liveSource, lo int, now int64) {
 	}
 }
 
-// reset empties the tape, after a replay and before a window stage (a
-// replay a panic cut short leaves its events behind).
+// deal assigns the rows of events[lo:hi] to the partitions: a row out of
+// source s goes to partition KeyHash64(s.route) % parts. Every row is hashed
+// once per flush, not once per partition.
+func (t *runTape) deal(lo, hi int, sources []*liveSource) {
+	n := uint64(t.parts)
+	for _, ev := range t.events[lo:hi] {
+		if ev.kind != evRows {
+			continue
+		}
+		route := sources[ev.src].route
+		for i := ev.lo; i < ev.hi; i++ {
+			t.part[i] = int32(t.rows[i].KeyHash64(route) % n)
+		}
+	}
+}
+
+// dealChunk is how many tape events a worker deals at a time.
+const dealChunk = 256
+
+// reset empties the tape after a replay, also one a panic cut short.
 func (t *runTape) reset() {
 	t.rows = t.rows[:0]
 	t.events = t.events[:0]
@@ -66,7 +91,8 @@ func (t *runTape) reset() {
 
 // tapeFlushRows bounds the tape: a window stage that has recorded this many
 // rows is replayed before it goes on, so a huge PushBatch does not hold its
-// whole stamped input at once.
+// whole stamped input at once. It is also how many rows a partitioned
+// engine's PushBatch calls stamp before one of them replays (Engine.ingest).
 const tapeFlushRows = 4096
 
 // flow is the context a run travels the operator graph in: the logical time
@@ -78,13 +104,21 @@ type flow struct {
 	now         int64
 	pos, neg    int64
 	viewExpired int64
+	// emits are the output buffers of the nested feedBatch calls, by depth.
+	emits []*operator.Emit
+	depth int
 }
 
 // component is one connected component of the live operator graph: nodes
-// that feed one another or probe the same table, and the queries rooted in
-// them. A bare-window query is a component of its own.
+// that feed one another, and the queries rooted in them. A bare-window query
+// is a component of its own.
 type component struct {
 	flow
+	// part is the partition the component computes on a partitioned engine,
+	// the only one whose rows it replays; -1 replays every row. rows stages
+	// its rows of an event that holds other partitions' rows too.
+	part int
+	rows []tuple.Tuple
 	// eager and lazy are the component's nodes by maintenance pass,
 	// children-first.
 	eager, lazy []*liveNode
@@ -108,8 +142,9 @@ type srcFan struct {
 }
 
 // rebuildComponents re-partitions the live dataflow into components. Two
-// nodes are connected when one feeds the other or when both probe the same
-// relation table (probes mutate the table's index state). Runs on every
+// nodes are connected when one feeds the other. Nodes that probe one
+// relation table are not: a probe writes nothing (relation.Table.Probe), and
+// table updates run on the caller, outside any replay. Runs on every
 // registration change.
 func (e *Engine) rebuildComponents() {
 	for i, s := range e.sources {
@@ -135,16 +170,9 @@ func (e *Engine) rebuildComponents() {
 			union(n.slot, ed.node.slot)
 		}
 	}
-	for i, n := range e.tables {
-		for _, m := range e.tables[:i] {
-			if n.op.(operator.TableOperator).Table() == m.op.(operator.TableOperator).Table() {
-				union(n.slot, m.slot)
-			}
-		}
-	}
 	e.comps = e.comps[:0]
 	newComp := func() *component {
-		c := &component{flow: flow{e: e}, fan: make([]srcFan, len(e.sources))}
+		c := &component{flow: flow{e: e}, part: -1, fan: make([]srcFan, len(e.sources))}
 		e.comps = append(e.comps, c)
 		return c
 	}
@@ -177,6 +205,9 @@ func (e *Engine) rebuildComponents() {
 		c.queries = append(c.queries, q)
 		c.weight++
 		qcomp[q] = c
+		if e.parts > 1 {
+			c.part = q.part
+		}
 	}
 	for _, s := range e.sources {
 		for _, ed := range s.outs {
@@ -196,13 +227,22 @@ func (e *Engine) rebuildComponents() {
 // subscriber's panic unwinds through it). It returns the first replay error
 // in tape order.
 func (e *Engine) flush(batched bool) error {
-	defer e.settle()
+	defer func() {
+		e.tape.reset()
+		e.settle()
+	}()
 	if len(e.tape.events) == 0 {
 		return nil
+	}
+	if e.parts > 1 {
+		e.tape.part = slices.Grow(e.tape.part[:0], len(e.tape.rows))[:len(e.tape.rows)]
 	}
 	if e.sharesReplay(batched) {
 		e.replayParallel()
 	} else {
+		if e.parts > 1 {
+			e.tape.deal(0, len(e.tape.events), e.sources)
+		}
 		for _, c := range e.comps {
 			c.replay(&e.tape)
 		}
@@ -214,29 +254,30 @@ func (e *Engine) flush(batched bool) error {
 			err, at = c.err, c.errAt
 		}
 	}
-	e.tape.reset()
 	return err
 }
 
 // sharesReplay reports whether a flush shares its replay among workers: only
 // a PushBatch (batched) on the row chain of an engine with several
 // components, and only when there is more than one processor. Push,
-// Advance, Sync, table updates, columnar engines, single queries and shards
-// replay on the caller.
+// Advance, Sync, table updates, columnar engines and single unpartitioned
+// queries replay on the caller.
 func (e *Engine) sharesReplay(batched bool) bool {
 	return batched && !e.colOK && len(e.comps) > 1 && runtime.GOMAXPROCS(0) > 1
 }
 
 // settle adds every flow's accumulated output counts to the engine-wide
-// counters and the pending latency counts, and sets the watermark gauge.
-// It runs at the end of every flush and after work on the direct flow, so
-// the engine-wide counters lag the per-query ones by at most one flush.
+// counters and the pending latency counts, and moves the watermark to the
+// passes replayed. It runs at the end of every flush, once the tape is
+// empty, and after work on the direct flow, so the engine-wide counters lag
+// the per-query ones by at most one flush.
 func (e *Engine) settle() {
 	e.settleFlow(&e.direct)
 	for _, c := range e.comps {
 		e.settleFlow(&c.flow)
 	}
-	e.met.watermark.Set(e.Watermark())
+	e.mark = min(e.lastEager, e.lastLazy)
+	e.met.watermark.Set(e.mark)
 }
 
 func (e *Engine) settleFlow(f *flow) {
@@ -264,6 +305,8 @@ func (e *Engine) settleFlow(f *flow) {
 func (e *Engine) replayParallel() {
 	workers := min(runtime.GOMAXPROCS(0), len(e.comps))
 	e.work.next.Store(0)
+	e.work.dealNext.Store(0)
+	e.work.dealt.Store(0)
 	e.work.wg.Add(workers - 1)
 	for i := 1; i < workers; i++ {
 		go func() {
@@ -272,7 +315,13 @@ func (e *Engine) replayParallel() {
 		}()
 	}
 	e.replayWorker()
-	e.work.wg.Wait()
+	if e.joinWait != nil && e.timed {
+		t0 := obs.Nanotime()
+		e.work.wg.Wait()
+		e.joinWait.Add(obs.Nanotime() - t0)
+	} else {
+		e.work.wg.Wait()
+	}
 	if e.work.panicked.Load() {
 		v := e.work.panicVal
 		e.work.panicked.Store(false)
@@ -288,16 +337,51 @@ type workers struct {
 	wg       sync.WaitGroup
 	panicked atomic.Bool
 	panicVal any
+	// dealNext is the first tape event no worker has claimed to deal yet,
+	// dealt the number of events dealt (partitioned engines).
+	dealNext, dealt atomic.Int32
 }
 
 // replayWorker replays components until none is left, recording the first
-// panic instead of unwinding past the join.
+// panic instead of unwinding past the join. On a partitioned engine the
+// workers first deal the tape's rows to the partitions together, chunk by
+// chunk, and replay only once every row is dealt.
 func (e *Engine) replayWorker() {
+	w := &e.work
+	dealing := 0
 	defer func() {
-		if r := recover(); r != nil && e.work.panicked.CompareAndSwap(false, true) {
-			e.work.panicVal = r
+		if r := recover(); r != nil {
+			if w.panicked.CompareAndSwap(false, true) {
+				w.panicVal = r
+			}
+			// A chunk a panic cut short counts as dealt, so no worker waits
+			// for it; the caller re-raises the panic after the join.
+			w.dealt.Add(int32(dealing))
 		}
 	}()
+	if e.parts > 1 {
+		n := len(e.tape.events)
+		for {
+			lo := int(w.dealNext.Add(dealChunk)) - dealChunk
+			if lo >= n {
+				break
+			}
+			hi := min(lo+dealChunk, n)
+			dealing = hi - lo
+			e.tape.deal(lo, hi, e.sources)
+			dealing = 0
+			w.dealt.Add(int32(hi - lo))
+		}
+		// Spin rather than park: the other workers are mid-chunk.
+		for spin := 1; int(w.dealt.Load()) < n; spin++ {
+			if spin%1024 == 0 {
+				runtime.Gosched()
+			}
+		}
+		if w.panicked.Load() {
+			return
+		}
+	}
 	for {
 		i := int(e.work.next.Add(1)) - 1
 		if i >= len(e.comps) {
@@ -309,7 +393,7 @@ func (e *Engine) replayWorker() {
 
 // replay runs the tape through the component, stopping at its first error.
 func (c *component) replay(t *runTape) {
-	c.err = nil
+	c.err, c.depth = nil, 0
 	for i := range t.events {
 		ev := &t.events[i]
 		c.now = ev.now
@@ -318,6 +402,11 @@ func (c *component) replay(t *runTape) {
 		case evRows:
 			fan := &c.fan[ev.src]
 			rows := t.rows[ev.lo:ev.hi]
+			if c.part >= 0 {
+				if rows = c.own(t, ev); len(rows) == 0 {
+					continue
+				}
+			}
 			for _, q := range fan.sinks {
 				for _, r := range rows {
 					c.applyResult(q, r)
@@ -342,6 +431,33 @@ func (c *component) replay(t *runTape) {
 			return
 		}
 	}
+}
+
+// own returns the component's partition's rows of a row event, in tape
+// order: the event's own slice when they are all of them, as a run of one
+// arrival always is, and a copy staged in c.rows otherwise.
+func (c *component) own(t *runTape, ev *tapeEvent) []tuple.Tuple {
+	p := int32(c.part)
+	part := t.part[ev.lo:ev.hi]
+	n := 0
+	for _, q := range part {
+		if q == p {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil
+	case len(part):
+		return t.rows[ev.lo:ev.hi]
+	}
+	c.rows = c.rows[:0]
+	for i, q := range part {
+		if q == p {
+			c.rows = append(c.rows, t.rows[int(ev.lo)+i])
+		}
+	}
+	return c.rows
 }
 
 // expireNodes moves each node's local clock to the flow's time and sends
@@ -385,8 +501,8 @@ func (f *flow) expireNodes(nodes []*liveNode) error {
 // emissions toward the root as one run. This is the one place operator input
 // counters and processing wall time are charged on the row chain: polarity
 // counters take two atomic adds per run, and the clock is read only on a
-// timed engine. The Emit buffer is pooled, so steady-state execution
-// allocates no output slices.
+// timed engine. The flow reuses one Emit buffer per depth of the recursion,
+// so steady-state execution allocates no output slices.
 func (f *flow) feedBatch(node *liveNode, side int, in []tuple.Tuple) error {
 	var pos, neg int64
 	for i := range in {
@@ -406,7 +522,11 @@ func (f *flow) feedBatch(node *liveNode, side int, in []tuple.Tuple) error {
 	if f.e.timed {
 		start = obs.Nanotime()
 	}
-	out := operator.GetEmit()
+	if f.depth == len(f.emits) {
+		f.emits = append(f.emits, &operator.Emit{})
+	}
+	out := f.emits[f.depth]
+	f.depth++
 	err := node.op.ProcessBatch(side, in, f.now, out)
 	if f.e.timed {
 		d := obs.Nanotime() - start
@@ -416,7 +536,8 @@ func (f *flow) feedBatch(node *liveNode, side int, in []tuple.Tuple) error {
 	if err == nil {
 		err = f.propagateBatch(node, out.Tuples())
 	}
-	operator.PutEmit(out)
+	f.depth--
+	out.Reset()
 	return err
 }
 

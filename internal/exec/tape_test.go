@@ -35,9 +35,9 @@ type diffQuery struct {
 	build func(tbl *relation.Table) *plan.Node
 }
 
-// diffQueries is a registry of eleven components: UPA, NT and DIRECT
+// diffQueries is a registry of twelve components: UPA, NT and DIRECT
 // queries sharing windows within their strategy, δ-distinct, a count window,
-// a bare window, and two ⋈NRR queries over one table, which must land in one
+// a bare window, and two ⋈NRR queries over one table, each its own
 // component.
 func diffQueries() []diffQuery {
 	win := func(id int, size int64) *plan.Node {
@@ -176,9 +176,6 @@ func TestParallelReplayMatchesInline(t *testing.T) {
 	runs := []*diffRun{par, seq}
 	if n := len(par.e.comps); n < 5 {
 		t.Fatalf("%d components, want at least 5", n)
-	}
-	if compOf(par.e, par.hs["nrr-all"]) != compOf(par.e, par.hs["nrr-ftp"]) {
-		t.Fatal("two ⋈NRR queries over one table landed in different components")
 	}
 	if compOf(par.e, par.hs["q1-lo"]) != compOf(par.e, par.hs["q1-hi"]) {
 		t.Fatal("queries sharing a join landed in different components")

@@ -47,10 +47,9 @@ func allocBatch() []tuple.Tuple {
 func TestSelectBatchAllocFree(t *testing.T) {
 	s := NewSelect(linkSchema(), ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")})
 	in := allocBatch()
-	out := GetEmit()
-	defer PutEmit(out)
+	out := &Emit{}
 	// Warm the Emit to the run's emission count so steady-state runs only
-	// reuse capacity, as the pooled buffers do in the executor.
+	// reuse capacity, as the executor's buffers do.
 	if err := s.ProcessBatch(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +67,7 @@ func TestUnionBatchAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := allocBatch()
-	out := GetEmit()
-	defer PutEmit(out)
+	out := &Emit{}
 	if err := u.ProcessBatch(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +85,7 @@ func TestProjectBatchSingleAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := allocBatch()
-	out := GetEmit()
-	defer PutEmit(out)
+	out := &Emit{}
 	if err := p.ProcessBatch(0, in, 10, out); err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +128,7 @@ func TestJoinKeyedCalendarAllocFree(t *testing.T) {
 	for i := range right {
 		right[i].Vals = []tuple.Value{tuple.Int(int64(100 + i%8)), right[i].Vals[1], right[i].Vals[2]}
 	}
-	out := GetEmit()
-	defer PutEmit(out)
+	out := &Emit{}
 	now := int64(0)
 	run := func() {
 		now++

@@ -227,8 +227,7 @@ func TestRunSplittingInvariance(t *testing.T) {
 					colIn = tuple.NewColBatch(linkSchema())
 					colOut = tuple.NewColBatch(col.Schema())
 				}
-				out := GetEmit() // pooled, recycled across events like the executor's
-				defer PutEmit(out)
+				out := &Emit{} // recycled across events like the executor's
 				var bBuf, cBuf Emit
 				for i, ev := range script {
 					if ev.run == nil {

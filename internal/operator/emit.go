@@ -1,22 +1,19 @@
 package operator
 
-import (
-	"sync"
-
-	"repro/internal/tuple"
-)
+import "repro/internal/tuple"
 
 // Emit is the reusable, append-only output buffer of Operator.ProcessBatch:
 // operators append their emissions and the executor forwards the accumulated
-// run to the parent, then recycles the buffer.
+// run to the parent, then resets the buffer for the next run (it keeps one
+// per depth of its recursion up the plan).
 //
 // Ownership and aliasing rules (DESIGN.md §11):
 //
 //   - The executor owns the Emit. Operators only Append during one
 //     ProcessBatch call and must not retain the buffer or the slice returned
 //     by Tuples across calls.
-//   - Tuples()' backing array is recycled when the buffer is returned to the
-//     pool; callers that need emissions beyond the current batch must copy
+//   - Tuples()' backing array is reused once the buffer is Reset; callers
+//     that need emissions beyond the current batch must copy
 //     the tuples out (the Tuple structs themselves are values — storing a
 //     copied Tuple is safe, retaining the slice is not).
 //   - Vals slices inside appended tuples are NOT copied or recycled:
@@ -32,7 +29,7 @@ func (e *Emit) Append(t tuple.Tuple) { e.ts = append(e.ts, t) }
 func (e *Emit) AppendAll(ts []tuple.Tuple) { e.ts = append(e.ts, ts...) }
 
 // Tuples returns the accumulated emissions in append order. The slice is
-// only valid until the buffer is Reset or returned to the pool.
+// only valid until the buffer is Reset.
 func (e *Emit) Tuples() []tuple.Tuple { return e.ts }
 
 // Len returns the number of accumulated emissions.
@@ -40,20 +37,3 @@ func (e *Emit) Len() int { return len(e.ts) }
 
 // Reset empties the buffer, keeping its capacity.
 func (e *Emit) Reset() { e.ts = e.ts[:0] }
-
-// emitPool recycles Emit buffers across batches so steady-state batch
-// execution allocates no output slices. Buffers start with room for a
-// typical run's emissions.
-var emitPool = sync.Pool{
-	New: func() any { return &Emit{ts: make([]tuple.Tuple, 0, 64)} },
-}
-
-// GetEmit fetches an empty buffer from the pool.
-func GetEmit() *Emit { return emitPool.Get().(*Emit) }
-
-// PutEmit resets e and returns it to the pool. The caller must not touch e
-// or any slice obtained from Tuples afterwards.
-func PutEmit(e *Emit) {
-	e.Reset()
-	emitPool.Put(e)
-}

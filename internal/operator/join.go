@@ -37,6 +37,9 @@ type Join struct {
 	hashed [2]statebuf.HashedBuffer
 	// cands is the reusable probe-candidate scratch of matches.
 	cands []tuple.Tuple
+	// block is the unused tail of the value block results carve their
+	// concatenated values from, as Project's rows do.
+	block valueBlock
 	// colArena carves the value slices of rows the columnar kernel has to
 	// materialize for state insertion/removal (see colkernel.go).
 	colArena tuple.ValueArena
@@ -178,12 +181,13 @@ func (j *Join) matches(side int, t tuple.Tuple, k tuple.Key, now int64, neg bool
 	}
 	cands := probeAppend(j.state[other], j.keyCols[other], k, probeAt, j.cands[:0])
 	for _, m := range cands {
-		var r tuple.Tuple
-		if side == 0 {
-			r = t.Concat(m, now)
-		} else {
-			r = m.Concat(t, now)
+		l, rt := t, m
+		if side == 1 {
+			l, rt = m, t
 		}
+		vals := j.block.carve(len(l.Vals) + len(rt.Vals))
+		copy(vals[copy(vals, l.Vals):], rt.Vals)
+		r := tuple.Tuple{TS: now, Exp: min(l.Exp, rt.Exp), Vals: vals}
 		if j.residual != nil && !j.residual.Eval(r) {
 			continue
 		}

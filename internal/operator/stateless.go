@@ -59,10 +59,34 @@ func (s *Select) StateSize() int { return 0 }
 // Touched implements Operator.
 func (s *Select) Touched() int64 { return 0 }
 
-// projectBlockRows is how many projected rows one value block holds. Rows
+// projectBlockRows is how many emitted rows one value block holds. Rows
 // escape downstream, and a stale tuple left in a truncated scratch slice or a
 // pooled Emit keeps its whole block alive, so blocks stay small.
 const projectBlockRows = 16
+
+// valueBlock is the unused tail of the current block that emitted rows carve
+// their value slices from (Project's and Join's outputs).
+type valueBlock []tuple.Value
+
+// reserve makes room for rows rows of w values: a fresh block of at least
+// projectBlockRows rows when the current one cannot hold them, so a run
+// costs at most one allocation.
+func (b *valueBlock) reserve(rows, w int) {
+	if need := rows * w; need > len(*b) {
+		*b = make([]tuple.Value, max(need, projectBlockRows*w))
+	}
+}
+
+// carve cuts one row of w values from the block, starting a fresh block when
+// the current one cannot hold it.
+func (b *valueBlock) carve(w int) []tuple.Value {
+	if w > len(*b) {
+		*b = make([]tuple.Value, projectBlockRows*w)
+	}
+	vals := (*b)[:w:w]
+	*b = (*b)[w:]
+	return vals
+}
 
 // Project keeps the columns at the configured positions, preserving
 // duplicates (bag semantics). Negative tuples are projected identically so
@@ -74,7 +98,7 @@ type Project struct {
 	cols   []int
 	schema *tuple.Schema
 	// block is the unused tail of the current value block.
-	block []tuple.Value
+	block valueBlock
 }
 
 // NewProject builds a projection onto the given column positions of in.
@@ -103,12 +127,9 @@ func (p *Project) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit)
 		return badSide("project", side)
 	}
 	w := len(p.cols)
-	if need := len(in) * w; need > len(p.block) {
-		p.block = make([]tuple.Value, max(need, projectBlockRows*w))
-	}
+	p.block.reserve(len(in), w)
 	for _, t := range in {
-		vals := p.block[:w:w]
-		p.block = p.block[w:]
+		vals := p.block.carve(w)
 		for i, c := range p.cols {
 			vals[i] = t.Vals[c]
 		}

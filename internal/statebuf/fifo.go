@@ -153,6 +153,60 @@ func (b *FIFOBuffer) SaveState(enc *checkpoint.Encoder) error {
 	return enc.Err()
 }
 
+// SaveSlice writes SaveState's layout restricted to the stored tuples keep
+// selects, for a checkpoint that writes one buffer as several partition
+// sections. The cost counter travels in the lead slice only (zero in the
+// others), so the slices' counters sum to the buffer's.
+func (b *FIFOBuffer) SaveSlice(enc *checkpoint.Encoder, lead bool, keep func(t tuple.Tuple) bool) error {
+	if lead {
+		enc.Varint(b.touched)
+	} else {
+		enc.Varint(0)
+	}
+	enc.Varint(b.lastExp)
+	enc.Bool(b.unsorted)
+	n := b.items.Len()
+	kept := 0
+	for i := 0; i < n; i++ {
+		if keep(*b.items.At(i)) {
+			kept++
+		}
+	}
+	enc.Uvarint(uint64(kept))
+	for i := 0; i < n; i++ {
+		if t := *b.items.At(i); keep(t) {
+			enc.Tuple(t)
+		}
+	}
+	return enc.Err()
+}
+
+// Absorb merges o, a slice loaded from a later partition section, into b:
+// the tuples in TS order with b's first at equal TS, so slices absorbed in
+// section order end in (TS, section) order. Cost counters add up, the
+// insertion cursor is the later one, and an unsorted flag on either side
+// sticks.
+func (b *FIFOBuffer) Absorb(o *FIFOBuffer) {
+	merged := make([]tuple.Tuple, 0, b.items.Len()+o.items.Len())
+	i, j := 0, 0
+	for i < b.items.Len() || j < o.items.Len() {
+		if j == o.items.Len() || (i < b.items.Len() && b.items.At(i).TS <= o.items.At(j).TS) {
+			merged = append(merged, *b.items.At(i))
+			i++
+		} else {
+			merged = append(merged, *o.items.At(j))
+			j++
+		}
+	}
+	b.items.Reset()
+	for _, t := range merged {
+		b.items.Push(t)
+	}
+	b.touched += o.touched
+	b.lastExp = max(b.lastExp, o.lastExp)
+	b.unsorted = b.unsorted || o.unsorted
+}
+
 // LoadState implements checkpoint.Snapshotter.
 func (b *FIFOBuffer) LoadState(dec *checkpoint.Decoder) error {
 	b.touched = dec.Varint()

@@ -270,6 +270,43 @@ func (w *Window) SaveState(enc *checkpoint.Encoder) error {
 	return enc.Err()
 }
 
+// SaveSlice writes SaveState's layout restricted to the stored tuples keep
+// selects: a partitioned engine writes one slice of each shared window per
+// partition section. The arrival count travels in the lead slice only (zero
+// in the others), so LoadSlice's sums give back the window's.
+func (w *Window) SaveSlice(enc *checkpoint.Encoder, lead bool, keep func(t tuple.Tuple) bool) error {
+	enc.Varint(w.lastTS)
+	if lead {
+		enc.Varint(w.count)
+	} else {
+		enc.Varint(0)
+	}
+	enc.Bool(w.buf != nil)
+	if w.buf != nil {
+		return w.buf.SaveSlice(enc, lead, keep)
+	}
+	return enc.Err()
+}
+
+// LoadSlice reads the window state of a later partition section and merges
+// it into w, which holds the sections read before it: stored tuples in
+// (TS, section) order, the later monotonicity cursor, arrival counts summed.
+func (w *Window) LoadSlice(dec *checkpoint.Decoder) error {
+	o := &Window{spec: w.spec, materialize: w.materialize, lastTS: -1}
+	if w.buf != nil {
+		o.buf = statebuf.NewFIFO()
+	}
+	if err := o.LoadState(dec); err != nil {
+		return err
+	}
+	w.lastTS = max(w.lastTS, o.lastTS)
+	w.count += o.count
+	if w.buf != nil {
+		w.buf.Absorb(o.buf)
+	}
+	return nil
+}
+
 // LoadState implements checkpoint.Snapshotter.
 func (w *Window) LoadState(dec *checkpoint.Decoder) error {
 	w.lastTS = dec.Varint()

@@ -149,17 +149,16 @@ func (e *Engine) PlanPage() MetricsPage {
 }
 
 // Metrics returns the registry backing the engine's counters (the one
-// given WithMetrics, or the engine's private registry). A sharded engine's
-// shards share one registry, with per-shard series labeled shard="i".
+// given WithMetrics, or the engine's private registry). A partitioned
+// engine's operator series carry their partition as shard="i".
 func (e *Engine) Metrics() *MetricsRegistry { return e.ex.Metrics() }
 
 // DeltaLatency snapshots the engine's ingest→emit delta-latency
 // distributions, split by output polarity: pos covers emitted insertions,
 // neg covers retractions (negative tuples). Latency is measured from the
-// moment an arrival enters Push/PushBatch (for sharded engines: enters the
-// shard buffer, so queue wait counts) to the moment its consequences are
+// moment an arrival enters Push/PushBatch to the moment its consequences are
 // folded into the result view. Recording requires WithMetrics; without it
-// both snapshots are zero. With shards, all shards' histograms are folded.
+// both snapshots are zero.
 func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) { return e.ex.DeltaLatency() }
 
 // PatternViolations returns the total number of update-pattern conformance
@@ -200,7 +199,7 @@ type HealthConfig struct {
 // WithHealth attaches the self-monitoring subsystem to the compiled
 // engine: a history sampler over the engine's registry (plus process-level
 // build/uptime/runtime series), the engine's built-in health rules
-// (pattern violations, premature expirations, shard backpressure, latency
+// (pattern violations, premature expirations, partition-join wait, latency
 // SLO, staleness lag, checkpoint age) plus any user rules, and an alert
 // state machine per rule. Implies metrics: when no WithMetrics registry
 // was given, a private one is created. The sampler goroutine starts at
@@ -212,7 +211,7 @@ func WithHealth(hc HealthConfig) RegistryOption {
 // newHealth builds the health subsystem over a constructed executor — its
 // registry and its built-in rules, then the user's; Compile and NewRegistry
 // call it when WithHealth was given.
-func newHealth(ex exec.Executor, hc HealthConfig) *HealthMonitor {
+func newHealth(ex *exec.Engine, hc HealthConfig) *HealthMonitor {
 	hcfg := obs.HistoryConfig{Capacity: hc.Capacity}
 	if hc.Interval > 0 {
 		hcfg.Interval = hc.Interval

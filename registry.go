@@ -47,8 +47,8 @@ type Query struct {
 	phys *plan.Physical
 }
 
-// NewRegistry builds an empty shared executor. Running shards (WithShards)
-// is single-query and rejected here — use Compile.
+// NewRegistry builds an empty shared executor. Key partitions (WithShards)
+// are single-query and rejected here — use Compile.
 func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 	all := make([]Option, len(opts))
 	for i, o := range opts {

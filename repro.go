@@ -276,11 +276,11 @@ func WithEagerInterval(n int64) RegistryOption {
 // WithOnEmit observes every output-stream tuple (insertions and
 // retractions) this query produces. Per-query: on a shared plan each query
 // sees its own output stream, not its neighbors'. One query's callbacks
-// never overlap and arrive in output order, but callbacks of different
-// queries may run concurrently: on a running-shards engine (WithShards)
-// and during a Registry's PushBatch when the queries sit in independent
-// components (see Registry.PushBatch). A callback that shares state with
-// another query's callback must synchronize.
+// never overlap and arrive in output order, but callbacks may run
+// concurrently during a PushBatch: those of different partitions of a
+// partitioned engine (WithShards), and those of queries in independent
+// components of a Registry (see Registry.PushBatch). A callback that shares
+// state with another callback must synchronize.
 func WithOnEmit(fn func(Tuple)) QueryOption {
 	return queryOption(func(c *compileCfg) { c.execCfg.OnEmit = fn })
 }
@@ -299,12 +299,15 @@ func WithQueryName(name string) QueryOption {
 	return queryOption(func(c *compileCfg) { c.name = name })
 }
 
-// WithShards runs the query key-partitioned across n parallel shards when
-// the plan admits a routing key (see plan.PartitionKey); otherwise Compile
-// returns the ordinary sequential engine and ShardFallbackReason explains
-// why. An engine running shards should be Closed when done to stop its
-// workers, and its WithOnEmit callback is called from the workers, possibly
-// concurrently. Running shards is single-query: NewRegistry rejects it.
+// WithShards splits the query into n key partitions when the plan admits a
+// routing key (see plan.PartitionKey): one engine stamps every arrival once,
+// and PushBatch replays the partitions on up to n cores, a few thousand
+// stamped rows at a time. Otherwise Compile returns the ordinary sequential
+// engine and ShardFallbackReason explains why. During a PushBatch the
+// WithOnEmit callback is called from the replay workers, possibly
+// concurrently, and a batch's callbacks may come in a later call (see
+// Engine.PushBatch); no worker outlives the call. Partitioning is
+// single-query: NewRegistry rejects it.
 func WithShards(n int) RegistryOption {
 	return registryOption(func(c *compileCfg) { c.shards = n })
 }
@@ -320,15 +323,15 @@ func WithStreamStats(streamID int, rate float64, distinct map[int]float64) Query
 	})
 }
 
-// Engine executes one compiled continuous query on whichever executor
-// exec.Open chose for it: a single sequential engine, or key-partitioned
-// shards (WithShards on a plan that admits a routing key). A sequential
-// engine is a one-query Registry — the same shared executor that serves
-// multi-query workloads — reachable through the Registry and Query accessors.
-// All methods must be driven from one goroutine.
+// Engine executes one compiled continuous query on the engine exec.Open
+// built for it: sequential, or split into key partitions (WithShards on a
+// plan that admits a routing key). A sequential engine is a one-query
+// Registry — the same shared executor that serves multi-query workloads —
+// reachable through the Registry and Query accessors. All methods must be
+// driven from one goroutine.
 type Engine struct {
-	ex       exec.Executor
-	reg      *Registry // backing one-query registry; nil while shards run
+	ex       *exec.Engine
+	reg      *Registry // backing one-query registry; nil when partitioned
 	q        *Query    // its single query handle
 	phys     *plan.Physical
 	root     *plan.Node
@@ -388,11 +391,11 @@ func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("repro: executor: %w", err)
 	}
 	out := &Engine{ex: ex, phys: phys, root: root, fallback: reason}
-	// Only a single engine can take further registrations: when Open chose
-	// one, it is the backing registry with this as its only query.
-	if seq, ok := ex.(*exec.Engine); ok {
-		out.reg = &Registry{e: seq, cfg: cfg, nextID: 1}
-		out.q = &Query{r: out.reg, h: seq.Queries()[0], root: root, phys: phys}
+	// Only an unpartitioned engine takes further registrations: it is the
+	// backing registry with this as its only query.
+	if ex.Shards() == 1 {
+		out.reg = &Registry{e: ex, cfg: cfg, nextID: 1}
+		out.q = &Query{r: out.reg, h: ex.Queries()[0], root: root, phys: phys}
 		out.reg.queries = []*Query{out.q}
 	}
 	if cfg.health != nil {
@@ -406,17 +409,17 @@ func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 
 // Registry returns the one-query registry backing a sequential engine —
 // register further queries on it to share this query's sub-plans — or nil
-// while shards are running (sharded execution is single-query). An engine
-// whose WithShards request fell back is sequential and has one.
+// on a partitioned engine (partitioning is single-query). An engine whose
+// WithShards request fell back is sequential and has one.
 func (e *Engine) Registry() *Registry { return e.reg }
 
 // Query returns the engine's query handle on its backing registry, or nil
-// while shards are running.
+// on a partitioned engine.
 func (e *Engine) Query() *Query { return e.q }
 
 // Open compiles the query and restores the engine's state from a checkpoint
 // written by an engine compiled from the same query, strategy, and options
-// (including WithShards — a 4-shard checkpoint reopens only at 4 shards).
+// (including WithShards — a 4-partition checkpoint reopens only at 4).
 // On a restore failure the freshly compiled engine is closed and the error
 // (a *MismatchError for plan/shard-layout disagreements) is returned.
 func Open(r io.Reader, q Node, strategy Strategy, opts ...Option) (*Engine, error) {
@@ -437,8 +440,11 @@ func (e *Engine) Push(streamID int, ts int64, vals ...Value) error {
 }
 
 // PushBatch feeds many stream tuples at once — semantically identical to
-// pushing each in order, but amortizes per-call overhead and, on sharded
-// engines, keeps every shard's ingest queue full.
+// pushing each in order, but amortizes per-call overhead, and it is the call
+// that replays a partitioned engine's partitions on several cores. A
+// partitioned engine stamps the batch at once but may replay it in a later
+// call (the one that fills its tape, or any other call): the batch's OnEmit
+// callbacks and view updates can come then, and Sync always brings them.
 func (e *Engine) PushBatch(batch []Arrival) error { return e.ex.PushBatch(batch) }
 
 // Advance moves logical time forward without a tuple arrival.
@@ -464,7 +470,7 @@ func (e *Engine) Snapshot() ([]Tuple, error) { return e.ex.Snapshot() }
 // ResultCount syncs and returns the current result cardinality.
 func (e *Engine) ResultCount() (int, error) { return e.ex.ResultCount() }
 
-// Stats returns executor counters (summed across shards when sharded).
+// Stats returns executor counters.
 func (e *Engine) Stats() Stats { return e.ex.Stats() }
 
 // Clock returns the engine's logical time.
@@ -474,15 +480,16 @@ func (e *Engine) Clock() int64 { return e.ex.Clock() }
 func (e *Engine) Streams() []int { return e.ex.Streams() }
 
 // StateTuples syncs and returns the total stored tuples (state + view),
-// summed across shards when sharded.
+// over every partition when partitioned.
 func (e *Engine) StateTuples() (int, error) { return synced(e, e.ex.StateTuples) }
 
 // Touched syncs and returns cumulative tuple touches — the paper's
-// Section 6 work measure — summed across shards when sharded.
+// Section 6 work measure — over every partition when partitioned.
 func (e *Engine) Touched() (int64, error) { return synced(e, e.ex.Touched) }
 
-// View exposes the sequential engine's result view, or nil while shards are
-// running (each shard owns a private view; use Snapshot or Lookup instead).
+// View exposes the sequential engine's result view, or nil on a partitioned
+// engine (each partition owns a private view; use Snapshot or Lookup
+// instead).
 func (e *Engine) View() exec.View {
 	if e.q == nil {
 		return nil
@@ -490,18 +497,18 @@ func (e *Engine) View() exec.View {
 	return e.q.View()
 }
 
-// Shards returns the number of parallel shards executing the query (1 when
+// Shards returns the number of key partitions executing the query (1 when
 // sequential, including after a partitionability fallback).
 func (e *Engine) Shards() int { return e.ex.Shards() }
 
 // ShardFallbackReason explains why a WithShards request degraded to
-// sequential execution; it is empty when sharding is active or was never
+// sequential execution; it is empty when partitioning is active or was never
 // requested.
 func (e *Engine) ShardFallbackReason() string { return e.fallback }
 
-// Close stops shard workers and the health sampler and closes the engine
-// (and the Registry it backs). It is idempotent, and after it returns every
-// method that returns an error fails with ErrClosed.
+// Close stops the health sampler and closes the engine (and the Registry it
+// backs). It is idempotent, and after it returns every method that returns
+// an error fails with ErrClosed.
 func (e *Engine) Close() error {
 	e.health.Stop()
 	return e.ex.Close()
@@ -509,14 +516,13 @@ func (e *Engine) Close() error {
 
 // Checkpoint writes the engine's complete dynamic state — clock, maintenance
 // cursors, counters, window contents, per-operator state, table contents,
-// and the result view, per shard when sharded — as a versioned binary
-// snapshot. Engines running shards quiesce their workers behind a barrier
-// first; checkpointing never perturbs the run it snapshots.
+// and the result view, per partition when partitioned — as a versioned
+// binary snapshot. Checkpointing never perturbs the run it snapshots.
 func (e *Engine) Checkpoint(w io.Writer) error { return e.ex.Checkpoint(w) }
 
 // Restore rehydrates a freshly compiled engine from a checkpoint written by
-// an engine compiled from the same query, strategy, options, and shard
-// layout. The checkpoint's plan fingerprint and shard count are validated
+// an engine compiled from the same query, strategy, options, and partition
+// count. The checkpoint's plan fingerprint and partition count are validated
 // first: a disagreement fails with *MismatchError before any engine state
 // is touched. Truncated or damaged input fails with an error wrapping
 // ErrCheckpointCorrupt.
@@ -539,7 +545,8 @@ func (e *Engine) Explain(w io.Writer) error {
 
 // ExplainAnalyze syncs the engine and writes the Explain tree with each
 // operator's live counters — tuples in/out by polarity, expiration work,
-// state size, wall time — summed over shards on a sharded engine.
+// state size, wall time — summed over the partitions of a partitioned
+// engine.
 func (e *Engine) ExplainAnalyze(w io.Writer) error {
 	if err := e.Sync(); err != nil {
 		return err
@@ -559,15 +566,14 @@ func (e *Engine) ExplainDOT(w io.Writer, analyze bool) error {
 }
 
 // OpStats returns per-operator runtime counters in plan pre-order (root
-// first), summed across shards on a sharded engine. Reads are atomic, so it
+// first), summed over the partitions of a partitioned engine. Reads are atomic, so it
 // is safe while the engine runs; gauge-backed fields (state, touched) are as
 // of the last sampling point.
 func (e *Engine) OpStats() []exec.OpProfile { return e.ex.Profile() }
 
 // Watermark returns the staleness low-watermark: every expiration at or
 // below this timestamp is reflected in the result view. It trails Clock by
-// at most the larger maintenance interval and reaches Clock after a Sync;
-// sharded engines report the oldest shard watermark.
+// at most the larger maintenance interval and reaches Clock after a Sync.
 func (e *Engine) Watermark() int64 { return e.ex.Watermark() }
 
 // Lookup syncs and returns the current result rows whose key columns (the
@@ -598,7 +604,8 @@ func (e *Engine) UpdateTable(tbl *Table, u TableUpdate) error {
 
 // WriteProfile renders per-operator runtime counters (state size, tuple
 // touches, emissions, retractions) as an aligned tree — an EXPLAIN ANALYZE
-// for the running continuous query, one tree per shard when shards run.
+// for the running continuous query, one tree per partition when
+// partitioned.
 func (e *Engine) WriteProfile(w io.Writer) error { return e.ex.WriteProfile(w) }
 
 // Trace re-exports: the synthetic LBL-style traffic workload of Section 6.1.
