@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/tuple"
 	"repro/internal/window"
@@ -145,9 +144,7 @@ func (e *Engine) ingestRunCols(src *liveSource, ts int64, run []Arrival) (confor
 }
 
 // feedSourceCols routes a window-stamped columnar run to the source's
-// consumer edges (and straight to the views of bare-window queries). On a
-// measured engine each edge's pipeline takes its first clock reading here;
-// each kernel boundary then takes exactly one more (see feedCols). Kernels
+// consumer edges (and straight to the views of bare-window queries). Kernels
 // never retain their input batch and a node never appears in its own
 // downstream (the dataflow is acyclic), so one staged batch can feed every
 // edge in turn.
@@ -159,11 +156,7 @@ func (e *Engine) feedSourceCols(src *liveSource, cb *tuple.ColBatch) error {
 		e.applyResultCols(q, cb)
 	}
 	for _, ed := range src.outs {
-		var t0 int64
-		if e.timed {
-			t0 = obs.Nanotime()
-		}
-		if err := e.feedCols(ed.node, ed.side, cb, t0); err != nil {
+		if err := e.feedCols(ed.node, ed.side, cb); err != nil {
 			return err
 		}
 	}
@@ -172,15 +165,9 @@ func (e *Engine) feedSourceCols(src *liveSource, cb *tuple.ColBatch) error {
 
 // feedCols processes a same-side columnar run at node through its kernel and
 // pushes the emitted batch toward the root — the columnar twin of feedBatch,
-// with identical counter semantics. Timing chains one monotonic reading per
-// kernel boundary through the pipeline: prev is the caller's reading (0 on an
-// unmeasured engine), this node's span runs from prev to the reading taken
-// after its kernel, and that reading is handed to the next node. Successive
-// kernels therefore cost one clock read each instead of a stop/start pair —
-// on short bursty runs the clock reads themselves were a double-digit share
-// of ingest time. Inter-kernel bookkeeping (polarity counters, batch reset)
-// rides in the downstream node's span; it is a few counter updates.
-func (e *Engine) feedCols(node *liveNode, side int, in *tuple.ColBatch, prev int64) error {
+// with identical counter semantics and the same timing rule: the direct
+// flow's sampler picks the kernel calls a timed engine times (startRun).
+func (e *Engine) feedCols(node *liveNode, side int, in *tuple.ColBatch) error {
 	neg := int64(in.NegCount())
 	pos := int64(in.Len()) - neg
 	if pos > 0 {
@@ -191,29 +178,21 @@ func (e *Engine) feedCols(node *liveNode, side int, in *tuple.ColBatch, prev int
 	}
 	out := node.cols
 	out.Reset()
+	start := e.direct.startRun()
 	err := operator.ProcessColBatch(node.op, side, in, e.clock, out, e.intern)
-	var end int64
-	if prev != 0 {
-		end = obs.Nanotime()
-		d := end - prev
-		if e.timed {
-			node.procNanos.Add(d)
-			node.maxBatch.SetMax(d)
-		}
-	}
+	chargeRun(node, start)
 	if err != nil {
 		return err
 	}
-	return e.propagateCols(node, out, end)
+	return e.propagateCols(node, out)
 }
 
 // propagateCols forwards a columnar emission batch from node to its parent
 // (or the view at the root), with the same polarity accounting and
 // update-pattern conformance observation as propagateBatch — the retraction
 // observer classifies by expiration timestamp alone, so no row values are
-// materialized for it. prev is the chained clock reading for the parent's
-// span (see feedCols).
-func (e *Engine) propagateCols(node *liveNode, outs *tuple.ColBatch, prev int64) error {
+// materialized for it.
+func (e *Engine) propagateCols(node *liveNode, outs *tuple.ColBatch) error {
 	if outs.Len() == 0 {
 		return nil
 	}
@@ -233,16 +212,8 @@ func (e *Engine) propagateCols(node *liveNode, outs *tuple.ColBatch, prev int64)
 	for _, q := range node.sinks {
 		e.applyResultCols(q, outs)
 	}
-	if len(node.outs) == 1 {
-		// The common spine: hand the chained reading straight through.
-		return e.feedCols(node.outs[0].node, node.outs[0].side, outs, prev)
-	}
 	for _, ed := range node.outs {
-		var t0 int64
-		if e.timed {
-			t0 = obs.Nanotime()
-		}
-		if err := e.feedCols(ed.node, ed.side, outs, t0); err != nil {
+		if err := e.feedCols(ed.node, ed.side, outs); err != nil {
 			return err
 		}
 	}

@@ -69,18 +69,17 @@ func attachStats(t *plan.ExplainTree, profs []OpProfile, shards int, clock, wate
 		}
 		p := profs[n.ID]
 		n.Stats = &plan.NodeStats{
-			InPos:         p.InPos,
-			InNeg:         p.InNeg,
-			OutPos:        p.Emitted,
-			OutNeg:        p.Retracted,
-			Expired:       p.Expired,
-			State:         int64(p.StateTuples),
-			Touched:       p.Touched,
-			ProcNanos:     p.ProcNanos,
-			MaxBatchNanos: p.MaxBatchNanos,
-			Observed:      p.Observed,
-			Mismatch:      p.Observed > n.Pattern,
-			Violations:    p.Violations(),
+			InPos:      p.InPos,
+			InNeg:      p.InNeg,
+			OutPos:     p.Emitted,
+			OutNeg:     p.Retracted,
+			Expired:    p.Expired,
+			State:      int64(p.StateTuples),
+			Touched:    p.Touched,
+			ProcNanos:  p.ProcNanos,
+			Observed:   p.Observed,
+			Mismatch:   p.Observed > n.Pattern,
+			Violations: p.Violations(),
 		}
 	})
 }

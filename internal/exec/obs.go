@@ -106,10 +106,9 @@ const (
 	MetricOpTouched = "upa_op_touched_total"
 	// MetricOpProcNanos is cumulative wall time the operator spent processing
 	// input runs and expiring state (its Advance calls in the maintenance
-	// passes), recorded only when Config.Metrics is set.
+	// passes), estimated from 1-in-16 sampled runs and recorded only when
+	// Config.Metrics is set.
 	MetricOpProcNanos = "upa_op_proc_nanos_total"
-	// MetricOpBatchMax is the latency of the operator's slowest run.
-	MetricOpBatchMax = "upa_op_batch_nanos_max"
 	// MetricOpObservedPattern is the pattern class the operator's output
 	// stream has actually exhibited so far, as an integer in the paper's
 	// lattice order (0=MONO, 1=WKS, 2=WK, 3=STR). Comparing it with the
@@ -182,7 +181,6 @@ var seriesConsumers = map[string]string{
 	MetricOpState:           "EXPLAIN ANALYZE state; benchmark/ operator.state_tuples",
 	MetricOpTouched:         "EXPLAIN ANALYZE touched; benchmark/ operator.touched_per_tuple",
 	MetricOpProcNanos:       "EXPLAIN ANALYZE proc; benchmark/ operator.busy_share",
-	MetricOpBatchMax:        "EXPLAIN ANALYZE proc (max)",
 	MetricOpObservedPattern: "EXPLAIN ANALYZE observed; /debug/conformance",
 	MetricPatternViolations: "health rules pattern-violations and premature-expirations",
 	MetricShardQueueBlocked: "health rule shard-blocked; benchmark/ exec.shard_blocked_share",
@@ -257,7 +255,6 @@ type opStats struct {
 	expired, procNanos *obs.Counter
 	state              *obs.Gauge
 	touched            *obs.Gauge
-	maxBatch           *obs.Gauge
 	// conf is the operator's pattern-conformance cell, maintained on the
 	// output edge by propagateBatch/propagateCols.
 	conf conformance
@@ -361,10 +358,9 @@ func newOpStats(reg *obs.Registry, n *plan.PNode, idx int, base obs.Labels) opSt
 		pos:       reg.Counter(MetricOpEmitted, "per-operator emitted tuples", labels),
 		neg:       reg.Counter(MetricOpRetracted, "per-operator retracted tuples", labels),
 		expired:   reg.Counter(MetricOpExpired, "per-operator expiration-driven outputs", labels),
-		procNanos: reg.Counter(MetricOpProcNanos, "per-operator cumulative wall time of run processing and expiry", labels),
+		procNanos: reg.Counter(MetricOpProcNanos, "per-operator cumulative wall time of run processing and expiry, estimated from 1-in-16 sampled runs", labels),
 		state:     reg.Gauge(MetricOpState, "per-operator stored tuples (sampled)", labels),
 		touched:   reg.Gauge(MetricOpTouched, "per-operator tuple visits (sampled)", labels),
-		maxBatch:  reg.Gauge(MetricOpBatchMax, "per-operator max latency of one run", labels),
 	}
 	st.conf = conformance{
 		declared:       n.Pattern,

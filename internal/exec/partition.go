@@ -93,8 +93,8 @@ func (e *Engine) partOf(src *liveSource, t tuple.Tuple) int {
 }
 
 // mergeProfiles merges the partitions' operator profiles by plan position:
-// counters and state sum, batch latencies take the max, and the observed
-// pattern class is the strongest any partition exhibited.
+// counters, times and state sum, and the observed pattern class is the
+// strongest any partition exhibited.
 func mergeProfiles(parts [][]OpProfile) []OpProfile {
 	out := parts[0]
 	for _, profs := range parts[1:] {
@@ -108,7 +108,6 @@ func mergeProfiles(parts [][]OpProfile) []OpProfile {
 			o.Retracted += p.Retracted
 			o.Expired += p.Expired
 			o.ProcNanos += p.ProcNanos
-			o.MaxBatchNanos = max(o.MaxBatchNanos, p.MaxBatchNanos)
 			o.Observed = max(o.Observed, p.Observed)
 			o.ViolExpiration += p.ViolExpiration
 			o.ViolOutOfOrder += p.ViolOutOfOrder

@@ -35,9 +35,9 @@ type OpProfile struct {
 	// Expired counts outputs produced by expiration work (Advance passes).
 	Expired int64
 	// ProcNanos is cumulative wall time processing input runs and expiring
-	// state in the maintenance passes; MaxBatchNanos is the slowest single
-	// run. Both are zero unless the engine was built with Config.Metrics set.
-	ProcNanos, MaxBatchNanos int64
+	// state in the maintenance passes, estimated from 1-in-16 sampled runs.
+	// It is zero unless the engine was built with Config.Metrics set.
+	ProcNanos int64
 	// Observed is the strongest update-pattern class the operator's output
 	// stream has actually exhibited (the conformance monitor's verdict);
 	// compare with Pattern, the declared class.
@@ -57,8 +57,8 @@ func (p OpProfile) Violations() int64 {
 // query in pre-order (root first) — an EXPLAIN ANALYZE for continuous
 // queries: which edges carry retractions, where state lives, and which
 // structures do the touching. On a partitioned engine the partitions' rows
-// merge by plan position: counters and state sum, batch latencies take the
-// max, and the observed class is the strongest. Every field is read from the
+// merge by plan position: counters, times and state sum, and the observed
+// class is the strongest. Every field is read from the
 // operator's registry instruments with atomic loads, so Profile is safe to
 // call from another goroutine (e.g. the /debug/plan page) while the engine
 // runs.
@@ -107,7 +107,6 @@ func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
 			Retracted:      st.neg.Value(),
 			Expired:        st.expired.Value(),
 			ProcNanos:      st.procNanos.Value(),
-			MaxBatchNanos:  st.maxBatch.Value(),
 			Observed:       core.Pattern(st.conf.observedG.Value()),
 			ViolExpiration: byKind[violExpiration],
 			ViolOutOfOrder: byKind[violOutOfOrder],

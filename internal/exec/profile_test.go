@@ -2,6 +2,8 @@ package exec
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -122,9 +124,12 @@ func TestWriteProfileBareWindow(t *testing.T) {
 	}
 }
 
-// TestProfileChargesExpiry pins where expiry time goes: an Advance that only
-// runs the maintenance passes (no arrival) raises the operators' ProcNanos on
-// an engine with metrics, and an engine without them reads no clock at all.
+// TestProfileChargesExpiry pins where expiry time goes: Advances that only
+// run the maintenance passes (no arrival) raise the join's ProcNanos on an
+// engine with metrics, and an engine without them reads no clock at all. A
+// timed engine times one operator run in procSample at random, so one pass
+// need not be timed; over 1 000 passes the chance that none of the join's
+// Advance runs is timed is (15/16)^1000 ≈ 10⁻²⁸.
 func TestProfileChargesExpiry(t *testing.T) {
 	for _, timed := range []bool{true, false} {
 		cfg := Config{}
@@ -138,15 +143,63 @@ func TestProfileChargesExpiry(t *testing.T) {
 			}
 		}
 		before := eng.Profile()[0].ProcNanos
-		if err := eng.Advance(500); err != nil { // expires both join sides
-			t.Fatal(err)
+		for ts := int64(41); ts <= 1040; ts++ { // expires both join sides on the way
+			if err := eng.Advance(ts); err != nil {
+				t.Fatal(err)
+			}
 		}
-		after := eng.Profile()[0].ProcNanos
-		if timed && after <= before {
-			t.Errorf("metrics on: join ProcNanos %d -> %d over an expiry pass, want it to grow", before, after)
+		after := eng.Profile()[0]
+		if timed && after.ProcNanos <= before {
+			t.Errorf("metrics on: join ProcNanos %d -> %d over 1000 expiry passes, want it to grow", before, after.ProcNanos)
 		}
-		if !timed && after != 0 {
-			t.Errorf("metrics off: join ProcNanos = %d, want 0", after)
+		if !timed && after.ProcNanos != 0 {
+			t.Errorf("metrics off: join ProcNanos = %d, want 0", after.ProcNanos)
+		}
+	}
+}
+
+// TestProcSamplerUnbiased drives a flow's operator-run sampler (not the
+// clock) over synthetic run-cost sequences: charging procSample × cost for
+// every run it takes must estimate the total cost within 3 %, and it must
+// take a share of the runs within 3σ of 1/procSample. The spike pattern is
+// the one a fixed 1-in-16 stride gets wrong by 16× or reads as nothing;
+// period 17 is a pattern coprime to the rate.
+func TestProcSamplerUnbiased(t *testing.T) {
+	const runs = 1 << 22
+	heavy := rand.New(rand.NewSource(7))
+	patterns := []struct {
+		name string
+		cost func(i int) float64
+	}{
+		{"constant", func(int) float64 { return 100 }},
+		{"spike every 16th", func(i int) float64 {
+			if i%16 == 15 {
+				return 1000
+			}
+			return 1
+		}},
+		{"period 17", func(i int) float64 { return float64(1 + (i%17)*(i%17)) }},
+		{"pareto 2.5", func(int) float64 { return math.Pow(1-heavy.Float64(), -1/2.5) }},
+	}
+	p := 1.0 / procSample
+	sigma := math.Sqrt(p * (1 - p) / runs)
+	for _, pat := range patterns {
+		var f flow
+		var total, est float64
+		taken := 0
+		for i := 0; i < runs; i++ {
+			c := pat.cost(i)
+			total += c
+			if f.clk.take() {
+				taken++
+				est += procSample * c
+			}
+		}
+		if r := est / total; math.Abs(r-1) > 0.03 {
+			t.Errorf("%s: estimate %.4g of a total %.4g (ratio %.4f), want within 3%%", pat.name, est, total, r)
+		}
+		if share := float64(taken) / runs; math.Abs(share-p) > 3*sigma {
+			t.Errorf("%s: took %.5f of the runs, want %.5f ± %.5f", pat.name, share, p, 3*sigma)
 		}
 	}
 }

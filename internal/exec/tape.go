@@ -107,6 +107,67 @@ type flow struct {
 	// emits are the output buffers of the nested feedBatch calls, by depth.
 	emits []*operator.Emit
 	depth int
+	// clk picks the operator runs a timed engine times. A flow is never
+	// shared between replay workers, so neither is its sampler.
+	clk procSampler
+}
+
+// procSample is the operator-timing sampling rate: a timed engine times a
+// random one in procSample operator runs and charges each timed run
+// procSample times its duration. Each run is taken independently with
+// probability 1/procSample, so for any sequence of run costs the expected
+// charge is the true total (a Horvitz–Thompson estimate), and a node with
+// n runs reads it with a relative error of about √(procSample/n).
+const procSample = 16
+
+// procSampler draws the independent 1-in-procSample choices: the top four
+// bits of an xorshift64 generator with a fixed seed, so a replay is
+// reproducible. The zero value is ready to use.
+type procSampler struct{ x uint64 }
+
+// take reports whether the next operator run is timed.
+func (s *procSampler) take() bool {
+	x := s.x
+	if x == 0 {
+		x = 0x9e3779b97f4a7c15
+	}
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	s.x = x
+	return x>>60 == 0
+}
+
+// startRun returns the clock reading an operator run starts at when the
+// flow times it, and 0 when it does not: always on an untimed engine, and
+// for all but a random one run in procSample on a timed one. It and
+// chargeRun inline to one branch each on an untimed engine.
+func (f *flow) startRun() int64 {
+	if f.e.timed {
+		return f.clk.start()
+	}
+	return 0
+}
+
+// start draws whether the next run is timed and reads the clock if it is.
+func (s *procSampler) start() int64 {
+	if s.take() {
+		return obs.Nanotime()
+	}
+	return 0
+}
+
+// chargeRun charges node for a run that started at start, if it was timed.
+func chargeRun(node *liveNode, start int64) {
+	if start != 0 {
+		node.chargeSampled(start)
+	}
+}
+
+// chargeSampled adds procSample times the duration of a timed run that
+// started at start to the node's processing time.
+func (st *opStats) chargeSampled(start int64) {
+	st.procNanos.Add(procSample * (obs.Nanotime() - start))
 }
 
 // component is one connected component of the live operator graph: nodes
@@ -461,25 +522,16 @@ func (c *component) own(t *runTape, ev *tapeEvent) []tuple.Tuple {
 }
 
 // expireNodes moves each node's local clock to the flow's time and sends
-// what its expirations emit down the plan, one run per node. On a timed
-// engine the wall time of each Advance goes to the node's processing-time
+// what its expirations emit down the plan, one run per node. Each Advance
+// is an operator run: a timed one goes to the node's processing-time
 // counter, beside its ProcessBatch time, so expiry shows up under the
-// operator that pays for it. The clock is read once per node — one Advance
-// ends where the next begins — and once more after a propagation, which is
-// charged where it lands.
+// operator that pays for it; what its outputs cost downstream is charged
+// where they land.
 func (f *flow) expireNodes(nodes []*liveNode) error {
-	timed := f.e.timed
-	var last int64
-	if timed {
-		last = obs.Nanotime()
-	}
 	for _, n := range nodes {
+		start := f.startRun()
 		outs, err := n.op.Advance(f.now)
-		if timed {
-			t := obs.Nanotime()
-			n.procNanos.Add(t - last)
-			last = t
-		}
+		chargeRun(n, start)
 		if err != nil {
 			return err
 		}
@@ -490,9 +542,6 @@ func (f *flow) expireNodes(nodes []*liveNode) error {
 		if err := f.propagateBatch(n, outs); err != nil {
 			return err
 		}
-		if timed {
-			last = obs.Nanotime()
-		}
 	}
 	return nil
 }
@@ -500,9 +549,10 @@ func (f *flow) expireNodes(nodes []*liveNode) error {
 // feedBatch processes a same-side run at node and pushes the accumulated
 // emissions toward the root as one run. This is the one place operator input
 // counters and processing wall time are charged on the row chain: polarity
-// counters take two atomic adds per run, and the clock is read only on a
-// timed engine. The flow reuses one Emit buffer per depth of the recursion,
-// so steady-state execution allocates no output slices.
+// counters take two atomic adds per run, and the clock is read only for the
+// runs a timed engine samples (startRun). The flow reuses one Emit buffer per
+// depth of the recursion, so steady-state execution allocates no output
+// slices.
 func (f *flow) feedBatch(node *liveNode, side int, in []tuple.Tuple) error {
 	var pos, neg int64
 	for i := range in {
@@ -518,21 +568,14 @@ func (f *flow) feedBatch(node *liveNode, side int, in []tuple.Tuple) error {
 	if neg > 0 {
 		node.inNeg.Add(neg)
 	}
-	var start int64
-	if f.e.timed {
-		start = obs.Nanotime()
-	}
 	if f.depth == len(f.emits) {
 		f.emits = append(f.emits, &operator.Emit{})
 	}
 	out := f.emits[f.depth]
 	f.depth++
+	start := f.startRun()
 	err := node.op.ProcessBatch(side, in, f.now, out)
-	if f.e.timed {
-		d := obs.Nanotime() - start
-		node.procNanos.Add(d)
-		node.maxBatch.SetMax(d)
-	}
+	chargeRun(node, start)
 	if err == nil {
 		err = f.propagateBatch(node, out.Tuples())
 	}

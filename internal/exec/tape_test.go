@@ -79,7 +79,8 @@ func diffQueries() []diffQuery {
 }
 
 // diffRun is one registry of the differential test: its table and the
-// OnEmit log of every query it ever registered, by name.
+// OnEmit log of every query it ever registered, by name. A timed registry
+// has a metrics registry attached.
 type diffRun struct {
 	e     *Engine
 	tbl   *relation.Table
@@ -88,9 +89,13 @@ type diffRun struct {
 	emits map[string]*strings.Builder
 }
 
-func newDiffRun(t *testing.T, procs int) *diffRun {
+func newDiffRun(t *testing.T, procs int, timed bool) *diffRun {
+	cfg := Config{LazyInterval: 5}
+	if timed {
+		cfg.Metrics = obs.NewRegistry()
+	}
 	r := &diffRun{
-		e:     NewMulti(Config{LazyInterval: 5, Metrics: obs.NewRegistry()}),
+		e:     NewMulti(cfg),
 		tbl:   relation.NewNRR("companies", companies()),
 		procs: procs,
 		hs:    map[string]*QueryHandle{},
@@ -119,8 +124,9 @@ func (r *diffRun) register(t *testing.T, name string, q diffQuery) {
 
 // render is everything the differential test compares: per-query emit
 // logs, snapshots, operator counters and EXPLAIN ANALYZE without timings,
-// engine stats, delta-latency counts and the registry checkpoint.
-func (r *diffRun) render(t *testing.T) string {
+// engine stats, delta-latency counts when latency is set (an untimed
+// registry records none) and the registry checkpoint.
+func (r *diffRun) render(t *testing.T, latency bool) string {
 	t.Helper()
 	var b strings.Builder
 	for _, h := range r.e.Queries() {
@@ -130,20 +136,22 @@ func (r *diffRun) render(t *testing.T) string {
 		}
 		fmt.Fprintf(&b, "== %s\nemits:\n%ssnapshot:\n%s", h.Name(), r.emits[h.Name()].String(), renderRows(rows))
 		for _, p := range h.Profile() {
-			p.ProcNanos, p.MaxBatchNanos = 0, 0
+			p.ProcNanos = 0
 			fmt.Fprintf(&b, "op %+v\n", p)
 		}
 		tree := h.Explain(true)
 		tree.Walk(func(n *plan.ExplainNode) {
 			if n.Stats != nil {
-				n.Stats.ProcNanos, n.Stats.MaxBatchNanos = 0, 0
+				n.Stats.ProcNanos = 0
 			}
 		})
 		if err := tree.WriteText(&b); err != nil {
 			t.Fatal(err)
 		}
-		pos, neg := h.DeltaLatency()
-		fmt.Fprintf(&b, "latency counts %d %d\n", pos.Count, neg.Count)
+		if latency {
+			pos, neg := h.DeltaLatency()
+			fmt.Fprintf(&b, "latency counts %d %d\n", pos.Count, neg.Count)
+		}
 	}
 	fmt.Fprintf(&b, "stats %+v sharing %+v\n", r.e.Stats(), r.e.Sharing())
 	var ck bytes.Buffer
@@ -172,14 +180,62 @@ func compOf(e *Engine, h *QueryHandle) *component {
 // churn between batches; after every step everything observable must agree,
 // checkpoint bytes included.
 func TestParallelReplayMatchesInline(t *testing.T) {
-	par, seq := newDiffRun(t, 4), newDiffRun(t, 1)
-	runs := []*diffRun{par, seq}
+	par, seq := newDiffRun(t, 4, true), newDiffRun(t, 1, true)
 	if n := len(par.e.comps); n < 5 {
 		t.Fatalf("%d components, want at least 5", n)
 	}
 	if compOf(par.e, par.hs["q1-lo"]) != compOf(par.e, par.hs["q1-hi"]) {
 		t.Fatal("queries sharing a join landed in different components")
 	}
+	driveDiff(t, par, seq, true)
+	withProcs(par.procs, func() {
+		if !par.e.sharesReplay(true) {
+			t.Fatal("the GOMAXPROCS 4 registry does not replay PushBatch on workers")
+		}
+	})
+	withProcs(seq.procs, func() {
+		if seq.e.sharesReplay(true) {
+			t.Fatal("a GOMAXPROCS 1 registry replays on workers")
+		}
+	})
+}
+
+// TestParallelReplayTimed: sampled operator timing on a registry replayed on
+// four workers changes nothing but ProcNanos. A timed registry and its
+// untimed twin take the same schedule; their emit logs, snapshots, operator
+// counters, EXPLAIN ANALYZE without timings, stats and checkpoint bytes must
+// agree, and only the timed one may have charged processing time.
+func TestParallelReplayTimed(t *testing.T) {
+	timed, plain := newDiffRun(t, 4, true), newDiffRun(t, 4, false)
+	if n := len(timed.e.comps); n < 3 {
+		t.Fatalf("%d components, want at least 3", n)
+	}
+	driveDiff(t, timed, plain, false)
+	withProcs(timed.procs, func() {
+		if !timed.e.sharesReplay(true) {
+			t.Fatal("the GOMAXPROCS 4 registry does not replay PushBatch on workers")
+		}
+	})
+	procSum := func(r *diffRun) (n int64) {
+		for _, h := range r.e.Queries() {
+			for _, p := range h.Profile() {
+				n += p.ProcNanos
+			}
+		}
+		return n
+	}
+	if proc, plainProc := procSum(timed), procSum(plain); proc == 0 || plainProc != 0 {
+		t.Fatalf("ProcNanos sums to %d timed and %d untimed, want > 0 and 0", proc, plainProc)
+	}
+}
+
+// driveDiff drives one random schedule into two registries — batches,
+// single pushes, table updates, Advance gaps and register/unregister churn —
+// compares their renderings every ten steps and fails at the first
+// difference.
+func driveDiff(t *testing.T, a, b *diffRun, latency bool) {
+	t.Helper()
+	runs := []*diffRun{a, b}
 	qs := diffQueries()
 	rng := rand.New(rand.NewSource(31))
 	ts := int64(0)
@@ -195,7 +251,7 @@ func TestParallelReplayMatchesInline(t *testing.T) {
 		}
 	}
 	for i := 0; i < 60; i++ {
-		streams := par.e.Streams()
+		streams := a.e.Streams()
 		switch k := rng.Intn(10); {
 		case k < 5:
 			batch := make([]Arrival, 40+rng.Intn(60))
@@ -216,9 +272,9 @@ func TestParallelReplayMatchesInline(t *testing.T) {
 		case k == 6:
 			ts += 10 + int64(rng.Intn(30))
 			step("Advance", func(r *diffRun) error { return r.e.Advance(ts) })
-		case k == 7 && len(par.hs) > 6:
-			names := make([]string, 0, len(par.hs))
-			for _, h := range par.e.Queries() {
+		case k == 7 && len(a.hs) > 6:
+			names := make([]string, 0, len(a.hs))
+			for _, h := range a.e.Queries() {
 				names = append(names, h.Name())
 			}
 			name := names[rng.Intn(len(names))]
@@ -232,28 +288,18 @@ func TestParallelReplayMatchesInline(t *testing.T) {
 			name := fmt.Sprintf("%s-%d", q.name, i)
 			step("Register", func(r *diffRun) error { r.register(t, name, q); return nil })
 		default:
-			a := Arrival{Stream: streams[rng.Intn(len(streams))], TS: ts, Vals: rndTuple(rng)}
-			step("Push", func(r *diffRun) error { return r.e.Push(a.Stream, a.TS, a.Vals...) })
+			ar := Arrival{Stream: streams[rng.Intn(len(streams))], TS: ts, Vals: rndTuple(rng)}
+			step("Push", func(r *diffRun) error { return r.e.Push(ar.Stream, ar.TS, ar.Vals...) })
 		}
 		if i%10 == 9 {
 			var got, want string
-			withProcs(par.procs, func() { got = par.render(t) })
-			withProcs(seq.procs, func() { want = seq.render(t) })
+			withProcs(a.procs, func() { got = a.render(t, latency) })
+			withProcs(b.procs, func() { want = b.render(t, latency) })
 			if got != want {
-				t.Fatalf("step %d: parallel replay diverged from inline\n%s", i, firstDiff(got, want))
+				t.Fatalf("step %d: registries on %d and %d procs diverged\n%s", i, a.procs, b.procs, firstDiff(got, want))
 			}
 		}
 	}
-	withProcs(par.procs, func() {
-		if !par.e.sharesReplay(true) {
-			t.Fatal("the GOMAXPROCS 4 registry does not replay PushBatch on workers")
-		}
-	})
-	withProcs(seq.procs, func() {
-		if seq.e.sharesReplay(true) {
-			t.Fatal("a GOMAXPROCS 1 registry replays on workers")
-		}
-	})
 }
 
 // firstDiff renders the first differing line of two renderings.
@@ -634,7 +680,7 @@ func TestParallelReplayOperatorError(t *testing.T) {
 // tapeFlushRows rows replays its tape part-way through, keeps the tape
 // bounded, and leaves every query where one Push per arrival leaves it.
 func TestPushBatchBeyondTapeFlush(t *testing.T) {
-	batched, pushed := newDiffRun(t, 4), newDiffRun(t, 1)
+	batched, pushed := newDiffRun(t, 4, true), newDiffRun(t, 1, true)
 	r := rand.New(rand.NewSource(41))
 	streams := batched.e.Streams()
 	batch := make([]Arrival, 6000)
@@ -661,7 +707,7 @@ func TestPushBatchBeyondTapeFlush(t *testing.T) {
 		r.e.met.maxStateTuples.Set(0)
 		r.e.sampleState()
 	}
-	if got, want := batched.render(t), pushed.render(t); got != want {
+	if got, want := batched.render(t, true), pushed.render(t, true); got != want {
 		t.Fatalf("one PushBatch diverged from one Push per arrival\n%s", firstDiff(got, want))
 	}
 	if n := cap(batched.e.tape.rows); n >= 2*tapeFlushRows {

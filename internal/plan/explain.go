@@ -32,11 +32,10 @@ type NodeStats struct {
 	// State and Touched are the sampled stored-tuple count and cumulative
 	// tuple visits.
 	State, Touched int64
-	// ProcNanos is cumulative wall time processing input runs (only measured
-	// when the engine runs with a metrics registry attached).
+	// ProcNanos is cumulative wall time processing input runs and expiring
+	// state, estimated from sampled runs (only measured when the engine runs
+	// with a metrics registry attached).
 	ProcNanos int64
-	// MaxBatchNanos is the latency of the slowest run.
-	MaxBatchNanos int64
 	// Observed is the update-pattern class the operator's output stream has
 	// actually exhibited, per the executor's conformance monitor; compare
 	// with the node's declared class on the tree line. Mismatch marks
@@ -275,8 +274,8 @@ func (t *ExplainTree) WriteText(w io.Writer) error {
 func (s *NodeStats) line() string {
 	out := fmt.Sprintf("in +%d/-%d  out +%d/-%d  expired %d  state %d  touched %d",
 		s.InPos, s.InNeg, s.OutPos, s.OutNeg, s.Expired, s.State, s.Touched)
-	if s.ProcNanos > 0 || s.MaxBatchNanos > 0 {
-		out += fmt.Sprintf("  proc %s (max %s)", fmtNanos(s.ProcNanos), fmtNanos(s.MaxBatchNanos))
+	if s.ProcNanos > 0 {
+		out += fmt.Sprintf("  proc ≈%s", fmtNanos(s.ProcNanos))
 	}
 	out += fmt.Sprintf("  observed [%v]", s.Observed)
 	switch {

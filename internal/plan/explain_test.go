@@ -91,7 +91,7 @@ func TestExplainWriteTextAnalyzed(t *testing.T) {
 	for _, want := range []string{
 		"analyze:   clock=200 watermark=195 shards=2",
 		"in +10/-0  out +7/-2  expired 3  state 4  touched 55",
-		"proc 1.5µs",
+		"proc ≈1.5µs",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("EXPLAIN ANALYZE missing %q:\n%s", want, out)
