@@ -174,7 +174,7 @@ func (e *Encoder) Value(v tuple.Value) {
 	case tuple.KindInt:
 		e.Varint(v.I)
 	case tuple.KindFloat:
-		e.Float(v.F)
+		e.Uvarint(uint64(v.I)) // the stored bits, as Float writes them
 	case tuple.KindString:
 		e.String(v.S)
 	}
@@ -380,7 +380,7 @@ func (d *Decoder) Value() tuple.Value {
 	case tuple.KindInt:
 		return tuple.Value{Kind: tuple.KindInt, I: d.Varint()}
 	case tuple.KindFloat:
-		return tuple.Value{Kind: tuple.KindFloat, F: d.Float()}
+		return tuple.Value{Kind: tuple.KindFloat, I: int64(d.Uvarint())}
 	case tuple.KindString:
 		return tuple.Value{Kind: tuple.KindString, S: d.String()}
 	default:

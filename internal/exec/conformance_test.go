@@ -9,13 +9,16 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cql"
 	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/reference"
 	"repro/internal/relation"
+	"repro/internal/trace"
 	"repro/internal/tuple"
 	"repro/internal/window"
 )
@@ -270,6 +273,40 @@ func TestConformanceGroupBy(t *testing.T) {
 				}
 			}
 			d.advance(250)
+		})
+}
+
+// TestConformanceMinMaxOverNaN: a CQL MIN/MAX group-by whose groups see NaN
+// durations (two payloads), both zeros and 1 beside 1.0 arrive and expire
+// must agree with the reference at every τ. A NaN once stayed in the MIN
+// multiset after it expired, so the group's MIN read NaN for good.
+func TestConformanceMinMaxOverNaN(t *testing.T) {
+	cat := cql.Catalog{Streams: map[string]cql.StreamDef{"l0": {ID: 0, Schema: trace.Schema()}}}
+	durs := []float64{2, 1, 3, math.Copysign(0, -1), 0, 1.5}
+	nans := map[int64]float64{5: math.NaN(), 23: math.Float64frombits(0x7FF8_0000_0000_00FF)}
+	runConformance(t,
+		func() (*plan.Node, []*relation.Table) {
+			n, err := cql.Parse("SELECT protocol, MIN(duration), MAX(duration), COUNT(*) FROM l0 [RANGE 10] GROUP BY protocol", cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n, nil
+		},
+		func(d *driver, _ []*relation.Table) {
+			for ts := int64(0); ts < 60; ts++ {
+				dur := tuple.Float(durs[ts%int64(len(durs))])
+				if ts%5 == 2 {
+					dur = tuple.Int(ts % 3) // an int beside the integral floats
+				}
+				if f, ok := nans[ts]; ok {
+					dur = tuple.Float(f)
+				}
+				d.push(0, ts, tuple.Int(ts), dur, tuple.String_(protos[ts%2]), tuple.Int(ts%7), tuple.Int(1), tuple.Int(2))
+				if ts%13 == 0 {
+					d.advance(ts + 1)
+				}
+			}
+			d.advance(100)
 		})
 }
 

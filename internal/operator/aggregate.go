@@ -53,19 +53,39 @@ func (s AggSpec) String() string { return fmt.Sprintf("%s($%d)", s.Kind, s.Col) 
 // and AVG are distributive/algebraic: arrivals add and expirations subtract
 // in constant time (the paper's footnote 2). MIN and MAX keep a multiset of
 // live values so the extreme can be re-derived when its last copy expires.
+// The multiset is keyed by Value.Canonical, so Equal values share one entry:
+// every NaN leaves with its last copy, and 1 and 1.0 (or +0 and -0) count
+// together and report the first one seen.
 type aggState struct {
 	spec  AggSpec
 	n     int64
 	sum   float64
-	multi map[tuple.Value]int // live value multiplicities (Min/Max only)
+	multi map[tuple.Value]liveValue // Min/Max only
+}
+
+// liveValue is one multiset entry: the value reported and its multiplicity.
+type liveValue struct {
+	v tuple.Value
+	n int
 }
 
 func newAggState(spec AggSpec) *aggState {
 	s := &aggState{spec: spec}
 	if spec.Kind == Min || spec.Kind == Max {
-		s.multi = make(map[tuple.Value]int)
+		s.multi = make(map[tuple.Value]liveValue)
 	}
 	return s
+}
+
+// addLive counts n more copies of v, keeping the entry's first-seen value.
+func (s *aggState) addLive(v tuple.Value, n int) {
+	k := v.Canonical()
+	e, ok := s.multi[k]
+	if !ok {
+		e.v = v
+	}
+	e.n += n
+	s.multi[k] = e
 }
 
 // arg extracts the aggregated value from a row-form tuple; Count never reads
@@ -90,7 +110,7 @@ func (s *aggState) addValue(v tuple.Value) {
 	case Sum, Avg:
 		s.sum += v.AsFloat()
 	case Min, Max:
-		s.multi[v]++
+		s.addLive(v, 1)
 	}
 }
 
@@ -101,10 +121,12 @@ func (s *aggState) removeValue(v tuple.Value) {
 	case Sum, Avg:
 		s.sum -= v.AsFloat()
 	case Min, Max:
-		if s.multi[v] <= 1 {
-			delete(s.multi, v)
+		k := v.Canonical()
+		if e := s.multi[k]; e.n <= 1 {
+			delete(s.multi, k)
 		} else {
-			s.multi[v]--
+			e.n--
+			s.multi[k] = e
 		}
 	}
 }
@@ -125,9 +147,9 @@ func (s *aggState) value() tuple.Value {
 	case Min:
 		var best tuple.Value
 		first := true
-		for v := range s.multi {
-			if first || v.Less(best) {
-				best, first = v, false
+		for _, e := range s.multi {
+			if first || e.v.Less(best) {
+				best, first = e.v, false
 			}
 		}
 		if first {
@@ -137,9 +159,9 @@ func (s *aggState) value() tuple.Value {
 	case Max:
 		var best tuple.Value
 		first := true
-		for v := range s.multi {
-			if first || best.Less(v) {
-				best, first = v, false
+		for _, e := range s.multi {
+			if first || best.Less(e.v) {
+				best, first = e.v, false
 			}
 		}
 		if first {

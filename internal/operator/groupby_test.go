@@ -1,8 +1,11 @@
 package operator
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/statebuf"
 	"repro/internal/tuple"
@@ -116,6 +119,69 @@ func TestGroupByDuplicateAggValues(t *testing.T) {
 	out := mustAdvance(t, g, 10) // one copy of 50 expires; max must survive
 	if len(out) != 1 || out[0].Vals[1] != tuple.Int(50) {
 		t.Fatalf("max with duplicate support: %v", out)
+	}
+}
+
+// TestAggMinMaxCanonicalMultiset: Equal values share one MIN/MAX multiset
+// entry, so a NaN leaves with its last copy whatever its payload, 1 and 1.0
+// (and +0 and -0) count together, and the first copy seen is reported.
+func TestAggMinMaxCanonicalMultiset(t *testing.T) {
+	nan, otherNaN := tuple.Float(math.NaN()), tuple.Float(math.Float64frombits(0x7FF8_0000_0000_00FF))
+	s := newAggState(AggSpec{Kind: Min})
+	s.addValue(tuple.Float(2))
+	s.addValue(nan)
+	if got := s.value(); !math.IsNaN(got.F()) {
+		t.Fatalf("MIN over {2, NaN} = %v, want NaN", got)
+	}
+	s.removeValue(otherNaN)
+	if got := s.value(); got != tuple.Float(2) || len(s.multi) != 1 {
+		t.Fatalf("after the NaN left: MIN = %v over %d entries, want 2 over 1", got, len(s.multi))
+	}
+	s.addValue(tuple.Int(1))
+	s.addValue(tuple.Float(1))
+	s.removeValue(tuple.Int(1))
+	if got := s.value(); got != tuple.Int(1) || len(s.multi) != 2 || s.multi[tuple.Int(1)].n != 1 {
+		t.Fatalf("1 and 1.0 must share an entry reporting the first seen: MIN = %#v, %v", got, s.multi)
+	}
+	negZero := tuple.Float(math.Copysign(0, -1))
+	m := newAggState(AggSpec{Kind: Max})
+	m.addValue(negZero)
+	m.addValue(tuple.Float(0))
+	m.removeValue(negZero)
+	if got := m.value(); got != negZero || len(m.multi) != 1 {
+		t.Fatalf("+0 and -0 must share an entry: MAX = %#v, %v", got, m.multi)
+	}
+}
+
+// TestLoadAggMergesEqualEntries: an older encoder keyed the multiset by the
+// raw value and could write Equal values as separate entries; loading merges
+// them, and saving the result writes one entry per value.
+func TestLoadAggMergesEqualEntries(t *testing.T) {
+	var buf bytes.Buffer
+	enc := checkpoint.NewEncoder(&buf)
+	enc.Varint(5)  // n
+	enc.Float(0)   // sum
+	enc.Bool(true) // has a multiset
+	enc.Uvarint(4) // entries
+	for _, e := range []struct {
+		v tuple.Value
+		n int64
+	}{{tuple.Float(math.NaN()), 1}, {tuple.Float(math.Float64frombits(0x7FF8_0000_0000_00FF)), 1}, {tuple.Int(1), 2}, {tuple.Float(1), 1}} {
+		enc.Value(e.v)
+		enc.Varint(e.n)
+	}
+	a, err := loadAgg(checkpoint.NewDecoder(&buf), AggSpec{Kind: Max})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.multi) != 2 || a.multi[tuple.Int(1)].n != 3 || a.multi[tuple.Float(math.NaN()).Canonical()].n != 2 {
+		t.Fatalf("loaded multiset %v, want {NaN: 2, 1: 3}", a.multi)
+	}
+	a.removeValue(tuple.Float(1))
+	a.removeValue(tuple.Int(1))
+	a.removeValue(tuple.Int(1))
+	if got := a.value(); !math.IsNaN(got.F()) {
+		t.Fatalf("MAX after every 1 left = %v, want NaN", got)
 	}
 }
 

@@ -139,21 +139,23 @@ func (d *DistinctDelta) LoadState(dec *checkpoint.Decoder) error {
 
 // saveAgg / loadAgg serialize one per-group aggregate cell. The spec is
 // plan-provided; only the running values travel. MIN/MAX multisets keep their
-// live value multiplicities, written in value order.
+// live value multiplicities, written in value order: no two entries compare
+// equal, so the order is total. Loading merges entries whose values are
+// Equal, which an older encoder could write apart (1 and 1.0, two NaNs).
 func saveAgg(enc *checkpoint.Encoder, a *aggState) {
 	enc.Varint(a.n)
 	enc.Float(a.sum)
 	enc.Bool(a.multi != nil)
 	if a.multi != nil {
-		vals := make([]tuple.Value, 0, len(a.multi))
-		for v := range a.multi {
-			vals = append(vals, v)
+		live := make([]liveValue, 0, len(a.multi))
+		for _, e := range a.multi {
+			live = append(live, e)
 		}
-		slices.SortFunc(vals, tuple.Value.Compare)
-		enc.Uvarint(uint64(len(vals)))
-		for _, v := range vals {
-			enc.Value(v)
-			enc.Varint(int64(a.multi[v]))
+		slices.SortFunc(live, func(x, y liveValue) int { return x.v.Compare(y.v) })
+		enc.Uvarint(uint64(len(live)))
+		for _, e := range live {
+			enc.Value(e.v)
+			enc.Varint(int64(e.n))
 		}
 	}
 }
@@ -173,7 +175,7 @@ func loadAgg(dec *checkpoint.Decoder, spec AggSpec) (*aggState, error) {
 		n := dec.Count()
 		for i := 0; i < n && dec.Err() == nil; i++ {
 			v := dec.Value()
-			a.multi[v] = int(dec.Varint())
+			a.addLive(v, int(dec.Varint()))
 		}
 	}
 	return a, dec.Err()

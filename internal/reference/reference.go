@@ -9,6 +9,7 @@ package reference
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -404,7 +405,8 @@ func sameRow(a, b Row) bool {
 func renderRow(r Row) string {
 	parts := make([]string, len(r))
 	for i, v := range r {
-		parts[i] = fmt.Sprintf("%v/%d", v, canonKind(v))
+		v = canonVal(v)
+		parts[i] = fmt.Sprintf("%v/%d", v, v.Kind)
 	}
 	return strings.Join(parts, "\x1f")
 }
@@ -412,18 +414,20 @@ func renderRow(r Row) string {
 func renderKey(r Row, cols []int) string {
 	parts := make([]string, len(cols))
 	for i, c := range cols {
-		parts[i] = fmt.Sprintf("%v/%d", r[c], canonKind(r[c]))
+		v := canonVal(r[c])
+		parts[i] = fmt.Sprintf("%v/%d", v, v.Kind)
 	}
 	return strings.Join(parts, "\x1f")
 }
 
-// canonKind folds integral floats onto ints so cross-kind Equal values
-// render identically.
-func canonKind(v tuple.Value) tuple.Kind {
-	if v.Kind == tuple.KindFloat && v.F == float64(int64(v.F)) {
-		return tuple.KindInt
+// canonVal folds integral floats inside the int64 range (±0 included) onto
+// ints so cross-kind Equal values render identically. Every NaN renders as
+// "NaN".
+func canonVal(v tuple.Value) tuple.Value {
+	if f := v.F(); v.Kind == tuple.KindFloat && f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+		return tuple.Int(int64(f))
 	}
-	return v.Kind
+	return v
 }
 
 // SameBag compares two row multisets, treating numerically-equal values as

@@ -35,7 +35,7 @@ func WriteCSV(w io.Writer, recs []Record) error {
 		row = append(row, ',')
 		row = strconv.AppendInt(row, r.TS, 10)
 		row = append(row, ',')
-		row = strconv.AppendFloat(row, r.Vals[ColDuration].F, 'g', -1, 64)
+		row = strconv.AppendFloat(row, r.Vals[ColDuration].F(), 'g', -1, 64)
 		row = append(row, ',')
 		row = appendCSVField(row, r.Vals[ColProtocol].S)
 		row = append(row, ',')

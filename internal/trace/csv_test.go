@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/tuple"
 )
@@ -27,7 +28,7 @@ func oracleWriteCSV(w io.Writer, recs []Record) error {
 		row := []string{
 			strconv.Itoa(r.Link),
 			strconv.FormatInt(r.TS, 10),
-			strconv.FormatFloat(r.Vals[ColDuration].F, 'g', -1, 64),
+			strconv.FormatFloat(r.Vals[ColDuration].F(), 'g', -1, 64),
 			r.Vals[ColProtocol].S,
 			strconv.FormatInt(r.Vals[ColPayload].I, 10),
 			strconv.FormatInt(r.Vals[ColSrc].I, 10),
@@ -206,13 +207,14 @@ func TestReadCSVAccepts(t *testing.T) {
 	}
 	// NaN and the infinities parse, but NaN != NaN keeps them out of the table.
 	got, err := ReadCSV(strings.NewReader(hdr + "0,0,NaN,x,0,0,0\n0,0,-Inf,x,0,0,0\n0,0,+infinity,x,0,0,0\n"))
-	if err != nil || len(got) != 3 || !math.IsNaN(got[0].Vals[ColDuration].F) ||
-		!math.IsInf(got[1].Vals[ColDuration].F, -1) || !math.IsInf(got[2].Vals[ColDuration].F, 1) {
+	if err != nil || len(got) != 3 || !math.IsNaN(got[0].Vals[ColDuration].F()) ||
+		!math.IsInf(got[1].Vals[ColDuration].F(), -1) || !math.IsInf(got[2].Vals[ColDuration].F(), 1) {
 		t.Errorf("NaN/Inf: %v %v", got, err)
 	}
 }
 
-// diffRecords compares bit for bit (so -0 differs from 0 and NaN equals NaN).
+// diffRecords compares bit for bit (so -0 differs from 0 and NaN equals NaN):
+// == on a Value compares a float's bits, which it keeps in I.
 func diffRecords(got, want []Record) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d records, want %d", len(got), len(want))
@@ -224,7 +226,7 @@ func diffRecords(got, want []Record) string {
 		}
 		for j := range g.Vals {
 			a, b := g.Vals[j], w.Vals[j]
-			if a.Kind != b.Kind || a.I != b.I || a.S != b.S || math.Float64bits(a.F) != math.Float64bits(b.F) {
+			if a != b {
 				return fmt.Sprintf("record %d column %d: %#v, want %#v", i, j, a, b)
 			}
 		}
@@ -343,9 +345,9 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 		"\u00a0nbsp", "\u0085nel", "\u2003em", "\x85raw", `\.`, `\.x`, "\"", ",", "日本"} {
 		recs[i*3].Vals[ColProtocol].S = p
 	}
-	recs[1].Vals[ColDuration].F = 1e-05
-	recs[2].Vals[ColDuration].F = 1e21
-	recs[4].Vals[ColDuration].F = math.Inf(1)
+	recs[1].Vals[ColDuration] = tuple.Float(1e-05)
+	recs[2].Vals[ColDuration] = tuple.Float(1e21)
+	recs[4].Vals[ColDuration] = tuple.Float(math.Inf(1))
 	recs[5].Vals[ColPayload].I = math.MinInt64
 	var got, want bytes.Buffer
 	if err := WriteCSV(&got, recs); err != nil {
@@ -428,7 +430,7 @@ func TestReadCSVSlabPinsAtMostOneSlab(t *testing.T) {
 		}
 		return recs[len(recs)/2].Vals
 	}()
-	const slabBytes = slabRecords * numCols * 40 // a tuple.Value is 40 bytes
+	const slabBytes = slabRecords * numCols * int64(unsafe.Sizeof(tuple.Value{}))
 	if grown := int64(heap()) - int64(before); grown > 2*slabBytes {
 		t.Errorf("one retained record keeps %d bytes alive, more than two slabs (%d)", grown, 2*slabBytes)
 	}

@@ -1,7 +1,7 @@
 package tuple
 
-// arenaSlab is the number of Values carved per slab. At 40 bytes per Value a
-// slab is ~40 KiB: large enough that steady-state row materialization
+// arenaSlab is the number of Values carved per slab. At 32 bytes per Value a
+// slab is 32 KiB: large enough that steady-state row materialization
 // amortizes to well under one allocation per tuple, small enough that a few
 // straggling live rows do not pin much dead memory (window state expires in
 // FIFO order, so slabs drain roughly front to back).

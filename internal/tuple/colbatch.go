@@ -33,7 +33,7 @@ func (v *ColVec) value(i int, in *Interner) Value {
 	case KindInt:
 		return Value{Kind: KindInt, I: v.Int[i]}
 	case KindFloat:
-		return Value{Kind: KindFloat, F: v.Float[i]}
+		return Float(v.Float[i])
 	default:
 		return Value{Kind: KindString, S: in.Str(v.ID[i])}
 	}
@@ -45,7 +45,7 @@ func (v *ColVec) append(val Value, in *Interner) {
 	case KindInt:
 		v.Int = append(v.Int, val.I)
 	case KindFloat:
-		v.Float = append(v.Float, val.F)
+		v.Float = append(v.Float, val.F())
 	default:
 		v.ID = append(v.ID, in.Intern(val.S))
 	}
@@ -238,7 +238,7 @@ func (cb *ColBatch) AppendRun(ts, exp int64, rows [][]Value, in *Interner) bool 
 					cb.Reset()
 					return false
 				}
-				v.Float[ri] = r[c].F
+				v.Float[ri] = r[c].F()
 			}
 		default:
 			if cap(v.ID) < n {
@@ -492,7 +492,7 @@ func (cb *ColBatch) Key(row int, cols []int, in *Interner) Key {
 		var k Key
 		k.n = len(cols)
 		for i, c := range cols {
-			k.v[i] = canonical(cb.cols[c].value(row, in))
+			k.v[i] = cb.cols[c].value(row, in).Canonical()
 		}
 		return k
 	}

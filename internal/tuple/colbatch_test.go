@@ -300,7 +300,7 @@ func TestColBatchNaNRoundTrip(t *testing.T) {
 		t.Fatal("append failed")
 	}
 	got := cb.ValueAt(0, 0, in)
-	if !math.IsNaN(got.F) {
+	if !math.IsNaN(got.F()) {
 		t.Fatalf("NaN did not survive: %v", got)
 	}
 	// Canonical key semantics: NaN keys equal themselves on both paths.

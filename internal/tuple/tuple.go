@@ -69,15 +69,15 @@ func (t Tuple) SameVals(o Tuple) bool {
 // composite key. Up to three columns are packed without allocation into the
 // fixed fields; wider keys fall back to a joined string rendering. Values are
 // canonicalized first so that Go == on Key agrees with Value.Equal: integral
-// floats pack as ints, and NaN packs as a sentinel string (Go's float ==
-// would otherwise make NaN keys unequal to themselves).
+// floats pack as ints, and every NaN packs as one NaN bit pattern (a float's
+// bits live in Value.I, so == on them is bitwise).
 func (t Tuple) Key(cols []int) Key {
 	var k Key
 	k.n = len(cols)
 	switch {
 	case len(cols) >= 1 && len(cols) <= 3:
 		for i, c := range cols {
-			k.v[i] = canonical(t.Vals[c])
+			k.v[i] = t.Vals[c].Canonical()
 		}
 	case len(cols) > 3:
 		// Manual byte appends into one pre-grown builder: rendering through
@@ -90,7 +90,7 @@ func (t Tuple) Key(cols []int) Key {
 			if i > 0 {
 				b.WriteByte('\x1f')
 			}
-			v := canonical(t.Vals[c])
+			v := t.Vals[c].Canonical()
 			if v.Kind == KindString {
 				// Write the string directly: copying it through the fixed
 				// scratch would truncate long values.
@@ -116,7 +116,7 @@ func appendKeyPart(dst []byte, v Value) []byte {
 	case KindInt:
 		dst = strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		dst = strconv.AppendFloat(dst, v.F(), 'g', -1, 64)
 	default:
 		dst = append(dst, '?')
 		dst = strconv.AppendUint(dst, uint64(v.Kind), 10)
@@ -125,16 +125,23 @@ func appendKeyPart(dst []byte, v Value) []byte {
 	return strconv.AppendUint(dst, uint64(v.Kind), 10)
 }
 
-// canonical maps Equal values onto ==-equal representations.
-func canonical(v Value) Value {
+// nanKey is the one NaN that canonical keeps, with math.NaN()'s bits.
+var nanKey = Value{Kind: KindFloat, I: 0x7FF8000000000001}
+
+// Canonical returns the representation of v that a Key stores. It maps Equal
+// values onto ==-equal ones: an integral float inside the int64 range becomes
+// that int (±0 both become 0), every NaN becomes nanKey, and everything else
+// is already canonical. The range check is f < 2^63: int64(2^63) does not
+// exist.
+func (v Value) Canonical() Value {
 	if v.Kind != KindFloat {
 		return v
 	}
-	f := v.F
-	if math.IsNaN(f) {
-		return Value{Kind: KindString, S: "\x00NaN"}
+	f := v.F()
+	if f != f {
+		return nanKey
 	}
-	if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
+	if f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
 		return Int(int64(f))
 	}
 	return v
@@ -182,7 +189,7 @@ func (t Tuple) KeyMatches(cols []int, k Key) bool {
 				}
 				rest = rest[1:]
 			}
-			v := canonical(t.Vals[c])
+			v := t.Vals[c].Canonical()
 			if v.Kind == KindString {
 				if len(rest) < len(v.S)+2 || rest[:len(v.S)] != v.S || rest[len(v.S):len(v.S)+2] != "/3" {
 					return false
@@ -199,7 +206,7 @@ func (t Tuple) KeyMatches(cols []int, k Key) bool {
 		return len(rest) == 0
 	}
 	for i, c := range cols {
-		if canonical(t.Vals[c]) != k.v[i] {
+		if t.Vals[c].Canonical() != k.v[i] {
 			return false
 		}
 	}
@@ -234,7 +241,7 @@ func (t Tuple) KeyHash64(cols []int) uint64 {
 	h := uint64(14695981039346656037)
 	if len(cols) <= 3 {
 		for _, c := range cols {
-			h ^= canonical(t.Vals[c]).Hash64()
+			h ^= t.Vals[c].Hash64()
 			h *= prime
 		}
 		return h
@@ -245,7 +252,7 @@ func (t Tuple) KeyHash64(cols []int) uint64 {
 			h ^= '\x1f'
 			h *= prime
 		}
-		v := canonical(t.Vals[c])
+		v := t.Vals[c].Canonical()
 		part := num[:0]
 		if v.Kind == KindString {
 			for j := 0; j < len(v.S); j++ {
@@ -304,12 +311,7 @@ func (v Value) compare(o Value) int {
 			return 1
 		}
 	case KindFloat:
-		if v.F != o.F {
-			if v.F < o.F {
-				return -1
-			}
-			return 1
-		}
+		return cmpFloat(v.F(), o.F())
 	case KindString:
 		return strings.Compare(v.S, o.S)
 	}

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -91,6 +92,27 @@ func TestKeyStringAmbiguity(t *testing.T) {
 	b := New(0, String_("1"), Int(1), Int(1), Int(1)).Key([]int{0, 1, 2, 3})
 	if a == b {
 		t.Error("kind must be part of wide key encoding")
+	}
+}
+
+// TestKeyFromRawLegacyNaN: an older encoder stored a NaN key column as the
+// string "\x00NaN" (and "\x00NaN/3" inside a wide key). Decoding translates
+// it, so a restored key still matches the NaN tuples it was built from.
+func TestKeyFromRawLegacyNaN(t *testing.T) {
+	nan := New(0, Int(1), Float(math.NaN()), String_("a"), Int(2))
+	narrow, wide := []int{0, 1}, []int{0, 1, 2, 3}
+	if k := KeyFromRaw(2, [3]Value{Int(1), String_(legacyNaN)}, ""); k != nan.Key(narrow) || !nan.KeyMatches(narrow, k) {
+		t.Errorf("legacy narrow key %v does not match %v", k, nan.Key(narrow))
+	}
+	legacyWide := "1/1\x1f" + legacyNaNPart + "\x1fa/3\x1f2/1"
+	if k := KeyFromRaw(4, [3]Value{}, legacyWide); k != nan.Key(wide) || !nan.KeyMatches(wide, k) {
+		t.Errorf("legacy wide key %q does not match %q", k.String(), nan.Key(wide).String())
+	}
+	for _, cols := range [][]int{narrow, wide} {
+		n, v, w := nan.Key(cols).Raw()
+		if KeyFromRaw(n, v, w) != nan.Key(cols) {
+			t.Errorf("Raw/KeyFromRaw round trip over %d columns changed the key", len(cols))
+		}
 	}
 }
 

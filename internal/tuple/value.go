@@ -48,11 +48,18 @@ func (k Kind) String() string {
 
 // Value is a typed scalar. It is a plain comparable struct (usable as a map
 // key) rather than an interface so that hot operator paths avoid boxing and
-// per-tuple allocation.
+// per-tuple allocation. It is 32 bytes: a float has no field of its own but
+// keeps its IEEE bits in I, so every stored row pays for two payloads, not
+// three.
+//
+// Go's == on Values is therefore exact on the representation: floats compare
+// bitwise (NaN equals the same NaN bits, +0 differs from -0), and Int(1)
+// differs from Float(1). Equal and Compare give the engine's semantics; the
+// canonical form that Key stores folds integral floats onto ints, ±0 onto 0
+// and every NaN onto one NaN, so == on Keys agrees with Equal.
 type Value struct {
 	Kind Kind
-	I    int64
-	F    float64
+	I    int64 // the int, or the float's math.Float64bits for KindFloat
 	S    string
 }
 
@@ -63,7 +70,16 @@ var Null = Value{}
 func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(f))} }
+
+// F returns the float payload of a KindFloat value, and 0 for every other
+// kind.
+func (v Value) F() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.I))
+}
 
 // String_ returns a string value. The trailing underscore avoids clashing
 // with the fmt.Stringer method on Value.
@@ -88,7 +104,7 @@ func (v Value) AsFloat() float64 {
 	case KindInt:
 		return float64(v.I)
 	case KindFloat:
-		return v.F
+		return v.F()
 	default:
 		return 0
 	}
@@ -101,22 +117,24 @@ func (v Value) AsInt() int64 {
 	case KindInt:
 		return v.I
 	case KindFloat:
-		return int64(v.F)
+		return int64(v.F())
 	default:
 		return 0
 	}
 }
 
 // Compare orders two values. Values of different kinds order by kind, except
-// that ints and floats compare numerically. NaN floats order below all other
-// floats (and equal to each other) so that Compare is a total order.
+// that ints and floats compare numerically and exactly: Int(2^53+1) orders
+// above Float(2^53) although float64(2^53+1) rounds onto it. NaN floats order
+// below all other numbers (and equal to each other) so that Compare is a
+// total order.
 func (v Value) Compare(o Value) int {
 	// Numeric cross-kind comparison.
 	if v.Kind == KindInt && o.Kind == KindFloat {
-		return cmpFloat(float64(v.I), o.F)
+		return cmpIntFloat(v.I, o.F())
 	}
 	if v.Kind == KindFloat && o.Kind == KindInt {
-		return cmpFloat(v.F, float64(o.I))
+		return -cmpIntFloat(o.I, v.F())
 	}
 	if v.Kind != o.Kind {
 		if v.Kind < o.Kind {
@@ -136,7 +154,7 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	case KindFloat:
-		return cmpFloat(v.F, o.F)
+		return cmpFloat(v.F(), o.F())
 	case KindString:
 		switch {
 		case v.S < o.S:
@@ -145,6 +163,30 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 		return 0
+	}
+	return 0
+}
+
+// cmpIntFloat compares i with f without rounding i to a float: f's integral
+// part, which fits an int64 once f lies in [-2^63, 2^63), compares as an
+// int, and a tie falls to f's fraction.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f < -0x1p63: // NaN orders below every number
+		return 1
+	case f >= 0x1p63:
+		return -1
+	}
+	t := math.Trunc(f)
+	switch ti := int64(t); {
+	case i < ti:
+		return -1
+	case i > ti:
+		return 1
+	case f > t:
+		return -1
+	case f < t:
+		return 1
 	}
 	return 0
 }
@@ -173,8 +215,8 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 // Less reports whether v orders strictly before o.
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
-// Hash64 returns an FNV-1a hash of the value, with ints and integral floats
-// hashing identically so that Equal values hash equal.
+// Hash64 returns an FNV-1a hash of the value's canonical form, so Equal
+// values hash equal: ints and integral floats alike, and every NaN.
 func (v Value) Hash64() uint64 {
 	const (
 		offset = 14695981039346656037
@@ -185,20 +227,11 @@ func (v Value) Hash64() uint64 {
 		h ^= uint64(b)
 		h *= prime
 	}
-	switch v.Kind {
+	switch v = v.Canonical(); v.Kind {
 	case KindNull:
 		mix(0)
-	case KindInt:
-		mixInt(&h, v.I)
-	case KindFloat:
-		if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			mixInt(&h, int64(f)) // hash like the equal int
-		} else {
-			bits := math.Float64bits(f)
-			for i := 0; i < 8; i++ {
-				mix(byte(bits >> (8 * i)))
-			}
-		}
+	case KindInt, KindFloat:
+		mixInt(&h, v.I) // a float mixes its bits
 	case KindString:
 		mix(3)
 		for i := 0; i < len(v.S); i++ {
@@ -225,7 +258,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
 		return v.S
 	default:

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -95,6 +96,76 @@ func TestValueNaN(t *testing.T) {
 	}
 	if nan.Compare(Float(0)) != -1 || Float(0).Compare(nan) != 1 {
 		t.Errorf("NaN must order below other floats")
+	}
+}
+
+// TestValueExactIntFloat pins the two cross-kind cases where rounding an int
+// to a float, or a float to an int, made Equal disagree with Key: Int(2^53+1)
+// used to equal Float(2^53), so Equal was not transitive, and Float(2^63)
+// packed as Int(MinInt64). Equal must hold exactly when the keys agree.
+func TestValueExactIntFloat(t *testing.T) {
+	const p53 = 1 << 53
+	vals := []Value{Int(p53), Float(p53), Int(p53 + 1), Float(0x1p63), Int(math.MinInt64)}
+	for _, a := range vals {
+		for _, b := range vals {
+			eq := a.Equal(b)
+			ka, kb := New(0, a).Key([]int{0}), New(0, b).Key([]int{0})
+			if eq != (ka == kb) {
+				t.Errorf("%#v.Equal(%#v) = %v, but key equality is %v", a, b, eq, ka == kb)
+			}
+			if eq && a.Hash64() != b.Hash64() {
+				t.Errorf("%#v and %#v are Equal but hash apart", a, b)
+			}
+		}
+	}
+	if !Int(p53).Equal(Float(p53)) {
+		t.Error("Int(2^53) must equal Float(2^53)")
+	}
+	if Int(p53+1).Compare(Float(p53)) != 1 || Float(p53).Compare(Int(p53+1)) != -1 {
+		t.Error("Int(2^53+1) must order above Float(2^53)")
+	}
+	if Float(0x1p63).Compare(Int(math.MaxInt64)) != 1 || Int(math.MinInt64).Compare(Float(0x1p63)) != -1 {
+		t.Error("Float(2^63) must order above every int")
+	}
+	if Float(-0x1p63).Compare(Int(math.MinInt64)) != 0 {
+		t.Error("Float(-2^63) must equal Int(MinInt64)")
+	}
+	if Int(-2).Compare(Float(-2.5)) != 1 || Int(2).Compare(Float(2.5)) != -1 {
+		t.Error("a fraction must break a tie on the integral part")
+	}
+}
+
+// TestValueFloatBits checks that a float keeps its exact bits in I, so ==
+// is bitwise while Equal and Key fold ±0, integral floats and NaN payloads.
+func TestValueFloatBits(t *testing.T) {
+	negZero, otherNaN := Float(math.Copysign(0, -1)), Float(math.Float64frombits(0x7FF8_0000_0000_00FF))
+	if Float(0) == negZero || !Float(0).Equal(negZero) || New(0, Float(0)).Key([]int{0}) != New(0, negZero).Key([]int{0}) {
+		t.Error("+0 and -0 must differ under == and agree under Equal and Key")
+	}
+	if math.Float64bits(otherNaN.F()) != 0x7FF8_0000_0000_00FF || !otherNaN.Equal(Float(math.NaN())) ||
+		New(0, otherNaN).Key([]int{0}) != New(0, Float(math.NaN())).Key([]int{0}) {
+		t.Error("a NaN payload must survive in the value and fold in Key")
+	}
+	if Int(5).F() != 0 || String_("x").F() != 0 || Float(2.5).F() != 2.5 {
+		t.Error("F must return the float payload and 0 for every other kind")
+	}
+	nanStr := String_("\x00NaN")
+	if nanStr.Equal(Float(math.NaN())) || New(0, nanStr).Key([]int{0}) == New(0, Float(math.NaN())).Key([]int{0}) {
+		t.Error("no string may share NaN's key")
+	}
+}
+
+// TestValueLayout pins the sizes every stored row pays for, so a field added
+// later fails here instead of regrowing every window, state buffer and view.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Key{}); got != 120 {
+		t.Errorf("Key is %d bytes, want 120", got)
+	}
+	if got := unsafe.Sizeof(Tuple{}); got != 48 {
+		t.Errorf("Tuple is %d bytes, want 48", got)
 	}
 }
 
