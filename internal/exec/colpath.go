@@ -14,9 +14,10 @@ import (
 // without ever materializing row tuples except where state or the view
 // requires them. The fallback ladder is per plan, then per engine:
 //
-//   - plan-time: any operator without a kernel, a count-based window, a
-//     stream feeding several windows, or a non-scalar column kind keeps the
-//     whole plan on the row batch path (colOK never set);
+//   - plan-time: any operator without a kernel (union, δ, negation,
+//     intersection, the relation joins), a count-based window, a stream
+//     feeding several windows, or a non-scalar column kind keeps the whole
+//     plan on the row batch path (colOK never set);
 //   - run-time: the first arrival whose value kinds disagree with its stream
 //     schema demotes the engine permanently — mixed-kind data could otherwise
 //     plant row-path state a later columnar probe cannot lay out. Demotion

@@ -66,13 +66,26 @@ func buildColEngine(t *testing.T, q ckptQuery, strat plan.Strategy, cfg Config) 
 	return eng
 }
 
+// colEligible reports whether q's plan under strat qualifies for the
+// columnar path, which needs a kernel for every operator: negation has none,
+// and UPA plans δ, which has none either, where the other strategies plan
+// Distinct.
+func colEligible(q ckptQuery, strat plan.Strategy) bool {
+	switch q.name {
+	case "Q1-join-of-selects", "Q6-groupby":
+		return true
+	case "Q2-distinct-project", "Q4-join-of-distincts":
+		return strat != plan.UPA
+	}
+	return false
+}
+
 // TestColumnarRowBatchEquivalence runs every paper query (plus the Query 6
 // group-by) under every strategy twice — columnar enabled (the default) and
 // pinned to the row batch path — over an identical bursty trace, and demands
-// identical visible state. Eligibility is pinned so the comparison can't
-// silently go vacuous: with kernels covering the stateful tail (GroupBy,
-// Distinct, Negate) and AdmitRunCols feeding NT's materialized windows, every
-// query must engage the columnar path under every strategy.
+// identical visible state. Eligibility is pinned (colEligible) so the
+// comparison can't silently go vacuous where a plan has full kernel
+// coverage; AdmitRunCols feeds NT's materialized windows.
 func TestColumnarRowBatchEquivalence(t *testing.T) {
 	for _, q := range ckptQueries() {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
@@ -84,8 +97,8 @@ func TestColumnarRowBatchEquivalence(t *testing.T) {
 				if row.colOK {
 					t.Fatal("NoColumnar engine reports colOK")
 				}
-				if !col.colOK {
-					t.Fatalf("colOK = false, want true for %s under %v", q.name, strat)
+				if want := colEligible(q, strat); col.colOK != want {
+					t.Fatalf("colOK = %v, want %v for %s under %v", col.colOK, want, q.name, strat)
 				}
 
 				batchFeed(t, col, trace)
@@ -167,14 +180,17 @@ func TestColumnarRuntimeDemotion(t *testing.T) {
 
 // TestColumnarStatefulDemotionMidRun drives the run-time ladder through the
 // stateful tail: a kind-nonconforming arrival lands mid-trace in plans whose
-// kernels mutate operator state (Distinct, Negate, GroupBy downstream of
-// windows), after a checkpoint cut at an arbitrary non-batch boundary. The
-// restored engine must resume columnar, demote exactly when the bad run
-// arrives, replay that run through the row path byte-exactly, and finish
+// kernels mutate operator state (Distinct and GroupBy downstream of windows),
+// after a checkpoint cut at an arbitrary non-batch boundary. The restored
+// engine must resume columnar, demote exactly when the bad run arrives,
+// replay that run through the row path byte-exactly, and finish
 // indistinguishable from a twin that never ran columnar at all — columnar
-// state and row state are the same state.
+// state and row state are the same state. Plans without full kernel
+// coverage (δ, negation) stay on the row chain throughout and must finish
+// the same way.
 func TestColumnarStatefulDemotionMidRun(t *testing.T) {
-	for _, q := range []ckptQuery{ckptQueries()[1], ckptQueries()[2], ckptQueries()[4]} {
+	qs := ckptQueries()
+	for _, q := range []ckptQuery{qs[1], qs[2], qs[4], qs[5]} {
 		for _, strat := range []plan.Strategy{plan.NT, plan.UPA} {
 			t.Run(fmt.Sprintf("%s/%v", q.name, strat), func(t *testing.T) {
 				mixed := colTrace(q.streams, 200)
@@ -182,10 +198,11 @@ func TestColumnarStatefulDemotionMidRun(t *testing.T) {
 				// fine on the row path, only the columnar layout refuses it.
 				mixed[130].Vals = []tuple.Value{tuple.Float(3), tuple.String_("ftp"), tuple.Int(9)}
 				cut := 71
+				eligible := colEligible(q, strat)
 
 				col := buildColEngine(t, q, strat, Config{LazyInterval: 7, EagerInterval: 1})
-				if !col.colOK {
-					t.Fatal("plan did not engage the columnar path")
+				if col.colOK != eligible {
+					t.Fatalf("colOK = %v, want %v", col.colOK, eligible)
 				}
 				batchFeed(t, col, mixed[:cut])
 				var ckpt bytes.Buffer
@@ -197,8 +214,8 @@ func TestColumnarStatefulDemotionMidRun(t *testing.T) {
 				if err := restored.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
 					t.Fatalf("Restore: %v", err)
 				}
-				if !restored.colOK {
-					t.Fatal("restore dropped columnar eligibility")
+				if restored.colOK != eligible {
+					t.Fatalf("restored colOK = %v, want %v", restored.colOK, eligible)
 				}
 				batchFeed(t, restored, mixed[cut:])
 				if restored.colOK {

@@ -276,17 +276,22 @@ func TestConformanceGroupBy(t *testing.T) {
 		})
 }
 
-// TestConformanceMinMaxOverNaN: a CQL MIN/MAX group-by whose groups see NaN
-// durations (two payloads), both zeros and 1 beside 1.0 arrive and expire
-// must agree with the reference at every τ. A NaN once stayed in the MIN
-// multiset after it expired, so the group's MIN read NaN for good.
+// TestConformanceMinMaxOverNaN: a CQL MIN/MAX/SUM/AVG group-by whose groups
+// see NaN durations (two payloads), infinities of both signs (meeting in one
+// window), both zeros and 1 beside 1.0 arrive and expire must agree with the
+// reference at every τ. A NaN once stayed in the MIN multiset after it
+// expired, so the group's MIN read NaN for good; SUM and AVG did the same
+// with a NaN or an infinity in their running sum.
 func TestConformanceMinMaxOverNaN(t *testing.T) {
 	cat := cql.Catalog{Streams: map[string]cql.StreamDef{"l0": {ID: 0, Schema: trace.Schema()}}}
 	durs := []float64{2, 1, 3, math.Copysign(0, -1), 0, 1.5}
-	nans := map[int64]float64{5: math.NaN(), 23: math.Float64frombits(0x7FF8_0000_0000_00FF)}
+	nans := map[int64]float64{
+		5: math.NaN(), 23: math.Float64frombits(0x7FF8_0000_0000_00FF),
+		31: math.Inf(1), 35: math.Inf(-1),
+	}
 	runConformance(t,
 		func() (*plan.Node, []*relation.Table) {
-			n, err := cql.Parse("SELECT protocol, MIN(duration), MAX(duration), COUNT(*) FROM l0 [RANGE 10] GROUP BY protocol", cat)
+			n, err := cql.Parse("SELECT protocol, MIN(duration), MAX(duration), COUNT(*), SUM(duration), AVG(duration) FROM l0 [RANGE 10] GROUP BY protocol", cat)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,6 +28,11 @@ import (
 // sides, Q2's distinct input and representative index, and both views are
 // lists.
 //
+// columnar is whether the plan qualifies for the columnar path at this
+// commit. Parent engines wrote q4_upa, q5_upa and q5_pullup with colOK set;
+// their δ and negation kernels are gone, so they restore onto the row chain.
+// The q1_direct, q2_direct and q4_nt plans keep every kernel they ran.
+//
 // parentBytes marks a cut that this commit writes byte for byte. tieBroken
 // marks one whose writer, before the cut, took W1 twins with equal TS out of
 // the answer in admission order rather than arrival order (the Q5 join emits
@@ -40,6 +45,7 @@ type goldenCheckpoint struct {
 	strat       plan.Strategy
 	opts        plan.Options
 	shards      int
+	columnar    bool
 	parentBytes bool
 	tieBroken   bool
 }
@@ -63,11 +69,11 @@ func goldenCheckpoints() []goldenCheckpoint {
 		{file: "q4_upa_shards2.ckpt", q: q4, strat: plan.UPA, shards: 2},
 		{file: "q5_upa.ckpt", q: q5, strat: plan.UPA, shards: 1},
 		{file: "q5_pullup_upa_strpartitioned.ckpt", q: q5up, strat: plan.UPA, opts: plan.Options{STR: plan.STRPartitioned}, shards: 1, tieBroken: true},
-		{file: "q4_nt.ckpt", q: q4, strat: plan.NT, shards: 1, parentBytes: true},
+		{file: "q4_nt.ckpt", q: q4, strat: plan.NT, shards: 1, columnar: true, parentBytes: true},
 		{file: "intersect_upa.ckpt", q: isect, strat: plan.UPA, shards: 1},
 		{file: "intersect_nt.ckpt", q: isect, strat: plan.NT, shards: 1},
-		{file: "q1_direct.ckpt", q: qs[0], strat: plan.Direct, shards: 1, parentBytes: true},
-		{file: "q2_direct.ckpt", q: qs[1], strat: plan.Direct, shards: 1, parentBytes: true},
+		{file: "q1_direct.ckpt", q: qs[0], strat: plan.Direct, shards: 1, columnar: true, parentBytes: true},
+		{file: "q2_direct.ckpt", q: qs[1], strat: plan.Direct, shards: 1, columnar: true, parentBytes: true},
 	}
 }
 
@@ -99,8 +105,12 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 			want := observe(t, whole)
 
 			resumed := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
+			fresh := resumed.Columnar()
 			if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
 				t.Fatalf("Restore: %v", err)
+			}
+			if got := resumed.Columnar(); got != fresh || got != g.columnar {
+				t.Errorf("restored Columnar() = %v, a fresh engine's %v, want %v", got, fresh, g.columnar)
 			}
 			atCut := resumed.Stats()
 			feed(t, resumed, trace[128:])

@@ -53,7 +53,7 @@ func propOps() []propOp {
 			}
 			return p
 		}},
-		{name: "union", sides: 2, negOK: true, make: func(t *testing.T) Operator {
+		{name: "union", sides: 2, negOK: true, noCol: true, make: func(t *testing.T) Operator {
 			u, err := NewUnion(linkSchema(), linkSchema())
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +76,7 @@ func propOps() []propOp {
 				Schema: linkSchema(), InputBuf: list, RepIdx: part, TimeExpiry: true,
 			})
 		}},
-		{name: "distinct-delta", sides: 1, negOK: false, make: func(t *testing.T) Operator {
+		{name: "distinct-delta", sides: 1, negOK: false, noCol: true, make: func(t *testing.T) Operator {
 			return NewDistinctDelta(linkSchema(), 64, 8)
 		}},
 		{name: "groupby", sides: 1, negOK: true, make: func(t *testing.T) Operator {
@@ -91,7 +91,7 @@ func propOps() []propOp {
 			}
 			return g
 		}},
-		{name: "negate", sides: 2, negOK: true, make: func(t *testing.T) Operator {
+		{name: "negate", sides: 2, negOK: true, noCol: true, make: func(t *testing.T) Operator {
 			n, err := NewNegate(NegateConfig{
 				Left: linkSchema(), Right: linkSchema(),
 				LeftCols: []int{1}, RightCols: []int{1},

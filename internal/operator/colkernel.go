@@ -11,12 +11,14 @@ import (
 // batch, producing exactly what the row-form ProcessBatch would — columnar
 // execution is a layout/dispatch optimization, never a semantic change.
 //
-// Kernels cover the hot relational core — selection (predicate evaluation as
-// a bitset mask scan), projection, merge union, the window equijoin — and the
-// stateful tail: group-by, duplicate elimination (both Distinct and the δ
-// operator), and negation (colstateful.go). Operators without a kernel
-// (intersect, relation joins) keep the row path; ColSupported lets the
-// executor decide per plan whether a columnar pipeline is available at all.
+// A kernel exists only where a benchmark workload or a pinned checkpoint runs
+// it: selection (predicate evaluation as a bitset mask scan) and the window
+// equijoin for q1-csv-col, group-by for q6-groupby-col, and projection and
+// Distinct, which byte-pinned parent checkpoints were written with (the
+// stateful two live in colstateful.go). Every other operator — union, δ,
+// negation, intersect, relation joins — keeps the row path; ColSupported
+// lets the executor decide per plan whether a columnar pipeline is
+// available at all.
 
 // ColBatchProcessor is the optional columnar form of ProcessBatch: consume a
 // run in columnar form, append emissions (positive and negative) to out in
@@ -34,7 +36,7 @@ func ColSupported(op Operator) bool {
 	switch o := op.(type) {
 	case *Select:
 		return colCompilable(o.pred)
-	case *Project, *Union, *GroupBy, *Distinct, *DistinctDelta, *Negate:
+	case *Project, *GroupBy, *Distinct:
 		return true
 	case *Join:
 		// A residual predicate evaluates over the concatenated result row, so
@@ -46,7 +48,7 @@ func ColSupported(op Operator) bool {
 }
 
 // colCompilable reports whether the predicate tree consists solely of shapes
-// the mask evaluator understands.
+// the mask evaluator (colmask.go) understands.
 func colCompilable(p Predicate) bool {
 	switch q := p.(type) {
 	case ColConst, ColCol, True:
@@ -54,22 +56,21 @@ func colCompilable(p Predicate) bool {
 	case Not:
 		return colCompilable(q.P)
 	case And:
-		for _, s := range q {
-			if !colCompilable(s) {
-				return false
-			}
-		}
-		return true
+		return allCompilable(q)
 	case Or:
-		for _, s := range q {
-			if !colCompilable(s) {
-				return false
-			}
-		}
-		return true
+		return allCompilable(q)
 	default:
 		return false
 	}
+}
+
+func allCompilable(ps []Predicate) bool {
+	for _, p := range ps {
+		if !colCompilable(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // ProcessColBatch drives op's columnar kernel over in, appending emissions to
@@ -82,14 +83,6 @@ func ProcessColBatch(op Operator, side int, in *tuple.ColBatch, now int64, out *
 		return fmt.Errorf("operator: no columnar kernel for %T", op)
 	}
 	return p.ProcessCols(side, in, now, out, intern)
-}
-
-// growMask returns a []bool of length n, reusing m's storage when possible.
-func growMask(m []bool, n int) []bool {
-	if cap(m) < n {
-		return make([]bool, n)
-	}
-	return m[:n]
 }
 
 // ProcessCols evaluates the predicate over the column vectors into a packed
@@ -107,211 +100,12 @@ func (s *Select) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple
 	return nil
 }
 
-// evalBoolMask is the retired per-row []bool evaluation path, kept callable
-// so BenchmarkMaskEval can compare it against the packed bitset path on the
-// same predicates.
-func (s *Select) evalBoolMask(in *tuple.ColBatch, intern *tuple.Interner) ([]bool, error) {
-	s.colMask = growMask(s.colMask, in.Len())
-	if err := colEval(s.pred, in, intern, s.colMask, &s.colTmp); err != nil {
-		return nil, err
-	}
-	return s.colMask, nil
-}
-
-// colEval fills dst[i] with p's verdict on row i. pool recycles the temporary
-// masks nested conjunctions and disjunctions combine through.
-func colEval(p Predicate, in *tuple.ColBatch, intern *tuple.Interner, dst []bool, pool *[][]bool) error {
-	switch q := p.(type) {
-	case ColConst:
-		evalColConst(q, in, intern, dst)
-		return nil
-	case ColCol:
-		evalColCol(q, in, intern, dst)
-		return nil
-	case True:
-		for i := range dst {
-			dst[i] = true
-		}
-		return nil
-	case Not:
-		if err := colEval(q.P, in, intern, dst, pool); err != nil {
-			return err
-		}
-		for i := range dst {
-			dst[i] = !dst[i]
-		}
-		return nil
-	case And:
-		if len(q) == 0 {
-			for i := range dst {
-				dst[i] = true
-			}
-			return nil
-		}
-		if err := colEval(q[0], in, intern, dst, pool); err != nil {
-			return err
-		}
-		tmp := takeMask(pool, len(dst))
-		defer putMask(pool, tmp)
-		for _, sub := range q[1:] {
-			if err := colEval(sub, in, intern, tmp, pool); err != nil {
-				return err
-			}
-			for i := range dst {
-				dst[i] = dst[i] && tmp[i]
-			}
-		}
-		return nil
-	case Or:
-		if len(q) == 0 {
-			for i := range dst {
-				dst[i] = false
-			}
-			return nil
-		}
-		if err := colEval(q[0], in, intern, dst, pool); err != nil {
-			return err
-		}
-		tmp := takeMask(pool, len(dst))
-		defer putMask(pool, tmp)
-		for _, sub := range q[1:] {
-			if err := colEval(sub, in, intern, tmp, pool); err != nil {
-				return err
-			}
-			for i := range dst {
-				dst[i] = dst[i] || tmp[i]
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("operator: predicate %v has no columnar evaluator", p)
-	}
-}
-
-func takeMask(pool *[][]bool, n int) []bool {
-	if k := len(*pool); k > 0 {
-		m := (*pool)[k-1]
-		*pool = (*pool)[:k-1]
-		return growMask(m, n)
-	}
-	return make([]bool, n)
-}
-
-func putMask(pool *[][]bool, m []bool) { *pool = append(*pool, m) }
-
-// evalColConst is the column-vs-constant scan. Same-kind integer comparisons
-// and string equality run as typed loops — string equality compares interned
-// ids, resolving the constant through the symbol table once per batch (a
-// constant the engine has never seen matches no stored string, or every one
-// under inequality). Everything else takes the generic three-way Compare,
-// which is exactly ColConst.Eval's semantics (its row fast paths agree with
-// Compare by construction).
-func evalColConst(p ColConst, in *tuple.ColBatch, intern *tuple.Interner, dst []bool) {
-	cv := in.Col(p.Col)
-	if cv.Kind == tuple.KindInt && p.Val.Kind == tuple.KindInt {
-		v := p.Val.I
-		switch p.Op {
-		case EQ:
-			for i, x := range cv.Int {
-				dst[i] = x == v
-			}
-		case NE:
-			for i, x := range cv.Int {
-				dst[i] = x != v
-			}
-		case LT:
-			for i, x := range cv.Int {
-				dst[i] = x < v
-			}
-		case LE:
-			for i, x := range cv.Int {
-				dst[i] = x <= v
-			}
-		case GT:
-			for i, x := range cv.Int {
-				dst[i] = x > v
-			}
-		case GE:
-			for i, x := range cv.Int {
-				dst[i] = x >= v
-			}
-		default:
-			for i := range cv.Int {
-				dst[i] = false
-			}
-		}
-		return
-	}
-	if cv.Kind == tuple.KindString && p.Val.Kind == tuple.KindString && (p.Op == EQ || p.Op == NE) {
-		eq := p.Op == EQ
-		id, ok := intern.Lookup(p.Val.S)
-		if !ok {
-			for i := range cv.ID {
-				dst[i] = !eq
-			}
-			return
-		}
-		for i, x := range cv.ID {
-			dst[i] = (x == id) == eq
-		}
-		return
-	}
-	n := in.Len()
-	for i := 0; i < n; i++ {
-		dst[i] = p.Op.eval(in.ValueAt(i, p.Col, intern).Compare(p.Val))
-	}
-}
-
-// evalColCol is the column-vs-column scan, with a typed loop for the
-// int-int case.
-func evalColCol(p ColCol, in *tuple.ColBatch, intern *tuple.Interner, dst []bool) {
-	l, r := in.Col(p.Left), in.Col(p.Right)
-	if l.Kind == tuple.KindInt && r.Kind == tuple.KindInt {
-		for i := range l.Int {
-			c := 0
-			switch {
-			case l.Int[i] < r.Int[i]:
-				c = -1
-			case l.Int[i] > r.Int[i]:
-				c = 1
-			}
-			dst[i] = p.Op.eval(c)
-		}
-		return
-	}
-	n := in.Len()
-	for i := 0; i < n; i++ {
-		dst[i] = p.Op.eval(in.ValueAt(i, p.Left, intern).Compare(in.ValueAt(i, p.Right, intern)))
-	}
-}
-
 // ProcessCols projects whole columns at once.
 func (p *Project) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
 	if side != 0 {
 		return badSide("project", side)
 	}
 	out.AppendProjection(in, p.cols)
-	return nil
-}
-
-// ProcessCols forwards the run, asserting the merge's timestamp order on
-// positives exactly as the row path does.
-func (u *Union) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
-	if side != 0 && side != 1 {
-		return badSide("union", side)
-	}
-	n := in.Len()
-	for i := 0; i < n; i++ {
-		if in.NegAt(i) {
-			continue
-		}
-		ts := in.TSAt(i)
-		if ts < u.lastTS {
-			return fmt.Errorf("union: non-blocking merge requires timestamp order (got %d after %d)", ts, u.lastTS)
-		}
-		u.lastTS = ts
-	}
-	out.AppendMasked(in, nil)
 	return nil
 }
 

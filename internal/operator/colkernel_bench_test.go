@@ -6,18 +6,16 @@ import (
 	"repro/internal/tuple"
 )
 
-// Kernel-grain benchmarks for the columnar stateful tail. The engine-level
-// benchmarks (internal/exec/colstateful_bench_test.go) measure deployment
-// shapes where both paths share the producer, the event-rule state machine,
-// and expiration churn, so their ratios sit near 1.0 by construction. These
-// benchmarks isolate what the columnar kernels actually replace — predicate
-// evaluation and survivor gather (BenchmarkMaskEval), and the per-arrival
-// operator body: key derivation from vectors vs. row Key construction,
-// emission staging into a reused group slice vs. a per-arrival allocation
-// (BenchmarkGroupByKernel, BenchmarkNegateKernel). The ≥1.8x stateful-tail
-// acceptance is pinned here, where the kernels run unshadowed; Distinct and δ
-// hot paths are the same key-derivation + map-probe shape as group-by and are
-// covered by the equivalence tests.
+// Kernel-grain benchmarks for the columnar path. The engine-level benchmarks
+// (internal/exec/colstateful_bench_test.go) measure deployment shapes where
+// both paths share the producer, the event-rule state machine, and expiration
+// churn, so their ratios sit near 1.0 by construction. These benchmarks
+// isolate what the columnar kernels actually replace — predicate evaluation
+// and survivor gather (BenchmarkMaskEval), and the per-arrival group-by body:
+// key derivation from vectors vs. row Key construction, emission staging into
+// a reused group slice vs. a per-arrival allocation (BenchmarkGroupByKernel).
+// Distinct's hot path is the same key-derivation + map-probe shape as
+// group-by and is covered by the equivalence tests.
 
 // kernelBenchLen is the rows per run in the stateful kernel benchmarks — the
 // same operating point as the engine-level benchmarks' per-run splits.
@@ -53,11 +51,9 @@ func kernelBenchBatch(b *testing.B, rows []tuple.Tuple, intern *tuple.Interner) 
 	return cb
 }
 
-// BenchmarkMaskEval compares the two Select mask representations over the
-// same predicates and batch: the retired per-row []bool evaluation followed by
-// AppendMasked, against the packed uint64 bitset path (branchless word-at-a-
-// time evaluation, popcount-sized gather) Select.ProcessCols runs. The batch
-// is 4096 rows so per-word wins are visible over loop overhead.
+// BenchmarkMaskEval measures Select.ProcessCols — packed uint64 bitset
+// evaluation (branchless, word-at-a-time) and popcount-sized gather — over a
+// 4096-row batch, so per-word costs are visible over loop overhead.
 func BenchmarkMaskEval(b *testing.B) {
 	intern := tuple.NewInterner()
 	in := kernelBenchBatch(b, kernelBenchRows(4096, false), intern)
@@ -68,28 +64,13 @@ func BenchmarkMaskEval(b *testing.B) {
 		// 1/8-selective integer range — the paper's σ shape on a numeric column.
 		{"int-lt", ColConst{Col: 0, Op: LT, Val: tuple.Int(2500)}},
 		// Interned-string equality AND'd with a range — a composite mask whose
-		// sub-masks combine word-at-a-time on the bitset path.
+		// sub-masks combine word-at-a-time.
 		{"and-str-int", And{
 			ColConst{Col: 1, Op: EQ, Val: tuple.String_("http")},
 			ColConst{Col: 0, Op: LT, Val: tuple.Int(10000)},
 		}},
 	}
 	for _, tc := range preds {
-		b.Run(tc.name+"/bool", func(b *testing.B) {
-			s := NewSelect(colTestSchema, tc.pred)
-			out := tuple.NewColBatch(colTestSchema)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out.Reset()
-				mask, err := s.evalBoolMask(in, intern)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out.AppendMasked(in, mask)
-			}
-			b.ReportMetric(float64(b.N*in.Len())/b.Elapsed().Seconds(), "tuples/sec")
-		})
 		b.Run(tc.name+"/bits", func(b *testing.B) {
 			s := NewSelect(colTestSchema, tc.pred)
 			out := tuple.NewColBatch(colTestSchema)
@@ -155,74 +136,5 @@ func BenchmarkGroupByKernel(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.N*in.Len())/b.Elapsed().Seconds(), "tuples/sec")
-	})
-}
-
-// BenchmarkNegateKernel measures the per-arrival negation body: each
-// iteration inserts a W1 run and then retracts it row for row, so state
-// returns to empty and the operator stays in steady state for any b.N. Both
-// paths run the identical quota-repair event rules; the comparison is key
-// derivation, row materialization, and emission staging. The negation-driven
-// retirement (NoTimeExpiry) keeps expiration calendars out of the picture.
-func BenchmarkNegateKernel(b *testing.B) {
-	newOp := func(b *testing.B) *Negate {
-		b.Helper()
-		n, err := NewNegate(NegateConfig{
-			Left: colTestSchema, Right: colTestSchema,
-			LeftCols: []int{1}, RightCols: []int{1},
-			Horizon: 256, Partitions: 8,
-			NoTimeExpiry: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return n
-	}
-	pos := kernelBenchRows(kernelBenchLen, false)
-	neg := kernelBenchRows(kernelBenchLen, true)
-	b.Run("row", func(b *testing.B) {
-		op := newOp(b)
-		var em Emit
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			em.Reset()
-			if err := op.ProcessBatch(0, pos, 100, &em); err != nil {
-				b.Fatal(err)
-			}
-			em.Reset()
-			if err := op.ProcessBatch(0, neg, 100, &em); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if op.StateSize() != 0 {
-			b.Fatalf("state not drained: %d", op.StateSize())
-		}
-		b.ReportMetric(float64(2*b.N*len(pos))/b.Elapsed().Seconds(), "tuples/sec")
-	})
-	b.Run("col", func(b *testing.B) {
-		op := newOp(b)
-		intern := tuple.NewInterner()
-		posB := kernelBenchBatch(b, pos, intern)
-		negB := kernelBenchBatch(b, neg, intern)
-		out := tuple.NewColBatch(colTestSchema)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out.Reset()
-			if err := op.ProcessCols(0, posB, 100, out, intern); err != nil {
-				b.Fatal(err)
-			}
-			out.Reset()
-			if err := op.ProcessCols(0, negB, 100, out, intern); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if op.StateSize() != 0 {
-			b.Fatalf("state not drained: %d", op.StateSize())
-		}
-		b.ReportMetric(float64(2*b.N*posB.Len())/b.Elapsed().Seconds(), "tuples/sec")
 	})
 }

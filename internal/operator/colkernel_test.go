@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/statebuf"
 	"repro/internal/tuple"
 )
@@ -123,39 +124,6 @@ func TestColKernelProjectEquivalence(t *testing.T) {
 	}
 }
 
-func TestColKernelUnionEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	rowOp, err := NewUnion(colTestSchema, colTestSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colOp, _ := NewUnion(colTestSchema, colTestSchema)
-	if !ColSupported(colOp) {
-		t.Fatal("union reported unsupported")
-	}
-	intern := tuple.NewInterner()
-	in := tuple.NewColBatch(colTestSchema)
-	for round := 0; round < 6; round++ {
-		rows := randColRows(rng, 20, int64(10*round), true)
-		rowOut, colOut := runBothPaths(t, rowOp, colOp, round%2, rows, int64(10*round), in, intern, colTestSchema)
-		requireSameEmissions(t, rowOut, colOut)
-	}
-	// A timestamp regression must fail identically on both paths.
-	bad := randColRows(rng, 1, 0, false)
-	var em Emit
-	rowErr := rowOp.ProcessBatch(0, bad, 0, &em)
-	if !in.FromRows(bad, intern) {
-		t.Fatal("conversion failed")
-	}
-	colErr := ProcessColBatch(colOp, 0, in, 0, tuple.NewColBatch(colTestSchema), intern)
-	if rowErr == nil || colErr == nil {
-		t.Fatalf("order violation not rejected: row=%v col=%v", rowErr, colErr)
-	}
-	if rowErr.Error() != colErr.Error() {
-		t.Fatalf("divergent errors: row=%v col=%v", rowErr, colErr)
-	}
-}
-
 func colTestJoin(t *testing.T, kind statebuf.Kind, noTimeExpiry bool) *Join {
 	t.Helper()
 	j, err := NewJoin(JoinConfig{
@@ -237,7 +205,65 @@ type opaquePred struct{ True }
 
 func (opaquePred) String() string { return "opaque" }
 
+// mustOp unwraps a constructor's result; a constructor error is a test bug.
+func mustOp[O Operator](op O, err error) O {
+	if err != nil {
+		panic(err)
+	}
+	return op
+}
+
+// TestColSupported pins the exact set of operators with a columnar kernel.
+// Each kernel stays only because something runs it in columnar form.
 func TestColSupported(t *testing.T) {
+	tbl := tuple.MustSchema(tuple.Column{Name: "id", Kind: tuple.KindInt})
+	accepted := []struct {
+		name string
+		op   Operator
+	}{
+		// q1-csv-col runs σ protocol=ftp over the windowed link join.
+		{"select", NewSelect(colTestSchema, ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")})},
+		{"join", colTestJoin(t, statebuf.KindIndexedFIFO, false)},
+		// q6-groupby-col runs the group-by.
+		{"groupby", colTestGroupBy(t, []AggSpec{{Kind: Count}}, statebuf.Config{Kind: statebuf.KindHash}, false)},
+		// The q2_direct.ckpt and q4_nt.ckpt goldens pin the colOK byte their
+		// projection and Distinct plans were written with.
+		{"project", mustOp(NewProject(colTestSchema, []int{0}))},
+		{"distinct", colTestDistinct(t, statebuf.KindHash, true)},
+	}
+	for _, c := range accepted {
+		if !ColSupported(c.op) {
+			t.Errorf("%s must have a kernel", c.name)
+		}
+	}
+	rejected := []struct {
+		name string
+		op   Operator
+	}{
+		{"union", mustOp(NewUnion(colTestSchema, colTestSchema))},
+		{"distinct-delta", NewDistinctDelta(colTestSchema, 256, 8)},
+		{"negate", colTestNegate(t, false)},
+		{"intersect", mustOp(NewIntersect(IntersectConfig{Left: colTestSchema, Right: colTestSchema, Horizon: 256}))},
+		{"rel-join", mustOp(NewRelJoin(RelJoinConfig{
+			Stream: colTestSchema, Table: relation.NewRelation("r", tbl),
+			StreamCols: []int{0}, TableCols: []int{0},
+			StreamBuf: statebuf.Config{Kind: statebuf.KindFIFO},
+		}))},
+		{"nrr-join", mustOp(NewNRRJoin(NRRJoinConfig{
+			Stream: colTestSchema, Table: relation.NewNRR("n", tbl),
+			StreamCols: []int{0}, TableCols: []int{0},
+		}))},
+	}
+	for _, c := range rejected {
+		if ColSupported(c.op) {
+			t.Errorf("%s must not have a kernel", c.name)
+		}
+		err := ProcessColBatch(c.op, 0, tuple.NewColBatch(colTestSchema), 0, tuple.NewColBatch(c.op.Schema()), tuple.NewInterner())
+		if err == nil {
+			t.Errorf("kernel dispatch of %s must error", c.name)
+		}
+	}
+
 	if ColSupported(NewSelect(colTestSchema, opaquePred{})) {
 		t.Error("select with a foreign predicate must not have a kernel")
 	}

@@ -62,48 +62,47 @@ func colEvalBits(p Predicate, in *tuple.ColBatch, intern *tuple.Interner, dst []
 		notBits(dst, n)
 		return nil
 	case And:
-		if len(q) == 0 {
+		return combineBits(q, true, in, intern, dst, pool)
+	case Or:
+		return combineBits(q, false, in, intern, dst, pool)
+	default:
+		return fmt.Errorf("operator: predicate %v has no columnar evaluator", p)
+	}
+}
+
+// combineBits fills dst with the conjunction (and) or the disjunction of
+// subs, combining their bitsets word at a time; an empty conjunction is
+// true, an empty disjunction false.
+func combineBits(subs []Predicate, and bool, in *tuple.ColBatch, intern *tuple.Interner, dst []uint64, pool *[][]uint64) error {
+	n := in.Len()
+	if len(subs) == 0 {
+		if and {
 			setAllBits(dst, n)
-			return nil
+		} else {
+			clear(dst)
 		}
-		if err := colEvalBits(q[0], in, intern, dst, pool); err != nil {
+		return nil
+	}
+	if err := colEvalBits(subs[0], in, intern, dst, pool); err != nil {
+		return err
+	}
+	tmp := takeBits(pool, n)
+	defer putBits(pool, tmp)
+	for _, sub := range subs[1:] {
+		if err := colEvalBits(sub, in, intern, tmp, pool); err != nil {
 			return err
 		}
-		tmp := takeBits(pool, n)
-		defer putBits(pool, tmp)
-		for _, sub := range q[1:] {
-			if err := colEvalBits(sub, in, intern, tmp, pool); err != nil {
-				return err
-			}
+		if and {
 			for i := range dst {
 				dst[i] &= tmp[i]
 			}
-		}
-		return nil
-	case Or:
-		if len(q) == 0 {
-			for i := range dst {
-				dst[i] = 0
-			}
-			return nil
-		}
-		if err := colEvalBits(q[0], in, intern, dst, pool); err != nil {
-			return err
-		}
-		tmp := takeBits(pool, n)
-		defer putBits(pool, tmp)
-		for _, sub := range q[1:] {
-			if err := colEvalBits(sub, in, intern, tmp, pool); err != nil {
-				return err
-			}
+		} else {
 			for i := range dst {
 				dst[i] |= tmp[i]
 			}
 		}
-		return nil
-	default:
-		return fmt.Errorf("operator: predicate %v has no columnar evaluator", p)
 	}
+	return nil
 }
 
 // setAllBits sets the first n bits and clears the tail of the last word.
@@ -142,7 +141,7 @@ func putBits(pool *[][]uint64, m []uint64) { *pool = append(*pool, m) }
 
 // evalColConstBits is the column-vs-constant scan producing a packed mask.
 // The typed paths pack each 64-row block branchlessly; the generic tail falls
-// back to the three-way Compare exactly like the bool evaluator.
+// back to the three-way Compare, which is exactly ColConst.Eval's semantics.
 func evalColConstBits(p ColConst, in *tuple.ColBatch, intern *tuple.Interner, dst []uint64) {
 	n := in.Len()
 	cv := in.Col(p.Col)
@@ -155,20 +154,13 @@ func evalColConstBits(p ColConst, in *tuple.ColBatch, intern *tuple.Interner, ds
 		if !ok {
 			// Unknown constant: equality matches nothing, inequality everything.
 			if p.Op == EQ {
-				for i := range dst {
-					dst[i] = 0
-				}
+				clear(dst)
 			} else {
 				setAllBits(dst, n)
 			}
 			return
 		}
-		ids := cv.ID
-		if p.Op == EQ {
-			packID(dst, ids, id, true)
-		} else {
-			packID(dst, ids, id, false)
-		}
+		packID(dst, cv.ID, id, p.Op == EQ)
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -181,8 +173,7 @@ func evalColConstBits(p ColConst, in *tuple.ColBatch, intern *tuple.Interner, ds
 // operator with the switch hoisted above the block loop: each inner loop is
 // shift-or over a directly compiled compare (SETcc, no call, no per-row
 // branch) — routing the compare through a func value instead costs an
-// indirect call per element and erases the packing's advantage over the
-// byte-mask path.
+// indirect call per element and erases the packing's advantage.
 func packIntConst(dst []uint64, xs []int64, v int64, op CmpOp) {
 	switch op {
 	case EQ:
@@ -234,9 +225,7 @@ func packIntConst(dst []uint64, xs []int64, v int64, op CmpOp) {
 			dst[w] = acc
 		}
 	default:
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 }
 
@@ -254,12 +243,7 @@ func packBlock(w, n int) (base, end int, acc uint64) {
 // packID packs interned-id equality (or inequality) verdicts.
 func packID(dst []uint64, ids []uint32, id uint32, eq bool) {
 	for w := range dst {
-		base := w << 6
-		end := base + 64
-		if end > len(ids) {
-			end = len(ids)
-		}
-		var acc uint64
+		base, end, acc := packBlock(w, len(ids))
 		for i := base; i < end; i++ {
 			acc |= b2u((ids[i] == id) == eq) << uint(i&63)
 		}
@@ -280,12 +264,7 @@ func evalColColBits(p ColCol, in *tuple.ColBatch, intern *tuple.Interner, dst []
 		eq := p.Op == EQ
 		ls, rs := l.ID, r.ID
 		for w := range dst {
-			base := w << 6
-			end := base + 64
-			if end > len(ls) {
-				end = len(ls)
-			}
-			var acc uint64
+			base, end, acc := packBlock(w, len(ls))
 			for i := base; i < end; i++ {
 				acc |= b2u((ls[i] == rs[i]) == eq) << uint(i&63)
 			}
@@ -350,8 +329,6 @@ func packIntCol(dst []uint64, ls, rs []int64, op CmpOp) {
 			dst[w] = acc
 		}
 	default:
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 }

@@ -3,15 +3,14 @@ package operator
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/tuple"
 )
 
-// Columnar kernels for the stateful tail: group-by, duplicate elimination
-// (Distinct and δ), and negation. These operators keep row-form state —
-// buffers and keyed tables — so the kernels' job is to keep
-// the run column-major across the operator boundary while touching state no
-// more than the row path would:
+// Columnar kernels for the stateful tail: group-by and the literature
+// duplicate elimination (Distinct). These operators keep row-form state —
+// buffers and keyed tables — so the kernels' job is to keep the run
+// column-major across the operator boundary while touching state no more
+// than the row path would:
 //
 //   - Keys derive straight from the typed column vectors (tuple.ColBatch.Key:
 //     interned-id comparison for strings, no row render), and where the state
@@ -19,15 +18,15 @@ import (
 //     shared between inserts (statebuf.HashedBuffer).
 //   - Rows are materialized only where state stores them, with value slices
 //     carved from a per-operator arena. Stored rows alias freely into
-//     representatives, calendars and downstream emissions — the row path's
-//     sharing discipline — so the kernels never recycle them; slab reclamation
+//     representatives and downstream emissions — the row path's sharing
+//     discipline — so the kernels never recycle them; slab reclamation
 //     happens when window churn drains a slab's rows. Removal patterns are
 //     the exception: Remove retains nothing, so their slices go back to the
 //     arena immediately.
-//   - Emissions (replacement rows and the WK/WKS polarity pairs of
-//     retractions) are copied column-major into the output batch in exactly
-//     the row path's order, so downstream kernels and the result view see an
-//     identical stream.
+//   - Emissions (replacement rows and the retractions of removed tuples) are
+//     copied column-major into the output batch in exactly the row path's
+//     order, so downstream kernels and the result view see an identical
+//     stream.
 //
 // Every kernel first folds in the operator's own Advance emissions, mirroring
 // ProcessBatch: expiration runs once per run, ahead of the arrivals.
@@ -175,92 +174,6 @@ func (d *Distinct) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tup
 			if rep := d.represent(ref, row, now); !out.AppendRow(rep, intern) {
 				return fmt.Errorf("distinct: representative %v does not fit the columnar result layout", rep)
 			}
-		}
-	}
-	return nil
-}
-
-// ProcessCols is the columnar kernel for the δ operator. Duplicates — the
-// overwhelming hot path δ exists for — cost a key derivation and one table
-// lookup with no materialization at all; a row is built only when it is
-// actually stored (new representative, or an auxiliary that outlives the
-// current one). Negative tuples reject exactly as the row path does, before
-// the clock advances.
-func (d *DistinctDelta) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
-	if side != 0 {
-		return badSide("distinct-delta", side)
-	}
-	n := in.Len()
-	for i := 0; i < n; i++ {
-		if in.NegAt(i) {
-			return fmt.Errorf("distinct-delta: negative tuple %v on a %v input (planner must use Distinct for strict inputs)", in.RowTuple(i, nil, intern), core.Strict)
-		}
-		if i == 0 {
-			adv, err := d.Advance(now)
-			if err != nil {
-				return err
-			}
-			if err := appendEmissions(out, adv, "distinct-delta", intern); err != nil {
-				return err
-			}
-		}
-		ref, fresh := d.slots.Upsert(in.Key(i, d.allCols, intern))
-		if !fresh {
-			if s := d.slots.At(ref); s.outlives(in.ExpAt(i)) {
-				d.keepAux(s, in.RowTuple(i, &d.colArena, intern))
-			}
-			continue
-		}
-		rep := d.represent(ref, in.RowTuple(i, &d.colArena, intern), now)
-		if !out.AppendRow(rep, intern) {
-			return fmt.Errorf("distinct-delta: representative %v does not fit the columnar result layout", rep)
-		}
-	}
-	return nil
-}
-
-// ProcessCols is the columnar negation kernel. Negation stores rows — each W1
-// tuple, and each W2 tuple its calendars file, is a slab entry whose answer
-// position is its place on an arrival-order list — so the kernel derives each
-// row's negation key from the vectors, materializes the row once from the
-// arena (stored rows stay with their entries; removal patterns are recycled),
-// and runs the row-path event body, copying emissions column-major so the run
-// stays columnar end-to-end.
-func (n *Negate) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
-	if side != 0 && side != 1 {
-		return badSide("negate", side)
-	}
-	adv, err := n.Advance(now)
-	if err != nil {
-		return err
-	}
-	if err := appendEmissions(out, adv, "negate", intern); err != nil {
-		return err
-	}
-	cols := n.keyCols
-	if side == 1 {
-		cols = n.rightCols
-	}
-	nn := in.Len()
-	for i := 0; i < nn; i++ {
-		k := in.Key(i, cols, intern)
-		var t tuple.Tuple
-		if side == 1 && !n.timeExpiry {
-			// NT-mode W2 maintenance touches only the per-value multiplicity
-			// list — no calendar stores the row — so the event rules need the
-			// key and timestamps alone: skip materialization entirely.
-			t = tuple.Tuple{TS: in.TSAt(i), Exp: in.ExpAt(i), Neg: in.NegAt(i)}
-		} else {
-			t = in.RowTuple(i, &n.colArena, intern)
-		}
-		n.colEmit.Reset()
-		ref, _ := n.slots.Upsert(k)
-		n.processSlot(side, ref, t, now, &n.colEmit)
-		if t.Neg {
-			n.colArena.Recycle(t.Vals)
-		}
-		if err := appendEmissions(out, n.colEmit.ts, "negate", intern); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -140,41 +140,6 @@ func TestColKernelDistinctEquivalence(t *testing.T) {
 	}
 }
 
-func TestColKernelDistinctDeltaEquivalence(t *testing.T) {
-	rowOp := NewDistinctDelta(colTestSchema, 256, 8)
-	colOp := NewDistinctDelta(colTestSchema, 256, 8)
-	if !ColSupported(colOp) {
-		t.Fatal("distinct-delta reported unsupported")
-	}
-	rng := rand.New(rand.NewSource(23))
-	intern := tuple.NewInterner()
-	in := tuple.NewColBatch(colTestSchema)
-	for round := 0; round < 20; round++ {
-		now := int64(12 * round)
-		rows := randColRows(rng, 6+rng.Intn(10), now, false)
-		rowOut, colOut := runBothPaths(t, rowOp, colOp, 0, rows, now, in, intern, colTestSchema)
-		requireSameEmissions(t, rowOut, colOut)
-		if rowOp.StateSize() != colOp.StateSize() {
-			t.Fatalf("round %d: state diverged (%d vs %d)", round, rowOp.StateSize(), colOp.StateSize())
-		}
-	}
-	// δ rejects negatives identically on both paths (planner bug guard).
-	bad := randColRows(rng, 3, 500, false)
-	bad[1].Neg = true
-	var em Emit
-	rowErr := rowOp.ProcessBatch(0, bad, 500, &em)
-	if !in.FromRows(bad, intern) {
-		t.Fatal("conversion failed")
-	}
-	colErr := ProcessColBatch(colOp, 0, in, 500, tuple.NewColBatch(colTestSchema), intern)
-	if rowErr == nil || colErr == nil {
-		t.Fatalf("negative not rejected: row=%v col=%v", rowErr, colErr)
-	}
-	if rowErr.Error() != colErr.Error() {
-		t.Fatalf("divergent errors:\nrow: %v\ncol: %v", rowErr, colErr)
-	}
-}
-
 func colTestNegate(t *testing.T, noTimeExpiry bool) *Negate {
 	t.Helper()
 	n, err := NewNegate(NegateConfig{
@@ -187,22 +152,6 @@ func colTestNegate(t *testing.T, noTimeExpiry bool) *Negate {
 		t.Fatal(err)
 	}
 	return n
-}
-
-func TestColKernelNegateEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		nt   bool
-	}{{"calendar", false}, {"nt", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rowOp := colTestNegate(t, tc.nt)
-			colOp := colTestNegate(t, tc.nt)
-			if !ColSupported(colOp) {
-				t.Fatal("negate reported unsupported")
-			}
-			colStatefulScript(t, rowOp, colOp, 2, 20, 24, colTestSchema)
-		})
-	}
 }
 
 // TestStatefulStateSizeFootprint pins the StateSize contract shared by the

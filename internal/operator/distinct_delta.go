@@ -28,9 +28,6 @@ type DistinctDelta struct {
 	expIdx  statebuf.Buffer
 	allCols []int
 	clock   int64
-	// colArena carves the value slices of rows the columnar kernel stores
-	// (colstateful.go); duplicates materialize nothing.
-	colArena tuple.ValueArena
 	// advOut is the expiration wave's output: what Advance returns is valid
 	// until the next Advance.
 	advOut Emit
@@ -91,16 +88,14 @@ func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
 	ref, fresh := d.slots.UpsertRow(t, d.allCols)
 	if fresh {
 		out.Append(d.represent(ref, t, now))
-	} else if s := d.slots.At(ref); s.outlives(t.Exp) {
+		return
+	}
+	// A duplicate becomes the value's auxiliary when it outlives the current
+	// auxiliary and the representative itself — shorter-lived duplicates can
+	// never be needed as replacements.
+	if s := d.slots.At(ref); (s.aux.Vals == nil || t.Exp > s.aux.Exp) && t.Exp > s.rep.Exp {
 		d.keepAux(s, t)
 	}
-}
-
-// outlives reports whether a duplicate expiring at exp should become the
-// value's auxiliary: it outlives the current auxiliary and the representative
-// itself — shorter-lived duplicates can never be needed as replacements.
-func (s *deltaSlot) outlives(exp int64) bool {
-	return (s.aux.Vals == nil || exp > s.aux.Exp) && exp > s.rep.Exp
 }
 
 func (d *DistinctDelta) keepAux(s *deltaSlot, t tuple.Tuple) {

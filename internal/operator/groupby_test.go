@@ -185,6 +185,101 @@ func TestLoadAggMergesEqualEntries(t *testing.T) {
 	}
 }
 
+// TestAggSumAvgNonFiniteLeaves: a NaN or an infinity that leaves a SUM or
+// AVG cell takes its effect with it. A float running sum cannot subtract
+// them back out, so the cell read NaN for good once one had arrived.
+func TestAggSumAvgNonFiniteLeaves(t *testing.T) {
+	nan, inf, ninf := math.NaN(), math.Inf(1), math.Inf(-1)
+	same := func(got tuple.Value, want float64) bool {
+		return got.Kind == tuple.KindFloat && (got.F() == want || math.IsNaN(got.F()) && math.IsNaN(want))
+	}
+	for _, kind := range []AggKind{Sum, Avg} {
+		for _, bad := range []float64{nan, inf, ninf} {
+			s := newAggState(AggSpec{Kind: kind})
+			s.addValue(tuple.Float(2))
+			s.addValue(tuple.Float(bad))
+			want := bad
+			if kind == Avg {
+				want = bad / 2
+			}
+			if got := s.value(); !same(got, want) {
+				t.Errorf("%v over 2, %v = %v, want %v", kind, bad, got, want)
+			}
+			s.removeValue(tuple.Float(bad))
+			if got := s.value(); !same(got, 2) {
+				t.Errorf("%v after %v left = %v, want 2", kind, bad, got)
+			}
+		}
+		s := newAggState(AggSpec{Kind: kind})
+		s.addValue(tuple.Int(4))
+		s.addValue(tuple.Float(inf))
+		s.addValue(tuple.Float(ninf))
+		if got := s.value(); !same(got, nan) {
+			t.Errorf("%v over +Inf and -Inf = %v, want NaN", kind, got)
+		}
+		s.removeValue(tuple.Float(inf))
+		if got := s.value(); !same(got, ninf) {
+			t.Errorf("%v after +Inf left = %v, want -Inf", kind, got)
+		}
+		s.removeValue(tuple.Float(ninf))
+		if got := s.value(); !same(got, 4) {
+			t.Errorf("%v after both infinities left = %v, want 4", kind, got)
+		}
+	}
+}
+
+// TestGroupByRestoreRecountsNonFinite: a cell saved non-finite travels as its
+// NaN or infinity alone; the restored group-by recounts it from its input
+// store, so the value that made it can still leave.
+func TestGroupByRestoreRecountsNonFinite(t *testing.T) {
+	aggs := []AggSpec{{Kind: Sum, Col: 2}, {Kind: Avg, Col: 2}}
+	row := func(ts, exp int64, f float64) tuple.Tuple {
+		return tuple.Tuple{TS: ts, Exp: exp, Vals: []tuple.Value{tuple.Int(1), tuple.String_("ftp"), tuple.Float(f)}}
+	}
+	g := colTestGroupBy(t, aggs, statebuf.Config{Kind: statebuf.KindFIFO}, false)
+	mustProcess(t, g, 0, row(1, 100, 2), 1)
+	mustProcess(t, g, 0, row(2, 10, math.NaN()), 2)
+	mustProcess(t, g, 0, row(3, 20, math.Inf(1)), 3)
+	var buf bytes.Buffer
+	enc := checkpoint.NewEncoder(&buf)
+	if err := g.SaveState(enc); err != nil {
+		t.Fatal(err)
+	}
+	restored := colTestGroupBy(t, aggs, statebuf.Config{Kind: statebuf.KindFIFO}, false)
+	if err := restored.LoadState(checkpoint.NewDecoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	if out := mustAdvance(t, restored, 10); len(out) != 1 || out[0].Vals[1] != tuple.Float(math.Inf(1)) {
+		t.Fatalf("after the NaN left: %v, want SUM +Inf", out)
+	}
+	out := mustAdvance(t, restored, 20)
+	if len(out) != 1 || out[0].Vals[1] != tuple.Float(2) || out[0].Vals[2] != tuple.Float(2) {
+		t.Fatalf("after +Inf left: %v, want SUM 2, AVG 2", out)
+	}
+
+	// Without an input store nothing leaves: the loaded NaN stands.
+	running := func() *GroupBy {
+		g, err := NewGroupBy(GroupByConfig{Input: colTestSchema, GroupCols: []int{1}, Aggs: aggs, NoInputStore: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g = running()
+	mustProcess(t, g, 0, row(1, tuple.NeverExpires, math.NaN()), 1)
+	buf.Reset()
+	if err := g.SaveState(checkpoint.NewEncoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	restored = running()
+	if err := restored.LoadState(checkpoint.NewDecoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	if out := mustProcess(t, restored, 0, row(2, tuple.NeverExpires, 3), 2); len(out) != 1 || !math.IsNaN(out[0].Vals[1].F()) {
+		t.Fatalf("running SUM after a loaded NaN: %v, want NaN", out)
+	}
+}
+
 func TestGroupByNegativeArrivals(t *testing.T) {
 	g := newTestGroupBy(t, AggSpec{Kind: Count})
 	a := linkTuple(1, 51, 7, "ftp", 10)

@@ -42,17 +42,6 @@ type Negate struct {
 	// prematureRetractions counts answers killed by negative tuples — the
 	// signal that drives the STR storage choice in Section 5.3.2.
 	prematureRetractions int64
-	// colArena carves the value slices of rows the columnar kernel
-	// materializes; colEmit stages row-path emissions it copies column-major
-	// (colstateful.go).
-	colArena tuple.ValueArena
-	colEmit  Emit
-	// rowFed flips permanently once any row-path batch reaches the operator.
-	// Until then every stored W1 row is arena-carved and exclusively owned,
-	// so NT-mode removals (no calendars retaining the tuple) can recycle the
-	// row immediately; after a row-path batch, stored rows may be caller-owned
-	// or referenced by downstream emissions, and recycling must stop for good.
-	rowFed bool
 	// advWave numbers the expiration waves; a slot whose wave equals it is
 	// already in advOrder, the wave's reusable list of values touched.
 	advWave  uint64
@@ -135,7 +124,6 @@ func (n *Negate) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) 
 	if side != 0 && side != 1 {
 		return badSide("negate", side)
 	}
-	n.rowFed = true
 	adv, err := n.Advance(now)
 	if err != nil {
 		return err
@@ -147,23 +135,16 @@ func (n *Negate) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) 
 	return nil
 }
 
-// processOne handles one element of a run; the caller has already run
-// Advance for now.
+// processOne applies one event of a run to its value's slot — looked up, or
+// created — and deletes the slot if it holds no tuple afterwards, so a
+// retraction that takes nothing (its tuple expired already, or never came)
+// leaves no slot behind either. The caller has already run Advance for now.
 func (n *Negate) processOne(side int, t tuple.Tuple, now int64, out *Emit) {
 	cols := n.keyCols
 	if side == 1 {
 		cols = n.rightCols
 	}
 	ref, _ := n.slots.UpsertRow(t, cols)
-	n.processSlot(side, ref, t, now, out)
-}
-
-// processSlot applies one event to its value's slot — looked up, or created,
-// by row on the row path, by the key the columnar kernel derives from the
-// column vectors — and deletes the slot if it holds no tuple afterwards, so a
-// retraction that takes nothing (its tuple expired already, or never came)
-// leaves no slot behind either.
-func (n *Negate) processSlot(side int, ref int32, t tuple.Tuple, now int64, out *Emit) {
 	s := n.slots.At(ref)
 	switch {
 	case !t.Neg:
@@ -222,15 +203,6 @@ func (n *Negate) dropW1(s *negSlot, ref int32) {
 			s.ans = e.link[arrivals].next
 		}
 		s.nAns--
-	}
-	// Pure-columnar NT mode: every stored row was carved from colArena and no
-	// calendar retains it, so the dropped row's slice is exclusively ours —
-	// hand it back for the next materialization. Any emission referencing it
-	// (the retraction staged just before this drop) is copied column-major
-	// before the kernel materializes another row, so the recycled slice cannot
-	// be overwritten while still referenced.
-	if !n.rowFed && !n.timeExpiry {
-		n.colArena.Recycle(e.t.Vals)
 	}
 	n.remove(&s.w[0], ref)
 }

@@ -138,13 +138,15 @@ func (d *DistinctDelta) LoadState(dec *checkpoint.Decoder) error {
 }
 
 // saveAgg / loadAgg serialize one per-group aggregate cell. The spec is
-// plan-provided; only the running values travel. MIN/MAX multisets keep their
+// plan-provided; only the running values travel. SUM/AVG write their derived
+// total, so a NaN or an infinity travels as the value it reads, and a finite
+// cell as its finite sum. MIN/MAX multisets keep their
 // live value multiplicities, written in value order: no two entries compare
 // equal, so the order is total. Loading merges entries whose values are
 // Equal, which an older encoder could write apart (1 and 1.0, two NaNs).
 func saveAgg(enc *checkpoint.Encoder, a *aggState) {
 	enc.Varint(a.n)
-	enc.Float(a.sum)
+	enc.Float(a.total())
 	enc.Bool(a.multi != nil)
 	if a.multi != nil {
 		live := make([]liveValue, 0, len(a.multi))
@@ -163,7 +165,7 @@ func saveAgg(enc *checkpoint.Encoder, a *aggState) {
 func loadAgg(dec *checkpoint.Decoder, spec AggSpec) (*aggState, error) {
 	a := newAggState(spec)
 	a.n = dec.Varint()
-	a.sum = dec.Float()
+	a.setTotal(dec.Float())
 	hasMulti := dec.Bool()
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -221,7 +223,7 @@ func (g *GroupBy) LoadState(dec *checkpoint.Decoder) error {
 		}
 	}
 	g.groups = statebuf.Table[groupState]{}
-	return g.groups.Load(dec, func(gs *groupState, _ bool) error {
+	err := g.groups.Load(dec, func(gs *groupState, _ bool) error {
 		nv := dec.Count()
 		for j := 0; j < nv && dec.Err() == nil; j++ {
 			gs.keyVals = append(gs.keyVals, dec.Value())
@@ -235,6 +237,44 @@ func (g *GroupBy) LoadState(dec *checkpoint.Decoder) error {
 			gs.aggs = append(gs.aggs, a)
 		}
 		return nil
+	})
+	if err != nil {
+		return err
+	}
+	g.recountNonFinite()
+	return nil
+}
+
+// recountNonFinite rebuilds every SUM and AVG cell that loaded a non-finite
+// total from its group's live tuples in the restored input store: the total
+// does not say which live values made it, nor what the finite ones add up
+// to. Without an input store nothing ever leaves, so the loaded total is all
+// such a cell needs.
+func (g *GroupBy) recountNonFinite() {
+	if g.input == nil {
+		return
+	}
+	stale := make(map[*aggState]bool)
+	g.groups.Range(func(ref int32) {
+		for _, a := range g.groups.At(ref).aggs {
+			if !finite(a.total()) {
+				stale[a] = true
+				a.setTotal(0)
+			}
+		}
+	})
+	if len(stale) == 0 {
+		return
+	}
+	g.input.Scan(func(t tuple.Tuple) bool {
+		if ref := g.groups.FindRow(t, g.groupCols); ref != 0 {
+			for _, a := range g.groups.At(ref).aggs {
+				if stale[a] {
+					a.fold(a.arg(t).AsFloat(), 1)
+				}
+			}
+		}
+		return true
 	})
 }
 

@@ -15,12 +15,9 @@ type Select struct {
 	schema *tuple.Schema
 	// colBits and colBitsTmp back the columnar kernel's packed bitset masks
 	// across batches (see colmask.go), so steady-state mask evaluation
-	// allocates nothing. colMask and colTmp are the retired []bool
-	// equivalents, kept for the mask-evaluation benchmark comparison.
+	// allocates nothing.
 	colBits    []uint64
 	colBitsTmp [][]uint64
-	colMask    []bool
-	colTmp     [][]bool
 }
 
 // NewSelect builds a selection operator.

@@ -90,7 +90,7 @@ type ColBatch struct {
 	exp  []int64
 	neg  []bool
 	cols []ColVec
-	// maskIdx backs AppendMasked's survivor index gather.
+	// maskIdx backs AppendMaskedBits's survivor index gather.
 	maskIdx []int32
 	// keyVals/keyIdx back the wide-key slow path of Key.
 	keyVals []Value
@@ -306,47 +306,13 @@ func (cb *ColBatch) StampExp(exp int64) {
 	}
 }
 
-// AppendMasked appends the rows of src whose mask entry is true (all rows
-// when mask is nil). The batches must have layout-equal schemas and share
-// one interner. The mask is materialized into a survivor index list once, so
-// each column gathers exactly the selected rows instead of re-testing the
-// mask per column — under selective predicates that is the difference between
-// O(columns × rows) branches and O(columns × survivors) copies.
-func (cb *ColBatch) AppendMasked(src *ColBatch, mask []bool) {
-	if mask == nil {
-		for c := range cb.cols {
-			dst, sv := &cb.cols[c], &src.cols[c]
-			switch dst.Kind {
-			case KindInt:
-				dst.Int = append(dst.Int, sv.Int...)
-			case KindFloat:
-				dst.Float = append(dst.Float, sv.Float...)
-			default:
-				dst.ID = append(dst.ID, sv.ID...)
-			}
-		}
-		cb.ts = append(cb.ts, src.ts...)
-		cb.exp = append(cb.exp, src.exp...)
-		cb.neg = append(cb.neg, src.neg...)
-		cb.n += src.n
-		cb.negs += src.negs
-		return
-	}
-	idx := cb.maskIdx[:0]
-	for i := 0; i < src.n; i++ {
-		if mask[i] {
-			idx = append(idx, int32(i))
-		}
-	}
-	cb.maskIdx = idx
-	cb.appendByIndex(src, idx)
-}
-
 // AppendMaskedBits appends the rows of src whose bit is set in the packed
 // bitset mask: row i lives at bit i&63 of word i>>6. Bits at positions ≥
-// src.Len() must be zero. The survivor indexes are recovered word-at-a-time
-// with TrailingZeros64 — cost proportional to popcount, not row count — and
-// then gathered column by column exactly like AppendMasked.
+// src.Len() must be zero. The batches must have layout-equal schemas and
+// share one interner. The survivor indexes are recovered word-at-a-time with
+// TrailingZeros64 — cost proportional to popcount, not row count — and then
+// gathered column by column, so each column copies exactly the selected rows
+// instead of re-testing the mask per column.
 func (cb *ColBatch) AppendMaskedBits(src *ColBatch, mask []uint64) {
 	idx := cb.maskIdx[:0]
 	for w, word := range mask {
@@ -357,12 +323,6 @@ func (cb *ColBatch) AppendMaskedBits(src *ColBatch, mask []uint64) {
 		}
 	}
 	cb.maskIdx = idx
-	cb.appendByIndex(src, idx)
-}
-
-// appendByIndex gathers the src rows at idx onto the tail (the shared body of
-// the masked appends).
-func (cb *ColBatch) appendByIndex(src *ColBatch, idx []int32) {
 	if len(idx) == 0 {
 		return
 	}

@@ -224,17 +224,17 @@ func TestColBatchAppendMaskedAndProjection(t *testing.T) {
 	}
 
 	dst := NewColBatch(schema)
-	dst.AppendMasked(src, []bool{true, false, false, true})
+	dst.AppendMaskedBits(src, []uint64{0b1001})
 	if dst.Len() != 2 || dst.Col(0).Int[0] != 0 || dst.Col(0).Int[1] != 3 {
 		t.Fatalf("masked append wrong: len=%d", dst.Len())
 	}
-	if !dst.NegAt(1) || dst.NegAt(0) {
+	if !dst.NegAt(1) || dst.NegAt(0) || dst.NegCount() != 1 {
 		t.Fatal("masked append dropped Neg flags")
 	}
 	dst.Reset()
-	dst.AppendMasked(src, nil)
-	if dst.Len() != 4 {
-		t.Fatalf("nil-mask append: len=%d, want 4", dst.Len())
+	dst.AppendMaskedBits(src, []uint64{0})
+	if dst.Len() != 0 {
+		t.Fatalf("empty-mask append: len=%d, want 0", dst.Len())
 	}
 
 	proj := NewColBatch(MustSchema(Column{Name: "b", Kind: KindString}))
