@@ -227,6 +227,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		return err
 	}
 	defer eng.Close()
+	h := eng.Queries()[0]
 	if fallback != "" {
 		fmt.Fprintf(os.Stderr, "sharding fell back to sequential: %s\n", fallback)
 	} else if shards > 1 {
@@ -253,7 +254,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			Path:  "/debug/plan",
 			Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
-				t := eng.Explain(r.URL.Query().Get("analyze") != "")
+				t := h.Explain(r.URL.Query().Get("analyze") != "")
 				if r.URL.Query().Get("format") == "dot" {
 					w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 					_ = t.WriteDOT(w)
@@ -268,7 +269,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			Title: "update-pattern conformance: declared vs observed per operator",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				_ = exec.WriteConformance(w, eng.Profile())
+				_ = exec.WriteConformance(w, h.Profile())
 			},
 		}
 		pages := []obs.Page{planPage, confPage,
@@ -296,7 +297,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		if err != nil {
 			return err
 		}
-		err = eng.Checkpoint(f)
+		err = h.Checkpoint(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -360,7 +361,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	}
 	// ResultCount is the run's one Sync: every pending expiration is applied
 	// before the final checkpoint and the statistics.
-	resultLen, err := eng.ResultCount()
+	resultLen, err := h.ResultCount()
 	if err != nil {
 		return err
 	}
@@ -392,7 +393,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		resultLen, st.MaxStateTuples, touched)
 	if analyze {
 		fmt.Println()
-		if err := eng.Explain(true).WriteText(os.Stdout); err != nil {
+		if err := h.Explain(true).WriteText(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -404,7 +405,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "insertion", pos.Count, pos.P50, pos.P95, pos.P99, pos.Max)
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "retraction", neg.Count, neg.P50, neg.P95, neg.P99, neg.Max)
 		fmt.Println()
-		if err := exec.WriteConformance(os.Stdout, eng.Profile()); err != nil {
+		if err := exec.WriteConformance(os.Stdout, h.Profile()); err != nil {
 			return err
 		}
 	}
@@ -422,7 +423,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 	}
 	if dumpView != "" {
-		rows, err := eng.Snapshot()
+		rows, err := h.Snapshot()
 		if err != nil {
 			return err
 		}

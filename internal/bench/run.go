@@ -141,7 +141,7 @@ func Run(q Query, rc RunConfig) (Result, error) {
 	}
 	// ResultCount is the run's one Sync: the timed region ends with every
 	// pending expiration applied.
-	finalResults, err := eng.ResultCount()
+	finalResults, err := eng.Queries()[0].ResultCount()
 	if err != nil {
 		return Result{}, fmt.Errorf("bench %v: sync: %w", q, err)
 	}

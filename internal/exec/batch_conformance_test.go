@@ -88,7 +88,7 @@ func TestBatchConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("reference: %v", err)
 					}
-					snap, err := bat.Snapshot()
+					snap, err := bat.Queries()[0].Snapshot()
 					if err != nil {
 						t.Fatalf("Snapshot: %v", err)
 					}
@@ -123,7 +123,7 @@ func TestBatchCheckpointMidRun(t *testing.T) {
 					b := buildExecutor(t, q, strat, shards)
 					feedBatches(t, b, trace[:cut], 37)
 					var ckpt bytes.Buffer
-					if err := b.Checkpoint(&ckpt); err != nil {
+					if err := b.Queries()[0].Checkpoint(&ckpt); err != nil {
 						t.Fatalf("Checkpoint: %v", err)
 					}
 					feedBatches(t, b, trace[cut:], 37)

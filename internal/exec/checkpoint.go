@@ -300,41 +300,15 @@ func writeHeader(enc *checkpoint.Encoder, p *plan.Physical, sections int, clock 
 	return writeTables(enc, uniqueTables(p.Tables))
 }
 
-// Checkpoint writes the engine's complete dynamic state to w: the header,
-// then one state section per partition (one for an unpartitioned engine),
-// after replaying what a partitioned engine's tape still holds. It does not
-// force pending maintenance: cursors travel with the state, so a restored
-// engine resumes the exact maintenance schedule, and checkpointing never
-// perturbs the run it snapshots. This is the single-query format; an
-// engine carrying several registered queries checkpoints with
-// CheckpointRegistry (or per query through QueryHandle.Checkpoint).
-func (e *Engine) Checkpoint(w io.Writer) error {
-	if err := e.catchUp(); err != nil {
-		return err
-	}
-	if len(e.queries) != e.parts {
-		return fmt.Errorf("exec: engine checkpoint requires exactly one registered query (have %d); use CheckpointRegistry", len(e.queries))
-	}
-	var start time.Time
-	if e.timed {
-		start = time.Now()
-	}
-	enc := checkpoint.NewEncoder(w)
-	if err := writeHeader(enc, e.phys, e.parts, e.clock); err != nil {
-		return err
-	}
-	for _, q := range e.queries {
-		if err := e.writeState(enc, q); err != nil {
-			return err
-		}
-	}
+// checkpointed updates the checkpoint series for a completed checkpoint of
+// n bytes, started at start (read only when timed).
+func (e *Engine) checkpointed(start time.Time, n int64) {
 	e.met.checkpoints.Inc()
-	e.met.checkpointBytes.Set(enc.Bytes())
+	e.met.checkpointBytes.Set(n)
 	e.met.checkpointLast.Set(obs.Nanotime())
 	if e.timed {
 		e.met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
 	}
-	return nil
 }
 
 // Restore rehydrates the engine from a checkpoint written by an engine built
@@ -361,7 +335,8 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if want := fingerprint(e.phys); fp != want {
+	phys := e.queries[0].phys
+	if want := fingerprint(phys); fp != want {
 		return &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
 	}
 	if sections != e.parts {
@@ -373,7 +348,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := readTables(dec, uniqueTables(e.phys.Tables)); err != nil {
+	if err := readTables(dec, uniqueTables(phys.Tables)); err != nil {
 		return err
 	}
 	for p, q := range e.queries {

@@ -133,7 +133,7 @@ func observe(t *testing.T, ex *Engine) observation {
 	if err := ex.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	snap, err := ex.Snapshot()
+	snap, err := ex.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -142,7 +142,7 @@ func observe(t *testing.T, ex *Engine) observation {
 		rows = append(rows, tp.String())
 	}
 	sort.Strings(rows)
-	n, err := ex.ResultCount()
+	n, err := ex.Queries()[0].ResultCount()
 	if err != nil {
 		t.Fatalf("ResultCount: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 					b := buildExecutor(t, q, strat, shards)
 					feed(t, b, trace[:half])
 					var ckpt bytes.Buffer
-					if err := b.Checkpoint(&ckpt); err != nil {
+					if err := b.Queries()[0].Checkpoint(&ckpt); err != nil {
 						t.Fatalf("Checkpoint: %v", err)
 					}
 					feed(t, b, trace[half:])
@@ -220,7 +220,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 func sameBytes(t *testing.T, who string, ex *Engine, want []byte) {
 	t.Helper()
 	var got bytes.Buffer
-	if err := ex.Checkpoint(&got); err != nil {
+	if err := ex.Queries()[0].Checkpoint(&got); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if bytes.Equal(got.Bytes(), want) {
@@ -256,7 +256,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 	src := buildExecutor(t, qs[0], plan.UPA, 1)
 	feed(t, src, trace[:64])
 	var ckpt bytes.Buffer
-	if err := src.Checkpoint(&ckpt); err != nil {
+	if err := src.Queries()[0].Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -307,7 +307,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 		sh := buildExecutor(t, qs[0], plan.UPA, 4)
 		feed(t, sh, trace[:64])
 		var ck4 bytes.Buffer
-		if err := sh.Checkpoint(&ck4); err != nil {
+		if err := sh.Queries()[0].Checkpoint(&ck4); err != nil {
 			t.Fatal(err)
 		}
 		eng := buildExecutor(t, qs[0], plan.UPA, 1)
@@ -339,7 +339,7 @@ func TestRestoreMismatchSafety(t *testing.T) {
 // tests must not disturb the executor between the before/after readings).
 func observeNoAdvance(t *testing.T, ex *Engine) observation {
 	t.Helper()
-	snap, err := ex.Snapshot()
+	snap, err := ex.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -348,7 +348,7 @@ func observeNoAdvance(t *testing.T, ex *Engine) observation {
 		rows = append(rows, tp.String())
 	}
 	sort.Strings(rows)
-	n, err := ex.ResultCount()
+	n, err := ex.Queries()[0].ResultCount()
 	if err != nil {
 		t.Fatalf("ResultCount: %v", err)
 	}
@@ -361,7 +361,7 @@ func TestCheckpointMetrics(t *testing.T) {
 	eng := buildExecutor(t, q, plan.UPA, 1)
 	feed(t, eng, ckptTrace(q.streams)[:32])
 	var ckpt bytes.Buffer
-	if err := eng.Checkpoint(&ckpt); err != nil {
+	if err := eng.Queries()[0].Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.met.checkpoints.Value(); got != 1 {

@@ -206,7 +206,7 @@ func TestColumnarStatefulDemotionMidRun(t *testing.T) {
 				}
 				batchFeed(t, col, mixed[:cut])
 				var ckpt bytes.Buffer
-				if err := col.Checkpoint(&ckpt); err != nil {
+				if err := col.Queries()[0].Checkpoint(&ckpt); err != nil {
 					t.Fatalf("Checkpoint: %v", err)
 				}
 
@@ -276,7 +276,7 @@ func TestInternerCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("no strings interned before the checkpoint cut")
 	}
 	var ckpt bytes.Buffer
-	if err := b.Checkpoint(&ckpt); err != nil {
+	if err := b.Queries()[0].Checkpoint(&ckpt); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 
@@ -302,7 +302,7 @@ func TestRestoredDemotionSticks(t *testing.T) {
 	batchFeed(t, src, trace[:40])
 	src.colOK = false // as if a nonconforming run had demoted it
 	var ckpt bytes.Buffer
-	if err := src.Checkpoint(&ckpt); err != nil {
+	if err := src.Queries()[0].Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildColEngine(t, q, plan.UPA, Config{LazyInterval: 7})

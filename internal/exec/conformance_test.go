@@ -75,7 +75,7 @@ func (d *driver) check(now int64) {
 	if d.every > 1 && d.events%d.every != 0 {
 		return
 	}
-	got, err := d.eng.Snapshot()
+	got, err := d.eng.Queries()[0].Snapshot()
 	if err != nil {
 		d.t.Fatalf("Snapshot: %v", err)
 	}
@@ -622,7 +622,7 @@ func TestConformanceMonotonicStream(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if n, _ := eng.ResultCount(); n != want {
+			if n, _ := eng.Queries()[0].ResultCount(); n != want {
 				t.Fatalf("monotonic count = %d, want %d", n, want)
 			}
 			if eng.Stats().Retracted != 0 {

@@ -62,7 +62,7 @@ func TestEngineSyncBeforeAnyEvent(t *testing.T) {
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := eng.Snapshot(); err != nil || len(rows) != 0 {
+	if rows, err := eng.Queries()[0].Snapshot(); err != nil || len(rows) != 0 {
 		t.Errorf("empty engine snapshot: %v %v", rows, err)
 	}
 }
@@ -73,10 +73,10 @@ func TestEngineLazyIntervalDelaysTrim(t *testing.T) {
 	eng := buildEngine(t, simpleSelect(10), plan.UPA, Config{LazyInterval: 1000})
 	eng.Push(0, 1, tuple.Int(1), tuple.String_("a"), tuple.Int(1))
 	eng.Advance(50) // tuple expired at 11, but lazy tick hasn't come
-	if eng.View().Len() != 1 {
-		t.Fatalf("lazy view trimmed early: %d", eng.View().Len())
+	if eng.Queries()[0].View().Len() != 1 {
+		t.Fatalf("lazy view trimmed early: %d", eng.Queries()[0].View().Len())
 	}
-	if n, err := eng.ResultCount(); err != nil || n != 0 {
+	if n, err := eng.Queries()[0].ResultCount(); err != nil || n != 0 {
 		t.Fatalf("Sync must force expiry: %d %v", n, err)
 	}
 }
@@ -166,7 +166,7 @@ func TestEngineEagerIntervalBatchesExpiry(t *testing.T) {
 	eng.Push(0, 1, tuple.Int(1), tuple.String_("a"), tuple.Int(1))
 	eng.Advance(50)
 	// With the huge eager interval nothing ticked yet; Sync settles it.
-	if n, err := eng.ResultCount(); err != nil || n != 0 {
+	if n, err := eng.Queries()[0].ResultCount(); err != nil || n != 0 {
 		t.Fatalf("after sync: %d %v", n, err)
 	}
 }
@@ -181,10 +181,10 @@ func TestEngineExpirationsWithoutArrivals(t *testing.T) {
 		eng := buildEngine(t, root.Clone(), s, Config{})
 		eng.Push(0, 1, tuple.Int(1), tuple.String_("ftp"), tuple.Int(1))
 		eng.Push(0, 5, tuple.Int(2), tuple.String_("ftp"), tuple.Int(1))
-		if n, _ := eng.ResultCount(); n != 1 {
+		if n, _ := eng.Queries()[0].ResultCount(); n != 1 {
 			t.Fatalf("%v: one group expected", s)
 		}
-		rows, _ := eng.Snapshot()
+		rows, _ := eng.Queries()[0].Snapshot()
 		if rows[0].Vals[1] != tuple.Int(2) {
 			t.Fatalf("%v: count = %v", s, rows[0].Vals[1])
 		}
@@ -192,7 +192,7 @@ func TestEngineExpirationsWithoutArrivals(t *testing.T) {
 		if err := eng.Advance(11); err != nil {
 			t.Fatal(err)
 		}
-		rows, _ = eng.Snapshot()
+		rows, _ = eng.Queries()[0].Snapshot()
 		if len(rows) != 1 || rows[0].Vals[1] != tuple.Int(1) {
 			t.Fatalf("%v: after quiet expiry rows = %v", s, rows)
 		}
@@ -200,7 +200,7 @@ func TestEngineExpirationsWithoutArrivals(t *testing.T) {
 		if err := eng.Advance(20); err != nil {
 			t.Fatal(err)
 		}
-		if n, _ := eng.ResultCount(); n != 0 {
+		if n, _ := eng.Queries()[0].ResultCount(); n != 0 {
 			t.Fatalf("%v: group should vanish", s)
 		}
 	}
@@ -213,7 +213,7 @@ func TestProfile(t *testing.T) {
 	eng := buildEngine(t, root, plan.UPA, Config{})
 	eng.Push(0, 1, tuple.Int(7), tuple.String_("a"), tuple.Int(1))
 	eng.Push(1, 2, tuple.Int(7), tuple.String_("a"), tuple.Int(1))
-	profs := eng.Profile()
+	profs := eng.Queries()[0].Profile()
 	if len(profs) != 2 || profs[0].Class != "select" || profs[1].Class != "negate" {
 		t.Fatalf("profiles: %+v", profs)
 	}
@@ -224,7 +224,7 @@ func TestProfile(t *testing.T) {
 		t.Errorf("negate annotation: %+v", profs[1])
 	}
 	var buf bytes.Buffer
-	if err := eng.WriteProfile(&buf); err != nil {
+	if err := eng.Queries()[0].WriteProfile(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"operator", "negate", "STR", "retracted"} {
@@ -235,7 +235,7 @@ func TestProfile(t *testing.T) {
 	// Bare window plan.
 	bare := buildEngine(t, plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 10}, linkSchema()), plan.UPA, Config{})
 	buf.Reset()
-	if err := bare.WriteProfile(&buf); err != nil || !strings.Contains(buf.String(), "bare window") {
+	if err := bare.Queries()[0].WriteProfile(&buf); err != nil || !strings.Contains(buf.String(), "bare window") {
 		t.Errorf("bare profile: %q %v", buf.String(), err)
 	}
 }

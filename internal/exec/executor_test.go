@@ -162,7 +162,7 @@ func lookups(t *testing.T, ex *Engine) string {
 	}
 	var out []string
 	for k := int64(0); k < 7; k++ {
-		rows, ok := ex.LookupKey(tuple.Tuple{Vals: []tuple.Value{tuple.Int(k)}}.Key([]int{0}))
+		rows, ok := ex.Queries()[0].LookupKey(tuple.Tuple{Vals: []tuple.Value{tuple.Int(k)}}.Key([]int{0}))
 		strs := make([]string, 0, len(rows))
 		for _, r := range rows {
 			strs = append(strs, r.String())
@@ -188,7 +188,7 @@ func TestExecutorContract(t *testing.T) {
 					a := openContract(t, p, strat, shards)
 					a.play(t, steps)
 					keyed := lookups(t, a.ex)
-					if shards > 1 && a.ex.phys.View.Kind == plan.ViewKeyed {
+					if shards > 1 && a.ex.queries[0].phys.View.Kind == plan.ViewKeyed {
 						groupsInOneShard(t, a.ex)
 					}
 					if v := a.ex.Violations(); v != 0 {
@@ -200,7 +200,7 @@ func TestExecutorContract(t *testing.T) {
 					b := openContract(t, p, strat, shards)
 					b.play(t, steps[:cut])
 					var ckpt bytes.Buffer
-					if err := b.ex.Checkpoint(&ckpt); err != nil {
+					if err := b.ex.Queries()[0].Checkpoint(&ckpt); err != nil {
 						t.Fatalf("shards=%d: Checkpoint: %v", shards, err)
 					}
 					ckpts[i] = ckpt.Bytes()
@@ -266,7 +266,7 @@ func TestRestoredTableProbesInInsertionOrder(t *testing.T) {
 				a := openContractCfg(t, p, strat, 1, emitting(&whole))
 				a.play(t, steps[:contractCut])
 				var ckpt bytes.Buffer
-				if err := a.ex.Checkpoint(&ckpt); err != nil {
+				if err := a.ex.Queries()[0].Checkpoint(&ckpt); err != nil {
 					t.Fatalf("Checkpoint: %v", err)
 				}
 				mark := len(whole)
@@ -302,7 +302,7 @@ func groupsInOneShard(t *testing.T, e *Engine) {
 	home := make(map[tuple.Key]int)
 	for i, q := range e.queries {
 		for _, r := range q.view.Snapshot() {
-			k := r.Key(e.phys.View.KeyCols)
+			k := r.Key(e.queries[0].phys.View.KeyCols)
 			if j, seen := home[k]; seen {
 				t.Errorf("group %v is in the views of shards %d and %d", k, j, i)
 			}
@@ -342,12 +342,12 @@ func TestExecutorClosed(t *testing.T) {
 				"Advance":          c.ex.Advance(clock + 1),
 				"ApplyTableUpdate": c.ex.ApplyTableUpdate(c.tbl, relation.Update{Kind: relation.Insert, TS: clock + 1, Row: []tuple.Value{tuple.Int(1), tuple.String_("Sun")}}),
 				"Sync":             c.ex.Sync(),
-				"Snapshot":         errOf(c.ex.Snapshot()),
-				"ResultCount":      errOf(c.ex.ResultCount()),
+				"Snapshot":         errOf(c.ex.Queries()[0].Snapshot()),
+				"ResultCount":      errOf(c.ex.Queries()[0].ResultCount()),
 				"StateTuples":      errOf(c.ex.StateTuples()),
 				"Touched":          errOf(c.ex.Touched()),
-				"WriteProfile":     c.ex.WriteProfile(io.Discard),
-				"Checkpoint":       c.ex.Checkpoint(io.Discard),
+				"WriteProfile":     c.ex.Queries()[0].WriteProfile(io.Discard),
+				"Checkpoint":       c.ex.Queries()[0].Checkpoint(io.Discard),
 				"Restore":          c.ex.Restore(bytes.NewReader(nil)),
 			}
 			for name, err := range calls {

@@ -4,35 +4,8 @@ import (
 	"repro/internal/plan"
 )
 
-// Explain returns the renderable plan tree for the first registered query
-// (the only one of a single-query engine), nil when the registry is empty.
-// With analyze set, each operator node carries its live counters (EXPLAIN
-// ANALYZE); the counters are read with atomic loads, so calling it while
-// the engine runs is safe. A partitioned engine renders its plan once, with
-// the partitions' counters merged by plan position (see Profile).
-func (e *Engine) Explain(analyze bool) *plan.ExplainTree {
-	if len(e.queries) == 0 {
-		return nil
-	}
-	if e.parts == 1 {
-		return e.explainQuery(e.queries[0], analyze)
-	}
-	t := plan.Explain(e.phys)
-	if analyze {
-		attachStats(t, e.Profile(), e.parts, e.Clock(), e.Watermark())
-	}
-	return t
-}
-
-// Explain returns the query's renderable plan tree, annotated with the
-// registry's sharing verdicts: every node carries its canonical share key,
-// and nodes executed by a physical operator other queries also map onto
-// list those queries in SharedWith ("shared with q1,q3" in the text
-// rendering).
-func (h *QueryHandle) Explain(analyze bool) *plan.ExplainTree {
-	return h.e.explainQuery(h.q, analyze)
-}
-
+// explainQuery renders one registered unit's plan with its share keys and
+// co-holders, and with analyze its live counters.
 func (e *Engine) explainQuery(q *queryUnit, analyze bool) *plan.ExplainTree {
 	t := plan.Explain(q.phys)
 	// The walk is pre-order: operators come in ID order, and window leaves in
@@ -50,7 +23,7 @@ func (e *Engine) explainQuery(q *queryUnit, analyze bool) *plan.ExplainTree {
 		n.ShareKey, n.SharedWith = r.key, r.sharedWith(q)
 	})
 	if analyze {
-		attachStats(t, e.profileQuery(q), 1, e.Clock(), e.Watermark())
+		attachStats(t, profileQuery(q), 1, e.Clock(), e.Watermark())
 	}
 	return t
 }

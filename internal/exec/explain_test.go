@@ -139,8 +139,8 @@ func TestExplainAnalyzePaperQueries(t *testing.T) {
 					t.Fatalf("sharded Sync: %v", err)
 				}
 
-				seqTree := seq.Explain(true)
-				shTree := sh.Explain(true)
+				seqTree := seq.Queries()[0].Explain(true)
+				shTree := sh.Queries()[0].Explain(true)
 
 				// Both trees carry the analyze header and agree on the plan.
 				if !seqTree.Analyzed || !shTree.Analyzed {

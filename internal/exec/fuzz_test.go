@@ -98,7 +98,7 @@ func FuzzExecutor(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, r := range runs {
-				got, err := r.ex.Snapshot()
+				got, err := r.ex.Queries()[0].Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,10 +166,10 @@ func FuzzExecutor(f *testing.F) {
 				cut = true
 				for _, r := range runs {
 					var a, b, c bytes.Buffer
-					if err := r.ex.Checkpoint(&a); err != nil {
+					if err := r.ex.Queries()[0].Checkpoint(&a); err != nil {
 						t.Fatal(err)
 					}
-					if err := r.ex.Checkpoint(&b); err != nil {
+					if err := r.ex.Queries()[0].Checkpoint(&b); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -179,7 +179,7 @@ func FuzzExecutor(f *testing.F) {
 					if err := fresh.ex.Restore(bytes.NewReader(a.Bytes())); err != nil {
 						t.Fatalf("%d partitions: Restore: %v", r.shards, err)
 					}
-					if err := fresh.ex.Checkpoint(&c); err != nil {
+					if err := fresh.ex.Queries()[0].Checkpoint(&c); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(a.Bytes(), c.Bytes()) {

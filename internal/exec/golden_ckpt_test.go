@@ -132,7 +132,7 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 			}
 			// Save → load → save is a fixed point from the parent's state too.
 			var saved bytes.Buffer
-			if err := resumed.Checkpoint(&saved); err != nil {
+			if err := resumed.Queries()[0].Checkpoint(&saved); err != nil {
 				t.Fatal(err)
 			}
 			reloaded := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
@@ -143,7 +143,7 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 			if g.strat == plan.NT && g.q.name == "intersection" {
 				// The supports the parent filed under NT are not read back.
 				var again bytes.Buffer
-				if err := resumed.Checkpoint(&again); err != nil {
+				if err := resumed.Queries()[0].Checkpoint(&again); err != nil {
 					t.Fatal(err)
 				}
 				if again.Len() >= len(ckpt) {
@@ -321,7 +321,7 @@ func TestRestoreParentTieAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := func() string {
-		snap, err := ex.Snapshot()
+		snap, err := ex.Queries()[0].Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,8 +163,8 @@ func builtinHealthRules(strategy plan.Strategy, eagerInterval, lazyInterval int6
 // query's strategy; an empty registry gets the UPA set.
 func (e *Engine) HealthRules(slo HealthSLO) []obs.Rule {
 	strategy := plan.UPA
-	if e.phys != nil {
-		strategy = e.phys.Strategy
+	if len(e.queries) > 0 {
+		strategy = e.queries[0].phys.Strategy
 	}
 	return builtinHealthRules(strategy, e.cfg.EagerInterval, e.cfg.LazyInterval, slo)
 }

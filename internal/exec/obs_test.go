@@ -127,7 +127,7 @@ func TestSeriesInventory(t *testing.T) {
 		}
 	}
 	var ckpt, regCkpt bytes.Buffer
-	if err := sh.Checkpoint(&ckpt); err != nil {
+	if err := sh.Queries()[0].Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if err := multi.CheckpointRegistry(&regCkpt); err != nil {

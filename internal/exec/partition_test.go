@@ -182,11 +182,11 @@ func TestPartitionsMatchSequential(t *testing.T) {
 // same per-row order; so the whole runs' emissions agree step by step.
 func comparePartRuns(t *testing.T, step int, one, three partRun) {
 	t.Helper()
-	a, err := one.ex.Snapshot()
+	a, err := one.ex.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := three.ex.Snapshot()
+	b, err := three.ex.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestPartitionedRestoreRefusesOtherCount(t *testing.T) {
 		ex := buildExecutor(t, q, plan.UPA, n)
 		feed(t, ex, trace[:100])
 		var b bytes.Buffer
-		if err := ex.Checkpoint(&b); err != nil {
+		if err := ex.Queries()[0].Checkpoint(&b); err != nil {
 			t.Fatal(err)
 		}
 		ckpts[n] = b.Bytes()
@@ -400,7 +400,7 @@ func TestPartitionedPushBatchDefers(t *testing.T) {
 	}
 	feed(t, pushed, trace)
 	var ckpt bytes.Buffer
-	if err := batched.Checkpoint(&ckpt); err != nil {
+	if err := batched.Queries()[0].Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if want := pushed.Stats().Emitted; int64(emitted) != want || want == 0 {
@@ -417,4 +417,41 @@ func TestPartitionedPushBatchDefers(t *testing.T) {
 	// The peak is sampled per call: once for the batch, per arrival for Pushes.
 	got.stats.MaxStateTuples = want.stats.MaxStateTuples
 	diffObservations(t, "restored after a deferred PushBatch", got, want)
+}
+
+// TestPartitionedRefusesRegistryCheckpoint: the registry format has no
+// partition sections and never replays what a deferred PushBatch left on the
+// tape, so a partitioned engine refuses it both ways, as it refuses
+// registration; its one query checkpoints through its handle, which does
+// replay the tape and restores to the same answer.
+func TestPartitionedRefusesRegistryCheckpoint(t *testing.T) {
+	p := partitionPlans()[0]
+	run, _ := openPartRun(t, p, plan.UPA, 2)
+	withProcs(1, func() {
+		if err := run.ex.PushBatch(ckptTrace(p.streams)[:49]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var ckpt bytes.Buffer
+	if err := run.ex.CheckpointRegistry(&ckpt); err == nil {
+		t.Fatal("CheckpointRegistry accepted on a partitioned engine")
+	}
+	fresh, _ := openPartRun(t, p, plan.UPA, 2)
+	if err := fresh.ex.RestoreRegistry(bytes.NewReader(ckpt.Bytes())); err == nil {
+		t.Fatal("RestoreRegistry accepted on a partitioned engine")
+	}
+	h := run.ex.Queries()[0]
+	if err := h.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.ex.Restore(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	want, err := h.ResultCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fresh.ex.Queries()[0].ResultCount(); err != nil || got != want || want == 0 {
+		t.Fatalf("restored answer has %d rows (%v), the original %d", got, err, want)
+	}
 }

@@ -53,38 +53,8 @@ func (p OpProfile) Violations() int64 {
 	return p.ViolExpiration + p.ViolOutOfOrder + p.ViolPremature
 }
 
-// Profile returns per-operator runtime counters for the first registered
-// query in pre-order (root first) — an EXPLAIN ANALYZE for continuous
-// queries: which edges carry retractions, where state lives, and which
-// structures do the touching. On a partitioned engine the partitions' rows
-// merge by plan position: counters, times and state sum, and the observed
-// class is the strongest. Every field is read from the
-// operator's registry instruments with atomic loads, so Profile is safe to
-// call from another goroutine (e.g. the /debug/plan page) while the engine
-// runs.
-func (e *Engine) Profile() []OpProfile {
-	qs := e.answer()
-	if len(qs) == 0 {
-		return nil
-	}
-	parts := make([][]OpProfile, len(qs))
-	for i, q := range qs {
-		parts[i] = e.profileQuery(q)
-	}
-	return mergeProfiles(parts)
-}
-
-// Profile returns the query's per-operator runtime counters, in pre-order
-// of its plan. Rows for shared operators report the shared node's
-// counters — the physical work, summed over every query it serves. The ID
-// field is the row's pre-order position in this query's plan (matching its
-// EXPLAIN ids); only for the engine's first query does it also match the
-// "id" metric label.
-func (h *QueryHandle) Profile() []OpProfile {
-	return h.e.profileQuery(h.q)
-}
-
-func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
+// profileQuery reads one unit's operator counters in plan pre-order.
+func profileQuery(q *queryUnit) []OpProfile {
 	var out []OpProfile
 	idx := 0
 	var walk func(n *plan.PNode, depth int)
@@ -119,26 +89,6 @@ func (e *Engine) profileQuery(q *queryUnit) []OpProfile {
 	}
 	walk(q.phys.Root, 0)
 	return out
-}
-
-// WriteProfile renders Profile as an aligned tree, one per partition on a
-// partitioned engine.
-func (e *Engine) WriteProfile(w io.Writer) error {
-	if err := e.catchUp(); err != nil {
-		return err
-	}
-	if e.parts == 1 {
-		return writeProfiles(w, e.Profile())
-	}
-	for _, q := range e.queries {
-		if _, err := fmt.Fprintf(w, "shard %d:\n", q.part); err != nil {
-			return err
-		}
-		if err := writeProfiles(w, e.profileQuery(q)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteConformance renders the conformance monitor's verdict as a table:

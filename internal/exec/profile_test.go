@@ -31,7 +31,7 @@ func TestProfilePreOrderShape(t *testing.T) {
 	if err := eng.Push(1, 2, tuple.Int(7), tuple.String_("ftp"), tuple.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	profs := eng.Profile()
+	profs := eng.Queries()[0].Profile()
 	if len(profs) != 3 {
 		t.Fatalf("got %d profiles, want 3: %+v", len(profs), profs)
 	}
@@ -62,7 +62,7 @@ func TestProfileCountsRetractions(t *testing.T) {
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	profs := eng.Profile()
+	profs := eng.Queries()[0].Profile()
 	if len(profs) != 1 || profs[0].Class != "select" {
 		t.Fatalf("profiles: %+v", profs)
 	}
@@ -82,7 +82,7 @@ func TestProfileBackedByRegistry(t *testing.T) {
 		t.Fatalf("registry join counter = %d; counters: %v", got, snap.Counters)
 	}
 	// Profile must read the same counters.
-	if profs := eng.Profile(); profs[0].Emitted != 1 {
+	if profs := eng.Queries()[0].Profile(); profs[0].Emitted != 1 {
 		t.Fatalf("profile disagrees with registry: %+v", profs[0])
 	}
 }
@@ -91,7 +91,7 @@ func TestWriteProfileRendering(t *testing.T) {
 	eng := buildEngine(t, joinOfSelects(50), plan.UPA, Config{})
 	eng.Push(0, 1, tuple.Int(7), tuple.String_("ftp"), tuple.Int(1))
 	var buf bytes.Buffer
-	if err := eng.WriteProfile(&buf); err != nil {
+	if err := eng.Queries()[0].WriteProfile(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -113,13 +113,13 @@ func TestWriteProfileRendering(t *testing.T) {
 func TestWriteProfileBareWindow(t *testing.T) {
 	bare := buildEngine(t, plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 10}, linkSchema()), plan.UPA, Config{})
 	var buf bytes.Buffer
-	if err := bare.WriteProfile(&buf); err != nil {
+	if err := bare.Queries()[0].WriteProfile(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "(bare window plan: no operators)\n" {
 		t.Errorf("bare-window rendering: %q", got)
 	}
-	if profs := bare.Profile(); len(profs) != 0 {
+	if profs := bare.Queries()[0].Profile(); len(profs) != 0 {
 		t.Errorf("bare-window profiles: %+v", profs)
 	}
 }
@@ -142,13 +142,13 @@ func TestProfileChargesExpiry(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := eng.Profile()[0].ProcNanos
+		before := eng.Queries()[0].Profile()[0].ProcNanos
 		for ts := int64(41); ts <= 1040; ts++ { // expires both join sides on the way
 			if err := eng.Advance(ts); err != nil {
 				t.Fatal(err)
 			}
 		}
-		after := eng.Profile()[0]
+		after := eng.Queries()[0].Profile()[0]
 		if timed && after.ProcNanos <= before {
 			t.Errorf("metrics on: join ProcNanos %d -> %d over 1000 expiry passes, want it to grow", before, after.ProcNanos)
 		}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/plan"
@@ -170,6 +169,9 @@ type queryUnit struct {
 	// deltaPos/deltaNeg mirror the engine-wide pending-delta counters for
 	// the per-query latency flush.
 	deltaPos, deltaNeg int64
+	// unregistered is set by UnregisterQuery; the query's handles then
+	// refuse reads.
+	unregistered bool
 }
 
 // feeder returns the record of the source feeding side of pn, one of the
@@ -228,12 +230,6 @@ type QuerySpec struct {
 	OnEmit func(t tuple.Tuple)
 }
 
-// QueryHandle is the per-query surface of a multi-query engine.
-type QueryHandle struct {
-	e *Engine
-	q *queryUnit
-}
-
 // RegisterQuery compiles spec's plan into the shared dataflow and returns
 // its handle. Sub-plans identical to already-registered ones (same
 // descriptor, same resolved inputs) share the existing physical nodes;
@@ -251,7 +247,7 @@ func (e *Engine) RegisterQuery(spec QuerySpec) (*QueryHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &QueryHandle{e: e, q: q}, nil
+	return &QueryHandle{e: e, units: []*queryUnit{q}}, nil
 }
 
 // install is RegisterQuery's body. part is the partition the query computes:
@@ -391,9 +387,6 @@ func (e *Engine) install(spec QuerySpec, part int) (*queryUnit, error) {
 	}
 
 	e.queries = append(e.queries, q)
-	if len(e.queries) == 1 {
-		e.phys, e.view = q.phys, q.view
-	}
 	e.rebuildComponents()
 	e.recomputeColPath()
 	return q, nil
@@ -471,7 +464,7 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 	if e.parts > 1 {
 		return 0, fmt.Errorf("exec: a partitioned engine's queries are its partitions; they do not unregister")
 	}
-	q := h.q
+	q := h.first()
 	idx := slices.Index(e.queries, q)
 	if idx < 0 {
 		return 0, fmt.Errorf("exec: query %s is not registered", q.label())
@@ -505,76 +498,11 @@ func (e *Engine) UnregisterQuery(h *QueryHandle) (freed int, err error) {
 	}
 
 	e.queries = slices.Delete(e.queries, idx, idx+1)
-	if len(e.queries) > 0 {
-		e.phys, e.view = e.queries[0].phys, e.queries[0].view
-	} else {
-		e.phys, e.view = nil, nil
-	}
+	q.unregistered = true
 	e.rebuildComponents()
 	e.recomputeColPath()
 	e.refreshStateGauges()
 	return freed, nil
-}
-
-// Queries returns handles for the live registered queries, in registration
-// order.
-func (e *Engine) Queries() []*QueryHandle {
-	out := make([]*QueryHandle, len(e.queries))
-	for i, q := range e.queries {
-		out[i] = &QueryHandle{e: e, q: q}
-	}
-	return out
-}
-
-// Name returns the query's name ("q<id>" when registered unnamed).
-func (h *QueryHandle) Name() string { return h.q.label() }
-
-// ID returns the query's registration ordinal (unique per engine, never
-// reused).
-func (h *QueryHandle) ID() int { return h.q.id }
-
-// View returns the query's materialized result view.
-func (h *QueryHandle) View() View { return h.q.view }
-
-// Snapshot syncs the engine and returns the query's current result
-// multiset.
-func (h *QueryHandle) Snapshot() ([]tuple.Tuple, error) {
-	if err := h.e.Sync(); err != nil {
-		return nil, err
-	}
-	return h.q.view.Snapshot(), nil
-}
-
-// ResultCount syncs the engine and returns the query's current result
-// cardinality.
-func (h *QueryHandle) ResultCount() (int, error) {
-	if err := h.e.Sync(); err != nil {
-		return 0, err
-	}
-	return h.q.view.Len(), nil
-}
-
-// SetOnEmit replaces the query's emit observer (nil disables it). Like
-// registration itself, this must not race with ingest.
-func (h *QueryHandle) SetOnEmit(fn func(t tuple.Tuple)) { h.q.onEmit = fn }
-
-// Schema returns the query's output schema.
-func (h *QueryHandle) Schema() *tuple.Schema { return h.q.phys.Schema }
-
-// Pattern returns the update-pattern class of the query's output stream.
-func (h *QueryHandle) Pattern() core.Pattern { return h.q.phys.Pattern }
-
-// Strategy returns the execution strategy the query was compiled under.
-func (h *QueryHandle) Strategy() plan.Strategy { return h.q.phys.Strategy }
-
-// DeltaLatency returns the query's ingest→emit latency snapshots. Named
-// queries report their private series; an unnamed query reports the
-// engine-wide distribution (identical for a single-query engine).
-func (h *QueryHandle) DeltaLatency() (pos, neg obs.LogHistogramSnapshot) {
-	if h.q.latPos != nil {
-		return h.q.latPos.Snapshot(), h.q.latNeg.Snapshot()
-	}
-	return h.e.DeltaLatency()
 }
 
 // SharingStats summarize how much of the registered plans the registry
@@ -610,7 +538,7 @@ func (s SharingStats) Ratio() float64 {
 // Sharing returns the registry's current sharing statistics.
 func (e *Engine) Sharing() SharingStats {
 	s := SharingStats{
-		Queries:     len(e.queries),
+		Queries:     len(e.queries) / e.parts, // partitions are one query
 		LiveNodes:   len(e.nodes),
 		LiveSources: len(e.sources),
 		Components:  len(e.comps),

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/relation"
 )
@@ -35,6 +35,11 @@ import (
 // visit. An engine that registered the survivors of an unregistration, in
 // order, lays its sections out the same way; for a registry that never
 // unregistered the walk is install order.
+
+// errPartitionedRegistry refuses the registry format on a partitioned
+// engine: its one query checkpoints through QueryHandle.Checkpoint, which
+// replays the tape first and writes a section per partition.
+var errPartitionedRegistry = errors.New("exec: a partitioned engine's query checkpoints alone; use its QueryHandle")
 
 // registryFingerprint renders the registration-sequence identity a registry
 // checkpoint must match.
@@ -74,10 +79,14 @@ func (e *Engine) layout() (tables []*relation.Table, srcs []*liveSource, nodes [
 
 // CheckpointRegistry writes the full multi-query engine state — shared
 // state once, per-query views each — restorable into an engine that
-// registered the same live queries in the same order (RestoreRegistry).
+// registered the same live queries in the same order (RestoreRegistry). A
+// partitioned engine refuses it, as it refuses registration.
 func (e *Engine) CheckpointRegistry(w io.Writer) error {
 	if e.closed {
 		return ErrClosed
+	}
+	if e.parts > 1 {
+		return errPartitionedRegistry
 	}
 	var start time.Time
 	if e.timed {
@@ -95,12 +104,7 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 	if err := e.writeSections(enc, 0, srcs, nodes, e.queries); err != nil {
 		return err
 	}
-	e.met.checkpoints.Inc()
-	e.met.checkpointBytes.Set(enc.Bytes())
-	e.met.checkpointLast.Set(obs.Nanotime())
-	if e.timed {
-		e.met.checkpointNanos.Observe(time.Since(start).Nanoseconds())
-	}
+	e.checkpointed(start, enc.Bytes())
 	return nil
 }
 
@@ -109,10 +113,13 @@ func (e *Engine) CheckpointRegistry(w io.Writer) error {
 // order — is validated before any state is touched; a mismatch returns
 // *checkpoint.MismatchError and leaves the engine unchanged. The engine
 // should be freshly built by registering the checkpointed engine's live
-// queries in order.
+// queries in order. A partitioned engine refuses it.
 func (e *Engine) RestoreRegistry(r io.Reader) error {
 	if e.closed {
 		return ErrClosed
+	}
+	if e.parts > 1 {
+		return errPartitionedRegistry
 	}
 	var start time.Time
 	if e.timed {
@@ -146,23 +153,4 @@ func (e *Engine) RestoreRegistry(r io.Reader) error {
 		e.met.restoreNanos.Observe(time.Since(start).Nanoseconds())
 	}
 	return nil
-}
-
-// Checkpoint writes this query's slice of the registry in the standalone
-// single-engine format: a stream restorable into a plain engine built from
-// the same plan (exec.New / the facade's Compile). Shared state is written
-// through the query's records, so the extracted engine carries
-// exactly the windows, operator state, and view this query observes.
-// Cumulative counters are registry-wide (per-query counters exist only as
-// metric series), so the extracted engine's Stats over-report if other
-// queries were registered.
-func (h *QueryHandle) Checkpoint(w io.Writer) error {
-	if h.e.closed {
-		return ErrClosed
-	}
-	enc := checkpoint.NewEncoder(w)
-	if err := writeHeader(enc, h.q.phys, 1, h.e.clock); err != nil {
-		return err
-	}
-	return h.e.writeState(enc, h.q)
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func pushScript(n int, push func(stream int, ts int64, vals ...tuple.Value)) {
 
 func snapshotOf(t *testing.T, e *Engine) []tuple.Tuple {
 	t.Helper()
-	rows, err := e.Snapshot()
+	rows, err := e.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,6 +354,21 @@ func TestRegistryUnregisterRetiresOrphans(t *testing.T) {
 	if _, err := e.UnregisterQuery(h1); err == nil {
 		t.Fatal("double unregister accepted")
 	}
+	// a's handle refuses reads, naming it, instead of answering from its
+	// retired view; the engine's first query is now b.
+	for read, err := range map[string]error{
+		"Sync":        h1.Sync(),
+		"Snapshot":    errOf(h1.Snapshot()),
+		"ResultCount": errOf(h1.ResultCount()),
+		"Checkpoint":  h1.Checkpoint(io.Discard),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "query a ") {
+			t.Errorf("%s on an unregistered handle: %v, want an error naming a", read, err)
+		}
+	}
+	if qs := e.Queries(); len(qs) != 1 || qs[0].Name() != "b" {
+		t.Fatalf("Queries() after unregister(a) = %v, want [b]", qs)
+	}
 
 	// b keeps answering, still byte-identical to its standalone twin.
 	pushScript(40, func(st int, ts int64, vals ...tuple.Value) {
@@ -542,8 +558,8 @@ func TestRegistryCheckpointRestore(t *testing.T) {
 	if err := e1.CheckpointRegistry(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Checkpoint(&bytes.Buffer{}); err == nil {
-		t.Fatal("single-engine checkpoint accepted on a 2-query registry")
+	if err := e1.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("single-engine restore accepted on a 2-query registry")
 	}
 
 	e2, hs2 := build()
@@ -772,7 +788,7 @@ func TestRegistryNamedQueryMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	for name, q := range map[string]*queryUnit{"hot": h1.q, "cold": h2.q} {
+	for name, q := range map[string]*queryUnit{"hot": h1.units[0], "cold": h2.units[0]} {
 		if q.emitted == nil {
 			t.Fatalf("%s: no per-query counter", name)
 		}

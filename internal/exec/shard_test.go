@@ -82,11 +82,11 @@ func (d *shardDriver) check(now int64) {
 	if d.every > 1 && d.events%d.every != 0 {
 		return
 	}
-	shGot, err := d.sh.Snapshot()
+	shGot, err := d.sh.Queries()[0].Snapshot()
 	if err != nil {
 		d.t.Fatalf("sharded Snapshot: %v", err)
 	}
-	seqGot, err := d.seq.Snapshot()
+	seqGot, err := d.seq.Queries()[0].Snapshot()
 	if err != nil {
 		d.t.Fatalf("sequential Snapshot: %v", err)
 	}
@@ -409,7 +409,7 @@ func TestShardedBatchedIngest(t *testing.T) {
 	if err := sh.PushBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Snapshot()
+	got, err := sh.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestShardedFallback(t *testing.T) {
 				}
 				ref.Push(id, ts, vals...)
 			}
-			got, err := sh.Snapshot()
+			got, err := sh.Queries()[0].Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -593,11 +593,11 @@ func TestPushBatchMatchesPush(t *testing.T) {
 	if err := batched.PushBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	a, err := one.Snapshot()
+	a, err := one.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := batched.Snapshot()
+	b, err := batched.Queries()[0].Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func (r *diffRun) render(t *testing.T, latency bool) string {
 func compOf(e *Engine, h *QueryHandle) *component {
 	for _, c := range e.comps {
 		for _, q := range c.queries {
-			if q == h.q {
+			if q == h.units[0] {
 				return c
 			}
 		}
@@ -639,7 +639,7 @@ func TestParallelReplayOperatorError(t *testing.T) {
 				}
 				var fails [2]*failOp
 				for i, h := range failing {
-					n := h.q.nodes[0]
+					n := h.units[0].nodes[0]
 					fails[i] = &failOp{Operator: n.op, at: at[i], last: -1, err: fmt.Errorf("%s fails at %d", h.Name(), at[i])}
 					n.op = fails[i]
 				}

@@ -28,7 +28,7 @@ type (
 	MetricsPage = obs.Page
 	// LatencySnapshot is a point-in-time reading of a delta-latency
 	// distribution: count, sum, max, and interpolated p50/p95/p99, all in
-	// nanoseconds (see Engine.DeltaLatency).
+	// nanoseconds (see Query.DeltaLatency).
 	LatencySnapshot = obs.LogHistogramSnapshot
 	// MetricsHistory is the in-process ring-buffer sampler behind
 	// WithHealth: per-series retained windows of counter deltas, gauge
@@ -36,7 +36,7 @@ type (
 	MetricsHistory = obs.History
 	// HealthMonitor evaluates declarative rules over a MetricsHistory
 	// every sample tick and drives per-rule OK→WARN→CRIT alert state
-	// machines (see WithHealth and Engine.Health).
+	// machines (see WithHealth and Registry.Health).
 	HealthMonitor = obs.Health
 	// HealthStatus is a point-in-time report of every rule's severity.
 	HealthStatus = obs.HealthStatus
@@ -136,7 +136,7 @@ func (e *Engine) PlanPage() MetricsPage {
 		Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
 		Handler: func(w http.ResponseWriter, r *http.Request) {
 			analyze := r.URL.Query().Get("analyze") != ""
-			t := e.ex.Explain(analyze)
+			t := e.Query.h.Explain(analyze)
 			if r.URL.Query().Get("format") == "dot" {
 				w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 				_ = t.WriteDOT(w)
@@ -148,19 +148,6 @@ func (e *Engine) PlanPage() MetricsPage {
 	}
 }
 
-// Metrics returns the registry backing the engine's counters (the one
-// given WithMetrics, or the engine's private registry). A partitioned
-// engine's operator series carry their partition as shard="i".
-func (e *Engine) Metrics() *MetricsRegistry { return e.ex.Metrics() }
-
-// DeltaLatency snapshots the engine's ingest→emit delta-latency
-// distributions, split by output polarity: pos covers emitted insertions,
-// neg covers retractions (negative tuples). Latency is measured from the
-// moment an arrival enters Push/PushBatch to the moment its consequences are
-// folded into the result view. Recording requires WithMetrics; without it
-// both snapshots are zero.
-func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) { return e.ex.DeltaLatency() }
-
 // PatternViolations returns the total number of update-pattern conformance
 // violations the engine's per-edge monitor has recorded: retractions that
 // exceeded their operator's declared pattern class (expirations on a
@@ -168,7 +155,7 @@ func (e *Engine) DeltaLatency() (pos, neg LatencySnapshot) { return e.ex.DeltaLa
 // edge, premature expirations on a weak edge). Zero on a conformant run.
 // Per-operator and per-kind breakdowns are in OpStats, EXPLAIN ANALYZE, the
 // upa_pattern_violations_total series, and ConformancePage.
-func (e *Engine) PatternViolations() int64 { return e.ex.Violations() }
+func (e *Engine) PatternViolations() int64 { return e.Registry.e.Violations() }
 
 // NewLogAlertSink builds an alert sink that writes one human-readable line
 // per transition to w.
@@ -227,11 +214,6 @@ func newHealth(ex *exec.Engine, hc HealthConfig) *HealthMonitor {
 	}
 	return h
 }
-
-// Health returns the engine's health monitor, or nil unless compiled
-// WithHealth. The monitor stays readable after Close (its sampler is
-// stopped, its last state is retained).
-func (e *Engine) Health() *HealthMonitor { return e.health }
 
 // HealthPage returns the /debug/health page for the exposition endpoint:
 // every rule's severity and signal value as JSON (or HTML with

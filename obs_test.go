@@ -59,3 +59,37 @@ func TestPublicObservabilityHooks(t *testing.T) {
 		t.Errorf("prometheus text:\n%s", b.String())
 	}
 }
+
+// TestEachReadSyncsOnce: a syncing read of the engine or of a registered
+// query records exactly one result refresh.
+func TestEachReadSyncsOnce(t *testing.T) {
+	schema := linkSchema()
+	reg := repro.NewMetricsRegistry()
+	eng, err := repro.Compile(repro.Stream(0, schema, repro.TimeWindow(10)), repro.UPA, repro.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q, err := eng.Registry.Register(repro.Stream(0, schema, repro.TimeWindow(20)), repro.UPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Push(0, 1, repro.Int(1), repro.Str("ftp"), repro.Int(5)); err != nil {
+		t.Fatal(err)
+	}
+	refreshes := func() int64 { return reg.Snapshot().LogHistograms["upa_refresh_nanos"].Count }
+	for name, read := range map[string]func() error{
+		"Engine.Snapshot":    func() error { _, err := eng.Snapshot(); return err },
+		"Engine.ResultCount": func() error { _, err := eng.ResultCount(); return err },
+		"Query.Snapshot":     func() error { _, err := q.Snapshot(); return err },
+		"Query.ResultCount":  func() error { _, err := q.ResultCount(); return err },
+	} {
+		before := refreshes()
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		if got := refreshes() - before; got != 1 {
+			t.Errorf("%s recorded %d refreshes, want 1", name, got)
+		}
+	}
+}

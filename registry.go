@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
+	"repro/internal/tuple"
 )
 
 // Registry runs many continuous queries on one shared executor. Queries
@@ -22,12 +22,11 @@ import (
 // All methods must be driven from one goroutine, like Engine. Queries that
 // share no operator and no table form independent components of the
 // dataflow (Sharing().Components), and PushBatch ingests different
-// components on different cores. A Registry with one query is exactly
-// Compile's sequential engine (Engine.Registry exposes it); NewRegistry is
-// the entry point for multi-query workloads.
+// components on different cores. Compile's Engine is a Registry holding its
+// one Query (reachable as the Engine.Registry field); NewRegistry is the
+// entry point for multi-query workloads.
 type Registry struct {
 	e      *exec.Engine
-	cfg    compileCfg
 	health *HealthMonitor
 	// mu guards the handle list alone (for PlanPage's HTTP goroutine);
 	// everything else follows the single-goroutine contract.
@@ -36,16 +35,12 @@ type Registry struct {
 	nextID  int
 }
 
-// Query is a handle on one registered query: its private result view,
-// emission callback, EXPLAIN (with sharing annotations), per-operator
-// stats, and an extractable single-query checkpoint. Handles stay valid
-// until Unregister.
-type Query struct {
-	r    *Registry
-	h    *exec.QueryHandle
-	root *plan.Node
-	phys *plan.Physical
-}
+// Query is a handle on one registered query — or on Compile's one query,
+// partitioned or not: its result view, emission callback, EXPLAIN (with
+// sharing annotations), per-operator stats, and an extractable single-query
+// checkpoint. After Unregister its reads that return an error fail, naming
+// the query.
+type Query struct{ h *exec.QueryHandle }
 
 // NewRegistry builds an empty shared executor. Key partitions (WithShards)
 // are single-query and rejected here — use Compile.
@@ -61,7 +56,7 @@ func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 	if cfg.health != nil && cfg.execCfg.Metrics == nil {
 		cfg.execCfg.Metrics = NewMetricsRegistry()
 	}
-	r := &Registry{e: exec.NewMulti(cfg.execCfg), cfg: cfg}
+	r := &Registry{e: exec.NewMulti(cfg.execCfg)}
 	if cfg.health != nil {
 		r.health = newHealth(r.e, *cfg.health)
 	}
@@ -84,7 +79,7 @@ func (r *Registry) Register(q Node, strategy Strategy, opts ...QueryOption) (*Qu
 	if name == "" {
 		name = fmt.Sprintf("q%d", r.nextID)
 	}
-	root, phys, err := buildPhysical(q, strategy, &qc)
+	phys, err := buildPhysical(q, strategy, &qc)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +88,7 @@ func (r *Registry) Register(q Node, strategy Strategy, opts ...QueryOption) (*Qu
 		return nil, fmt.Errorf("repro: register: %w", err)
 	}
 	r.nextID++
-	qh := &Query{r: r, h: h, root: root, phys: phys}
+	qh := &Query{h: h}
 	r.mu.Lock()
 	r.queries = append(r.queries, qh)
 	r.mu.Unlock()
@@ -165,11 +160,16 @@ func (r *Registry) Push(streamID int, ts int64, vals ...Value) error {
 	return r.e.Push(streamID, ts, vals...)
 }
 
-// PushBatch feeds many stream tuples at once (see Engine.PushBatch). When
-// the registered queries form several independent components (see
+// PushBatch feeds many stream tuples at once — semantically identical to
+// pushing each in order, but it amortizes per-call overhead. When the
+// registered queries form several independent components (see
 // SharingStats.Components) and GOMAXPROCS is above one, the components
 // process the batch on up to GOMAXPROCS goroutines, and the call returns
-// when all of them are done. OnEmit callbacks of queries in different
+// when all of them are done; the partitions of a partitioned engine
+// (WithShards) are such components. A partitioned engine stamps the batch at
+// once but may replay it in a later call (the one that fills its tape, or any
+// other call): the batch's OnEmit callbacks and view updates can come then,
+// and Sync always brings them. OnEmit callbacks of queries in different
 // components may then run concurrently; one query's callbacks never
 // overlap and arrive in the same order as from a serial engine. A panic in
 // a callback is re-raised on the caller with its own value.
@@ -184,7 +184,9 @@ func (r *Registry) Sync() error { return r.e.Sync() }
 // Clock returns the registry's logical time.
 func (r *Registry) Clock() int64 { return r.e.Clock() }
 
-// Watermark returns the staleness low-watermark (see Engine.Watermark).
+// Watermark returns the staleness low-watermark: every expiration at or
+// below this timestamp is reflected in the result views. It trails Clock by
+// at most the larger maintenance interval and reaches Clock after a Sync.
 func (r *Registry) Watermark() int64 { return r.e.Watermark() }
 
 // Streams returns the base stream IDs the registered queries read,
@@ -218,11 +220,14 @@ func (r *Registry) UpdateTable(tbl *Table, u TableUpdate) error {
 	return r.e.ApplyTableUpdate(tbl, u)
 }
 
-// Metrics returns the registry backing the engines' counters (the one given
-// WithMetrics, or a private one).
+// Metrics returns the registry backing the executor's counters (the one
+// given WithMetrics, or a private one). A partitioned engine's operator
+// series carry their partition as shard="i".
 func (r *Registry) Metrics() *MetricsRegistry { return r.e.Metrics() }
 
-// Health returns the health monitor, or nil unless built WithHealth.
+// Health returns the health monitor, or nil unless built WithHealth. The
+// monitor stays readable after Close (its sampler is stopped, its last state
+// is retained).
 func (r *Registry) Health() *HealthMonitor { return r.health }
 
 // Checkpoint writes the full multi-query state — shared operator and window
@@ -260,23 +265,36 @@ func (q *Query) Pattern() Pattern { return q.h.Pattern() }
 // Strategy returns the execution strategy the query was compiled under.
 func (q *Query) Strategy() Strategy { return q.h.Strategy() }
 
-// View exposes the query's private result view without syncing.
+// View exposes the query's private result view without syncing, or nil on a
+// partitioned engine (each partition owns a private view; use Snapshot or
+// Lookup instead).
 func (q *Query) View() exec.View { return q.h.View() }
 
 // Snapshot syncs the registry and copies this query's current result rows.
-func (q *Query) Snapshot() ([]Tuple, error) {
-	if err := q.r.Sync(); err != nil {
-		return nil, err
-	}
-	return q.h.Snapshot()
-}
+func (q *Query) Snapshot() ([]Tuple, error) { return q.h.Snapshot() }
 
 // ResultCount syncs and returns this query's current result cardinality.
-func (q *Query) ResultCount() (int, error) {
-	if err := q.r.Sync(); err != nil {
-		return 0, err
+func (q *Query) ResultCount() (int, error) { return q.h.ResultCount() }
+
+// Lookup syncs and returns the query's current result rows whose key columns
+// (the view's retraction or group key) match the given values. When the
+// chosen view structure does not support keyed access (FIFO and list views,
+// and the partitioned view of a plan whose results are never retracted —
+// use Snapshot there), it fails with ErrNoKeyedView; an absent key is not an
+// error and returns no rows.
+func (q *Query) Lookup(vals ...Value) ([]Tuple, error) {
+	if err := q.h.Sync(); err != nil {
+		return nil, err
 	}
-	return q.h.ResultCount()
+	cols := make([]int, len(vals))
+	for i := range cols {
+		cols[i] = i
+	}
+	rows, ok := q.h.LookupKey(tuple.Tuple{Vals: vals}.Key(cols))
+	if !ok {
+		return nil, ErrNoKeyedView
+	}
+	return rows, nil
 }
 
 // OnEmit sets (or, with nil, clears) the callback observing every output
@@ -286,27 +304,33 @@ func (q *Query) ResultCount() (int, error) {
 // run one at a time, in output order. Do not call it during ingest.
 func (q *Query) OnEmit(fn func(Tuple)) { q.h.SetOnEmit(fn) }
 
-// Explain writes the query's annotated physical plan; operators and window
+// Explain writes the annotated physical plan as a tree: each operator
+// labeled with its output update pattern (as in the paper's Figure 6), its
+// physical configuration (key columns, chosen state structures), the chosen
+// view structure, and the plan's partition-key status. Operators and window
 // sources serving other registered queries carry "shared with ..."
 // annotations naming them.
 func (q *Query) Explain(w io.Writer) error {
 	return q.h.Explain(false).WriteText(w)
 }
 
-// ExplainAnalyze syncs and writes the Explain tree with live counters.
-// Counters on shared operators report the physical work, summed over every
-// query the operator serves.
+// ExplainAnalyze syncs and writes the Explain tree with each operator's live
+// counters — tuples in/out by polarity, expiration work, state size, wall
+// time — summed over the partitions of a partitioned engine. Counters on
+// shared operators report the physical work, summed over every query the
+// operator serves.
 func (q *Query) ExplainAnalyze(w io.Writer) error {
-	if err := q.r.Sync(); err != nil {
+	if err := q.h.Sync(); err != nil {
 		return err
 	}
 	return q.h.Explain(true).WriteText(w)
 }
 
-// ExplainDOT writes the Explain tree as a Graphviz digraph.
+// ExplainDOT writes the Explain tree as a Graphviz digraph; with analyze
+// set, node labels carry the live counters (the query is synced first).
 func (q *Query) ExplainDOT(w io.Writer, analyze bool) error {
 	if analyze {
-		if err := q.r.Sync(); err != nil {
+		if err := q.h.Sync(); err != nil {
 			return err
 		}
 	}
@@ -314,16 +338,24 @@ func (q *Query) ExplainDOT(w io.Writer, analyze bool) error {
 }
 
 // OpStats returns per-operator runtime counters in this query's plan
-// pre-order. Rows for shared operators report the canonical node's
-// counters — the physical work, summed over every query it serves.
+// pre-order (root first), summed over the partitions of a partitioned
+// engine. Rows for shared operators report the canonical node's counters —
+// the physical work, summed over every query it serves. Reads are atomic,
+// so it is safe while the engine runs; gauge-backed fields (state, touched)
+// are as of the last sampling point.
 func (q *Query) OpStats() []exec.OpProfile { return q.h.Profile() }
 
-// DeltaLatency snapshots this query's ingest→emit latency distributions by
-// output polarity. Requires WithMetrics and a named query; zero otherwise.
+// DeltaLatency snapshots this query's ingest→emit delta-latency
+// distributions, split by output polarity: pos covers emitted insertions,
+// neg covers retractions. Latency runs from the moment an arrival enters
+// Push/PushBatch to the moment its consequences are folded into the view.
+// A named query reports its own series, an unnamed one the executor-wide
+// distribution. Recording requires WithMetrics; without it both snapshots
+// are zero.
 func (q *Query) DeltaLatency() (pos, neg LatencySnapshot) { return q.h.DeltaLatency() }
 
 // Checkpoint extracts this query's slice of the registry in the standalone
 // single-engine format: the stream restores into an engine compiled by
-// Compile (or Open) from the same query and strategy, carrying exactly the
-// windows, operator state, and view this query observes.
+// Compile (or Open) from the same query, strategy and shard count, carrying
+// exactly the windows, operator state, and view this query observes.
 func (q *Query) Checkpoint(w io.Writer) error { return q.h.Checkpoint(w) }

@@ -188,8 +188,8 @@ func Unbounded() window.Spec { return window.Unbounded }
 // Option tunes compilation and execution. Every concrete option is either a
 // RegistryOption (executor-wide: sharding, metrics, health, maintenance
 // cadence) or a QueryOption (per-query: planning choices, naming, emission
-// callbacks). Compile and Open accept both kinds — a single-query engine is
-// a registry with one query, so the distinction collapses there — while
+// callbacks). Compile and Open accept both kinds — an Engine is a Registry
+// plus its one Query, so each kind configures its half — while
 // NewRegistry takes only RegistryOptions and Registry.Register only
 // QueryOptions, so misfiled options are compile errors rather than silent
 // no-ops.
@@ -306,7 +306,7 @@ func WithQueryName(name string) QueryOption {
 // engine and ShardFallbackReason explains why. During a PushBatch the
 // WithOnEmit callback is called from the replay workers, possibly
 // concurrently, and a batch's callbacks may come in a later call (see
-// Engine.PushBatch); no worker outlives the call. Partitioning is
+// Registry.PushBatch); no worker outlives the call. Partitioning is
 // single-query: NewRegistry rejects it.
 func WithShards(n int) RegistryOption {
 	return registryOption(func(c *compileCfg) { c.shards = n })
@@ -323,44 +323,43 @@ func WithStreamStats(streamID int, rate float64, distinct map[int]float64) Query
 	})
 }
 
-// Engine executes one compiled continuous query on the engine exec.Open
-// built for it: sequential, or split into key partitions (WithShards on a
-// plan that admits a routing key). A sequential engine is a one-query
-// Registry — the same shared executor that serves multi-query workloads —
-// reachable through the Registry and Query accessors. All methods must be
+// Engine executes one compiled continuous query. It is a Registry and that
+// registry's first Query, on the engine exec.Open built for it — sequential,
+// or split into key partitions (WithShards on a plan that admits a routing
+// key). Its methods are the Registry's (ingest, Sync, counters, Close) and
+// the Query's (Snapshot, Lookup, Explain, OpStats), plus the standalone
+// checkpoint format, the shard accessors and the exposition pages. A
+// sequential engine's Registry takes further queries, which share sub-plans
+// with this one; a partitioned engine's refuses them. All methods must be
 // driven from one goroutine.
 type Engine struct {
-	ex       *exec.Engine
-	reg      *Registry // backing one-query registry; nil when partitioned
-	q        *Query    // its single query handle
-	phys     *plan.Physical
-	root     *plan.Node
-	health   *HealthMonitor
+	*Registry
+	*Query
 	fallback string // why WithShards was refused, "" otherwise
 }
 
 // buildPhysical runs the compilation pipeline — annotate, optionally
 // optimize, physically plan — shared by Compile and Registry.Register.
-func buildPhysical(q Node, strategy Strategy, cfg *compileCfg) (*plan.Node, *plan.Physical, error) {
+func buildPhysical(q Node, strategy Strategy, cfg *compileCfg) (*plan.Physical, error) {
 	if q.err != nil {
-		return nil, nil, fmt.Errorf("repro: invalid query: %w", q.err)
+		return nil, fmt.Errorf("repro: invalid query: %w", q.err)
 	}
 	root := q.n
 	if err := plan.Annotate(root, cfg.stats); err != nil {
-		return nil, nil, fmt.Errorf("repro: annotate: %w", err)
+		return nil, fmt.Errorf("repro: annotate: %w", err)
 	}
 	if cfg.optimize {
 		best, err := plan.Optimize(root, strategy, cfg.stats)
 		if err != nil {
-			return nil, nil, fmt.Errorf("repro: optimize: %w", err)
+			return nil, fmt.Errorf("repro: optimize: %w", err)
 		}
 		root = best
 	}
 	phys, err := plan.Build(root, strategy, cfg.planOpts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("repro: plan: %w", err)
+		return nil, fmt.Errorf("repro: plan: %w", err)
 	}
-	return root, phys, nil
+	return phys, nil
 }
 
 // Compile annotates, (optionally) optimizes, physically plans, and
@@ -369,8 +368,8 @@ func buildPhysical(q Node, strategy Strategy, cfg *compileCfg) (*plan.Node, *pla
 // planning, executor construction) with the underlying cause preserved for
 // errors.Is/As.
 //
-// A non-sharded Compile is a one-query registry: the engine's Registry()
-// can register further queries that share sub-plans with this one.
+// The engine is a one-query registry: on a sequential engine,
+// eng.Registry.Register adds queries that share sub-plans with this one.
 func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 	cfg := applyOpts(opts)
 	if cfg.health != nil && cfg.execCfg.Metrics == nil {
@@ -378,7 +377,7 @@ func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 		// monitor self-contained when the caller did not supply one.
 		cfg.execCfg.Metrics = NewMetricsRegistry()
 	}
-	root, phys, err := buildPhysical(q, strategy, &cfg)
+	phys, err := buildPhysical(q, strategy, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -390,32 +389,13 @@ func Compile(q Node, strategy Strategy, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: executor: %w", err)
 	}
-	out := &Engine{ex: ex, phys: phys, root: root, fallback: reason}
-	// Only an unpartitioned engine takes further registrations: it is the
-	// backing registry with this as its only query.
-	if ex.Shards() == 1 {
-		out.reg = &Registry{e: ex, cfg: cfg, nextID: 1}
-		out.q = &Query{r: out.reg, h: ex.Queries()[0], root: root, phys: phys}
-		out.reg.queries = []*Query{out.q}
-	}
+	qh := &Query{h: ex.Queries()[0]}
+	reg := &Registry{e: ex, queries: []*Query{qh}, nextID: 1}
 	if cfg.health != nil {
-		out.health = newHealth(ex, *cfg.health)
-		if out.reg != nil {
-			out.reg.health = out.health
-		}
+		reg.health = newHealth(ex, *cfg.health)
 	}
-	return out, nil
+	return &Engine{Registry: reg, Query: qh, fallback: reason}, nil
 }
-
-// Registry returns the one-query registry backing a sequential engine —
-// register further queries on it to share this query's sub-plans — or nil
-// on a partitioned engine (partitioning is single-query). An engine whose
-// WithShards request fell back is sequential and has one.
-func (e *Engine) Registry() *Registry { return e.reg }
-
-// Query returns the engine's query handle on its backing registry, or nil
-// on a partitioned engine.
-func (e *Engine) Query() *Query { return e.q }
 
 // Open compiles the query and restores the engine's state from a checkpoint
 // written by an engine compiled from the same query, strategy, and options
@@ -434,91 +414,23 @@ func Open(r io.Reader, q Node, strategy Strategy, opts ...Option) (*Engine, erro
 	return eng, nil
 }
 
-// Push feeds one stream tuple at its timestamp.
-func (e *Engine) Push(streamID int, ts int64, vals ...Value) error {
-	return e.ex.Push(streamID, ts, vals...)
-}
-
-// PushBatch feeds many stream tuples at once — semantically identical to
-// pushing each in order, but amortizes per-call overhead, and it is the call
-// that replays a partitioned engine's partitions on several cores. A
-// partitioned engine stamps the batch at once but may replay it in a later
-// call (the one that fills its tape, or any other call): the batch's OnEmit
-// callbacks and view updates can come then, and Sync always brings them.
-func (e *Engine) PushBatch(batch []Arrival) error { return e.ex.PushBatch(batch) }
-
-// Advance moves logical time forward without a tuple arrival.
-func (e *Engine) Advance(ts int64) error { return e.ex.Advance(ts) }
-
-// Sync forces all pending maintenance so the view is Definition-1 exact.
-func (e *Engine) Sync() error { return e.ex.Sync() }
-
-// synced is the sync-then-read path of the accessors whose executor method
-// reads without syncing (StateTuples, Touched, Lookup): force pending
-// maintenance, then evaluate read against the quiescent engine.
-func synced[T any](e *Engine, read func() (T, error)) (T, error) {
-	if err := e.ex.Sync(); err != nil {
-		var zero T
-		return zero, err
-	}
-	return read()
-}
-
-// Snapshot syncs and copies the current result rows.
-func (e *Engine) Snapshot() ([]Tuple, error) { return e.ex.Snapshot() }
-
-// ResultCount syncs and returns the current result cardinality.
-func (e *Engine) ResultCount() (int, error) { return e.ex.ResultCount() }
-
-// Stats returns executor counters.
-func (e *Engine) Stats() Stats { return e.ex.Stats() }
-
-// Clock returns the engine's logical time.
-func (e *Engine) Clock() int64 { return e.ex.Clock() }
-
-// Streams returns the base stream IDs the query reads.
-func (e *Engine) Streams() []int { return e.ex.Streams() }
-
-// StateTuples syncs and returns the total stored tuples (state + view),
-// over every partition when partitioned.
-func (e *Engine) StateTuples() (int, error) { return synced(e, e.ex.StateTuples) }
-
-// Touched syncs and returns cumulative tuple touches — the paper's
-// Section 6 work measure — over every partition when partitioned.
-func (e *Engine) Touched() (int64, error) { return synced(e, e.ex.Touched) }
-
-// View exposes the sequential engine's result view, or nil on a partitioned
-// engine (each partition owns a private view; use Snapshot or Lookup
-// instead).
-func (e *Engine) View() exec.View {
-	if e.q == nil {
-		return nil
-	}
-	return e.q.View()
-}
-
 // Shards returns the number of key partitions executing the query (1 when
 // sequential, including after a partitionability fallback).
-func (e *Engine) Shards() int { return e.ex.Shards() }
+func (e *Engine) Shards() int { return e.Registry.e.Shards() }
 
 // ShardFallbackReason explains why a WithShards request degraded to
 // sequential execution; it is empty when partitioning is active or was never
 // requested.
 func (e *Engine) ShardFallbackReason() string { return e.fallback }
 
-// Close stops the health sampler and closes the engine (and the Registry it
-// backs). It is idempotent, and after it returns every method that returns
-// an error fails with ErrClosed.
-func (e *Engine) Close() error {
-	e.health.Stop()
-	return e.ex.Close()
-}
-
-// Checkpoint writes the engine's complete dynamic state — clock, maintenance
+// Checkpoint writes the query's complete dynamic state — clock, maintenance
 // cursors, counters, window contents, per-operator state, table contents,
 // and the result view, per partition when partitioned — as a versioned
-// binary snapshot. Checkpointing never perturbs the run it snapshots.
-func (e *Engine) Checkpoint(w io.Writer) error { return e.ex.Checkpoint(w) }
+// binary snapshot in the standalone format that Restore and Open read. It is
+// the Query's Checkpoint: with further queries registered it extracts this
+// query's slice, and the Registry's Checkpoint writes them all in the
+// registry format. Checkpointing never perturbs the run it snapshots.
+func (e *Engine) Checkpoint(w io.Writer) error { return e.Query.Checkpoint(w) }
 
 // Restore rehydrates a freshly compiled engine from a checkpoint written by
 // an engine compiled from the same query, strategy, options, and partition
@@ -526,87 +438,13 @@ func (e *Engine) Checkpoint(w io.Writer) error { return e.ex.Checkpoint(w) }
 // first: a disagreement fails with *MismatchError before any engine state
 // is touched. Truncated or damaged input fails with an error wrapping
 // ErrCheckpointCorrupt.
-func (e *Engine) Restore(r io.Reader) error { return e.ex.Restore(r) }
-
-// Schema returns the result schema.
-func (e *Engine) Schema() *Schema { return e.phys.Schema }
-
-// Pattern returns the query's update-pattern class — the root edge
-// annotation of Section 5.2.
-func (e *Engine) Pattern() Pattern { return e.phys.Pattern }
-
-// Explain writes the annotated physical plan as a tree: each operator
-// labeled with its output update pattern (as in the paper's Figure 6), its
-// physical configuration (key columns, chosen state structures), the chosen
-// view structure, and the plan's partition-key status.
-func (e *Engine) Explain(w io.Writer) error {
-	return e.ex.Explain(false).WriteText(w)
-}
-
-// ExplainAnalyze syncs the engine and writes the Explain tree with each
-// operator's live counters — tuples in/out by polarity, expiration work,
-// state size, wall time — summed over the partitions of a partitioned
-// engine.
-func (e *Engine) ExplainAnalyze(w io.Writer) error {
-	if err := e.Sync(); err != nil {
-		return err
-	}
-	return e.ex.Explain(true).WriteText(w)
-}
-
-// ExplainDOT writes the Explain tree as a Graphviz digraph; with analyze
-// set, node labels carry the live counters (the engine is synced first).
-func (e *Engine) ExplainDOT(w io.Writer, analyze bool) error {
-	if analyze {
-		if err := e.Sync(); err != nil {
-			return err
-		}
-	}
-	return e.ex.Explain(analyze).WriteDOT(w)
-}
-
-// OpStats returns per-operator runtime counters in plan pre-order (root
-// first), summed over the partitions of a partitioned engine. Reads are atomic, so it
-// is safe while the engine runs; gauge-backed fields (state, touched) are as
-// of the last sampling point.
-func (e *Engine) OpStats() []exec.OpProfile { return e.ex.Profile() }
-
-// Watermark returns the staleness low-watermark: every expiration at or
-// below this timestamp is reflected in the result view. It trails Clock by
-// at most the larger maintenance interval and reaches Clock after a Sync.
-func (e *Engine) Watermark() int64 { return e.ex.Watermark() }
-
-// Lookup syncs and returns the current result rows whose key columns (the
-// view's retraction or group key) match the given values. When the chosen
-// view structure does not support keyed access (FIFO and list views, and the
-// partitioned view of a plan whose results are never retracted — use
-// Snapshot there), it fails with ErrNoKeyedView; an absent key is not an
-// error and returns no rows.
-func (e *Engine) Lookup(vals ...Value) ([]Tuple, error) {
-	return synced(e, func() ([]Tuple, error) {
-		cols := make([]int, len(vals))
-		for i := range cols {
-			cols[i] = i
-		}
-		rows, ok := e.ex.LookupKey(tuple.Tuple{Vals: vals}.Key(cols))
-		if !ok {
-			return nil, ErrNoKeyedView
-		}
-		return rows, nil
-	})
-}
-
-// UpdateTable applies one table mutation at its timestamp, routing the
-// consequences (for retroactive tables) through the plan.
-func (e *Engine) UpdateTable(tbl *Table, u TableUpdate) error {
-	return e.ex.ApplyTableUpdate(tbl, u)
-}
+func (e *Engine) Restore(r io.Reader) error { return e.Registry.e.Restore(r) }
 
 // WriteProfile renders per-operator runtime counters (state size, tuple
 // touches, emissions, retractions) as an aligned tree — an EXPLAIN ANALYZE
 // for the running continuous query, one tree per partition when
 // partitioned.
-func (e *Engine) WriteProfile(w io.Writer) error { return e.ex.WriteProfile(w) }
+func (e *Engine) WriteProfile(w io.Writer) error { return e.Query.h.WriteProfile(w) }
 
 // Trace re-exports: the synthetic LBL-style traffic workload of Section 6.1.
 type (

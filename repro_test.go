@@ -3,6 +3,7 @@ package repro_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -418,6 +419,52 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// errOf keeps the error of a two-result read.
+func errOf[T any](_ T, err error) error { return err }
+
+// TestUnregisteredEngineQueryRefusesReads: once the engine's own query is
+// unregistered from its registry, the engine's query reads fail naming it
+// instead of answering from the retired view, while the query that stays
+// registered keeps answering.
+func TestUnregisteredEngineQueryRefusesReads(t *testing.T) {
+	schema := linkSchema()
+	eng, err := repro.Compile(repro.Stream(0, schema, repro.TimeWindow(100)).
+		Where(repro.Col("proto").EqStr("ftp")).GroupBy([]string{"src"}, repro.CountAll()), repro.UPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	other, err := eng.Registry.Register(repro.Stream(0, schema, repro.TimeWindow(100)), repro.UPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts, proto := range []string{"ftp", "http"} {
+		if err := eng.Push(0, int64(ts+1), repro.Int(1), repro.Str(proto), repro.Int(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := eng.ResultCount(); err != nil || n != 1 {
+		t.Fatalf("ResultCount before unregister = %d, %v; want 1", n, err)
+	}
+	if _, err := eng.Registry.Unregister(eng.Query); err != nil {
+		t.Fatal(err)
+	}
+	for read, err := range map[string]error{
+		"Snapshot":       errOf(eng.Snapshot()),
+		"ResultCount":    errOf(eng.ResultCount()),
+		"Lookup":         errOf(eng.Lookup(repro.Int(1))),
+		"Checkpoint":     eng.Checkpoint(io.Discard),
+		"ExplainAnalyze": eng.ExplainAnalyze(io.Discard),
+	} {
+		if err == nil || !strings.Contains(err.Error(), eng.Name()) {
+			t.Errorf("%s after unregister: %v, want an error naming %s", read, err, eng.Name())
+		}
+	}
+	if n, err := other.ResultCount(); err != nil || n != 2 {
+		t.Fatalf("surviving query ResultCount = %d, %v; want 2", n, err)
+	}
+}
+
 func TestWithShards(t *testing.T) {
 	schema := linkSchema()
 	build := func() repro.Node {
@@ -460,6 +507,20 @@ func TestWithShards(t *testing.T) {
 	if len(a) != len(b) {
 		t.Fatalf("sharded snapshot has %d rows, sequential %d", len(b), len(a))
 	}
+	// A partitioned engine's registry takes no further query and has no
+	// registry checkpoint: the engine's own Checkpoint writes its partitions.
+	if _, err := sh.Registry.Register(build(), repro.UPA); err == nil {
+		t.Fatal("Register accepted on a partitioned engine")
+	}
+	if s := sh.Sharing(); s.Queries != 1 || s.Components != 4 {
+		t.Fatalf("Sharing() = %+v, want 1 query in 4 components", s)
+	}
+	if err := sh.Registry.Checkpoint(io.Discard); err == nil {
+		t.Fatal("Registry.Checkpoint accepted on a partitioned engine")
+	}
+	if err := sh.Registry.Restore(bytes.NewReader(nil)); err == nil {
+		t.Fatal("Registry.Restore accepted on a partitioned engine")
+	}
 	// Keyed (group-by) views support sharded point lookups.
 	gq := repro.Stream(0, schema, repro.TimeWindow(100)).GroupBy([]string{"src"}, repro.CountAll())
 	geng, err := repro.Compile(gq, repro.UPA, repro.WithShards(3))
@@ -495,11 +556,10 @@ func TestWithShardsFallback(t *testing.T) {
 	}
 	// A fallen-back engine is an ordinary sequential engine: it has a view,
 	// and it is a one-query registry that takes further registrations.
-	if eng.View() == nil || eng.Registry() == nil || eng.Query() == nil {
-		t.Fatalf("fallback engine: View %v, Registry %v, Query %v — want all non-nil",
-			eng.View(), eng.Registry(), eng.Query())
+	if eng.View() == nil {
+		t.Fatal("fallback engine has no View")
 	}
-	if _, err := eng.Registry().Register(repro.Stream(0, schema, repro.CountWindow(10)).Select("src"), repro.UPA); err != nil {
+	if _, err := eng.Registry.Register(repro.Stream(0, schema, repro.CountWindow(10)).Select("src"), repro.UPA); err != nil {
 		t.Fatalf("Register on the fallback engine's registry: %v", err)
 	}
 	if err := eng.Push(0, 1, repro.Int(1), repro.Str("ftp"), repro.Int(5)); err != nil {
