@@ -240,11 +240,96 @@ func TestProfile(t *testing.T) {
 	}
 }
 
+// TestExpirationOverflowRefused: a time-based window stamps Exp = ts + Size,
+// so an arrival at ts >= NeverExpires - Size would wrap its Exp into the past
+// and leave the answer at the next pass. Every entry point refuses it the way
+// it refuses a regressing timestamp: before the clock or the arrival counter
+// move and before the run reaches the tape, so the engine matches a twin that
+// never saw it, and a PushBatch keeps the runs before the refused one. The
+// last timestamp that fits is admitted and stays in the answer.
+func TestExpirationOverflowRefused(t *testing.T) {
+	q1 := ckptQueries()[0] // ftp-selects over windows of 20 on streams 0 and 1, joined
+	const size = 20
+	pushEach := func(e *Engine, batch []Arrival) error {
+		for _, a := range batch {
+			if err := e.Push(a.Stream, a.TS, a.Vals...); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	pushBatch := func(e *Engine, batch []Arrival) error { return e.PushBatch(batch) }
+	for _, c := range []struct {
+		name     string
+		cfg      Config
+		shards   int
+		columnar bool
+		deliver  func(*Engine, []Arrival) error
+	}{
+		{"Push", Config{}, 1, true, pushEach},
+		{"PushBatch/row", Config{NoColumnar: true}, 1, false, pushBatch},
+		{"PushBatch/columnar", Config{}, 1, true, pushBatch},
+		{"2-shards/PushBatch", Config{}, 2, false, pushBatch},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := openQuery(t, q1, plan.UPA, plan.Options{}, c.cfg, c.shards)
+			twin := openQuery(t, q1, plan.UPA, plan.Options{}, c.cfg, c.shards)
+			batchFeed(t, eng, colTrace(2, 40))
+			batchFeed(t, twin, colTrace(2, 40))
+			if c.shards == 1 && eng.Columnar() != c.columnar {
+				t.Fatalf("Columnar() = %v, want %v", eng.Columnar(), c.columnar)
+			}
+			vals := []tuple.Value{tuple.Int(7), tuple.String_("ftp"), tuple.Int(9)}
+			over := tuple.NeverExpires - size
+			want := fmt.Sprintf("exec: timestamp %d plus window size %d overflows the expiration time", over, size)
+			clock := eng.Clock()
+			for _, batch := range [][]Arrival{
+				{{Stream: 0, TS: over, Vals: vals}},
+				{{Stream: 1, TS: clock, Vals: vals}, {Stream: 0, TS: over, Vals: vals}},
+			} {
+				accepted := len(batch) - 1
+				arrivals := eng.met.arrivals.Value()
+				if err := c.deliver(eng, batch); err == nil || err.Error() != want {
+					t.Fatalf("arrival at %d: error %v, want %q", over, err, want)
+				}
+				if got := eng.Clock(); got != clock {
+					t.Errorf("Clock() = %d after the refusal, want %d", got, clock)
+				}
+				if got := eng.met.arrivals.Value(); got != arrivals+int64(accepted) {
+					t.Errorf("arrivals = %d after the refusal, want %d", got, arrivals+int64(accepted))
+				}
+				if err := c.deliver(twin, batch[:accepted]); err != nil {
+					t.Fatal(err)
+				}
+				diffObservations(t, want, observeNoAdvance(t, eng), observeNoAdvance(t, twin))
+			}
+			if c.shards == 1 && eng.Columnar() != c.columnar {
+				t.Errorf("the refusal changed Columnar() to %v", eng.Columnar())
+			}
+			last := over - 1
+			if err := c.deliver(eng, []Arrival{{Stream: 0, TS: last, Vals: vals}, {Stream: 1, TS: last, Vals: vals}}); err != nil {
+				t.Fatalf("arrival at %d: %v", last, err)
+			}
+			if err := eng.Advance(last + size - 1); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := eng.Queries()[0].Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snap) != 1 || snap[0].Exp != tuple.NeverExpires-1 {
+				t.Errorf("answer after Advance(%d): %v, want the one join of the last arrivals, expiring at %d", last+size-1, snap, tuple.NeverExpires-1)
+			}
+		})
+	}
+}
+
 // TestEntryPointsRejectAndDemoteAlike: validation, arrival counting and the
 // columnar-demotion check live in one place (ingestRun), so every way an
 // arrival can enter — Push, PushBatch, either of them on a plan that windows
-// one stream twice — rejects a regressing timestamp and an unknown stream
-// with the same error text and no change to engine state, and takes a
+// one stream twice — rejects a regressing timestamp, one whose window
+// expiration would overflow and an unknown stream with the same error text
+// and no change to engine state, and takes a
 // kind-nonconforming tuple with the same outcome: accepted, Columnar() false
 // from then on, visible state equal to an engine that never ran columnar.
 // Advance rejects a regressing time the same way, in its own words, and
@@ -262,13 +347,14 @@ func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
 		name     string
 		build    func() *plan.Node
 		streams  int
+		size     int64 // stream 0's window
 		columnar bool
 		deliver  func(*Engine, Arrival) error
 	}{
-		{"Push", q1, 2, true, push},
-		{"PushBatch", q1, 2, true, pushBatch},
-		{"several-windows/Push", selfJoin, 1, false, push},
-		{"several-windows/PushBatch", selfJoin, 1, false, pushBatch},
+		{"Push", q1, 2, 20, true, push},
+		{"PushBatch", q1, 2, 20, true, pushBatch},
+		{"several-windows/Push", selfJoin, 1, 25, false, push},
+		{"several-windows/PushBatch", selfJoin, 1, 25, false, pushBatch},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -291,6 +377,8 @@ func TestEntryPointsRejectAndDemoteAlike(t *testing.T) {
 					fmt.Sprintf("exec: timestamp %d regresses before %d", clock-1, clock)},
 				{func() error { return c.deliver(eng, Arrival{Stream: 9, TS: clock + 1, Vals: good}) },
 					"exec: no source for stream 9"},
+				{func() error { return c.deliver(eng, Arrival{Stream: 0, TS: tuple.NeverExpires - c.size, Vals: good}) },
+					fmt.Sprintf("exec: timestamp %d plus window size %d overflows the expiration time", tuple.NeverExpires-c.size, c.size)},
 				{func() error { return eng.Advance(clock - 1) },
 					fmt.Sprintf("exec: time %d regresses before %d", clock-1, clock)},
 			}

@@ -114,8 +114,8 @@ func (g *GroupBy) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tupl
 // scratch slice, which is safe only because the kernel copies the emission
 // column-major into the output batch immediately — the sole retainer is
 // gs.last, which the next emission for the group is entitled to replace. The
-// row path's emit() must keep allocating: its emissions travel downstream by
-// reference.
+// row path's emit() cannot reuse a slice: its emissions travel downstream by
+// reference, so each carves slots of its own from the value block.
 func (g *GroupBy) emitInto(gs *groupState, now int64) tuple.Tuple {
 	w := len(gs.keyVals) + len(gs.aggs)
 	vals := gs.colVals

@@ -42,10 +42,14 @@ type GroupBy struct {
 	colArena tuple.ValueArena
 	// colEmit stages row-path emissions the kernel copies column-major.
 	colEmit Emit
+	// block is the unused tail of the value block replacement rows carve
+	// their values from.
+	block valueBlock
 	// advWave numbers the expiration waves; a group whose wave equals it is
 	// already in advOrder, the wave's reusable list of groups touched. advOut
 	// is the wave's output: what Advance returns is valid until the next
-	// Advance. Steady-state waves allocate only their emissions.
+	// Advance. Steady-state waves allocate only a fresh value block, one in
+	// projectBlockRows emissions.
 	advWave  uint64
 	advOrder []int32
 	advOut   Emit
@@ -193,12 +197,16 @@ func (g *GroupBy) open(gs *groupState, col func(c int) tuple.Value) {
 	}
 }
 
-// emit builds and records the replacement result row for a group.
+// emit builds and records the replacement result row for a group. Its
+// values are carved from the operator's value block: every row gets slots of
+// its own that are never written again, so it can travel downstream by
+// reference. A block stays alive while any of its rows does, so each live
+// group's last row pins at most one block.
 func (g *GroupBy) emit(gs *groupState, now int64) tuple.Tuple {
-	vals := make([]tuple.Value, 0, len(gs.keyVals)+len(gs.aggs))
-	vals = append(vals, gs.keyVals...)
-	for _, a := range gs.aggs {
-		vals = append(vals, a.value())
+	vals := g.block.carve(len(gs.keyVals) + len(gs.aggs))
+	n := copy(vals, gs.keyVals)
+	for i, a := range gs.aggs {
+		vals[n+i] = a.value()
 	}
 	r := tuple.Tuple{TS: now, Exp: tuple.NeverExpires, Vals: vals}
 	gs.last = r

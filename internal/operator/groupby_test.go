@@ -280,6 +280,60 @@ func TestGroupByRestoreRecountsNonFinite(t *testing.T) {
 	}
 }
 
+// TestGroupByRowsAreNeverAliased: replacement rows carve their values from a
+// shared value block, so each must own its slots. Every row one group emits —
+// from runs, from expiration waves inside a run and on their own, and from a
+// restored operator — keeps its values through all the group's later
+// emissions, and its value slice ends where its values do.
+func TestGroupByRowsAreNeverAliased(t *testing.T) {
+	aggs := []AggSpec{{Kind: Count}, {Kind: Sum, Col: 2}}
+	type kept struct {
+		row  tuple.Tuple
+		want string
+	}
+	var rows []kept
+	keep := func(out []tuple.Tuple) {
+		for _, r := range out {
+			if len(r.Vals) != cap(r.Vals) {
+				t.Fatalf("row %v: len %d, cap %d", r, len(r.Vals), cap(r.Vals))
+			}
+			rows = append(rows, kept{r, r.String()})
+		}
+	}
+	feed := func(g *GroupBy, from, to int64) {
+		var out Emit
+		for ts := from; ts < to; ts++ {
+			out.Reset()
+			run := []tuple.Tuple{linkTuple(ts, ts+20, ts, "ftp", ts), linkTuple(ts, ts+25, ts, "ftp", 3*ts)}
+			if err := g.ProcessBatch(0, run, ts, &out); err != nil {
+				t.Fatal(err)
+			}
+			keep(out.Tuples())
+		}
+	}
+	g := newTestGroupBy(t, aggs...)
+	feed(g, 1, 41)
+	keep(mustAdvance(t, g, 62))
+	var buf bytes.Buffer
+	if err := g.SaveState(checkpoint.NewEncoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestGroupBy(t, aggs...)
+	if err := restored.LoadState(checkpoint.NewDecoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	feed(restored, 63, 90)
+	keep(mustAdvance(t, restored, 120))
+	if len(rows) < 100 {
+		t.Fatalf("only %d rows emitted", len(rows))
+	}
+	for i, k := range rows {
+		if got := k.row.String(); got != k.want {
+			t.Fatalf("row %d changed after later emissions: %s, emitted as %s", i, got, k.want)
+		}
+	}
+}
+
 func TestGroupByNegativeArrivals(t *testing.T) {
 	g := newTestGroupBy(t, AggSpec{Kind: Count})
 	a := linkTuple(1, 51, 7, "ftp", 10)

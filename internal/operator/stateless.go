@@ -58,11 +58,14 @@ func (s *Select) Touched() int64 { return 0 }
 
 // projectBlockRows is how many emitted rows one value block holds. Rows
 // escape downstream, and a stale tuple left in a truncated scratch slice or a
-// pooled Emit keeps its whole block alive, so blocks stay small.
+// pooled Emit keeps its whole block alive, so blocks stay small. A group-by
+// keeps each group's last row, so there the bound is one block, 16 rows, per
+// live group.
 const projectBlockRows = 16
 
 // valueBlock is the unused tail of the current block that emitted rows carve
-// their value slices from (Project's and Join's outputs).
+// their value slices from (Project's, Join's and GroupBy's outputs). A carved
+// slice has len == cap and is never handed out again.
 type valueBlock []tuple.Value
 
 // reserve makes room for rows rows of w values: a fresh block of at least

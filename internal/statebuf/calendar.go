@@ -19,6 +19,10 @@ import (
 // References whose Exp lies beyond the horizon, or never comes, wait in an
 // overflow area and move into the calendar as the horizon reaches them.
 //
+// The calendar also keeps next, a lower bound on the Exp of every reference
+// in its circular partitions: while the clock is below it and the overflow
+// area is empty, nothing can be due, and Expire skips the walk.
+//
 // The calendar knows an entry only through at, which returns the tuple whose
 // (Exp, TS) places the reference and whether the entry is still live. A
 // retraction leaves its reference in place as a stale one; Expire hands it
@@ -37,6 +41,10 @@ type Calendar struct {
 	byExp  bool  // partitions sorted by Exp (eager) vs insertion order (lazy)
 	list   bool  // the DIRECT baseline (see NewListCalendar)
 	n      int   // references held, stale ones included
+	// next is at most the Exp of every reference in parts[:span]. It is
+	// derived state: never checkpointed, and rebuilt by the inserts that
+	// refill the calendar after reset.
+	next int64
 	// touched counts references visited by expiration passes and shifted by
 	// sorted inserts.
 	touched int64
@@ -109,7 +117,7 @@ func newCalendar(n int, horizon int64, byExp bool) Calendar {
 	}
 	horizon = max(horizon, 1)
 	width := max((horizon+int64(n)-1)/int64(n), 1)
-	return Calendar{width: width, parts: make([]partition, n+2), span: n + 1, byExp: byExp}
+	return Calendar{width: width, parts: make([]partition, n+2), span: n + 1, byExp: byExp, next: math.MaxInt64}
 }
 
 // Kind names the structure for plan introspection: KindList for the DIRECT
@@ -181,6 +189,9 @@ func (c *Calendar) Insert(ref int32, t *tuple.Tuple) int {
 // position in a sorted partition, after every reference it does not precede.
 func (c *Calendar) place(ref int32, t *tuple.Tuple) int {
 	slot := c.slotFor(t.Exp)
+	if slot != c.span {
+		c.next = min(c.next, t.Exp)
+	}
 	p := &c.parts[slot]
 	f := filed{t.Exp, ref}
 	p.push(f)
@@ -207,9 +218,27 @@ func (c *Calendar) place(ref int32, t *tuple.Tuple) int {
 // boundary partition and the overflow area. Stale references come back too
 // — those that are due, and those in the overflow area — for the owner to
 // release. The slice is valid until the next Expire.
+//
+// While now is below next and the overflow area is empty, nothing is due:
+// Expire then only charges the boundary partition's visits and moves the
+// cursor, exactly as the walk would, and returns at once.
 func (c *Calendar) Expire(now int64) []int32 {
-	due := c.fired[:0]
 	hi := c.bucket(now)
+	if now < c.next && len(c.parts[c.span].refs) == 0 {
+		if hi >= c.lowBkt && hi < c.lowBkt+int64(c.span) {
+			switch live := c.parts[c.slot(hi)].live(); {
+			case len(live) == 0:
+			case c.byExp:
+				c.touched++
+			default:
+				c.touched += int64(len(live))
+			}
+		}
+		c.lowBkt = max(c.lowBkt, hi)
+		c.due = c.due[:0]
+		return c.due
+	}
+	due := c.fired[:0]
 	// Fully-due buckets: everything in them expires. Occupied buckets all lie
 	// in [lowBkt, lowBkt+span), so cap the walk at one full cycle even if time
 	// jumped far ahead.
@@ -248,8 +277,9 @@ func (c *Calendar) Expire(now int64) []int32 {
 			p.pop(0)
 		}
 	}
-	if hi > c.lowBkt {
+	if hi >= c.lowBkt {
 		c.lowBkt = hi
+		c.next = c.lowestExp(now)
 	}
 	calendar := len(due)
 	due = c.drainOverflow(now, due)
@@ -264,6 +294,24 @@ func (c *Calendar) Expire(now int64) []int32 {
 		c.due = append(c.due, f.ref)
 	}
 	return c.due
+}
+
+// lowestExp bounds the Exp of every reference left in the circular
+// partitions after a pass that examined the lowest bucket: a sorted
+// partition's head, or, for a lazy one, its bucket's start and at least
+// now+1. Only the boundary bucket can hold a reference clamped below its
+// start, and the pass took every due one from there.
+func (c *Calendar) lowestExp(now int64) int64 {
+	for bkt := c.lowBkt; bkt < c.lowBkt+int64(c.span); bkt++ {
+		switch live := c.parts[c.slot(bkt)].live(); {
+		case len(live) == 0:
+		case c.byExp:
+			return live[0].exp
+		default:
+			return max(bkt*c.width, now+1)
+		}
+	}
+	return math.MaxInt64
 }
 
 // drainOverflow moves overflow references that are now within the horizon
@@ -304,7 +352,7 @@ func (c *Calendar) each(fn func(ref int32) bool) {
 // reset drops every reference, leaving the cursor alone.
 func (c *Calendar) reset() {
 	clear(c.parts)
-	c.n = 0
+	c.n, c.next = 0, math.MaxInt64
 }
 
 // Save writes the calendar's checkpoint section in the layout of the buffer

@@ -73,12 +73,82 @@ func reload(t *testing.T, b Buffer, fresh Buffer) Buffer {
 
 // TestCalendarEquivalence drives the keyed calendar, the calendar without an
 // index, the DIRECT list, the NT hash and the indexed FIFO through one random
-// schedule and requires the same observable behaviour of all five:
+// schedule (calendarSchedule) and requires the same observable behaviour of
+// all five, and each buffer's final cost counter pinned: an Expire with
+// nothing due must charge exactly what the walk charged, so the counts below
+// are the ones the calendar reported when every Expire walked.
+func TestCalendarEquivalence(t *testing.T) {
+	// Final Touched of keyed, unkeyed, list, hash and indexed FIFO, by byExp
+	// and seed.
+	pinned := map[bool][4][5]int64{
+		false: {
+			{94541, 104389, 74486, 55211, 60755},
+			{78428, 86663, 61971, 45920, 51126},
+			{69745, 76975, 55733, 40917, 46117},
+			{72387, 79482, 57183, 42378, 47565},
+		},
+		true: {
+			{95149, 104984, 74486, 55211, 60755},
+			{79182, 87418, 61971, 45920, 51126},
+			{70244, 77486, 55733, 40917, 46117},
+			{73125, 80214, 57183, 42378, 47565},
+		},
+	}
+	for _, byExp := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("byExp=%v/seed=%d", byExp, seed), func(t *testing.T) {
+				const steps = 2500
+				r := rand.New(rand.NewSource(seed))
+				bufs := calendarSchedule(t, byExp, r.Intn, r.Intn(steps), steps)
+				for i, b := range bufs {
+					if got, want := b.Touched(), pinned[byExp][seed-1][i]; got != want {
+						t.Errorf("%s: Touched %d, want %d", calendarKinds[i], got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzCalendar decodes a calendarSchedule from bytes — the first picks the
+// variant, the second the save → load cut, each later one the next draw — and
+// holds every buffer kind to the list's behaviour and the calendars to their
+// next bound after every step.
+func FuzzCalendar(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 2, 3, 4, 10, 2, 12, 0, 0, 19, 5})
+	f.Add([]byte{1, 7, 0, 0, 3, 0, 1, 5, 11, 1, 12, 0, 0, 0, 0, 2, 9, 12, 39, 5, 13, 2, 6})
+	f.Add([]byte{1, 0, 4, 2, 0, 1, 0, 4, 2, 0, 1, 12, 0, 14, 3, 0, 2, 0, 12, 2, 1, 12, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		byExp, cut := data[0]%2 == 1, int(data[1])
+		data = data[2:]
+		steps := min(len(data), 512)
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0])
+			data = data[1:]
+			return v % n
+		}
+		calendarSchedule(t, byExp, pick, cut, steps)
+	})
+}
+
+// calendarKinds names the buffers calendarSchedule drives, in its order.
+var calendarKinds = []string{"keyed", "unkeyed", "list", "hash", "indexed-fifo"}
+
+// calendarSchedule drives the keyed calendar, the calendar without an index,
+// the DIRECT list, the NT hash and the indexed FIFO through steps operations
+// drawn with pick, and requires the same observable behaviour of all five:
 // ExpireUpTo returns the same sequence, Remove reports the same and takes the
 // same victim, a probe finds the same bag, the survivors are the same bag.
 // The two calendars must also agree on order — a keyed probe is a filtered
-// Scan — and a SaveState → LoadState round trip at a random step must change
-// nothing.
+// Scan — a SaveState → LoadState round trip at step cut must change nothing,
+// and after every step each calendar's next must bound the Exp of every
+// reference in its circular partitions. It returns the buffers.
 //
 // TS is the insertion sequence number, so (Exp, TS) orders expirations
 // totally and "oldest by TS" names one tuple; the schedule has value twins
@@ -86,117 +156,142 @@ func reload(t *testing.T, b Buffer, fresh Buffer) Buffer {
 // carries or a value not stored, past-due inserts, NeverExpires and
 // beyond-horizon inserts (the overflow area), and clock jumps of more than a
 // full calendar cycle.
-func TestCalendarEquivalence(t *testing.T) {
+func calendarSchedule(t *testing.T, byExp bool, pick func(n int) int, cut, steps int) []Buffer {
+	t.Helper()
 	const (
 		parts   = 6
 		horizon = 48
 		keys    = 7
-		steps   = 2500
 	)
-	for _, byExp := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("byExp=%v/seed=%d", byExp, seed), func(t *testing.T) {
-				r := rand.New(rand.NewSource(seed))
-				fresh := []func() Buffer{
-					func() Buffer { return keyedCal(parts, horizon, byExp) },
-					func() Buffer { return NewPartitioned(parts, horizon, byExp) },
-					func() Buffer { return NewList() },
-					func() Buffer { return NewHash([]int{0}) },
-					keyedFIFO,
+	fresh := []func() Buffer{
+		func() Buffer { return keyedCal(parts, horizon, byExp) },
+		func() Buffer { return NewPartitioned(parts, horizon, byExp) },
+		func() Buffer { return NewList() },
+		func() Buffer { return NewHash([]int{0}) },
+		keyedFIFO,
+	}
+	bufs := make([]Buffer, len(fresh))
+	for i := range fresh {
+		bufs[i] = fresh[i]()
+	}
+	now, seq := int64(0), int64(0)
+	var exps []int64 // recent expirations, to mint twins at equal Exp
+	for step := 0; step < steps; step++ {
+		if step == cut {
+			for i := range bufs {
+				bufs[i] = reload(t, bufs[i], fresh[i]())
+			}
+		}
+		switch op := pick(20); {
+		case op < 9: // insert
+			var exp int64
+			switch c := pick(20); {
+			case c == 0:
+				exp = tuple.NeverExpires
+			case c == 1:
+				exp = now + horizon + 1 + int64(pick(3*horizon)) // beyond the horizon
+			case c == 2:
+				exp = now - int64(pick(horizon)) // past due
+			case c < 8 && len(exps) > 0:
+				exp = exps[pick(len(exps))]
+			default:
+				exp = now + 1 + int64(pick(horizon))
+			}
+			if exps = append(exps, exp); len(exps) > 8 {
+				exps = exps[1:]
+			}
+			seq++
+			tp := row(seq, exp, int64(pick(keys)), int64(pick(2)))
+			for _, b := range bufs {
+				b.Insert(tp)
+			}
+		case op < 13: // advance the clock and expire
+			switch c := pick(40); {
+			case c == 0:
+				now += 3 * horizon // more than a full cycle
+			default:
+				now += int64(pick(6))
+			}
+			want := render(bufs[0].ExpireUpTo(now))
+			for i, b := range bufs[1:] {
+				if got := render(b.ExpireUpTo(now)); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("step %d ExpireUpTo(%d): %s\n  %v\nkeyed\n  %v", step, now, calendarKinds[i+1], got, want)
 				}
-				names := []string{"keyed", "unkeyed", "list", "hash", "indexed-fifo"}
-				bufs := make([]Buffer, len(fresh))
-				for i := range fresh {
-					bufs[i] = fresh[i]()
+			}
+		case op < 17: // retract
+			neg := row(0, now+int64(pick(horizon)), int64(pick(keys)), int64(pick(2)))
+			if stored := snapshot(bufs[2]); len(stored) > 0 && pick(4) > 0 {
+				neg = stored[pick(len(stored))]
+				if pick(3) == 0 {
+					neg.Exp = now - 1 - int64(pick(5)) // an Exp no stored tuple carries
 				}
-				cut := r.Intn(steps)
-				now, seq := int64(0), int64(0)
-				var exps []int64 // recent expirations, to mint twins at equal Exp
-				for step := 0; step < steps; step++ {
-					if step == cut {
-						for i := range bufs {
-							bufs[i] = reload(t, bufs[i], fresh[i]())
-						}
-					}
-					switch op := r.Intn(20); {
-					case op < 9: // insert
-						var exp int64
-						switch c := r.Intn(20); {
-						case c == 0:
-							exp = tuple.NeverExpires
-						case c == 1:
-							exp = now + horizon + 1 + int64(r.Intn(3*horizon)) // beyond the horizon
-						case c == 2:
-							exp = now - int64(r.Intn(horizon)) // past due
-						case c < 8 && len(exps) > 0:
-							exp = exps[r.Intn(len(exps))]
-						default:
-							exp = now + 1 + int64(r.Intn(horizon))
-						}
-						if exps = append(exps, exp); len(exps) > 8 {
-							exps = exps[1:]
-						}
-						seq++
-						tp := row(seq, exp, int64(r.Intn(keys)), int64(r.Intn(2)))
-						for _, b := range bufs {
-							b.Insert(tp)
-						}
-					case op < 13: // advance the clock and expire
-						switch c := r.Intn(40); {
-						case c == 0:
-							now += 3 * horizon // more than a full cycle
-						default:
-							now += int64(r.Intn(6))
-						}
-						want := render(bufs[0].ExpireUpTo(now))
-						for i, b := range bufs[1:] {
-							if got := render(b.ExpireUpTo(now)); fmt.Sprint(got) != fmt.Sprint(want) {
-								t.Fatalf("step %d ExpireUpTo(%d): %s\n  %v\nkeyed\n  %v", step, now, names[i+1], got, want)
-							}
-						}
-					case op < 17: // retract
-						neg := row(0, now+int64(r.Intn(horizon)), int64(r.Intn(keys)), int64(r.Intn(2)))
-						if stored := snapshot(bufs[2]); len(stored) > 0 && r.Intn(4) > 0 {
-							neg = stored[r.Intn(len(stored))]
-							if r.Intn(3) == 0 {
-								neg.Exp = now - 1 - int64(r.Intn(5)) // an Exp no stored tuple carries
-							}
-						}
-						neg.TS, neg.Neg = now, true
-						want := bufs[0].Remove(neg)
-						for i, b := range bufs[1:] {
-							if got := b.Remove(neg); got != want {
-								t.Fatalf("step %d Remove(%v): %s says %v, keyed says %v", step, neg, names[i+1], got, want)
-							}
-						}
-					default: // probe
-						k := row(0, 0, int64(r.Intn(keys)), 0).Key([]int{0})
-						want := render(probeKey(bufs[0], k, now))
-						if got := render(scanKey(bufs[1], k, now)); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("step %d probe: keyed index\n  %v\nfiltered scan of the unkeyed calendar\n  %v", step, want, got)
-						}
-						for i, b := range bufs[2:] {
-							if got := render(probeKey(b, k, now)); fmt.Sprint(sortedCopy(got)) != fmt.Sprint(sortedCopy(want)) {
-								t.Fatalf("step %d probe: %s\n  %v\nkeyed\n  %v", step, names[i+2], got, want)
-							}
-						}
-					}
-					want := render(snapshot(bufs[0]))
-					for i, b := range bufs[1:] {
-						if got := render(snapshot(b)); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("step %d survivors: %s\n  %v\nkeyed\n  %v", step, names[i+1], got, want)
-						}
-						if b.Len() != len(want) {
-							t.Fatalf("step %d: %s Len %d, %d stored", step, names[i+1], b.Len(), len(want))
-						}
-					}
-					if got, want := render(inScanOrder(bufs[0])), render(inScanOrder(bufs[1])); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("step %d Scan order: keyed\n  %v\nunkeyed\n  %v", step, got, want)
-					}
+			}
+			neg.TS, neg.Neg = now, true
+			want := bufs[0].Remove(neg)
+			for i, b := range bufs[1:] {
+				if got := b.Remove(neg); got != want {
+					t.Fatalf("step %d Remove(%v): %s says %v, keyed says %v", step, neg, calendarKinds[i+1], got, want)
 				}
-			})
+			}
+		default: // probe
+			k := row(0, 0, int64(pick(keys)), 0).Key([]int{0})
+			want := render(probeKey(bufs[0], k, now))
+			if got := render(scanKey(bufs[1], k, now)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("step %d probe: keyed index\n  %v\nfiltered scan of the unkeyed calendar\n  %v", step, want, got)
+			}
+			for i, b := range bufs[2:] {
+				if got := render(probeKey(b, k, now)); fmt.Sprint(sortedCopy(got)) != fmt.Sprint(sortedCopy(want)) {
+					t.Fatalf("step %d probe: %s\n  %v\nkeyed\n  %v", step, calendarKinds[i+2], got, want)
+				}
+			}
+		}
+		want := render(snapshot(bufs[0]))
+		for i, b := range bufs[1:] {
+			if got := render(snapshot(b)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("step %d survivors: %s\n  %v\nkeyed\n  %v", step, calendarKinds[i+1], got, want)
+			}
+			if b.Len() != len(want) {
+				t.Fatalf("step %d: %s Len %d, %d stored", step, calendarKinds[i+1], b.Len(), len(want))
+			}
+		}
+		if got, want := render(inScanOrder(bufs[0])), render(inScanOrder(bufs[1])); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("step %d Scan order: keyed\n  %v\nunkeyed\n  %v", step, got, want)
+		}
+		for i, b := range bufs {
+			if c := calendarOf(b); c != nil {
+				if err := c.checkNext(); err != nil {
+					t.Fatalf("step %d: %s: %v", step, calendarKinds[i], err)
+				}
+			}
 		}
 	}
+	return bufs
+}
+
+// calendarOf returns the calendar a buffer files its entries in, or nil.
+func calendarOf(b Buffer) *Calendar {
+	switch b := b.(type) {
+	case *PartitionedBuffer:
+		return &b.cal
+	case keyedCalendar:
+		return &b.cal
+	case indexedFIFO:
+		return &b.cal
+	}
+	return nil
+}
+
+// checkNext reports a reference in the circular partitions that expires
+// before the calendar's next bound.
+func (c *Calendar) checkNext() error {
+	for slot := range c.parts[:c.span] {
+		for _, f := range c.parts[slot].live() {
+			if f.exp < c.next {
+				return fmt.Errorf("reference %d in partition %d expires at %d, before next %d", f.ref, slot, f.exp, c.next)
+			}
+		}
+	}
+	return nil
 }
 
 // inScanOrder lists the stored tuples as Scan visits them.

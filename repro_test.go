@@ -3,7 +3,9 @@ package repro_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -234,6 +236,78 @@ func TestOptionsAndOptimizer(t *testing.T) {
 	// STR partitioned option also compiles and runs.
 	if _, err := repro.Compile(q, repro.UPA, repro.WithSTRPartitioned()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpirationOverflowRefusedFacade: an arrival whose window expiration
+// would pass the largest timestamp is refused by Push and PushBatch alike,
+// under every strategy and on plans that take the row and the columnar batch
+// path, with the clock and upa_arrivals_total left where the accepted
+// arrivals put them. The last timestamp that fits is admitted and keeps its
+// rows in the answer after a pass at a later time.
+func TestExpirationOverflowRefusedFacade(t *testing.T) {
+	const size = 10
+	schema := linkSchema()
+	win := func(stream int) repro.Node { return repro.Stream(stream, schema, repro.TimeWindow(size)) }
+	plans := map[string]repro.Node{
+		"window":   win(0),
+		"distinct": win(0).Select("src").Distinct(),
+		"groupby":  win(0).GroupBy([]string{"proto"}, repro.CountAll()),
+		"join":     win(0).Where(repro.Col("proto").EqStr("ftp")).JoinOn(win(1).Where(repro.Col("proto").EqStr("ftp")), "src"),
+	}
+	vals := []repro.Value{repro.Int(7), repro.Str("ftp"), repro.Int(1)}
+	over := int64(math.MaxInt64 - size)
+	for name, q := range plans {
+		for _, strat := range []repro.Strategy{repro.UPA, repro.NT, repro.Direct} {
+			for _, batched := range []bool{false, true} {
+				reg := repro.NewMetricsRegistry()
+				eng, err := repro.Compile(q, strat, repro.WithMetrics(reg))
+				if err != nil {
+					t.Fatalf("%s/%v: %v", name, strat, err)
+				}
+				deliver := func(batch ...repro.Arrival) error {
+					if batched {
+						return eng.PushBatch(batch)
+					}
+					for _, a := range batch {
+						if err := eng.Push(a.Stream, a.TS, a.Vals...); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				arrivals := func() int64 {
+					if err := eng.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					return reg.Snapshot().Counters["upa_arrivals_total"]
+				}
+				label := fmt.Sprintf("%s/%v/batched=%v", name, strat, batched)
+				if err := deliver(repro.Arrival{Stream: 0, TS: 5, Vals: vals}); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if err := deliver(repro.Arrival{Stream: 0, TS: 6, Vals: vals}, repro.Arrival{Stream: 0, TS: over, Vals: vals}); err == nil || !strings.Contains(err.Error(), "overflows the expiration time") {
+					t.Fatalf("%s: arrival at %d: error %v, want an overflow refusal", label, over, err)
+				}
+				if eng.Clock() != 6 || arrivals() != 2 {
+					t.Errorf("%s: clock %d, %d arrivals after the refusal, want 6 and 2", label, eng.Clock(), arrivals())
+				}
+				last := over - 1
+				batch := []repro.Arrival{{Stream: 0, TS: last, Vals: vals}}
+				if name == "join" {
+					batch = append(batch, repro.Arrival{Stream: 1, TS: last, Vals: vals})
+				}
+				if err := deliver(batch...); err != nil {
+					t.Fatalf("%s: arrivals at %d: %v", label, last, err)
+				}
+				if err := eng.Advance(last + size - 1); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if n, err := eng.ResultCount(); err != nil || n != 1 {
+					t.Errorf("%s: %d rows after Advance(%d), %v; want the last arrival's one row", label, n, last+size-1, err)
+				}
+			}
+		}
 	}
 }
 
