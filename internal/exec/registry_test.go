@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/operator"
 	"repro/internal/plan"
@@ -845,5 +847,145 @@ func TestRegistryLateRegistrationStartsCold(t *testing.T) {
 	if !reference.SameBag(got, want) {
 		t.Fatalf("late query diverged from twin\ngot:\n%s\nwant:\n%s",
 			reference.Render(got), reference.Render(want))
+	}
+}
+
+// TestProjectBorrowFollowsLiveGraph checks the rule that lets a projection
+// emit borrowed value slices: it borrows while every consumer of its live
+// node is a δ, and copies while a query is rooted at it or a non-δ operator
+// reads it. Answers match unshared twins throughout, and once synced, the
+// δ query's answer does not change when the caller overwrites every array
+// it pushed.
+func TestProjectBorrowFollowsLiveGraph(t *testing.T) {
+	win := func() *plan.Node {
+		return plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 30}, linkSchema())
+	}
+	q2 := func() *plan.Node { return plan.NewDistinct(plan.NewProject(win(), 0)) }
+	srcs := func() *plan.Node { return plan.NewProject(win(), 0) }
+	small := func() *plan.Node {
+		return plan.NewSelect(plan.NewProject(win(), 0), operator.ColConst{Col: 0, Op: operator.LT, Val: tuple.Int(3)})
+	}
+	e := NewMulti(Config{})
+	register := func(name string, root *plan.Node) *QueryHandle {
+		h, err := e.RegisterQuery(QuerySpec{Name: name, Phys: buildPhys(t, root, plan.UPA, plan.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	h2 := register("q2", q2())
+	if _, ok := h2.first().nodes[0].op.(*operator.DistinctDelta); !ok {
+		t.Fatalf("Q2 under UPA is rooted at %T, not δ", h2.first().nodes[0].op)
+	}
+	projNode := h2.first().nodes[1]
+	proj := projNode.op.(*operator.Project)
+
+	// twins are unshared engines fed from their query's registration on.
+	type twin struct {
+		h   *QueryHandle
+		std *Engine
+	}
+	twins := []twin{{h2, buildEngine(t, q2(), plan.UPA, Config{})}}
+	var pushed [][]tuple.Value
+	ts := int64(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			ts++
+			vals := []tuple.Value{tuple.Int(ts % 7), tuple.String_(protos[ts%int64(len(protos))]), tuple.Int(ts)}
+			pushed = append(pushed, vals)
+			if err := e.Push(0, ts, vals...); err != nil {
+				t.Fatal(err)
+			}
+			for _, tw := range twins {
+				if err := tw.std.Push(0, ts, vals...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, tw := range twins {
+			got, err := tw.h.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := renderRows(got), renderRows(snapshotOf(t, tw.std)); g != w {
+				t.Fatalf("t=%d %s != unshared twin\ngot:\n%swant:\n%s", ts, tw.h.Name(), g, w)
+			}
+		}
+	}
+	// borrows reports whether a live projection's emitted row shares the
+	// array of the row it projected.
+	borrows := func(proj *operator.Project) bool {
+		vals := pushed[len(pushed)-1]
+		var out operator.Emit
+		if err := proj.ProcessBatch(0, []tuple.Tuple{{TS: ts, Exp: ts + 30, Vals: vals}}, ts, &out); err != nil {
+			t.Fatal(err)
+		}
+		return unsafe.SliceData(out.Tuples()[0].Vals) == unsafe.SliceData(vals)
+	}
+	shareProjection := func(name string, root *plan.Node) *QueryHandle {
+		h := register(name, root)
+		if !slices.Contains(h.first().nodes, projNode) {
+			t.Fatalf("%s does not share Q2's projection", name)
+		}
+		twins = append(twins, twin{h, buildEngine(t, root, plan.UPA, Config{})})
+		return h
+	}
+	unregister := func(h *QueryHandle) {
+		if _, err := e.UnregisterQuery(h); err != nil {
+			t.Fatal(err)
+		}
+		twins = slices.DeleteFunc(twins, func(tw twin) bool { return tw.h == h })
+	}
+
+	push(40)
+	if !borrows(proj) {
+		t.Fatal("a projection feeding only δ copies")
+	}
+	for _, c := range []struct {
+		name string
+		root *plan.Node
+	}{{"rooted", srcs()}, {"selected", small()}} {
+		h := shareProjection(c.name, c.root)
+		push(40)
+		if borrows(proj) {
+			t.Fatalf("with query %s on it, the projection borrows", c.name)
+		}
+		unregister(h)
+		push(40)
+		if !borrows(proj) {
+			t.Fatalf("after query %s left, the projection copies", c.name)
+		}
+	}
+
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := h2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRows(rows)
+	for _, vals := range pushed {
+		for i := range vals {
+			vals[i] = tuple.String_("overwritten")
+		}
+	}
+	if rows, err = h2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRows(rows); got != want {
+		t.Fatalf("overwriting pushed arrays changed Q2's answer\ngot:\n%swant:\n%s", got, want)
+	}
+
+	// Every partition of a partitioned Q2 decides for its own projection.
+	pe, fallback, err := Open(QuerySpec{Phys: buildPhys(t, q2(), plan.UPA, plan.Options{})}, Config{}, 2)
+	if err != nil || fallback != "" {
+		t.Fatalf("open: %v %s", err, fallback)
+	}
+	defer pe.Close()
+	for i, q := range pe.queries {
+		if !borrows(q.nodes[1].op.(*operator.Project)) {
+			t.Fatalf("partition %d's projection copies", i)
+		}
 	}
 }

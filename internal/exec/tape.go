@@ -83,8 +83,11 @@ func (t *runTape) deal(lo, hi int, sources []*liveSource) {
 // dealChunk is how many tape events a worker deals at a time.
 const dealChunk = 256
 
-// reset empties the tape after a replay, also one a panic cut short.
+// reset empties the tape after a replay, also one a panic cut short. The
+// rows are cleared, so a replayed arrival's values are not pinned until a
+// later flush overwrites its slot.
 func (t *runTape) reset() {
+	clear(t.rows)
 	t.rows = t.rows[:0]
 	t.events = t.events[:0]
 }
@@ -206,13 +209,17 @@ type srcFan struct {
 // nodes are connected when one feeds the other. Nodes that probe one
 // relation table are not: a probe writes nothing (relation.Table.Probe), and
 // table updates run on the caller, outside any replay. Runs on every
-// registration change.
+// registration change, so it also decides which projections borrow their
+// input's values (feedsOnlyDelta).
 func (e *Engine) rebuildComponents() {
 	for i, s := range e.sources {
 		s.slot = i
 	}
 	for i, n := range e.nodes {
 		n.slot = i
+		if p, ok := n.op.(*operator.Project); ok {
+			p.SetBorrow(feedsOnlyDelta(n))
+		}
 	}
 	parent := make([]int, len(e.nodes))
 	for i := range parent {
@@ -281,6 +288,21 @@ func (e *Engine) rebuildComponents() {
 		}
 	}
 	slices.SortStableFunc(e.comps, func(a, b *component) int { return b.weight - a.weight })
+}
+
+// feedsOnlyDelta reports whether every consumer of n's emissions is a δ: n
+// has out-edges, all of them into δ nodes, and no query is rooted at it. δ
+// copies the values it keeps, so a projection there may emit borrowed ones.
+func feedsOnlyDelta(n *liveNode) bool {
+	if len(n.sinks) > 0 || len(n.outs) == 0 {
+		return false
+	}
+	for _, ed := range n.outs {
+		if _, ok := ed.node.op.(*operator.DistinctDelta); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // flush replays the tape and empties it, then settles the flows' counts and
@@ -455,6 +477,7 @@ func (e *Engine) replayWorker() {
 // replay runs the tape through the component, stopping at its first error.
 func (c *component) replay(t *runTape) {
 	c.err, c.depth = nil, 0
+	defer c.unstage()
 	for i := range t.events {
 		ev := &t.events[i]
 		c.now = ev.now
@@ -512,13 +535,19 @@ func (c *component) own(t *runTape, ev *tapeEvent) []tuple.Tuple {
 	case len(part):
 		return t.rows[ev.lo:ev.hi]
 	}
-	c.rows = c.rows[:0]
+	c.unstage()
 	for i, q := range part {
 		if q == p {
 			c.rows = append(c.rows, t.rows[int(ev.lo)+i])
 		}
 	}
 	return c.rows
+}
+
+// unstage clears the rows own staged, so the scratch pins no arrival.
+func (c *component) unstage() {
+	clear(c.rows)
+	c.rows = c.rows[:0]
 }
 
 // expireNodes moves each node's local clock to the flow's time and sends

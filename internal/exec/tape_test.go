@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/cql"
 	"repro/internal/obs"
@@ -713,4 +714,56 @@ func TestPushBatchBeyondTapeFlush(t *testing.T) {
 	if n := cap(batched.e.tape.rows); n >= 2*tapeFlushRows {
 		t.Fatalf("the tape grew to %d rows; it is replayed every %d", n, tapeFlushRows)
 	}
+}
+
+// TestReplayedTapePinsNoArrival pushes arrivals that a selection drops and
+// checks that, once they are replayed, no scratch of the row chain keeps
+// their value arrays reachable: not the tape's rows, and on a partitioned engine
+// not a component's staged rows either. Several rows share each timestamp,
+// so a partition stages its share of a run.
+func TestReplayedTapePinsNoArrival(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			// The group-by keys the partitions on column 0; it sees no row.
+			root := plan.NewGroupBy(selPlan(50, "http"), []int{0}, operator.AggSpec{Kind: operator.Count})
+			phys := buildPhys(t, root, plan.UPA, plan.Options{})
+			e, fallback, err := Open(QuerySpec{Phys: phys}, Config{NoColumnar: true}, parts)
+			if err != nil || fallback != "" {
+				t.Fatalf("open: %v %s", err, fallback)
+			}
+			defer e.Close()
+			const n = 300
+			refs := pushDropped(t, e, n)
+			if err := e.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			live := 0
+			for _, r := range refs {
+				if r.Value() != nil {
+					live++
+				}
+			}
+			if live > 0 {
+				t.Fatalf("%d of %d replayed arrivals' values are still reachable", live, n)
+			}
+		})
+	}
+}
+
+// pushDropped pushes n arrivals that no query keeps, four to a timestamp,
+// and returns weak pointers to their value arrays. It keeps no strong
+// reference of its own.
+func pushDropped(t *testing.T, e *Engine, n int) []weak.Pointer[tuple.Value] {
+	refs := make([]weak.Pointer[tuple.Value], n)
+	batch := make([]Arrival, n)
+	for i := range batch {
+		vals := []tuple.Value{tuple.Int(int64(i)), tuple.String_("ftp"), tuple.Int(int64(i))}
+		refs[i] = weak.Make(&vals[0])
+		batch[i] = Arrival{Stream: 0, TS: int64(1 + i/4), Vals: vals}
+	}
+	if err := e.PushBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	return refs
 }

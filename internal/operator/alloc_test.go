@@ -108,6 +108,40 @@ func TestProjectBatchSingleAlloc(t *testing.T) {
 	})
 }
 
+// TestProjectBorrowAllocFree holds a borrowing projection to zero
+// allocations: its rows are subslices of its input's. Only a contiguous
+// ascending column range can borrow.
+func TestProjectBorrowAllocFree(t *testing.T) {
+	p, err := NewProject(linkSchema(), []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.SetBorrow(true) {
+		t.Fatal("columns 1, 2 refused to borrow")
+	}
+	for _, cols := range [][]int{{2, 1}, {0, 2}, {1, 1}} {
+		if q, err := NewProject(linkSchema(), cols); err == nil && q.SetBorrow(true) {
+			t.Fatalf("columns %v borrow", cols)
+		}
+	}
+	in := allocBatch()
+	out := &Emit{}
+	if err := p.ProcessBatch(0, in, 10, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range out.Tuples() {
+		if &o.Vals[0] != &in[i].Vals[1] || cap(o.Vals) != 2 {
+			t.Fatalf("row %d: %v is not a capped view of %v", i, o.Vals, in[i].Vals)
+		}
+	}
+	allocBudget(t, "borrowing Project.ProcessBatch", 0, func() {
+		out.Reset()
+		if err := p.ProcessBatch(0, in, 10, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestJoinKeyedCalendarAllocFree is the Query 4 join under UPA: both sides in
 // calendars indexed on the join column. Inserting a run, probing the other
 // side for each arrival and expiring both sides must not allocate when

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/statebuf"
@@ -20,6 +21,13 @@ import (
 // Space is therefore at most twice the output size, and both insertion and
 // expiration avoid input-buffer scans; the experiments (Query 2, Query 4)
 // measure exactly this advantage over Distinct.
+//
+// δ owns every value it keeps and emits: a fresh representative's values are
+// copied into δ's own value block, and an auxiliary shares its
+// representative's values unless the two differ bit for bit (1 and 1.0, +0
+// and −0, two NaN payloads), when it keeps a copy of its own. So δ never
+// retains a value slice it was handed, and the operator feeding it may hand
+// it borrowed ones (Project.SetBorrow).
 type DistinctDelta struct {
 	schema *tuple.Schema
 	slots  statebuf.Table[deltaSlot]
@@ -28,6 +36,8 @@ type DistinctDelta struct {
 	expIdx  statebuf.Buffer
 	allCols []int
 	clock   int64
+	// block is the unused tail of the value block kept values are copied to.
+	block valueBlock
 	// advOut is the expiration wave's output: what Advance returns is valid
 	// until the next Advance.
 	advOut Emit
@@ -35,7 +45,8 @@ type DistinctDelta struct {
 
 // deltaSlot is one value's state: its representative and, when one has
 // arrived since, the longest-lived duplicate outliving it (aux.Vals is nil
-// while there is none).
+// while there is none). aux.Vals is rep.Vals itself unless the duplicate's
+// values differ from the representative's bit for bit.
 type deltaSlot struct{ rep, aux tuple.Tuple }
 
 // NewDistinctDelta builds a δ operator; horizon bounds tuple lifetimes (the
@@ -87,6 +98,7 @@ func (d *DistinctDelta) ProcessBatch(side int, in []tuple.Tuple, now int64, out 
 func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
 	ref, fresh := d.slots.UpsertRow(t, d.allCols)
 	if fresh {
+		t.Vals = d.own(t.Vals)
 		out.Append(d.represent(ref, t, now))
 		return
 	}
@@ -98,11 +110,25 @@ func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
 	}
 }
 
+// keepAux makes t the slot's auxiliary. Its values are the representative's
+// when they are the same bits, and a copy of t's own otherwise.
 func (d *DistinctDelta) keepAux(s *deltaSlot, t tuple.Tuple) {
+	if slices.Equal(t.Vals, s.rep.Vals) {
+		t.Vals = s.rep.Vals
+	} else {
+		t.Vals = d.own(t.Vals)
+	}
 	if s.aux.Vals == nil {
 		d.naux++
 	}
 	s.aux = t
+}
+
+// own copies vals into δ's value block.
+func (d *DistinctDelta) own(vals []tuple.Value) []tuple.Value {
+	kept := d.block.carve(len(vals))
+	copy(kept, vals)
+	return kept
 }
 
 // represent makes t, stamped now, the representative in slot ref and

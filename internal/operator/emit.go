@@ -7,7 +7,7 @@ import "repro/internal/tuple"
 // run to the parent, then resets the buffer for the next run (it keeps one
 // per depth of its recursion up the plan).
 //
-// Ownership and aliasing rules (DESIGN.md §11):
+// Ownership and aliasing rules (DESIGN.md §3.1, "Emit ownership"):
 //
 //   - The executor owns the Emit. Operators only Append during one
 //     ProcessBatch call and must not retain the buffer or the slice returned
@@ -18,6 +18,8 @@ import "repro/internal/tuple"
 //     copied Tuple is safe, retaining the slice is not).
 //   - Vals slices inside appended tuples are NOT copied or recycled:
 //     emissions share value slices with the inputs and state they derive from.
+//     A borrowing Project emits views of its input rows' arrays; only a δ,
+//     which copies what it keeps, may consume them (Project.SetBorrow).
 type Emit struct {
 	ts []tuple.Tuple
 }

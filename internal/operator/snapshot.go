@@ -108,7 +108,9 @@ func (d *Distinct) LoadState(dec *checkpoint.Decoder) error {
 }
 
 // SaveState implements checkpoint.Snapshotter: clock, the representatives,
-// the auxiliaries (one section each), then the expiration calendar.
+// the auxiliaries (one section each), then the expiration calendar. An
+// auxiliary that shares its representative's values writes them as its own,
+// the same bytes a copy would.
 func (d *DistinctDelta) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(d.clock)
 	d.slots.Save(enc, nil, nil, func(s *deltaSlot) { enc.Tuple(s.rep) })
@@ -117,7 +119,8 @@ func (d *DistinctDelta) SaveState(enc *checkpoint.Encoder) error {
 }
 
 // LoadState implements checkpoint.Snapshotter. An auxiliary whose value has
-// no representative is corrupt: δ never keeps one.
+// no representative is corrupt: δ never keeps one. An auxiliary whose values
+// are its representative's bits drops them and shares the representative's.
 func (d *DistinctDelta) LoadState(dec *checkpoint.Decoder) error {
 	d.clock = dec.Varint()
 	d.slots, d.naux = statebuf.Table[deltaSlot]{}, 0

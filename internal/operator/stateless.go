@@ -56,16 +56,17 @@ func (s *Select) StateSize() int { return 0 }
 // Touched implements Operator.
 func (s *Select) Touched() int64 { return 0 }
 
-// projectBlockRows is how many emitted rows one value block holds. Rows
-// escape downstream, and a stale tuple left in a truncated scratch slice or a
-// pooled Emit keeps its whole block alive, so blocks stay small. A group-by
-// keeps each group's last row, so there the bound is one block, 16 rows, per
-// live group.
+// projectBlockRows is how many rows one value block holds. Rows escape
+// downstream, and a stale tuple left in a truncated scratch slice or a pooled
+// Emit keeps its whole block alive, so blocks stay small. A group-by keeps
+// each group's last row and δ each value's representative, so there the
+// bound is one block, 16 rows, per live group or value.
 const projectBlockRows = 16
 
-// valueBlock is the unused tail of the current block that emitted rows carve
-// their value slices from (Project's, Join's and GroupBy's outputs). A carved
-// slice has len == cap and is never handed out again.
+// valueBlock is the unused tail of the current block that emitted or kept
+// rows carve their value slices from (Project's, Join's and GroupBy's
+// outputs, δ's representatives). A carved slice has len == cap and is never
+// handed out again.
 type valueBlock []tuple.Value
 
 // reserve makes room for rows rows of w values: a fresh block of at least
@@ -90,15 +91,23 @@ func (b *valueBlock) carve(w int) []tuple.Value {
 
 // Project keeps the columns at the configured positions, preserving
 // duplicates (bag semantics). Negative tuples are projected identically so
-// their values keep matching the positive results they retract. Projected
-// rows carve their values from a per-operator block of projectBlockRows rows,
-// so a run of one arrival costs 1/16 of an allocation; a longer run than a
-// block holds takes one array of its own.
+// their values keep matching the positive results they retract.
+//
+// By default projected rows carve their values from a per-operator block of
+// projectBlockRows rows, so a run of one arrival costs 1/16 of an allocation
+// and a longer run than a block holds takes one array of its own. A
+// borrowing projection (SetBorrow) of one contiguous ascending column range
+// instead emits a capped subslice of each input row's values and allocates
+// nothing; the executor turns it on only where every consumer is a δ, which
+// copies what it keeps, so no borrowed slice outlives the run.
 type Project struct {
 	cols   []int
 	schema *tuple.Schema
 	// block is the unused tail of the current value block.
 	block valueBlock
+	// contiguous reports whether cols is cols[0], cols[0]+1, …: only then
+	// can the projection borrow (SetBorrow).
+	contiguous, borrow bool
 }
 
 // NewProject builds a projection onto the given column positions of in.
@@ -107,7 +116,13 @@ func NewProject(in *tuple.Schema, cols []int) (*Project, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Project{cols: append([]int(nil), cols...), schema: out}, nil
+	p := &Project{cols: append([]int(nil), cols...), schema: out, contiguous: len(cols) > 0}
+	for i, c := range cols {
+		if c != cols[0]+i {
+			p.contiguous = false
+		}
+	}
+	return p, nil
 }
 
 // Class implements Operator.
@@ -119,12 +134,31 @@ func (p *Project) Schema() *tuple.Schema { return p.schema }
 // Cols returns the projected column positions.
 func (p *Project) Cols() []int { return p.cols }
 
-// ProcessBatch implements Operator: the run's value slices are carved from
-// the current block, or from a fresh one when the run does not fit, so a
-// run costs at most one allocation.
+// SetBorrow switches the projection between copying its rows' values and
+// borrowing them from its input, and reports whether it borrows: only a
+// projection of one contiguous ascending column range can. A borrowed slice
+// aliases the input row's array, so the caller turns borrowing on only
+// where every consumer copies what it keeps; it may switch at any time.
+func (p *Project) SetBorrow(on bool) bool {
+	p.borrow = on && p.contiguous
+	return p.borrow
+}
+
+// ProcessBatch implements Operator: a borrowing projection emits a subslice
+// of each row's values; otherwise the run's value slices are carved from the
+// current block, or from a fresh one when the run does not fit, so a run
+// costs at most one allocation.
 func (p *Project) ProcessBatch(side int, in []tuple.Tuple, now int64, out *Emit) error {
 	if side != 0 {
 		return badSide("project", side)
+	}
+	if p.borrow {
+		lo, hi := p.cols[0], p.cols[0]+len(p.cols)
+		for _, t := range in {
+			t.Vals = t.Vals[lo:hi:hi]
+			out.Append(t)
+		}
+		return nil
 	}
 	w := len(p.cols)
 	p.block.reserve(len(in), w)
