@@ -169,8 +169,9 @@ func (e *Encoder) Float(f float64) {
 // Value writes one column value: a kind byte followed by the kind-specific
 // payload (nothing for null).
 func (e *Encoder) Value(v tuple.Value) {
-	e.writeByte(byte(v.Kind))
-	switch v.Kind {
+	k := v.Kind()
+	e.writeByte(byte(k))
+	switch k {
 	case tuple.KindInt:
 		e.Varint(v.I)
 	case tuple.KindFloat:
@@ -367,25 +368,25 @@ func (d *Decoder) Float() float64 {
 // Value reads one column value.
 func (d *Decoder) Value() tuple.Value {
 	if d.err != nil {
-		return tuple.Value{}
+		return tuple.Null
 	}
 	b, err := d.r.ReadByte()
 	if err != nil {
 		d.readErr("value kind", err)
-		return tuple.Value{}
+		return tuple.Null
 	}
 	switch tuple.Kind(b) {
 	case tuple.KindNull:
-		return tuple.Value{}
+		return tuple.Null
 	case tuple.KindInt:
-		return tuple.Value{Kind: tuple.KindInt, I: d.Varint()}
+		return tuple.Int(d.Varint())
 	case tuple.KindFloat:
-		return tuple.Value{Kind: tuple.KindFloat, I: int64(d.Uvarint())}
+		return tuple.FloatBits(d.Uvarint())
 	case tuple.KindString:
-		return tuple.Value{Kind: tuple.KindString, S: d.String()}
+		return tuple.String_(d.String())
 	default:
 		d.corrupt("bad value kind %d", b)
-		return tuple.Value{}
+		return tuple.Null
 	}
 }
 

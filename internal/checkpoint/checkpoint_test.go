@@ -139,7 +139,7 @@ func TestValueTupleKeyRoundTrip(t *testing.T) {
 
 	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
 	for i, want := range vals {
-		if got := dec.Value(); !got.Equal(want) || got.Kind != want.Kind {
+		if got := dec.Value(); !got.Equal(want) || got.Kind() != want.Kind() {
 			t.Fatalf("value %d = %v, want %v", i, got, want)
 		}
 	}

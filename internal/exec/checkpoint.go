@@ -289,15 +289,15 @@ func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSou
 	return nil
 }
 
-// writeHeader begins a checkpoint stream: magic and version, the plan
-// fingerprint, the number of state sections that follow, the clock, and the
-// tables the plan reads, once.
-func writeHeader(enc *checkpoint.Encoder, p *plan.Physical, sections int, clock int64) error {
+// writeHeader begins a checkpoint stream of query q: magic and version, the
+// plan fingerprint, the number of state sections that follow, the clock, and
+// the tables the plan reads, once.
+func writeHeader(enc *checkpoint.Encoder, q *queryUnit, sections int, clock int64) error {
 	enc.Begin()
-	enc.String(fingerprint(p))
+	enc.String(q.fp)
 	enc.Uvarint(uint64(sections))
 	enc.Varint(clock)
-	return writeTables(enc, uniqueTables(p.Tables))
+	return writeTables(enc, uniqueTables(q.phys.Tables))
 }
 
 // checkpointed updates the checkpoint series for a completed checkpoint of
@@ -336,7 +336,7 @@ func (e *Engine) Restore(r io.Reader) error {
 		return err
 	}
 	phys := e.queries[0].phys
-	if want := fingerprint(phys); fp != want {
+	if want := e.queries[0].fp; fp != want {
 		return &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
 	}
 	if sections != e.parts {

@@ -102,7 +102,7 @@ func valsConform(schema *tuple.Schema, run []Arrival) bool {
 			return false
 		}
 		for c := range vals {
-			if vals[c].Kind != schema.Col(c).Kind {
+			if vals[c].Kind() != schema.Col(c).Kind {
 				return false
 			}
 		}

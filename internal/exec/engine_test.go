@@ -185,7 +185,7 @@ func TestEngineExpirationsWithoutArrivals(t *testing.T) {
 			t.Fatalf("%v: one group expected", s)
 		}
 		rows, _ := eng.Queries()[0].Snapshot()
-		if rows[0].Vals[1] != tuple.Int(2) {
+		if !rows[0].Vals[1].Identical(tuple.Int(2)) {
 			t.Fatalf("%v: count = %v", s, rows[0].Vals[1])
 		}
 		// Quiet period: the first tuple expires at 11.
@@ -193,7 +193,7 @@ func TestEngineExpirationsWithoutArrivals(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows, _ = eng.Queries()[0].Snapshot()
-		if len(rows) != 1 || rows[0].Vals[1] != tuple.Int(1) {
+		if len(rows) != 1 || !rows[0].Vals[1].Identical(tuple.Int(1)) {
 			t.Fatalf("%v: after quiet expiry rows = %v", s, rows)
 		}
 		// Group vanishes entirely at 15.

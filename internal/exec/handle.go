@@ -228,7 +228,7 @@ func (h *QueryHandle) Checkpoint(w io.Writer) error {
 		start = time.Now()
 	}
 	enc := checkpoint.NewEncoder(w)
-	if err := writeHeader(enc, h.first().phys, len(h.units), e.clock); err != nil {
+	if err := writeHeader(enc, h.first(), len(h.units), e.clock); err != nil {
 		return err
 	}
 	for _, q := range h.units {

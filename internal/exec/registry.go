@@ -155,6 +155,7 @@ type queryUnit struct {
 	part   int
 	name   string
 	phys   *plan.Physical
+	fp     string // fingerprint(phys), rendered once at registration
 	view   View
 	onEmit func(t tuple.Tuple)
 	// nodes are the records executing the plan's operators, in plan
@@ -270,7 +271,7 @@ func (e *Engine) install(spec QuerySpec, part int) (*queryUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &queryUnit{id: e.nextQID, part: part, name: spec.Name, phys: phys, view: view, onEmit: spec.OnEmit}
+	q := &queryUnit{id: e.nextQID, part: part, name: spec.Name, phys: phys, fp: fingerprint(phys), view: view, onEmit: spec.OnEmit}
 	e.nextQID++
 	if spec.Name != "" {
 		ql := withLabel(e.cfg.MetricLabels, "query", spec.Name)

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"slices"
 	"strconv"
@@ -47,7 +46,10 @@ func (e *Engine) registryFingerprint() string {
 	var b strings.Builder
 	b.WriteString("registry")
 	for _, q := range e.queries {
-		fmt.Fprintf(&b, ";%s=%s", q.label(), fingerprint(q.phys))
+		b.WriteByte(';')
+		b.WriteString(q.label())
+		b.WriteByte('=')
+		b.WriteString(q.fp)
 	}
 	return b.String()
 }

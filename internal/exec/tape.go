@@ -390,12 +390,15 @@ func (e *Engine) replayParallel() {
 	e.work.next.Store(0)
 	e.work.dealNext.Store(0)
 	e.work.dealt.Store(0)
-	e.work.wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		go func() {
+	if e.work.helper == nil {
+		e.work.helper = func() {
 			defer e.work.wg.Done()
 			e.replayWorker()
-		}()
+		}
+	}
+	e.work.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go e.work.helper()
 	}
 	e.replayWorker()
 	if e.joinWait != nil && e.timed {
@@ -414,12 +417,16 @@ func (e *Engine) replayParallel() {
 }
 
 // workers is the parallel replay's shared state. panicVal is written only
-// by the worker that set panicked, and read after the join.
+// by the worker that set panicked, and read after the join. helper is the
+// body each extra worker runs, built once: a go statement on a closure or a
+// method value allocates the closure at every start, one on a stored func
+// value does not.
 type workers struct {
 	next     atomic.Int32
 	wg       sync.WaitGroup
 	panicked atomic.Bool
 	panicVal any
+	helper   func()
 	// dealNext is the first tape event no worker has claimed to deal yet,
 	// dealt the number of events dealt (partitioned engines).
 	dealNext, dealt atomic.Int32

@@ -481,9 +481,10 @@ func TestParallelReplayMix16Components(t *testing.T) {
 }
 
 // TestParallelReplayAllocBudget: a steady-state PushBatch replayed on two
-// workers allocates at most one object per call (the worker's closure)
-// beyond the same registry's inline replay. testing.AllocsPerRun pins
-// GOMAXPROCS to 1, so the mallocs are counted directly.
+// workers allocates no more than the same registry's inline replay: the
+// helper worker starts from a func value built once, not from a closure
+// allocated per call. testing.AllocsPerRun pins GOMAXPROCS to 1, so the
+// mallocs are counted directly.
 func TestParallelReplayAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation budgets are meaningless under -race")
@@ -538,8 +539,8 @@ func TestParallelReplayAllocBudget(t *testing.T) {
 	if !shared {
 		t.Fatal("no PushBatch replayed on workers")
 	}
-	if par > serial+1.05 {
-		t.Errorf("parallel replay: %.2f allocs per call, inline %.2f; budget is one more", par, serial)
+	if par > serial+0.05 {
+		t.Errorf("parallel replay: %.2f allocs per call, inline %.2f; budget is the same", par, serial)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestKeyedViewReplacement(t *testing.T) {
 		t.Fatalf("Len = %d", v.Len())
 	}
 	rows := v.Snapshot()
-	if rows[0].Vals[1] != tuple.Int(11) {
+	if !rows[0].Vals[1].Identical(tuple.Int(11)) {
 		t.Errorf("replacement not applied: %v", rows)
 	}
 	// Negative removes the group row.

@@ -57,15 +57,15 @@ func (s AggSpec) String() string { return fmt.Sprintf("%s($%d)", s.Kind, s.Col) 
 // alone and count the live NaN, +Inf and −Inf values beside them; the
 // reported sum derives from the four (total). MIN and MAX keep a multiset of
 // live values so the extreme can be re-derived when its last copy expires.
-// The multiset is keyed by Value.Canonical, so Equal values share one entry:
+// The multiset is keyed by Value.Key, so Equal values share one entry:
 // every NaN leaves with its last copy, and 1 and 1.0 (or +0 and -0) count
 // together and report the first one seen.
 type aggState struct {
 	spec           AggSpec
 	n              int64
-	sum            float64                   // Sum/Avg: the live finite values' sum
-	nan, inf, ninf int64                     // Sum/Avg: live NaN, +Inf, −Inf counts
-	multi          map[tuple.Value]liveValue // Min/Max only
+	sum            float64                 // Sum/Avg: the live finite values' sum
+	nan, inf, ninf int64                   // Sum/Avg: live NaN, +Inf, −Inf counts
+	multi          map[tuple.Key]liveValue // Min/Max only
 }
 
 // liveValue is one multiset entry: the value reported and its multiplicity.
@@ -77,14 +77,14 @@ type liveValue struct {
 func newAggState(spec AggSpec) *aggState {
 	s := &aggState{spec: spec}
 	if spec.Kind == Min || spec.Kind == Max {
-		s.multi = make(map[tuple.Value]liveValue)
+		s.multi = make(map[tuple.Key]liveValue)
 	}
 	return s
 }
 
 // addLive counts n more copies of v, keeping the entry's first-seen value.
 func (s *aggState) addLive(v tuple.Value, n int) {
-	k := v.Canonical()
+	k := v.Key()
 	e, ok := s.multi[k]
 	if !ok {
 		e.v = v
@@ -97,7 +97,7 @@ func (s *aggState) addLive(v tuple.Value, n int) {
 // a column (its Col is ignored and may be out of range).
 func (s *aggState) arg(t tuple.Tuple) tuple.Value {
 	if s.spec.Kind == Count {
-		return tuple.Value{}
+		return tuple.Null
 	}
 	return t.Vals[s.spec.Col]
 }
@@ -126,7 +126,7 @@ func (s *aggState) removeValue(v tuple.Value) {
 	case Sum, Avg:
 		s.fold(v.AsFloat(), -1)
 	case Min, Max:
-		k := v.Canonical()
+		k := v.Key()
 		if e := s.multi[k]; e.n <= 1 {
 			delete(s.multi, k)
 		} else {

@@ -145,11 +145,11 @@ func putBits(pool *[][]uint64, m []uint64) { *pool = append(*pool, m) }
 func evalColConstBits(p ColConst, in *tuple.ColBatch, intern *tuple.Interner, dst []uint64) {
 	n := in.Len()
 	cv := in.Col(p.Col)
-	if cv.Kind == tuple.KindInt && p.Val.Kind == tuple.KindInt {
+	if cv.Kind == tuple.KindInt && p.Val.Kind() == tuple.KindInt {
 		packIntConst(dst, cv.Int, p.Val.I, p.Op)
 		return
 	}
-	if cv.Kind == tuple.KindString && p.Val.Kind == tuple.KindString && (p.Op == EQ || p.Op == NE) {
+	if cv.Kind == tuple.KindString && p.Val.Kind() == tuple.KindString && (p.Op == EQ || p.Op == NE) {
 		id, ok := intern.Lookup(p.Val.S)
 		if !ok {
 			// Unknown constant: equality matches nothing, inequality everything.

@@ -113,7 +113,7 @@ func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
 // keepAux makes t the slot's auxiliary. Its values are the representative's
 // when they are the same bits, and a copy of t's own otherwise.
 func (d *DistinctDelta) keepAux(s *deltaSlot, t tuple.Tuple) {
-	if slices.Equal(t.Vals, s.rep.Vals) {
+	if slices.EqualFunc(t.Vals, s.rep.Vals, tuple.Value.Identical) {
 		t.Vals = s.rep.Vals
 	} else {
 		t.Vals = d.own(t.Vals)

@@ -199,7 +199,7 @@ func runDeltaSchedule(t *testing.T, data []byte) {
 			live[i] = slices.DeleteFunc(live[i], func(tp tuple.Tuple) bool { return tp.Expired(now) })
 		}
 		got, want = deltaAnswer(live[0], got), deltaAnswer(live[1], want)
-		if !slices.Equal(got, want) {
+		if !slices.EqualFunc(got, want, answerRow.same) {
 			fail("at %d δ answers %v, the literature Distinct %v", now, got, want)
 		}
 	}
@@ -235,7 +235,7 @@ func (r *deltaRig) cut(fail func(string, ...any)) {
 
 // sameBits reports whether two tuples are equal bit for bit.
 func sameBits(a, b tuple.Tuple) bool {
-	return a.TS == b.TS && a.Exp == b.Exp && a.Neg == b.Neg && slices.Equal(a.Vals, b.Vals)
+	return a.TS == b.TS && a.Exp == b.Exp && a.Neg == b.Neg && slices.EqualFunc(a.Vals, b.Vals, tuple.Value.Identical)
 }
 
 // deltaStep is one step of a schedule, kept to report a failure: an
@@ -258,6 +258,10 @@ type answerRow struct {
 	key tuple.Key
 	val tuple.Value
 	exp int64
+}
+
+func (a answerRow) same(b answerRow) bool {
+	return a.key == b.key && a.val.Identical(b.val) && a.exp == b.exp
 }
 
 // deltaAnswer collects the answer of a distinct output stream from its

@@ -63,7 +63,7 @@ func TestDistinctReplacementFigure2(t *testing.T) {
 				t.Fatalf("expected replacement, got %v", out)
 			}
 			r := out[0]
-			if r.Neg || r.Vals[0] != tuple.Int(42) || r.Exp != 14 || r.TS != 10 {
+			if r.Neg || !r.Vals[0].Identical(tuple.Int(42)) || r.Exp != 14 || r.TS != 10 {
 				t.Errorf("replacement = %v, want +42 exp 14 at ts 10", r)
 			}
 			// When the replacement expires with no further duplicates, the

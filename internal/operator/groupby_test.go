@@ -31,15 +31,15 @@ func TestGroupByCountIncremental(t *testing.T) {
 		t.Error("class wrong")
 	}
 	out := mustProcess(t, g, 0, linkTuple(1, 51, 7, "ftp", 10), 1)
-	if len(out) != 1 || out[0].Vals[0].S != "ftp" || out[0].Vals[1] != tuple.Int(1) {
+	if len(out) != 1 || out[0].Vals[0].S != "ftp" || !out[0].Vals[1].Identical(tuple.Int(1)) {
 		t.Fatalf("first: %v", out)
 	}
 	out = mustProcess(t, g, 0, linkTuple(2, 52, 8, "ftp", 10), 2)
-	if len(out) != 1 || out[0].Vals[1] != tuple.Int(2) {
+	if len(out) != 1 || !out[0].Vals[1].Identical(tuple.Int(2)) {
 		t.Fatalf("second: %v", out)
 	}
 	out = mustProcess(t, g, 0, linkTuple(3, 53, 9, "telnet", 10), 3)
-	if len(out) != 1 || out[0].Vals[0].S != "telnet" || out[0].Vals[1] != tuple.Int(1) {
+	if len(out) != 1 || out[0].Vals[0].S != "telnet" || !out[0].Vals[1].Identical(tuple.Int(1)) {
 		t.Fatalf("new group: %v", out)
 	}
 	if g.StateSize() != 5 { // 3 inputs + 2 groups
@@ -54,7 +54,7 @@ func TestGroupByExpirationEmitsUpdates(t *testing.T) {
 	mustProcess(t, g, 0, linkTuple(1, 10, 7, "ftp", 1), 1)
 	mustProcess(t, g, 0, linkTuple(2, 20, 8, "ftp", 1), 2)
 	out := mustAdvance(t, g, 10) // first tuple expires
-	if len(out) != 1 || out[0].Neg || out[0].Vals[1] != tuple.Int(1) {
+	if len(out) != 1 || out[0].Neg || !out[0].Vals[1].Identical(tuple.Int(1)) {
 		t.Fatalf("decrement: %v", out)
 	}
 	out = mustAdvance(t, g, 20) // group empties
@@ -73,7 +73,7 @@ func TestGroupByBatchesExpirationsPerGroup(t *testing.T) {
 	}
 	mustProcess(t, g, 0, linkTuple(6, 30, 9, "ftp", 1), 6)
 	out := mustAdvance(t, g, 10) // five tuples of one group expire together
-	if len(out) != 1 || out[0].Vals[1] != tuple.Int(1) {
+	if len(out) != 1 || !out[0].Vals[1].Identical(tuple.Int(1)) {
 		t.Fatalf("one replacement per group wave, got %v", out)
 	}
 }
@@ -85,11 +85,11 @@ func TestGroupBySumAvg(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatal("expected one row")
 	}
-	if out[0].Vals[1] != tuple.Float(40) || out[0].Vals[2] != tuple.Float(20) {
+	if !out[0].Vals[1].Identical(tuple.Float(40)) || !out[0].Vals[2].Identical(tuple.Float(20)) {
 		t.Fatalf("sum/avg: %v", out[0].Vals)
 	}
 	out = mustAdvance(t, g, 51)
-	if len(out) != 1 || out[0].Vals[1] != tuple.Float(30) || out[0].Vals[2] != tuple.Float(30) {
+	if len(out) != 1 || !out[0].Vals[1].Identical(tuple.Float(30)) || !out[0].Vals[2].Identical(tuple.Float(30)) {
 		t.Fatalf("after expiry: %v", out)
 	}
 }
@@ -99,15 +99,15 @@ func TestGroupByMinMaxRecomputeOnExpiry(t *testing.T) {
 	mustProcess(t, g, 0, linkTuple(1, 10, 7, "ftp", 5), 1)
 	mustProcess(t, g, 0, linkTuple(2, 20, 8, "ftp", 50), 2)
 	out := mustProcess(t, g, 0, linkTuple(3, 30, 9, "ftp", 20), 3)
-	if out[0].Vals[1] != tuple.Int(5) || out[0].Vals[2] != tuple.Int(50) {
+	if !out[0].Vals[1].Identical(tuple.Int(5)) || !out[0].Vals[2].Identical(tuple.Int(50)) {
 		t.Fatalf("min/max: %v", out[0].Vals)
 	}
 	out = mustAdvance(t, g, 10) // min support (5) expires
-	if out[0].Vals[1] != tuple.Int(20) || out[0].Vals[2] != tuple.Int(50) {
+	if !out[0].Vals[1].Identical(tuple.Int(20)) || !out[0].Vals[2].Identical(tuple.Int(50)) {
 		t.Fatalf("min after expiry: %v", out[0].Vals)
 	}
 	out = mustAdvance(t, g, 20) // max support (50) expires
-	if out[0].Vals[1] != tuple.Int(20) || out[0].Vals[2] != tuple.Int(20) {
+	if !out[0].Vals[1].Identical(tuple.Int(20)) || !out[0].Vals[2].Identical(tuple.Int(20)) {
 		t.Fatalf("max after expiry: %v", out[0].Vals)
 	}
 }
@@ -117,7 +117,7 @@ func TestGroupByDuplicateAggValues(t *testing.T) {
 	mustProcess(t, g, 0, linkTuple(1, 10, 7, "ftp", 50), 1)
 	mustProcess(t, g, 0, linkTuple(2, 20, 8, "ftp", 50), 2)
 	out := mustAdvance(t, g, 10) // one copy of 50 expires; max must survive
-	if len(out) != 1 || out[0].Vals[1] != tuple.Int(50) {
+	if len(out) != 1 || !out[0].Vals[1].Identical(tuple.Int(50)) {
 		t.Fatalf("max with duplicate support: %v", out)
 	}
 }
@@ -134,13 +134,13 @@ func TestAggMinMaxCanonicalMultiset(t *testing.T) {
 		t.Fatalf("MIN over {2, NaN} = %v, want NaN", got)
 	}
 	s.removeValue(otherNaN)
-	if got := s.value(); got != tuple.Float(2) || len(s.multi) != 1 {
+	if got := s.value(); !got.Identical(tuple.Float(2)) || len(s.multi) != 1 {
 		t.Fatalf("after the NaN left: MIN = %v over %d entries, want 2 over 1", got, len(s.multi))
 	}
 	s.addValue(tuple.Int(1))
 	s.addValue(tuple.Float(1))
 	s.removeValue(tuple.Int(1))
-	if got := s.value(); got != tuple.Int(1) || len(s.multi) != 2 || s.multi[tuple.Int(1)].n != 1 {
+	if got := s.value(); !got.Identical(tuple.Int(1)) || len(s.multi) != 2 || s.multi[tuple.Int(1).Key()].n != 1 {
 		t.Fatalf("1 and 1.0 must share an entry reporting the first seen: MIN = %#v, %v", got, s.multi)
 	}
 	negZero := tuple.Float(math.Copysign(0, -1))
@@ -148,7 +148,7 @@ func TestAggMinMaxCanonicalMultiset(t *testing.T) {
 	m.addValue(negZero)
 	m.addValue(tuple.Float(0))
 	m.removeValue(negZero)
-	if got := m.value(); got != negZero || len(m.multi) != 1 {
+	if got := m.value(); !got.Identical(negZero) || len(m.multi) != 1 {
 		t.Fatalf("+0 and -0 must share an entry: MAX = %#v, %v", got, m.multi)
 	}
 }
@@ -174,7 +174,7 @@ func TestLoadAggMergesEqualEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.multi) != 2 || a.multi[tuple.Int(1)].n != 3 || a.multi[tuple.Float(math.NaN()).Canonical()].n != 2 {
+	if len(a.multi) != 2 || a.multi[tuple.Int(1).Key()].n != 3 || a.multi[tuple.Float(math.NaN()).Key()].n != 2 {
 		t.Fatalf("loaded multiset %v, want {NaN: 2, 1: 3}", a.multi)
 	}
 	a.removeValue(tuple.Float(1))
@@ -191,7 +191,7 @@ func TestLoadAggMergesEqualEntries(t *testing.T) {
 func TestAggSumAvgNonFiniteLeaves(t *testing.T) {
 	nan, inf, ninf := math.NaN(), math.Inf(1), math.Inf(-1)
 	same := func(got tuple.Value, want float64) bool {
-		return got.Kind == tuple.KindFloat && (got.F() == want || math.IsNaN(got.F()) && math.IsNaN(want))
+		return got.Kind() == tuple.KindFloat && (got.F() == want || math.IsNaN(got.F()) && math.IsNaN(want))
 	}
 	for _, kind := range []AggKind{Sum, Avg} {
 		for _, bad := range []float64{nan, inf, ninf} {
@@ -249,11 +249,11 @@ func TestGroupByRestoreRecountsNonFinite(t *testing.T) {
 	if err := restored.LoadState(checkpoint.NewDecoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if out := mustAdvance(t, restored, 10); len(out) != 1 || out[0].Vals[1] != tuple.Float(math.Inf(1)) {
+	if out := mustAdvance(t, restored, 10); len(out) != 1 || !out[0].Vals[1].Identical(tuple.Float(math.Inf(1))) {
 		t.Fatalf("after the NaN left: %v, want SUM +Inf", out)
 	}
 	out := mustAdvance(t, restored, 20)
-	if len(out) != 1 || out[0].Vals[1] != tuple.Float(2) || out[0].Vals[2] != tuple.Float(2) {
+	if len(out) != 1 || !out[0].Vals[1].Identical(tuple.Float(2)) || !out[0].Vals[2].Identical(tuple.Float(2)) {
 		t.Fatalf("after +Inf left: %v, want SUM 2, AVG 2", out)
 	}
 
@@ -340,7 +340,7 @@ func TestGroupByNegativeArrivals(t *testing.T) {
 	mustProcess(t, g, 0, a, 1)
 	mustProcess(t, g, 0, linkTuple(2, 52, 8, "ftp", 10), 2)
 	out := mustProcess(t, g, 0, a.Negative(3), 3)
-	if len(out) != 1 || out[0].Neg || out[0].Vals[1] != tuple.Int(1) {
+	if len(out) != 1 || out[0].Neg || !out[0].Vals[1].Identical(tuple.Int(1)) {
 		t.Fatalf("retraction decrement: %v", out)
 	}
 	// Retraction of an unknown tuple is absorbed.
@@ -359,7 +359,7 @@ func TestGroupByGlobalAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := mustProcess(t, g, 0, linkTuple(1, 10, 7, "ftp", 1), 1)
-	if len(out) != 1 || len(out[0].Vals) != 1 || out[0].Vals[0] != tuple.Int(1) {
+	if len(out) != 1 || len(out[0].Vals) != 1 || !out[0].Vals[0].Identical(tuple.Int(1)) {
 		t.Fatalf("global count: %v", out)
 	}
 	out = mustAdvance(t, g, 10)

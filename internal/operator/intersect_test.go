@@ -27,7 +27,7 @@ func TestIntersectEmitsOnMatch(t *testing.T) {
 		t.Fatalf("no counterpart yet: %v", out)
 	}
 	out := mustProcess(t, x, 1, ip(2, 102, 5), 2)
-	if len(out) != 1 || out[0].Neg || out[0].Vals[0] != tuple.Int(5) {
+	if len(out) != 1 || out[0].Neg || !out[0].Vals[0].Identical(tuple.Int(5)) {
 		t.Fatalf("match: %v", out)
 	}
 	// Result expires with the earlier support.

@@ -57,7 +57,7 @@ func TestJoinMatchesAcrossBufferKinds(t *testing.T) {
 			if r.TS != 2 || r.Exp != 51 {
 				t.Errorf("result TS/Exp = %d/%d, want 2/51 (min of constituents)", r.TS, r.Exp)
 			}
-			if len(r.Vals) != 6 || r.Vals[0] != tuple.Int(7) || r.Vals[4].S != "telnet" {
+			if len(r.Vals) != 6 || !r.Vals[0].Identical(tuple.Int(7)) || r.Vals[4].S != "telnet" {
 				t.Errorf("result vals = %v", r.Vals)
 			}
 			// Non-matching key produces nothing.
@@ -116,7 +116,7 @@ func TestJoinNegativeRetractsResults(t *testing.T) {
 				t.Fatalf("expected 2 retractions, got %v", out)
 			}
 			for _, r := range out {
-				if !r.Neg || r.Vals[0] != tuple.Int(7) {
+				if !r.Neg || !r.Vals[0].Identical(tuple.Int(7)) {
 					t.Errorf("bad retraction %v", r)
 				}
 			}

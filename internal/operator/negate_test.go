@@ -27,12 +27,12 @@ func TestNegateBasicEquation1(t *testing.T) {
 	}
 	// W1 arrival with no W2 counterpart: in the answer.
 	out := mustProcess(t, n, 0, ip(1, 101, 5), 1)
-	if len(out) != 1 || out[0].Neg || out[0].Vals[0] != tuple.Int(5) || out[0].Exp != 101 {
+	if len(out) != 1 || out[0].Neg || !out[0].Vals[0].Identical(tuple.Int(5)) || out[0].Exp != 101 {
 		t.Fatalf("admit: %v", out)
 	}
 	// W2 arrival with same value: the result is retracted (negative tuple).
 	out = mustProcess(t, n, 1, ip(2, 102, 5), 2)
-	if len(out) != 1 || !out[0].Neg || out[0].Vals[0] != tuple.Int(5) {
+	if len(out) != 1 || !out[0].Neg || !out[0].Vals[0].Identical(tuple.Int(5)) {
 		t.Fatalf("premature retraction: %v", out)
 	}
 	if n.PrematureRetractions() != 1 {
@@ -50,7 +50,7 @@ func TestNegateW2ExpirationReadmits(t *testing.T) {
 	mustProcess(t, n, 0, ip(1, 101, 5), 1) // admitted
 	mustProcess(t, n, 1, ip(2, 52, 5), 2)  // retracts it; W2 tuple expires at 52
 	out := mustAdvance(t, n, 52)
-	if len(out) != 1 || out[0].Neg || out[0].Vals[0] != tuple.Int(5) {
+	if len(out) != 1 || out[0].Neg || !out[0].Vals[0].Identical(tuple.Int(5)) {
 		t.Fatalf("re-admit on W2 expiry: %v", out)
 	}
 	if out[0].Exp != 101 || out[0].TS != 52 {
@@ -90,7 +90,7 @@ func TestNegateNonMemberW1ExpiryShrinksQuota(t *testing.T) {
 	// a (excluded) expires at 10: quota drops to 0, so b must be retracted
 	// prematurely even though its own window life runs to 103.
 	out = mustAdvance(t, n, 10)
-	if len(out) != 1 || !out[0].Neg || out[0].Vals[0] != tuple.Int(5) {
+	if len(out) != 1 || !out[0].Neg || !out[0].Vals[0].Identical(tuple.Int(5)) {
 		t.Fatalf("quota shrink must retract b: %v", out)
 	}
 }
@@ -149,7 +149,7 @@ func TestNegateNegativeArrivals(t *testing.T) {
 	mustProcess(t, n, 0, b, 3)  // admitted
 	mustProcess(t, n, 1, w2, 4) // retracts b
 	out = mustProcess(t, n, 1, w2.Negative(5), 5)
-	if len(out) != 1 || out[0].Neg || out[0].Vals[0] != tuple.Int(7) {
+	if len(out) != 1 || out[0].Neg || !out[0].Vals[0].Identical(tuple.Int(7)) {
 		t.Fatalf("W2 retraction re-admits: %v", out)
 	}
 	// Unknown retractions are absorbed.

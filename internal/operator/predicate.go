@@ -93,9 +93,9 @@ type ColConst struct {
 // ordered-comparison semantics.
 func (p ColConst) Eval(t tuple.Tuple) bool {
 	v := t.Vals[p.Col]
-	if (p.Op == EQ || p.Op == NE) && v.Kind == p.Val.Kind {
+	if k := v.Kind(); (p.Op == EQ || p.Op == NE) && k == p.Val.Kind() {
 		var eq bool
-		switch v.Kind {
+		switch k {
 		case tuple.KindInt:
 			eq = v.I == p.Val.I
 		case tuple.KindString:

@@ -89,7 +89,7 @@ func TestProjectKeepsSignAndTimestamps(t *testing.T) {
 	}
 	in := linkTuple(3, 53, 9, "ftp", 10)
 	out := mustProcess(t, p, 0, in, 3)
-	if len(out) != 1 || len(out[0].Vals) != 1 || out[0].Vals[0] != tuple.Int(9) {
+	if len(out) != 1 || len(out[0].Vals) != 1 || !out[0].Vals[0].Identical(tuple.Int(9)) {
 		t.Fatalf("projection wrong: %v", out)
 	}
 	if out[0].TS != 3 || out[0].Exp != 53 {
@@ -97,7 +97,7 @@ func TestProjectKeepsSignAndTimestamps(t *testing.T) {
 	}
 	neg := in.Negative(53)
 	nout := mustProcess(t, p, 0, neg, 53)
-	if len(nout) != 1 || !nout[0].Neg || nout[0].Vals[0] != tuple.Int(9) {
+	if len(nout) != 1 || !nout[0].Neg || !nout[0].Vals[0].Identical(tuple.Int(9)) {
 		t.Errorf("negative projection wrong: %v", nout)
 	}
 	if _, err := processTuple(p, 1, in, 3); err == nil {

@@ -406,7 +406,7 @@ func renderRow(r Row) string {
 	parts := make([]string, len(r))
 	for i, v := range r {
 		v = canonVal(v)
-		parts[i] = fmt.Sprintf("%v/%d", v, v.Kind)
+		parts[i] = fmt.Sprintf("%v/%d", v, v.Kind())
 	}
 	return strings.Join(parts, "\x1f")
 }
@@ -415,7 +415,7 @@ func renderKey(r Row, cols []int) string {
 	parts := make([]string, len(cols))
 	for i, c := range cols {
 		v := canonVal(r[c])
-		parts[i] = fmt.Sprintf("%v/%d", v, v.Kind)
+		parts[i] = fmt.Sprintf("%v/%d", v, v.Kind())
 	}
 	return strings.Join(parts, "\x1f")
 }
@@ -424,7 +424,7 @@ func renderKey(r Row, cols []int) string {
 // ints so cross-kind Equal values render identically. Every NaN renders as
 // "NaN".
 func canonVal(v tuple.Value) tuple.Value {
-	if f := v.F(); v.Kind == tuple.KindFloat && f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+	if f := v.F(); v.Kind() == tuple.KindFloat && f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
 		return tuple.Int(int64(f))
 	}
 	return v
@@ -467,8 +467,8 @@ func valueClose(a, b tuple.Value) bool {
 	if a.Equal(b) {
 		return true
 	}
-	if (a.Kind == tuple.KindFloat || a.Kind == tuple.KindInt) &&
-		(b.Kind == tuple.KindFloat || b.Kind == tuple.KindInt) {
+	if (a.Kind() == tuple.KindFloat || a.Kind() == tuple.KindInt) &&
+		(b.Kind() == tuple.KindFloat || b.Kind() == tuple.KindInt) {
 		d := a.AsFloat() - b.AsFloat()
 		if d < 0 {
 			d = -d

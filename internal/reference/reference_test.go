@@ -47,7 +47,7 @@ func TestWindowContentsTimeBased(t *testing.T) {
 		t.Fatalf("at 5: %v", got)
 	}
 	// Tuple from ts=1 expires at 11 (now - T boundary is exclusive).
-	if got := evalAt(t, ev, 11); len(got) != 1 || got[0][0] != tuple.Int(2) {
+	if got := evalAt(t, ev, 11); len(got) != 1 || !got[0][0].Identical(tuple.Int(2)) {
 		t.Fatalf("at 11: %v", got)
 	}
 	if got := evalAt(t, ev, 0); len(got) != 0 {
@@ -62,7 +62,7 @@ func TestWindowContentsCountBased(t *testing.T) {
 		ev.Push(0, i, tuple.Int(i), tuple.String_("a"))
 	}
 	got := evalAt(t, ev, 3)
-	if len(got) != 2 || got[0][0] != tuple.Int(2) || got[1][0] != tuple.Int(3) {
+	if len(got) != 2 || !got[0][0].Identical(tuple.Int(2)) || !got[1][0].Identical(tuple.Int(3)) {
 		t.Fatalf("count window: %v", got)
 	}
 	// At time 1 only the first had arrived.
@@ -119,7 +119,7 @@ func TestRelationalOperators(t *testing.T) {
 	ev3.Push(1, 2, tuple.Int(5), tuple.String_("a"))
 	ev3.Push(0, 3, tuple.Int(5), tuple.String_("x"))
 	got = evalAt(t, ev3, 3)
-	if len(got) != 1 || got[0][1] != tuple.Int(2) {
+	if len(got) != 1 || !got[0][1].Identical(tuple.Int(2)) {
 		t.Fatalf("groupby: %v", got)
 	}
 }
@@ -190,7 +190,7 @@ func TestSameBagSemantics(t *testing.T) {
 func TestRowsOfAndRender(t *testing.T) {
 	ts := []tuple.Tuple{{Vals: []tuple.Value{tuple.Int(1)}}, {Vals: []tuple.Value{tuple.Int(2)}}}
 	rows := RowsOf(ts)
-	if len(rows) != 2 || rows[0][0] != tuple.Int(1) {
+	if len(rows) != 2 || !rows[0][0].Identical(tuple.Int(1)) {
 		t.Errorf("RowsOf: %v", rows)
 	}
 	if Render(rows) == "" {

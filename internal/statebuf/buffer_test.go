@@ -91,7 +91,7 @@ func TestBuffersRemove(t *testing.T) {
 			// One tuple with value 10 must remain.
 			n10 := 0
 			b.Scan(func(tp tuple.Tuple) bool {
-				if tp.Vals[0] == tuple.Int(10) {
+				if tp.Vals[0].Identical(tuple.Int(10)) {
 					n10++
 				}
 				return true
@@ -141,7 +141,7 @@ func TestFIFOOutOfOrderFallback(t *testing.T) {
 	b.Insert(mk(2, 150, 2)) // violates FIFO exp order
 	b.Insert(mk(3, 300, 3))
 	exp := b.ExpireUpTo(150)
-	if len(exp) != 1 || exp[0].Vals[0] != tuple.Int(2) {
+	if len(exp) != 1 || !exp[0].Vals[0].Identical(tuple.Int(2)) {
 		t.Fatalf("fallback expiration wrong: %v", exp)
 	}
 	if b.Len() != 2 {
@@ -194,7 +194,7 @@ func TestPartitionedOverflowMigration(t *testing.T) {
 	}
 	// Advance time past the near tuple; far tuple must survive migration.
 	exp := b.ExpireUpTo(100)
-	if len(exp) != 1 || exp[0].Vals[0] != tuple.Int(2) {
+	if len(exp) != 1 || !exp[0].Vals[0].Identical(tuple.Int(2)) {
 		t.Fatalf("expired: %v", exp)
 	}
 	exp = b.ExpireUpTo(499)
@@ -202,7 +202,7 @@ func TestPartitionedOverflowMigration(t *testing.T) {
 		t.Fatalf("far tuple expired early: %v", exp)
 	}
 	exp = b.ExpireUpTo(500)
-	if len(exp) != 1 || exp[0].Vals[0] != tuple.Int(1) {
+	if len(exp) != 1 || !exp[0].Vals[0].Identical(tuple.Int(1)) {
 		t.Fatalf("far tuple not expired: %v", exp)
 	}
 	if b.Len() != 0 {
@@ -231,7 +231,7 @@ func TestPartitionedPastDueInsert(t *testing.T) {
 	// Insert a tuple that is already past due.
 	b.Insert(mk(2, 5, 2))
 	exp := b.ExpireUpTo(30)
-	if len(exp) != 1 || exp[0].Vals[0] != tuple.Int(2) {
+	if len(exp) != 1 || !exp[0].Vals[0].Identical(tuple.Int(2)) {
 		t.Fatalf("past-due insert not recovered: %v", exp)
 	}
 }
@@ -453,7 +453,7 @@ func TestIndexedFIFOUnsortedFallback(t *testing.T) {
 	b.Insert(mk(2, 150, 2)) // violates FIFO exp order
 	b.Insert(mk(3, 300, 3))
 	exp := b.ExpireUpTo(150)
-	if len(exp) != 1 || exp[0].Vals[0] != tuple.Int(2) {
+	if len(exp) != 1 || !exp[0].Vals[0].Identical(tuple.Int(2)) {
 		t.Fatalf("out-of-order expiration wrong: %v", exp)
 	}
 	if b.Len() != 2 {

@@ -226,7 +226,7 @@ func diffRecords(got, want []Record) string {
 		}
 		for j := range g.Vals {
 			a, b := g.Vals[j], w.Vals[j]
-			if a != b {
+			if !a.Identical(b) {
 				return fmt.Sprintf("record %d column %d: %#v, want %#v", i, j, a, b)
 			}
 		}
@@ -249,8 +249,8 @@ func (r *oneByteReader) Read(p []byte) (int, error) {
 
 func TestReaderStreams(t *testing.T) {
 	recs := Generate(Config{Tuples: 3000, Seed: 9})
-	recs[17].Vals[ColProtocol].S = "multi\nline, \"quoted\""
-	recs[18].Vals[ColProtocol].S = strings.Repeat("long", 3*readBufSize/4) // outgrows the read buffer
+	recs[17].Vals[ColProtocol] = tuple.String_("multi\nline, \"quoted\"")
+	recs[18].Vals[ColProtocol] = tuple.String_(strings.Repeat("long", 3*readBufSize/4)) // outgrows the read buffer
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, recs); err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	recs := Generate(Config{Tuples: 2000, Seed: 11})
 	for i, p := range []string{"", "a,b", `say "hi"`, "two\nlines", "cr\rlf\r\n", " leading", "trailing ", "\tTab",
 		"\u00a0nbsp", "\u0085nel", "\u2003em", "\x85raw", `\.`, `\.x`, "\"", ",", "日本"} {
-		recs[i*3].Vals[ColProtocol].S = p
+		recs[i*3].Vals[ColProtocol] = tuple.String_(p)
 	}
 	recs[1].Vals[ColDuration] = tuple.Float(1e-05)
 	recs[2].Vals[ColDuration] = tuple.Float(1e21)

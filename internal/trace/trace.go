@@ -227,8 +227,8 @@ func (r Record) Validate() error {
 		return fmt.Errorf("trace: record arity %d != schema %d", len(r.Vals), numCols)
 	}
 	for i, v := range r.Vals {
-		if c := schema.Col(i); v.Kind != c.Kind {
-			return fmt.Errorf("trace: column %s has kind %v, want %v", c.Name, v.Kind, c.Kind)
+		if c := schema.Col(i); v.Kind() != c.Kind {
+			return fmt.Errorf("trace: column %s has kind %v, want %v", c.Name, v.Kind(), c.Kind)
 		}
 	}
 	if r.Link < 0 {

@@ -31,11 +31,11 @@ type ColVec struct {
 func (v *ColVec) value(i int, in *Interner) Value {
 	switch v.Kind {
 	case KindInt:
-		return Value{Kind: KindInt, I: v.Int[i]}
+		return Int(v.Int[i])
 	case KindFloat:
 		return Float(v.Float[i])
 	default:
-		return Value{Kind: KindString, S: in.Str(v.ID[i])}
+		return String_(in.Str(v.ID[i]))
 	}
 }
 
@@ -173,7 +173,7 @@ func (cb *ColBatch) AppendVals(ts, exp int64, neg bool, vals []Value, in *Intern
 		return false
 	}
 	for i := range vals {
-		if vals[i].Kind != cb.kinds[i] {
+		if vals[i].Kind() != cb.kinds[i] {
 			return false
 		}
 	}
@@ -221,7 +221,7 @@ func (cb *ColBatch) AppendRun(ts, exp int64, rows [][]Value, in *Interner) bool 
 				v.Int = v.Int[:n]
 			}
 			for ri, r := range rows {
-				if r[c].Kind != k {
+				if r[c].Kind() != k {
 					cb.Reset()
 					return false
 				}
@@ -234,7 +234,7 @@ func (cb *ColBatch) AppendRun(ts, exp int64, rows [][]Value, in *Interner) bool 
 				v.Float = v.Float[:n]
 			}
 			for ri, r := range rows {
-				if r[c].Kind != k {
+				if r[c].Kind() != k {
 					cb.Reset()
 					return false
 				}
@@ -247,7 +247,7 @@ func (cb *ColBatch) AppendRun(ts, exp int64, rows [][]Value, in *Interner) bool 
 				v.ID = v.ID[:n]
 			}
 			for ri, r := range rows {
-				if r[c].Kind != k {
+				if r[c].Kind() != k {
 					cb.Reset()
 					return false
 				}
@@ -392,7 +392,7 @@ func (cb *ColBatch) AppendJoin(src *ColBatch, row, side int, other []Value, ts, 
 		return false
 	}
 	for i := range other {
-		if other[i].Kind != cb.kinds[off+i] {
+		if other[i].Kind() != cb.kinds[off+i] {
 			return false
 		}
 	}
@@ -450,9 +450,9 @@ func (cb *ColBatch) AppendRowsTo(dst []Tuple, arena *ValueArena, in *Interner) [
 func (cb *ColBatch) Key(row int, cols []int, in *Interner) Key {
 	if len(cols) >= 1 && len(cols) <= 3 {
 		var k Key
-		k.n = len(cols)
+		k.n = int32(len(cols))
 		for i, c := range cols {
-			k.v[i] = cb.cols[c].value(row, in).Canonical()
+			k.set(i, cb.cols[c].value(row, in).Canonical())
 		}
 		return k
 	}

@@ -261,12 +261,12 @@ func TestValueArena(t *testing.T) {
 		t.Fatalf("cap(x) = %d, want 3: appends must copy out, not clobber neighbors", cap(x))
 	}
 	x[2] = Int(42)
-	if y[0].Kind != KindNull || y[1].Kind != KindNull {
+	if y[0].Kind() != KindNull || y[1].Kind() != KindNull {
 		t.Fatal("arena rows overlap")
 	}
 	// Appending to an arena row must not overwrite the next row.
 	_ = append(x, Int(99))
-	if y[0].Kind != KindNull {
+	if y[0].Kind() != KindNull {
 		t.Fatal("append on arena row clobbered neighbor")
 	}
 	// Oversized requests still work.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -78,21 +79,27 @@ func fuzzValues(data []byte) []tuple.Value {
 	return vals
 }
 
-// FuzzValue checks that the three views of value equality agree and that the
-// checkpoint codec keeps a value bit for bit:
-//   - Equal ⇔ Key == ⇔ KeyMatches, on a narrow and on a wide key, and Equal
-//     ⇒ equal KeyHash64 (which is also the Key's own Hash64);
+// zeroValues are the four values whose payloads are all zero; only the kind
+// in the string header tells them apart.
+var zeroValues = []tuple.Value{tuple.Null, tuple.Int(0), tuple.Float(0), tuple.String_("")}
+
+// FuzzValue checks that the three views of value equality agree and that
+// every copy keeps a value bit for bit. Each input's values are checked
+// together with zeroValues:
+//   - Equal ⇔ Key == ⇔ Value.Key == ⇔ KeyMatches, on a narrow and on a wide
+//     key, and Equal ⇒ equal KeyHash64 (which is also the Key's own Hash64);
 //   - Compare is antisymmetric and transitive;
-//   - Encoder.Value then Decoder.Value returns an == value, float bits
-//     included.
+//   - a copy, Encoder.Value then Decoder.Value, and a ColBatch row round trip
+//     each return an Identical value: one kind, float bits included.
 func FuzzValue(f *testing.F) {
 	f.Add([]byte{4, 65, 5, 64, 4, 64})                // 2^53+1, Float(2^53), 2^53
 	f.Add([]byte{6, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0x80}) // Float(2^63), Int(MinInt64)
 	f.Add([]byte{6, 2, 6, 3, 3, 4, 0, 'N', 'a', 'N'}) // two NaNs, the old NaN sentinel
 	f.Add([]byte{6, 0, 6, 1, 1})                      // +0, -0, Int(0)
 	f.Add([]byte{6, 4, 6, 5, 3, 3, 'I', 'n', 'f'})    // ±Inf, a string
+	f.Add([]byte{3, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}) // String_(""), Null, Int(0)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals := fuzzValues(data)
+		vals := append(fuzzValues(data), zeroValues...)
 		narrow, wide := []int{0}, []int{0, 1, 2, 3}
 		row := func(v tuple.Value) tuple.Tuple {
 			return tuple.New(0, v, tuple.Null, tuple.Int(7), tuple.String_("w"))
@@ -103,7 +110,7 @@ func FuzzValue(f *testing.F) {
 				for _, cols := range [][]int{narrow, wide} {
 					ta, tb := row(a), row(b)
 					ka, kb := ta.Key(cols), tb.Key(cols)
-					if (ka == kb) != eq || ta.KeyMatches(cols, kb) != eq {
+					if (ka == kb) != eq || (a.Key() == b.Key()) != eq || ta.KeyMatches(cols, kb) != eq {
 						t.Fatalf("%#v.Equal(%#v) = %v, but over %d columns Key == is %v and KeyMatches %v",
 							a, b, eq, len(cols), ka == kb, ta.KeyMatches(cols, kb))
 					}
@@ -124,12 +131,66 @@ func FuzzValue(f *testing.F) {
 					}
 				}
 			}
+			copied := append([]tuple.Value(nil), a)
+			if c := copied[0]; c.Kind() != a.Kind() || !c.Identical(a) {
+				t.Fatalf("a copy of %#v reads as %#v, kind %v", a, c, c.Kind())
+			}
 			var buf bytes.Buffer
 			checkpoint.NewEncoder(&buf).Value(a)
 			dec := checkpoint.NewDecoder(&buf)
-			if got := dec.Value(); got != a || dec.Err() != nil {
+			if got := dec.Value(); !got.Identical(a) || dec.Err() != nil {
 				t.Fatalf("codec round trip of %#v returned %#v (%v)", a, got, dec.Err())
+			}
+			if a.IsNull() {
+				continue // a columnar batch holds no nulls
+			}
+			cb := tuple.NewColBatch(tuple.MustSchema(tuple.Column{Name: "c", Kind: a.Kind()}))
+			in, arena := tuple.NewInterner(), new(tuple.ValueArena)
+			if !cb.AppendVals(1, 2, false, []tuple.Value{a}, in) {
+				t.Fatalf("a ColBatch of kind %v refused %#v", a.Kind(), a)
+			}
+			if got := cb.RowTuple(0, arena, in).Vals[0]; !got.Identical(a) {
+				t.Fatalf("ColBatch round trip of %#v returned %#v", a, got)
 			}
 		}
 	})
+}
+
+// TestZeroValuesApart: the four values with all-zero payloads keep their
+// kinds through every constructor that can build them, and only Int(0) and
+// Float(0) are Equal (numbers compare by value across kinds), sharing a Key.
+func TestZeroValuesApart(t *testing.T) {
+	kinds := []tuple.Kind{tuple.KindNull, tuple.KindInt, tuple.KindFloat, tuple.KindString}
+	empty := "x"[1:]
+	built := [][]tuple.Value{
+		{tuple.Null, tuple.Value{}},
+		{tuple.Int(0), tuple.Bool(false)},
+		{tuple.Float(0), tuple.FloatBits(0)},
+		{tuple.String_(""), tuple.String_(empty), tuple.String_(string([]byte{}))},
+	}
+	in := tuple.NewInterner()
+	in.Intern("")
+	built[3] = append(built[3], in.Value(0))
+	for i, vs := range built {
+		for _, v := range vs {
+			if v.Kind() != kinds[i] {
+				t.Errorf("%#v reads as kind %v, want %v", v, v.Kind(), kinds[i])
+			}
+		}
+	}
+	for i, a := range zeroValues {
+		for j, b := range zeroValues {
+			numeric := i != j && (i == 1 || i == 2) && (j == 1 || j == 2)
+			if want := i == j || numeric; a.Equal(b) != want || (a.Key() == b.Key()) != want {
+				t.Errorf("%v %v and %v %v: Equal %v, Key == %v, want %v",
+					a.Kind(), a, b.Kind(), b, a.Equal(b), a.Key() == b.Key(), want)
+			}
+			if a.Identical(b) != (i == j) {
+				t.Errorf("%v and %v: Identical %v", a.Kind(), b.Kind(), a.Identical(b))
+			}
+		}
+	}
+	if reflect.TypeOf(tuple.Value{}).Comparable() {
+		t.Error("Value must not be comparable: == would equate the zero values")
+	}
 }

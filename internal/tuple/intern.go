@@ -84,7 +84,7 @@ func (in *Interner) Lookup(s string) (uint32, bool) {
 func (in *Interner) Str(id uint32) string { return in.strs[id] }
 
 // Value returns the canonical string value for id.
-func (in *Interner) Value(id uint32) Value { return Value{Kind: KindString, S: in.strs[id]} }
+func (in *Interner) Value(id uint32) Value { return String_(in.strs[id]) }
 
 // Len returns the number of distinct interned strings.
 func (in *Interner) Len() int { return len(in.strs) }

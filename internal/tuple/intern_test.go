@@ -19,7 +19,7 @@ func TestInternerDenseIDs(t *testing.T) {
 	if in.Str(a) != "ftp" || in.Str(b) != "http" {
 		t.Fatalf("Str round-trip broken: %q, %q", in.Str(a), in.Str(b))
 	}
-	if v := in.Value(b); v.Kind != KindString || v.S != "http" {
+	if v := in.Value(b); v.Kind() != KindString || v.S != "http" {
 		t.Fatalf("Value(%d) = %v", b, v)
 	}
 }

@@ -42,7 +42,7 @@ func TestKeyNarrowZeroAllocs(t *testing.T) {
 		cols := seqCols(n)
 		allocs := testing.AllocsPerRun(1000, func() {
 			k := tup.Key(cols)
-			if k.n != n {
+			if int(k.n) != n {
 				t.Fatal("bad key")
 			}
 		})

@@ -8,7 +8,10 @@ import "strings"
 // from these parts compares == to the original, which is what lets decoded
 // keys index the same map buckets they were saved from.
 func (k Key) Raw() (n int, v [3]Value, wide string) {
-	return k.n, k.v, k.wide
+	for i := range v {
+		v[i] = k.value(i)
+	}
+	return int(k.n), v, k.wide
 }
 
 // legacyNaN is the sentinel string older encoders stored for a NaN key
@@ -27,10 +30,12 @@ const (
 // key column that held the string "\x00NaN" itself restores as NaN, as older
 // encoders already stored it.
 func KeyFromRaw(n int, v [3]Value, wide string) Key {
+	k := Key{n: int32(n)}
 	for i := range v {
-		if v[i].Kind == KindString && v[i].S == legacyNaN {
+		if v[i].Kind() == KindString && v[i].S == legacyNaN {
 			v[i] = nanKey
 		}
+		k.set(i, v[i])
 	}
 	if strings.Contains(wide, legacyNaNPart) {
 		parts := strings.Split(wide, "\x1f")
@@ -41,5 +46,6 @@ func KeyFromRaw(n int, v [3]Value, wide string) Key {
 		}
 		wide = strings.Join(parts, "\x1f")
 	}
-	return Key{n: n, v: v, wide: wide}
+	k.wide = wide
+	return k
 }

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -73,11 +74,11 @@ func (t Tuple) SameVals(o Tuple) bool {
 // bits live in Value.I, so == on them is bitwise).
 func (t Tuple) Key(cols []int) Key {
 	var k Key
-	k.n = len(cols)
+	k.n = int32(len(cols))
 	switch {
 	case len(cols) >= 1 && len(cols) <= 3:
 		for i, c := range cols {
-			k.v[i] = t.Vals[c].Canonical()
+			k.set(i, t.Vals[c].Canonical())
 		}
 	case len(cols) > 3:
 		// Manual byte appends into one pre-grown builder: rendering through
@@ -91,7 +92,7 @@ func (t Tuple) Key(cols []int) Key {
 				b.WriteByte('\x1f')
 			}
 			v := t.Vals[c].Canonical()
-			if v.Kind == KindString {
+			if v.Kind() == KindString {
 				// Write the string directly: copying it through the fixed
 				// scratch would truncate long values.
 				b.WriteString(v.S)
@@ -110,23 +111,21 @@ func (t Tuple) Key(cols []int) Key {
 // Key's wide rendering and KeyMatches' wide comparison both build parts
 // through it, so they can never disagree byte for byte.
 func appendKeyPart(dst []byte, v Value) []byte {
-	switch v.Kind {
+	k := v.Kind()
+	switch k {
 	case KindNull:
 		dst = append(dst, "NULL"...)
 	case KindInt:
 		dst = strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
 		dst = strconv.AppendFloat(dst, v.F(), 'g', -1, 64)
-	default:
-		dst = append(dst, '?')
-		dst = strconv.AppendUint(dst, uint64(v.Kind), 10)
 	}
 	dst = append(dst, '/')
-	return strconv.AppendUint(dst, uint64(v.Kind), 10)
+	return strconv.AppendUint(dst, uint64(k), 10)
 }
 
 // nanKey is the one NaN that canonical keeps, with math.NaN()'s bits.
-var nanKey = Value{Kind: KindFloat, I: 0x7FF8000000000001}
+var nanKey = FloatBits(0x7FF8000000000001)
 
 // Canonical returns the representation of v that a Key stores. It maps Equal
 // values onto ==-equal ones: an integral float inside the int64 range becomes
@@ -134,10 +133,10 @@ var nanKey = Value{Kind: KindFloat, I: 0x7FF8000000000001}
 // is already canonical. The range check is f < 2^63: int64(2^63) does not
 // exist.
 func (v Value) Canonical() Value {
-	if v.Kind != KindFloat {
+	if !v.is(KindFloat) {
 		return v
 	}
-	f := v.F()
+	f := math.Float64frombits(uint64(v.I))
 	if f != f {
 		return nanKey
 	}
@@ -147,12 +146,48 @@ func (v Value) Canonical() Value {
 	return v
 }
 
-// Key is a comparable composite of up to three values (or a string-packed
-// rendering for wider keys), usable as a Go map key.
+// Key is a comparable composite of up to three canonical values (or a
+// string-packed rendering for wider keys), usable as a Go map key. Value
+// itself is not comparable, so each column keeps its kind in kind and its
+// payloads in a comparable keyPart; == on two Keys then compares kind, I and
+// the string's bytes, column by column. The column count shares a word with
+// the kinds.
 type Key struct {
-	n    int
-	v    [3]Value
+	n    int32
+	kind [3]Kind
+	v    [3]keyPart
 	wide string
+}
+
+// keyPart holds one key column's payloads, I and S as in Value.
+type keyPart struct {
+	S string
+	I int64
+}
+
+// set stores canonical value v as column i.
+func (k *Key) set(i int, v Value) {
+	k.kind[i] = v.Kind()
+	k.v[i] = keyPart{S: v.S, I: v.I}
+}
+
+// holds reports whether canonical value v is column i. An empty S of any
+// kind equals any other, so kind decides between them.
+func (k *Key) holds(i int, v Value) bool {
+	return k.kind[i] == v.Kind() && k.v[i].I == v.I && k.v[i].S == v.S
+}
+
+// value returns column i as a Value.
+func (k *Key) value(i int) Value {
+	switch p := k.v[i]; k.kind[i] {
+	case KindInt:
+		return Int(p.I)
+	case KindFloat:
+		return FloatBits(uint64(p.I))
+	case KindString:
+		return String_(p.S)
+	}
+	return Null
 }
 
 // String renders the key for debugging.
@@ -161,8 +196,8 @@ func (k Key) String() string {
 		return k.wide
 	}
 	parts := make([]string, k.n)
-	for i := 0; i < k.n; i++ {
-		parts[i] = k.v[i].String()
+	for i := range parts {
+		parts[i] = k.value(i).String()
 	}
 	return "[" + strings.Join(parts, ",") + "]"
 }
@@ -176,7 +211,7 @@ func (k Key) String() string {
 // rendered into stack scratch (strings compare in place) and matched as a
 // prefix, so keyed lookups on wide keys allocate nothing.
 func (t Tuple) KeyMatches(cols []int, k Key) bool {
-	if len(cols) != k.n {
+	if len(cols) != int(k.n) {
 		return false
 	}
 	if k.n > 3 {
@@ -190,7 +225,7 @@ func (t Tuple) KeyMatches(cols []int, k Key) bool {
 				rest = rest[1:]
 			}
 			v := t.Vals[c].Canonical()
-			if v.Kind == KindString {
+			if v.Kind() == KindString {
 				if len(rest) < len(v.S)+2 || rest[:len(v.S)] != v.S || rest[len(v.S):len(v.S)+2] != "/3" {
 					return false
 				}
@@ -206,7 +241,7 @@ func (t Tuple) KeyMatches(cols []int, k Key) bool {
 		return len(rest) == 0
 	}
 	for i, c := range cols {
-		if t.Vals[c].Canonical() != k.v[i] {
+		if !k.holds(i, t.Vals[c].Canonical()) {
 			return false
 		}
 	}
@@ -224,8 +259,8 @@ func (k Key) Hash64() uint64 {
 		}
 		return h
 	}
-	for i := 0; i < k.n; i++ {
-		h ^= k.v[i].Hash64()
+	for i := 0; i < int(k.n); i++ {
+		h ^= hashCanonical(k.kind[i], k.v[i].I, k.v[i].S)
 		h *= prime
 	}
 	return h
@@ -254,7 +289,7 @@ func (t Tuple) KeyHash64(cols []int) uint64 {
 		}
 		v := t.Vals[c].Canonical()
 		part := num[:0]
-		if v.Kind == KindString {
+		if v.Kind() == KindString {
 			for j := 0; j < len(v.S); j++ {
 				h ^= uint64(v.S[j])
 				h *= prime
@@ -285,35 +320,28 @@ func (k Key) Compare(o Key) int {
 	if k.n > 3 {
 		return strings.Compare(k.wide, o.wide)
 	}
-	for i := 0; i < k.n; i++ {
-		if c := k.v[i].compare(o.v[i]); c != 0 {
+	for i := 0; i < int(k.n); i++ {
+		if c := k.compare(&o, i); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
-// compare orders two canonical values: kind first, then the payload field
+// compare orders column i of two keys: kind first, then the payload field
 // that kind uses.
-func (v Value) compare(o Value) int {
-	if v.Kind != o.Kind {
-		if v.Kind < o.Kind {
-			return -1
-		}
-		return 1
+func (k *Key) compare(o *Key, i int) int {
+	a, b := k.v[i], o.v[i]
+	if c := cmp.Compare(k.kind[i], o.kind[i]); c != 0 {
+		return c
 	}
-	switch v.Kind {
+	switch k.kind[i] {
 	case KindInt:
-		if v.I != o.I {
-			if v.I < o.I {
-				return -1
-			}
-			return 1
-		}
+		return cmp.Compare(a.I, b.I)
 	case KindFloat:
-		return cmpFloat(v.F(), o.F())
+		return cmpFloat(math.Float64frombits(uint64(a.I)), math.Float64frombits(uint64(b.I)))
 	case KindString:
-		return strings.Compare(v.S, o.S)
+		return strings.Compare(a.S, b.S)
 	}
 	return 0
 }

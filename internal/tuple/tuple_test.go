@@ -120,7 +120,7 @@ func TestCloneIsolation(t *testing.T) {
 	orig := New(1, Int(7))
 	cl := orig.Clone()
 	cl.Vals[0] = Int(8)
-	if orig.Vals[0] != Int(7) {
+	if !orig.Vals[0].Identical(Int(7)) {
 		t.Error("Clone must deep-copy Vals")
 	}
 }
@@ -132,7 +132,7 @@ func TestConcat(t *testing.T) {
 	if c.TS != 20 || c.Exp != 50 || len(c.Vals) != 2 {
 		t.Errorf("Concat = %+v", c)
 	}
-	if c.Vals[0] != Int(1) || c.Vals[1] != Int(2) {
+	if !c.Vals[0].Identical(Int(1)) || !c.Vals[1].Identical(Int(2)) {
 		t.Errorf("Concat vals = %v", c.Vals)
 	}
 	// Exp is the minimum regardless of order.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind enumerates the scalar types a Value can hold.
@@ -46,44 +47,91 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a typed scalar. It is a plain comparable struct (usable as a map
-// key) rather than an interface so that hot operator paths avoid boxing and
-// per-tuple allocation. It is 32 bytes: a float has no field of its own but
-// keeps its IEEE bits in I, so every stored row pays for two payloads, not
-// three.
+// Value is a typed scalar: a 24-byte struct rather than an interface, so hot
+// operator paths avoid boxing and per-tuple allocation. I and S are its two
+// payloads; the kind has no field of its own but rides in S's string header:
 //
-// Go's == on Values is therefore exact on the representation: floats compare
-// bitwise (NaN equals the same NaN bits, +0 differs from -0), and Int(1)
-// differs from Float(1). Equal and Compare give the engine's semantics; the
-// canonical form that Key stores folds integral floats onto ints, ±0 onto 0
-// and every NaN onto one NaN, so == on Keys agrees with Equal.
+//   - a nil data pointer is Null (the zero Value);
+//   - a zero-length S whose data pointer is &kindTags[k] is kind k, which is
+//     how Int, Float and String_("") build their values;
+//   - anything else is a string.
+//
+// I holds the int, or the float's IEEE bits, and is 0 otherwise; S holds the
+// string, and is empty otherwise. Build values through the constructors and
+// read the kind through Kind: writing an empty string literal into S may turn
+// a value into Null.
+//
+// The blank [0]func() field makes Value incomparable, because Go's == on the
+// fields alone would equate Null, Int(0), Float(+0) and String_(""). Equal
+// and Compare give the engine's semantics; the canonical form that Key
+// stores folds integral floats onto ints, ±0 onto 0 and every NaN onto one
+// NaN, so == on Keys agrees with Equal.
 type Value struct {
-	Kind Kind
-	I    int64 // the int, or the float's math.Float64bits for KindFloat
-	S    string
+	_ [0]func()
+	S string
+	I int64 // the int, or the float's math.Float64bits for KindFloat
 }
+
+// kindTags gives each non-null kind an address for an empty S to point at.
+// Only its addresses are read, never its bytes.
+var kindTags [numKinds]byte
+
+// numKinds is the number of Kinds.
+const numKinds = 4
+
+// tag returns the empty string whose data pointer marks kind k.
+func tag(k Kind) string { return unsafe.String(&kindTags[k], 0) }
+
+// Kind returns the value's scalar kind.
+func (v Value) Kind() Kind {
+	if len(v.S) == 0 {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(v.S)))
+		if d := p - uintptr(unsafe.Pointer(&kindTags)); d < numKinds {
+			return Kind(d)
+		}
+		if p == 0 {
+			return KindNull
+		}
+	}
+	return KindString
+}
+
+// is reports whether v is of kind k, for k an int or a float: values of
+// those kinds, and only they, point S at the kind's tag. It is cheaper than
+// Kind where one kind decides.
+func (v Value) is(k Kind) bool { return unsafe.StringData(v.S) == &kindTags[k] }
 
 // Null is the null value.
 var Null = Value{}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
+func Int(i int64) Value { return Value{S: tag(KindInt), I: i} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(f))} }
+func Float(f float64) Value { return FloatBits(math.Float64bits(f)) }
+
+// FloatBits returns the float value whose IEEE bits are b, NaN payloads
+// included.
+func FloatBits(b uint64) Value { return Value{S: tag(KindFloat), I: int64(b)} }
 
 // F returns the float payload of a KindFloat value, and 0 for every other
 // kind.
 func (v Value) F() float64 {
-	if v.Kind != KindFloat {
+	if !v.is(KindFloat) {
 		return 0
 	}
 	return math.Float64frombits(uint64(v.I))
 }
 
 // String_ returns a string value. The trailing underscore avoids clashing
-// with the fmt.Stringer method on Value.
-func String_(s string) Value { return Value{Kind: KindString, S: s} }
+// with the fmt.Stringer method on Value. An empty s is stored as the string
+// kind's tag, so that it cannot read as Null.
+func String_(s string) Value {
+	if len(s) == 0 {
+		s = tag(KindString)
+	}
+	return Value{S: s}
+}
 
 // Bool returns an integer-encoded boolean (1 or 0). The engine has no
 // dedicated boolean kind; predicates evaluate natively to Go bools.
@@ -95,32 +143,30 @@ func Bool(b bool) Value {
 }
 
 // IsNull reports whether v is the null value.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
+func (v Value) IsNull() bool { return unsafe.StringData(v.S) == nil }
 
 // AsFloat returns the numeric content of v widened to float64.
 // Strings and nulls return 0.
 func (v Value) AsFloat() float64 {
-	switch v.Kind {
-	case KindInt:
+	switch {
+	case v.is(KindInt):
 		return float64(v.I)
-	case KindFloat:
-		return v.F()
-	default:
-		return 0
+	case v.is(KindFloat):
+		return math.Float64frombits(uint64(v.I))
 	}
+	return 0
 }
 
 // AsInt returns the numeric content of v narrowed to int64.
 // Strings and nulls return 0.
 func (v Value) AsInt() int64 {
-	switch v.Kind {
-	case KindInt:
+	switch {
+	case v.is(KindInt):
 		return v.I
-	case KindFloat:
-		return int64(v.F())
-	default:
-		return 0
+	case v.is(KindFloat):
+		return int64(math.Float64frombits(uint64(v.I)))
 	}
+	return 0
 }
 
 // Compare orders two values. Values of different kinds order by kind, except
@@ -129,20 +175,21 @@ func (v Value) AsInt() int64 {
 // below all other numbers (and equal to each other) so that Compare is a
 // total order.
 func (v Value) Compare(o Value) int {
+	vk, ok := v.Kind(), o.Kind()
 	// Numeric cross-kind comparison.
-	if v.Kind == KindInt && o.Kind == KindFloat {
+	if vk == KindInt && ok == KindFloat {
 		return cmpIntFloat(v.I, o.F())
 	}
-	if v.Kind == KindFloat && o.Kind == KindInt {
+	if vk == KindFloat && ok == KindInt {
 		return -cmpIntFloat(o.I, v.F())
 	}
-	if v.Kind != o.Kind {
-		if v.Kind < o.Kind {
+	if vk != ok {
+		if vk < ok {
 			return -1
 		}
 		return 1
 	}
-	switch v.Kind {
+	switch vk {
 	case KindNull:
 		return 0
 	case KindInt:
@@ -212,30 +259,51 @@ func cmpFloat(a, b float64) int {
 // Equal reports whether two values compare equal under Compare.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
+// Identical reports whether v and o are the same value bit for bit: one
+// kind and equal payloads. Unlike Equal it tells Int(1) from Float(1), +0
+// from -0 and one NaN payload from another.
+func (v Value) Identical(o Value) bool {
+	return v.Kind() == o.Kind() && v.I == o.I && v.S == o.S
+}
+
+// Key returns v's one-column key: a.Key() == b.Key() exactly when
+// a.Equal(b). It is what maps over single values use, Value itself being
+// incomparable.
+func (v Value) Key() Key {
+	k := Key{n: 1}
+	k.set(0, v.Canonical())
+	return k
+}
+
 // Less reports whether v orders strictly before o.
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
 // Hash64 returns an FNV-1a hash of the value's canonical form, so Equal
 // values hash equal: ints and integral floats alike, and every NaN.
 func (v Value) Hash64() uint64 {
+	v = v.Canonical()
+	return hashCanonical(v.Kind(), v.I, v.S)
+}
+
+// hashCanonical hashes a canonical value given as its kind and payloads;
+// Value.Hash64 and Key.Hash64 both hash through it.
+func hashCanonical(k Kind, i int64, s string) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	switch v = v.Canonical(); v.Kind {
+	switch k {
 	case KindNull:
-		mix(0)
+		h *= prime // mixes the byte 0
 	case KindInt, KindFloat:
-		mixInt(&h, v.I) // a float mixes its bits
+		mixInt(&h, i) // a float mixes its bits
 	case KindString:
-		mix(3)
-		for i := 0; i < len(v.S); i++ {
-			mix(v.S[i])
+		h ^= 3
+		h *= prime
+		for j := 0; j < len(s); j++ {
+			h ^= uint64(s[j])
+			h *= prime
 		}
 	}
 	return h
@@ -252,17 +320,15 @@ func mixInt(h *uint64, i int64) {
 
 // String renders the value for debugging and CSV output.
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
 		return strconv.FormatFloat(v.F(), 'g', -1, 64)
-	case KindString:
-		return v.S
 	default:
-		return fmt.Sprintf("?%d", v.Kind)
+		return v.S
 	}
 }
 

@@ -25,13 +25,13 @@ func TestKindString(t *testing.T) {
 }
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
-	if v := Int(42); v.Kind != KindInt || v.AsInt() != 42 || v.AsFloat() != 42 {
+	if v := Int(42); v.Kind() != KindInt || v.AsInt() != 42 || v.AsFloat() != 42 {
 		t.Errorf("Int(42) = %+v", v)
 	}
-	if v := Float(2.5); v.Kind != KindFloat || v.AsFloat() != 2.5 || v.AsInt() != 2 {
+	if v := Float(2.5); v.Kind() != KindFloat || v.AsFloat() != 2.5 || v.AsInt() != 2 {
 		t.Errorf("Float(2.5) = %+v", v)
 	}
-	if v := String_("x"); v.Kind != KindString || v.S != "x" {
+	if v := String_("x"); v.Kind() != KindString || v.S != "x" {
 		t.Errorf("String_ = %+v", v)
 	}
 	if v := String_("x"); v.AsInt() != 0 || v.AsFloat() != 0 {
@@ -40,7 +40,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if !Null.IsNull() || Int(0).IsNull() {
 		t.Errorf("IsNull misbehaves")
 	}
-	if Bool(true) != Int(1) || Bool(false) != Int(0) {
+	if !Bool(true).Identical(Int(1)) || !Bool(false).Identical(Int(0)) {
 		t.Errorf("Bool encoding wrong")
 	}
 }
@@ -139,8 +139,8 @@ func TestValueExactIntFloat(t *testing.T) {
 // is bitwise while Equal and Key fold ±0, integral floats and NaN payloads.
 func TestValueFloatBits(t *testing.T) {
 	negZero, otherNaN := Float(math.Copysign(0, -1)), Float(math.Float64frombits(0x7FF8_0000_0000_00FF))
-	if Float(0) == negZero || !Float(0).Equal(negZero) || New(0, Float(0)).Key([]int{0}) != New(0, negZero).Key([]int{0}) {
-		t.Error("+0 and -0 must differ under == and agree under Equal and Key")
+	if Float(0).Identical(negZero) || !Float(0).Equal(negZero) || New(0, Float(0)).Key([]int{0}) != New(0, negZero).Key([]int{0}) {
+		t.Error("+0 and -0 must differ under Identical and agree under Equal and Key")
 	}
 	if math.Float64bits(otherNaN.F()) != 0x7FF8_0000_0000_00FF || !otherNaN.Equal(Float(math.NaN())) ||
 		New(0, otherNaN).Key([]int{0}) != New(0, Float(math.NaN())).Key([]int{0}) {
@@ -158,11 +158,11 @@ func TestValueFloatBits(t *testing.T) {
 // TestValueLayout pins the sizes every stored row pays for, so a field added
 // later fails here instead of regrowing every window, state buffer and view.
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 {
-		t.Errorf("Value is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("Value is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(Key{}); got != 120 {
-		t.Errorf("Key is %d bytes, want 120", got)
+	if got := unsafe.Sizeof(Key{}); got != 96 {
+		t.Errorf("Key is %d bytes, want 96", got)
 	}
 	if got := unsafe.Sizeof(Tuple{}); got != 48 {
 		t.Errorf("Tuple is %d bytes, want 48", got)
@@ -188,15 +188,15 @@ func TestValueString(t *testing.T) {
 
 func TestParseValue(t *testing.T) {
 	v, err := ParseValue(KindInt, "123")
-	if err != nil || v != Int(123) {
+	if err != nil || !v.Identical(Int(123)) {
 		t.Errorf("ParseValue int: %v %v", v, err)
 	}
 	v, err = ParseValue(KindFloat, "1.5")
-	if err != nil || v != Float(1.5) {
+	if err != nil || !v.Identical(Float(1.5)) {
 		t.Errorf("ParseValue float: %v %v", v, err)
 	}
 	v, err = ParseValue(KindString, "abc")
-	if err != nil || v != String_("abc") {
+	if err != nil || !v.Identical(String_("abc")) {
 		t.Errorf("ParseValue string: %v %v", v, err)
 	}
 	if _, err = ParseValue(KindInt, "xyz"); err == nil {

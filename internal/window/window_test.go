@@ -96,7 +96,7 @@ func TestMaterializedExpiration(t *testing.T) {
 	if len(exp) != 2 {
 		t.Fatalf("expired %d, want 2", len(exp))
 	}
-	if exp[0].Vals[0] != tuple.Int(1) || exp[1].Vals[0] != tuple.Int(2) {
+	if !exp[0].Vals[0].Identical(tuple.Int(1)) || !exp[1].Vals[0].Identical(tuple.Int(2)) {
 		t.Errorf("expired order: %v", exp)
 	}
 	if w.Len() != 1 {
@@ -122,7 +122,7 @@ func TestCountWindowEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ev) != 1 || ev[0].Vals[0] != tuple.Int(1) {
+	if len(ev) != 1 || !ev[0].Vals[0].Identical(tuple.Int(1)) {
 		t.Fatalf("evicted = %v, want oldest (1)", ev)
 	}
 	if w.Len() != 3 {

@@ -41,7 +41,7 @@ func TestQuickstartJoin(t *testing.T) {
 		must(eng.Push(0, 3, repro.Int(7), repro.Str("http"), repro.Int(30)))
 		rows, err := eng.Snapshot()
 		must(err)
-		if len(rows) != 1 || rows[0].Vals[0] != repro.Int(7) {
+		if len(rows) != 1 || !rows[0].Vals[0].Identical(repro.Int(7)) {
 			t.Fatalf("%v: snapshot = %v", strat, rows)
 		}
 		// The join result expires when its first constituent does.
@@ -97,8 +97,8 @@ func TestGroupByFacade(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 	got := rows[0].Vals
-	if got[0].S != "ftp" || got[1] != repro.Int(2) || got[2] != repro.Float(40) ||
-		got[3] != repro.Int(10) || got[4] != repro.Int(30) || got[5] != repro.Float(20) {
+	if got[0].S != "ftp" || !got[1].Identical(repro.Int(2)) || !got[2].Identical(repro.Float(40)) ||
+		!got[3].Identical(repro.Int(10)) || !got[4].Identical(repro.Int(30)) || !got[5].Identical(repro.Float(20)) {
 		t.Errorf("group row = %v", got)
 	}
 }
@@ -431,7 +431,7 @@ func TestParseQueryGroupBy(t *testing.T) {
 	eng.Push(0, 1, repro.Int(1), repro.Str("ftp"), repro.Int(1))
 	eng.Push(0, 2, repro.Int(2), repro.Str("ftp"), repro.Int(1))
 	rows, _ := eng.Snapshot()
-	if len(rows) != 1 || rows[0].Vals[1] != repro.Int(2) {
+	if len(rows) != 1 || !rows[0].Vals[1].Identical(repro.Int(2)) {
 		t.Fatalf("group rows = %v", rows)
 	}
 }
@@ -448,7 +448,7 @@ func TestLookup(t *testing.T) {
 	eng.Push(0, 1, repro.Int(1), repro.Str("ftp"), repro.Int(1))
 	eng.Push(0, 2, repro.Int(2), repro.Str("ftp"), repro.Int(1))
 	rows, err := eng.Lookup(repro.Str("ftp"))
-	if err != nil || len(rows) != 1 || rows[0].Vals[1] != repro.Int(2) {
+	if err != nil || len(rows) != 1 || !rows[0].Vals[1].Identical(repro.Int(2)) {
 		t.Fatalf("keyed lookup: %v %v", rows, err)
 	}
 	if rows, err := eng.Lookup(repro.Str("nntp")); err != nil || len(rows) != 0 {
@@ -608,7 +608,7 @@ func TestWithShards(t *testing.T) {
 		}
 	}
 	rows, err := geng.Lookup(repro.Int(2))
-	if err != nil || len(rows) != 1 || rows[0].Vals[1] != repro.Int(5) {
+	if err != nil || len(rows) != 1 || !rows[0].Vals[1].Identical(repro.Int(5)) {
 		t.Fatalf("sharded Lookup(2) = %v, %v (want one group with count 5)", rows, err)
 	}
 }
