@@ -989,3 +989,58 @@ func TestProjectBorrowFollowsLiveGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectBorrowsUnderLiteratureDistinct: under NT and DIRECT, Q2's
+// projection feeds the literature Distinct, which copies what it keeps, so
+// it borrows as it does under δ. Once synced, Q2's answer does not change
+// when the caller overwrites every array it pushed, and it matches an
+// engine whose projection copies.
+func TestProjectBorrowsUnderLiteratureDistinct(t *testing.T) {
+	q2 := func() *plan.Node {
+		return plan.NewDistinct(plan.NewProject(plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 30}, linkSchema()), 0))
+	}
+	for _, strat := range []plan.Strategy{plan.NT, plan.Direct} {
+		t.Run(strat.String(), func(t *testing.T) {
+			e, twin := buildEngine(t, q2(), strat, Config{}), buildEngine(t, q2(), strat, Config{})
+			q := e.Queries()[0].first()
+			if _, ok := q.nodes[0].op.(*operator.Distinct); !ok {
+				t.Fatalf("Q2 is rooted at %T, not the literature Distinct", q.nodes[0].op)
+			}
+			probe := []tuple.Value{tuple.Int(1), tuple.String_("ftp"), tuple.Int(1)}
+			var out operator.Emit
+			if err := q.nodes[1].op.ProcessBatch(0, []tuple.Tuple{{TS: 0, Exp: 30, Vals: probe}}, 0, &out); err != nil {
+				t.Fatal(err)
+			}
+			if unsafe.SliceData(out.Tuples()[0].Vals) != unsafe.SliceData(probe) {
+				t.Fatal("the projection under the literature Distinct copies")
+			}
+			twin.Queries()[0].first().nodes[1].op.(*operator.Project).SetBorrow(false)
+			var pushed [][]tuple.Value
+			for ts := int64(1); ts <= 200; ts++ {
+				vals := []tuple.Value{tuple.Int(ts % 7), tuple.String_(protos[ts%int64(len(protos))]), tuple.Int(ts)}
+				pushed = append(pushed, vals)
+				if err := e.Push(0, ts, vals...); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.Push(0, ts, slices.Clone(vals)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			want := renderRows(snapshotOf(t, twin))
+			if got := renderRows(snapshotOf(t, e)); got != want {
+				t.Fatalf("the borrowing engine answers\n%sthe copying one\n%s", got, want)
+			}
+			for _, vals := range pushed {
+				for i := range vals {
+					vals[i] = tuple.String_("overwritten")
+				}
+			}
+			if got := renderRows(snapshotOf(t, e)); got != want {
+				t.Fatalf("overwriting pushed arrays changed Q2's answer\ngot:\n%swant:\n%s", got, want)
+			}
+		})
+	}
+}

@@ -210,7 +210,7 @@ type srcFan struct {
 // relation table are not: a probe writes nothing (relation.Table.Probe), and
 // table updates run on the caller, outside any replay. Runs on every
 // registration change, so it also decides which projections borrow their
-// input's values (feedsOnlyDelta).
+// input's values (feedsOnlyDedup).
 func (e *Engine) rebuildComponents() {
 	for i, s := range e.sources {
 		s.slot = i
@@ -218,7 +218,7 @@ func (e *Engine) rebuildComponents() {
 	for i, n := range e.nodes {
 		n.slot = i
 		if p, ok := n.op.(*operator.Project); ok {
-			p.SetBorrow(feedsOnlyDelta(n))
+			p.SetBorrow(feedsOnlyDedup(n))
 		}
 	}
 	parent := make([]int, len(e.nodes))
@@ -290,15 +290,18 @@ func (e *Engine) rebuildComponents() {
 	slices.SortStableFunc(e.comps, func(a, b *component) int { return b.weight - a.weight })
 }
 
-// feedsOnlyDelta reports whether every consumer of n's emissions is a δ: n
-// has out-edges, all of them into δ nodes, and no query is rooted at it. δ
-// copies the values it keeps, so a projection there may emit borrowed ones.
-func feedsOnlyDelta(n *liveNode) bool {
+// feedsOnlyDedup reports whether every consumer of n's emissions is a
+// duplicate eliminator: n has out-edges, all of them into δ or Distinct
+// nodes, and no query is rooted at it. Both copy the values they keep, so a
+// projection there may emit borrowed ones.
+func feedsOnlyDedup(n *liveNode) bool {
 	if len(n.sinks) > 0 || len(n.outs) == 0 {
 		return false
 	}
 	for _, ed := range n.outs {
-		if _, ok := ed.node.op.(*operator.DistinctDelta); !ok {
+		switch ed.node.op.(type) {
+		case *operator.DistinctDelta, *operator.Distinct:
+		default:
 			return false
 		}
 	}

@@ -260,3 +260,73 @@ func TestDistinctDeltaWaveAllocFree(t *testing.T) {
 		t.Fatalf("only %d of 201 runs promoted an auxiliary", waves)
 	}
 }
+
+// TestDistinctDuplicateAllocFree holds the literature Distinct behind a
+// borrowing projection, in its NT and its DIRECT configuration, to the cost
+// of what it keeps: a duplicate arrival stores its representative's values
+// and allocates nothing, and a fresh value allocates at most one value block
+// per projectBlockRows values. Each arrival lives eight ticks; under NT a
+// negative tuple then retracts it, under DIRECT it expires.
+func TestDistinctDuplicateAllocFree(t *testing.T) {
+	const life = 8
+	for _, nt := range []bool{true, false} {
+		t.Run(strategyName(nt), func(t *testing.T) {
+			p, err := NewProject(linkSchema(), []int{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.SetBorrow(true) {
+				t.Fatal("columns 0, 1 refused to borrow")
+			}
+			d := literatureDistinct(p.Schema(), nt, life)
+			// rows[i%life] is the arrival of tick i; under NT it is retracted
+			// when tick i+life reuses its row, before the row is overwritten.
+			rows := make([]tuple.Tuple, life)
+			for i := range rows {
+				rows[i] = linkTuple(0, 0, 0, "ftp", int64(i))
+			}
+			one := make([]tuple.Tuple, 1)
+			var proj, out Emit
+			now, fresh := int64(0), false
+			deliver := func(tp tuple.Tuple) {
+				one[0] = tp
+				proj.Reset()
+				if err := p.ProcessBatch(0, one, now, &proj); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.ProcessBatch(0, proj.Tuples(), now, &out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tick := func() {
+				now++
+				r := &rows[now%life]
+				out.Reset()
+				if nt && r.TS > 0 {
+					deliver(r.Negative(now))
+				}
+				r.TS, r.Exp = now, now+life
+				if fresh {
+					r.Vals[0] = tuple.Int(now)
+				}
+				deliver(*r)
+			}
+			// A run is ten blocks' worth of ticks, so AllocsPerRun's whole
+			// count per run sees one allocation per block.
+			const ticks = 10 * projectBlockRows
+			ticks10 := func() {
+				for i := 0; i < ticks; i++ {
+					tick()
+				}
+			}
+			ticks10()
+			allocBudget(t, "duplicate arrivals", 0, ticks10)
+			if d.reps.Len() != 1 || d.input.Len() != life {
+				t.Fatalf("%d values and %d stored arrivals; want 1 and %d", d.reps.Len(), d.input.Len(), life)
+			}
+			fresh = true
+			ticks10()
+			allocBudget(t, "fresh values", ticks/projectBlockRows, ticks10)
+		})
+	}
+}

@@ -18,6 +18,15 @@ import (
 // quickly; TimeExpiry is off because windows retract explicitly), plain
 // lists under DIRECT (representative expiration degenerates to sequential
 // scans), and calendar indexes under UPA.
+//
+// On the row path Distinct owns every value it keeps, as δ does: a fresh
+// representative's values are copied into Distinct's own value block, and a
+// later duplicate is stored with its representative's values, or with a copy
+// of its own when the two differ bit for bit (1 and 1.0, +0 and −0, two NaN
+// payloads). A negative tuple is matched and never kept. So Distinct never
+// retains a value slice it was handed, and the operator feeding it may hand
+// it borrowed ones (Project.SetBorrow). The columnar kernel stores rows it
+// carves from its own arena.
 type Distinct struct {
 	schema *tuple.Schema
 	input  statebuf.Buffer
@@ -41,6 +50,8 @@ type Distinct struct {
 	// materializes; colEmit stages row-path emissions it copies column-major.
 	colArena tuple.ValueArena
 	colEmit  Emit
+	// block is the unused tail of the value block kept values are copied to.
+	block valueBlock
 	// cands is the reusable scratch of replacement candidates.
 	cands []tuple.Tuple
 	// advOut is the expiration wave's output: what Advance returns is valid
@@ -124,8 +135,14 @@ func (d *Distinct) processOne(t tuple.Tuple, now int64, out *Emit) {
 		d.processNegative(d.reps.FindRow(t, d.allCols), t, now, out)
 		return
 	}
+	ref, fresh := d.reps.UpsertRow(t, d.allCols)
+	var like []tuple.Value
+	if !fresh {
+		like = d.reps.At(ref).Vals
+	}
+	t.Vals = d.block.keep(t.Vals, like)
 	d.input.Insert(t)
-	if ref, fresh := d.reps.UpsertRow(t, d.allCols); fresh {
+	if fresh {
 		out.Append(d.represent(ref, t, now))
 	}
 }

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/statebuf"
@@ -27,7 +26,8 @@ import (
 // representative's values unless the two differ bit for bit (1 and 1.0, +0
 // and −0, two NaN payloads), when it keeps a copy of its own. So δ never
 // retains a value slice it was handed, and the operator feeding it may hand
-// it borrowed ones (Project.SetBorrow).
+// it borrowed ones (Project.SetBorrow), as it may hand the literature
+// Distinct, which keeps what it stores the same way.
 type DistinctDelta struct {
 	schema *tuple.Schema
 	slots  statebuf.Table[deltaSlot]
@@ -98,7 +98,7 @@ func (d *DistinctDelta) ProcessBatch(side int, in []tuple.Tuple, now int64, out 
 func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
 	ref, fresh := d.slots.UpsertRow(t, d.allCols)
 	if fresh {
-		t.Vals = d.own(t.Vals)
+		t.Vals = d.block.keep(t.Vals, nil)
 		out.Append(d.represent(ref, t, now))
 		return
 	}
@@ -113,22 +113,11 @@ func (d *DistinctDelta) processOne(t tuple.Tuple, now int64, out *Emit) {
 // keepAux makes t the slot's auxiliary. Its values are the representative's
 // when they are the same bits, and a copy of t's own otherwise.
 func (d *DistinctDelta) keepAux(s *deltaSlot, t tuple.Tuple) {
-	if slices.EqualFunc(t.Vals, s.rep.Vals, tuple.Value.Identical) {
-		t.Vals = s.rep.Vals
-	} else {
-		t.Vals = d.own(t.Vals)
-	}
+	t.Vals = d.block.keep(t.Vals, s.rep.Vals)
 	if s.aux.Vals == nil {
 		d.naux++
 	}
 	s.aux = t
-}
-
-// own copies vals into δ's value block.
-func (d *DistinctDelta) own(vals []tuple.Value) []tuple.Value {
-	kept := d.block.carve(len(vals))
-	copy(kept, vals)
-	return kept
 }
 
 // represent makes t, stamped now, the representative in slot ref and

@@ -18,8 +18,9 @@ import "repro/internal/tuple"
 //     copied Tuple is safe, retaining the slice is not).
 //   - Vals slices inside appended tuples are NOT copied or recycled:
 //     emissions share value slices with the inputs and state they derive from.
-//     A borrowing Project emits views of its input rows' arrays; only a δ,
-//     which copies what it keeps, may consume them (Project.SetBorrow).
+//     A borrowing Project emits views of its input rows' arrays; only a
+//     duplicate eliminator, δ or Distinct, which copies what it keeps, may
+//     consume them (Project.SetBorrow).
 type Emit struct {
 	ts []tuple.Tuple
 }

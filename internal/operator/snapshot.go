@@ -92,7 +92,10 @@ func (d *Distinct) SaveState(enc *checkpoint.Encoder) error {
 	return d.expIdx.SaveState(enc)
 }
 
-// LoadState implements checkpoint.Snapshotter.
+// LoadState implements checkpoint.Snapshotter. Restored input tuples and
+// expiry entries whose values are their representative's bits drop their
+// decoded values and share the representative's again, as they did when
+// they were saved.
 func (d *Distinct) LoadState(dec *checkpoint.Decoder) error {
 	d.clock = dec.Varint()
 	d.lastTrim = dec.Varint()
@@ -104,7 +107,20 @@ func (d *Distinct) LoadState(dec *checkpoint.Decoder) error {
 	if err := d.input.LoadState(dec); err != nil {
 		return err
 	}
-	return d.expIdx.LoadState(dec)
+	if err := d.expIdx.LoadState(dec); err != nil {
+		return err
+	}
+	share := func(t tuple.Tuple) []tuple.Value {
+		if ref := d.reps.FindRow(t, d.allCols); ref != 0 {
+			if rep := d.reps.At(ref).Vals; slices.EqualFunc(t.Vals, rep, tuple.Value.Identical) {
+				return rep
+			}
+		}
+		return t.Vals
+	}
+	d.input.Rebind(share)
+	d.expIdx.Rebind(share)
+	return nil
 }
 
 // SaveState implements checkpoint.Snapshotter: clock, the representatives,

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/tuple"
@@ -59,14 +60,15 @@ func (s *Select) Touched() int64 { return 0 }
 // projectBlockRows is how many rows one value block holds. Rows escape
 // downstream, and a stale tuple left in a truncated scratch slice or a pooled
 // Emit keeps its whole block alive, so blocks stay small. A group-by keeps
-// each group's last row and δ each value's representative, so there the
-// bound is one block, 16 rows, per live group or value.
+// each group's last row and a duplicate eliminator each value's
+// representative, so there the bound is one block, 16 rows, per live group
+// or value.
 const projectBlockRows = 16
 
 // valueBlock is the unused tail of the current block that emitted or kept
 // rows carve their value slices from (Project's, Join's and GroupBy's
-// outputs, δ's representatives). A carved slice has len == cap and is never
-// handed out again.
+// outputs, the values δ and Distinct keep). A carved slice has len == cap and
+// is never handed out again.
 type valueBlock []tuple.Value
 
 // reserve makes room for rows rows of w values: a fresh block of at least
@@ -89,6 +91,20 @@ func (b *valueBlock) carve(w int) []tuple.Value {
 	return vals
 }
 
+// keep returns vals in storage its caller may keep: like itself when the two
+// hold the same bits, else a copy carved from the block. A duplicate
+// eliminator passes a kept duplicate's representative as like, so duplicates
+// share one copy, and one that differs bit for bit (1 and 1.0, +0 and −0, two
+// NaN payloads) keeps its own.
+func (b *valueBlock) keep(vals, like []tuple.Value) []tuple.Value {
+	if like != nil && slices.EqualFunc(vals, like, tuple.Value.Identical) {
+		return like
+	}
+	kept := b.carve(len(vals))
+	copy(kept, vals)
+	return kept
+}
+
 // Project keeps the columns at the configured positions, preserving
 // duplicates (bag semantics). Negative tuples are projected identically so
 // their values keep matching the positive results they retract.
@@ -98,8 +114,9 @@ func (b *valueBlock) carve(w int) []tuple.Value {
 // and a longer run than a block holds takes one array of its own. A
 // borrowing projection (SetBorrow) of one contiguous ascending column range
 // instead emits a capped subslice of each input row's values and allocates
-// nothing; the executor turns it on only where every consumer is a δ, which
-// copies what it keeps, so no borrowed slice outlives the run.
+// nothing; the executor turns it on only where every consumer is a duplicate
+// eliminator, δ or Distinct, which copies what it keeps, so no borrowed slice
+// outlives the run.
 type Project struct {
 	cols   []int
 	schema *tuple.Schema

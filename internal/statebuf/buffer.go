@@ -86,6 +86,13 @@ type Buffer interface {
 	// distinguishes the strategies in the experiments.
 	Touched() int64
 
+	// Rebind calls fn with every stored tuple and stores the slice fn
+	// returns in that tuple's place. fn must return the tuple's values bit
+	// for bit, so the tuple keeps its key, digest and position; no visit is
+	// counted. An owner uses it to share one copy of a value among the
+	// tuples that hold it, as after a restore.
+	Rebind(fn func(t tuple.Tuple) []tuple.Value)
+
 	// SaveState and LoadState write and restore the stored tuples, cursors
 	// and counters; the configuration comes from the plan.
 	checkpoint.Snapshotter

@@ -481,3 +481,40 @@ func TestIndexedFIFOUnsortedFallback(t *testing.T) {
 		t.Errorf("Scan order is not expiration order: %v", got)
 	}
 }
+
+// TestBuffersRebind: every kind rebinds each stored tuple exactly once,
+// removed ones excluded, counts no visit, and afterwards stores the slice fn
+// returned in that tuple's place, found by probes and retractions as before.
+func TestBuffersRebind(t *testing.T) {
+	for name, b := range allBuffers(100) {
+		t.Run(name, func(t *testing.T) {
+			for i := int64(1); i <= 6; i++ {
+				b.Insert(mk(i, 100+i, i%3))
+			}
+			if !b.Remove(mk(0, 102, 2)) {
+				t.Fatal("Remove found nothing")
+			}
+			shared := map[int64][]tuple.Value{}
+			touched, visits := b.Touched(), 0
+			b.Rebind(func(tp tuple.Tuple) []tuple.Value {
+				visits++
+				v := tp.Vals[0].I
+				if shared[v] == nil {
+					shared[v] = []tuple.Value{tuple.Int(v)}
+				}
+				return shared[v]
+			})
+			if visits != 5 || b.Touched() != touched {
+				t.Fatalf("%d visits and %d touches; want 5 and none", visits, b.Touched()-touched)
+			}
+			for _, tp := range snapshot(b) {
+				if &tp.Vals[0] != &shared[tp.Vals[0].I][0] {
+					t.Fatalf("%v keeps its own values", tp)
+				}
+			}
+			if !b.Remove(mk(0, 105, 2)) || b.Len() != 4 {
+				t.Fatalf("after Rebind a retraction misses: Len %d", b.Len())
+			}
+		})
+	}
+}

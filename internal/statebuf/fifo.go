@@ -123,6 +123,14 @@ func (b *FIFOBuffer) Scan(fn func(t tuple.Tuple) bool) {
 	}
 }
 
+// Rebind implements Buffer.
+func (b *FIFOBuffer) Rebind(fn func(t tuple.Tuple) []tuple.Value) {
+	for i := 0; i < b.items.Len(); i++ {
+		t := b.items.At(i)
+		t.Vals = fn(*t)
+	}
+}
+
 // Clear empties the buffer, releasing whole pages back to the deque
 // freelist. The cumulative Touched counter is preserved (it is a cost
 // ledger, not state).

@@ -31,6 +31,9 @@ func (b *ListBuffer) Remove(t tuple.Tuple) bool { return b.fifo.Remove(t) }
 // Scan visits stored tuples in insertion order.
 func (b *ListBuffer) Scan(fn func(t tuple.Tuple) bool) { b.fifo.Scan(fn) }
 
+// Rebind implements Buffer.
+func (b *ListBuffer) Rebind(fn func(t tuple.Tuple) []tuple.Value) { b.fifo.Rebind(fn) }
+
 // ScanAppend appends to dst the tuples live at now whose key over keyCols
 // equals k, and returns the extended slice: the baseline's probe, a filtered
 // scan that visits and counts every stored tuple as Scan does. It is not

@@ -162,6 +162,15 @@ func (s *store) Len() int { return s.size }
 // Touched returns cumulative tuple visits.
 func (s *store) Touched() int64 { return s.touched }
 
+// Rebind implements Buffer for the hash and the calendars.
+func (s *store) Rebind(fn func(t tuple.Tuple) []tuple.Value) {
+	for ref := int32(1); ref <= s.ents.used; ref++ {
+		if e := s.ents.At(ref); e.slot != dead {
+			e.t.Vals = fn(e.t)
+		}
+	}
+}
+
 // reset drops every stored tuple.
 func (s *store) reset() {
 	s.ents = Slab[calEntry]{}

@@ -155,7 +155,10 @@ type SharingStats = exec.SharingStats
 // Sharing reports the registry's current sub-plan sharing statistics.
 func (r *Registry) Sharing() SharingStats { return r.e.Sharing() }
 
-// Push feeds one stream tuple to every query reading that stream.
+// Push feeds one stream tuple to every query reading that stream. The
+// engine keeps vals by reference: its windows, joins and views may store the
+// slice itself for as long as the tuple lives, so the caller must not modify
+// it afterwards.
 func (r *Registry) Push(streamID int, ts int64, vals ...Value) error {
 	return r.e.Push(streamID, ts, vals...)
 }
@@ -172,7 +175,10 @@ func (r *Registry) Push(streamID int, ts int64, vals ...Value) error {
 // and Sync always brings them. OnEmit callbacks of queries in different
 // components may then run concurrently; one query's callbacks never
 // overlap and arrive in the same order as from a serial engine. A panic in
-// a callback is re-raised on the caller with its own value.
+// a callback is re-raised on the caller with its own value. Each arrival's
+// Vals is kept by reference, as Push keeps its vals, so the caller must not
+// modify it afterwards; the batch slice itself may be reused once the call
+// returns.
 func (r *Registry) PushBatch(batch []Arrival) error { return r.e.PushBatch(batch) }
 
 // Advance moves logical time forward without a tuple arrival.

@@ -113,6 +113,8 @@ type (
 	// Stats are executor counters.
 	Stats = exec.Stats
 	// Arrival is one base-stream tuple for batched ingest (PushBatch).
+	// The engine keeps Vals by reference once it is pushed, so the caller
+	// must not modify that slice afterwards.
 	Arrival = exec.Arrival
 )
 
