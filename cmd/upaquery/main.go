@@ -1,11 +1,14 @@
-// Command upaquery runs one of the paper's experimental queries over a
-// trace (a CSV file from tracegen, or a freshly generated one) under a
-// chosen execution strategy, printing the annotated plan, progress, and
-// final statistics.
+// Command upaquery runs one or more of the paper's experimental queries, or
+// CQL queries, over a trace (a CSV file from tracegen, or a freshly
+// generated one) under a chosen execution strategy, printing the annotated
+// plan, progress, and final statistics. Several queries run on one shared
+// registry, which executes identical sub-plans once; every flag means the
+// same for them as for one query.
 //
 // Usage:
 //
 //	upaquery -query q1-ftp -strategy upa -window 5000
+//	upaquery -query q1-ftp -query q1-telnet -query 'a=SELECT DISTINCT src FROM S0 [RANGE 5000]'
 //	upaquery -query q1-ftp -strategy upa -shards 4
 //	upaquery -query q3 -strategy nt -window 2000 -trace trace.csv
 //	upaquery -query q3 -strategy upa -explain
@@ -39,14 +42,19 @@
 // with ?format=html) and retained series windows at
 // /debug/history?series=NAME.
 //
-// With -checkpoint-dir the run writes a versioned binary checkpoint
-// (atomically, via temp file + rename) every -checkpoint-every tuples and
-// once at the end; when the directory already holds a checkpoint, the run
-// restores it and resumes the trace where the previous process stopped (the
-// synthetic trace is deterministic, so skipping the restored arrival count
+// With -checkpoint-dir the run writes a versioned binary checkpoint of the
+// whole engine (atomically, via temp file + rename) every -checkpoint-every
+// tuples and once at the end; when the directory already holds a
+// checkpoint, the run restores it and resumes the trace where the previous
+// process stopped (the synthetic trace is deterministic, so skipping as many
+// records of the links the queries read as the checkpoint holds arrivals
 // replays the exact remainder). -max-tuples bounds the run so a later
 // invocation can finish it, and -dump-view writes the sorted final answer
 // for diffing two runs.
+//
+// Several queries cannot be key-partitioned: with -shards they run
+// sequentially, and the run says so, as it does for a plan without a
+// routing key. Records on links no query reads are skipped and counted.
 package main
 
 import (
@@ -93,29 +101,47 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
+// options are the run's flags.
+type options struct {
+	queries                           multiFlag
+	cql                               string
+	links                             int
+	strategy                          string
+	window, duration                  int64
+	trace                             string
+	partitions, shards                int
+	metricsAddr                       string
+	progress                          time.Duration
+	explain, analyze, latency, health bool
+	sloP99, healthInterval            time.Duration
+	checkpointDir                     string
+	checkpointEvery, maxTuples        int
+	dumpView                          string
+}
+
 func main() {
-	var queries multiFlag
-	flag.Var(&queries, "query", "query to run: a name from -list, or name=CQL for a named ad-hoc query; repeat the flag to run several queries on one shared registry (default q1-ftp)")
-	cqlText := flag.String("cql", "", "run a CQL query instead (streams S0..S{links-1} carry the trace schema)")
-	links := flag.Int("links", 2, "number of trace links for -cql queries")
-	strategy := flag.String("strategy", "upa", "execution strategy: nt, direct, or upa")
-	windowSize := flag.Int64("window", 5000, "sliding window size in time units")
-	duration := flag.Int64("duration", 0, "trace duration in time units (default 2x window)")
-	traceFile := flag.String("trace", "", "CSV trace file (default: generate synthetically)")
-	partitions := flag.Int("partitions", 10, "state-buffer partitions")
-	shards := flag.Int("shards", 1, "run key-partitioned across this many parallel shards (falls back to 1 with a reason when the plan has no routing key)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics/pprof on this address (e.g. :9090)")
-	progressEvery := flag.Duration("progress", time.Second, "progress-line interval (0 disables)")
-	explain := flag.Bool("explain", false, "print the annotated physical plan (EXPLAIN) and exit")
-	analyze := flag.Bool("analyze", false, "after the run, print the plan with live per-operator counters (EXPLAIN ANALYZE)")
-	latency := flag.Bool("latency", false, "record ingest-to-emit delta latency and print percentiles plus the conformance verdict at exit")
-	health := flag.Bool("health", false, "run the self-monitoring health subsystem (built-in rules, alert log on stderr, final report; exit code 2 on CRIT)")
-	sloP99 := flag.Duration("slo-p99", 0, "delta-latency p99 SLO for the built-in health rule (e.g. 5ms; implies -health)")
-	healthInterval := flag.Duration("health-interval", 200*time.Millisecond, "health sampling cadence")
-	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint into this directory and resume from an existing checkpoint on start")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "also checkpoint every N processed tuples (0: only a final checkpoint)")
-	maxTuples := flag.Int("max-tuples", 0, "stop after this many trace records (0: the whole trace)")
-	dumpView := flag.String("dump-view", "", "after the run, write the sorted result view to this file")
+	var o options
+	flag.Var(&o.queries, "query", "query to run: a name from -list, or name=CQL for a named ad-hoc query; repeat the flag to run several queries on one shared registry (default q1-ftp)")
+	flag.StringVar(&o.cql, "cql", "", "also run this CQL query, named cql (streams S0..S{links-1} carry the trace schema)")
+	flag.IntVar(&o.links, "links", 2, "number of trace links for CQL queries")
+	flag.StringVar(&o.strategy, "strategy", "upa", "execution strategy: nt, direct, or upa")
+	flag.Int64Var(&o.window, "window", 5000, "sliding window size in time units")
+	flag.Int64Var(&o.duration, "duration", 0, "trace duration in time units (default 2x window)")
+	flag.StringVar(&o.trace, "trace", "", "CSV trace file (default: generate synthetically)")
+	flag.IntVar(&o.partitions, "partitions", 10, "state-buffer partitions")
+	flag.IntVar(&o.shards, "shards", 1, "run key-partitioned across this many parallel shards (falls back to 1 with a reason when the plan has no routing key, or when several queries run)")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics/pprof on this address (e.g. :9090)")
+	flag.DurationVar(&o.progress, "progress", time.Second, "progress-line interval (0 disables)")
+	flag.BoolVar(&o.explain, "explain", false, "print the annotated physical plan (EXPLAIN) and exit")
+	flag.BoolVar(&o.analyze, "analyze", false, "after the run, print the plan with live per-operator counters (EXPLAIN ANALYZE)")
+	flag.BoolVar(&o.latency, "latency", false, "record ingest-to-emit delta latency and print percentiles plus the conformance verdict at exit")
+	flag.BoolVar(&o.health, "health", false, "run the self-monitoring health subsystem (built-in rules, alert log on stderr, final report; exit code 2 on CRIT)")
+	flag.DurationVar(&o.sloP99, "slo-p99", 0, "delta-latency p99 SLO for the built-in health rule (e.g. 5ms; implies -health)")
+	flag.DurationVar(&o.healthInterval, "health-interval", 200*time.Millisecond, "health sampling cadence")
+	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "checkpoint into this directory and resume from an existing checkpoint on start")
+	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 0, "also checkpoint every N processed tuples (0: only a final checkpoint)")
+	flag.IntVar(&o.maxTuples, "max-tuples", 0, "stop after this many trace records (0: the whole trace)")
+	flag.StringVar(&o.dumpView, "dump-view", "", "after the run, write the sorted result view to this file (FILE.NAME per query when several run)")
 	list := flag.Bool("list", false, "list query names and exit")
 	flag.Parse()
 
@@ -131,21 +157,7 @@ func main() {
 		}
 		return
 	}
-	var err error
-	if len(queries) > 1 || (len(queries) == 1 && strings.Contains(queries[0], "=")) {
-		err = runMulti(queries, *links, *strategy, *windowSize, *duration, *traceFile,
-			*partitions, *progressEvery, *explain, *analyze, *dumpView)
-	} else {
-		single := "q1-ftp"
-		if len(queries) == 1 {
-			single = queries[0]
-		}
-		err = run(single, *cqlText, *links, *strategy, *windowSize, *duration, *traceFile,
-			*partitions, *shards, *metricsAddr, *progressEvery, *explain, *analyze,
-			*latency, *health, *sloP99, *healthInterval, *checkpointDir,
-			*checkpointEvery, *maxTuples, *dumpView)
-	}
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "upaquery:", err)
 		if errors.Is(err, errHealthCrit) {
 			os.Exit(2)
@@ -159,85 +171,162 @@ func main() {
 // the engine is unhealthy".
 var errHealthCrit = errors.New("health is CRIT")
 
-func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSize, duration int64,
-	traceFile string, partitions, shards int, metricsAddr string, progressEvery time.Duration,
-	explain, analyze, latency, healthOn bool, sloP99, healthInterval time.Duration,
-	checkpointDir string, checkpointEvery, maxTuples int, dumpView string) error {
-	healthOn = healthOn || sloP99 > 0
-	var q bench.Query
-	var root *plan.Node
-	nLinks := 0
-	if cqlText != "" {
-		var err error
-		root, err = cql.Parse(cqlText, traceCatalog(cqlLinks))
-		if err != nil {
+// query is one query of the run: a paper query from -list, or CQL.
+type query struct {
+	name  string
+	root  *plan.Node
+	q     bench.Query // the paper query; Q1's stats stand in for CQL
+	cql   bool
+	links int // the trace links it needs
+}
+
+// parseQueries resolves the -query values, each a name from -list or
+// name=CQL over cqlLinks links. A repeated name gets -2, -3, ... suffixes.
+func parseQueries(specs []string, cqlLinks int, windowSize int64) ([]query, error) {
+	cat := traceCatalog(cqlLinks)
+	seen := map[string]int{}
+	out := make([]query, 0, len(specs))
+	for _, spec := range specs {
+		var nq query
+		if name, text, ok := strings.Cut(spec, "="); ok {
+			root, err := cql.Parse(text, cat)
+			if err != nil {
+				return nil, fmt.Errorf("query %s: %w", name, err)
+			}
+			nq = query{name: name, root: root, cql: true, links: cqlLinks}
+		} else {
+			q, ok := queryNames[strings.ToLower(spec)]
+			if !ok {
+				return nil, fmt.Errorf("unknown query %q (use -list, or name=CQL)", spec)
+			}
+			nq = query{name: spec, root: bench.BuildPlan(q, windowSize), q: q, links: q.Links()}
+		}
+		seen[nq.name]++
+		if n := seen[nq.name]; n > 1 {
+			nq.name = fmt.Sprintf("%s-%d", nq.name, n)
+		}
+		out = append(out, nq)
+	}
+	return out, nil
+}
+
+// eachQuery runs fn for every query, under a "=== name ===" line and
+// followed by a blank line when the run has several.
+func eachQuery(w io.Writer, hs []*exec.QueryHandle, fn func(h *exec.QueryHandle) error) error {
+	for _, h := range hs {
+		if len(hs) > 1 {
+			fmt.Fprintf(w, "=== %s ===\n", h.Name())
+		}
+		if err := fn(h); err != nil {
 			return err
 		}
-		nLinks = cqlLinks
-	} else {
-		var ok bool
-		q, ok = queryNames[strings.ToLower(queryName)]
-		if !ok {
-			return fmt.Errorf("unknown query %q (use -list)", queryName)
+		if len(hs) > 1 {
+			fmt.Fprintln(w)
 		}
-		nLinks = q.Links()
 	}
-	strat, err := parseStrategy(strategyName)
+	return nil
+}
+
+func run(o options) error {
+	healthOn := o.health || o.sloP99 > 0
+	strat, err := parseStrategy(o.strategy)
 	if err != nil {
 		return err
 	}
+	specs := o.queries
+	if o.cql != "" {
+		specs = append(specs, "cql="+o.cql)
+	}
+	if len(specs) == 0 {
+		specs = multiFlag{"q1-ftp"}
+	}
+	qs, err := parseQueries(specs, o.links, o.window)
+	if err != nil {
+		return err
+	}
+	duration := o.duration
 	if duration <= 0 {
-		duration = 2 * windowSize
+		duration = 2 * o.window
 	}
+	// The trace carries every link a query needs, and disjoint sources when
+	// every query asks for them.
+	gen := trace.Config{Links: 1, Seed: 42, DisjointSources: true}
+	phys := make([]*plan.Physical, len(qs))
+	for i, q := range qs {
+		gen.Links = max(gen.Links, q.links)
+		gen.DisjointSources = gen.DisjointSources && !q.cql && q.q.DisjointSources()
+		if err := plan.Annotate(q.root, bench.PlanStats(q.q, 0)); err != nil {
+			return fmt.Errorf("query %s: %w", q.name, err)
+		}
+		if phys[i], err = plan.Build(q.root, strat, plan.Options{Partitions: o.partitions}); err != nil {
+			return fmt.Errorf("query %s: %w", q.name, err)
+		}
+	}
+	gen.Tuples = int(duration) * gen.Links
 
-	if root == nil {
-		root = bench.BuildPlan(q, windowSize)
-	}
-	if err := plan.Annotate(root, bench.PlanStats(q, 0)); err != nil {
-		return err
-	}
-	fmt.Printf("plan under %v:\n%s", strat, root)
-	fmt.Printf("estimated cost: NT=%.0f DIRECT=%.0f UPA=%.0f\n\n",
-		plan.Cost(root, plan.NT), plan.Cost(root, plan.Direct), plan.Cost(root, plan.UPA))
-
-	phys, err := plan.Build(root, strat, plan.Options{Partitions: partitions})
-	if err != nil {
-		return err
-	}
-	if explain {
-		return plan.Explain(phys).WriteText(os.Stdout)
-	}
-	lazy := windowSize / 20
-	if lazy < 1 {
-		lazy = 1
-	}
-	cfg := exec.Config{EagerInterval: 1, LazyInterval: lazy}
-
+	cfg := exec.Config{EagerInterval: 1, LazyInterval: max(o.window/20, 1)}
 	var reg *obs.Registry
-	if metricsAddr != "" || latency || healthOn {
+	if o.metricsAddr != "" || o.latency || healthOn {
 		// -latency and -health need the registry too: delta-latency
 		// histograms (like all wall-clock instruments) record only when
 		// Config.Metrics is set, and health rules read registered series.
 		reg = obs.NewRegistry()
 		cfg.Metrics = reg
 	}
-
-	eng, fallback, err := exec.Open(exec.QuerySpec{Phys: phys}, cfg, shards)
+	// A lone query stays unnamed, so its series keep the engine-wide shape.
+	spec := func(i int) exec.QuerySpec {
+		if len(qs) == 1 {
+			return exec.QuerySpec{Phys: phys[i]}
+		}
+		return exec.QuerySpec{Name: qs[i].name, Phys: phys[i]}
+	}
+	shards := o.shards
+	if len(qs) > 1 && shards > 1 {
+		fmt.Fprintf(os.Stderr, "sharding fell back to sequential: %d queries share one registry, which does not partition\n", len(qs))
+		shards = 1
+	}
+	eng, fallback, err := exec.Open(spec(0), cfg, shards)
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
-	h := eng.Queries()[0]
 	if fallback != "" {
 		fmt.Fprintf(os.Stderr, "sharding fell back to sequential: %s\n", fallback)
 	} else if shards > 1 {
 		fmt.Fprintf(os.Stderr, "running key-partitioned across %d shards\n", eng.Shards())
 	}
+	for i := 1; i < len(qs); i++ {
+		if _, err := eng.RegisterQuery(spec(i)); err != nil {
+			return fmt.Errorf("register %s: %w", qs[i].name, err)
+		}
+	}
+	handles := eng.Queries()
+
+	if len(handles) == 1 {
+		root := qs[0].root
+		fmt.Printf("plan under %v:\n%s", strat, root)
+		fmt.Printf("estimated cost: NT=%.0f DIRECT=%.0f UPA=%.0f\n\n",
+			plan.Cost(root, plan.NT), plan.Cost(root, plan.Direct), plan.Cost(root, plan.UPA))
+		if o.explain {
+			return handles[0].Explain(false).WriteText(os.Stdout)
+		}
+	} else {
+		s := eng.Sharing()
+		fmt.Printf("registered %d queries under %v: %d physical operators for %d plan nodes, %d windows for %d sources (sharing ratio %.2f); %d independent components, ingested on up to %d cores\n\n",
+			s.Queries, strat, s.LiveNodes, s.PlanNodes, s.LiveSources, s.PlanSources, s.Ratio(), s.Components, min(s.Components, runtime.GOMAXPROCS(0)))
+		if err := eachQuery(os.Stdout, handles, func(h *exec.QueryHandle) error { return h.Explain(false).WriteText(os.Stdout) }); err != nil {
+			return err
+		}
+		if o.explain {
+			return nil
+		}
+	}
+
 	var healthMon *obs.Health
 	if healthOn {
-		hist := obs.NewHistory(reg, obs.HistoryConfig{Interval: healthInterval})
+		hist := obs.NewHistory(reg, obs.HistoryConfig{Interval: o.healthInterval})
 		hist.BeforeSample(obs.RegisterProcessMetrics(reg))
-		healthMon = obs.NewHealth(hist, eng.HealthRules(exec.HealthSLO{DeltaP99: sloP99})...)
+		healthMon = obs.NewHealth(hist, eng.HealthRules(exec.HealthSLO{DeltaP99: o.sloP99})...)
 		healthMon.AddSink(obs.NewLogAlertSink(os.Stderr))
 		// Baseline tick before ingest: each series' first sample records a
 		// zero delta, so without this a run shorter than the sampling
@@ -247,21 +336,23 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		healthMon.Start()
 		defer healthMon.Stop()
 	}
-	if metricsAddr != "" {
+	if o.metricsAddr != "" {
 		// The plan page reads only atomic instruments, so serving it while
 		// the run is in flight is safe.
 		planPage := obs.Page{
 			Path:  "/debug/plan",
-			Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
+			Title: "EXPLAIN of the running plans (?analyze=1, ?format=dot)",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
-				t := h.Explain(r.URL.Query().Get("analyze") != "")
+				analyze := r.URL.Query().Get("analyze") != ""
 				if r.URL.Query().Get("format") == "dot" {
 					w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-					_ = t.WriteDOT(w)
+					for _, h := range handles {
+						_ = h.Explain(analyze).WriteDOT(w)
+					}
 					return
 				}
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				_ = t.WriteText(w)
+				_ = eachQuery(w, handles, func(h *exec.QueryHandle) error { return h.Explain(analyze).WriteText(w) })
 			},
 		}
 		confPage := obs.Page{
@@ -269,12 +360,12 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			Title: "update-pattern conformance: declared vs observed per operator",
 			Handler: func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				_ = exec.WriteConformance(w, h.Profile())
+				_ = eachQuery(w, handles, func(h *exec.QueryHandle) error { return exec.WriteConformance(w, h.Profile()) })
 			},
 		}
 		pages := []obs.Page{planPage, confPage,
 			obs.HealthPage(healthMon), obs.HistoryPage(healthMon.History())}
-		srv, err := obs.Serve(metricsAddr, reg, pages...)
+		srv, err := obs.Serve(o.metricsAddr, reg, pages...)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
@@ -283,11 +374,11 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	}
 
 	ckptFile := ""
-	if checkpointDir != "" {
-		if err := os.MkdirAll(checkpointDir, 0o755); err != nil {
+	if o.checkpointDir != "" {
+		if err := os.MkdirAll(o.checkpointDir, 0o755); err != nil {
 			return err
 		}
-		ckptFile = filepath.Join(checkpointDir, "checkpoint.ckpt")
+		ckptFile = filepath.Join(o.checkpointDir, "checkpoint.ckpt")
 	}
 	// writeCheckpoint snapshots atomically: a crash mid-write leaves the
 	// previous checkpoint intact, never a truncated one.
@@ -297,7 +388,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		if err != nil {
 			return err
 		}
-		err = h.Checkpoint(f)
+		err = eng.Checkpoint(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -322,36 +413,38 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		}
 	}
 
-	gen := trace.Config{
-		Links:           nLinks,
-		Tuples:          int(duration) * nLinks,
-		Seed:            42,
-		DisjointSources: cqlText == "" && q.DisjointSources(),
+	// A trace can carry links no query reads (e.g. three links on disk,
+	// queries over S0/S1 only); those records are skipped, like a
+	// deployment that never subscribed to the stream.
+	reads := map[int]bool{}
+	for _, id := range eng.Streams() {
+		reads[id] = true
 	}
+	skipped := 0
 	// Whichever executor Open chose takes the batched fast path: whole
 	// same-(stream, timestamp) runs flow down the plan with pooled emit
 	// buffers. Progress and periodic checkpoints land on batch boundaries.
 	start := time.Now()
-	prog := newProgress(start, progressEvery)
+	prog := newProgress(start, o.progress)
 	// flushed is the cumulative arrival count (restored arrivals included) at
 	// the last batch boundary; a periodic checkpoint fires when a batch
 	// crosses a -checkpoint-every boundary.
 	flushed := skip
-	err = feedTrace(traceFile, gen, skip, maxTuples,
-		func(r *trace.Record) (bool, error) {
-			if r.Link >= nLinks {
-				return false, fmt.Errorf("trace record on link %d, but query reads %d links", r.Link, nLinks)
+	err = feedTrace(o.trace, gen, skip, o.maxTuples,
+		func(r *trace.Record) bool {
+			if !reads[r.Link] {
+				skipped++
 			}
-			return true, nil
+			return reads[r.Link]
 		},
-		func(batch []exec.Arrival, read int) error {
+		func(batch []exec.Arrival, fed int) error {
 			if err := eng.PushBatch(batch); err != nil {
 				return err
 			}
-			prog.maybe(read-skip, eng)
+			prog.maybe(fed-skip, eng)
 			prev := flushed
-			flushed = read
-			if ckptFile == "" || checkpointEvery <= 0 || prev/checkpointEvery == read/checkpointEvery {
+			flushed = fed
+			if ckptFile == "" || o.checkpointEvery <= 0 || prev/o.checkpointEvery == fed/o.checkpointEvery {
 				return nil
 			}
 			return writeCheckpoint()
@@ -359,11 +452,13 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 	if err != nil {
 		return err
 	}
-	// ResultCount is the run's one Sync: every pending expiration is applied
-	// before the final checkpoint and the statistics.
-	resultLen, err := h.ResultCount()
-	if err != nil {
-		return err
+	// ResultCount syncs, and the first call is the run's Sync: every pending
+	// expiration is applied before the final checkpoint and the statistics.
+	counts := make([]int, len(handles))
+	for i, h := range handles {
+		if counts[i], err = h.ResultCount(); err != nil {
+			return err
+		}
 	}
 	if ckptFile != "" {
 		if err := writeCheckpoint(); err != nil {
@@ -384,20 +479,35 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		fmt.Println("no tuples processed (empty trace)")
 		return nil
 	}
-	fmt.Printf("processed %d tuples in %v (%.3f ms per 1000 tuples)\n",
+	across := ""
+	if len(handles) > 1 {
+		across = fmt.Sprintf(" across %d queries", len(handles))
+	}
+	fmt.Printf("processed %d tuples in %v (%.3f ms per 1000 tuples)%s\n",
 		st.Arrivals, elapsed.Round(time.Millisecond),
-		float64(elapsed.Nanoseconds())/1e6/float64(st.Arrivals)*1000)
+		float64(elapsed.Nanoseconds())/1e6/float64(st.Arrivals)*1000, across)
+	if skipped > 0 {
+		fmt.Printf("skipped %d trace records on links no query reads\n", skipped)
+	}
 	fmt.Printf("results emitted %d, retracted %d, window negatives %d\n",
 		st.Emitted, st.Retracted, st.WindowNegatives)
-	fmt.Printf("current result size %d, peak stored tuples %d, tuple touches %d\n",
-		resultLen, st.MaxStateTuples, touched)
-	if analyze {
+	if len(handles) == 1 {
+		fmt.Printf("current result size %d, peak stored tuples %d, tuple touches %d\n",
+			counts[0], st.MaxStateTuples, touched)
+	} else {
+		fmt.Printf("peak stored tuples %d, tuple touches %d\n\n", st.MaxStateTuples, touched)
+		fmt.Printf("%-20s %12s %12s\n", "query", "results", "pattern")
+		for i, h := range handles {
+			fmt.Printf("%-20s %12d %12v\n", h.Name(), counts[i], h.Pattern())
+		}
+	}
+	if o.analyze {
 		fmt.Println()
-		if err := h.Explain(true).WriteText(os.Stdout); err != nil {
+		if err := eachQuery(os.Stdout, handles, func(h *exec.QueryHandle) error { return h.Explain(true).WriteText(os.Stdout) }); err != nil {
 			return err
 		}
 	}
-	if latency {
+	if o.latency {
 		pos, neg := eng.DeltaLatency()
 		fmt.Println()
 		fmt.Println("delta latency (ingest to view-fold, nanoseconds):")
@@ -405,7 +515,7 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "insertion", pos.Count, pos.P50, pos.P95, pos.P99, pos.Max)
 		fmt.Printf("  %-10s %12d %12d %12d %12d %12d\n", "retraction", neg.Count, neg.P50, neg.P95, neg.P99, neg.Max)
 		fmt.Println()
-		if err := exec.WriteConformance(os.Stdout, h.Profile()); err != nil {
+		if err := eachQuery(os.Stdout, handles, func(h *exec.QueryHandle) error { return exec.WriteConformance(os.Stdout, h.Profile()) }); err != nil {
 			return err
 		}
 	}
@@ -422,25 +532,39 @@ func run(queryName, cqlText string, cqlLinks int, strategyName string, windowSiz
 			return errHealthCrit
 		}
 	}
-	if dumpView != "" {
-		rows, err := h.Snapshot()
-		if err != nil {
-			return err
+	if o.dumpView != "" {
+		for _, h := range handles {
+			path := o.dumpView
+			if len(handles) > 1 {
+				path += "." + h.Name()
+			}
+			if err := dumpRows(h, path); err != nil {
+				return err
+			}
 		}
-		lines := make([]string, 0, len(rows))
-		for _, t := range rows {
-			lines = append(lines, t.String())
-		}
-		sort.Strings(lines)
-		out := strings.Join(lines, "\n")
-		if out != "" {
-			out += "\n"
-		}
-		if err := os.WriteFile(dumpView, []byte(out), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d result rows to %s\n", len(lines), dumpView)
 	}
+	return nil
+}
+
+// dumpRows writes the query's answer to path, one row per line, sorted.
+func dumpRows(h *exec.QueryHandle, path string) error {
+	rows, err := h.Snapshot()
+	if err != nil {
+		return err
+	}
+	lines := make([]string, 0, len(rows))
+	for _, t := range rows {
+		lines = append(lines, t.String())
+	}
+	sort.Strings(lines)
+	out := strings.Join(lines, "\n")
+	if out != "" {
+		out += "\n"
+	}
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d result rows to %s\n", len(lines), path)
 	return nil
 }
 
@@ -462,14 +586,15 @@ const ingestBatch = 256
 // feedTrace is the one place a run's trace is loaded: it streams the CSV file
 // traceFile — or, with no file, the deterministic synthetic trace of gen —
 // to push in batches of ingestBatch arrivals, holding one batch at a time
-// whatever the trace's size. The first skip records (a resumed run has
-// processed them already) are read and dropped, and reading stops after
-// maxTuples records (0: the whole trace), so a malformed line is reported
-// when, and only if, the run reaches it. keep says whether a record is fed at
-// all; push also gets the number of trace records read so far, and is called
-// a last time with the final short (possibly empty) batch.
+// whatever the trace's size. keep says whether a record is fed at all. The
+// first skip records keep accepts (a resumed run has ingested them already)
+// are read and dropped, and reading stops after maxTuples records (0: the
+// whole trace), so a malformed line is reported when, and only if, the run
+// reaches it. push also gets the number of records keep has accepted so
+// far, the dropped ones included, and is called a last time with the final
+// short (possibly empty) batch.
 func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
-	keep func(*trace.Record) (bool, error), push func(batch []exec.Arrival, read int) error) error {
+	keep func(*trace.Record) bool, push func(batch []exec.Arrival, fed int) error) error {
 	// next fills the record with values the engine may retain when it comes
 	// in with none, and reuses the ones it has otherwise.
 	var next func(*trace.Record) error
@@ -511,13 +636,17 @@ func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
 		}
 	}
 	more := func(read int) bool { return maxTuples <= 0 || read < maxTuples }
-	read := 0
+	read, fed := 0, 0
 	var dropped trace.Record
-	for ; read < skip && more(read); read++ {
+	for fed < skip && more(read) {
 		if err := next(&dropped); err == io.EOF {
 			break
 		} else if err != nil {
 			return err
+		}
+		read++
+		if keep(&dropped) {
+			fed++
 		}
 	}
 	batch := make([]exec.Arrival, 0, ingestBatch)
@@ -529,20 +658,19 @@ func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
 			return err
 		}
 		read++
-		if ok, err := keep(&rec); err != nil {
-			return err
-		} else if !ok {
+		if !keep(&rec) {
 			continue
 		}
+		fed++
 		batch = append(batch, exec.Arrival{Stream: rec.Link, TS: rec.TS, Vals: rec.Vals})
 		if len(batch) == cap(batch) {
-			if err := push(batch, read); err != nil {
+			if err := push(batch, fed); err != nil {
 				return err
 			}
 			batch = batch[:0]
 		}
 	}
-	return push(batch, read)
+	return push(batch, fed)
 }
 
 // maybe emits a progress line when the interval has elapsed. It checks the
@@ -592,181 +720,4 @@ func parseStrategy(name string) (plan.Strategy, error) {
 	default:
 		return 0, fmt.Errorf("unknown strategy %q (want nt, direct, or upa)", name)
 	}
-}
-
-// runMulti registers several queries on one shared registry and runs the
-// trace through it once. Each -query value is a bench query name or
-// name=CQL; queries sharing sub-plans (same window, predicate, strategy)
-// share physical state, which the per-query EXPLAIN annotates.
-func runMulti(specs []string, cqlLinks int, strategyName string, windowSize, duration int64,
-	traceFile string, partitions int, progressEvery time.Duration,
-	explainOnly, analyze bool, dumpView string) error {
-	strat, err := parseStrategy(strategyName)
-	if err != nil {
-		return err
-	}
-	if duration <= 0 {
-		duration = 2 * windowSize
-	}
-	cat := traceCatalog(cqlLinks)
-	type namedQuery struct {
-		name string
-		root *plan.Node
-		q    bench.Query
-		cql  bool
-	}
-	var nqs []namedQuery
-	seen := map[string]int{}
-	nLinks := 1
-	for _, spec := range specs {
-		var nq namedQuery
-		if name, text, ok := strings.Cut(spec, "="); ok {
-			root, err := cql.Parse(text, cat)
-			if err != nil {
-				return fmt.Errorf("query %s: %w", name, err)
-			}
-			nq = namedQuery{name: name, root: root, cql: true}
-			if cqlLinks > nLinks {
-				nLinks = cqlLinks
-			}
-		} else {
-			q, ok := queryNames[strings.ToLower(spec)]
-			if !ok {
-				return fmt.Errorf("unknown query %q (use -list, or name=CQL)", spec)
-			}
-			nq = namedQuery{name: spec, root: bench.BuildPlan(q, windowSize), q: q}
-			if q.Links() > nLinks {
-				nLinks = q.Links()
-			}
-		}
-		// Repeat a name and the instances get -2, -3, ... suffixes.
-		seen[nq.name]++
-		if n := seen[nq.name]; n > 1 {
-			nq.name = fmt.Sprintf("%s-%d", nq.name, n)
-		}
-		nqs = append(nqs, nq)
-	}
-
-	lazy := windowSize / 20
-	if lazy < 1 {
-		lazy = 1
-	}
-	e := exec.NewMulti(exec.Config{EagerInterval: 1, LazyInterval: lazy})
-	handles := make([]*exec.QueryHandle, 0, len(nqs))
-	for _, nq := range nqs {
-		if err := plan.Annotate(nq.root, bench.PlanStats(nq.q, 0)); err != nil {
-			return fmt.Errorf("query %s: %w", nq.name, err)
-		}
-		phys, err := plan.Build(nq.root, strat, plan.Options{Partitions: partitions})
-		if err != nil {
-			return fmt.Errorf("query %s: %w", nq.name, err)
-		}
-		h, err := e.RegisterQuery(exec.QuerySpec{Name: nq.name, Phys: phys})
-		if err != nil {
-			return fmt.Errorf("register %s: %w", nq.name, err)
-		}
-		handles = append(handles, h)
-	}
-	s := e.Sharing()
-	fmt.Printf("registered %d queries under %v: %d physical operators for %d plan nodes, %d windows for %d sources (sharing ratio %.2f); %d independent components, ingested on up to %d cores\n\n",
-		s.Queries, strat, s.LiveNodes, s.PlanNodes, s.LiveSources, s.PlanSources, s.Ratio(), s.Components, min(s.Components, runtime.GOMAXPROCS(0)))
-	for _, h := range handles {
-		fmt.Printf("=== %s ===\n", h.Name())
-		if err := h.Explain(false).WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if explainOnly {
-		return nil
-	}
-
-	// A shared trace can carry links no registered query reads (e.g. three
-	// links on disk, queries over S0/S1 only); those records are skipped,
-	// like a deployment that never subscribed to the stream.
-	read := map[int]bool{}
-	for _, id := range e.Streams() {
-		read[id] = true
-	}
-	skipped := 0
-	start := time.Now()
-	prog := newProgress(start, progressEvery)
-	gen := trace.Config{Links: nLinks, Tuples: int(duration) * nLinks, Seed: 42}
-	err = feedTrace(traceFile, gen, 0, 0,
-		func(r *trace.Record) (bool, error) {
-			if !read[r.Link] {
-				skipped++
-			}
-			return read[r.Link], nil
-		},
-		func(batch []exec.Arrival, n int) error {
-			if err := e.PushBatch(batch); err != nil {
-				return err
-			}
-			prog.maybe(n, e)
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	if err := e.Sync(); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	st := e.Stats()
-	fmt.Printf("processed %d tuples in %v (%.3f ms per 1000 tuples) across %d queries\n",
-		st.Arrivals, elapsed.Round(time.Millisecond),
-		float64(elapsed.Nanoseconds())/1e6/float64(max(1, int(st.Arrivals)))*1000, len(handles))
-	if skipped > 0 {
-		fmt.Printf("skipped %d trace records on links no query reads\n", skipped)
-	}
-	stored, err := e.StateTuples()
-	if err != nil {
-		return err
-	}
-	touches, err := e.Touched()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shared state: %d stored tuples, %d tuple touches\n\n", stored, touches)
-	fmt.Printf("%-20s %12s %12s\n", "query", "results", "pattern")
-	for _, h := range handles {
-		n, err := h.ResultCount()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-20s %12d %12v\n", h.Name(), n, h.Pattern())
-	}
-	if analyze {
-		for _, h := range handles {
-			fmt.Printf("\n=== %s (ANALYZE) ===\n", h.Name())
-			if err := h.Explain(true).WriteText(os.Stdout); err != nil {
-				return err
-			}
-		}
-	}
-	if dumpView != "" {
-		for _, h := range handles {
-			rows, err := h.Snapshot()
-			if err != nil {
-				return err
-			}
-			lines := make([]string, 0, len(rows))
-			for _, t := range rows {
-				lines = append(lines, t.String())
-			}
-			sort.Strings(lines)
-			out := strings.Join(lines, "\n")
-			if out != "" {
-				out += "\n"
-			}
-			path := fmt.Sprintf("%s.%s", dumpView, h.Name())
-			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d result rows to %s\n", len(lines), path)
-		}
-	}
-	return nil
 }

@@ -12,23 +12,23 @@ import (
 )
 
 // collect runs feedTrace keeping every arrival it was handed, the way an
-// engine on the row path retains them, plus the read count of each push.
-func collect(t *testing.T, file string, gen trace.Config, skip, max int, keep func(*trace.Record) (bool, error)) ([]exec.Arrival, []int, error) {
+// engine on the row path retains them, plus the fed count of each push.
+func collect(t *testing.T, file string, gen trace.Config, skip, max int, keep func(*trace.Record) bool) ([]exec.Arrival, []int, error) {
 	t.Helper()
 	if keep == nil {
-		keep = func(*trace.Record) (bool, error) { return true, nil }
+		keep = func(*trace.Record) bool { return true }
 	}
 	var got []exec.Arrival
-	var reads []int
-	err := feedTrace(file, gen, skip, max, keep, func(batch []exec.Arrival, read int) error {
+	var fed []int
+	err := feedTrace(file, gen, skip, max, keep, func(batch []exec.Arrival, n int) error {
 		if len(batch) > ingestBatch {
 			t.Fatalf("batch of %d", len(batch))
 		}
 		got = append(got, batch...)
-		reads = append(reads, read)
+		fed = append(fed, n)
 		return nil
 	})
-	return got, reads, err
+	return got, fed, err
 }
 
 func sameArrivals(t *testing.T, got []exec.Arrival, want []trace.Record) {
@@ -99,19 +99,29 @@ func TestFeedTrace(t *testing.T) {
 			t.Errorf("%s: skip past max: %d arrivals, %v", name, len(got), err)
 		}
 
-		// Records keep rejects are read but not fed; its error ends the run.
-		got, _, err = collect(t, src, gen, 0, max, func(r *trace.Record) (bool, error) { return r.Link == 1, nil })
-		if err != nil || len(got) != 500 || got[0].Stream != 1 {
-			t.Errorf("%s: filtered: %d arrivals, %v", name, len(got), err)
-		}
-		_, _, err = collect(t, src, gen, 0, max, func(r *trace.Record) (bool, error) {
-			if r.TS == 100 {
-				return false, fmt.Errorf("stop")
+		// Records keep rejects are read but not fed.
+		link1 := func(r *trace.Record) bool { return r.Link == 1 }
+		var fed []trace.Record
+		for _, r := range recs {
+			if link1(&r) {
+				fed = append(fed, r)
 			}
-			return true, nil
-		})
-		if err == nil || err.Error() != "stop" {
-			t.Errorf("%s: keep's error: %v", name, err)
+		}
+		got, _, err = collect(t, src, gen, 0, max, link1)
+		if err != nil || len(got) != 500 {
+			t.Fatalf("%s: filtered: %d arrivals, %v", name, len(got), err)
+		}
+		sameArrivals(t, got, fed)
+
+		// A resumed run skips as many records as keep accepted before the
+		// cut, whatever it rejected among them.
+		got, pushes, err := collect(t, src, gen, 100, max, link1)
+		if err != nil {
+			t.Fatalf("%s: filtered resume: %v", name, err)
+		}
+		sameArrivals(t, got, fed[100:])
+		if want := []int{356, 500}; fmt.Sprint(pushes) != fmt.Sprint(want) {
+			t.Errorf("%s: filtered resume pushes at %v, want %v", name, pushes, want)
 		}
 	}
 

@@ -16,34 +16,51 @@ import (
 	"repro/internal/tuple"
 )
 
-// This file implements engine-level checkpoint and restore on top of the
+// This file implements engine checkpoint and restore on top of the
 // internal/checkpoint wire format. A checkpoint is one stream:
 //
 //	magic+version (checkpoint.Encoder.Begin)
-//	plan fingerprint (string)
-//	section count (uvarint): the number of partitions, 1 when unpartitioned
+//	fingerprint (string)
+//	count (uvarint)
 //	clock (varint)
 //	table section: count, then per unique table its name and contents
-//	per partition, in partition order: one engine state section
+//	one or more engine state sections (writeSection)
 //
-// A partition's section holds its slice of each shared window (the rows its
-// route selects), its operators and its view; the engine-wide counts travel
-// in section 0 and are zero in the others. The reader merges the window
-// slices in (TS, section) order, so a checkpoint of the earlier shard
-// coordinator, whose sections were whole engines over their own windows,
-// restores through the same code.
+// The header says which of two layouts follows; writer and reader share
+// everything else.
+//
+//   - Standalone: one query. The fingerprint is its plan's, the count is its
+//     partition count (1 when unpartitioned), the tables are those its plan
+//     reads, and one section per partition follows, in partition order, with
+//     the windows, operators (plan pre-order) and view that partition
+//     observes: its slice of each shared window (the rows its route
+//     selects), and the engine-wide counts in section 0 only. The reader
+//     merges the window slices in (TS, section) order, so a checkpoint of
+//     the earlier shard coordinator, whose sections were whole engines over
+//     their own windows, restores through the same code.
+//   - Registry: the live queries of a multi-query engine. The fingerprint
+//     is registryFingerprint (per-query label and plan fingerprint, in
+//     registration order), the count is the number of queries, and one
+//     section holds every live record once (see registryLayout) and then
+//     one view per query in registration order.
+//
+// An engine writes the standalone layout while it holds exactly one live
+// query, partitioned or not, and the registry layout otherwise; a query's
+// handle writes its own query standalone. Restore takes either layout the
+// engine can be in, so a one-query engine still reads the registry header an
+// older writer gave it.
 //
 // The fingerprint pins everything a checkpoint is NOT allowed to carry
 // across: execution strategy, update-pattern class, view structure, output
-// schema, and the full operator tree (ids and parameterized names). Restore
-// validates the fingerprint and the section count before touching any
+// schema, and the full operator tree (ids and parameterized names), of every
+// query. Restore validates the fingerprint and the count before touching any
 // state, so a mismatched restore leaves the engine exactly as it was.
 //
 // Configuration never travels in a checkpoint: windows, state-buffer
 // choices, and operator wiring are rebuilt from the plan, and only dynamic
 // state (clocks, cursors, counters, stored tuples) is serialized. A
 // checkpoint therefore restores only into an engine built from the same
-// query, strategy, options, and partition count.
+// queries, strategies, options, and partition count.
 
 // fingerprint renders the plan identity a checkpoint must match: strategy,
 // root pattern, view structure, output schema, and the pre-order operator
@@ -131,25 +148,144 @@ type counterCell interface {
 	Value() int64
 }
 
-// writeState serializes the dynamic state query q observes in this engine:
-// window contents in source order (q's partition of them on a partitioned
-// engine), operator state in plan pre-order, and the result view, between
-// writeSections' preamble and trailer. It reads through q's records, so the
-// section a registry extracts for one of several queries is laid out as a
-// single-query engine's own.
-func (e *Engine) writeState(enc *checkpoint.Encoder, q *queryUnit) error {
-	return e.writeSections(enc, q.part, q.srcs, q.nodes, []*queryUnit{q})
+// ckptLayout is what one checkpoint holds, in stream order: the header's
+// fingerprint and count, the tables, and the state sections. fpField and
+// countField name the header fields in a MismatchError.
+type ckptLayout struct {
+	fp, fpField string
+	count       int
+	countField  string
+	tables      []*relation.Table
+	sections    []ckptSection
 }
 
-// writeSections writes one engine state section: clock and maintenance
-// cursors, cumulative counters and the state peak; then the given windows,
+// ckptSection is one engine state section: the partition it belongs to, and
+// the windows, operators and views it carries, in that order.
+type ckptSection struct {
+	part  int
+	srcs  []*liveSource
+	nodes []*liveNode
+	views []*queryUnit
+}
+
+// standaloneLayout lays out one query: units are its registered unit, or its
+// partitions in partition order. Each unit's section is written through its
+// records, so the section a registry extracts for one of several queries is
+// laid out as a single-query engine's own.
+func standaloneLayout(units []*queryUnit) ckptLayout {
+	q := units[0]
+	l := ckptLayout{fp: q.fp, fpField: "plan", count: len(units), countField: "shards",
+		tables: uniqueTables(q.phys.Tables)}
+	for _, u := range units {
+		l.sections = append(l.sections, ckptSection{part: u.part, srcs: u.srcs, nodes: u.nodes, views: []*queryUnit{u}})
+	}
+	return l
+}
+
+// registryFingerprint renders the registration-sequence identity a registry
+// checkpoint must match.
+func (e *Engine) registryFingerprint() string {
+	var b strings.Builder
+	b.WriteString("registry")
+	for _, q := range e.queries {
+		b.WriteByte(';')
+		b.WriteString(q.label())
+		b.WriteByte('=')
+		b.WriteString(q.fp)
+	}
+	return b.String()
+}
+
+// registryLayout lays out every live query in one section, each shared
+// record once. The fingerprint pins the live queries (names, plans, order),
+// so the order is derived from them alone: walk the live queries in
+// registration order, each plan's sources in Sources order and its operators
+// in post-order (tables in pre-order), and take each record at its first
+// visit, which is its first holder's, since holders are in registration
+// order. An engine that registered the survivors of an unregistration, in
+// order, lays its section out the same way; for a registry that never
+// unregistered the walk is install order.
+func (e *Engine) registryLayout() ckptLayout {
+	l := ckptLayout{fp: e.registryFingerprint(), fpField: "registry", count: len(e.queries), countField: "queries"}
+	s := ckptSection{views: e.queries}
+	for _, q := range e.queries {
+		for _, n := range q.nodes {
+			top, ok := n.op.(operator.TableOperator)
+			if ok && n.holders[0] == q && !slices.Contains(l.tables, top.Table()) {
+				l.tables = append(l.tables, top.Table())
+			}
+		}
+		for _, src := range q.srcs {
+			if src.holders[0] == q {
+				s.srcs = append(s.srcs, src)
+			}
+		}
+		q.postorder(func(n *liveNode) {
+			if n.holders[0] == q {
+				s.nodes = append(s.nodes, n)
+			}
+		})
+	}
+	l.sections = []ckptSection{s}
+	return l
+}
+
+// ownLayout is the layout the engine writes of itself: standalone while it
+// holds exactly one live query (a partitioned engine's partitions are one
+// query), the registry's otherwise.
+func (e *Engine) ownLayout() ckptLayout {
+	if len(e.queries) == e.parts {
+		return standaloneLayout(e.queries)
+	}
+	return e.registryLayout()
+}
+
+// Checkpoint writes the whole engine's state in its own layout (ownLayout),
+// after replaying what a partitioned engine's tape still holds. It restores
+// into an engine built the same way: the same plan at the same partition
+// count, or the same live queries registered in the same order. Checkpointing
+// does not force pending maintenance: cursors travel with the state, so a
+// restored engine resumes the exact maintenance schedule, and checkpointing
+// never perturbs the run it snapshots.
+func (e *Engine) Checkpoint(w io.Writer) error {
+	if err := e.catchUp(); err != nil {
+		return err
+	}
+	return e.writeCheckpoint(w, e.ownLayout())
+}
+
+// writeCheckpoint is the one checkpoint writer: magic and version, l's
+// header, the clock, l's tables, then l's sections.
+func (e *Engine) writeCheckpoint(w io.Writer, l ckptLayout) error {
+	var start time.Time
+	if e.timed {
+		start = time.Now()
+	}
+	enc := checkpoint.NewEncoder(w)
+	enc.Begin()
+	enc.String(l.fp)
+	enc.Uvarint(uint64(l.count))
+	enc.Varint(e.clock)
+	if err := writeTables(enc, l.tables); err != nil {
+		return err
+	}
+	for _, sec := range l.sections {
+		if err := e.writeSection(enc, sec); err != nil {
+			return err
+		}
+	}
+	e.checkpointed(start, enc.Bytes())
+	return nil
+}
+
+// writeSection writes one engine state section: clock and maintenance
+// cursors, cumulative counters and the state peak; then sec's windows,
 // operators and views in the order given; then the interner and the
-// columnar flag. Both checkpoint formats write their engines through it.
-// part is the partition the section belongs to: on a partitioned engine it
-// holds the rows of each window that partition's route selects, and only
-// section 0 carries the counts.
-func (e *Engine) writeSections(enc *checkpoint.Encoder, part int, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
-	lead := part == 0
+// columnar flag. On a partitioned engine a section holds the rows of each
+// window that its partition's route selects, and only section 0 carries the
+// counts.
+func (e *Engine) writeSection(enc *checkpoint.Encoder, sec ckptSection) error {
+	lead := sec.part == 0
 	count := func(v int64) int64 {
 		if lead {
 			return v
@@ -163,18 +299,18 @@ func (e *Engine) writeSections(enc *checkpoint.Encoder, part int, srcs []*liveSo
 		enc.Varint(count(c.Value()))
 	}
 	enc.Varint(count(e.met.maxStateTuples.Value()))
-	for _, src := range srcs {
+	for _, src := range sec.srcs {
 		var err error
 		if e.parts == 1 {
 			err = src.win.SaveState(enc)
 		} else {
-			err = src.win.SaveSlice(enc, lead, func(t tuple.Tuple) bool { return e.partOf(src, t) == part })
+			err = src.win.SaveSlice(enc, lead, func(t tuple.Tuple) bool { return e.partOf(src, t) == sec.part })
 		}
 		if err != nil {
 			return err
 		}
 	}
-	for _, n := range nodes {
+	for _, n := range sec.nodes {
 		s, ok := n.op.(checkpoint.Snapshotter)
 		if !ok {
 			return fmt.Errorf("exec: operator %T cannot snapshot", n.op)
@@ -183,7 +319,7 @@ func (e *Engine) writeSections(enc *checkpoint.Encoder, part int, srcs []*liveSo
 			return err
 		}
 	}
-	for _, q := range views {
+	for _, q := range sec.views {
 		vs, ok := q.view.(checkpoint.Snapshotter)
 		if !ok {
 			return fmt.Errorf("exec: view %T cannot snapshot", q.view)
@@ -205,7 +341,7 @@ func (e *Engine) writeSections(enc *checkpoint.Encoder, part int, srcs []*liveSo
 	return enc.Err()
 }
 
-// readSections is writeSections' mirror. Section 0 sets the engine's
+// readSection is writeSection's mirror. Section 0 sets the engine's
 // scalars: counters are rehydrated by delta so a registry-backed series lands
 // exactly on the saved value. A later partition section adds its counts and
 // state peak, merges its window slices in (TS, section) order, and keeps the
@@ -214,9 +350,9 @@ func (e *Engine) writeSections(enc *checkpoint.Encoder, part int, srcs []*liveSo
 // earliest cursor skips no pass a lagging shard still owed. Afterwards the
 // clock/watermark gauges and state samples are refreshed so metrics read
 // consistently with the restored engine.
-func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSource, nodes []*liveNode, views []*queryUnit) error {
+func (e *Engine) readSection(dec *checkpoint.Decoder, sec ckptSection) error {
 	clock, lastEager, lastLazy := dec.Varint(), dec.Varint(), dec.Varint()
-	if part == 0 {
+	if sec.part == 0 {
 		e.clock, e.lastEager, e.lastLazy = clock, lastEager, lastLazy
 		for _, c := range e.counterList() {
 			c.Add(dec.Varint() - c.Value())
@@ -231,9 +367,9 @@ func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSou
 		}
 		e.met.maxStateTuples.Set(e.met.maxStateTuples.Value() + dec.Varint())
 	}
-	for _, src := range srcs {
+	for _, src := range sec.srcs {
 		var err error
-		if part == 0 {
+		if sec.part == 0 {
 			err = src.win.LoadState(dec)
 		} else {
 			err = src.win.LoadSlice(dec)
@@ -242,7 +378,7 @@ func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSou
 			return err
 		}
 	}
-	for _, n := range nodes {
+	for _, n := range sec.nodes {
 		s, ok := n.op.(checkpoint.Snapshotter)
 		if !ok {
 			return fmt.Errorf("exec: operator %T cannot snapshot", n.op)
@@ -251,7 +387,7 @@ func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSou
 			return err
 		}
 	}
-	for _, q := range views {
+	for _, q := range sec.views {
 		vs, ok := q.view.(checkpoint.Snapshotter)
 		if !ok {
 			return fmt.Errorf("exec: view %T cannot snapshot", q.view)
@@ -274,7 +410,7 @@ func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSou
 	}
 	// A partitioned engine runs no columnar chain, so only section 0's
 	// symbol table is kept.
-	if part == 0 {
+	if sec.part == 0 {
 		if err := e.intern.Reset(strs); err != nil {
 			return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
 		}
@@ -289,17 +425,6 @@ func (e *Engine) readSections(dec *checkpoint.Decoder, part int, srcs []*liveSou
 	return nil
 }
 
-// writeHeader begins a checkpoint stream of query q: magic and version, the
-// plan fingerprint, the number of state sections that follow, the clock, and
-// the tables the plan reads, once.
-func writeHeader(enc *checkpoint.Encoder, q *queryUnit, sections int, clock int64) error {
-	enc.Begin()
-	enc.String(q.fp)
-	enc.Uvarint(uint64(sections))
-	enc.Varint(clock)
-	return writeTables(enc, uniqueTables(q.phys.Tables))
-}
-
 // checkpointed updates the checkpoint series for a completed checkpoint of
 // n bytes, started at start (read only when timed).
 func (e *Engine) checkpointed(start time.Time, n int64) {
@@ -311,18 +436,18 @@ func (e *Engine) checkpointed(start time.Time, n int64) {
 	}
 }
 
-// Restore rehydrates the engine from a checkpoint written by an engine built
-// from the same plan at the same partition count. The plan fingerprint and
-// the section count are validated before any state is touched: a mismatch
-// returns *checkpoint.MismatchError and leaves the engine as it was. The
-// engine should be freshly built; restoring over accumulated state replaces
-// stored tuples but counter deltas assume a zero baseline.
+// Restore rehydrates the engine from a checkpoint of an engine built the
+// same way: the same plan at the same partition count (the standalone
+// layout), or the same live queries registered in the same order (the
+// registry layout, which a one-query engine also reads). The header is
+// validated before any state is touched: a fingerprint or count that names
+// none of the engine's layouts returns *checkpoint.MismatchError and leaves
+// the engine as it was. The engine should be freshly built; restoring over
+// accumulated state replaces stored tuples but counter deltas assume a zero
+// baseline.
 func (e *Engine) Restore(r io.Reader) error {
 	if err := e.catchUp(); err != nil {
 		return err
-	}
-	if len(e.queries) != e.parts {
-		return fmt.Errorf("exec: engine restore requires exactly one registered query (have %d); use RestoreRegistry", len(e.queries))
 	}
 	var start time.Time
 	if e.timed {
@@ -331,28 +456,33 @@ func (e *Engine) Restore(r io.Reader) error {
 	dec := checkpoint.NewDecoder(r)
 	dec.Begin()
 	fp := dec.String()
-	sections := dec.Count()
+	count := dec.Count()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	phys := e.queries[0].phys
-	if want := e.queries[0].fp; fp != want {
-		return &checkpoint.MismatchError{Field: "plan", Want: want, Got: fp}
+	l := e.ownLayout()
+	if fp != l.fp && e.parts == 1 && len(e.queries) == 1 {
+		if reg := e.registryLayout(); fp == reg.fp {
+			l = reg
+		}
 	}
-	if sections != e.parts {
+	if fp != l.fp {
+		return &checkpoint.MismatchError{Field: l.fpField, Want: l.fp, Got: fp}
+	}
+	if count != l.count {
 		return &checkpoint.MismatchError{
-			Field: "shards", Want: strconv.Itoa(e.parts), Got: strconv.Itoa(sections),
+			Field: l.countField, Want: strconv.Itoa(l.count), Got: strconv.Itoa(count),
 		}
 	}
 	clock := dec.Varint()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := readTables(dec, uniqueTables(phys.Tables)); err != nil {
+	if err := readTables(dec, l.tables); err != nil {
 		return err
 	}
-	for p, q := range e.queries {
-		if err := e.readSections(dec, p, q.srcs, q.nodes, []*queryUnit{q}); err != nil {
+	for _, sec := range l.sections {
+		if err := e.readSection(dec, sec); err != nil {
 			return err
 		}
 	}

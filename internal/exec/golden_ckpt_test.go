@@ -198,6 +198,7 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 
 	// The registry golden is pinned by its parentBytes rule alone.
 	t.Run("registry_mix.ckpt", restoreRegistryGolden)
+	t.Run("registry_one.ckpt", restoreRegistryOneGolden)
 }
 
 // registryGoldenQuery is one query of the registry that wrote
@@ -277,7 +278,7 @@ func restoreRegistryGolden(t *testing.T) {
 	cut, _ := newRegistryGolden(t)
 	feed(t, cut, trace[:registryGoldenCut])
 	var got bytes.Buffer
-	if err := cut.CheckpointRegistry(&got); err != nil {
+	if err := cut.Checkpoint(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), ckpt) {
@@ -287,12 +288,60 @@ func restoreRegistryGolden(t *testing.T) {
 	whole, wholeHs := newRegistryGolden(t)
 	feed(t, whole, trace)
 	resumed, resumedHs := newRegistryGolden(t)
-	if err := resumed.RestoreRegistry(bytes.NewReader(ckpt)); err != nil {
-		t.Fatalf("RestoreRegistry: %v", err)
+	if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	feed(t, resumed, trace[registryGoldenCut:])
 	if got, want := observeRegistry(t, resumed, resumedHs), observeRegistry(t, whole, wholeHs); got != want {
 		t.Errorf("restored from the parent's registry checkpoint\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// restoreRegistryOneGolden pins the header switch: a90a5c8 wrote
+// registry_one.ckpt with the registry header from a registry holding one
+// named query, NT join30-nt, at registryGoldenCut of ckptTrace(2). A
+// one-query engine now writes the standalone layout, the bytes its query's
+// handle writes, and still restores the registry header to the state an
+// uninterrupted run reaches.
+func restoreRegistryOneGolden(t *testing.T) {
+	ckpt, err := os.ReadFile("testdata/registry_one.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*Engine, []*QueryHandle) {
+		e := NewMulti(Config{LazyInterval: 7, EagerInterval: 1})
+		h, err := e.RegisterQuery(QuerySpec{Name: "join30-nt", Phys: buildPhys(t, joinPlan(30), plan.NT, plan.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, []*QueryHandle{h}
+	}
+	trace := ckptTrace(2)
+	cut, cutHs := build()
+	feed(t, cut, trace[:registryGoldenCut])
+	var own, extracted bytes.Buffer
+	if err := cut.Checkpoint(&own); err != nil {
+		t.Fatal(err)
+	}
+	if err := cutHs[0].Checkpoint(&extracted); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(own.Bytes(), extracted.Bytes()) || bytes.Equal(own.Bytes(), ckpt) {
+		t.Error("a one-query registry does not write its query's standalone checkpoint")
+	}
+
+	whole, wholeHs := build()
+	feed(t, whole, trace)
+	want := observeRegistry(t, whole, wholeHs)
+	for name, b := range map[string][]byte{"the parent's registry header": ckpt, "the standalone layout": own.Bytes()} {
+		resumed, resumedHs := build()
+		if err := resumed.Restore(bytes.NewReader(b)); err != nil {
+			t.Fatalf("Restore of %s: %v", name, err)
+		}
+		feed(t, resumed, trace[registryGoldenCut:])
+		if got := observeRegistry(t, resumed, resumedHs); got != want {
+			t.Errorf("restored from %s\ngot:\n%swant:\n%s", name, got, want)
+		}
 	}
 }
 

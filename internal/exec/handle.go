@@ -3,9 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -203,39 +201,21 @@ func (h *QueryHandle) Explain(analyze bool) *plan.ExplainTree {
 	return t
 }
 
-// Checkpoint writes the query's state in the standalone single-engine
-// format: the header, then one state section per unit, after replaying what
-// a partitioned engine's tape still holds. The stream restores into a plain
-// engine built from the same plan at the same partition count (Open and
-// Restore). A registered query's section is written through its records,
-// so it carries exactly the windows, operator state and view this query
-// observes. Checkpointing does not force pending maintenance: cursors
-// travel with the state, so a restored engine resumes the exact maintenance
-// schedule, and checkpointing never perturbs the run it snapshots.
-// Cumulative counters are engine-wide (per-query counters exist only as
-// metric series), so an extracted query's Stats over-report if other queries
-// were registered.
+// Checkpoint writes the query's state in the standalone layout: one section
+// per unit, after replaying what a partitioned engine's tape still holds.
+// The stream restores into an engine built from the same plan at the same
+// partition count (Open and Restore); on an engine holding only this query
+// it is the engine's own Checkpoint. A registered query's section is written
+// through its records, so it carries exactly the windows, operator state and
+// view this query observes. Cumulative counters are engine-wide (per-query
+// counters exist only as metric series), so an extracted query's Stats
+// over-report if other queries were registered.
 func (h *QueryHandle) Checkpoint(w io.Writer) error {
 	if err := h.live(); err != nil {
 		return err
 	}
-	e := h.e
-	if err := e.catchUp(); err != nil {
+	if err := h.e.catchUp(); err != nil {
 		return err
 	}
-	var start time.Time
-	if e.timed {
-		start = time.Now()
-	}
-	enc := checkpoint.NewEncoder(w)
-	if err := writeHeader(enc, h.first(), len(h.units), e.clock); err != nil {
-		return err
-	}
-	for _, q := range h.units {
-		if err := e.writeState(enc, q); err != nil {
-			return err
-		}
-	}
-	e.checkpointed(start, enc.Bytes())
-	return nil
+	return h.e.writeCheckpoint(w, standaloneLayout(h.units))
 }

@@ -130,7 +130,7 @@ func TestSeriesInventory(t *testing.T) {
 	if err := sh.Queries()[0].Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if err := multi.CheckpointRegistry(&regCkpt); err != nil {
+	if err := multi.Checkpoint(&regCkpt); err != nil {
 		t.Fatal(err)
 	}
 	fresh := openQuery(t, q, plan.UPA, plan.Options{}, cfg, 2)

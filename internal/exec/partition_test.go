@@ -419,12 +419,56 @@ func TestPartitionedPushBatchDefers(t *testing.T) {
 	diffObservations(t, "restored after a deferred PushBatch", got, want)
 }
 
-// TestPartitionedRefusesRegistryCheckpoint: the registry format has no
-// partition sections and never replays what a deferred PushBatch left on the
-// tape, so a partitioned engine refuses it both ways, as it refuses
-// registration; its one query checkpoints through its handle, which does
-// replay the tape and restores to the same answer.
-func TestPartitionedRefusesRegistryCheckpoint(t *testing.T) {
+// TestPartitionedDeferredSample: a state sample that falls due on a
+// PushBatch whose tape stays pending is taken when the tape replays, so the
+// peak counts the operator state the rows produce. A one-row PushBatch into
+// a two-stream join, left pending and then checkpointed, reads the peak of
+// the same row replayed at once: its window row and its join state.
+func TestPartitionedDeferredSample(t *testing.T) {
+	phys := func() *plan.Physical {
+		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 40}, linkSchema())
+		b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 60}, linkSchema())
+		return buildPhys(t, plan.NewJoin(a, b, []int{0}, []int{0}), plan.NT, plan.Options{})
+	}
+	row := ckptTrace(2)[:1]
+	deferred := openAt(t, phys(), Config{}, 2)
+	withProcs(1, func() {
+		if err := deferred.PushBatch(row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if deferred.Watermark() != -1 {
+		t.Fatal("the one-row PushBatch replayed at once; want it left on the tape")
+	}
+	var ckpt bytes.Buffer
+	if err := deferred.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	atOnce := openAt(t, phys(), Config{}, 2)
+	if err := atOnce.Push(row[0].Stream, row[0].TS, row[0].Vals...); err != nil {
+		t.Fatal(err)
+	}
+	restored := openAt(t, phys(), Config{}, 2)
+	if err := restored.Restore(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	want := atOnce.Stats().MaxStateTuples
+	if want != 2 {
+		t.Fatalf("replayed at once, the peak is %d; want 2", want)
+	}
+	for name, ex := range map[string]*Engine{"left pending": deferred, "restored": restored} {
+		if got := ex.Stats().MaxStateTuples; got != want {
+			t.Errorf("%s: peak %d, replayed at once %d", name, got, want)
+		}
+	}
+}
+
+// TestPartitionedEngineCheckpointRoundTrip: a partitioned engine holds one
+// query, so its own Checkpoint is that query's standalone checkpoint. It
+// replays what a deferred PushBatch left on the tape, writes the bytes the
+// handle writes, and restores, through Restore, to the same answer; the
+// engine still refuses registration.
+func TestPartitionedEngineCheckpointRoundTrip(t *testing.T) {
 	p := partitionPlans()[0]
 	run, _ := openPartRun(t, p, plan.UPA, 2)
 	withProcs(1, func() {
@@ -432,26 +476,33 @@ func TestPartitionedRefusesRegistryCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	var ckpt bytes.Buffer
-	if err := run.ex.CheckpointRegistry(&ckpt); err == nil {
-		t.Fatal("CheckpointRegistry accepted on a partitioned engine")
-	}
-	fresh, _ := openPartRun(t, p, plan.UPA, 2)
-	if err := fresh.ex.RestoreRegistry(bytes.NewReader(ckpt.Bytes())); err == nil {
-		t.Fatal("RestoreRegistry accepted on a partitioned engine")
-	}
-	h := run.ex.Queries()[0]
-	if err := h.Checkpoint(&ckpt); err != nil {
+	var ckpt, viaHandle bytes.Buffer
+	if err := run.ex.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
+	h := run.ex.Queries()[0]
+	if err := h.Checkpoint(&viaHandle); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckpt.Bytes(), viaHandle.Bytes()) {
+		t.Fatal("the engine's checkpoint differs from its one query's")
+	}
+	fresh, _ := openPartRun(t, p, plan.UPA, 2)
 	if err := fresh.ex.Restore(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	want, err := h.ResultCount()
+	want, err := h.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := fresh.ex.Queries()[0].ResultCount(); err != nil || got != want || want == 0 {
-		t.Fatalf("restored answer has %d rows (%v), the original %d", got, err, want)
+	got, err := fresh.ex.Queries()[0].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := reference.RowsOf(got), reference.RowsOf(want); len(w) == 0 || !reference.SameBag(g, w) {
+		t.Fatalf("restored answer\n%swant (non-empty)\n%s", reference.Render(g), reference.Render(w))
+	}
+	if _, err := run.ex.RegisterQuery(QuerySpec{Phys: buildPhys(t, joinPlan(20), plan.UPA, plan.Options{})}); err == nil {
+		t.Fatal("RegisterQuery accepted on a partitioned engine")
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/checkpoint"
 	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/reference"
@@ -461,7 +463,7 @@ func TestRegistryChurn(t *testing.T) {
 			live = append(live[:i], live[i+1:]...)
 		case rng.Intn(6) == 0:
 			var buf bytes.Buffer
-			if err := e.CheckpointRegistry(&buf); err != nil {
+			if err := e.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
 			fresh := NewMulti(Config{})
@@ -469,7 +471,7 @@ func TestRegistryChurn(t *testing.T) {
 			for _, lq := range live {
 				hs = append(hs, register(fresh, lq.h.Name(), lq.shape, lq.strat))
 			}
-			if err := fresh.RestoreRegistry(bytes.NewReader(buf.Bytes())); err != nil {
+			if err := fresh.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			push(60, e, fresh)
@@ -557,15 +559,20 @@ func TestRegistryCheckpointRestore(t *testing.T) {
 		}
 	})
 	var buf bytes.Buffer
-	if err := e1.CheckpointRegistry(&buf); err != nil {
+	if err := e1.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("single-engine restore accepted on a 2-query registry")
+	// A query's standalone extraction names one plan, not the registry.
+	var one bytes.Buffer
+	if err := hs1[0].Checkpoint(&one); err != nil {
+		t.Fatal(err)
 	}
-
 	e2, hs2 := build()
-	if err := e2.RestoreRegistry(bytes.NewReader(buf.Bytes())); err != nil {
+	var mm *checkpoint.MismatchError
+	if err := e2.Restore(&one); !errors.As(err, &mm) || mm.Field != "registry" {
+		t.Fatalf("a query's standalone checkpoint restored into a 2-query registry: %v", err)
+	}
+	if err := e2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	// Both engines continue identically.
@@ -597,7 +604,7 @@ func TestRegistryCheckpointRestore(t *testing.T) {
 	if _, err := e3.RegisterQuery(QuerySpec{Name: "j0", Phys: buildPhys(t, joinPlan(20), plan.UPA, plan.Options{})}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e3.RestoreRegistry(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := e3.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("fingerprint mismatch accepted")
 	}
 }
@@ -631,7 +638,7 @@ func TestRegistryRestoreAfterUnregister(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.CheckpointRegistry(&buf); err != nil {
+	if err := e.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -640,7 +647,7 @@ func TestRegistryRestoreAfterUnregister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreRegistry(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := fresh.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	pushScript(120, func(st int, ts int64, vals ...tuple.Value) {

@@ -308,10 +308,10 @@ func feedsOnlyDedup(n *liveNode) bool {
 	return true
 }
 
-// flush replays the tape and empties it, then settles the flows' counts and
-// publishes the watermark the replayed passes certify (also when a
-// subscriber's panic unwinds through it). It returns the first replay error
-// in tape order.
+// flush replays the tape and empties it, takes a state sample the replay was
+// due, then settles the flows' counts and publishes the watermark the
+// replayed passes certify (also when a subscriber's panic unwinds through
+// it). It returns the first replay error in tape order.
 func (e *Engine) flush(batched bool) error {
 	defer func() {
 		e.tape.reset()
@@ -332,6 +332,9 @@ func (e *Engine) flush(batched bool) error {
 		for _, c := range e.comps {
 			c.replay(&e.tape)
 		}
+	}
+	if e.sampleDue {
+		e.sampleState()
 	}
 	var err error
 	at := len(e.tape.events)

@@ -156,7 +156,7 @@ func (r *diffRun) render(t *testing.T, latency bool) string {
 	}
 	fmt.Fprintf(&b, "stats %+v sharing %+v\n", r.e.Stats(), r.e.Sharing())
 	var ck bytes.Buffer
-	if err := r.e.CheckpointRegistry(&ck); err != nil {
+	if err := r.e.Checkpoint(&ck); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&b, "checkpoint %x\n", ck.Bytes())

@@ -236,19 +236,25 @@ func (r *Registry) Metrics() *MetricsRegistry { return r.e.Metrics() }
 // is retained).
 func (r *Registry) Health() *HealthMonitor { return r.health }
 
-// Checkpoint writes the full multi-query state — shared operator and window
-// state once, per-query views each — restorable by a fresh registry that
-// registered the live queries (same names, plans, order); see Restore. After
-// an Unregister that means registering only the survivors, in order: the
-// layout follows the live queries, not the history that built the registry.
-// Single-query extraction is Query.Checkpoint.
-func (r *Registry) Checkpoint(w io.Writer) error { return r.e.CheckpointRegistry(w) }
+// Checkpoint writes the executor's complete dynamic state: clock,
+// maintenance cursors, counters, window contents, per-operator state (shared
+// state once), table contents, and every query's view. With one live query,
+// partitioned or not, the stream is that query's standalone checkpoint, the
+// bytes Query.Checkpoint writes; with several it is the registry layout,
+// restorable by a fresh registry that registered the live queries (same
+// names, plans, order). After an Unregister that means registering only the
+// survivors, in order: the layout follows the live queries, not the history
+// that built the registry. Checkpointing never perturbs the run it
+// snapshots.
+func (r *Registry) Checkpoint(w io.Writer) error { return r.e.Checkpoint(w) }
 
-// Restore rehydrates a freshly built registry from a Checkpoint stream. The
-// checkpoint's fingerprint — the live queries' names, plans, and order —
-// is validated first; a disagreement fails with *MismatchError before any
-// state is touched.
-func (r *Registry) Restore(rd io.Reader) error { return r.e.RestoreRegistry(rd) }
+// Restore rehydrates a freshly built registry, or a freshly compiled engine,
+// from a Checkpoint stream written by one built the same way, including
+// WithShards: a 4-partition checkpoint reopens only at 4. The checkpoint's
+// fingerprint and count are validated first; a disagreement fails with
+// *MismatchError before any state is touched. Truncated or damaged input
+// fails with an error wrapping ErrCheckpointCorrupt.
+func (r *Registry) Restore(rd io.Reader) error { return r.e.Restore(rd) }
 
 // Close stops the health sampler and closes the shared executor.
 // Idempotent; afterwards every method that returns an error — Register,
@@ -360,8 +366,8 @@ func (q *Query) OpStats() []exec.OpProfile { return q.h.Profile() }
 // are zero.
 func (q *Query) DeltaLatency() (pos, neg LatencySnapshot) { return q.h.DeltaLatency() }
 
-// Checkpoint extracts this query's slice of the registry in the standalone
-// single-engine format: the stream restores into an engine compiled by
-// Compile (or Open) from the same query, strategy and shard count, carrying
-// exactly the windows, operator state, and view this query observes.
+// Checkpoint extracts this query's slice of the registry as a standalone
+// checkpoint: the stream restores into an engine compiled by Compile (or
+// Open) from the same query, strategy and shard count, carrying exactly the
+// windows, operator state, and view this query observes.
 func (q *Query) Checkpoint(w io.Writer) error { return q.h.Checkpoint(w) }

@@ -87,7 +87,8 @@ var (
 
 // MismatchError is the typed error Restore returns when a checkpoint was
 // written by a different plan — another query, strategy, schema, or shard
-// layout. The restore fails before any engine state is touched.
+// layout — or by a registry of other queries. The restore fails before any
+// engine state is touched.
 type MismatchError = checkpoint.MismatchError
 
 // Re-exported data-model types.
@@ -328,12 +329,12 @@ func WithStreamStats(streamID int, rate float64, distinct map[int]float64) Query
 // Engine executes one compiled continuous query. It is a Registry and that
 // registry's first Query, on the engine exec.Open built for it — sequential,
 // or split into key partitions (WithShards on a plan that admits a routing
-// key). Its methods are the Registry's (ingest, Sync, counters, Close) and
-// the Query's (Snapshot, Lookup, Explain, OpStats), plus the standalone
-// checkpoint format, the shard accessors and the exposition pages. A
-// sequential engine's Registry takes further queries, which share sub-plans
-// with this one; a partitioned engine's refuses them. All methods must be
-// driven from one goroutine.
+// key). Its methods are the Registry's (ingest, Sync, counters, Restore,
+// Close) and the Query's (Snapshot, Lookup, Explain, OpStats, Checkpoint),
+// plus the shard accessors and the exposition pages. A sequential engine's
+// Registry takes further queries, which share sub-plans with this one; a
+// partitioned engine's refuses them. All methods must be driven from one
+// goroutine.
 type Engine struct {
 	*Registry
 	*Query
@@ -425,22 +426,10 @@ func (e *Engine) Shards() int { return e.Registry.e.Shards() }
 // requested.
 func (e *Engine) ShardFallbackReason() string { return e.fallback }
 
-// Checkpoint writes the query's complete dynamic state — clock, maintenance
-// cursors, counters, window contents, per-operator state, table contents,
-// and the result view, per partition when partitioned — as a versioned
-// binary snapshot in the standalone format that Restore and Open read. It is
-// the Query's Checkpoint: with further queries registered it extracts this
-// query's slice, and the Registry's Checkpoint writes them all in the
-// registry format. Checkpointing never perturbs the run it snapshots.
+// Checkpoint is the Query's Checkpoint, which the embedded Registry's would
+// otherwise make ambiguous: while the engine holds only its one query both
+// write the same bytes, and Restore (the Registry's) reads them.
 func (e *Engine) Checkpoint(w io.Writer) error { return e.Query.Checkpoint(w) }
-
-// Restore rehydrates a freshly compiled engine from a checkpoint written by
-// an engine compiled from the same query, strategy, options, and partition
-// count. The checkpoint's plan fingerprint and partition count are validated
-// first: a disagreement fails with *MismatchError before any engine state
-// is touched. Truncated or damaged input fails with an error wrapping
-// ErrCheckpointCorrupt.
-func (e *Engine) Restore(r io.Reader) error { return e.Registry.e.Restore(r) }
 
 // WriteProfile renders per-operator runtime counters (state size, tuple
 // touches, emissions, retractions) as an aligned tree — an EXPLAIN ANALYZE

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -581,19 +582,56 @@ func TestWithShards(t *testing.T) {
 	if len(a) != len(b) {
 		t.Fatalf("sharded snapshot has %d rows, sequential %d", len(b), len(a))
 	}
-	// A partitioned engine's registry takes no further query and has no
-	// registry checkpoint: the engine's own Checkpoint writes its partitions.
+	// A partitioned engine's registry takes no further query. It holds one
+	// query, so its checkpoint is that query's: a deferred PushBatch of 49
+	// arrivals is replayed into it, and it restores into a registry compiled
+	// the same way to the same, non-empty answer.
 	if _, err := sh.Registry.Register(build(), repro.UPA); err == nil {
 		t.Fatal("Register accepted on a partitioned engine")
 	}
 	if s := sh.Sharing(); s.Queries != 1 || s.Components != 4 {
 		t.Fatalf("Sharing() = %+v, want 1 query in 4 components", s)
 	}
-	if err := sh.Registry.Checkpoint(io.Discard); err == nil {
-		t.Fatal("Registry.Checkpoint accepted on a partitioned engine")
+	var more []repro.Arrival
+	for ts := int64(201); ts < 250; ts++ {
+		more = append(more, repro.Arrival{Stream: int(ts % 2), TS: ts,
+			Vals: []repro.Value{repro.Int(ts % 9), repro.Str("ftp"), repro.Int(ts)}})
 	}
-	if err := sh.Registry.Restore(bytes.NewReader(nil)); err == nil {
-		t.Fatal("Registry.Restore accepted on a partitioned engine")
+	if err := sh.PushBatch(more); err != nil {
+		t.Fatal(err)
+	}
+	var regCkpt, ckpt bytes.Buffer
+	if err := sh.Registry.Checkpoint(&regCkpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(regCkpt.Bytes(), ckpt.Bytes()) {
+		t.Fatal("Registry.Checkpoint and the engine's Checkpoint differ")
+	}
+	resumed, err := repro.Compile(build(), repro.UPA, repro.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if err := resumed.Registry.Restore(&regCkpt); err != nil {
+		t.Fatal(err)
+	}
+	rendered := func(e *repro.Engine) string {
+		rows, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		strs := make([]string, len(rows))
+		for i, r := range rows {
+			strs[i] = r.String()
+		}
+		sort.Strings(strs)
+		return strings.Join(strs, " ")
+	}
+	if got, want := rendered(resumed), rendered(sh); got != want || want == "" {
+		t.Fatalf("restored answer\n%s\nwant (non-empty)\n%s", got, want)
 	}
 	// Keyed (group-by) views support sharded point lookups.
 	gq := repro.Stream(0, schema, repro.TimeWindow(100)).GroupBy([]string{"src"}, repro.CountAll())
