@@ -452,20 +452,23 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	// ResultCount syncs, and the first call is the run's Sync: every pending
-	// expiration is applied before the final checkpoint and the statistics.
-	counts := make([]int, len(handles))
-	for i, h := range handles {
-		if counts[i], err = h.ResultCount(); err != nil {
-			return err
-		}
-	}
+	// The final checkpoint holds the state as the trace left it, before the
+	// summary's Sync: a run resumed from it then makes the same passes, and
+	// counts the same touches, as a run that never stopped.
 	if ckptFile != "" {
 		if err := writeCheckpoint(); err != nil {
 			return err
 		}
 		if fi, err := os.Stat(ckptFile); err == nil {
 			fmt.Fprintf(os.Stderr, "checkpoint written to %s (%d bytes)\n", ckptFile, fi.Size())
+		}
+	}
+	// ResultCount syncs, and the first call is the run's Sync: every pending
+	// expiration is applied before the statistics.
+	counts := make([]int, len(handles))
+	for i, h := range handles {
+		if counts[i], err = h.ResultCount(); err != nil {
+			return err
 		}
 	}
 	elapsed := time.Since(start)
@@ -592,7 +595,10 @@ const ingestBatch = 256
 // whole trace), so a malformed line is reported when, and only if, the run
 // reaches it. push also gets the number of records keep has accepted so
 // far, the dropped ones included, and is called a last time with the final
-// short (possibly empty) batch.
+// short (possibly empty) batch. A batch ends where that count reaches a
+// multiple of ingestBatch, so a resumed run's first batch is short and its
+// batches end where a straight run's do: the engine samples its state peak
+// at batch ends, and the two runs then read the same peak.
 func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
 	keep func(*trace.Record) bool, push func(batch []exec.Arrival, fed int) error) error {
 	// next fills the record with values the engine may retain when it comes
@@ -663,7 +669,7 @@ func feedTrace(traceFile string, gen trace.Config, skip, maxTuples int,
 		}
 		fed++
 		batch = append(batch, exec.Arrival{Stream: rec.Link, TS: rec.TS, Vals: rec.Vals})
-		if len(batch) == cap(batch) {
+		if fed%ingestBatch == 0 {
 			if err := push(batch, fed); err != nil {
 				return err
 			}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -254,14 +256,24 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	return e.writeCheckpoint(w, e.ownLayout())
 }
 
-// writeCheckpoint is the one checkpoint writer: magic and version, l's
-// header, the clock, l's tables, then l's sections.
+// writeCheckpoint is the one checkpoint writer: it writes l (writeState)
+// and counts the checkpoint in the engine's metrics.
 func (e *Engine) writeCheckpoint(w io.Writer, l ckptLayout) error {
 	var start time.Time
 	if e.timed {
 		start = time.Now()
 	}
 	enc := checkpoint.NewEncoder(w)
+	if err := e.writeState(enc, l); err != nil {
+		return err
+	}
+	e.checkpointed(start, enc.Bytes())
+	return nil
+}
+
+// writeState writes magic and version, l's header, the clock, l's tables,
+// then l's sections.
+func (e *Engine) writeState(enc *checkpoint.Encoder, l ckptLayout) error {
 	enc.Begin()
 	enc.String(l.fp)
 	enc.Uvarint(uint64(l.count))
@@ -274,8 +286,7 @@ func (e *Engine) writeCheckpoint(w io.Writer, l ckptLayout) error {
 			return err
 		}
 	}
-	e.checkpointed(start, enc.Bytes())
-	return nil
+	return enc.Err()
 }
 
 // writeSection writes one engine state section: clock and maintenance
@@ -341,31 +352,27 @@ func (e *Engine) writeSection(enc *checkpoint.Encoder, sec ckptSection) error {
 	return enc.Err()
 }
 
-// readSection is writeSection's mirror. Section 0 sets the engine's
-// scalars: counters are rehydrated by delta so a registry-backed series lands
-// exactly on the saved value. A later partition section adds its counts and
-// state peak, merges its window slices in (TS, section) order, and keeps the
-// latest clock and the earliest maintenance cursors: the shard coordinator's
-// sections moved their clocks only when their shard got work, and the
-// earliest cursor skips no pass a lagging shard still owed. Afterwards the
-// clock/watermark gauges and state samples are refreshed so metrics read
-// consistently with the restored engine.
-func (e *Engine) readSection(dec *checkpoint.Decoder, sec ckptSection) error {
+// readSection is writeSection's mirror. Section 0 sets the engine's clock
+// and cursors. Every section adds its counts and state peak to sums (the
+// counters in counterList order, then the peak), which readState applies
+// once all sections are read. A later partition section also merges its
+// window slices in (TS, section) order, and keeps the latest clock and the
+// earliest maintenance cursors: the shard coordinator's sections moved their
+// clocks only when their shard got work, and the earliest cursor skips no
+// pass a lagging shard still owed. Afterwards the clock/watermark gauges and
+// state samples are refreshed so metrics read consistently with the restored
+// engine.
+func (e *Engine) readSection(dec *checkpoint.Decoder, sec ckptSection, sums []int64) error {
 	clock, lastEager, lastLazy := dec.Varint(), dec.Varint(), dec.Varint()
 	if sec.part == 0 {
 		e.clock, e.lastEager, e.lastLazy = clock, lastEager, lastLazy
-		for _, c := range e.counterList() {
-			c.Add(dec.Varint() - c.Value())
-		}
-		e.met.maxStateTuples.SetMax(dec.Varint())
 	} else {
 		e.clock = max(e.clock, clock)
 		e.lastEager = min(e.lastEager, lastEager)
 		e.lastLazy = min(e.lastLazy, lastLazy)
-		for _, c := range e.counterList() {
-			c.Add(dec.Varint())
-		}
-		e.met.maxStateTuples.Set(e.met.maxStateTuples.Value() + dec.Varint())
+	}
+	for i := range sums {
+		sums[i] += dec.Varint()
 	}
 	for _, src := range sec.srcs {
 		var err error
@@ -425,6 +432,38 @@ func (e *Engine) readSection(dec *checkpoint.Decoder, sec ckptSection) error {
 	return nil
 }
 
+// readState reads what writeState wrote after the header: the clock, l's
+// tables, then l's sections. The counters and the state peak move only once
+// every section has been read: counters never go down, so a refused restore
+// must not have raised them.
+func (e *Engine) readState(dec *checkpoint.Decoder, l ckptLayout) error {
+	clock := dec.Varint()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if err := readTables(dec, l.tables); err != nil {
+		return err
+	}
+	counters := e.counterList()
+	sums := make([]int64, len(counters)+1)
+	for _, sec := range l.sections {
+		if err := e.readSection(dec, sec, sums); err != nil {
+			return err
+		}
+	}
+	// Counters are rehydrated by delta, so a registry-backed series lands
+	// exactly on the saved value.
+	for i, c := range counters {
+		c.Add(sums[i] - c.Value())
+	}
+	e.met.maxStateTuples.Set(sums[len(counters)])
+	// The header's clock is the largest timestamp admitted; a shard
+	// coordinator's sections could lag it.
+	e.clock = max(e.clock, clock)
+	e.met.clock.Set(e.clock)
+	return nil
+}
+
 // checkpointed updates the checkpoint series for a completed checkpoint of
 // n bytes, started at start (read only when timed).
 func (e *Engine) checkpointed(start time.Time, n int64) {
@@ -442,9 +481,11 @@ func (e *Engine) checkpointed(start time.Time, n int64) {
 // registry layout, which a one-query engine also reads). The header is
 // validated before any state is touched: a fingerprint or count that names
 // none of the engine's layouts returns *checkpoint.MismatchError and leaves
-// the engine as it was. The engine should be freshly built; restoring over
-// accumulated state replaces stored tuples but counter deltas assume a zero
-// baseline.
+// the engine as it was. Any other refusal (checkpoint.ErrCorrupt, a read
+// error) also leaves the engine as it was: Restore saves the engine's own
+// state before it reads the sections, and reads that back when one fails.
+// The engine should be freshly built; restoring over accumulated state
+// replaces stored tuples but counter deltas assume a zero baseline.
 func (e *Engine) Restore(r io.Reader) error {
 	if err := e.catchUp(); err != nil {
 		return err
@@ -453,6 +494,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if e.timed {
 		start = time.Now()
 	}
+	e.synced = syncPoint{}
 	dec := checkpoint.NewDecoder(r)
 	dec.Begin()
 	fp := dec.String()
@@ -474,22 +516,23 @@ func (e *Engine) Restore(r io.Reader) error {
 			Field: l.countField, Want: strconv.Itoa(l.count), Got: strconv.Itoa(count),
 		}
 	}
-	clock := dec.Varint()
-	if err := dec.Err(); err != nil {
+	var own bytes.Buffer
+	if err := e.writeState(checkpoint.NewEncoder(&own), e.ownLayout()); err != nil {
 		return err
 	}
-	if err := readTables(dec, l.tables); err != nil {
-		return err
-	}
-	for _, sec := range l.sections {
-		if err := e.readSection(dec, sec); err != nil {
-			return err
+	colOK := e.colOK
+	if err := e.readState(dec, l); err != nil {
+		// Sections before the refused one are loaded already: read the
+		// engine's own state back over them.
+		back := checkpoint.NewDecoder(&own)
+		back.Begin()
+		_, _ = back.String(), back.Count() // the engine's own header
+		if berr := e.readState(back, e.ownLayout()); berr != nil {
+			return errors.Join(err, fmt.Errorf("exec: reading back the state before the refused restore: %w", berr))
 		}
+		e.colOK = colOK // readSection only ever clears it
+		return err
 	}
-	// The header's clock is the largest timestamp admitted; a shard
-	// coordinator's sections could lag it.
-	e.clock = max(e.clock, clock)
-	e.met.clock.Set(e.clock)
 	e.met.restores.Inc()
 	if e.timed {
 		e.met.restoreNanos.Observe(time.Since(start).Nanoseconds())

@@ -81,6 +81,44 @@ func TestEngineLazyIntervalDelaysTrim(t *testing.T) {
 	}
 }
 
+// A Sync with nothing new since the last one runs no pass, so reading the
+// answer twice leaves the same counters (and checkpoint) as reading it once.
+func TestSyncIsIdempotent(t *testing.T) {
+	eng := buildEngine(t, joinPlan(30), plan.UPA, Config{})
+	feed(t, eng, ckptTrace(2)[:128])
+	read := func() (touched, eager, lazy int64) {
+		t.Helper()
+		touched, err := eng.Touched()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return touched, eng.met.eagerPasses.Value(), eng.met.lazyPasses.Value()
+	}
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	touched, eager, lazy := read()
+	for i := 0; i < 2; i++ {
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if t2, e2, l2 := read(); t2 != touched || e2 != eager || l2 != lazy {
+		t.Errorf("two more Syncs moved touches %d → %d, eager passes %d → %d, lazy passes %d → %d",
+			touched, t2, eager, e2, lazy, l2)
+	}
+	// Anything new makes the next Sync run its passes again.
+	if err := eng.Advance(200); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, e2, l2 := read(); e2 == eager || l2 == lazy {
+		t.Errorf("a Sync after Advance ran no pass: eager %d → %d, lazy %d → %d", eager, e2, lazy, l2)
+	}
+}
+
 func TestEngineTableUpdateValidation(t *testing.T) {
 	tbl := relation.NewNRR("t", tuple.MustSchema(tuple.Column{Name: "sym", Kind: tuple.KindInt}))
 	src := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 50}, linkSchema())

@@ -2,13 +2,17 @@ package exec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/plan"
+	"repro/internal/race"
 	"repro/internal/tuple"
 	"repro/internal/window"
 )
@@ -404,5 +408,60 @@ func TestRestoreParentTieAnswer(t *testing.T) {
 		if got := view(); got != st.want {
 			t.Fatalf("step %d: view holds %s, want %s", i, got, st.want)
 		}
+	}
+}
+
+// TestRestoreBitFlips flips bit 0 of every byte after the first 16 of each
+// standalone golden and restores the result into an engine that has taken
+// some arrivals of its own. Restore may accept a flip (a flipped payload can
+// be a state some run writes) or refuse it, but it must return, and a
+// refusal is a *checkpoint.MismatchError or checkpoint.ErrCorrupt that
+// leaves the engine's checkpoint bytes as they were. The race job skips the
+// sweep (one goroutine, and ten times slower there); CI runs it unraced.
+func TestRestoreBitFlips(t *testing.T) {
+	if race.Enabled {
+		t.Skip("single-goroutine sweep; run unraced")
+	}
+	for _, g := range goldenCheckpoints() {
+		t.Run(g.file, func(t *testing.T) {
+			ckpt, err := os.ReadFile("testdata/" + g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := ckptTrace(g.q.streams)[:16]
+			flipped := make([]byte, len(ckpt))
+			for i := 16; i < len(ckpt); i++ {
+				copy(flipped, ckpt)
+				flipped[i] ^= 1
+				e := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
+				feed(t, e, prefix)
+				var before, after bytes.Buffer
+				if err := e.Checkpoint(&before); err != nil {
+					t.Fatal(err)
+				}
+				err := func() (err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+						}
+					}()
+					return e.Restore(bytes.NewReader(flipped))
+				}()
+				var mm *checkpoint.MismatchError
+				switch {
+				case err == nil:
+				case errors.As(err, &mm) || errors.Is(err, checkpoint.ErrCorrupt):
+					if err := e.Checkpoint(&after); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(before.Bytes(), after.Bytes()) {
+						t.Errorf("byte %d: the refused restore (%v) changed the engine's checkpoint", i, err)
+					}
+				default:
+					t.Errorf("byte %d: Restore: %v", i, err)
+				}
+				e.Close()
+			}
+		})
 	}
 }

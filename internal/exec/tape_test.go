@@ -719,9 +719,19 @@ func TestPushBatchBeyondTapeFlush(t *testing.T) {
 
 // TestReplayedTapePinsNoArrival pushes arrivals that a selection drops and
 // checks that, once they are replayed, no scratch of the row chain keeps
-// their value arrays reachable: not the tape's rows, and on a partitioned engine
-// not a component's staged rows either. Several rows share each timestamp,
-// so a partition stages its share of a run.
+// them: not the tape's rows, and on a partitioned engine not a component's
+// staged rows either. Several rows share each timestamp, so a partition
+// stages its share of a run.
+//
+// It checks twice. Directly: after Sync, no slot of those slices, up to
+// their capacity, references a row's values. Then through the collector:
+// one GC must clear weak pointers to every arrival's values. Under CPU
+// contention, with asynchronous preemption on, the runtime now and then lets
+// a few unreachable objects outlive one cycle: a heap dump taken then showed
+// no reference to them from any object, stack or global, and the next cycle
+// freed them. So a GC check that finds survivors is repeated on fresh
+// arrivals, and the test fails only when every attempt leaves some: a pin in
+// the engine leaves them reachable every time.
 func TestReplayedTapePinsNoArrival(t *testing.T) {
 	for _, parts := range []int{1, 2} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
@@ -733,35 +743,61 @@ func TestReplayedTapePinsNoArrival(t *testing.T) {
 				t.Fatalf("open: %v %s", err, fallback)
 			}
 			defer e.Close()
-			const n = 300
-			refs := pushDropped(t, e, n)
-			if err := e.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			runtime.GC()
+			const n, attempts = 300, 3
 			live := 0
-			for _, r := range refs {
-				if r.Value() != nil {
-					live++
+			for try := range attempts {
+				refs := pushDropped(t, e, n, int64(try*n))
+				if err := e.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if held := heldRows(e); held > 0 {
+					t.Fatalf("after Sync, %d slots of the tape's and the components' rows still hold a row", held)
+				}
+				runtime.GC()
+				live = 0
+				for _, r := range refs {
+					if r.Value() != nil {
+						live++
+					}
+				}
+				if live == 0 {
+					return
 				}
 			}
-			if live > 0 {
-				t.Fatalf("%d of %d replayed arrivals' values are still reachable", live, n)
-			}
+			t.Fatalf("%d of %d replayed arrivals' values are still reachable, and as many in each of %d attempts",
+				live, n, attempts)
 		})
 	}
 }
 
-// pushDropped pushes n arrivals that no query keeps, four to a timestamp,
-// and returns weak pointers to their value arrays. It keeps no strong
-// reference of its own.
-func pushDropped(t *testing.T, e *Engine, n int) []weak.Pointer[tuple.Value] {
+// heldRows counts the slots of the tape's rows and of every component's
+// staged rows, up to their capacity, that reference a row's values.
+func heldRows(e *Engine) int {
+	held := 0
+	count := func(rows []tuple.Tuple) {
+		for _, r := range rows[:cap(rows)] {
+			if r.Vals != nil {
+				held++
+			}
+		}
+	}
+	count(e.tape.rows)
+	for _, c := range e.comps {
+		count(c.rows)
+	}
+	return held
+}
+
+// pushDropped pushes n arrivals that no query keeps, four to a timestamp
+// from after, and returns weak pointers to their value arrays. It keeps no
+// strong reference of its own.
+func pushDropped(t *testing.T, e *Engine, n int, after int64) []weak.Pointer[tuple.Value] {
 	refs := make([]weak.Pointer[tuple.Value], n)
 	batch := make([]Arrival, n)
 	for i := range batch {
 		vals := []tuple.Value{tuple.Int(int64(i)), tuple.String_("ftp"), tuple.Int(int64(i))}
 		refs[i] = weak.Make(&vals[0])
-		batch[i] = Arrival{Stream: 0, TS: int64(1 + i/4), Vals: vals}
+		batch[i] = Arrival{Stream: 0, TS: after + int64(1+i/4), Vals: vals}
 	}
 	if err := e.PushBatch(batch); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package operator
 
 import (
+	"fmt"
+
 	"repro/internal/checkpoint"
 	"repro/internal/statebuf"
 	"repro/internal/tuple"
@@ -199,8 +201,9 @@ func (c *quotaCore) saveCalendars(enc *checkpoint.Encoder) error {
 // so far. A tuple that names no entry is a stale reference, written while a
 // retracted entry waited to fire, and loads as one. Without time expiry
 // nothing is filed: sections written while NT intersections filed entries
-// they never expired load empty.
-func (c *quotaCore) loadCalendars(dec *checkpoint.Decoder, slot func(side int, t tuple.Tuple) int32) error {
+// they never expired load empty. A tuple without side's key columns cols
+// names nothing a run could have filed, and fails the load as corrupt.
+func (c *quotaCore) loadCalendars(dec *checkpoint.Decoder, cols [2][]int, slot func(side int, t tuple.Tuple) int32) error {
 	type value struct {
 		slot int32
 		side int
@@ -216,8 +219,13 @@ func (c *quotaCore) loadCalendars(dec *checkpoint.Decoder, slot func(side int, t
 		}
 	}
 	for side := range c.cal {
+		var short error
 		err := c.cal[side].Load(dec, func(t tuple.Tuple) int32 {
-			if !c.timeExpiry {
+			if !c.timeExpiry || short != nil {
+				return 0
+			}
+			if !t.Covers(cols[side]) {
+				short = fmt.Errorf("%w: a calendar row of %d values lacks key columns %v", checkpoint.ErrCorrupt, len(t.Vals), cols[side])
 				return 0
 			}
 			k := value{slot(side, t), side, t.Exp}
@@ -233,6 +241,9 @@ func (c *quotaCore) loadCalendars(dec *checkpoint.Decoder, slot func(side int, t
 			*e = qEntry{t: t, side: uint8(side), filed: true, stale: true}
 			return ref
 		})
+		if err == nil {
+			err = short
+		}
 		if err != nil {
 			return err
 		}

@@ -110,7 +110,12 @@ func (d *Distinct) LoadState(dec *checkpoint.Decoder) error {
 	if err := d.expIdx.LoadState(dec); err != nil {
 		return err
 	}
+	short := 0 // rows too short to key, which no run stores
 	share := func(t tuple.Tuple) []tuple.Value {
+		if !t.Covers(d.allCols) {
+			short++
+			return t.Vals
+		}
 		if ref := d.reps.FindRow(t, d.allCols); ref != 0 {
 			if rep := d.reps.At(ref).Vals; slices.EqualFunc(t.Vals, rep, tuple.Value.Identical) {
 				return rep
@@ -120,6 +125,9 @@ func (d *Distinct) LoadState(dec *checkpoint.Decoder) error {
 	}
 	d.input.Rebind(share)
 	d.expIdx.Rebind(share)
+	if short > 0 {
+		return fmt.Errorf("%w: %d stored rows lack Distinct's %d columns", checkpoint.ErrCorrupt, short, len(d.allCols))
+	}
 	return nil
 }
 
@@ -400,7 +408,7 @@ func (n *Negate) LoadState(dec *checkpoint.Decoder) error {
 		}
 	})
 	cols := [2][]int{n.keyCols, n.rightCols}
-	return n.loadCalendars(dec, func(side int, t tuple.Tuple) int32 { return n.slots.FindRow(t, cols[side]) })
+	return n.loadCalendars(dec, cols, func(side int, t tuple.Tuple) int32 { return n.slots.FindRow(t, cols[side]) })
 }
 
 // SaveState implements checkpoint.Snapshotter: clock and counters, both
@@ -507,7 +515,7 @@ func (x *Intersect) LoadState(dec *checkpoint.Decoder) error {
 		}
 	})
 	x.touched = touched // parking counted visits
-	return x.loadCalendars(dec, func(_ int, t tuple.Tuple) int32 { return x.slots.FindRow(t, x.allCols) })
+	return x.loadCalendars(dec, [2][]int{x.allCols, x.allCols}, func(_ int, t tuple.Tuple) int32 { return x.slots.FindRow(t, x.allCols) })
 }
 
 // SaveState implements checkpoint.Snapshotter: counters, then the NT-mode

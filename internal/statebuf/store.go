@@ -1,6 +1,7 @@
 package statebuf
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/checkpoint"
@@ -199,13 +200,19 @@ func (s *store) saveByDigest(enc *checkpoint.Encoder, touched int64) error {
 
 // load reads the cost counter and the tuple run that end a hash or calendar
 // section and, unless the stream failed to decode (a truncated one yields
-// zero tuples whose key columns would index out of range), re-inserts the
-// tuples through insert after reset empties the buffer; the saved counter
-// then overwrites the inserts' increments.
+// zero tuples whose key columns would index out of range) or holds a row
+// without the key columns, re-inserts the tuples through insert after reset
+// empties the buffer; the saved counter then overwrites the inserts'
+// increments.
 func (s *store) load(dec *checkpoint.Decoder, reset func(), insert func(tuple.Tuple)) error {
 	touched, rows := dec.Varint(), dec.Tuples()
 	if err := dec.Err(); err != nil {
 		return err
+	}
+	for _, t := range rows {
+		if !t.Covers(s.keyCols) {
+			return fmt.Errorf("%w: a stored row of %d values lacks key columns %v", checkpoint.ErrCorrupt, len(t.Vals), s.keyCols)
+		}
 	}
 	reset()
 	for _, t := range rows {

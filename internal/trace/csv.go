@@ -85,10 +85,12 @@ const (
 )
 
 // Reader streams the records of a trace file. It is the package's one
-// parser: it scans bytes from its own read buffer, splits the seven fields in
-// place, parses the numeric ones without converting them to strings, and
-// fills a record the caller owns, so a pass over a file allocates once per
-// distinct protocol and not per record.
+// parser: it reads into its own buffer and parses a plain row — seven unquoted
+// fields of digits, a float and a protocol — in one pass over its bytes
+// (fast). Any other row is split into fields in place (scan) and converted
+// field by field (parse), which is also where every error comes from. It fills
+// a record the caller owns, so a pass over a file allocates once per distinct
+// protocol and not per record.
 //
 // It accepts what encoding/csv accepts with its default settings: rows end in
 // "\n" or "\r\n" (the last one may end with the file), blank lines are
@@ -115,6 +117,10 @@ type Reader struct {
 	fields [csvFields][]byte // the current row; aliases buf or unq
 	unq    []byte            // a row with quoted fields, quotes removed
 	protos map[string]string // protocol bytes → the one string handed out for them
+	// recent holds the first protocols handed out, compared byte for byte
+	// before protos is asked; a trace has a handful.
+	recent  [8]string
+	nRecent int
 }
 
 // NewReader returns a Reader over r. The header is read by the first Next.
@@ -150,18 +156,20 @@ func (r *Reader) next(rec *Record) error {
 		}
 		r.n = 1
 	}
-	nf, err := r.scan()
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err == nil && nf != csvFields {
-		err = errFieldCount
-	}
-	if err == nil {
-		err = r.parse(rec)
-	}
-	if err != nil {
-		return fmt.Errorf("trace: line %d: %w", r.n+1, err)
+	if !r.fast(rec) {
+		nf, err := r.scan()
+		if err == io.EOF {
+			return io.EOF
+		}
+		if err == nil && nf != csvFields {
+			err = errFieldCount
+		}
+		if err == nil {
+			err = r.parse(rec)
+		}
+		if err != nil {
+			return fmt.Errorf("trace: line %d: %w", r.n+1, err)
+		}
 	}
 	if rec.TS < r.lastTS {
 		return fmt.Errorf("trace: line %d: timestamp %d regresses before %d", r.n+1, rec.TS, r.lastTS)
@@ -169,6 +177,90 @@ func (r *Reader) next(rec *Record) error {
 	r.lastTS = rec.TS
 	r.n++
 	return nil
+}
+
+// fast parses the row at the head of the buffer in one left-to-right pass
+// when the row is plain: link, ts, payload, src and dst are runs of 1 to 18
+// digits (no sign, so no overflow), duration is a decimal that floatPrefix
+// takes, protocol holds no byte at or below '"' (a quote, "\r", "\n", a
+// space or a control byte), and a "\n" follows dst. It then fills rec,
+// consumes the row and returns true. Otherwise — a quote, a sign, a longer
+// number, a blank line, "\r\n", a field count other than seven, or a row the
+// buffer does not yet hold whole — it touches nothing and returns false, and
+// the row goes to scan and parse, which own every error.
+func (r *Reader) fast(rec *Record) bool {
+	b := r.buf[r.pos:r.end]
+	link, i := digitField(b, 0, ',')
+	if i == 0 || int64(int(link)) != link {
+		return false
+	}
+	ts, i := digitField(b, i, ',')
+	if i == 0 {
+		return false
+	}
+	dur, n, ok := floatPrefix(b[i:])
+	i += n
+	if !ok || i == len(b) || b[i] != ',' { // also declines a quote or a line break
+		return false
+	}
+	i++
+	j := i // protocol is b[i:j]
+	for ; j < len(b) && b[j] != ','; j++ {
+		if b[j] <= '"' { // a quote, "\r", "\n", a space or a control byte
+			return false
+		}
+	}
+	if j == len(b) {
+		return false
+	}
+	proto := b[i:j]
+	payload, i := digitField(b, j+1, ',')
+	if i == 0 {
+		return false
+	}
+	src, i := digitField(b, i, ',')
+	if i == 0 {
+		return false
+	}
+	dst, i := digitField(b, i, '\n')
+	if i == 0 {
+		return false
+	}
+	r.pos += i
+	// The same stores as parse's, written out: a call here costs a few
+	// percent of the row.
+	vals := rec.Vals
+	if cap(vals) < numCols {
+		vals = make([]tuple.Value, numCols)
+	}
+	vals = vals[:numCols]
+	vals[ColTS] = tuple.Int(ts)
+	vals[ColDuration] = tuple.Float(dur)
+	vals[ColProtocol] = tuple.String_(r.protocol(proto))
+	vals[ColPayload] = tuple.Int(payload)
+	vals[ColSrc] = tuple.Int(src)
+	vals[ColDst] = tuple.Int(dst)
+	rec.Link, rec.TS, rec.Vals = int(link), ts, vals
+	return true
+}
+
+// digitField reads the field that starts at b[i] as 1 to 18 decimal digits
+// ended by sep, a value no int64 overflows on. It returns the value and the
+// index after sep, or 0, 0 for anything else.
+func digitField(b []byte, i int, sep byte) (int64, int) {
+	start := i
+	var n int64
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			if b[i] != sep || i == start || i-start > 18 {
+				return 0, 0
+			}
+			return n, i + 1
+		}
+		n = n*10 + int64(d)
+	}
+	return 0, 0
 }
 
 // parse converts the scanned row into rec, which it touches only on success.
@@ -238,12 +330,21 @@ func intField(b []byte, name string) (int64, error) {
 // protocol returns b as a string that does not alias the read buffer: the one
 // allocated when the reader first met these bytes.
 func (r *Reader) protocol(b []byte) string {
-	if s, ok := r.protos[string(b)]; ok { // the conversion in a map index does not allocate
+	for _, s := range r.recent[:r.nRecent] {
+		if string(b) == s { // the conversion in a comparison does not allocate
+			return s
+		}
+	}
+	if s, ok := r.protos[string(b)]; ok { // nor does one in a map index
 		return s
 	}
 	s := string(b)
 	if len(r.protos) < maxProtocols {
 		r.protos[s] = s
+	}
+	if r.nRecent < len(r.recent) {
+		r.recent[r.nRecent] = s
+		r.nRecent++
 	}
 	return s
 }
@@ -294,6 +395,13 @@ var pow10 = [...]float64{
 // mantissas, large exponents, hex, "Inf", "NaN", underscores, malformed
 // input).
 func parseFloat(b []byte) (float64, bool) {
+	f, n, ok := floatPrefix(b)
+	return f, ok && n == len(b)
+}
+
+// floatPrefix is parseFloat for the longest plain decimal at the head of b: it
+// also returns that decimal's length, and leaves to the caller what follows.
+func floatPrefix(b []byte) (float64, int, bool) {
 	i := 0
 	neg := false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
@@ -320,33 +428,29 @@ func parseFloat(b []byte) (float64, bool) {
 			continue // leading zeros are not significant
 		}
 		if sig++; sig > 15 {
-			return 0, false
+			return 0, 0, false
 		}
 		mant = mant*10 + uint64(c-'0')
 	}
 	if digits == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	if i < len(b) {
-		if b[i] != 'e' && b[i] != 'E' {
-			return 0, false
-		}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		eneg := false
 		if i < len(b) && (b[i] == '-' || b[i] == '+') {
 			eneg = b[i] == '-'
 			i++
 		}
-		if i == len(b) {
-			return 0, false
-		}
-		e := 0
-		for ; i < len(b); i++ {
-			c := b[i]
-			if c < '0' || c > '9' || e > 1000 {
-				return 0, false
+		start, e := i, 0
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if e > 1000 {
+				return 0, 0, false
 			}
-			e = e*10 + int(c-'0')
+			e = e*10 + int(b[i]-'0')
+		}
+		if i == start {
+			return 0, 0, false
 		}
 		if eneg {
 			e = -e
@@ -360,12 +464,12 @@ func parseFloat(b []byte) (float64, bool) {
 	case exp < 0 && -exp < len(pow10):
 		f /= pow10[-exp]
 	case exp != 0:
-		return 0, false
+		return 0, 0, false
 	}
 	if neg {
 		f = -f
 	}
-	return f, true
+	return f, i, true
 }
 
 // scan reads the next row into r.fields and returns its field count; fields

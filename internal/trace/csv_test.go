@@ -54,7 +54,7 @@ func oracleReadCSV(r io.Reader) (recs []Record, errLine int, err error) {
 		return nil, 0, fmt.Errorf("trace: header has %d columns, want %d", len(header), csvFields)
 	}
 	var out []Record
-	lastTS := int64(-1 << 62)
+	lastTS := int64(math.MinInt64) // the first record has no predecessor to regress before
 	for line := 2; ; line++ {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -452,6 +452,32 @@ func BenchmarkReadCSV(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/rec")
 }
 
+// BenchmarkReaderNext is the parse alone: Next into one reused record, with
+// no slab to allocate and no records for the collector to trace.
+func BenchmarkReaderNext(b *testing.B) {
+	const n = 64 << 10
+	data := traceBytes(b, n)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rec Record
+	for i := 0; i < b.N; i++ {
+		rd := NewReader(bytes.NewReader(data))
+		got := 0
+		for ; ; got++ {
+			if err := rd.Next(&rec); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if got != n {
+			b.Fatalf("%d records, want %d", got, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/rec")
+}
+
 func BenchmarkWriteCSV(b *testing.B) {
 	recs := Generate(Config{Tuples: 64 << 10, Seed: 12})
 	b.ReportAllocs()
@@ -475,6 +501,18 @@ func FuzzTraceReader(f *testing.F) {
 		hdr + "0,9223372036854775808,1,x,0,0,0\n", hdr + "0,0,1234567890123456789,x,1234567890123456789,0,0\n",
 		hdr + "0,0,1,f\"tp,1,1,1\n", hdr + "0,0,1,\"ftp\"x,1,1,1\n", hdr + "0,0,1,\"ftp,1,1,1\n", hdr + "0,0,1,\"",
 		hdr + "0,5,1,ftp,1,1,1\n0,4,1,ftp,1,1,1\n", hdr + "-1,0,1,ftp,1,1,1\n", hdr + "0,0,1,ftp,1,1\n",
+		// The edges of the one-pass parse of a plain row (Reader.fast).
+		hdr + "123456789012345678,123456789012345678,1,x,123456789012345678,123456789012345678,123456789012345678\n",
+		hdr + "1234567890123456789,1234567890123456789,1,x,1234567890123456789,1234567890123456789,1234567890123456789\n",
+		hdr + "0,9999999999999999999,1,x,0,0,0\n", hdr + "000000000000000000001,00,0.0,x,0000,00000000000000000007,0\n",
+		hdr + "+1,0,1,x,0,0,0\n0,+1,+1,x,+0,-0,-0\n0,1,-0,x,-1,0,0\n", hdr + "0,0,1,,0,0,0\n0,0,1,,0,0,0\n",
+		hdr + "0,0,1,a,0,0,0\n0,0,1,b,0,0,0\n0,0,1,c,0,0,0\n0,0,1,d,0,0,0\n0,0,1,e,0,0,0\n0,0,1,f,0,0,0\n" +
+			"0,0,1,g,0,0,0\n0,0,1,h,0,0,0\n0,0,1,i,0,0,0\n0,0,1,j,0,0,0\n0,0,1,a,0,0,0\n0,0,1,j,0,0,0\n0,0,1,,0,0,0\n",
+		hdr + "0,1\"2,1,x,0,0,0\n", hdr + "0,0,1.\"5,x,0,0,0\n", hdr + "0,0,1,x,0,0,\"0\"\n", hdr + "0,0,1,x\r,0,0,0\n",
+		hdr + "0,0,1,x,0,0\n0,0,1,x,0,0,0\n", hdr + "0,0,1,x,0,0,0,0\n0,0,1,x,0,0,0\n", hdr + "0,0,1,x,0,0,0\n0,1,2,y,3,4,5",
+		hdr + "0,0,1,x,0,0,0\r\n0,1,2,y,3,4,5\r", hdr + "0,0,1,x,0,0,0\n\n0,1,2,y,3,4,5\n", hdr + "0,0,1\n,x,0,0,0\n",
+		// A first record's timestamp may be as low as int64 allows.
+		hdr + "0,-7000000000000000000,0,,0,0,0\n0,-9223372036854775808,0,,0,0,0\n",
 	} {
 		f.Add([]byte(s))
 	}
@@ -523,6 +561,12 @@ func FuzzParseFloatFast(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		got, ok := parseFloat([]byte(s))
+		// Reader.fast reads a field by floatPrefix and then wants a comma: it
+		// must stop at the comma with parseFloat's verdict on the field.
+		pf, n, pok := floatPrefix([]byte(s + ",9"))
+		if ok != (pok && n == len(s)) || ok && math.Float64bits(pf) != math.Float64bits(got) {
+			t.Fatalf("floatPrefix(%q) = %v, %d, %v; parseFloat(%q) = %v, %v", s+",9", pf, n, pok, s, got, ok)
+		}
 		if !ok {
 			return
 		}
@@ -534,7 +578,8 @@ func FuzzParseFloatFast(f *testing.F) {
 }
 
 func FuzzParseIntFast(f *testing.F) {
-	for _, s := range []string{"0", "-0", "+3", "007", "", "-", "+", "9223372036854775807", "9223372036854775808",
+	for _, s := range []string{"0", "-0", "+3", "007", "", "-", "+", "123456789012345678", "1234567890123456789",
+		"000000000000000000", "0000000000000000001", "0,", "12,3", "9223372036854775807", "9223372036854775808",
 		"-9223372036854775808", "-9223372036854775809", "99999999999999999999", "1_0", "0x10", "1e3", " 1"} {
 		f.Add(s)
 	}
@@ -543,6 +588,16 @@ func FuzzParseIntFast(f *testing.F) {
 		want, err := strconv.ParseInt(s, 10, 64)
 		if ok != (err == nil) || ok && got != want {
 			t.Fatalf("parseInt(%q) = %v, %v; strconv.ParseInt = %v, %v", s, got, ok, want, err)
+		}
+		// Reader.fast's digitField takes exactly the unsigned 1–18-digit
+		// fields, ended by the separator it is given.
+		in := "x" + s + ",9"
+		end := len(in) - len(strings.TrimLeft(in[1:], "0123456789")) // the first non-digit
+		field := in[1:end]
+		plain := len(field) >= 1 && len(field) <= 18 && in[end] == ','
+		v, next := digitField([]byte(in), 1, ',')
+		if fv, _ := strconv.ParseInt(field, 10, 64); (next != 0) != plain || plain && (v != fv || next != end+1) {
+			t.Fatalf("digitField(%q, 1) = %v, %d; the field is %q", in, v, next, field)
 		}
 	})
 }

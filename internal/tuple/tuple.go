@@ -52,6 +52,18 @@ func (t Tuple) WithExp(exp int64) Tuple {
 // matching a time-based window that retains items from the last T time units.
 func (t Tuple) Expired(now int64) bool { return now >= t.Exp }
 
+// Covers reports whether t has a value at every one of cols, so keying it
+// on them cannot index out of range. A checkpoint loader checks it before it
+// keys a decoded row.
+func (t Tuple) Covers(cols []int) bool {
+	for _, c := range cols {
+		if c < 0 || c >= len(t.Vals) {
+			return false
+		}
+	}
+	return true
+}
+
 // SameVals reports whether two tuples carry equal value lists. This is the
 // matching rule for negative tuples.
 func (t Tuple) SameVals(o Tuple) bool {

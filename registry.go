@@ -253,7 +253,8 @@ func (r *Registry) Checkpoint(w io.Writer) error { return r.e.Checkpoint(w) }
 // WithShards: a 4-partition checkpoint reopens only at 4. The checkpoint's
 // fingerprint and count are validated first; a disagreement fails with
 // *MismatchError before any state is touched. Truncated or damaged input
-// fails with an error wrapping ErrCheckpointCorrupt.
+// fails with an error wrapping ErrCheckpointCorrupt, and leaves the registry
+// as it was.
 func (r *Registry) Restore(rd io.Reader) error { return r.e.Restore(rd) }
 
 // Close stops the health sampler and closes the shared executor.
