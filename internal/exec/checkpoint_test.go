@@ -167,6 +167,43 @@ func diffObservations(t *testing.T, name string, got, want observation) {
 	}
 }
 
+// TestResumedTouchesMatchStraight cuts the Q5 pull-up plan under UPA, whose
+// STR-partitioned view takes the negation's retractions, at every 16th
+// arrival, restores the cut into a fresh executor and feeds it the rest. Each
+// resumed run must count the tuple touches of the straight run: a retraction
+// leaves nothing in the view's calendar that the checkpoint does not carry.
+func TestResumedTouchesMatchStraight(t *testing.T) {
+	q, opts := q5PullUpQuery(), plan.Options{STR: plan.STRPartitioned}
+	trace := ckptTrace(q.streams)
+	touched := func(ex *Engine) int64 {
+		observe(t, ex)
+		n, err := ex.Touched()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	straight := buildExecutorOpts(t, q, plan.UPA, opts, 1)
+	feed(t, straight, trace)
+	want := touched(straight)
+	for cut := 16; cut < len(trace); cut += 16 {
+		a := buildExecutorOpts(t, q, plan.UPA, opts, 1)
+		feed(t, a, trace[:cut])
+		var ckpt bytes.Buffer
+		if err := a.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		b := buildExecutorOpts(t, q, plan.UPA, opts, 1)
+		if err := b.Restore(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		feed(t, b, trace[cut:])
+		if got := touched(b); got != want {
+			t.Errorf("cut at %d: resumed run touched %d tuples, the straight run %d", cut, got, want)
+		}
+	}
+}
+
 // TestCheckpointRestoreEquivalence runs three executors over the same trace:
 // A uninterrupted, B checkpointed mid-trace and continued, C restored from
 // B's checkpoint into a fresh executor and fed the rest. All three must agree

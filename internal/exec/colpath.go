@@ -3,21 +3,20 @@ package exec
 import (
 	"repro/internal/operator"
 	"repro/internal/tuple"
-	"repro/internal/window"
 )
 
 // Columnar execution path. When a plan qualifies (colPlanSupported), ingest
 // runs lay out arrivals as per-column typed vectors at the window boundary —
 // string values interned to dense ids, expiration stamped in one vectorized
-// pass (or admitted wholesale into a materialized NT window) — and flow
-// through the operator kernels of operator/colkernel.go and colstateful.go
-// without ever materializing row tuples except where state or the view
-// requires them. The fallback ladder is per plan, then per engine:
+// pass — and flow through the operator kernels of operator/colkernel.go and
+// colstateful.go without ever materializing row tuples except where state or
+// the view requires them. The fallback ladder is per plan, then per engine:
 //
-//   - plan-time: any operator without a kernel (union, δ, negation,
-//     intersection, the relation joins), a count-based window, a stream
-//     feeding several windows, or a non-scalar column kind keeps the whole
-//     plan on the row batch path (colOK never set);
+//   - plan-time: any operator or predicate without a kernel (see
+//     operator.ColSupported), a materialized window (count-based, or any
+//     window under NT), a stream feeding several windows, or a non-scalar
+//     column kind keeps the whole plan on the row batch path (colOK never
+//     set);
 //   - run-time: the first arrival whose value kinds disagree with its stream
 //     schema demotes the engine permanently — mixed-kind data could otherwise
 //     plant row-path state a later columnar probe cannot lay out. Demotion
@@ -26,7 +25,7 @@ import (
 //
 // Both paths mutate the same operator state through the same buffer
 // operations and canonical keys, so they are freely interleavable (Push,
-// Advance, table updates, and NT retractions always use the row chain).
+// Advance and table updates always use the row chain).
 // Columnar runs flow on the caller, after the tape recorded before them has
 // been replayed (tape.go), and a columnar engine never replays on workers;
 // their output deltas are counted on the engine's direct flow.
@@ -49,10 +48,9 @@ func (e *Engine) colPlanSupported() bool {
 		if counts[s.stream] != 1 {
 			return false
 		}
-		// Count-based windows evict per arrival; no run-grained admission.
-		// Materialized time-based windows (the NT strategy) admit whole runs
-		// through AdmitRunCols.
-		if s.win.Spec().Type == window.CountBased {
+		// A materialized window stores each arrival (and a count-based one
+		// evicts per arrival); only StampRun admits a whole run.
+		if s.win.Materialized() {
 			return false
 		}
 		if !tuple.ColumnarKinds(s.schema) {
@@ -131,12 +129,7 @@ func (e *Engine) ingestRunCols(src *liveSource, ts int64, run []Arrival) (confor
 	if !ok {
 		return false, nil
 	}
-	var exp int64
-	if src.win.Materialized() {
-		exp, err = src.win.AdmitRunCols(ts, cb, e.intern)
-	} else {
-		exp, err = src.win.StampRun(ts, cb.Len())
-	}
+	exp, err := src.win.StampRun(ts, cb.Len())
 	if err != nil {
 		return true, err
 	}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/operator"
 	"repro/internal/plan"
 	"repro/internal/tuple"
 	"repro/internal/window"
@@ -67,15 +68,13 @@ func buildColEngine(t *testing.T, q ckptQuery, strat plan.Strategy, cfg Config) 
 }
 
 // colEligible reports whether q's plan under strat qualifies for the
-// columnar path, which needs a kernel for every operator: negation has none,
-// and UPA plans δ, which has none either, where the other strategies plan
-// Distinct.
+// columnar path, which needs a kernel for every operator and no materialized
+// window: only Q1's selects and join and Q6's group-by have kernels, and NT
+// materializes every window.
 func colEligible(q ckptQuery, strat plan.Strategy) bool {
 	switch q.name {
 	case "Q1-join-of-selects", "Q6-groupby":
-		return true
-	case "Q2-distinct-project", "Q4-join-of-distincts":
-		return strat != plan.UPA
+		return strat != plan.NT
 	}
 	return false
 }
@@ -85,7 +84,7 @@ func colEligible(q ckptQuery, strat plan.Strategy) bool {
 // pinned to the row batch path — over an identical bursty trace, and demands
 // identical visible state. Eligibility is pinned (colEligible) so the
 // comparison can't silently go vacuous where a plan has full kernel
-// coverage; AdmitRunCols feeds NT's materialized windows.
+// coverage.
 func TestColumnarRowBatchEquivalence(t *testing.T) {
 	for _, q := range ckptQueries() {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
@@ -117,11 +116,12 @@ func TestColumnarRowBatchEquivalence(t *testing.T) {
 
 // TestColumnarPlanFallback checks the plan-time ladder: a count-based
 // (materialized) window has no vectorized stamp, so the whole plan stays on
-// the row path — silently, with identical results to an engine pinned there.
+// the row path — silently, with identical results to an engine pinned there —
+// even though its one operator has a kernel.
 func TestColumnarPlanFallback(t *testing.T) {
 	q := ckptQuery{"count-window-select", 1, func() *plan.Node {
 		src := plan.NewSource(0, window.Spec{Type: window.CountBased, Size: 30}, linkSchema())
-		return plan.NewProject(src, 0, 1)
+		return plan.NewSelect(src, operator.ColConst{Col: 1, Op: operator.EQ, Val: tuple.String_("ftp")})
 	}}
 	trace := colTrace(1, 200)
 
@@ -179,14 +179,14 @@ func TestColumnarRuntimeDemotion(t *testing.T) {
 }
 
 // TestColumnarStatefulDemotionMidRun drives the run-time ladder through the
-// stateful tail: a kind-nonconforming arrival lands mid-trace in plans whose
-// kernels mutate operator state (Distinct and GroupBy downstream of windows),
-// after a checkpoint cut at an arbitrary non-batch boundary. The restored
-// engine must resume columnar, demote exactly when the bad run arrives,
-// replay that run through the row path byte-exactly, and finish
-// indistinguishable from a twin that never ran columnar at all — columnar
-// state and row state are the same state. Plans without full kernel
-// coverage (δ, negation) stay on the row chain throughout and must finish
+// stateful tail: a kind-nonconforming arrival lands mid-trace in a plan whose
+// kernel mutates operator state (the group-by downstream of a window), after
+// a checkpoint cut at an arbitrary non-batch boundary. The restored engine
+// must resume columnar, demote exactly when the bad run arrives, replay that
+// run through the row path byte-exactly, and finish indistinguishable from a
+// twin that never ran columnar at all — columnar state and row state are the
+// same state. Plans without full kernel coverage (Distinct, negation) or with
+// materialized windows (NT) stay on the row chain throughout and must finish
 // the same way.
 func TestColumnarStatefulDemotionMidRun(t *testing.T) {
 	qs := ckptQueries()

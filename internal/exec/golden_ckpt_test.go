@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"sort"
@@ -33,11 +34,14 @@ import (
 // lists.
 //
 // columnar is whether the plan qualifies for the columnar path at this
-// commit. Parent engines wrote q4_upa, q5_upa and q5_pullup with colOK set;
-// their δ and negation kernels are gone, so they restore onto the row chain.
-// The q1_direct, q2_direct and q4_nt plans keep every kernel they ran.
+// commit. Parent engines wrote q4_upa, q5_upa, q5_pullup, q4_nt and q2_direct
+// with colOK set; their δ, negation, projection and Distinct kernels and NT's
+// columnar window admission are gone, so they restore onto the row chain.
+// The q1_direct plan keeps every kernel it ran.
 //
-// parentBytes marks a cut that this commit writes byte for byte. tieBroken
+// parentBytes marks a cut that this commit writes byte for byte, except that
+// a cut colOK marks one whose final byte, the colOK flag, the parent wrote as
+// 1 and this commit writes as 0. tieBroken
 // marks one whose writer, before the cut, took W1 twins with equal TS out of
 // the answer in admission order rather than arrival order (the Q5 join emits
 // such twins at one TS): its counters hold one retraction the suffix rule
@@ -51,18 +55,13 @@ type goldenCheckpoint struct {
 	shards      int
 	columnar    bool
 	parentBytes bool
+	cutColOK    bool
 	tieBroken   bool
 }
 
 func goldenCheckpoints() []goldenCheckpoint {
 	qs := ckptQueries()
-	q4, q5 := qs[3], qs[4]
-	q5up := ckptQuery{"Q5-negation-pulled-up", 3, func() *plan.Node {
-		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 14}, linkSchema())
-		b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 18}, linkSchema())
-		c := plan.NewSource(2, window.Spec{Type: window.TimeBased, Size: 20}, linkSchema())
-		return plan.NewNegate(plan.NewJoin(a, c, []int{0}, []int{0}), b, []int{0}, []int{0})
-	}}
+	q4, q5, q5up := qs[3], qs[4], q5PullUpQuery()
 	isect := ckptQuery{"intersection", 2, func() *plan.Node {
 		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 14}, linkSchema())
 		b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 22}, linkSchema())
@@ -73,12 +72,24 @@ func goldenCheckpoints() []goldenCheckpoint {
 		{file: "q4_upa_shards2.ckpt", q: q4, strat: plan.UPA, shards: 2},
 		{file: "q5_upa.ckpt", q: q5, strat: plan.UPA, shards: 1},
 		{file: "q5_pullup_upa_strpartitioned.ckpt", q: q5up, strat: plan.UPA, opts: plan.Options{STR: plan.STRPartitioned}, shards: 1, tieBroken: true},
-		{file: "q4_nt.ckpt", q: q4, strat: plan.NT, shards: 1, columnar: true, parentBytes: true},
+		{file: "q4_nt.ckpt", q: q4, strat: plan.NT, shards: 1, parentBytes: true, cutColOK: true},
 		{file: "intersect_upa.ckpt", q: isect, strat: plan.UPA, shards: 1},
 		{file: "intersect_nt.ckpt", q: isect, strat: plan.NT, shards: 1},
 		{file: "q1_direct.ckpt", q: qs[0], strat: plan.Direct, shards: 1, columnar: true, parentBytes: true},
-		{file: "q2_direct.ckpt", q: qs[1], strat: plan.Direct, shards: 1, columnar: true, parentBytes: true},
+		{file: "q2_direct.ckpt", q: qs[1], strat: plan.Direct, shards: 1, parentBytes: true, cutColOK: true},
 	}
+}
+
+// q5PullUpQuery is Q5 with the negation pulled above the join. Under UPA
+// with plan.STRPartitioned its result view is a keyed calendar that the
+// negation's retractions remove from.
+func q5PullUpQuery() ckptQuery {
+	return ckptQuery{"Q5-negation-pulled-up", 3, func() *plan.Node {
+		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 14}, linkSchema())
+		b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 18}, linkSchema())
+		c := plan.NewSource(2, window.Spec{Type: window.TimeBased, Size: 20}, linkSchema())
+		return plan.NewNegate(plan.NewJoin(a, c, []int{0}, []int{0}), b, []int{0}, []int{0})
+	}}
 }
 
 // tableGoldens names the checkpoints the commit before relation tables kept
@@ -123,8 +134,16 @@ func TestRestoreParentCheckpoints(t *testing.T) {
 			feed(t, cut, trace[:128])
 			if g.parentBytes {
 				// Nothing here has changed its layout or its cost accounting
-				// since: the cut is the parent's, byte for byte.
-				sameBytes(t, "an executor fed the parent's prefix", cut, ckpt)
+				// since: the cut is the parent's, byte for byte, but for a
+				// colOK flag this commit's plan check clears.
+				want := ckpt
+				if g.cutColOK {
+					if ckpt[len(ckpt)-1] != 1 {
+						t.Fatalf("the parent's final byte is %d, not a set colOK flag", ckpt[len(ckpt)-1])
+					}
+					want = append(bytes.Clone(ckpt[:len(ckpt)-1]), 0)
+				}
+				sameBytes(t, "an executor fed the parent's prefix", cut, want)
 			}
 			if err := cut.Sync(); err != nil {
 				t.Fatal(err)
@@ -312,14 +331,7 @@ func restoreRegistryOneGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() (*Engine, []*QueryHandle) {
-		e := NewMulti(Config{LazyInterval: 7, EagerInterval: 1})
-		h, err := e.RegisterQuery(QuerySpec{Name: "join30-nt", Phys: buildPhys(t, joinPlan(30), plan.NT, plan.Options{})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, []*QueryHandle{h}
-	}
+	build := func() (*Engine, []*QueryHandle) { return newRegistryOne(t) }
 	trace := ckptTrace(2)
 	cut, cutHs := build()
 	feed(t, cut, trace[:registryGoldenCut])
@@ -349,6 +361,27 @@ func restoreRegistryOneGolden(t *testing.T) {
 	}
 }
 
+// newRegistryOne registers join30-nt, under NT, on a fresh registry: the
+// one-query registry that wrote registry_one.ckpt.
+func newRegistryOne(t *testing.T) (*Engine, []*QueryHandle) {
+	t.Helper()
+	e := NewMulti(Config{LazyInterval: 7, EagerInterval: 1})
+	h, err := e.RegisterQuery(QuerySpec{Name: "join30-nt", Phys: buildPhys(t, joinPlan(30), plan.NT, plan.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, []*QueryHandle{h}
+}
+
+// negateTieQuery is the negation that wrote negate_tie_upa.ckpt.
+func negateTieQuery() ckptQuery {
+	return ckptQuery{"negation-tie", 2, func() *plan.Node {
+		w1 := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 100}, linkSchema())
+		w2 := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 10}, linkSchema())
+		return plan.NewNegate(w1, w2, []int{0}, []int{0})
+	}}
+}
+
 // TestRestoreParentTieAnswer restores negate_tie_upa.ckpt, which 4a2a3e9
 // wrote in a state its tie rule produced: W2 held two copies of value 5 from
 // t=1, W1 took a, b and c at t=2, Advance(11) expired both copies and
@@ -364,12 +397,7 @@ func TestRestoreParentTieAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := ckptQuery{"negation-tie", 2, func() *plan.Node {
-		w1 := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 100}, linkSchema())
-		w2 := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 10}, linkSchema())
-		return plan.NewNegate(w1, w2, []int{0}, []int{0})
-	}}
-	ex := buildExecutorOpts(t, q, plan.UPA, plan.Options{}, 1)
+	ex := buildExecutorOpts(t, negateTieQuery(), plan.UPA, plan.Options{}, 1)
 	if err := ex.Restore(bytes.NewReader(ckpt)); err != nil {
 		t.Fatal(err)
 	}
@@ -411,57 +439,174 @@ func TestRestoreParentTieAnswer(t *testing.T) {
 	}
 }
 
+// restoreTarget is an engine a golden checkpoint restores into, and the
+// stream count of the ckptTrace its arrivals come from.
+type restoreTarget struct {
+	file    string
+	streams int
+	open    func(t *testing.T) *Engine
+}
+
+// standaloneTargets are the engines of goldenCheckpoints.
+func standaloneTargets() []restoreTarget {
+	var ts []restoreTarget
+	for _, g := range goldenCheckpoints() {
+		ts = append(ts, restoreTarget{g.file, g.q.streams, func(t *testing.T) *Engine {
+			return buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
+		}})
+	}
+	return ts
+}
+
+// restoreTargets are the engines of every golden under testdata/.
+func restoreTargets() []restoreTarget {
+	ts := standaloneTargets()
+	for _, g := range tableGoldens {
+		ts = append(ts, restoreTarget{g.file, 2, func(t *testing.T) *Engine {
+			return openContract(t, contractPlans()[3], g.strat, 1).ex
+		}})
+	}
+	return append(ts,
+		restoreTarget{"negate_tie_upa.ckpt", 2, func(t *testing.T) *Engine {
+			return buildExecutorOpts(t, negateTieQuery(), plan.UPA, plan.Options{}, 1)
+		}},
+		restoreTarget{"registry_mix.ckpt", 2, func(t *testing.T) *Engine {
+			e, _ := newRegistryGolden(t)
+			return e
+		}},
+		restoreTarget{"registry_one.ckpt", 2, func(t *testing.T) *Engine {
+			e, _ := newRegistryOne(t)
+			return e
+		}},
+	)
+}
+
+// restoreFault restores data into a target engine that has taken some
+// arrivals of its own. Restore may accept data (a flipped payload can be a
+// state some run writes) or refuse it, but it must return, and a refusal is
+// a *checkpoint.MismatchError, checkpoint.ErrVersion or checkpoint.ErrCorrupt
+// that leaves the engine's checkpoint bytes as they were. An accepted state
+// must then take what a run does next without a panic (playOn). restoreFault
+// returns the first of these rules data breaks, or nil.
+func restoreFault(t *testing.T, tg restoreTarget, data []byte) error {
+	t.Helper()
+	e := tg.open(t)
+	defer e.Close()
+	feed(t, e, ckptTrace(tg.streams)[:16])
+	var before, after bytes.Buffer
+	if err := e.Checkpoint(&before); err != nil {
+		t.Fatal(err)
+	}
+	err := recovered(func() error { return e.Restore(bytes.NewReader(data)) })
+	var mm *checkpoint.MismatchError
+	switch {
+	case err == nil:
+		if err := recovered(func() error { playOn(e, tg.streams); return nil }); err != nil {
+			return fmt.Errorf("after an accepted restore: %w", err)
+		}
+	case errors.As(err, &mm) || errors.Is(err, checkpoint.ErrVersion) || errors.Is(err, checkpoint.ErrCorrupt):
+		if err := e.Checkpoint(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			return fmt.Errorf("the refused restore (%v) changed the engine's checkpoint", err)
+		}
+	default:
+		return fmt.Errorf("Restore: %w", err)
+	}
+	return nil
+}
+
+// recovered runs fn and turns a panic into an error with its stack.
+func recovered(fn func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return fn()
+}
+
+// playOn is what a run does after a restore: 32 more arrivals of ckptTrace
+// (a PushBatch of 16, then one Push each), moved past the restored clock, an
+// Advance past every window, and every read. Refusals are fine; only a panic
+// is a fault.
+func playOn(e *Engine, streams int) {
+	next := ckptTrace(streams)[128:160]
+	shift := max(0, e.Clock()-next[0].TS+1)
+	batch := make([]Arrival, len(next))
+	for i, a := range next {
+		a.TS += shift
+		batch[i] = a
+	}
+	_ = e.PushBatch(batch[:16])
+	for _, a := range batch[16:] {
+		_ = e.Push(a.Stream, a.TS, a.Vals...)
+	}
+	_ = e.Advance(batch[len(batch)-1].TS + 64)
+	_ = e.Sync()
+	_, _ = e.StateTuples()
+	_, _ = e.Touched()
+	_, _, _, _ = e.Stats(), e.Watermark(), e.Violations(), e.Clock()
+	_, _ = e.DeltaLatency()
+	_ = e.Checkpoint(io.Discard)
+	for _, h := range e.Queries() {
+		rows, _ := h.Snapshot()
+		_, _ = h.ResultCount()
+		k := tuple.Tuple{Vals: []tuple.Value{tuple.Int(0)}}.Key([]int{0})
+		if len(rows) > 0 && len(rows[0].Vals) > 0 {
+			k = rows[0].Key([]int{0})
+		}
+		_, _ = h.LookupKey(k)
+		_ = h.Profile()
+		_ = h.WriteProfile(io.Discard)
+		_ = h.Explain(true)
+		_ = h.Checkpoint(io.Discard)
+	}
+}
+
 // TestRestoreBitFlips flips bit 0 of every byte after the first 16 of each
-// standalone golden and restores the result into an engine that has taken
-// some arrivals of its own. Restore may accept a flip (a flipped payload can
-// be a state some run writes) or refuse it, but it must return, and a
-// refusal is a *checkpoint.MismatchError or checkpoint.ErrCorrupt that
-// leaves the engine's checkpoint bytes as they were. The race job skips the
-// sweep (one goroutine, and ten times slower there); CI runs it unraced.
+// standalone golden and puts each result through restoreFault. The race job
+// skips the sweep (one goroutine, and ten times slower there); CI runs it
+// unraced.
 func TestRestoreBitFlips(t *testing.T) {
 	if race.Enabled {
 		t.Skip("single-goroutine sweep; run unraced")
 	}
-	for _, g := range goldenCheckpoints() {
-		t.Run(g.file, func(t *testing.T) {
-			ckpt, err := os.ReadFile("testdata/" + g.file)
+	for _, tg := range standaloneTargets() {
+		t.Run(tg.file, func(t *testing.T) {
+			ckpt, err := os.ReadFile("testdata/" + tg.file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prefix := ckptTrace(g.q.streams)[:16]
 			flipped := make([]byte, len(ckpt))
 			for i := 16; i < len(ckpt); i++ {
 				copy(flipped, ckpt)
 				flipped[i] ^= 1
-				e := buildExecutorOpts(t, g.q, g.strat, g.opts, g.shards)
-				feed(t, e, prefix)
-				var before, after bytes.Buffer
-				if err := e.Checkpoint(&before); err != nil {
-					t.Fatal(err)
+				if err := restoreFault(t, tg, flipped); err != nil {
+					t.Errorf("byte %d: %v", i, err)
 				}
-				err := func() (err error) {
-					defer func() {
-						if p := recover(); p != nil {
-							err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
-						}
-					}()
-					return e.Restore(bytes.NewReader(flipped))
-				}()
-				var mm *checkpoint.MismatchError
-				switch {
-				case err == nil:
-				case errors.As(err, &mm) || errors.Is(err, checkpoint.ErrCorrupt):
-					if err := e.Checkpoint(&after); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(before.Bytes(), after.Bytes()) {
-						t.Errorf("byte %d: the refused restore (%v) changed the engine's checkpoint", i, err)
-					}
-				default:
-					t.Errorf("byte %d: Restore: %v", i, err)
-				}
-				e.Close()
 			}
 		})
 	}
+}
+
+// FuzzRestore puts mutations of every golden under testdata/ through
+// restoreFault: each is refused with the target unchanged, or accepted and
+// then played on without a panic. The first input picks the golden's
+// target.
+func FuzzRestore(f *testing.F) {
+	targets := restoreTargets()
+	for i, tg := range targets {
+		ckpt, err := os.ReadFile("testdata/" + tg.file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), ckpt)
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, data []byte) {
+		if err := restoreFault(t, targets[int(pick)%len(targets)], data); err != nil {
+			t.Error(err)
+		}
+	})
 }

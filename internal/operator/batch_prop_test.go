@@ -46,7 +46,7 @@ func propOps() []propOp {
 		{name: "select", sides: 1, negOK: true, make: func(t *testing.T) Operator {
 			return NewSelect(linkSchema(), ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")})
 		}},
-		{name: "project", sides: 1, negOK: true, make: func(t *testing.T) Operator {
+		{name: "project", sides: 1, negOK: true, noCol: true, make: func(t *testing.T) Operator {
 			p, err := NewProject(linkSchema(), []int{2, 0})
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +71,7 @@ func propOps() []propOp {
 			}
 			return j
 		}},
-		{name: "distinct", sides: 1, negOK: true, make: func(t *testing.T) Operator {
+		{name: "distinct", sides: 1, negOK: true, noCol: true, make: func(t *testing.T) Operator {
 			return NewDistinct(DistinctConfig{
 				Schema: linkSchema(), InputBuf: list, RepIdx: part, TimeExpiry: true,
 			})

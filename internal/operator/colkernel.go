@@ -11,14 +11,12 @@ import (
 // batch, producing exactly what the row-form ProcessBatch would — columnar
 // execution is a layout/dispatch optimization, never a semantic change.
 //
-// A kernel exists only where a benchmark workload or a pinned checkpoint runs
-// it: selection (predicate evaluation as a bitset mask scan) and the window
-// equijoin for q1-csv-col, group-by for q6-groupby-col, and projection and
-// Distinct, which byte-pinned parent checkpoints were written with (the
-// stateful two live in colstateful.go). Every other operator — union, δ,
-// negation, intersect, relation joins — keeps the row path; ColSupported
-// lets the executor decide per plan whether a columnar pipeline is
-// available at all.
+// Three kernels exist, one per operator shape a benchmark workload runs in
+// columnar form: a selection comparing one column with a constant (a bitset
+// mask scan, colmask.go) and the window equijoin without a residual for
+// q1-csv-col, and the group-by (colstateful.go) for q6-groupby-col. Every
+// other operator or shape keeps the row path; ColSupported lets the executor
+// decide per plan whether a columnar pipeline is available at all.
 
 // ColBatchProcessor is the optional columnar form of ProcessBatch: consume a
 // run in columnar form, append emissions (positive and negative) to out in
@@ -30,47 +28,21 @@ type ColBatchProcessor interface {
 }
 
 // ColSupported reports whether op has a usable columnar kernel for its
-// configuration. Plans containing any unsupported operator run entirely on
-// the row batch path.
+// configuration: a Select over one ColConst, a Join without a residual, or a
+// GroupBy. Plans containing any other operator run entirely on the row batch
+// path.
 func ColSupported(op Operator) bool {
 	switch o := op.(type) {
 	case *Select:
-		return colCompilable(o.pred)
-	case *Project, *GroupBy, *Distinct:
+		_, ok := o.pred.(ColConst)
+		return ok
+	case *GroupBy:
 		return true
 	case *Join:
-		// A residual predicate evaluates over the concatenated result row, so
-		// it is mask-evaluable exactly when the mask compiler understands it.
-		return o.residual == nil || colCompilable(o.residual)
+		return o.residual == nil
 	default:
 		return false
 	}
-}
-
-// colCompilable reports whether the predicate tree consists solely of shapes
-// the mask evaluator (colmask.go) understands.
-func colCompilable(p Predicate) bool {
-	switch q := p.(type) {
-	case ColConst, ColCol, True:
-		return true
-	case Not:
-		return colCompilable(q.P)
-	case And:
-		return allCompilable(q)
-	case Or:
-		return allCompilable(q)
-	default:
-		return false
-	}
-}
-
-func allCompilable(ps []Predicate) bool {
-	for _, p := range ps {
-		if !colCompilable(p) {
-			return false
-		}
-	}
-	return true
 }
 
 // ProcessColBatch drives op's columnar kernel over in, appending emissions to
@@ -85,27 +57,20 @@ func ProcessColBatch(op Operator, side int, in *tuple.ColBatch, now int64, out *
 	return p.ProcessCols(side, in, now, out, intern)
 }
 
-// ProcessCols evaluates the predicate over the column vectors into a packed
+// ProcessCols compares the constant's column with the constant into a packed
 // bitset mask, then gathers the surviving rows (positive and negative alike,
 // so a retraction passes exactly when the tuple it retracts passed).
 func (s *Select) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
 	if side != 0 {
 		return badSide("select", side)
 	}
+	p, ok := s.pred.(ColConst)
+	if !ok {
+		return fmt.Errorf("operator: predicate %v has no columnar evaluator", s.pred)
+	}
 	s.colBits = growBits(s.colBits, in.Len())
-	if err := colEvalBits(s.pred, in, intern, s.colBits, &s.colBitsTmp); err != nil {
-		return err
-	}
+	evalColConstBits(p, in, intern, s.colBits)
 	out.AppendMaskedBits(in, s.colBits)
-	return nil
-}
-
-// ProcessCols projects whole columns at once.
-func (p *Project) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
-	if side != 0 {
-		return badSide("project", side)
-	}
-	out.AppendProjection(in, p.cols)
 	return nil
 }
 
@@ -114,24 +79,17 @@ func (p *Project) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tupl
 // the probe), probes the opposite side's buffer, and appends concatenated
 // results column-wise. Row form is materialized only where state requires it
 // — insertion and removal — with the value slices carved from the join's
-// arena instead of per-tuple allocations. With a residual predicate the run's
-// results stage in a scratch batch and filter through a bitset mask, exactly
-// mirroring the row path's per-result Eval (the filter is stateless, so
-// deferring it to run grain preserves emission order).
+// arena instead of per-tuple allocations. A join with a residual predicate
+// has no kernel.
 func (j *Join) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
 	if side != 0 && side != 1 {
 		return badSide("join", side)
 	}
+	if j.residual != nil {
+		return fmt.Errorf("join: residual %v has no columnar evaluator", j.residual)
+	}
 	if now > j.clock {
 		j.clock = now
-	}
-	res := out
-	if j.residual != nil {
-		if j.colRes == nil {
-			j.colRes = tuple.NewColBatch(j.schema)
-		}
-		j.colRes.Reset()
-		res = j.colRes
 	}
 	other := 1 - side
 	probeAt := now
@@ -183,19 +141,12 @@ func (j *Join) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.C
 			if m.Exp < exp {
 				exp = m.Exp
 			}
-			if !res.AppendJoin(in, i, side, m.Vals, now, exp, neg, intern) {
+			if !out.AppendJoin(in, i, side, m.Vals, now, exp, neg, intern) {
 				j.cands = cands[:0]
 				return fmt.Errorf("join: stored tuple %v does not fit the columnar result layout", m)
 			}
 		}
 		j.cands = cands[:0]
-	}
-	if j.residual != nil {
-		j.colResBits = growBits(j.colResBits, j.colRes.Len())
-		if err := colEvalBits(j.residual, j.colRes, intern, j.colResBits, &j.colResTmp); err != nil {
-			return err
-		}
-		out.AppendMaskedBits(j.colRes, j.colResBits)
 	}
 	return nil
 }

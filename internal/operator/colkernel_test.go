@@ -78,15 +78,6 @@ func TestColKernelSelectEquivalence(t *testing.T) {
 		ColConst{Col: 0, Op: EQ, Val: tuple.Int(3)},
 		ColConst{Col: 2, Op: GT, Val: tuple.Float(5)},
 		ColConst{Col: 0, Op: EQ, Val: tuple.Float(3)}, // cross-kind compare
-		ColCol{Left: 0, Right: 2, Op: LE},
-		ColCol{Left: 0, Right: 0, Op: EQ},
-		True{},
-		Not{P: ColConst{Col: 1, Op: EQ, Val: tuple.String_("http")}},
-		And{ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")}, ColConst{Col: 0, Op: LT, Val: tuple.Int(12)}},
-		Or{ColConst{Col: 1, Op: EQ, Val: tuple.String_("smtp")}, ColConst{Col: 0, Op: GE, Val: tuple.Int(15)}},
-		And{},
-		Or{},
-		And{Or{ColConst{Col: 0, Op: LT, Val: tuple.Int(5)}, Not{P: ColConst{Col: 1, Op: NE, Val: tuple.String_("http")}}}, True{}},
 	}
 	rng := rand.New(rand.NewSource(11))
 	for pi, pred := range preds {
@@ -102,25 +93,6 @@ func TestColKernelSelectEquivalence(t *testing.T) {
 			rowOut, colOut := runBothPaths(t, rowOp, colOp, 0, rows, int64(100*round), in, intern, colTestSchema)
 			requireSameEmissions(t, rowOut, colOut)
 		}
-	}
-}
-
-func TestColKernelProjectEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, cols := range [][]int{{0}, {1, 2}, {2, 0}, {0, 1, 2}} {
-		rowOp, err := NewProject(colTestSchema, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		colOp, _ := NewProject(colTestSchema, cols)
-		if !ColSupported(colOp) {
-			t.Fatal("project reported unsupported")
-		}
-		intern := tuple.NewInterner()
-		in := tuple.NewColBatch(colTestSchema)
-		rows := randColRows(rng, 25, 100, true)
-		rowOut, colOut := runBothPaths(t, rowOp, colOp, 0, rows, 100, in, intern, colOp.Schema())
-		requireSameEmissions(t, rowOut, colOut)
 	}
 }
 
@@ -213,10 +185,13 @@ func mustOp[O Operator](op O, err error) O {
 	return op
 }
 
-// TestColSupported pins the exact set of operators with a columnar kernel.
-// Each kernel stays only because something runs it in columnar form.
+// TestColSupported pins the exact set of operator shapes with a columnar
+// kernel. Each stays only because a benchmark workload runs it in columnar
+// form.
 func TestColSupported(t *testing.T) {
 	tbl := tuple.MustSchema(tuple.Column{Name: "id", Kind: tuple.KindInt})
+	withResidual := colTestJoin(t, statebuf.KindIndexedFIFO, false)
+	withResidual.residual = ColConst{Col: 3, Op: NE, Val: tuple.Int(0)}
 	accepted := []struct {
 		name string
 		op   Operator
@@ -226,10 +201,6 @@ func TestColSupported(t *testing.T) {
 		{"join", colTestJoin(t, statebuf.KindIndexedFIFO, false)},
 		// q6-groupby-col runs the group-by.
 		{"groupby", colTestGroupBy(t, []AggSpec{{Kind: Count}}, statebuf.Config{Kind: statebuf.KindHash}, false)},
-		// The q2_direct.ckpt and q4_nt.ckpt goldens pin the colOK byte their
-		// projection and Distinct plans were written with.
-		{"project", mustOp(NewProject(colTestSchema, []int{0}))},
-		{"distinct", colTestDistinct(t, statebuf.KindHash, true)},
 	}
 	for _, c := range accepted {
 		if !ColSupported(c.op) {
@@ -240,6 +211,15 @@ func TestColSupported(t *testing.T) {
 		name string
 		op   Operator
 	}{
+		{"project", mustOp(NewProject(colTestSchema, []int{0}))},
+		{"distinct", colTestDistinct(t, statebuf.KindHash, true)},
+		{"select-col-col", NewSelect(colTestSchema, ColCol{Left: 0, Right: 2, Op: LE})},
+		{"select-and", NewSelect(colTestSchema, And{ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")}})},
+		{"select-or", NewSelect(colTestSchema, Or{ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")}})},
+		{"select-not", NewSelect(colTestSchema, Not{P: ColConst{Col: 1, Op: EQ, Val: tuple.String_("ftp")}})},
+		{"select-true", NewSelect(colTestSchema, True{})},
+		{"select-foreign", NewSelect(colTestSchema, opaquePred{})},
+		{"join-residual", withResidual},
 		{"union", mustOp(NewUnion(colTestSchema, colTestSchema))},
 		{"distinct-delta", NewDistinctDelta(colTestSchema, 256, 8)},
 		{"negate", colTestNegate(t, false)},
@@ -262,24 +242,5 @@ func TestColSupported(t *testing.T) {
 		if err == nil {
 			t.Errorf("kernel dispatch of %s must error", c.name)
 		}
-	}
-
-	if ColSupported(NewSelect(colTestSchema, opaquePred{})) {
-		t.Error("select with a foreign predicate must not have a kernel")
-	}
-	if ColSupported(NewSelect(colTestSchema, And{True{}, opaquePred{}})) {
-		t.Error("nested foreign predicate must not have a kernel")
-	}
-	j := colTestJoin(t, statebuf.KindIndexedFIFO, false)
-	j.residual = ColCol{Left: 0, Right: 3, Op: NE}
-	if !ColSupported(j) {
-		t.Error("join with a mask-evaluable residual must have a kernel")
-	}
-	j.residual = opaquePred{}
-	if ColSupported(j) {
-		t.Error("join with a foreign residual must not have a kernel")
-	}
-	if err := ProcessColBatch(NewSelect(colTestSchema, opaquePred{}), 0, tuple.NewColBatch(colTestSchema), 0, tuple.NewColBatch(colTestSchema), tuple.NewInterner()); err == nil {
-		t.Error("kernel dispatch of a non-compilable predicate must error")
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"repro/internal/tuple"
 )
 
-// Columnar kernels for the stateful tail: group-by and the literature
-// duplicate elimination (Distinct). These operators keep row-form state —
-// buffers and keyed tables — so the kernels' job is to keep the run
+// The columnar group-by kernel. The group-by keeps row-form state — its input
+// buffer and keyed group table — so the kernel's job is to keep the run
 // column-major across the operator boundary while touching state no more
 // than the row path would:
 //
@@ -17,18 +16,16 @@ import (
 //     buffer accepts caller digests the key is hashed exactly once per row and
 //     shared between inserts (statebuf.HashedBuffer).
 //   - Rows are materialized only where state stores them, with value slices
-//     carved from a per-operator arena. Stored rows alias freely into
-//     representatives and downstream emissions — the row path's sharing
-//     discipline — so the kernels never recycle them; slab reclamation
-//     happens when window churn drains a slab's rows. Removal patterns are
-//     the exception: Remove retains nothing, so their slices go back to the
-//     arena immediately.
+//     carved from the operator's arena. Stored rows are never recycled; slab
+//     reclamation happens when window churn drains a slab's rows. Removal
+//     patterns are the exception: Remove retains nothing, so their slices go
+//     back to the arena immediately.
 //   - Emissions (replacement rows and the retractions of removed tuples) are
 //     copied column-major into the output batch in exactly the row path's
 //     order, so downstream kernels and the result view see an identical
 //     stream.
 //
-// Every kernel first folds in the operator's own Advance emissions, mirroring
+// The kernel first folds in the operator's own Advance emissions, mirroring
 // ProcessBatch: expiration runs once per run, ahead of the arrivals.
 
 // appendEmissions copies row-form emissions onto the output batch.
@@ -131,50 +128,4 @@ func (g *GroupBy) emitInto(gs *groupState, now int64) tuple.Tuple {
 	r := tuple.Tuple{TS: now, Exp: tuple.NeverExpires, Vals: vals}
 	gs.last = r
 	return r
-}
-
-// ProcessCols is the columnar kernel for the literature duplicate-elimination
-// operator. The hot path — a value that already has a representative — costs
-// one key derivation from the vectors and one state-buffer insert (digest
-// shared when the buffer is hashed), with the stored row carved from the
-// arena. New representatives and retractions run the row-path bodies and
-// copy their emissions column-major.
-func (d *Distinct) ProcessCols(side int, in *tuple.ColBatch, now int64, out *tuple.ColBatch, intern *tuple.Interner) error {
-	if side != 0 {
-		return badSide("distinct", side)
-	}
-	adv, err := d.Advance(now)
-	if err != nil {
-		return err
-	}
-	if err := appendEmissions(out, adv, "distinct", intern); err != nil {
-		return err
-	}
-	n := in.Len()
-	for i := 0; i < n; i++ {
-		k := in.Key(i, d.allCols, intern)
-		if in.NegAt(i) {
-			pat := in.RowTuple(i, &d.colArena, intern)
-			d.colEmit.Reset()
-			d.processNegative(d.reps.Find(k), pat, now, &d.colEmit)
-			d.colArena.Recycle(pat.Vals)
-			if err := appendEmissions(out, d.colEmit.ts, "distinct", intern); err != nil {
-				return err
-			}
-			continue
-		}
-		row := in.RowTuple(i, &d.colArena, intern)
-		h := k.Hash64()
-		if d.hashedIn != nil {
-			d.hashedIn.InsertHashed(h, row)
-		} else {
-			d.input.Insert(row)
-		}
-		if ref, fresh := d.reps.UpsertHashed(h, k); fresh {
-			if rep := d.represent(ref, row, now); !out.AppendRow(rep, intern) {
-				return fmt.Errorf("distinct: representative %v does not fit the columnar result layout", rep)
-			}
-		}
-	}
-	return nil
 }

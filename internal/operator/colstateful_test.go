@@ -118,28 +118,6 @@ func colTestDistinct(t *testing.T, inputKind statebuf.Kind, timeExpiry bool) *Di
 	})
 }
 
-func TestColKernelDistinctEquivalence(t *testing.T) {
-	cases := []struct {
-		name       string
-		inputKind  statebuf.Kind
-		timeExpiry bool
-	}{
-		{"hash-calendar", statebuf.KindHash, true},
-		{"list-calendar", statebuf.KindList, true},
-		{"hash-nt", statebuf.KindHash, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rowOp := colTestDistinct(t, tc.inputKind, tc.timeExpiry)
-			colOp := colTestDistinct(t, tc.inputKind, tc.timeExpiry)
-			if !ColSupported(colOp) {
-				t.Fatal("distinct reported unsupported")
-			}
-			colStatefulScript(t, rowOp, colOp, 1, 16, 22, colTestSchema)
-		})
-	}
-}
-
 func colTestNegate(t *testing.T, noTimeExpiry bool) *Negate {
 	t.Helper()
 	n, err := NewNegate(NegateConfig{

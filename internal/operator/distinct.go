@@ -25,8 +25,7 @@ import (
 // of its own when the two differ bit for bit (1 and 1.0, +0 and −0, two NaN
 // payloads). A negative tuple is matched and never kept. So Distinct never
 // retains a value slice it was handed, and the operator feeding it may hand
-// it borrowed ones (Project.SetBorrow). The columnar kernel stores rows it
-// carves from its own arena.
+// it borrowed ones (Project.SetBorrow).
 type Distinct struct {
 	schema *tuple.Schema
 	input  statebuf.Buffer
@@ -42,14 +41,6 @@ type Distinct struct {
 	trimEvery int64
 	lastTrim  int64
 	touched   int64
-	// hashedIn is the digest-taking view of the input when it is hash-keyed on
-	// all columns, so the columnar kernel hashes each row's key exactly once
-	// for both the input insert and the representative lookup (colstateful.go).
-	hashedIn statebuf.HashedBuffer
-	// colArena carves the value slices of rows the columnar kernel
-	// materializes; colEmit stages row-path emissions it copies column-major.
-	colArena tuple.ValueArena
-	colEmit  Emit
 	// block is the unused tail of the value block kept values are copied to.
 	block valueBlock
 	// cands is the reusable scratch of replacement candidates.
@@ -88,7 +79,7 @@ func NewDistinct(cfg DistinctConfig) *Distinct {
 	if trimEvery < 1 {
 		trimEvery = 1
 	}
-	d := &Distinct{
+	return &Distinct{
 		schema:     cfg.Schema,
 		input:      statebuf.New(cfg.InputBuf),
 		expIdx:     statebuf.New(cfg.RepIdx),
@@ -98,10 +89,6 @@ func NewDistinct(cfg DistinctConfig) *Distinct {
 		trimEvery:  trimEvery,
 		lastTrim:   -1,
 	}
-	if hb, ok := d.input.(statebuf.HashedBuffer); ok && equalCols(hb.KeyCols(), d.allCols) {
-		d.hashedIn = hb
-	}
-	return d
 }
 
 // Class implements Operator.

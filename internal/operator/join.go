@@ -43,14 +43,6 @@ type Join struct {
 	// colArena carves the value slices of rows the columnar kernel has to
 	// materialize for state insertion/removal (see colkernel.go).
 	colArena tuple.ValueArena
-	// colRes stages the kernel's concatenated results when a residual
-	// predicate exists: the whole run's results accumulate column-major here,
-	// the residual evaluates once as a bitset mask over the staged vectors,
-	// and the survivors gather into the caller's output batch.
-	colRes *tuple.ColBatch
-	// colResBits is colRes's reusable mask, colResTmp its combinator scratch.
-	colResBits []uint64
-	colResTmp  [][]uint64
 	// mixedState latches true once state holds any row whose value slice the
 	// join does not own — row-path inserts store the caller's slice by
 	// reference, and restored checkpoints store the decoder's. While false,

@@ -14,11 +14,9 @@ import (
 type Select struct {
 	pred   Predicate
 	schema *tuple.Schema
-	// colBits and colBitsTmp back the columnar kernel's packed bitset masks
-	// across batches (see colmask.go), so steady-state mask evaluation
-	// allocates nothing.
-	colBits    []uint64
-	colBitsTmp [][]uint64
+	// colBits backs the columnar kernel's packed bitset mask across batches
+	// (see colmask.go), so steady-state mask evaluation allocates nothing.
+	colBits []uint64
 }
 
 // NewSelect builds a selection operator.

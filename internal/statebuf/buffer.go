@@ -67,9 +67,7 @@ type Buffer interface {
 	// tuples carry the original's), else the oldest: lowest TS in the keyed
 	// store, first inserted in the list kinds, which is the same tuple because
 	// TS never decreases along a stream. The tuple leaves Len, Scan, probes
-	// and every later ExpireUpTo at once. A calendar may keep a stale
-	// reference to its entry in a partition until that partition fires; the
-	// hash releases the entry immediately.
+	// and every later ExpireUpTo at once, and its entry is released.
 	Remove(t tuple.Tuple) bool
 
 	// Scan visits every stored tuple (including ones that are expired but

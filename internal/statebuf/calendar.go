@@ -2,6 +2,7 @@ package statebuf
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -24,14 +25,16 @@ import (
 // area is empty, nothing can be due, and Expire skips the walk.
 //
 // The calendar knows an entry only through at, which returns the tuple whose
-// (Exp, TS) places the reference and whether the entry is still live. A
-// retraction leaves its reference in place as a stale one; Expire hands it
-// back when it fires, or earlier from the overflow area, and the owner
-// releases the entry then. So Expire names the very entry that fired: no
-// owner has to find a fired tuple again by its values.
+// (Exp, TS) places the reference and whether the entry is still live. An
+// owner either takes a retracted entry's reference out at once (Remove) or
+// leaves it in place as a stale one; Expire hands a stale reference back when
+// it fires, or earlier from the overflow area, and the owner releases the
+// entry then. So Expire names the very entry that fired: no owner has to find
+// a fired tuple again by its values.
 //
-// PartitionedBuffer files the keyed store's entries in one; negation and
-// intersection file their per-side entries in two.
+// PartitionedBuffer files the keyed store's entries in one and removes
+// retracted references; negation and intersection file their per-side
+// entries in two and leave them stale.
 type Calendar struct {
 	width int64 // expiration-time span covered by one partition
 	// parts[:span] is the circular calendar, parts[span] the overflow area.
@@ -213,6 +216,29 @@ func (c *Calendar) place(ref int32, t *tuple.Tuple) int {
 	return slot
 }
 
+// Remove takes ref, filed for t, out of its partition at once, leaving no
+// stale reference behind: the calendar then holds what a load of its owner's
+// saved state files, and no later pass visits the reference. A sorted
+// partition finds ref by binary search on t.Exp, a lazy one by a walk over
+// its references (no entry is looked up, so neither counts a visit), and the
+// references after it move down one place.
+func (c *Calendar) Remove(ref int32, t *tuple.Tuple) {
+	slot := c.slotFor(t.Exp)
+	p := &c.parts[slot]
+	live := p.live()
+	i := 0
+	if c.sorted(slot) {
+		i, _ = slices.BinarySearchFunc(live, t.Exp, func(f filed, exp int64) int { return cmp.Compare(f.exp, exp) })
+	}
+	for live[i].ref != ref {
+		i++
+	}
+	copy(live[i:], live[i+1:])
+	p.refs = p.refs[:len(p.refs)-1]
+	p.pop(0)
+	c.n--
+}
+
 // Expire removes and returns every reference with Exp <= now, ordered by
 // (Exp, TS), visiting only the partitions whose buckets are due plus the
 // boundary partition and the overflow area. Stale references come back too
@@ -381,7 +407,10 @@ func (c *Calendar) Save(enc *checkpoint.Encoder) error {
 func (c *Calendar) Load(dec *checkpoint.Decoder, resolve func(t tuple.Tuple) int32) error {
 	var low int64
 	if !c.list {
-		low = dec.Varint()
+		var err error
+		if low, err = readCursor(dec); err != nil {
+			return err
+		}
 	}
 	touched, rows := dec.Varint(), dec.Tuples()
 	if err := dec.Err(); err != nil {
@@ -397,4 +426,17 @@ func (c *Calendar) Load(dec *checkpoint.Decoder, resolve func(t tuple.Tuple) int
 	}
 	c.touched = touched
 	return nil
+}
+
+// readCursor reads a saved cursor. A run never writes a negative one: the
+// clock starts at −1 and the cursor only grows from bucket 0.
+func readCursor(dec *checkpoint.Decoder) (int64, error) {
+	low := dec.Varint()
+	if err := dec.Err(); err != nil {
+		return 0, err
+	}
+	if low < 0 {
+		return 0, fmt.Errorf("%w: negative calendar cursor %d", checkpoint.ErrCorrupt, low)
+	}
+	return low, nil
 }

@@ -45,14 +45,6 @@ func (b *HashBuffer) InsertHashed(h uint64, t tuple.Tuple) {
 	b.link(ref, e, false)
 }
 
-// drop unlinks and releases a stored entry.
-func (b *HashBuffer) drop(ref int32, e *calEntry) {
-	b.unlink(e)
-	e.slot, e.t.Vals = dead, nil
-	b.ents.Release(ref)
-	b.size--
-}
-
 // ExpireUpTo walks the slab for tuples with Exp <= now. The returned slice is
 // only valid until the next ExpireUpTo call on this buffer (see the Buffer
 // contract).

@@ -26,8 +26,7 @@ import (
 // and retractions walk one digest's chain. Without key columns there is no
 // index (and no probe interface, see keyedCalendar), and Remove goes to the
 // one partition the retraction's Exp names. Either way a retracted entry
-// stays in its partition as a stale reference that is skipped and released
-// when it fires.
+// leaves its partition and is released at once.
 type PartitionedBuffer struct {
 	store
 	cal Calendar
@@ -85,25 +84,15 @@ func (b *PartitionedBuffer) file(ref int32, e *calEntry) {
 	}
 }
 
-// ExpireUpTo removes and returns every tuple with Exp <= now, releasing the
-// stale references the calendar hands back with them. The returned slice is
-// only valid until the next ExpireUpTo call on this buffer (see the Buffer
-// contract).
+// ExpireUpTo removes and returns every tuple with Exp <= now. The returned
+// slice is only valid until the next ExpireUpTo call on this buffer (see the
+// Buffer contract).
 func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 	out := b.scratch[:0]
 	for _, ref := range b.cal.Expire(now) {
 		e := b.ents.At(ref)
-		if e.slot != dead {
-			out = append(out, e.t)
-			b.size--
-			if b.index != nil {
-				b.unlink(e)
-			}
-		}
-		// Only the value slice is cleared (a parked entry must pin no tuple);
-		// alloc's caller overwrites the rest.
-		e.t.Vals = nil
-		b.ents.Release(ref)
+		out = append(out, e.t)
+		b.drop(ref, e)
 	}
 	b.scratch = out
 	return out
@@ -113,7 +102,8 @@ func (b *PartitionedBuffer) ExpireUpTo(now int64) []tuple.Tuple {
 // An indexed calendar walks the chain of t's key. One without an index goes
 // straight to the partition t.Exp names, where an exact twin can only be, and
 // looks through the others only for a retraction whose Exp no twin carries.
-// The entry's reference stays in its partition and is skipped when it fires.
+// The entry's reference leaves its partition with it (Calendar.Remove), so
+// the calendar holds exactly what a load of the saved section files.
 func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 	var victim int32
 	if b.index != nil {
@@ -131,12 +121,8 @@ func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 		return false
 	}
 	e := b.ents.At(victim)
-	if b.index != nil {
-		b.unlink(e)
-	}
-	// Exp and TS stay: a stale reference keeps its place in a sorted run.
-	e.slot, e.t.Vals = dead, nil
-	b.size--
+	b.cal.Remove(victim, &e.t)
+	b.drop(victim, e)
 	return true
 }
 
@@ -145,9 +131,6 @@ func (b *PartitionedBuffer) Remove(t tuple.Tuple) bool {
 func (b *PartitionedBuffer) exactTwin(t tuple.Tuple) int32 {
 	for _, f := range b.cal.parts[b.cal.slotFor(t.Exp)].live() {
 		e := b.ents.At(f.ref)
-		if e.slot == dead {
-			continue
-		}
 		b.touched++
 		if e.t.Exp == t.Exp && e.t.SameVals(t) {
 			return f.ref
@@ -168,10 +151,7 @@ func (b *PartitionedBuffer) Scan(fn func(t tuple.Tuple) bool) {
 // each calls fn with every stored entry in Scan order, counting no visit,
 // until fn returns false.
 func (b *PartitionedBuffer) each(fn func(ref int32, e *calEntry) bool) {
-	b.cal.each(func(ref int32) bool {
-		e := b.ents.At(ref)
-		return e.slot == dead || fn(ref, e)
-	})
+	b.cal.each(func(ref int32) bool { return fn(ref, b.ents.At(ref)) })
 }
 
 // Touched returns cumulative tuple visits: the store's and the calendar's.
@@ -183,8 +163,7 @@ func (b *PartitionedBuffer) Kind() Kind { return KindPartitioned }
 // SaveState implements checkpoint.Snapshotter: the calendar cursor, the cost
 // counter, then the tuples (partitions in slot order, then overflow). Width,
 // partition count, the byExp variant and the key columns come from the
-// plan-built configuration and are not serialized; stale references are not
-// state and are not written.
+// plan-built configuration and are not serialized.
 func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
 	enc.Varint(b.cal.lowBkt)
 	enc.Varint(b.Touched())
@@ -199,8 +178,12 @@ func (b *PartitionedBuffer) SaveState(enc *checkpoint.Encoder) error {
 // deterministic) and, arriving in Scan order, at the same place in its key
 // chain; the saved cost counter then overwrites the inserts' increments.
 func (b *PartitionedBuffer) LoadState(dec *checkpoint.Decoder) error {
-	b.cal.lowBkt = dec.Varint()
-	err := b.load(dec, b.reset, b.Insert)
+	low, err := readCursor(dec)
+	if err != nil {
+		return err
+	}
+	b.cal.lowBkt = low
+	err = b.load(dec, b.reset, b.Insert)
 	b.cal.touched = 0
 	return err
 }
@@ -273,6 +256,12 @@ func (b indexedFIFO) LoadState(dec *checkpoint.Decoder) error {
 	queue := dec.Tuples()
 	touched, rows := dec.Varint(), dec.Tuples()
 	if err := dec.Err(); err != nil {
+		return err
+	}
+	if err := b.covered(queue); err != nil {
+		return err
+	}
+	if err := b.covered(rows); err != nil {
 		return err
 	}
 	chains := make(map[uint64][]tuple.Tuple)

@@ -23,7 +23,7 @@ type store struct {
 	ents    Slab[calEntry]
 	keyCols []int
 	index   map[uint64]int32 // key digest → chain head; nil when unindexed
-	size    int              // stored tuples (stale references excluded)
+	size    int              // stored tuples
 	touched int64
 	// scratch backs ExpireUpTo's result slice across passes (buffers are
 	// pumped every maintenance tick, so per-pass allocation would dominate).
@@ -31,8 +31,8 @@ type store struct {
 }
 
 // calEntry is one stored tuple. h, next and prev are its place in the key
-// index; slot is the partition it sits in (zero in a hash), or dead once a
-// removal took it.
+// index; slot is the partition it sits in (zero in a hash), or dead once it
+// left the buffer.
 type calEntry struct {
 	t          tuple.Tuple
 	h          uint64
@@ -157,6 +157,17 @@ func (s *store) probe(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tup
 	return dst
 }
 
+// drop takes a stored entry out of its key chain and releases it: it pins no
+// tuple, and scans of the slab skip it until alloc's caller overwrites it.
+func (s *store) drop(ref int32, e *calEntry) {
+	if s.index != nil {
+		s.unlink(e)
+	}
+	e.slot, e.t.Vals = dead, nil
+	s.ents.Release(ref)
+	s.size--
+}
+
 // Len returns the number of stored tuples.
 func (s *store) Len() int { return s.size }
 
@@ -209,15 +220,24 @@ func (s *store) load(dec *checkpoint.Decoder, reset func(), insert func(tuple.Tu
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	for _, t := range rows {
-		if !t.Covers(s.keyCols) {
-			return fmt.Errorf("%w: a stored row of %d values lacks key columns %v", checkpoint.ErrCorrupt, len(t.Vals), s.keyCols)
-		}
+	if err := s.covered(rows); err != nil {
+		return err
 	}
 	reset()
 	for _, t := range rows {
 		insert(t)
 	}
 	s.touched = touched
+	return nil
+}
+
+// covered refuses saved rows of which one lacks the key columns: no run
+// stores such a row, and hashing it would index out of range.
+func (s *store) covered(rows []tuple.Tuple) error {
+	for _, t := range rows {
+		if !t.Covers(s.keyCols) {
+			return fmt.Errorf("%w: a stored row of %d values lacks key columns %v", checkpoint.ErrCorrupt, len(t.Vals), s.keyCols)
+		}
+	}
 	return nil
 }

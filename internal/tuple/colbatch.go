@@ -355,28 +355,6 @@ func (cb *ColBatch) AppendMaskedBits(src *ColBatch, mask []uint64) {
 	cb.n += len(idx)
 }
 
-// AppendProjection appends every row of src keeping only the columns at the
-// given positions, in that order (the columnar form of projection). The
-// batch's column kinds must equal src's kinds at those positions.
-func (cb *ColBatch) AppendProjection(src *ColBatch, cols []int) {
-	for j, c := range cols {
-		dst, sv := &cb.cols[j], &src.cols[c]
-		switch dst.Kind {
-		case KindInt:
-			dst.Int = append(dst.Int, sv.Int...)
-		case KindFloat:
-			dst.Float = append(dst.Float, sv.Float...)
-		default:
-			dst.ID = append(dst.ID, sv.ID...)
-		}
-	}
-	cb.ts = append(cb.ts, src.ts...)
-	cb.exp = append(cb.exp, src.exp...)
-	cb.neg = append(cb.neg, src.neg...)
-	cb.n += src.n
-	cb.negs += src.negs
-}
-
 // AppendJoin appends one join result row: the values of src row `row` on
 // input side `side` concatenated (left then right) with the stored opposite-
 // side values `other`. It reports false — leaving the batch unchanged — when

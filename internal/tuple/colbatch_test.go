@@ -215,7 +215,7 @@ func TestColBatchAppendJoin(t *testing.T) {
 	}
 }
 
-func TestColBatchAppendMaskedAndProjection(t *testing.T) {
+func TestColBatchAppendMaskedBits(t *testing.T) {
 	schema := MustSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindString})
 	in := NewInterner()
 	src := NewColBatch(schema)
@@ -235,15 +235,6 @@ func TestColBatchAppendMaskedAndProjection(t *testing.T) {
 	dst.AppendMaskedBits(src, []uint64{0})
 	if dst.Len() != 0 {
 		t.Fatalf("empty-mask append: len=%d, want 0", dst.Len())
-	}
-
-	proj := NewColBatch(MustSchema(Column{Name: "b", Kind: KindString}))
-	proj.AppendProjection(src, []int{1})
-	if proj.Len() != 4 || proj.ValueAt(2, 0, in).S != "s" {
-		t.Fatal("projection wrong")
-	}
-	if proj.TSAt(3) != 3 || proj.ExpAt(3) != 13 || !proj.NegAt(3) {
-		t.Fatal("projection dropped control columns")
 	}
 }
 
