@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/plan"
+	"repro/internal/trace"
 	"repro/internal/tuple"
 	"repro/internal/window"
 )
@@ -165,4 +166,129 @@ func benchIngestBatch(b *testing.B, metrics, columnar bool) {
 		b.Fatalf("colOK = %v after run, want %v", eng.colOK, columnar)
 	}
 	b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "tuples/sec")
+}
+
+// The suite's shape: the generator's links take turns, so every run is one
+// arrival (one per link per timestamp), each PushBatch carries 256 arrivals,
+// and the query runs under UPA over a 10 000-tick window with the suite's
+// lazy interval of a twentieth of it. Query 1 reads two links of uniform
+// source addresses, ftp being trace.ProtocolShare("ftp") of them; the Query
+// 6 group-by reads one link. The bursty benchmarks above lay out 8-row runs,
+// a shape no suite workload has.
+const (
+	altWindow = 10000
+	altCall   = 256
+)
+
+// benchTraceEngine compiles root under UPA with the suite's cadence.
+func benchTraceEngine(b testing.TB, root *plan.Node, columnar bool) *Engine {
+	b.Helper()
+	if err := plan.Annotate(root, plan.DefaultStats()); err != nil {
+		b.Fatal(err)
+	}
+	phys, err := plan.Build(root, plan.UPA, plan.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := New(phys, Config{LazyInterval: altWindow / 20, EagerInterval: 1, NoColumnar: !columnar})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if eng.colOK != columnar {
+		b.Fatalf("colOK = %v, want %v", eng.colOK, columnar)
+	}
+	return eng
+}
+
+func traceSource(link int) *plan.Node {
+	return plan.NewSource(link, window.Spec{Type: window.TimeBased, Size: altWindow}, trace.Schema())
+}
+
+// benchQ1TraceEngine compiles Query 1 over the trace schema as the suite
+// builds it: σ(protocol = 'ftp') on each link, joined on src.
+func benchQ1TraceEngine(b testing.TB, columnar bool) *Engine {
+	ftpSel := func(link int) *plan.Node {
+		return plan.NewSelect(traceSource(link), operator.ColConst{Col: trace.ColProtocol, Op: operator.EQ,
+			Val: tuple.String_("ftp"), Sel: trace.ProtocolShare("ftp")})
+	}
+	srcCol := []int{trace.ColSrc}
+	return benchTraceEngine(b, plan.NewJoin(ftpSel(0), ftpSel(1), srcCol, srcCol), columnar)
+}
+
+// benchGroupByTraceEngine compiles the Query 6 group-by as the suite builds
+// it: count and summed payload per protocol on one link.
+func benchGroupByTraceEngine(b testing.TB, columnar bool) *Engine {
+	root := plan.NewGroupBy(traceSource(0), []int{trace.ColProtocol},
+		operator.AggSpec{Kind: operator.Count}, operator.AggSpec{Kind: operator.Sum, Col: trace.ColPayload})
+	return benchTraceEngine(b, root, columnar)
+}
+
+// alternatingPool is 64 calls' worth of generated records as arrivals.
+func alternatingPool(links int, srcSkew float64) []Arrival {
+	recs := trace.Generate(trace.Config{Links: links, Tuples: 64 * altCall, SrcSkew: srcSkew, Seed: 7})
+	pool := make([]Arrival, len(recs))
+	for i, r := range recs {
+		pool[i] = Arrival{Stream: r.Link, TS: r.TS, Vals: r.Vals}
+	}
+	return pool
+}
+
+// BenchmarkIngestColQ1Alternating is the columnar chain on the suite's shape.
+func BenchmarkIngestColQ1Alternating(b *testing.B) {
+	benchIngestAlternating(b, benchQ1TraceEngine(b, true), alternatingPool(2, 0.5))
+}
+
+// BenchmarkIngestRowQ1Alternating is the row chain (NoColumnar) on the same
+// arrivals.
+func BenchmarkIngestRowQ1Alternating(b *testing.B) {
+	benchIngestAlternating(b, benchQ1TraceEngine(b, false), alternatingPool(2, 0.5))
+}
+
+// BenchmarkIngestColGroupByAlternating is the columnar group-by on the
+// suite's shape.
+func BenchmarkIngestColGroupByAlternating(b *testing.B) {
+	benchIngestAlternating(b, benchGroupByTraceEngine(b, true), alternatingPool(1, 1.1))
+}
+
+// BenchmarkIngestRowGroupByAlternating is the row chain's group-by on the
+// same arrivals.
+func BenchmarkIngestRowGroupByAlternating(b *testing.B) {
+	benchIngestAlternating(b, benchGroupByTraceEngine(b, false), alternatingPool(1, 1.1))
+}
+
+// benchIngestAlternating replays the pool over and over, each round shifted
+// past the last one's timestamps; the values are shared, never written.
+func benchIngestAlternating(b *testing.B, eng *Engine, pool []Arrival) {
+	columnar := eng.colOK
+	span := pool[len(pool)-1].TS + 1
+	batch := make([]Arrival, altCall)
+	call := 0
+	push := func() {
+		off := call * altCall % len(pool)
+		shift := int64(call*altCall/len(pool)) * span
+		for k := range batch {
+			batch[k] = pool[off+k]
+			batch[k].TS += shift
+		}
+		if err := eng.PushBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		call++
+	}
+	// Fill the windows twice over first, so the timed calls expire as many
+	// tuples as they admit.
+	perTick := len(pool) / int(span)
+	for range 2 * altWindow * perTick / altCall {
+		push()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push()
+	}
+	b.StopTimer()
+	if eng.colOK != columnar {
+		b.Fatalf("colOK = %v after run, want %v", eng.colOK, columnar)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*altCall), "ns/arrival")
 }

@@ -82,17 +82,20 @@ func colEligible(q ckptQuery, strat plan.Strategy) bool {
 // TestColumnarRowBatchEquivalence runs every paper query (plus the Query 6
 // group-by) under every strategy twice — columnar enabled (the default) and
 // pinned to the row batch path — over an identical bursty trace, and demands
-// identical visible state. Eligibility is pinned (colEligible) so the
-// comparison can't silently go vacuous where a plan has full kernel
-// coverage.
+// identical visible state and the same output deltas in the same order.
+// Eligibility is pinned (colEligible) so the comparison can't silently go
+// vacuous where a plan has full kernel coverage.
 func TestColumnarRowBatchEquivalence(t *testing.T) {
 	for _, q := range ckptQueries() {
 		for _, strat := range []plan.Strategy{plan.NT, plan.Direct, plan.UPA} {
 			t.Run(fmt.Sprintf("%s/%v", q.name, strat), func(t *testing.T) {
 				trace := colTrace(q.streams, 256)
 
-				col := buildColEngine(t, q, strat, Config{LazyInterval: 7, EagerInterval: 1})
-				row := buildColEngine(t, q, strat, Config{LazyInterval: 7, EagerInterval: 1, NoColumnar: true})
+				var colEmits, rowEmits []string
+				col := buildColEngine(t, q, strat, Config{LazyInterval: 7, EagerInterval: 1,
+					OnEmit: func(d tuple.Tuple) { colEmits = append(colEmits, d.String()) }})
+				row := buildColEngine(t, q, strat, Config{LazyInterval: 7, EagerInterval: 1, NoColumnar: true,
+					OnEmit: func(d tuple.Tuple) { rowEmits = append(rowEmits, d.String()) }})
 				if row.colOK {
 					t.Fatal("NoColumnar engine reports colOK")
 				}
@@ -103,6 +106,10 @@ func TestColumnarRowBatchEquivalence(t *testing.T) {
 				batchFeed(t, col, trace)
 				batchFeed(t, row, trace)
 				diffObservations(t, "columnar vs row", observe(t, col), observe(t, row))
+				if i, same := firstDiffIndex(colEmits, rowEmits); !same {
+					t.Errorf("columnar delta %d is %s, the row chain's %s (%d and %d deltas)",
+						i, at(colEmits, i), at(rowEmits, i), len(colEmits), len(rowEmits))
+				}
 				if col.colOK && col.intern.Len() == 0 {
 					t.Error("columnar engine interned no strings over a string-bearing trace")
 				}

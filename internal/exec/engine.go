@@ -143,14 +143,15 @@ type Engine struct {
 	timed bool
 	// tape records the window stage of the current call: the row runs the
 	// engine originates (window-stamped arrivals, count-window evictions, NT
-	// window negatives) and its maintenance passes; operators never retain
-	// the run slice, so one tape per engine suffices. work is the state the
-	// workers of a parallel replay share. pushRun holds Push's run of one.
+	// window negatives), the runs it lays out on its sources' column batches,
+	// and its maintenance passes; operators never retain the run slice, so
+	// one tape per engine suffices. work is the state the workers of a
+	// parallel replay share. pushRun holds Push's run of one.
 	tape    runTape
 	work    workers
 	pushRun [1]Arrival
 	// direct is the flow of the work the caller runs outside the tape:
-	// columnar runs and table-update routing.
+	// table-update routing.
 	direct flow
 	// deltaPos/deltaNeg count output deltas applied to the view since the
 	// last latency flush. Every entry point (Push, PushBatch, Advance, table
@@ -171,8 +172,9 @@ type Engine struct {
 	// gates the columnar ingest fast path; colDemoted is the permanent
 	// data-driven latch (the first kind-nonconforming arrival sets it, and
 	// registration changes never clear it); colArena carves the value slices
-	// of rows materialized at the columnar path's boundaries. Each record
-	// stages its own output run (record.cols).
+	// of rows materialized at the columnar path's boundaries. Each source
+	// collects the laid-out runs of a call and each node stages its own
+	// output run (record.cols).
 	intern     *tuple.Interner
 	colOK      bool
 	colDemoted bool
@@ -355,14 +357,16 @@ type Arrival struct {
 // change inside the batch — but the batch is split into maximal contiguous
 // same-(stream, timestamp) runs, each run advances the clock and counts
 // arrivals once, and whole runs flow down the plan (DESIGN.md §3.2), in
-// columnar form when the plan qualifies (colpath.go). Runs never regroup
-// tuples across streams or timestamps, so every operator sees exactly the
-// input sequence one Push per element would deliver. On an engine whose
-// dataflow has several connected components — independent registered
-// queries, or the partitions of a partitioned query — the components replay
-// the batch's windowed runs concurrently (tape.go): OnEmit callbacks in
-// different components may then run at the same time, while one component's
-// callbacks never overlap and keep their serial order. Per-call overhead
+// columnar form when the plan qualifies (colpath.go): there the selections
+// over a source evaluate all of the call's runs at once. Runs never regroup
+// tuples across streams or timestamps, so every stateful operator sees
+// exactly the input sequence one Push per element would deliver. On an
+// engine whose dataflow has several connected components — independent
+// registered queries, or the partitions of a partitioned query — the
+// components replay the batch's windowed runs concurrently (tape.go): OnEmit
+// callbacks in different components may then run at the same time, while
+// one component's callbacks never overlap and keep their serial order.
+// Per-call overhead
 // (wall-clock sampling, state sampling) is likewise paid once per batch:
 // MetricPushNanos records one observation covering the whole batch, and state
 // is sampled only when a sampling point (first arrival or a 64-arrival
@@ -408,15 +412,17 @@ func (e *Engine) pushRuns(batch []Arrival, batched bool) error {
 	return err
 }
 
-// ingest runs the window stage over batch's runs and replays the tape. A
-// refused run stops the window stage, and the call goes on as a call of the
-// runs before it would: that prefix is applied, and its tape is replayed or
-// left pending by the rule below, so a refused call leaves the engine as
-// the call of its prefix would. A PushBatch on a partitioned engine leaves a
-// tape shorter than tapeFlushRows for a later call to replay, so that its
-// partitions replay thousands of rows per parallel flush: starting the
-// workers costs more than replaying one call's few hundred rows. Every other
-// call replays what the tape holds before it returns.
+// ingest runs the window stage over batch's runs and replays the tape, row
+// runs and laid-out runs alike, once the call's runs are staged or the tape
+// reaches tapeFlushRows. A refused run stops the window stage, and the call
+// goes on as a call of the runs before it would: that prefix is applied, and
+// its tape is replayed or left pending by the rule below, so a refused call
+// leaves the engine as the call of its prefix would. A PushBatch on a
+// partitioned engine leaves a tape shorter than tapeFlushRows for a later
+// call to replay, so that its partitions replay thousands of rows per
+// parallel flush: starting the workers costs more than replaying one call's
+// few hundred rows. Every other call replays what the tape holds before it
+// returns.
 func (e *Engine) ingest(batch []Arrival, batched bool) error {
 	var refused error
 	for i := 0; i < len(batch); {
@@ -427,7 +433,7 @@ func (e *Engine) ingest(batch []Arrival, batched bool) error {
 		if refused = e.ingestRun(batch[i].Stream, batch[i].TS, batch[i:j], batched); refused != nil {
 			break
 		}
-		if len(e.tape.rows) >= tapeFlushRows {
+		if e.tape.size() >= tapeFlushRows {
 			if err := e.flush(batched); err != nil {
 				return err
 			}
@@ -446,8 +452,8 @@ func (e *Engine) ingest(batch []Arrival, batched bool) error {
 // ingestRun is the window stage of a maximal same-(stream, timestamp) run:
 // validation, clock advance, arrival counting, and the maintenance decision
 // happen once for the whole run (the clock does not move inside it), then
-// the run is stamped through its window onto the tape. A columnar run
-// replays the tape so far and then flows down the plan on the caller.
+// the run is stamped through its window onto the tape: laid out on its
+// source's column batch on a columnar PushBatch, in row form otherwise.
 func (e *Engine) ingestRun(streamID int, ts int64, run []Arrival, batched bool) error {
 	if ts < e.clock {
 		return fmt.Errorf("exec: timestamp %d regresses before %d", ts, e.clock)
@@ -489,14 +495,11 @@ func (e *Engine) ingestRun(streamID int, ts int64, run []Arrival, batched bool) 
 		return nil
 	}
 	if e.colOK && batched {
-		if err := e.flush(batched); err != nil {
-			return err
-		}
-		if conforms, err := e.ingestRunCols(src, ts, run); conforms {
+		if conforms, err := e.stageCols(src, ts, run); conforms {
 			return err
 		}
 		// The layout refused the run before the window saw it; it is
-		// replayed in row form below.
+		// staged in row form below.
 	}
 	if e.colOK && !valsConform(src.schema, run) {
 		// Row-form and columnar runs feed the same operator state, so the

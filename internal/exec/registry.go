@@ -68,6 +68,10 @@ type liveNode struct {
 	op operator.Operator
 	// eager marks operators that must expire state eagerly (Section 2.3).
 	eager bool
+	// sel is set on a selection over a source, or over such a selection:
+	// its component evaluates it once per replay over all of the source's
+	// laid-out rows (colpath.go). rebuildComponents sets it.
+	sel *colSel
 }
 
 // liveSource is one live window leaf.

@@ -23,11 +23,19 @@ import (
 // the components of one tape may replay concurrently and no query's output
 // sequence changes. The partitions of a partitioned engine are components
 // too, each replaying its own share of the rows (deal).
+//
+// A columnar engine's PushBatch stages its runs in the same two stages
+// (colpath.go): the window stage lays each run out on its source's column
+// batch and records an evCols event, and the replay evaluates the selections
+// over a source once for all of the batch's rows before it walks the tape.
 
 // Tape event kinds.
 const (
 	// evRows: rows[lo:hi] came out of sources[src] at now.
 	evRows uint8 = iota
+	// evCols: rows [lo, hi) of sources[src]'s column batch came out of its
+	// window at now.
+	evCols
 	// evEager / evLazy: an eager or lazy maintenance pass at now.
 	evEager
 	evLazy
@@ -36,18 +44,20 @@ const (
 // tapeEvent is one step of the window stage.
 type tapeEvent struct {
 	kind   uint8
-	src    int32 // evRows: the source's slot in Engine.sources
-	lo, hi int32 // evRows: the range of runTape.rows
+	src    int32 // evRows, evCols: the source's slot in Engine.sources
+	lo, hi int32 // evRows: the range of runTape.rows; evCols: of the source's column batch
 	now    int64 // the clock when the step happened
 }
 
 // runTape is the engine's reusable record of the window stage not yet
 // replayed: one call's, or on a partitioned engine several PushBatch calls'.
 // There (parts > 1) part holds, parallel to rows, the partition each row
-// belongs to once the flush has dealt them.
+// belongs to once the flush has dealt them. cols counts the rows evCols
+// events have laid out on the sources' column batches.
 type runTape struct {
 	events []tapeEvent
 	rows   []tuple.Tuple
+	cols   int
 	parts  int
 	part   []int32
 }
@@ -63,6 +73,16 @@ func (t *runTape) closeRows(src *liveSource, lo int, now int64) {
 		t.events = append(t.events, tapeEvent{kind: evRows, src: int32(src.slot), lo: int32(lo), hi: int32(len(t.rows)), now: now})
 	}
 }
+
+// closeCols records rows [lo, hi) of src's column batch as one run out of
+// src.
+func (t *runTape) closeCols(src *liveSource, lo, hi int, now int64) {
+	t.events = append(t.events, tapeEvent{kind: evCols, src: int32(src.slot), lo: int32(lo), hi: int32(hi), now: now})
+	t.cols += hi - lo
+}
+
+// size is how many rows the tape holds, in row form and laid out.
+func (t *runTape) size() int { return len(t.rows) + t.cols }
 
 // deal assigns the rows of events[lo:hi] to the partitions: a row out of
 // source s goes to partition KeyHash64(s.route) % parts. Every row is hashed
@@ -90,12 +110,14 @@ func (t *runTape) reset() {
 	clear(t.rows)
 	t.rows = t.rows[:0]
 	t.events = t.events[:0]
+	t.cols = 0
 }
 
 // tapeFlushRows bounds the tape: a window stage that has recorded this many
-// rows is replayed before it goes on, so a huge PushBatch does not hold its
-// whole stamped input at once. It is also how many rows a partitioned
-// engine's PushBatch calls stamp before one of them replays (Engine.ingest).
+// rows, in row form or laid out, is replayed before it goes on, so a huge
+// PushBatch does not hold its whole stamped input at once. It is also how
+// many rows a partitioned engine's PushBatch calls stamp before one of them
+// replays (Engine.ingest).
 const tapeFlushRows = 4096
 
 // flow is the context a run travels the operator graph in: the logical time
@@ -190,6 +212,8 @@ type component struct {
 	// fan is, per source slot, the part of the source's fan-out inside the
 	// component.
 	fan []srcFan
+	// selsDone marks the replay's selections over sources as evaluated.
+	selsDone bool
 	// weight orders components heaviest-first for the workers: nodes plus
 	// views.
 	weight int
@@ -199,10 +223,17 @@ type component struct {
 	errAt int
 }
 
-// srcFan is one source's consumer edges and bare-window views.
+// srcFan is one source's consumer edges and bare-window views, and the
+// selections over the source (sels, parents first) the component evaluates
+// once per replay on the source's column batch. rows marks a fan where a
+// view or a consumer other than those selections reads the source's rows;
+// they travel in view, a zero-copy sub-batch of the column batch.
 type srcFan struct {
 	outs  []outEdge
 	sinks []*queryUnit
+	sels  []*colSel
+	rows  bool
+	view  tuple.ColBatch
 }
 
 // rebuildComponents re-partitions the live dataflow into components. Two
@@ -217,6 +248,7 @@ func (e *Engine) rebuildComponents() {
 	}
 	for i, n := range e.nodes {
 		n.slot = i
+		n.sel = nil
 		if p, ok := n.op.(*operator.Project); ok {
 			p.SetBorrow(feedsOnlyDedup(n))
 		}
@@ -281,10 +313,13 @@ func (e *Engine) rebuildComponents() {
 		for _, ed := range s.outs {
 			f := &compOf[ed.node.slot].fan[s.slot]
 			f.outs = append(f.outs, ed)
+			f.sels = appendColSels(f.sels, ed.node, nil)
+			f.rows = f.rows || ed.node.sel == nil
 		}
 		for _, q := range s.sinks {
 			f := &qcomp[q].fan[s.slot]
 			f.sinks = append(f.sinks, q)
+			f.rows = true
 		}
 	}
 	slices.SortStableFunc(e.comps, func(a, b *component) int { return b.weight - a.weight })
@@ -315,6 +350,7 @@ func feedsOnlyDedup(n *liveNode) bool {
 func (e *Engine) flush(batched bool) error {
 	defer func() {
 		e.tape.reset()
+		e.resetCols()
 		e.settle()
 	}()
 	if len(e.tape.events) == 0 {
@@ -349,10 +385,11 @@ func (e *Engine) flush(batched bool) error {
 // sharesReplay reports whether a flush shares its replay among workers: only
 // a PushBatch (batched) on the row chain of an engine with several
 // components, and only when there is more than one processor. Push,
-// Advance, Sync, table updates, columnar engines and single unpartitioned
+// Advance, Sync, table updates, columnar engines, tapes that hold laid-out
+// runs (a call that demoted its engine part-way) and single unpartitioned
 // queries replay on the caller.
 func (e *Engine) sharesReplay(batched bool) bool {
-	return batched && !e.colOK && len(e.comps) > 1 && runtime.GOMAXPROCS(0) > 1
+	return batched && !e.colOK && e.tape.cols == 0 && len(e.comps) > 1 && runtime.GOMAXPROCS(0) > 1
 }
 
 // settle adds every flow's accumulated output counts to the engine-wide
@@ -489,7 +526,7 @@ func (e *Engine) replayWorker() {
 
 // replay runs the tape through the component, stopping at its first error.
 func (c *component) replay(t *runTape) {
-	c.err, c.depth = nil, 0
+	c.err, c.depth, c.selsDone = nil, 0, false
 	defer c.unstage()
 	for i := range t.events {
 		ev := &t.events[i]
@@ -514,6 +551,14 @@ func (c *component) replay(t *runTape) {
 					break
 				}
 			}
+		case evCols:
+			if !c.selsDone {
+				c.selsDone = true
+				if err = c.evalSels(); err != nil {
+					break
+				}
+			}
+			err = c.feedSourceCols(ev)
 		case evEager:
 			err = c.expireNodes(c.eager)
 		case evLazy:

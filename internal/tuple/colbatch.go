@@ -1,8 +1,12 @@
 package tuple
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
-// Columnar batch layout. A ColBatch holds one run of same-schema tuples as
+// Columnar batch layout. A ColBatch holds same-schema tuples — one run, or
+// the runs of one ingest call, each row with its own TS and Exp — as
 // per-column typed vectors — []int64 for int columns, []float64 for float
 // columns, []uint32 interned-string ids for string columns — plus TS/Exp/Neg
 // control columns. Operator kernels that understand the layout scan whole
@@ -90,6 +94,8 @@ type ColBatch struct {
 	exp  []int64
 	neg  []bool
 	cols []ColVec
+	// view marks a batch whose vectors alias another's (View).
+	view bool
 	// maskIdx backs AppendMaskedBits's survivor index gather.
 	maskIdx []int32
 	// keyVals/keyIdx back the wide-key slow path of Key.
@@ -153,8 +159,16 @@ func (cb *ColBatch) ValueAt(row, col int, in *Interner) Value {
 	return cb.cols[col].value(row, in)
 }
 
-// Reset empties the batch, keeping vector capacity.
+// Reset empties the batch, keeping vector capacity; a view (View) lets go
+// of the vectors it aliases instead, so later appends cannot write into them.
 func (cb *ColBatch) Reset() {
+	if cb.view {
+		cb.view = false
+		cb.ts, cb.exp, cb.neg = nil, nil, nil
+		for i := range cb.cols {
+			cb.cols[i] = ColVec{Kind: cb.cols[i].Kind}
+		}
+	}
 	cb.n = 0
 	cb.negs = 0
 	cb.ts = cb.ts[:0]
@@ -191,92 +205,73 @@ func (cb *ColBatch) AppendVals(ts, exp int64, neg bool, vals []Value, in *Intern
 }
 
 // AppendRun lays out a whole ingest run — positive rows sharing one
-// generation timestamp and one expiration — column-major. The batch MUST be
-// empty (the run replaces any prior contents). Kinds are checked as each
-// column fills; a mismatch anywhere in the run resets the batch and reports
-// false, so the caller reroutes the run through the row path whole
-// (all-or-nothing, like FromRows). Filling vector by vector turns the
-// per-value Kind dispatch of AppendVals into one switch per column, and
-// sizing each vector up front replaces per-element append capacity checks
-// with plain index stores.
+// generation timestamp and one expiration — column-major after the rows the
+// batch already holds, so one batch can collect the runs of a call. Kinds are
+// checked as each column fills; a mismatch anywhere in the run cuts every
+// vector back and reports false, leaving the batch as it was, so the caller
+// reroutes the run through the row path whole (all-or-nothing, like
+// FromRows). Filling vector by vector turns the per-value Kind dispatch of
+// AppendVals into one switch per column, and an int or float column's kind
+// test into one pointer comparison (Value.is).
 func (cb *ColBatch) AppendRun(ts, exp int64, rows [][]Value, in *Interner) bool {
-	w := len(cb.kinds)
-	n := len(rows)
+	n0 := cb.n
 	for _, r := range rows {
-		if len(r) != w {
-			cb.Reset()
+		if len(r) != len(cb.kinds) {
 			return false
 		}
 	}
-	for c := 0; c < w; c++ {
+	for c, k := range cb.kinds {
 		v := &cb.cols[c]
-		k := cb.kinds[c]
-		// The run lands on an empty batch, so each vector is sized up front
-		// and filled by index — no per-element capacity check.
-		switch v.Kind {
+		switch k {
 		case KindInt:
-			if cap(v.Int) < n {
-				v.Int = make([]int64, n)
-			} else {
-				v.Int = v.Int[:n]
-			}
-			for ri, r := range rows {
-				if r[c].Kind() != k {
-					cb.Reset()
+			for _, r := range rows {
+				if !r[c].is(KindInt) {
+					cb.truncate(n0)
 					return false
 				}
-				v.Int[ri] = r[c].I
+				v.Int = append(v.Int, r[c].I)
 			}
 		case KindFloat:
-			if cap(v.Float) < n {
-				v.Float = make([]float64, n)
-			} else {
-				v.Float = v.Float[:n]
-			}
-			for ri, r := range rows {
-				if r[c].Kind() != k {
-					cb.Reset()
+			for _, r := range rows {
+				if !r[c].is(KindFloat) {
+					cb.truncate(n0)
 					return false
 				}
-				v.Float[ri] = r[c].F()
+				v.Float = append(v.Float, math.Float64frombits(uint64(r[c].I)))
 			}
 		default:
-			if cap(v.ID) < n {
-				v.ID = make([]uint32, n)
-			} else {
-				v.ID = v.ID[:n]
-			}
-			for ri, r := range rows {
+			for _, r := range rows {
 				if r[c].Kind() != k {
-					cb.Reset()
+					cb.truncate(n0)
 					return false
 				}
-				v.ID[ri] = in.Intern(r[c].S)
+				v.ID = append(v.ID, in.Intern(r[c].S))
 			}
 		}
 	}
-	if cap(cb.ts) < n {
-		cb.ts = make([]int64, n)
-	} else {
-		cb.ts = cb.ts[:n]
+	for range rows {
+		cb.ts = append(cb.ts, ts)
+		cb.exp = append(cb.exp, exp)
+		cb.neg = append(cb.neg, false)
 	}
-	if cap(cb.exp) < n {
-		cb.exp = make([]int64, n)
-	} else {
-		cb.exp = cb.exp[:n]
-	}
-	if cap(cb.neg) < n {
-		cb.neg = make([]bool, n)
-	} else {
-		cb.neg = cb.neg[:n]
-	}
-	for i := 0; i < n; i++ {
-		cb.ts[i] = ts
-		cb.exp[i] = exp
-		cb.neg[i] = false
-	}
-	cb.n = n
+	cb.n += len(rows)
 	return true
+}
+
+// truncate cuts every column vector back to n rows: the undo of an
+// AppendRun that failed part-way, when only the value vectors have grown.
+func (cb *ColBatch) truncate(n int) {
+	for i := range cb.cols {
+		v := &cb.cols[i]
+		switch v.Kind {
+		case KindInt:
+			v.Int = v.Int[:n]
+		case KindFloat:
+			v.Float = v.Float[:n]
+		default:
+			v.ID = v.ID[:n]
+		}
+	}
 }
 
 // AppendRow appends one row-form tuple; same contract as AppendVals.
@@ -298,12 +293,53 @@ func (cb *ColBatch) FromRows(rows []Tuple, in *Interner) bool {
 	return true
 }
 
-// StampExp sets every row's expiration to exp — the vectorized form of the
-// window's per-tuple Exp stamping for a same-timestamp run.
-func (cb *ColBatch) StampExp(exp int64) {
-	for i := range cb.exp {
+// StampExp sets the expiration of every row from row from on to exp — the
+// vectorized form of the window's per-tuple Exp stamping for the
+// same-timestamp run AppendRun just laid out there.
+func (cb *ColBatch) StampExp(from int, exp int64) {
+	for i := from; i < cb.n; i++ {
 		cb.exp[i] = exp
 	}
+}
+
+// View makes cb a zero-copy view of src's rows [lo, hi): every vector of cb
+// aliases src's, so a kernel reads a slice of a laid-out batch without a
+// gather. cb may be a zero ColBatch; it takes src's schema. The view's
+// vectors are capped at hi, so appending to it reallocates and never writes
+// into src, and Reset detaches it; src must not be appended to or reset
+// while the view is read.
+func (cb *ColBatch) View(src *ColBatch, lo, hi int) {
+	// A view is re-aimed once per run, so it writes only what changed: the
+	// schema when it moves to another batch, and one payload per column.
+	if cb.schema != src.schema {
+		cb.schema, cb.kinds = src.schema, src.kinds
+		cb.cols = make([]ColVec, len(src.cols))
+		for c := range src.cols {
+			cb.cols[c].Kind = src.cols[c].Kind
+		}
+	}
+	for c := range src.cols {
+		sv, v := &src.cols[c], &cb.cols[c]
+		switch sv.Kind {
+		case KindInt:
+			v.Int = sv.Int[lo:hi:hi]
+		case KindFloat:
+			v.Float = sv.Float[lo:hi:hi]
+		default:
+			v.ID = sv.ID[lo:hi:hi]
+		}
+	}
+	cb.ts, cb.exp, cb.neg = src.ts[lo:hi:hi], src.exp[lo:hi:hi], src.neg[lo:hi:hi]
+	cb.n = hi - lo
+	cb.negs = 0
+	if src.negs > 0 {
+		for _, neg := range cb.neg {
+			if neg {
+				cb.negs++
+			}
+		}
+	}
+	cb.view = true
 }
 
 // AppendMaskedBits appends the rows of src whose bit is set in the packed
@@ -354,6 +390,11 @@ func (cb *ColBatch) AppendMaskedBits(src *ColBatch, mask []uint64) {
 	}
 	cb.n += len(idx)
 }
+
+// Gathered returns the rows of src the last AppendMaskedBits appended, in
+// order: survivor k of that call came from src row Gathered()[k]. The slice
+// is the batch's scratch, valid until its next AppendMaskedBits.
+func (cb *ColBatch) Gathered() []int32 { return cb.maskIdx }
 
 // AppendJoin appends one join result row: the values of src row `row` on
 // input side `side` concatenated (left then right) with the stored opposite-

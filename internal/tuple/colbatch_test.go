@@ -123,11 +123,88 @@ func TestColBatchStampExp(t *testing.T) {
 			t.Fatal("append failed")
 		}
 	}
-	cb.StampExp(175)
+	cb.StampExp(2, 175)
 	for i := 0; i < cb.Len(); i++ {
-		if cb.ExpAt(i) != 175 {
-			t.Fatalf("row %d Exp = %d, want 175", i, cb.ExpAt(i))
+		want := int64(0)
+		if i >= 2 {
+			want = 175
 		}
+		if cb.ExpAt(i) != want {
+			t.Fatalf("row %d Exp = %d, want %d", i, cb.ExpAt(i), want)
+		}
+	}
+}
+
+// TestColBatchAppendRunAppends lays several runs out on one batch: each lands
+// after the rows already there with its own TS and Exp, and a run refused in
+// its last column leaves the batch as it was, rows, kinds and capacity alike.
+func TestColBatchAppendRunAppends(t *testing.T) {
+	schema := MustSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindString},
+		Column{Name: "c", Kind: KindFloat})
+	in := NewInterner()
+	cb := NewColBatch(schema)
+	row := func(i int64, s string) []Value { return []Value{Int(i), String_(s), Float(float64(i) / 2)} }
+	if !cb.AppendRun(1, 11, [][]Value{row(0, "x"), row(1, "y")}, in) {
+		t.Fatal("first run refused")
+	}
+	bad := [][]Value{row(7, "z"), {Int(8), String_("z"), Int(8)}}
+	if cb.AppendRun(2, 12, bad, in) {
+		t.Fatal("a run with an Int in a float column was laid out")
+	}
+	if cb.Len() != 2 || len(cb.Col(0).Int) != 2 || len(cb.Col(1).ID) != 2 || len(cb.Col(2).Float) != 2 {
+		t.Fatalf("the refused run left %d rows, vectors %d/%d/%d", cb.Len(),
+			len(cb.Col(0).Int), len(cb.Col(1).ID), len(cb.Col(2).Float))
+	}
+	if !cb.AppendRun(3, 13, [][]Value{row(2, "y")}, in) {
+		t.Fatal("third run refused")
+	}
+	want := []Tuple{
+		{TS: 1, Exp: 11, Vals: row(0, "x")}, {TS: 1, Exp: 11, Vals: row(1, "y")}, {TS: 3, Exp: 13, Vals: row(2, "y")},
+	}
+	got := cb.AppendRowsTo(nil, nil, in)
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].TS != want[i].TS || got[i].Exp != want[i].Exp || got[i].Neg || !got[i].SameVals(want[i]) {
+			t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestColBatchView reads a row range of a batch through a view without a
+// copy, and checks that neither appending to the view nor reusing it after
+// Reset writes into the batch it aliases.
+func TestColBatchView(t *testing.T) {
+	schema := MustSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindString})
+	in := NewInterner()
+	src := NewColBatch(schema)
+	for i := int64(0); i < 6; i++ {
+		src.AppendVals(i, i+10, i == 3, []Value{Int(i), String_("s")}, in)
+	}
+	var v ColBatch
+	v.View(src, 2, 5)
+	if v.Len() != 3 || v.Width() != 2 || v.Schema() != schema || v.NegCount() != 1 {
+		t.Fatalf("view: len %d width %d negs %d", v.Len(), v.Width(), v.NegCount())
+	}
+	for i := 0; i < v.Len(); i++ {
+		if v.TSAt(i) != int64(i+2) || v.ExpAt(i) != int64(i+12) || v.ValueAt(i, 0, in).I != int64(i+2) {
+			t.Fatalf("view row %d = %v", i, v.RowTuple(i, nil, in))
+		}
+	}
+	if &v.Col(0).Int[0] != &src.Col(0).Int[2] {
+		t.Fatal("the view copied its rows")
+	}
+	v.AppendVals(99, 99, false, []Value{Int(99), String_("t")}, in)
+	v.Reset()
+	v.AppendVals(98, 98, false, []Value{Int(98), String_("t")}, in)
+	for i := 0; i < src.Len(); i++ {
+		if src.TSAt(i) != int64(i) || src.ValueAt(i, 0, in).I != int64(i) {
+			t.Fatalf("writing through the view changed source row %d to %v", i, src.RowTuple(i, nil, in))
+		}
+	}
+	if v.Len() != 1 || v.ValueAt(0, 0, in).I != 98 {
+		t.Fatalf("the reset view holds %d rows", v.Len())
 	}
 }
 
@@ -230,6 +307,9 @@ func TestColBatchAppendMaskedBits(t *testing.T) {
 	}
 	if !dst.NegAt(1) || dst.NegAt(0) || dst.NegCount() != 1 {
 		t.Fatal("masked append dropped Neg flags")
+	}
+	if g := dst.Gathered(); len(g) != 2 || g[0] != 0 || g[1] != 3 {
+		t.Fatalf("Gathered() = %v, want [0 3]", g)
 	}
 	dst.Reset()
 	dst.AppendMaskedBits(src, []uint64{0})
