@@ -339,22 +339,7 @@ func run(o options) error {
 	if o.metricsAddr != "" {
 		// The plan page reads only atomic instruments, so serving it while
 		// the run is in flight is safe.
-		planPage := obs.Page{
-			Path:  "/debug/plan",
-			Title: "EXPLAIN of the running plans (?analyze=1, ?format=dot)",
-			Handler: func(w http.ResponseWriter, r *http.Request) {
-				analyze := r.URL.Query().Get("analyze") != ""
-				if r.URL.Query().Get("format") == "dot" {
-					w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-					for _, h := range handles {
-						_ = h.Explain(analyze).WriteDOT(w)
-					}
-					return
-				}
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				_ = eachQuery(w, handles, func(h *exec.QueryHandle) error { return h.Explain(analyze).WriteText(w) })
-			},
-		}
+		planPage := exec.PlanPage(func() []*exec.QueryHandle { return handles })
 		confPage := obs.Page{
 			Path:  "/debug/conformance",
 			Title: "update-pattern conformance: declared vs observed per operator",

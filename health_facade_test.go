@@ -2,7 +2,6 @@ package repro_test
 
 import (
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -22,24 +21,14 @@ func healthJoinQuery() repro.Node {
 
 // TestWithHealthManualTicks drives the whole facade deterministically: a
 // negative interval disables the background sampler, so the test owns
-// every tick, injects its fault through a custom rule, and reads the
-// verdict back through Health(), the alert sink, and both debug pages.
+// every tick, trips the built-in delta-p99 rule with a 1 ns latency SLO,
+// and reads the verdict back through Health(), the alert sink, and both
+// debug pages.
 func TestWithHealthManualTicks(t *testing.T) {
 	var alerts []repro.AlertTransition
 	eng, err := repro.Compile(healthJoinQuery(), repro.UPA, repro.WithHealth(repro.HealthConfig{
 		Interval: -1,
-		SLO:      repro.HealthSLO{DeltaP99: time.Second},
-		Rules: []repro.HealthRule{{
-			Name: "ingest-volume",
-			Signal: repro.HealthSignal{
-				Series: "upa_arrivals_total",
-				Source: repro.SourceDelta,
-				Window: 4,
-				Agg:    repro.AggSum,
-			},
-			Warn: math.NaN(), Crit: 100, // trips when >100 tuples arrive in the window
-			ForTicks: 1, HoldTicks: 1,
-		}},
+		SLO:      repro.HealthSLO{DeltaP99: time.Nanosecond, Window: 4},
 		Sinks: []repro.AlertSink{repro.AlertFunc(func(tr repro.AlertTransition) {
 			alerts = append(alerts, tr)
 		})},
@@ -55,7 +44,7 @@ func TestWithHealthManualTicks(t *testing.T) {
 
 	h.Tick() // baseline
 	for i := int64(0); i < 200; i++ {
-		if err := eng.Push(0, i/20, repro.Int(i), repro.Str("ftp"), repro.Int(1)); err != nil {
+		if err := eng.Push(int(i%2), i/20, repro.Int(i/2), repro.Str("ftp"), repro.Int(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,22 +52,23 @@ func TestWithHealthManualTicks(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Tick()
+	h.Tick() // delta-p99 escalates after ForTicks 2
 
 	st := h.Status()
 	if st.Overall != repro.SevCrit {
-		t.Fatalf("overall = %v, want CRIT from the custom ingest-volume rule\n%+v", st.Overall, st.Rules)
+		t.Fatalf("overall = %v, want CRIT from the delta-p99 rule\n%+v", st.Overall, st.Rules)
 	}
 	names := map[string]bool{}
 	for _, r := range st.Rules {
 		names[r.Rule] = true
 	}
-	for _, want := range []string{"ingest-volume", "pattern-violations", "staleness-lag", "delta-p99", "checkpoint-age"} {
+	for _, want := range []string{"pattern-violations", "premature-expirations", "shard-blocked", "staleness-lag", "delta-p99", "checkpoint-age"} {
 		if !names[want] {
 			t.Errorf("rule %q missing from status (got %v)", want, names)
 		}
 	}
-	if len(alerts) != 1 || alerts[0].Rule != "ingest-volume" || alerts[0].To != repro.SevCrit {
-		t.Errorf("alerts = %+v, want one ingest-volume OK->CRIT", alerts)
+	if len(alerts) != 1 || alerts[0].Rule != "delta-p99" || alerts[0].To != repro.SevCrit {
+		t.Errorf("alerts = %+v, want one delta-p99 OK->CRIT", alerts)
 	}
 
 	// WithHealth registers the process-level series via the sampler's
@@ -100,8 +90,8 @@ func TestWithHealthManualTicks(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("health page body not JSON: %v", err)
 	}
-	if got.Overall != repro.SevCrit || got.Samples != 2 {
-		t.Errorf("page status = %+v, want CRIT with 2 samples", got)
+	if got.Overall != repro.SevCrit || got.Samples != 3 {
+		t.Errorf("page status = %+v, want CRIT with 3 samples", got)
 	}
 
 	rec = httptest.NewRecorder()
@@ -110,8 +100,8 @@ func TestWithHealthManualTicks(t *testing.T) {
 		t.Errorf("history page: status %d body %q", rec.Code, rec.Body.String())
 	}
 
-	// The ingest burst leaves the 4-tick window; HoldTicks 1 recovers.
-	for i := 0; i < 5; i++ {
+	// The burst's latencies leave the 4-tick window; HoldTicks 2 recovers.
+	for i := 0; i < 6; i++ {
 		h.Tick()
 	}
 	if h.Overall() != repro.SevOK {
@@ -124,7 +114,6 @@ func TestWithHealthManualTicks(t *testing.T) {
 func TestWithHealthBackgroundSampler(t *testing.T) {
 	eng, err := repro.Compile(healthJoinQuery(), repro.UPA, repro.WithHealth(repro.HealthConfig{
 		Interval: time.Millisecond,
-		Capacity: 16,
 	}))
 	if err != nil {
 		t.Fatal(err)

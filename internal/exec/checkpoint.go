@@ -425,9 +425,8 @@ func (e *Engine) readSection(dec *checkpoint.Decoder, sec ckptSection, sums []in
 	// AND, never OR: a plan this engine cannot run columnar stays row-form
 	// regardless of what the saving engine did, and a saved demotion sticks.
 	e.colOK = e.colOK && savedColOK
-	e.mark = min(e.lastEager, e.lastLazy)
 	e.met.clock.Set(e.clock)
-	e.met.watermark.Set(e.mark)
+	e.met.watermark.Set(min(e.lastEager, e.lastLazy))
 	e.refreshStateGauges()
 	return nil
 }

@@ -681,53 +681,73 @@ func TestConformanceFuzzedPlans(t *testing.T) {
 	}
 }
 
-// TestConformanceOptimizedPlans runs the optimizer over the Query 5 shapes
-// and checks the chosen plans still satisfy Definition 1 under every
-// strategy — rewrites must preserve semantics, not just cost.
+// TestConformanceOptimizedPlans runs the optimizer over Query 5's
+// push-down form and over both Figure 6 forms with the joined side reduced
+// to its distinct keys — the shape the negation rewrites need — and checks
+// the chosen plans still satisfy Definition 1 under every strategy:
+// rewrites must preserve semantics, not just cost. Keys repeat on every
+// stream, so a rewrite applied where the joined side may hold two live
+// tuples per key shows as a divergence.
 func TestConformanceOptimizedPlans(t *testing.T) {
-	build := func() (*plan.Node, []*relation.Table) {
-		a := plan.NewSource(0, window.Spec{Type: window.TimeBased, Size: 15}, linkSchema())
-		b := plan.NewSource(1, window.Spec{Type: window.TimeBased, Size: 15}, linkSchema())
-		c := plan.NewSource(2, window.Spec{Type: window.TimeBased, Size: 15}, linkSchema())
-		neg := plan.NewNegate(a, b, []int{0}, []int{0})
-		sel := plan.NewSelect(c, operator.ColConst{Col: 1, Op: operator.EQ, Val: tuple.String_("ftp")})
-		return plan.NewJoin(neg, sel, []int{0}, []int{0}), nil
+	const size = 30
+	src := func(id int) *plan.Node {
+		return plan.NewSource(id, window.Spec{Type: window.TimeBased, Size: size}, linkSchema())
+	}
+	ftp := func() *plan.Node {
+		return plan.NewSelect(src(2), operator.ColConst{Col: 1, Op: operator.EQ, Val: tuple.String_("ftp")})
+	}
+	keys := func() *plan.Node { return plan.NewDistinct(plan.NewProject(ftp(), 0)) }
+	shapes := []struct {
+		name  string
+		build func() *plan.Node
+	}{
+		{"pushdown", func() *plan.Node {
+			return plan.NewJoin(plan.NewNegate(src(0), src(1), []int{0}, []int{0}), ftp(), []int{0}, []int{0})
+		}},
+		{"keyed-pushdown", func() *plan.Node {
+			return plan.NewJoin(plan.NewNegate(src(0), src(1), []int{0}, []int{0}), keys(), []int{0}, []int{0})
+		}},
+		{"keyed-pullup", func() *plan.Node {
+			return plan.NewNegate(plan.NewJoin(src(0), keys(), []int{0}, []int{0}), src(1), []int{0}, []int{0})
+		}},
 	}
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
-			root, _ := build()
-			best, err := plan.Optimize(root, v.strat, plan.DefaultStats())
-			if err != nil {
-				t.Fatal(err)
-			}
-			phys, err := plan.Build(best, v.strat, v.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := New(phys, Config{LazyInterval: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The reference evaluates the ORIGINAL plan; the optimized plan
-			// must compute the same answer. The negation pull-up rewrite is
-			// only multiset-exact when at most one live tuple per key exists
-			// on the joined streams, so the workload uses unique keys per
-			// window lifetime on streams 0 and 2.
-			orig, _ := build()
-			if err := plan.Annotate(orig, plan.DefaultStats()); err != nil {
-				t.Fatal(err)
-			}
-			d := &driver{t: t, eng: eng, ref: reference.New(orig), every: 1}
-			r := rand.New(rand.NewSource(99))
-			for ts := int64(0); ts < 150; ts++ {
-				vals := rndTuple(r)
-				link := int(ts % 3)
-				if link != 1 {
-					vals[0] = tuple.Int(ts) // unique key per arrival on 0 and 2
+			for _, shape := range shapes {
+				for _, nkeys := range []int{2, 5} {
+					t.Run(fmt.Sprintf("%s/keys=%d", shape.name, nkeys), func(t *testing.T) {
+						best, err := plan.Optimize(shape.build(), v.strat, plan.DefaultStats())
+						if err != nil {
+							t.Fatal(err)
+						}
+						phys, err := plan.Build(best, v.strat, v.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						eng, err := New(phys, Config{LazyInterval: 7})
+						if err != nil {
+							t.Fatal(err)
+						}
+						// The reference evaluates the ORIGINAL plan; the
+						// optimized plan must compute the same answer.
+						orig := shape.build()
+						if err := plan.Annotate(orig, plan.DefaultStats()); err != nil {
+							t.Fatal(err)
+						}
+						d := &driver{t: t, eng: eng, ref: reference.New(orig), every: 1}
+						r := rand.New(rand.NewSource(99))
+						for ts := int64(0); ts < 150; ts++ {
+							vals := rndTuple(r)
+							vals[0] = tuple.Int(int64(r.Intn(nkeys)))
+							if r.Intn(2) == 0 {
+								vals[1] = tuple.String_("ftp")
+							}
+							d.push(int(ts%3), ts, vals...)
+						}
+						d.advance(300)
+					})
 				}
-				d.push(link, ts, vals...)
 			}
-			d.advance(300)
 		})
 	}
 }

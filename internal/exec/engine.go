@@ -125,9 +125,9 @@ type Engine struct {
 	canonSeq  int
 	// nextOpID numbers nodes for metric labels; never reused.
 	nextOpID int
-	// lastEager/lastLazy track the maintenance cadence; mark is the older of
-	// the two as of the last replay (the watermark).
-	lastEager, lastLazy, mark int64
+	// lastEager/lastLazy track the maintenance cadence; the older of the two
+	// as of the last replay is the watermark, kept in met.watermark.
+	lastEager, lastLazy int64
 	// comps are the connected components of the live dataflow, heaviest
 	// first, re-derived at every registration change (tape.go).
 	comps []*component
@@ -217,13 +217,17 @@ func NewMulti(cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		parts: 1,
-		clock: -1, lastEager: -1, lastLazy: -1, mark: -1,
+		clock: -1, lastEager: -1, lastLazy: -1,
 		srcIndex:  make(map[string][]*liveSource),
 		nodeIndex: make(map[string][]*liveNode),
 		reg:       reg,
 		met:       newEngineMetrics(reg, cfg.MetricLabels),
 		timed:     timed,
 	}
+	// A second goroutine reads the clock and the watermark off these gauges
+	// (Watermark, Explain); before any arrival both are -1.
+	e.met.clock.Set(e.clock)
+	e.met.watermark.Set(-1)
 	e.intern = tuple.NewInterner()
 	e.direct.e = e
 	return e
@@ -775,8 +779,9 @@ func (e *Engine) expireWindows(now int64) {
 // timestamp at or below it is fully reflected in the result view. It is the
 // older of the last eager and last lazy maintenance passes replayed, so it
 // trails Clock by at most max(EagerInterval, LazyInterval) plus what a
-// partitioned engine's tape still holds; Sync raises it to Clock.
-func (e *Engine) Watermark() int64 { return e.mark }
+// partitioned engine's tape still holds; Sync raises it to Clock. It reads
+// the upa_watermark gauge, so a second goroutine may call it mid-run.
+func (e *Engine) Watermark() int64 { return e.met.watermark.Value() }
 
 // sampleState refreshes the per-operator state gauges and raises the
 // stored-tuple high-water mark. It runs on the first arrival, every 64th

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -221,5 +222,72 @@ func TestExplainAnalyzePaperQueries(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWatermarkAndExplainDuringPush: Watermark and Explain(analyze) are
+// documented as safe to call from a second goroutine (an exposition
+// endpoint) while the producer pushes. Under -race this fails if either
+// reads an engine field the producer writes rather than an atomic gauge.
+func TestWatermarkAndExplainDuringPush(t *testing.T) {
+	eng := buildEngine(t, simpleSelect(10), plan.UPA, Config{LazyInterval: 5})
+	q := eng.Queries()[0]
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = eng.Watermark()
+			_ = q.Explain(true)
+		}
+	}()
+	for ts := int64(0); ts < 2000; ts++ {
+		if err := eng.Push(0, ts, tuple.Int(ts), tuple.String_("ftp"), tuple.Int(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	tree := q.Explain(true)
+	if eng.Watermark() != 1999 || tree.Clock != 1999 || tree.Watermark != 1999 {
+		t.Errorf("after Sync: Watermark %d, EXPLAIN clock %d watermark %d; want all 1999",
+			eng.Watermark(), tree.Clock, tree.Watermark)
+	}
+}
+
+// TestPlanPage: the one /debug/plan builder renders a lone query bare, heads
+// each of several with its name, and serves Graphviz with ?format=dot.
+func TestPlanPage(t *testing.T) {
+	e := NewMulti(Config{})
+	var hs []*QueryHandle
+	page := PlanPage(func() []*QueryHandle { return hs })
+	get := func(url string) string {
+		rec := httptest.NewRecorder()
+		page.Handler.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		return rec.Body.String()
+	}
+	for _, name := range []string{"q1", "q2"} {
+		h, err := e.RegisterQuery(QuerySpec{Name: name, Phys: buildPhys(t, selPlan(50, "http"), plan.UPA, plan.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+		body := get("/debug/plan")
+		if len(hs) == 1 && (strings.Contains(body, "===") || !strings.Contains(body, "select")) {
+			t.Errorf("one query: want a bare EXPLAIN tree, got\n%s", body)
+		}
+		if len(hs) == 2 && (!strings.Contains(body, "=== q1 ===") || !strings.Contains(body, "=== q2 ===")) {
+			t.Errorf("two queries: want a header per query, got\n%s", body)
+		}
+	}
+	if body := get("/debug/plan?format=dot&analyze=1"); strings.Count(body, "digraph") != 2 {
+		t.Errorf("?format=dot: want one digraph per query, got\n%s", body)
 	}
 }

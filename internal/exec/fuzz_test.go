@@ -61,26 +61,37 @@ func FuzzExecutor(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzExecutor(t, data, false) })
 }
 
-// FuzzExecutorRefusals runs FuzzExecutor's schedule with one more op, a
-// refused call, and checks that it leaves no trace. Each executor has a twin
-// that receives every call it does, except that of a refused call the twin
-// receives only what the call applied: nothing, or the runs of a PushBatch
-// before its bad row. The refusals are a Push, Advance or table update whose
-// time regresses, a Push on a stream no query reads, and a PushBatch with
-// either bad row in the middle. After each, the executor must checkpoint the
-// twin's bytes and have the twin's arrival count (upa_arrivals_total), Clock
-// and Watermark; the twins also answer every Sync and take the cut.
+// FuzzExecutorRefusals runs FuzzExecutor's schedule with two more ops, a
+// refused call and a read, and checks that neither leaves a trace. Each
+// executor has a twin that receives every call it does, except that of a
+// refused call the twin receives only what the call applied: nothing, or the
+// runs of a PushBatch before its bad row. The refusals are a Push, Advance or
+// table update whose time regresses, a Push on a stream no query reads, and a
+// PushBatch with either bad row in the middle. A read goes to the executor
+// alone: Snapshot and ResultCount, which sync, leave the twin a Sync;
+// LookupKey, StateTuples and Profile leave it nothing. After each, the
+// executor must checkpoint the twin's bytes and have the twin's arrival count
+// (upa_arrivals_total), Clock and Watermark; the twins also answer every Sync
+// and take the cut.
 func FuzzExecutorRefusals(f *testing.F) {
-	f.Add([]byte{3, 0, 0, 1, 0, 2, 1, 5, 8, 0, 0, 8, 1, 4, 2, 1, 0, 0, 3, 1, 1, 1, 1, 1, 8, 2, 1, 9, 3, 1, 0, 2, 2, 4, 4, 5, 6})
+	f.Add([]byte{3, 0, 0, 1, 0, 2, 1, 5, 8, 0, 0, 8, 1, 4, 2, 1, 0, 0, 3, 1, 1, 1, 1, 1, 8, 2, 1, 0, 3, 1, 0, 2, 2, 4, 4, 5, 6})
 	// A partitioned PushBatch refused after one run must leave that run
 	// pending as PushBatch of it would, and a Sync must reach the twins too.
-	f.Add([]byte("00Y00110"))
-	f.Add([]byte("\x00#$CY00Y9\x01\x06Y00"))
+	f.Add([]byte("00b00110"))
+	f.Add([]byte("\x00#(CY00Y5\x01\x06b00"))
+	// Q1 at 1 and 3 partitions under NT: pushes and a batch between every
+	// read, each read once.
+	f.Add([]byte{0, 0,
+		0, 1, 0, 0, 1, 2, 0, 0, 1, 0, 0, 3, 9, 0, 0,
+		2, 1, 1, 0, 1, 0, 4, 1, 1, 1, 0, 5, 9, 1, 1,
+		0, 1, 0, 2, 0, 6, 9, 2, 0,
+		0, 2, 1, 0, 0, 7, 9, 3, 0,
+		2, 0, 1, 0, 0, 0, 8, 9, 4, 0, 6})
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzExecutor(t, data, true) })
 }
 
 // fuzzExecutor decodes and drives one schedule; refusals adds the refused
-// call as op 8 and a twin per executor.
+// call as op 8, the read as op 9 and a twin per executor.
 func fuzzExecutor(t *testing.T, data []byte, refusals bool) {
 	in := &fuzzInput{data}
 	plans := fuzzPlans()
@@ -94,7 +105,7 @@ func fuzzExecutor(t *testing.T, data []byte, refusals bool) {
 	if refusals {
 		oneTwin, _ := openFuzzRun(t, p, strat, 1)
 		threeTwin, _ := openFuzzRun(t, p, strat, 3)
-		twins, ops = []*fuzzRun{&oneTwin, &threeTwin}, 9
+		twins, ops = []*fuzzRun{&oneTwin, &threeTwin}, 10
 		all = append(slices.Clone(runs), twins...)
 	}
 	ref, refTbl := reference.New(root), one.tbl
@@ -160,7 +171,7 @@ func fuzzExecutor(t *testing.T, data []byte, refusals bool) {
 					t.Fatalf("%d partitions' twin refused the prefix of %s: %v", r.shards, what, err)
 				}
 			}
-			sameAsTwin(t, what, r, twins[i])
+			sameAsTwin(t, "refusing "+what, r, twins[i])
 		}
 		for _, a := range applied {
 			ref.Push(a.Stream, a.TS, a.Vals...)
@@ -281,6 +292,34 @@ func fuzzExecutor(t *testing.T, data []byte, refusals bool) {
 				}
 				refused("a PushBatch with a bad row in the middle", func(r *fuzzRun) error { return r.ex.PushBatch(batch) }, prefix)
 			}
+		case 9:
+			read := []string{"Snapshot", "ResultCount", "LookupKey", "StateTuples", "Profile"}[in.next()%5]
+			key := tuple.Tuple{Vals: []tuple.Value{tuple.Int(int64(in.next() % 6))}}.Key([]int{0})
+			for i, r := range runs {
+				q := r.ex.Queries()[0]
+				var err error
+				switch read {
+				case "Snapshot":
+					_, err = q.Snapshot()
+				case "ResultCount":
+					_, err = q.ResultCount()
+				case "LookupKey":
+					q.LookupKey(key)
+				case "StateTuples":
+					_, err = r.ex.StateTuples()
+				default:
+					q.Profile()
+				}
+				if err != nil {
+					t.Fatalf("%d partitions: %s: %v", r.shards, read, err)
+				}
+				if read == "Snapshot" || read == "ResultCount" {
+					if err := twins[i].ex.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sameAsTwin(t, "reading with "+read, r, twins[i])
+			}
 		}
 	}
 	check()
@@ -300,12 +339,12 @@ func sameAsTwin(t *testing.T, what string, r, twin *fuzzRun) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("%d partitions: after refusing %s the executor checkpoints other bytes than its twin", r.shards, what)
+		t.Fatalf("%d partitions: after %s the executor checkpoints other bytes than its twin", r.shards, what)
 	}
 	type seen struct{ arrivals, clock, mark int64 }
 	got := seen{r.ex.Stats().Arrivals, r.ex.Clock(), r.ex.Watermark()}
 	want := seen{twin.ex.Stats().Arrivals, twin.ex.Clock(), twin.ex.Watermark()}
 	if got != want {
-		t.Fatalf("%d partitions: after refusing %s the executor has %+v, its twin %+v", r.shards, what, got, want)
+		t.Fatalf("%d partitions: after %s the executor has %+v, its twin %+v", r.shards, what, got, want)
 	}
 }

@@ -196,7 +196,7 @@ func (h *QueryHandle) Explain(analyze bool) *plan.ExplainTree {
 	}
 	t := plan.Explain(h.first().phys)
 	if analyze {
-		attachStats(t, h.Profile(), len(h.units), h.e.Clock(), h.e.Watermark())
+		attachStats(t, h.Profile(), len(h.units), h.e.met.clock.Value(), h.e.Watermark())
 	}
 	return t
 }

@@ -195,21 +195,61 @@ func TestBuiltinRuleDeltaP99DisabledWithoutSLO(t *testing.T) {
 	}
 }
 
-// TestQuantileRuleOnRefreshNanos: a user SourceQuantile rule over one of the
-// engine's call-latency series must see the calls. These series were once a
+// TestBuiltinRuleStalenessLagAcrossShards: the lag is the largest clock
+// minus the smallest watermark over every label set, so one stalled
+// partition counts even when another has caught up.
+func TestBuiltinRuleStalenessLagAcrossShards(t *testing.T) {
+	reg, h := newRuleHarness(HealthSLO{Window: 3})
+	reg.Gauge(MetricClock, "", obs.Labels{"shard": "0"}).Set(100)
+	reg.Gauge(MetricClock, "", obs.Labels{"shard": "1"}).Set(120)
+	reg.Gauge(MetricWatermark, "", obs.Labels{"shard": "0"}).Set(90)
+	reg.Gauge(MetricWatermark, "", obs.Labels{"shard": "1"}).Set(110)
+	h.Tick()
+	h.Tick()
+	// max(clock) 120 − min(watermark) 90 = 30: past WARN (10), short of
+	// CRIT (40).
+	if got := ruleStatus(t, h, RuleStalenessLag); got.Value != 30 || got.Severity != obs.SevWarn {
+		t.Fatalf("lag across shards: value %g severity %v, want 30/WARN", got.Value, got.Severity)
+	}
+}
+
+// TestBuiltinRuleDeltaP99MergesShards: the p99 is taken over the merged
+// windows of every positive-polarity series, so a tail that lives in one
+// partition's series alone is seen, and the negative polarity's is not.
+func TestBuiltinRuleDeltaP99MergesShards(t *testing.T) {
+	reg, h := newRuleHarness(HealthSLO{Window: 3, DeltaP99: time.Millisecond})
+	pos0 := reg.LogHistogram(MetricDeltaLatency, "", obs.Labels{"polarity": PolarityPos, "shard": "0"})
+	pos1 := reg.LogHistogram(MetricDeltaLatency, "", obs.Labels{"polarity": PolarityPos, "shard": "1"})
+	neg := reg.LogHistogram(MetricDeltaLatency, "", obs.Labels{"polarity": PolarityNeg, "shard": "0"})
+	h.Tick() // baseline
+	pos0.ObserveN(100, 10)
+	pos1.ObserveN(1<<24, 10)
+	neg.ObserveN(1<<30, 50)
+	h.Tick()
+	got := ruleStatus(t, h, RuleDeltaP99)
+	if got.Value < 1<<23 || got.Value > 1<<29 {
+		t.Fatalf("p99 = %g, want shard 1's positive tail (>= 2^23) without the negative one (< 2^29)", got.Value)
+	}
+}
+
+// TestQuantileRuleOnRefreshNanos: the history window of one of the engine's
+// call-latency series must carry the calls' distribution, so a rule or a
+// /debug/history reader can take its quantiles. These series were once a
 // second, fixed-bucket histogram type the history sampler kept no
-// distributions for, so such a rule read 0 forever and stayed OK however slow
+// distributions for, so a quantile over them read 0 forever however slow
 // the call.
 func TestQuantileRuleOnRefreshNanos(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := buildEngine(t, simpleSelect(10), plan.UPA, Config{Metrics: reg})
 	h := obs.NewHealth(obs.NewHistory(reg, obs.HistoryConfig{Capacity: 16}), obs.Rule{
 		Name: "refresh-p99",
-		Signal: obs.Signal{
-			Series: MetricRefreshNanos,
-			Source: obs.SourceQuantile,
-			Window: 4,
-			Q:      0.99,
+		Eval: func(h *obs.History) (float64, bool) {
+			var merged obs.LogHistogramSnapshot
+			wins := h.Window(MetricRefreshNanos, 4)
+			for _, sw := range wins {
+				merged = merged.Merge(*sw.Quantiles)
+			}
+			return float64(merged.Quantile(0.99)), len(wins) > 0
 		},
 		Warn: math.NaN(), Crit: 1, // any Sync slower than a nanosecond
 		ForTicks: 1, HoldTicks: 1,

@@ -57,7 +57,7 @@ const (
 	MetricCheckpointBytes = "upa_checkpoint_bytes"
 	// MetricCheckpointLast is the obs.Nanotime() stamp of the most recent
 	// completed checkpoint (0 = never). The built-in checkpoint-age health
-	// rule reads it with SourceAge.
+	// rule reads its age.
 	MetricCheckpointLast = "upa_checkpoint_last_nanos"
 	// MetricCheckpointNanos is the checkpoint-write latency histogram,
 	// recorded only when Config.Metrics is set.
@@ -164,14 +164,14 @@ var seriesConsumers = map[string]string{
 	MetricClock:             "health rule staleness-lag",
 	MetricWatermark:         "health rule staleness-lag",
 	MetricStateTuplesPeak:   "upaquery peak stored tuples (Stats); checkpoint",
-	MetricPushNanos:         "health: quantile rules (SLO on ingest-call latency)",
-	MetricRefreshNanos:      "health: quantile rules (TestQuantileRuleOnRefreshNanos)",
+	MetricPushNanos:         "/debug/history ingest-call latency windows",
+	MetricRefreshNanos:      "/debug/history refresh latency windows (TestQuantileRuleOnRefreshNanos)",
 	MetricCheckpoints:       "/debug/history checkpoint cadence (TestCheckpointMetrics)",
 	MetricRestores:          "/debug/history restore count (TestCheckpointMetrics)",
 	MetricCheckpointBytes:   "/debug/history checkpoint size (TestCheckpointMetrics)",
 	MetricCheckpointLast:    "health rule checkpoint-age",
-	MetricCheckpointNanos:   "health: quantile rules (checkpoint-write latency)",
-	MetricRestoreNanos:      "health: quantile rules (restore latency)",
+	MetricCheckpointNanos:   "/debug/history checkpoint-write latency windows",
+	MetricRestoreNanos:      "/debug/history restore latency windows",
 	MetricDeltaLatency:      "health rule delta-p99; upaquery -latency; /debug/conformance",
 	MetricOpEmitted:         "EXPLAIN ANALYZE out+; benchmark/ operator.out",
 	MetricOpRetracted:       "EXPLAIN ANALYZE out-; benchmark/ operator.retracted",

@@ -346,11 +346,17 @@ func feedsOnlyDedup(n *liveNode) bool {
 // flush replays the tape and empties it, takes a state sample the replay was
 // due, then settles the flows' counts and publishes the watermark the
 // replayed passes certify (also when a subscriber's panic unwinds through
-// it). It returns the first replay error in tape order.
+// it). A demoted engine never lays out a run again, so once its runs have
+// replayed its string table is emptied: what the checkpoint writes of it
+// then depends on the arrivals alone, not on where calls cut them. It
+// returns the first replay error in tape order.
 func (e *Engine) flush(batched bool) error {
 	defer func() {
 		e.tape.reset()
 		e.resetCols()
+		if e.colDemoted && e.intern.Len() > 0 {
+			_ = e.intern.Reset(nil) // an empty table holds no duplicate to refuse
+		}
 		e.settle()
 	}()
 	if len(e.tape.events) == 0 {
@@ -402,8 +408,7 @@ func (e *Engine) settle() {
 	for _, c := range e.comps {
 		e.settleFlow(&c.flow)
 	}
-	e.mark = min(e.lastEager, e.lastLazy)
-	e.met.watermark.Set(e.mark)
+	e.met.watermark.Set(min(e.lastEager, e.lastLazy))
 }
 
 func (e *Engine) settleFlow(f *flow) {

@@ -6,7 +6,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -93,21 +92,24 @@ func (v *bufferView) ExpireUpTo(now int64) int {
 
 func (v *bufferView) Len() int { return v.buf.Len() }
 
+// Snapshot and LookupKey are reads: they count no visit, so the view's
+// Touched, which its checkpoint carries, does not depend on how often the
+// caller read.
 func (v *bufferView) Snapshot() []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, v.buf.Len())
-	v.buf.Scan(func(t tuple.Tuple) bool { out = append(out, t); return true })
+	v.buf.Each(func(t *tuple.Tuple) bool { out = append(out, *t); return true })
 	return out
 }
 
 func (v *bufferView) Touched() int64 { return v.buf.Touched() }
 
-// LookupKey implements keyedLookup when the underlying buffer probes by key.
+// LookupKey implements keyedLookup when the underlying buffer is keyed.
 func (v *bufferView) LookupKey(k tuple.Key) ([]tuple.Tuple, bool) {
-	p, ok := v.buf.(statebuf.ProbeAppender)
+	r, ok := v.buf.(statebuf.KeyReader)
 	if !ok {
 		return nil, false
 	}
-	return p.ProbeAppend(k, math.MinInt64, nil), true
+	return r.LookupAppend(k, nil), true
 }
 
 // SaveState implements checkpoint.Snapshotter by delegating to the buffer.

@@ -58,88 +58,17 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// SignalSource selects how a Signal reads its series' history window.
-type SignalSource int
-
-const (
-	// SourceValue reads the current value: cumulative total for counters,
-	// observation count for histograms, the sampled value for gauges.
-	SourceValue SignalSource = iota
-	// SourceDelta sums the per-tick deltas across the window (counters,
-	// histogram observation counts); for gauges it is newest minus oldest
-	// value in the window.
-	SourceDelta
-	// SourceRate is SourceDelta divided by the window's elapsed seconds.
-	SourceRate
-	// SourceQuantile merges the window's bucket-wise histogram deltas
-	// across all matching series and reads the Q-quantile of the combined
-	// distribution (merging first keeps the quantile exact; quantiles of
-	// per-series quantiles would not be).
-	SourceQuantile
-	// SourceAge reads a gauge holding a Nanotime() stamp and yields
-	// nanoseconds since that stamp. A value <= 0 (never stamped) yields 0:
-	// a process that has never checkpointed is not stale.
-	SourceAge
-)
-
-func (s SignalSource) String() string {
-	switch s {
-	case SourceValue:
-		return "value"
-	case SourceDelta:
-		return "delta"
-	case SourceRate:
-		return "rate"
-	case SourceQuantile:
-		return "quantile"
-	case SourceAge:
-		return "age"
-	default:
-		return "unknown"
-	}
-}
-
-// SignalAgg folds the per-series readings of a signal that matches more
-// than one label set into one value.
-type SignalAgg int
-
-const (
-	AggSum SignalAgg = iota
-	AggMax
-	AggMin
-)
-
-// Signal is the left-hand side of a health rule: one scalar derived from
-// the history window of every series matching (Series, Match).
-type Signal struct {
-	// Series is the metric name; Match is a label subset that matching
-	// series must carry (empty matches every label set of the name).
-	Series string
-	Match  Labels
-	// Source selects value/delta/rate/quantile/age; Window is the number
-	// of sample ticks it looks back over (0 = whole retained window for
-	// delta/quantile, 1 tick for rate).
-	Source SignalSource
-	Window int
-	// Q is the quantile for SourceQuantile, e.g. 0.99.
-	Q float64
-	// Agg folds multiple matching series (default AggSum).
-	Agg SignalAgg
-	// Minus, when set, is evaluated the same way and subtracted — e.g.
-	// staleness lag = max(upa_clock) − min(upa_watermark).
-	Minus *Signal
-}
-
-// Rule is one declarative health check evaluated every sample tick.
-// Thresholds compare the signal upward by default (breach when value >
-// threshold) or downward with Below; NaN disables a threshold.
+// Rule is one health check evaluated every sample tick: Eval reads the
+// History (through Window, like /debug/history) and returns the rule's
+// value, or false when no series it reads exists yet — such a rule stays
+// OK, since a series that has never existed is not a fault. A value above
+// a threshold breaches it; NaN disables a threshold.
 type Rule struct {
 	Name string
 	Help string
-	Signal
-	Warn  float64
-	Crit  float64
-	Below bool
+	Eval func(*History) (float64, bool)
+	Warn float64
+	Crit float64
 	// ForTicks is how many consecutive breaching ticks escalation needs
 	// (min-duration); HoldTicks is how many consecutive clear ticks
 	// de-escalation needs (hysteresis). Both default to 1.
@@ -206,15 +135,7 @@ type ruleState struct {
 }
 
 func (rs *ruleState) classify(v float64) Severity {
-	breach := func(th float64) bool {
-		if math.IsNaN(th) {
-			return false
-		}
-		if rs.rule.Below {
-			return v < th
-		}
-		return v > th
-	}
+	breach := func(th float64) bool { return !math.IsNaN(th) && v > th }
 	switch {
 	case breach(rs.rule.Crit):
 		return SevCrit
@@ -268,10 +189,10 @@ func (rs *ruleState) tick(v float64, matched bool, wall int64) (Transition, bool
 // into the registry as upa_health_severity{rule} and
 // upa_health_transitions_total{rule}.
 type Health struct {
-	hist *History
+	hist  *History
+	rules []*ruleState // fixed at NewHealth
 
-	mu    sync.Mutex
-	rules []*ruleState
+	mu    sync.Mutex // guards the rules' state and sinks
 	sinks []AlertSink
 }
 
@@ -287,7 +208,7 @@ const (
 // exposition).
 func NewHealth(hist *History, rules ...Rule) *Health {
 	h := &Health{hist: hist}
-	reg := hist.Registry()
+	reg := hist.reg
 	now := time.Now().UnixNano()
 	for _, r := range rules {
 		rs := &ruleState{rule: r, sinceWall: now}
@@ -351,131 +272,28 @@ func (h *Health) Tick() {
 // goroutine, strictly ordered with ticks.
 func (h *Health) evaluate() {
 	wall := time.Now().UnixNano()
-	h.mu.Lock()
-	rules := h.rules
-	sinks := append([]AlertSink(nil), h.sinks...)
-	h.mu.Unlock()
-	var fired []Transition
-	h.hist.mu.Lock()
-	mono := int64(0)
-	if h.hist.count > 0 {
-		mono = h.hist.times[int((h.hist.count-1)%int64(h.hist.cfg.Capacity))].mono
+	vals := make([]float64, len(h.rules))
+	matched := make([]bool, len(h.rules))
+	for i, rs := range h.rules {
+		vals[i], matched[i] = rs.rule.Eval(h.hist)
 	}
-	for _, rs := range rules {
-		v, matched := h.hist.evalSignalLocked(rs.rule.Signal, mono)
-		t, ok := rs.tick(v, matched, wall)
+	var fired []Transition
+	h.mu.Lock()
+	for i, rs := range h.rules {
+		t, ok := rs.tick(vals[i], matched[i], wall)
 		rs.sevGauge.Set(int64(rs.cur))
 		if ok {
 			rs.transCount.Inc()
 			fired = append(fired, t)
 		}
 	}
-	h.hist.mu.Unlock()
+	sinks := append([]AlertSink(nil), h.sinks...)
+	h.mu.Unlock()
 	for _, t := range fired {
 		for _, s := range sinks {
 			s.Alert(t)
 		}
 	}
-}
-
-// evalSignalLocked computes a signal over the retained window. The bool
-// reports whether any series matched — unmatched signals read as 0 and
-// leave their rules OK (a series that has never existed is not a fault).
-// Caller holds h.mu.
-func (h *History) evalSignalLocked(sig Signal, nowMono int64) (float64, bool) {
-	rings := h.matchRingsLocked(sig.Series, sig.Match)
-	if len(rings) == 0 {
-		return 0, false
-	}
-	if sig.Source == SourceQuantile {
-		var merged LogHistogramSnapshot
-		for _, r := range rings {
-			merged = merged.Merge(h.windowHistLocked(r, sig.Window))
-		}
-		if merged.Count == 0 {
-			return 0, true
-		}
-		return float64(merged.Quantile(sig.Q)), true
-	}
-	agg := math.NaN()
-	fold := func(v float64) {
-		switch {
-		case math.IsNaN(agg):
-			agg = v
-		case sig.Agg == AggMax && v > agg:
-			agg = v
-		case sig.Agg == AggMin && v < agg:
-			agg = v
-		case sig.Agg == AggSum:
-			agg += v
-		}
-	}
-	for _, r := range rings {
-		switch sig.Source {
-		case SourceValue:
-			if r.kind == kindGauge {
-				fold(float64(h.latestLocked(r)))
-			} else {
-				fold(float64(r.prev))
-			}
-		case SourceDelta:
-			fold(float64(h.windowDeltaLocked(r, sig.Window)))
-		case SourceRate:
-			n := sig.Window
-			if n <= 0 {
-				n = 1
-			}
-			elapsed := h.windowElapsedLocked(n)
-			if elapsed <= 0 {
-				fold(0)
-			} else {
-				fold(float64(h.windowDeltaLocked(r, n)) / (float64(elapsed) / 1e9))
-			}
-		case SourceAge:
-			v := h.latestLocked(r)
-			if r.kind != kindGauge {
-				v = r.prev
-			}
-			if v <= 0 {
-				fold(0)
-			} else {
-				age := nowMono - v
-				if age < 0 {
-					age = 0
-				}
-				fold(float64(age))
-			}
-		}
-	}
-	if math.IsNaN(agg) {
-		agg = 0
-	}
-	value := agg
-	if sig.Minus != nil {
-		m, ok := h.evalSignalLocked(*sig.Minus, nowMono)
-		if ok {
-			value -= m
-		}
-	}
-	return value, true
-}
-
-// windowDeltaLocked is the windowed change of a series: sum of deltas for
-// counters/histograms, newest minus oldest sampled value for gauges.
-func (h *History) windowDeltaLocked(r *seriesRing, n int) int64 {
-	if r.kind != kindGauge {
-		return h.windowSumLocked(r, n)
-	}
-	avail := h.retainedLocked()
-	if n <= 0 || n > avail {
-		n = avail
-	}
-	if n == 0 {
-		return 0
-	}
-	newest := r.vals[int((h.count-1)%int64(h.cfg.Capacity))]
-	oldest := r.vals[int((h.count-int64(n))%int64(h.cfg.Capacity))]
-	return newest - oldest
 }
 
 // RuleStatus is one rule's current public state.
@@ -486,7 +304,6 @@ type RuleStatus struct {
 	Value       float64  `json:"value"`
 	Warn        *float64 `json:"warn,omitempty"`
 	Crit        *float64 `json:"crit,omitempty"`
-	Below       bool     `json:"below,omitempty"`
 	Matched     bool     `json:"matched"`
 	SinceNanos  int64    `json:"since_unix_nanos"`
 	Transitions int64    `json:"transitions"`
@@ -517,11 +334,6 @@ func (h *Health) Status() HealthStatus {
 	st.Samples = h.hist.Samples()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// evaluate mutates rule state under the history's lock (it reads the
-	// retained window in the same critical section), so reading it takes
-	// that lock too; the order h.mu → hist.mu is never taken in reverse.
-	h.hist.mu.Lock()
-	defer h.hist.mu.Unlock()
 	for _, rs := range h.rules {
 		if rs.cur > st.Overall {
 			st.Overall = rs.cur
@@ -533,7 +345,6 @@ func (h *Health) Status() HealthStatus {
 			Value:       rs.lastValue,
 			Warn:        finiteThreshold(rs.rule.Warn),
 			Crit:        finiteThreshold(rs.rule.Crit),
-			Below:       rs.rule.Below,
 			Matched:     rs.matched,
 			SinceNanos:  rs.sinceWall,
 			Transitions: rs.transitions,
@@ -559,15 +370,11 @@ func (st HealthStatus) WriteText(w io.Writer) {
 	}
 	for _, r := range st.Rules {
 		thr := ""
-		cmp := ">"
-		if r.Below {
-			cmp = "<"
-		}
 		if r.Warn != nil {
-			thr += fmt.Sprintf(" warn%s%.6g", cmp, *r.Warn)
+			thr += fmt.Sprintf(" warn>%.6g", *r.Warn)
 		}
 		if r.Crit != nil {
-			thr += fmt.Sprintf(" crit%s%.6g", cmp, *r.Crit)
+			thr += fmt.Sprintf(" crit>%.6g", *r.Crit)
 		}
 		note := ""
 		if !r.Matched {
@@ -644,11 +451,7 @@ func writeHealthHTML(w io.Writer, st HealthStatus) {
 			if p == nil {
 				return "—"
 			}
-			cmp := ">"
-			if r.Below {
-				cmp = "<"
-			}
-			return fmt.Sprintf("%s%.6g", cmp, *p)
+			return fmt.Sprintf(">%.6g", *p)
 		}
 		val := fmt.Sprintf("%.6g", r.Value)
 		if !r.Matched {

@@ -16,11 +16,37 @@ func newTestHealth(rules ...Rule) (*Registry, *Health) {
 	return reg, NewHealth(hist, rules...)
 }
 
+// windowDelta is a rule body: the deltas of counter name summed over the
+// last n ticks.
+func windowDelta(name string, n int) func(*History) (float64, bool) {
+	return func(h *History) (float64, bool) {
+		wins := h.Window(name, n)
+		sum := int64(0)
+		for _, w := range wins {
+			for _, v := range w.Values {
+				sum += v
+			}
+		}
+		return float64(sum), len(wins) > 0
+	}
+}
+
+// latest is a rule body: the newest sampled value of gauge name.
+func latest(name string) func(*History) (float64, bool) {
+	return func(h *History) (float64, bool) {
+		wins := h.Window(name, 1)
+		if len(wins) == 0 {
+			return 0, false
+		}
+		return float64(wins[0].Cumulative), true
+	}
+}
+
 func TestHealthEscalationNeedsForTicks(t *testing.T) {
 	reg, h := newTestHealth(Rule{
-		Name:   "errs",
-		Signal: Signal{Series: "errs", Source: SourceDelta, Window: 4},
-		Warn:   math.NaN(), Crit: 0, // any windowed error is CRIT
+		Name: "errs",
+		Eval: windowDelta("errs", 4),
+		Warn: math.NaN(), Crit: 0, // any windowed error is CRIT
 		ForTicks: 2, HoldTicks: 2,
 	})
 	var got []Transition
@@ -75,9 +101,9 @@ func TestHealthEscalationNeedsForTicks(t *testing.T) {
 // fires.
 func TestHealthFlapSuppression(t *testing.T) {
 	reg, h := newTestHealth(Rule{
-		Name:   "flappy",
-		Signal: Signal{Series: "errs", Source: SourceDelta, Window: 1},
-		Warn:   math.NaN(), Crit: 0,
+		Name: "flappy",
+		Eval: windowDelta("errs", 1),
+		Warn: math.NaN(), Crit: 0,
 		ForTicks: 2, HoldTicks: 2,
 	})
 	fired := 0
@@ -94,48 +120,31 @@ func TestHealthFlapSuppression(t *testing.T) {
 	}
 }
 
-func TestHealthWarnThenCritAndBelow(t *testing.T) {
-	reg, h := newTestHealth(
-		Rule{
-			Name:   "depth",
-			Signal: Signal{Series: "depth", Source: SourceValue, Agg: AggMax},
-			Warn:   5, Crit: 10,
-			ForTicks: 1, HoldTicks: 1,
-		},
-		Rule{
-			Name:   "floor",
-			Signal: Signal{Series: "depth", Source: SourceValue, Agg: AggMax},
-			Warn:   math.NaN(), Crit: 2, Below: true,
-			ForTicks: 1, HoldTicks: 1,
-		},
-	)
+func TestHealthWarnThenCrit(t *testing.T) {
+	reg, h := newTestHealth(Rule{
+		Name: "depth",
+		Eval: latest("depth"),
+		Warn: 5, Crit: 10,
+		ForTicks: 1, HoldTicks: 1,
+	})
 	g := reg.Gauge("depth", "", nil)
-	g.Set(7)
-	h.Tick()
-	st := h.Status()
-	if st.Rules[0].Severity != SevWarn {
-		t.Errorf("depth at 7: severity %v, want WARN", st.Rules[0].Severity)
-	}
-	if st.Rules[1].Severity != SevOK {
-		t.Errorf("floor at 7: severity %v, want OK", st.Rules[1].Severity)
-	}
-	g.Set(11)
-	h.Tick()
-	if st = h.Status(); st.Rules[0].Severity != SevCrit {
-		t.Errorf("depth at 11: severity %v, want CRIT", st.Rules[0].Severity)
-	}
-	g.Set(1)
-	h.Tick()
-	if st = h.Status(); st.Rules[1].Severity != SevCrit {
-		t.Errorf("floor at 1 (Below): severity %v, want CRIT", st.Rules[1].Severity)
+	for _, step := range []struct {
+		depth int64
+		want  Severity
+	}{{7, SevWarn}, {11, SevCrit}, {10, SevWarn}, {1, SevOK}} {
+		g.Set(step.depth)
+		h.Tick()
+		if got := h.Status().Rules[0].Severity; got != step.want {
+			t.Errorf("depth at %d: severity %v, want %v", step.depth, got, step.want)
+		}
 	}
 }
 
 func TestHealthUnmatchedSeriesStaysOK(t *testing.T) {
 	_, h := newTestHealth(Rule{
-		Name:   "ghost",
-		Signal: Signal{Series: "never_registered", Source: SourceValue},
-		Warn:   math.NaN(), Crit: 0,
+		Name: "ghost",
+		Eval: latest("never_registered"),
+		Warn: math.NaN(), Crit: 0,
 		ForTicks: 1, HoldTicks: 1,
 	})
 	h.Tick()
@@ -151,68 +160,11 @@ func TestHealthUnmatchedSeriesStaysOK(t *testing.T) {
 	}
 }
 
-func TestHealthSignalMinusAndAgg(t *testing.T) {
-	reg, h := newTestHealth(Rule{
-		Name: "lag",
-		Signal: Signal{
-			Series: "clock", Source: SourceValue, Agg: AggMax,
-			Minus: &Signal{Series: "wm", Source: SourceValue, Agg: AggMin},
-		},
-		Warn: math.NaN(), Crit: 50,
-		ForTicks: 1, HoldTicks: 1,
-	})
-	reg.Gauge("clock", "", Labels{"shard": "0"}).Set(100)
-	reg.Gauge("clock", "", Labels{"shard": "1"}).Set(120)
-	reg.Gauge("wm", "", Labels{"shard": "0"}).Set(90)
-	reg.Gauge("wm", "", Labels{"shard": "1"}).Set(110)
-	h.Tick()
-	st := h.Status()
-	// max(clock)=120, min(wm)=90 → lag 30.
-	if st.Rules[0].Value != 30 {
-		t.Errorf("lag value = %g, want 30", st.Rules[0].Value)
-	}
-	if st.Rules[0].Severity != SevOK {
-		t.Errorf("lag severity = %v, want OK", st.Rules[0].Severity)
-	}
-}
-
-func TestHealthQuantileSignalMergesSeries(t *testing.T) {
-	reg, h := newTestHealth(Rule{
-		Name: "p99",
-		Signal: Signal{
-			Series: "lat", Match: Labels{"polarity": "pos"},
-			Source: SourceQuantile, Window: 4, Q: 0.99,
-		},
-		Warn: math.NaN(), Crit: 1 << 20,
-		ForTicks: 1, HoldTicks: 1,
-	})
-	pos := reg.LogHistogram("lat", "", Labels{"polarity": "pos", "shard": "0"})
-	pos2 := reg.LogHistogram("lat", "", Labels{"polarity": "pos", "shard": "1"})
-	neg := reg.LogHistogram("lat", "", Labels{"polarity": "neg", "shard": "0"})
-	h.Tick() // baseline
-	pos.ObserveN(100, 10)
-	pos2.ObserveN(1<<24, 10) // the tail lives entirely in another label set
-	neg.ObserveN(1<<30, 50)
-	h.Tick()
-	st := h.Status()
-	// The p99 of the merged pos-series window must see shard 1's tail…
-	if st.Rules[0].Value < float64(int64(1)<<23) {
-		t.Errorf("p99 = %g, want the cross-series tail (>= 2^23)", st.Rules[0].Value)
-	}
-	// …but not the neg polarity's 2^30 observations.
-	if st.Rules[0].Value > float64(int64(1)<<29) {
-		t.Errorf("p99 = %g leaked the neg-polarity series", st.Rules[0].Value)
-	}
-	if st.Rules[0].Severity != SevCrit {
-		t.Errorf("severity = %v, want CRIT (tail above 2^20)", st.Rules[0].Severity)
-	}
-}
-
 func TestHealthStatusJSONWithNaNThresholds(t *testing.T) {
 	reg, h := newTestHealth(Rule{
-		Name:   "r",
-		Signal: Signal{Series: "g", Source: SourceValue},
-		Warn:   math.NaN(), Crit: 10,
+		Name: "r",
+		Eval: latest("g"),
+		Warn: math.NaN(), Crit: 10,
 		ForTicks: 1, HoldTicks: 1,
 	})
 	reg.Gauge("g", "", nil).Set(3)
@@ -257,8 +209,8 @@ func TestLogAlertSink(t *testing.T) {
 func TestHealthPage(t *testing.T) {
 	reg, h := newTestHealth(Rule{
 		Name: "depth", Help: "queue depth",
-		Signal: Signal{Series: "depth", Source: SourceValue},
-		Warn:   math.NaN(), Crit: 10,
+		Eval: latest("depth"),
+		Warn: math.NaN(), Crit: 10,
 		ForTicks: 1, HoldTicks: 1,
 	})
 	g := reg.Gauge("depth", "", nil)

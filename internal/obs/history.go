@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -96,22 +95,6 @@ func NewHistory(reg *Registry, cfg HistoryConfig) *History {
 		rings: make(map[string]*seriesRing),
 		times: make([]sampleStamp, cfg.Capacity),
 	}
-}
-
-// Registry returns the registry this history samples. Safe on nil.
-func (h *History) Registry() *Registry {
-	if h == nil {
-		return nil
-	}
-	return h.reg
-}
-
-// Interval returns the configured sampling cadence. Safe on nil.
-func (h *History) Interval() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.cfg.Interval
 }
 
 // BeforeSample registers fn to run at the start of every tick, before the
@@ -409,87 +392,6 @@ func (h *History) latestLocked(r *seriesRing) int64 {
 		return 0
 	}
 	return r.vals[int((h.count-1)%int64(h.cfg.Capacity))]
-}
-
-// windowSumLocked sums the last n stored values of r (deltas for counters,
-// observation counts for histograms).
-func (h *History) windowSumLocked(r *seriesRing, n int) int64 {
-	avail := h.retainedLocked()
-	if n <= 0 || n > avail {
-		n = avail
-	}
-	sum := int64(0)
-	for i := h.count - int64(n); i < h.count; i++ {
-		sum += r.vals[int(i%int64(h.cfg.Capacity))]
-	}
-	return sum
-}
-
-// windowElapsedLocked returns the monotonic nanoseconds covered by the
-// last n deltas: newest stamp minus the stamp n ticks back (clamped to
-// the retained range).
-func (h *History) windowElapsedLocked(n int) int64 {
-	if h.count < 2 {
-		return 0
-	}
-	avail := h.retainedLocked()
-	if n <= 0 || n > avail-1 {
-		n = avail - 1
-	}
-	if n <= 0 {
-		return 0
-	}
-	newest := h.times[int((h.count-1)%int64(h.cfg.Capacity))].mono
-	oldest := h.times[int((h.count-1-int64(n))%int64(h.cfg.Capacity))].mono
-	if newest <= oldest {
-		return 0
-	}
-	return newest - oldest
-}
-
-// windowHistLocked merges the last n bucket-wise deltas of a histogram
-// series into one distribution.
-func (h *History) windowHistLocked(r *seriesRing, n int) LogHistogramSnapshot {
-	var merged LogHistogramSnapshot
-	if r.hists == nil {
-		return merged
-	}
-	avail := h.retainedLocked()
-	if n <= 0 || n > avail {
-		n = avail
-	}
-	for i := h.count - int64(n); i < h.count; i++ {
-		merged = merged.Merge(r.hists[int(i%int64(h.cfg.Capacity))])
-	}
-	return merged
-}
-
-// matchRingsLocked returns every ring with metric name `name` whose
-// rendered labels contain each pair in match. Label rendering is
-// deterministic and escaped, so substring matching on `k="v"` pairs is a
-// sound subset test.
-func (h *History) matchRingsLocked(name string, match Labels) []*seriesRing {
-	var needles []string
-	for k, v := range match {
-		needles = append(needles, k+`="`+escapeLabelValue(v)+`"`)
-	}
-	var out []*seriesRing
-	for _, r := range h.order {
-		if r.name != name {
-			continue
-		}
-		ok := true
-		for _, nd := range needles {
-			if !strings.Contains(r.labels, nd) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // HistoryPage serves the retained windows as JSON:

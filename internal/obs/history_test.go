@@ -241,8 +241,7 @@ func TestHistoryNilSafe(t *testing.T) {
 	h.Stop()
 	h.BeforeSample(func() {})
 	h.AfterSample(func() {})
-	if h.Samples() != 0 || h.Series() != nil || h.Window("x", 0) != nil ||
-		h.Registry() != nil || h.Interval() != 0 {
+	if h.Samples() != 0 || h.Series() != nil || h.Window("x", 0) != nil {
 		t.Error("nil History must read as empty")
 	}
 }

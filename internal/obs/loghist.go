@@ -144,8 +144,8 @@ func (h *LogHistogram) Snapshot() LogHistogramSnapshot {
 
 // Quantile estimates an arbitrary q-quantile (0 < q <= 1) from the
 // snapshot's buckets, clamped to the observed max — the general form of
-// the pre-computed P50/P95/P99, used by health rules with custom SLO
-// quantiles.
+// the pre-computed P50/P95/P99, used by health rules that read a merged
+// window.
 func (s LogHistogramSnapshot) Quantile(q float64) int64 {
 	if s.Count <= 0 || len(s.Buckets) == 0 {
 		return 0

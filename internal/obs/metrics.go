@@ -1,6 +1,6 @@
 // Package obs is the engine's observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, and log-bucketed histograms),
-// an in-process history sampler with declarative health rules over it, and
+// an in-process history sampler with health rules (Go functions) over it, and
 // exposition in Prometheus text format and JSON — the instrumentation
 // backbone that turns the paper's end-of-run aggregates (tuple touches,
 // retraction volume, stored state) into live, continuously observable

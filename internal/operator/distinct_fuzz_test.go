@@ -508,15 +508,11 @@ func storeVictim(stored []tuple.Tuple, neg tuple.Tuple) int {
 	return at
 }
 
-// storedInput returns the tuples d's input stores, read through Rebind,
-// which counts no visit, so reading leaves d's checkpoint bytes as they
-// were.
+// storedInput returns the tuples d's input stores, read through Each, which
+// counts no visit, so reading leaves d's checkpoint bytes as they were.
 func storedInput(d *Distinct) []tuple.Tuple {
 	var ts []tuple.Tuple
-	d.input.Rebind(func(t tuple.Tuple) []tuple.Value {
-		ts = append(ts, t)
-		return t.Vals
-	})
+	d.input.Each(func(t *tuple.Tuple) bool { ts = append(ts, *t); return true })
 	return ts
 }
 

@@ -111,20 +111,20 @@ func (d *Distinct) LoadState(dec *checkpoint.Decoder) error {
 		return err
 	}
 	short := 0 // rows too short to key, which no run stores
-	share := func(t tuple.Tuple) []tuple.Value {
+	share := func(t *tuple.Tuple) bool {
 		if !t.Covers(d.allCols) {
 			short++
-			return t.Vals
+			return true
 		}
-		if ref := d.reps.FindRow(t, d.allCols); ref != 0 {
+		if ref := d.reps.FindRow(*t, d.allCols); ref != 0 {
 			if rep := d.reps.At(ref).Vals; slices.EqualFunc(t.Vals, rep, tuple.Value.Identical) {
-				return rep
+				t.Vals = rep
 			}
 		}
-		return t.Vals
+		return true
 	}
-	d.input.Rebind(share)
-	d.expIdx.Rebind(share)
+	d.input.Each(share)
+	d.expIdx.Each(share)
 	if short > 0 {
 		return fmt.Errorf("%w: %d stored rows lack Distinct's %d columns", checkpoint.ErrCorrupt, short, len(d.allCols))
 	}

@@ -150,14 +150,17 @@ var rules = []rule{
 		// Update-pattern simplification / negation pull-up:
 		// (A − B) ⋈ C → (A ⋈ C) − B, valid when the join key equals the
 		// negation attribute on A's side (attribute positions survive) and
-		// multiplicities permit (at most one live match per value; the
-		// optimizer treats the shapes as interchangeable, as Figure 6 does).
+		// C holds at most one live tuple per key: negation here is on
+		// multisets, so with a second C match per key the two forms of
+		// Figure 6 count different multiplicities. A Distinct whose output
+		// is exactly its join key guarantees that (see keyOnlyDistinct).
 		// Pulling negation up minimizes the operators that see negative
 		// tuples (Section 5.4.2).
 		name: "negation-pullup",
 		applies: func(n *Node) bool {
 			return n.Kind == Join && n.Inputs[0].Kind == Negate &&
-				equalInts(n.LeftCols, n.Inputs[0].LeftCols)
+				equalInts(n.LeftCols, n.Inputs[0].LeftCols) &&
+				keyOnlyDistinct(n.Inputs[1], n.RightCols)
 		},
 		apply: func(n *Node) *Node {
 			neg := n.Inputs[0]
@@ -168,14 +171,16 @@ var rules = []rule{
 	},
 	{
 		// Negation push-down, the inverse: (A ⋈ C) − B → (A − B) ⋈ C when
-		// the negation attribute lies in A's columns of the join.
+		// the negation attribute lies in A's columns of the join, under the
+		// same one-C-tuple-per-key condition.
 		name: "negation-pushdown",
 		applies: func(n *Node) bool {
 			if n.Kind != Negate || n.Inputs[0].Kind != Join {
 				return false
 			}
 			join := n.Inputs[0]
-			return equalInts(n.LeftCols, join.LeftCols)
+			return equalInts(n.LeftCols, join.LeftCols) &&
+				keyOnlyDistinct(join.Inputs[1], join.RightCols)
 		},
 		apply: func(n *Node) *Node {
 			join := n.Inputs[0]
@@ -210,6 +215,23 @@ var rules = []rule{
 			return j
 		},
 	},
+}
+
+// keyOnlyDistinct reports whether n is a Distinct whose every output column
+// is one of the join key columns keys, so it holds at most one live tuple
+// per key value.
+func keyOnlyDistinct(n *Node, keys []int) bool {
+	if n.Kind != Distinct || n.Schema == nil || len(keys) != n.Schema.Len() {
+		return false
+	}
+	seen := make([]bool, len(keys))
+	for _, c := range keys {
+		if c < 0 || c >= len(keys) || seen[c] {
+			return false
+		}
+		seen[c] = true
+	}
+	return true
 }
 
 func equalInts(a, b []int) bool {

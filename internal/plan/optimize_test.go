@@ -42,10 +42,14 @@ func TestSelectionPushdownRewrite(t *testing.T) {
 	}
 }
 
+// ftpKeys is the joined side the negation rewrites need: the distinct ftp
+// keys of stream 2, one live tuple per key.
+func ftpKeys(size int64) *Node { return NewDistinct(NewProject(ftpSel(win(2, size)), 0)) }
+
 func TestNegationPullUpAndPushDownAreInverse(t *testing.T) {
-	// Start from the push-down shape of Figure 6 and expect the pull-up
-	// shape among rewrites, and vice versa.
-	pushDown := NewJoin(NewNegate(win(0, 100), win(1, 100), []int{0}, []int{0}), ftpSel(win(2, 100)), []int{0}, []int{0})
+	// Start from the push-down shape of Figure 6 over a key-only Distinct
+	// and expect the pull-up shape among rewrites, and vice versa.
+	pushDown := NewJoin(NewNegate(win(0, 100), win(1, 100), []int{0}, []int{0}), ftpKeys(100), []int{0}, []int{0})
 	foundPullUp := false
 	for _, r := range Rewrites(pushDown) {
 		if r.Kind == Negate && r.Inputs[0].Kind == Join {
@@ -55,7 +59,7 @@ func TestNegationPullUpAndPushDownAreInverse(t *testing.T) {
 	if !foundPullUp {
 		t.Error("negation pull-up variant missing")
 	}
-	pullUp := NewNegate(NewJoin(win(0, 100), ftpSel(win(2, 100)), []int{0}, []int{0}), win(1, 100), []int{0}, []int{0})
+	pullUp := NewNegate(NewJoin(win(0, 100), ftpKeys(100), []int{0}, []int{0}), win(1, 100), []int{0}, []int{0})
 	foundPushDown := false
 	for _, r := range Rewrites(pullUp) {
 		if r.Kind == Join && r.Inputs[0].Kind == Negate {
@@ -107,27 +111,27 @@ func TestOptimizeReturnsValidCheapestPlan(t *testing.T) {
 	}
 }
 
-// TestOptimizePrefersNegationPullUpWithSelectiveJoin mirrors Section 5.4.3:
-// with a selective join predicate, pulling negation above the join reduces
-// the number of operators handling negative tuples and should win under UPA.
-func TestOptimizePrefersNegationPullUpWithSelectiveJoin(t *testing.T) {
-	stats := Stats{
-		Streams: map[int]StreamStats{
-			0: {Rate: 1, Distinct: map[int]float64{0: 10}},
-			1: {Rate: 1, Distinct: map[int]float64{0: 10}},
-			2: {Rate: 1, Distinct: map[int]float64{0: 10}},
-		},
-		DefaultRate: 1, DefaultDistinct: 10,
-	}
+// TestOptimizeKeepsPlainQ5Shapes: when the joined stream may hold several
+// live tuples per key, the two Figure 6 forms count different multiplicities
+// under multiset negation, so neither is rewritten into the other.
+func TestOptimizeKeepsPlainQ5Shapes(t *testing.T) {
 	pushDown := NewJoin(NewNegate(win(0, 10000), win(1, 10000), []int{0}, []int{0}),
 		ftpSel(win(2, 10000)), []int{0}, []int{0})
-	best, err := Optimize(pushDown, UPA, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Kind != Negate {
-		t.Logf("chosen plan:\n%s", best)
-		t.Skip("cost model did not prefer pull-up under these stats; acceptable but logged")
+	pullUp := NewNegate(NewJoin(win(0, 10000), ftpSel(win(2, 10000)), []int{0}, []int{0}),
+		win(1, 10000), []int{0}, []int{0})
+	for _, p := range []*Node{pushDown, pullUp} {
+		for _, r := range Rewrites(p) {
+			if r.Kind != p.Kind {
+				t.Errorf("plain Q5 %v rewritten to:\n%s", p.Kind, r)
+			}
+		}
+		best, err := Optimize(p, UPA, DefaultStats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shapeKey(best) != shapeKey(p) {
+			t.Errorf("optimizer changed plain Q5 %v to:\n%s", p.Kind, best)
+		}
 	}
 }
 

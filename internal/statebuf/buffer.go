@@ -76,6 +76,15 @@ type Buffer interface {
 	// expired tuples themselves, per Section 2.1 of the paper.
 	Scan(fn func(t tuple.Tuple) bool)
 
+	// Each visits every stored tuple in Scan order until fn returns false,
+	// counting no visit. fn may store a new slice in t.Vals only if it holds
+	// the tuple's values bit for bit, so the tuple keeps its key, digest and
+	// position. A result view reads through it, so its reads leave the
+	// Touched ledger its checkpoint carries as it was, and an owner uses it
+	// to share one copy of a value among the tuples that hold it, as after a
+	// restore.
+	Each(fn func(t *tuple.Tuple) bool)
+
 	// Len returns the number of stored tuples (live or lazily retained).
 	Len() int
 
@@ -83,13 +92,6 @@ type Buffer interface {
 	// this buffer across all operations — the cost-accounting signal that
 	// distinguishes the strategies in the experiments.
 	Touched() int64
-
-	// Rebind calls fn with every stored tuple and stores the slice fn
-	// returns in that tuple's place. fn must return the tuple's values bit
-	// for bit, so the tuple keeps its key, digest and position; no visit is
-	// counted. An owner uses it to share one copy of a value among the
-	// tuples that hold it, as after a restore.
-	Rebind(fn func(t tuple.Tuple) []tuple.Value)
 
 	// SaveState and LoadState write and restore the stored tuples, cursors
 	// and counters; the configuration comes from the plan.
@@ -105,6 +107,13 @@ type Buffer interface {
 // heap on every call.
 type ProbeAppender interface {
 	ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple
+}
+
+// KeyReader is implemented by the keyed buffers: LookupAppend appends every
+// tuple stored under key k, expired or not, counting no visit — the keyed
+// read of a result view, which must leave the Touched ledger as it was.
+type KeyReader interface {
+	LookupAppend(k tuple.Key, dst []tuple.Tuple) []tuple.Tuple
 }
 
 // HashedBuffer is implemented by buffers indexed on key columns that take a

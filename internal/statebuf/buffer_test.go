@@ -482,9 +482,10 @@ func TestIndexedFIFOUnsortedFallback(t *testing.T) {
 	}
 }
 
-// TestBuffersRebind: every kind rebinds each stored tuple exactly once,
-// removed ones excluded, counts no visit, and afterwards stores the slice fn
-// returned in that tuple's place, found by probes and retractions as before.
+// TestBuffersRebind: every kind's Each visits each stored tuple exactly
+// once, removed ones excluded, counts no visit, and afterwards stores the
+// slice fn put in that tuple's place, found by probes and retractions as
+// before.
 func TestBuffersRebind(t *testing.T) {
 	for name, b := range allBuffers(100) {
 		t.Run(name, func(t *testing.T) {
@@ -496,13 +497,14 @@ func TestBuffersRebind(t *testing.T) {
 			}
 			shared := map[int64][]tuple.Value{}
 			touched, visits := b.Touched(), 0
-			b.Rebind(func(tp tuple.Tuple) []tuple.Value {
+			b.Each(func(tp *tuple.Tuple) bool {
 				visits++
 				v := tp.Vals[0].I
 				if shared[v] == nil {
 					shared[v] = []tuple.Value{tuple.Int(v)}
 				}
-				return shared[v]
+				tp.Vals = shared[v]
+				return true
 			})
 			if visits != 5 || b.Touched() != touched {
 				t.Fatalf("%d visits and %d touches; want 5 and none", visits, b.Touched()-touched)
@@ -513,7 +515,43 @@ func TestBuffersRebind(t *testing.T) {
 				}
 			}
 			if !b.Remove(mk(0, 105, 2)) || b.Len() != 4 {
-				t.Fatalf("after Rebind a retraction misses: Len %d", b.Len())
+				t.Fatalf("after rebinding a retraction misses: Len %d", b.Len())
+			}
+		})
+	}
+}
+
+// TestReadsCountNoVisit: Each visits what Scan visits, in Scan's order, and
+// LookupAppend finds what a probe from the beginning of time finds, yet
+// neither moves Touched — a result view's reads must not change the ledger
+// its checkpoint carries.
+func TestReadsCountNoVisit(t *testing.T) {
+	for name, b := range allBuffers(100) {
+		t.Run(name, func(t *testing.T) {
+			for i := int64(1); i <= 6; i++ {
+				b.Insert(mk(i, 100+i, i%3))
+			}
+			before := b.Touched()
+			var each []tuple.Tuple
+			b.Each(func(t *tuple.Tuple) bool { each = append(each, *t); return true })
+			var got []tuple.Tuple
+			var k tuple.Key
+			if r, ok := b.(KeyReader); ok {
+				k = mk(0, 0, 1).Key([]int{0})
+				got = r.LookupAppend(k, nil)
+			}
+			if b.Touched() != before {
+				t.Fatalf("reads moved Touched from %d to %d", before, b.Touched())
+			}
+			var scan []tuple.Tuple
+			b.Scan(func(t tuple.Tuple) bool { scan = append(scan, t); return true })
+			if fmt.Sprint(each) != fmt.Sprint(scan) {
+				t.Errorf("Each visited %v, Scan %v", each, scan)
+			}
+			if p, ok := b.(ProbeAppender); ok {
+				if want := p.ProbeAppend(k, -1, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("LookupAppend found %v, ProbeAppend %v", got, want)
+				}
 			}
 		})
 	}

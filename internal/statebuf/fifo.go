@@ -123,11 +123,12 @@ func (b *FIFOBuffer) Scan(fn func(t tuple.Tuple) bool) {
 	}
 }
 
-// Rebind implements Buffer.
-func (b *FIFOBuffer) Rebind(fn func(t tuple.Tuple) []tuple.Value) {
+// Each implements Buffer.
+func (b *FIFOBuffer) Each(fn func(t *tuple.Tuple) bool) {
 	for i := 0; i < b.items.Len(); i++ {
-		t := b.items.At(i)
-		t.Vals = fn(*t)
+		if !fn(b.items.At(i)) {
+			return
+		}
 	}
 }
 

@@ -99,6 +99,11 @@ func (b *HashBuffer) Scan(fn func(t tuple.Tuple) bool) {
 	}
 }
 
+// LookupAppend implements KeyReader.
+func (b *HashBuffer) LookupAppend(k tuple.Key, dst []tuple.Tuple) []tuple.Tuple {
+	return b.lookup(k, dst)
+}
+
 // Kind identifies the buffer implementation (KindHash).
 func (b *HashBuffer) Kind() Kind { return KindHash }
 

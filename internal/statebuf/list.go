@@ -31,8 +31,8 @@ func (b *ListBuffer) Remove(t tuple.Tuple) bool { return b.fifo.Remove(t) }
 // Scan visits stored tuples in insertion order.
 func (b *ListBuffer) Scan(fn func(t tuple.Tuple) bool) { b.fifo.Scan(fn) }
 
-// Rebind implements Buffer.
-func (b *ListBuffer) Rebind(fn func(t tuple.Tuple) []tuple.Value) { b.fifo.Rebind(fn) }
+// Each implements Buffer.
+func (b *ListBuffer) Each(fn func(t *tuple.Tuple) bool) { b.fifo.Each(fn) }
 
 // ScanAppend appends to dst the tuples live at now whose key over keyCols
 // equals k, and returns the extended slice: the baseline's probe, a filtered

@@ -148,6 +148,11 @@ func (b *PartitionedBuffer) Scan(fn func(t tuple.Tuple) bool) {
 	})
 }
 
+// Each implements Buffer.
+func (b *PartitionedBuffer) Each(fn func(t *tuple.Tuple) bool) {
+	b.each(func(_ int32, e *calEntry) bool { return fn(&e.t) })
+}
+
 // each calls fn with every stored entry in Scan order, counting no visit,
 // until fn returns false.
 func (b *PartitionedBuffer) each(fn func(ref int32, e *calEntry) bool) {
@@ -204,6 +209,11 @@ func (b keyedCalendar) InsertHashed(h uint64, t tuple.Tuple) { b.file(b.alloc(h,
 // order. Distinct keys can share a digest, so each is verified against k.
 func (b keyedCalendar) ProbeAppend(k tuple.Key, now int64, dst []tuple.Tuple) []tuple.Tuple {
 	return b.probe(k.Hash64(), k, now, dst)
+}
+
+// LookupAppend implements KeyReader.
+func (b keyedCalendar) LookupAppend(k tuple.Key, dst []tuple.Tuple) []tuple.Tuple {
+	return b.lookup(k, dst)
 }
 
 // ProbeAppendHashed implements HashedBuffer (see

@@ -157,6 +157,19 @@ func (s *store) probe(h uint64, k tuple.Key, now int64, dst []tuple.Tuple) []tup
 	return dst
 }
 
+// lookup is probe for a read: every tuple stored under k, expired or not,
+// counting no visit.
+func (s *store) lookup(k tuple.Key, dst []tuple.Tuple) []tuple.Tuple {
+	for ref := s.index[k.Hash64()]; ref != 0; {
+		e := s.ents.At(ref)
+		if e.t.KeyMatches(s.keyCols, k) {
+			dst = append(dst, e.t)
+		}
+		ref = e.next
+	}
+	return dst
+}
+
 // drop takes a stored entry out of its key chain and releases it: it pins no
 // tuple, and scans of the slab skip it until alloc's caller overwrites it.
 func (s *store) drop(ref int32, e *calEntry) {
@@ -174,11 +187,12 @@ func (s *store) Len() int { return s.size }
 // Touched returns cumulative tuple visits.
 func (s *store) Touched() int64 { return s.touched }
 
-// Rebind implements Buffer for the hash and the calendars.
-func (s *store) Rebind(fn func(t tuple.Tuple) []tuple.Value) {
+// Each implements Buffer for the hash, in slot order, its Scan order; the
+// calendars visit in theirs.
+func (s *store) Each(fn func(t *tuple.Tuple) bool) {
 	for ref := int32(1); ref <= s.ents.used; ref++ {
-		if e := s.ents.At(ref); e.slot != dead {
-			e.t.Vals = fn(e.t)
+		if e := s.ents.At(ref); e.slot != dead && !fn(&e.t) {
+			return
 		}
 	}
 }

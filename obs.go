@@ -24,7 +24,7 @@ type (
 	// MetricsServer is a running HTTP exposition endpoint.
 	MetricsServer = obs.Server
 	// MetricsPage is one extra endpoint mounted on the exposition handler,
-	// e.g. Engine.PlanPage's /debug/plan.
+	// e.g. Registry.PlanPage's /debug/plan.
 	MetricsPage = obs.Page
 	// LatencySnapshot is a point-in-time reading of a delta-latency
 	// distribution: count, sum, max, and interpolated p50/p95/p99, all in
@@ -34,17 +34,12 @@ type (
 	// WithHealth: per-series retained windows of counter deltas, gauge
 	// values, and bucket-wise latency distributions.
 	MetricsHistory = obs.History
-	// HealthMonitor evaluates declarative rules over a MetricsHistory
-	// every sample tick and drives per-rule OK→WARN→CRIT alert state
+	// HealthMonitor evaluates the engine's built-in rules over a
+	// MetricsHistory every sample tick and drives per-rule OK→WARN→CRIT alert state
 	// machines (see WithHealth and Registry.Health).
 	HealthMonitor = obs.Health
 	// HealthStatus is a point-in-time report of every rule's severity.
 	HealthStatus = obs.HealthStatus
-	// HealthRule is one declarative health check (threshold,
-	// rate-of-change, or windowed-quantile predicate over any series).
-	HealthRule = obs.Rule
-	// HealthSignal is the series-window expression a rule evaluates.
-	HealthSignal = obs.Signal
 	// HealthSeverity is a rule state: SevOK < SevWarn < SevCrit.
 	HealthSeverity = obs.Severity
 	// AlertTransition is one alert state change delivered to sinks.
@@ -62,31 +57,6 @@ const (
 	SevOK   = obs.SevOK
 	SevWarn = obs.SevWarn
 	SevCrit = obs.SevCrit
-)
-
-// Signal sources for custom health rules: how a HealthSignal reads its
-// series' retained window.
-const (
-	// SourceValue reads the current value (cumulative total for counters,
-	// latest sample for gauges).
-	SourceValue = obs.SourceValue
-	// SourceDelta sums the change across the window.
-	SourceDelta = obs.SourceDelta
-	// SourceRate is the windowed change per second.
-	SourceRate = obs.SourceRate
-	// SourceQuantile reads the Q-quantile of the window's merged latency
-	// distribution.
-	SourceQuantile = obs.SourceQuantile
-	// SourceAge reads nanoseconds since a monotonic-stamp gauge was set.
-	SourceAge = obs.SourceAge
-)
-
-// Aggregators folding a signal's per-series readings when it matches more
-// than one label set.
-const (
-	AggSum = obs.AggSum
-	AggMax = obs.AggMax
-	AggMin = obs.AggMin
 )
 
 // NewMetricsRegistry builds an empty metrics registry.
@@ -113,7 +83,7 @@ func WithQueryLabel(name string) RegistryOption {
 }
 
 // MetricsHandler serves reg over HTTP: /metrics (Prometheus text format),
-// /metrics.json, and /debug/pprof/. Extra pages (e.g. Engine.PlanPage) are
+// /metrics.json, and /debug/pprof/. Extra pages (e.g. Registry.PlanPage) are
 // mounted alongside and listed on the index.
 func MetricsHandler(reg *MetricsRegistry, pages ...MetricsPage) http.Handler {
 	return obs.Handler(reg, pages...)
@@ -123,29 +93,6 @@ func MetricsHandler(reg *MetricsRegistry, pages ...MetricsPage) http.Handler {
 // background until the returned server is closed.
 func ServeMetrics(addr string, reg *MetricsRegistry, pages ...MetricsPage) (*MetricsServer, error) {
 	return obs.Serve(addr, reg, pages...)
-}
-
-// PlanPage returns a /debug/plan page for the exposition endpoint: the
-// engine's EXPLAIN tree as text (or a Graphviz digraph with ?format=dot),
-// annotated with live counters when ?analyze=1. The live mode reads only
-// atomically-updated instruments — it never syncs or blocks the engine — so
-// counters are a consistent-enough mid-run approximation, like /metrics.
-func (e *Engine) PlanPage() MetricsPage {
-	return MetricsPage{
-		Path:  "/debug/plan",
-		Title: "EXPLAIN of the running plan (?analyze=1, ?format=dot)",
-		Handler: func(w http.ResponseWriter, r *http.Request) {
-			analyze := r.URL.Query().Get("analyze") != ""
-			t := e.Query.h.Explain(analyze)
-			if r.URL.Query().Get("format") == "dot" {
-				w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-				_ = t.WriteDOT(w)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = t.WriteText(w)
-		},
-	}
 }
 
 // PatternViolations returns the total number of update-pattern conformance
@@ -171,14 +118,9 @@ type HealthConfig struct {
 	// Health().Tick(), which tests and single-threaded drivers use for
 	// determinism.
 	Interval time.Duration
-	// Capacity is the number of sample ticks each series retains
-	// (default 600).
-	Capacity int
 	// SLO parameterizes the engine's built-in rules (latency p99 target,
 	// checkpoint age, evaluation window).
 	SLO HealthSLO
-	// Rules are extra user rules evaluated alongside the built-ins.
-	Rules []HealthRule
 	// Sinks receive alert transitions.
 	Sinks []AlertSink
 }
@@ -187,7 +129,7 @@ type HealthConfig struct {
 // engine: a history sampler over the engine's registry (plus process-level
 // build/uptime/runtime series), the engine's built-in health rules
 // (pattern violations, premature expirations, partition-join wait, latency
-// SLO, staleness lag, checkpoint age) plus any user rules, and an alert
+// SLO, staleness lag, checkpoint age), and an alert
 // state machine per rule. Implies metrics: when no WithMetrics registry
 // was given, a private one is created. The sampler goroutine starts at
 // Compile and stops at Close.
@@ -196,16 +138,16 @@ func WithHealth(hc HealthConfig) RegistryOption {
 }
 
 // newHealth builds the health subsystem over a constructed executor — its
-// registry and its built-in rules, then the user's; Compile and NewRegistry
-// call it when WithHealth was given.
+// registry and its built-in rules; Compile and NewRegistry call it when
+// WithHealth was given.
 func newHealth(ex *exec.Engine, hc HealthConfig) *HealthMonitor {
-	hcfg := obs.HistoryConfig{Capacity: hc.Capacity}
+	var hcfg obs.HistoryConfig
 	if hc.Interval > 0 {
 		hcfg.Interval = hc.Interval
 	}
 	hist := obs.NewHistory(ex.Metrics(), hcfg)
 	hist.BeforeSample(obs.RegisterProcessMetrics(ex.Metrics()))
-	h := obs.NewHealth(hist, append(ex.HealthRules(hc.SLO), hc.Rules...)...)
+	h := obs.NewHealth(hist, ex.HealthRules(hc.SLO)...)
 	for _, s := range hc.Sinks {
 		h.AddSink(s)
 	}

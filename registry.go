@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sync"
 
 	"repro/internal/exec"
@@ -123,28 +122,26 @@ func (r *Registry) Queries() []*Query {
 	return out
 }
 
-// PlanPage returns a /debug/plan page for the exposition endpoint: every
-// registered query's EXPLAIN tree as text, with "shared with ..."
-// annotations on operators and window sources serving other queries, and
-// live counters when ?analyze=1. Like Engine.PlanPage, the live mode reads
-// only atomically-updated instruments — safe to scrape while tuples flow.
-// Register/Unregister are not synchronized against an in-flight render
-// beyond the handle list itself, so a scrape racing a registration may show
-// a partially-annotated tree; the next scrape is consistent.
+// PlanPage returns the /debug/plan page for the exposition endpoint: every
+// registered query's EXPLAIN tree as text (under a "=== name ===" header when
+// several are registered) or as Graphviz digraphs with ?format=dot, with
+// "shared with ..." annotations on operators and window sources serving
+// other queries, and live counters when ?analyze=1. The live mode reads only
+// atomically-updated instruments — it never syncs or blocks the engine — so
+// it is safe to scrape while tuples flow, its counters a consistent-enough
+// mid-run approximation, like /metrics. Register/Unregister are not
+// synchronized against an in-flight render beyond the handle list itself, so
+// a scrape racing a registration may show a partially-annotated tree; the
+// next scrape is consistent.
 func (r *Registry) PlanPage() MetricsPage {
-	return MetricsPage{
-		Path:  "/debug/plan",
-		Title: "EXPLAIN of every registered query (?analyze=1)",
-		Handler: func(w http.ResponseWriter, req *http.Request) {
-			analyze := req.URL.Query().Get("analyze") != ""
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			for _, q := range r.Queries() {
-				fmt.Fprintf(w, "=== %s ===\n", q.Name())
-				_ = q.h.Explain(analyze).WriteText(w)
-				fmt.Fprintln(w)
-			}
-		},
-	}
+	return exec.PlanPage(func() []*exec.QueryHandle {
+		qs := r.Queries()
+		hs := make([]*exec.QueryHandle, len(qs))
+		for i, q := range qs {
+			hs[i] = q.h
+		}
+		return hs
+	})
 }
 
 // SharingStats quantifies sub-plan sharing: how many plan nodes and window

@@ -289,7 +289,9 @@ func WithOnEmit(fn func(Tuple)) QueryOption {
 }
 
 // WithOptimizer runs the update-pattern-aware rewrite optimizer
-// (Section 5.4.2) before physical planning.
+// (Section 5.4.2) before physical planning. Its rewrites keep the answer:
+// the Figure 6 negation rewrite applies only where the joined side holds
+// one live tuple per key (DESIGN §5, deviation 6).
 func WithOptimizer() QueryOption {
 	return queryOption(func(c *compileCfg) { c.optimize = true })
 }
